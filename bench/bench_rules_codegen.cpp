@@ -1,13 +1,13 @@
 // Rule-distillation latency/fidelity harness (DESIGN.md §14): fit a
 // selector, compile it, distill the compiled bank into a RuleTable and
-// quantify the fidelity/speed frontier of the third serving tier —
+// quantify the fidelity/speed frontier of the offline rule export —
 // leaf count and agreement across a max_depth sweep, then per-dispatch
 // latency of the flat table walk (ns) against the compiled bank's
 // argmin (µs) on the same query stream.
 //
 // Four hard gates make this a harness, not a report: the flat table
 // must agree with the tree it was lowered from on every probe (exact
-// equivalence is the tier's contract); the rule-table p50 must be at
+// equivalence is the export's contract); the rule-table p50 must be at
 // least 10x faster than the bank argmin p50; the blocked and batched
 // layouts (DESIGN.md §16) must agree bit for bit with the PR 8 legacy
 // walk on every probe; and the batched grid kernel must beat the

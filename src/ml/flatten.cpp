@@ -644,15 +644,12 @@ void FlatBank::predict_tree_batch(std::size_t i, const double* xs,
   }
 }
 
-void FlatBank::save(std::ostream& os, int version) const {
-  MPICP_REQUIRE(version == 1 || version == 2,
-                "unsupported flatbank version");
+void FlatBank::save(std::ostream& os) const {
   io::write_tag(os, "flatbank");
-  io::write_value(os, version);
-  // v2 carries the blocked-layout geometry; the payload below is
-  // identical in both versions (the blocked form is derived data and
-  // re-lowered on load).
-  if (version == 2) io::write_value(os, block_depth_cap_);
+  io::write_value(os, 2);
+  // The blocked form is derived data, re-lowered on load: only its
+  // geometry travels with the canonical pools.
+  io::write_value(os, block_depth_cap_);
   io::write_value(os, models_.size());
   for (const FlatModel& m : models_) {
     io::write_value(os, static_cast<int>(m.kind));
@@ -715,13 +712,9 @@ void FlatBank::save(std::ostream& os, int version) const {
 
 void FlatBank::load(std::istream& is) {
   io::expect_tag(is, "flatbank");
-  const int version = io::read_value<int>(is);
-  MPICP_REQUIRE(version == 1 || version == 2,
-                "unsupported flatbank version");
-  // v1 files predate the blocked layout: load the canonical pools and
-  // re-lower with the default geometry.
-  block_depth_cap_ = version >= 2 ? io::read_value<int>(is)
-                                  : kDefaultBlockDepthCap;
+  MPICP_CHECK_PARSE(io::read_value<int>(is) == 2,
+                    "unsupported flatbank version");
+  block_depth_cap_ = io::read_value<int>(is);
   MPICP_REQUIRE(block_depth_cap_ >= 0 && block_depth_cap_ <= 20,
                 "implausible flatbank block depth");
   const auto num_models = io::read_value<std::size_t>(is);

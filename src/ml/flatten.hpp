@@ -178,13 +178,11 @@ class FlatBank {
 
   int block_depth_cap() const { return block_depth_cap_; }
 
-  /// Persist the bank. Version 2 (the default) records the blocked
-  /// layout geometry; version 1 emits the PR 5 format byte-for-byte so
-  /// downgrade paths and the envelope-compat tests can produce legacy
-  /// files. Both versions load — v1 files re-lower their blocked form
-  /// with the default geometry.
-  void save(std::ostream& os) const { save(os, 2); }
-  void save(std::ostream& os, int version) const;
+  /// Persist the bank in the version-2 envelope, which records the
+  /// blocked layout geometry; the blocked form itself is derived data,
+  /// re-lowered on load. load() accepts version 2 only and raises
+  /// ParseError on any other version.
+  void save(std::ostream& os) const;
   void load(std::istream& is);
 
  private:

@@ -106,36 +106,10 @@ int CompiledBank::argmin_uid(const bench::Instance& inst) const {
   return best_uid;
 }
 
-int CompiledBank::argmin_uid_cached(const bench::Instance& inst) const {
-  if (!cache_enabled_) return argmin_uid(inst);
-  const std::tuple<std::uint64_t, int, int> key{inst.msize, inst.nodes,
-                                                inst.ppn};
-  CacheState& cache = *cache_;
-  {
-    const support::MutexLock lock(cache.mu);
-    const auto it = cache.memo.find(key);
-    if (it != cache.memo.end()) {
-      // order: independent statistic; readers only need eventual totals.
-      cache.hits.fetch_add(1, std::memory_order_relaxed);
-      metrics::counter("compiled.cache.hits").inc();
-      return it->second;
-    }
-  }
-  const int best = argmin_uid(inst);
-  {
-    const support::MutexLock lock(cache.mu);
-    cache.memo.emplace(key, best);
-  }
-  // order: independent statistic; readers only need eventual totals.
-  cache.misses.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("compiled.cache.misses").inc();
-  return best;
-}
-
 int CompiledBank::select_uid(const bench::Instance& inst) const {
   MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
   metrics::counter("compiled.select.requests").inc();
-  const int best_uid = argmin_uid_cached(inst);
+  const int best_uid = argmin_uid(inst);
   MPICP_REQUIRE(best_uid > 0,
                 "no usable model prediction for the instance (use "
                 "select_uid_or_default for graceful degradation)");
@@ -147,7 +121,7 @@ int CompiledBank::select_uid_or_default(const bench::Instance& inst,
                                         sim::Collective coll) const {
   metrics::counter("compiled.select.requests").inc();
   if (!uids_.empty()) {
-    const int best_uid = argmin_uid_cached(inst);
+    const int best_uid = argmin_uid(inst);
     if (best_uid > 0) return best_uid;
   }
   // No usable model: behave like an untuned library run.
@@ -159,7 +133,7 @@ int CompiledBank::select_uid_or_default(const bench::Instance& inst,
 int CompiledBank::select_uid_or_invalid(const bench::Instance& inst) const {
   if (uids_.empty()) return -1;
   metrics::counter("compiled.select.requests").inc();
-  return argmin_uid_cached(inst);
+  return argmin_uid(inst);
 }
 
 void CompiledBank::argmin_batch(const bench::Instance* insts,
@@ -235,23 +209,15 @@ void CompiledBank::select_grid_into(std::span<const bench::Instance> grid,
                 "grid selection buffer size mismatch");
   metrics::counter("compiled.select.grid_requests").inc();
   metrics::counter("compiled.select.grid_instances").inc(grid.size());
-  if (cache_enabled_) {
-    // The memo is the faster tier for repeated cells; serve through it
-    // per instance rather than re-scoring whole batches.
-    support::parallel_for(grid.size(), 8, [&](std::size_t i) {
-      out[i] = argmin_uid_cached(grid[i]);
-    });
-  } else {
-    constexpr std::size_t kBatch = ml::FlatBank::kTreeBatch;
-    const std::size_t batches = (grid.size() + kBatch - 1) / kBatch;
-    // Parallelize over whole batches so each worker walks the blocked
-    // layout level-by-level across kTreeBatch independent instances.
-    support::parallel_for(batches, 4, [&](std::size_t blk) {
-      const std::size_t lo = blk * kBatch;
-      const std::size_t n = std::min(kBatch, grid.size() - lo);
-      argmin_batch(grid.data() + lo, n, out.data() + lo);
-    });
-  }
+  constexpr std::size_t kBatch = ml::FlatBank::kTreeBatch;
+  const std::size_t batches = (grid.size() + kBatch - 1) / kBatch;
+  // Parallelize over whole batches so each worker walks the blocked
+  // layout level-by-level across kTreeBatch independent instances.
+  support::parallel_for(batches, 4, [&](std::size_t blk) {
+    const std::size_t lo = blk * kBatch;
+    const std::size_t n = std::min(kBatch, grid.size() - lo);
+    argmin_batch(grid.data() + lo, n, out.data() + lo);
+  });
   for (std::size_t i = 0; i < grid.size(); ++i) {
     MPICP_REQUIRE(out[i] > 0,
                   "no usable model prediction for a grid instance (use "
@@ -304,30 +270,8 @@ std::vector<int> CompiledBank::select_grid_legacy(
   return out;
 }
 
-void CompiledBank::set_cache_enabled(bool enabled) {
-  CacheState& cache = *cache_;
-  const support::MutexLock lock(cache.mu);
-  cache_enabled_ = enabled;
-  cache.memo.clear();
-  // order: quiesced reconfiguration; counters are independent stats.
-  cache.hits.store(0, std::memory_order_relaxed);
-  // order: quiesced reconfiguration; counters are independent stats.
-  cache.misses.store(0, std::memory_order_relaxed);
-}
-
-CompiledBank::CacheStats CompiledBank::cache_stats() const {
-  // order: independent statistics snapshot; may straddle a concurrent
-  // selection by one query, which callers tolerate.
-  return {cache_->hits.load(std::memory_order_relaxed),
-          // order: independent statistics snapshot (see above).
-          cache_->misses.load(std::memory_order_relaxed)};
-}
-
-void CompiledBank::save(const std::filesystem::path& path,
-                        int version) const {
+void CompiledBank::save(const std::filesystem::path& path) const {
   MPICP_REQUIRE(!uids_.empty(), "saving an empty compiled bank");
-  MPICP_REQUIRE(version == 1 || version == 2,
-                "unsupported compiled bank save version");
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
   }
@@ -335,12 +279,11 @@ void CompiledBank::save(const std::filesystem::path& path,
   if (!os) {
     MPICP_RAISE_ERROR("cannot open " + path.string() + " for writing");
   }
-  os << "mpicp-compiled-bank " << version << '\n';
+  os << "mpicp-compiled-bank 2\n";
   os << (features_.include_total_processes ? 1 : 0) << '\n';
   ml::io::write_vector(os, uids_);
-  // The nested flatbank envelope carries the blocked-layout geometry in
-  // v2; v1 reproduces the PR 5 file byte-for-byte.
-  bank_.save(os, version);
+  // The nested flatbank envelope carries the blocked-layout geometry.
+  bank_.save(os);
   if (!os) {
     MPICP_RAISE_ERROR("failed writing compiled bank to " + path.string());
   }
@@ -352,8 +295,7 @@ CompiledBank CompiledBank::load(const std::filesystem::path& path) {
     MPICP_RAISE_PARSE("cannot open compiled bank file " + path.string());
   }
   ml::io::expect_tag(is, "mpicp-compiled-bank");
-  const int version = ml::io::read_value<int>(is);
-  MPICP_CHECK_PARSE(version == 1 || version == 2,
+  MPICP_CHECK_PARSE(ml::io::read_value<int>(is) == 2,
                     "unsupported compiled bank version");
   CompiledBank bank;
   bank.features_.include_total_processes =

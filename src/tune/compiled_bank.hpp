@@ -15,23 +15,16 @@
 // MPICP_THREADS; only the metric names differ (`compiled.*` prefix) so
 // the two serving paths stay distinguishable in the registry.
 //
-// An optional memoized selection cache keyed on (m, n, N) serves
-// repeated queries — e.g. a job prolog asking for the same grid cell —
-// without re-evaluating the bank. It is off by default: the golden
-// pipeline and the equivalence tests exercise the uncached path.
+// The bank keeps no selection memo: repeated queries are memoized one
+// layer up, in the serving registry's per-shard cache
+// (tune/registry.hpp).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <filesystem>
-#include <map>
-#include <memory>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "ml/flatten.hpp"
-#include "support/thread_safety.hpp"
 #include "tune/selector.hpp"
 
 namespace mpicp::tune {
@@ -76,8 +69,6 @@ class CompiledBank {
   /// batch, so the grid argmin pipelines instead of serializing on one
   /// branchy walk per instance. Bit-identical to per-instance
   /// select_uid. Throws if any instance has no usable prediction.
-  /// (With the memo cache enabled, selection degrades to the cached
-  /// per-instance path — the memo is the faster tier for repeats.)
   void select_grid_into(std::span<const bench::Instance> grid,
                         std::span<int> out) const;
 
@@ -91,23 +82,11 @@ class CompiledBank {
   [[nodiscard]] std::vector<int> select_grid_legacy(
       std::span<const bench::Instance> grid) const;
 
-  /// Enable/disable the (m, n, N)-keyed selection memo. Clears the
-  /// cache on any transition.
-  void set_cache_enabled(bool enabled);
-  bool cache_enabled() const { return cache_enabled_; }
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  CacheStats cache_stats() const;
-
   /// Persist / restore the compiled form (text format, exact doubles).
-  /// Version 2 (the default) nests the v2 flatbank envelope with the
-  /// blocked-layout geometry; version 1 reproduces the PR 5 file format
-  /// byte-for-byte. Both versions load — v1 re-lowers the blocked form
-  /// with the default geometry.
-  void save(const std::filesystem::path& path) const { save(path, 2); }
-  void save(const std::filesystem::path& path, int version) const;
+  /// The version-2 envelope nests the v2 flatbank envelope with the
+  /// blocked-layout geometry; it is the only version written or
+  /// loaded (any other version raises ParseError).
+  void save(const std::filesystem::path& path) const;
   static CompiledBank load(const std::filesystem::path& path);
 
  private:
@@ -116,8 +95,6 @@ class CompiledBank {
   /// Fused predict+argmin on one instance; -1 when no prediction is
   /// usable. Never allocates (thread-local scratch).
   int argmin_uid(const bench::Instance& inst) const;
-  /// argmin_uid behind the memo cache (when enabled).
-  int argmin_uid_cached(const bench::Instance& inst) const;
   /// Batched fused predict+argmin over up to ml::FlatBank::kTreeBatch
   /// instances; writes one uid (or -1) per instance.
   void argmin_batch(const bench::Instance* insts, std::size_t count,
@@ -126,16 +103,6 @@ class CompiledBank {
   FeatureOptions features_;
   std::vector<int> uids_;  ///< ascending; parallel to bank_ models
   ml::FlatBank bank_;
-
-  struct CacheState {
-    support::Mutex mu;
-    std::map<std::tuple<std::uint64_t, int, int>, int> memo
-        MPICP_GUARDED_BY(mu);
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-  };
-  bool cache_enabled_ = false;
-  std::unique_ptr<CacheState> cache_ = std::make_unique<CacheState>();
 };
 
 }  // namespace mpicp::tune

@@ -1,7 +1,6 @@
 #include "tune/registry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "simmpi/coll/decision.hpp"
@@ -20,21 +19,10 @@ namespace {
 constexpr int kDefaultShards = 8;
 constexpr int kMaxShards = 64;
 
-/// Options::shards beats $MPICP_SHARDS beats the default; the result is
+/// Options::shards, or the default when it is <= 0; the result is
 /// always in [1, kMaxShards].
 int resolve_shards(int requested) {
-  int shards = requested;
-  if (shards <= 0) {
-    if (const char* env = std::getenv("MPICP_SHARDS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        shards = static_cast<int>(std::min<long>(v, kMaxShards));
-      }
-    }
-  }
-  if (shards <= 0) shards = kDefaultShards;
-  return std::min(shards, kMaxShards);
+  return requested <= 0 ? kDefaultShards : std::min(requested, kMaxShards);
 }
 
 /// FNV-1a over the machine name with the collective mixed in — stable
@@ -65,31 +53,13 @@ std::string to_string(const BankKey& key) {
   return key.machine + "/" + sim::to_string(key.collective);
 }
 
-const char* to_string(ServingTier tier) {
-  switch (tier) {
-    case ServingTier::kNone: return "none";
-    case ServingTier::kCompiled: return "compiled";
-    case ServingTier::kRules: return "rules";
-  }
-  MPICP_RAISE_INTERNAL("unhandled ServingTier value");
-}
-
-BankRegistry::BankRegistry(Options options)
-    : memo_enabled_(options.memo_cache),
-      rule_agreement_floor_(options.rule_agreement_floor) {
+BankRegistry::BankRegistry(Options options) {
   const int n = resolve_shards(options.shards);
   shards_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     // Bounded setup loop (shard count <= 64), not a serving hot path.
     // mpicp-lint: allow(no-alloc-in-loop)
     auto shard = std::make_unique<Shard>();
-    const std::string prefix = "registry.shard" + std::to_string(i) + ".";
-    shard->c.lookups = &metrics::counter(prefix + "lookups");
-    shard->c.hits = &metrics::counter(prefix + "hits");
-    shard->c.memo_hits = &metrics::counter(prefix + "memo_hits");
-    shard->c.memo_misses = &metrics::counter(prefix + "memo_misses");
-    shard->c.rule_selections = &metrics::counter(prefix + "rule_selections");
-    shard->c.swaps = &metrics::counter(prefix + "swaps");
     // order: publishes the empty snapshot map to future reader threads.
     // mpicp-lint: allow(no-alloc-in-loop)
     shard->snapshot.store(std::make_shared<const BankMap>(),
@@ -106,7 +76,7 @@ int BankRegistry::shards() const {
 std::size_t BankRegistry::num_banks() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    // order: pairs with the release stores in publish()/publish_rules().
+    // order: pairs with the release stores in publish().
     total += shard->snapshot.load(std::memory_order_acquire)->size();
   }
   return total;
@@ -120,32 +90,20 @@ BankRegistry::Entry BankRegistry::find_entry(const BankKey& key) const {
   Shard& shard = shard_of(key);
   // order: independent statistic; readers only need eventual totals.
   shard.lookups.fetch_add(1, std::memory_order_relaxed);
-  shard.c.lookups->inc();
   // The RCU read: one atomic snapshot load; the map behind it is
-  // immutable, so the find needs no lock and a concurrent publish
-  // cannot tear it.
-  // order: pairs with the release stores in publish()/publish_rules().
+  // immutable, so a concurrent publish cannot tear the find.
+  // order: pairs with the release stores in publish().
   const std::shared_ptr<const BankMap> snap =
       shard.snapshot.load(std::memory_order_acquire);
   const auto it = snap->find(key);
   if (it == snap->end()) return {};
   // order: independent statistic; readers only need eventual totals.
   shard.hits.fetch_add(1, std::memory_order_relaxed);
-  shard.c.hits->inc();
   return it->second;
 }
 
 int BankRegistry::select_in_entry(Shard& shard, const Entry& entry,
                                   const bench::Instance& inst) const {
-  if (entry.rules != nullptr) {
-    // Rule-table fast path: the flat threshold walk is cheaper than the
-    // memo lookup it would replace, so it bypasses the memo entirely.
-    // order: independent statistic; readers only need eventual totals.
-    shard.rule_selections.fetch_add(1, std::memory_order_relaxed);
-    shard.c.rule_selections->inc();
-    return entry.rules->uid_for(inst);
-  }
-  if (!memo_enabled_) return entry.bank->select_uid_or_invalid(inst);
   const MemoKey key{entry.version, inst.msize, inst.nodes, inst.ppn};
   {
     const support::MutexLock lock(shard.memo_mu);
@@ -153,14 +111,16 @@ int BankRegistry::select_in_entry(Shard& shard, const Entry& entry,
     if (it != shard.memo.end()) {
       // order: independent statistic; readers only need eventual totals.
       shard.memo_hits.fetch_add(1, std::memory_order_relaxed);
-      shard.c.memo_hits->inc();
       return it->second;
     }
   }
+  // Check and fill are separate lock scopes: concurrent misses on one
+  // key each run the argmin (same answer) and each count a miss, so
+  // misses can exceed the distinct keys; hits + misses still equals
+  // the selections.
   const int uid = entry.bank->select_uid_or_invalid(inst);
   // order: independent statistic; readers only need eventual totals.
   shard.memo_misses.fetch_add(1, std::memory_order_relaxed);
-  shard.c.memo_misses->inc();
   if (uid > 0) {
     const support::MutexLock lock(shard.memo_mu);
     shard.memo.emplace(key, uid);
@@ -262,9 +222,7 @@ std::uint64_t BankRegistry::publish(const BankKey& key,
     const std::shared_ptr<const BankMap> old =
         shard.snapshot.load(std::memory_order_acquire);
     auto next = std::make_shared<BankMap>(*old);
-    // A fresh Entry has no rules: the incoming bank invalidates any
-    // table distilled from the outgoing one.
-    (*next)[key] = Entry{std::move(bank), nullptr, version};
+    (*next)[key] = Entry{std::move(bank), version};
     // order: publishes the cloned map; pairs with the acquire loads on
     // every reader path (find_entry, num_banks, shard_stats).
     shard.snapshot.store(std::move(next), std::memory_order_release);
@@ -277,7 +235,6 @@ std::uint64_t BankRegistry::publish(const BankKey& key,
   }
   // order: independent statistic; readers only need eventual totals.
   shard.swaps.fetch_add(1, std::memory_order_relaxed);
-  shard.c.swaps->inc();
   static metrics::Counter& swaps = metrics::counter("registry.swaps");
   swaps.inc();
   return version;
@@ -317,93 +274,6 @@ BankRegistry::RefitOutcome BankRegistry::refit_and_publish(
   return outcome;
 }
 
-std::uint64_t BankRegistry::publish_rules(
-    const BankKey& key, std::shared_ptr<const RuleTable> rules,
-    std::uint64_t expected_version) {
-  MPICP_SPAN("registry.swap");
-  MPICP_REQUIRE(rules != nullptr && !rules->empty(),
-                "publishing an empty rule table for " + to_string(key));
-  Shard& shard = shard_of(key);
-  const support::MutexLock lock(shard.write_mu);
-  // order: the writer's own read; write_mu orders writer-to-writer.
-  const std::shared_ptr<const BankMap> old =
-      shard.snapshot.load(std::memory_order_acquire);
-  const auto it = old->find(key);
-  if (it == old->end()) return 0;
-  if (expected_version != 0 && it->second.version != expected_version) {
-    // The bank was hot-swapped after the caller distilled: the table
-    // describes a bank that is no longer serving. Refuse the attach.
-    return 0;
-  }
-  auto next = std::make_shared<BankMap>(*old);
-  Entry& entry = (*next)[key];
-  entry.rules = std::move(rules);
-  const std::uint64_t version = entry.version;
-  // order: publishes the cloned map; pairs with the reader acquires.
-  shard.snapshot.store(std::move(next), std::memory_order_release);
-  static metrics::Counter& attaches =
-      metrics::counter("registry.rule_attaches");
-  attaches.inc();
-  return version;
-}
-
-std::shared_ptr<const RuleTable> BankRegistry::lookup_rules(
-    const BankKey& key) const {
-  MPICP_SPAN("registry.lookup");
-  return find_entry(key).rules;
-}
-
-ServingTier BankRegistry::tier(const BankKey& key) const {
-  const Entry entry = find_entry(key);
-  if (entry.bank == nullptr) return ServingTier::kNone;
-  return entry.rules != nullptr ? ServingTier::kRules
-                                : ServingTier::kCompiled;
-}
-
-BankRegistry::DistillOutcome BankRegistry::distill_and_publish(
-    const BankKey& key, std::span<const bench::Instance> grid,
-    RuleParams params) {
-  MPICP_SPAN("registry.distill");
-  DistillOutcome outcome;
-  try {
-    const Entry entry = find_entry(key);
-    if (entry.bank == nullptr) {
-      outcome.error = "no bank registered for " + to_string(key);
-      metrics::counter("registry.distill_failures").inc();
-      return outcome;
-    }
-    RuleDistillation dist = distill(*entry.bank, grid, params);
-    outcome.agreement = dist.agreement;
-    outcome.leaves = dist.table.num_leaves();
-    if (dist.agreement < rule_agreement_floor_) {
-      // Below the fidelity floor: the table would visibly change picks,
-      // so the bank keeps serving alone.
-      outcome.rejected = true;
-      outcome.error = "distillation agreement below floor";
-      metrics::counter("registry.distill_rejected").inc();
-      return outcome;
-    }
-    auto table = std::make_shared<const RuleTable>(std::move(dist.table));
-    const std::uint64_t version =
-        publish_rules(key, std::move(table), entry.version);
-    if (version == 0) {
-      outcome.error =
-          "bank hot-swapped during distillation; table discarded";
-      metrics::counter("registry.distill_failures").inc();
-      return outcome;
-    }
-    outcome.published = true;
-    outcome.version = version;
-    metrics::counter("registry.distills").inc();
-  } catch (const std::exception& e) {
-    // The bank keeps serving; a failed distillation only costs the fast
-    // path.
-    outcome.error = e.what();
-    metrics::counter("registry.distill_failures").inc();
-  }
-  return outcome;
-}
-
 std::vector<BankRegistry::ShardStats> BankRegistry::shard_stats() const {
   std::vector<ShardStats> out;
   out.reserve(shards_.size());
@@ -419,11 +289,8 @@ std::vector<BankRegistry::ShardStats> BankRegistry::shard_stats() const {
     // order: statistics snapshot (see above).
     s.memo_misses = shard->memo_misses.load(std::memory_order_relaxed);
     // order: statistics snapshot (see above).
-    s.rule_selections =
-        shard->rule_selections.load(std::memory_order_relaxed);
-    // order: statistics snapshot (see above).
     s.swaps = shard->swaps.load(std::memory_order_relaxed);
-    // order: pairs with the release stores in publish()/publish_rules().
+    // order: pairs with the release stores in publish().
     s.banks = shard->snapshot.load(std::memory_order_acquire)->size();
     out.push_back(s);
   }

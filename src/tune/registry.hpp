@@ -6,33 +6,29 @@
 // layer above it — a concurrent map from (machine preset, collective)
 // to an immutable `CompiledBank`, sharded by key hash so unrelated
 // banks never contend. Reads are RCU-style: each shard publishes an
-// immutable snapshot map behind one atomic shared_ptr, so a lookup is
-// an atomic load plus a map find — no reader ever takes a lock, and a
+// immutable snapshot map behind one `std::atomic<std::shared_ptr>`, so
+// a lookup is an atomic snapshot load plus a map find, and a
 // `publish()` (the hot-swap of a freshly refit bank) never blocks an
 // in-flight selection: writers clone the shard map, install the new
 // bank under a fresh process-unique version, and swap the snapshot
-// pointer; readers finish on whichever snapshot they loaded.
+// pointer; readers finish on whichever snapshot they loaded. The read
+// is not lock-free: libstdc++ implements the atomic shared_ptr load
+// with an internal spin lock (`is_lock_free()` is false under g++ 12),
+// and every memo lookup takes the shard's memo mutex.
 //
-// A per-shard memo cache short-circuits repeated selections. Entries
-// are keyed by (bank version, m, n, N), so a hot swap naturally
-// invalidates them — a memoized answer always equals the selection of
-// the exact bank version it was computed from, which is what the
-// swap-under-load linearizability property in tests/test_registry.cpp
-// and tests/test_properties.cpp pins.
-//
-// On top of the bank sits an optional third serving tier (DESIGN.md
-// §14): a distilled `RuleTable` attached per key via
-// distill_and_publish(). When a table is attached, selections walk it
-// in a few ns and skip both the bank argmin and the memo; a publish of
-// a fresh bank version drops the table automatically (the rules
-// described the old bank), and a distillation whose agreement is below
-// Options::rule_agreement_floor is rejected — the bank keeps serving.
+// One serving path answers every selection: registry lookup -> shard
+// memo -> `CompiledBank` argmin. The per-shard memo is keyed by
+// (bank version, m, n, N), so a hot swap naturally invalidates it — a
+// memoized answer always equals the selection of the exact bank
+// version it was computed from, which is what the swap-under-load
+// linearizability property in tests/test_registry.cpp and
+// tests/test_properties.cpp pins.
 //
 // Every path is observable: MPICP_SPAN("registry.lookup"/"registry.swap"/
-// "registry.serve"/"registry.refit") spans plus process metrics
-// ("registry.*", and per-shard "registry.shard<i>.*" hit counters).
-// The shard count comes from Options::shards, else the MPICP_SHARDS
-// environment variable, else a default of 8.
+// "registry.serve"/"registry.refit") spans, process metrics
+// ("registry.*"), and per-shard statistics held once, in the shard's
+// own atomics, read back through shard_stats(). The shard count comes
+// from Options::shards (default 8).
 #pragma once
 
 #include <atomic>
@@ -46,10 +42,8 @@
 #include <vector>
 
 #include "collbench/dataset.hpp"
-#include "support/metrics.hpp"
 #include "support/thread_safety.hpp"
 #include "tune/compiled_bank.hpp"
-#include "tune/ruletable.hpp"
 #include "tune/selector.hpp"
 
 namespace mpicp::tune {
@@ -69,27 +63,11 @@ struct BankKey {
 /// "Hydra/bcast" — for diagnostics and error messages.
 std::string to_string(const BankKey& key);
 
-/// Which serving artifact answers selections for a key right now.
-enum class ServingTier {
-  kNone = 0,  ///< no bank published for the key
-  kCompiled,  ///< compiled-bank argmin (µs-scale)
-  kRules,     ///< distilled rule-table fast path (ns-scale)
-};
-
-const char* to_string(ServingTier tier);
-
 class BankRegistry {
  public:
   struct Options {
-    /// Shard count; <= 0 resolves $MPICP_SHARDS, else 8. Clamped to
-    /// [1, 64].
+    /// Shard count; <= 0 selects the default of 8. Clamped to [1, 64].
     int shards = 0;
-    /// Per-shard (bank version, m, n, N) selection memo.
-    bool memo_cache = true;
-    /// Minimum distillation agreement (table picks == bank picks on the
-    /// distillation grid) for distill_and_publish to attach the rule
-    /// table; below it the compiled bank keeps serving alone.
-    double rule_agreement_floor = 0.98;
   };
 
   BankRegistry() : BankRegistry(Options{}) {}
@@ -106,8 +84,9 @@ class BankRegistry {
   std::uint64_t publish(const BankKey& key,
                         std::shared_ptr<const CompiledBank> bank);
 
-  /// The bank currently serving `key` (nullptr when absent). Lock-free:
-  /// one atomic snapshot load plus a map find.
+  /// The bank currently serving `key` (nullptr when absent): one atomic
+  /// snapshot load plus a map find. The load never waits on a publish,
+  /// but it is not lock-free (see the header comment).
   [[nodiscard]] std::shared_ptr<const CompiledBank> lookup(
       const BankKey& key) const;
 
@@ -177,57 +156,13 @@ class BankRegistry {
       const SelectorOptions& options = {},
       const RefitValidator& validator = {});
 
-  /// Attach a distilled rule table as the fast serving path of the bank
-  /// currently serving `key`. The table keeps the bank's version — it
-  /// is a view of that bank, and any later publish() of a fresh bank
-  /// drops it automatically. When `expected_version` is non-zero the
-  /// attach is refused if the bank's version no longer matches (the
-  /// bank was swapped while the table was being distilled). Returns the
-  /// version the table now serves, or 0 when refused (no bank, or
-  /// version mismatch). This is the unconditional primitive; the
-  /// agreement floor lives in distill_and_publish.
-  std::uint64_t publish_rules(const BankKey& key,
-                              std::shared_ptr<const RuleTable> rules,
-                              std::uint64_t expected_version = 0);
-
-  /// The rule table currently fast-pathing `key` (nullptr when the key
-  /// serves from the bank alone or is absent).
-  [[nodiscard]] std::shared_ptr<const RuleTable> lookup_rules(
-      const BankKey& key) const;
-
-  /// The tier that answers a selection for `key` right now.
-  [[nodiscard]] ServingTier tier(const BankKey& key) const;
-
-  /// Account of one distill_and_publish call.
-  struct DistillOutcome {
-    bool published = false;  ///< rule table now serving as the fast path
-    /// True when the distillation succeeded but its agreement was below
-    /// Options::rule_agreement_floor; the bank keeps serving alone.
-    bool rejected = false;
-    double agreement = 0.0;    ///< table picks == bank picks, fraction
-    int leaves = 0;            ///< fitted tree leaf count
-    std::uint64_t version = 0; ///< bank version the table serves (0: none)
-    std::string error;         ///< why nothing was attached ("" if clean)
-  };
-
-  /// Distill the bank serving `key` into a rule table over `grid` and
-  /// attach it as the fast path when the agreement clears
-  /// Options::rule_agreement_floor. A concurrent publish between the
-  /// labeling and the attach is detected by version and reported as an
-  /// error — a rule table never serves for a bank it does not describe.
-  /// Never throws; failures land in the outcome.
-  [[nodiscard]] DistillOutcome distill_and_publish(
-      const BankKey& key, std::span<const bench::Instance> grid,
-      RuleParams params = {});
-
-  /// Point-in-time per-shard accounting (mirrored into the process
-  /// metrics registry as "registry.shard<i>.*").
+  /// Point-in-time per-shard accounting, read from the shard atomics
+  /// (the only place these statistics are kept).
   struct ShardStats {
     std::uint64_t lookups = 0;     ///< snapshot loads on the select path
     std::uint64_t hits = 0;        ///< lookups that found a bank
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_misses = 0;
-    std::uint64_t rule_selections = 0;  ///< answered by a rule table
     std::uint64_t swaps = 0;       ///< publishes routed to this shard
     std::size_t banks = 0;         ///< keys currently served
   };
@@ -236,10 +171,6 @@ class BankRegistry {
  private:
   struct Entry {
     std::shared_ptr<const CompiledBank> bank;
-    /// Distilled fast path for this exact bank; nullptr serves from the
-    /// bank. publish() installs a fresh Entry, so a hot swap drops the
-    /// rules of the outgoing bank automatically.
-    std::shared_ptr<const RuleTable> rules;
     std::uint64_t version = 0;
   };
   using BankMap = std::map<BankKey, Entry>;
@@ -247,17 +178,6 @@ class BankRegistry {
   /// (bank version, msize, nodes, ppn) -> selected uid. Versions are
   /// process-unique, so memoized answers can never alias across swaps.
   using MemoKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
-
-  /// Cached "registry.shard<i>.*" instruments (stable for the process
-  /// lifetime; resolved once at construction, off the hot path).
-  struct ShardInstruments {
-    support::metrics::Counter* lookups = nullptr;
-    support::metrics::Counter* hits = nullptr;
-    support::metrics::Counter* memo_hits = nullptr;
-    support::metrics::Counter* memo_misses = nullptr;
-    support::metrics::Counter* rule_selections = nullptr;
-    support::metrics::Counter* swaps = nullptr;
-  };
 
   struct Shard {
     /// RCU snapshot: readers atomically load, writers clone-and-swap
@@ -272,24 +192,17 @@ class BankRegistry {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> memo_hits{0};
     std::atomic<std::uint64_t> memo_misses{0};
-    std::atomic<std::uint64_t> rule_selections{0};
     std::atomic<std::uint64_t> swaps{0};
-
-    /// Written once at construction, before the registry is visible to
-    /// any other thread; immutable afterwards.
-    ShardInstruments c;  // mpicp-lint: allow(lock-discipline)
   };
 
   Shard& shard_of(const BankKey& key) const;
-  /// Lock-free entry fetch with per-shard accounting; empty Entry when
+  /// Snapshot entry fetch with per-shard accounting; empty Entry when
   /// the key has no bank.
   Entry find_entry(const BankKey& key) const;
   /// Selection through the shard memo; -1 when no prediction is usable.
   int select_in_entry(Shard& shard, const Entry& entry,
                       const bench::Instance& inst) const;
 
-  bool memo_enabled_ = true;
-  double rule_agreement_floor_ = 0.98;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -276,22 +276,18 @@ std::vector<int> RuleTable::select_grid(
   return out;
 }
 
-void RuleTable::save(const std::filesystem::path& path,
-                     int version) const {
+void RuleTable::save(const std::filesystem::path& path) const {
   MPICP_SPAN("tune.ruletable.save");
   MPICP_REQUIRE(!feature_.empty(), "saving an empty rule table");
-  MPICP_REQUIRE(version == 1 || version == 2,
-                "unsupported rule table version");
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
   }
   // Envelope discipline of the model files: serialize the payload to a
   // buffer first so the header carries its exact byte count and FNV-1a
-  // checksum. v2 adds the blocked-layout geometry right after the
-  // agreement; the node pool payload is identical in both versions.
+  // checksum. The blocked-layout geometry follows the agreement.
   std::ostringstream payload;
   ml::io::write_value(payload, agreement_);
-  if (version == 2) ml::io::write_value(payload, block_depth_cap_);
+  ml::io::write_value(payload, block_depth_cap_);
   std::vector<int> features(feature_.begin(), feature_.end());
   ml::io::write_vector(payload, features);
   ml::io::write_vector(payload, threshold_);
@@ -305,7 +301,7 @@ void RuleTable::save(const std::filesystem::path& path,
   if (!os) {
     MPICP_RAISE_ERROR("cannot open " + path.string() + " for writing");
   }
-  os << "mpicp-ruletable " << version << ' ' << body.size() << ' '
+  os << "mpicp-ruletable 2 " << body.size() << ' '
      << std::hex << ml::io::fnv1a64(body) << std::dec << '\n'
      << body;
   if (!os) {
@@ -320,8 +316,7 @@ RuleTable RuleTable::load(const std::filesystem::path& path) {
     MPICP_RAISE_PARSE("cannot open rule table file " + path.string());
   }
   ml::io::expect_tag(is, "mpicp-ruletable");
-  const int version = ml::io::read_value<int>(is);
-  MPICP_CHECK_PARSE(version == 1 || version == 2,
+  MPICP_CHECK_PARSE(ml::io::read_value<int>(is) == 2,
                     "unsupported rule table version");
   const auto bytes = ml::io::read_value<std::size_t>(is);
   MPICP_CHECK_PARSE(bytes < (1u << 28), "implausible rule table size");
@@ -347,14 +342,10 @@ RuleTable RuleTable::load(const std::filesystem::path& path) {
   std::istringstream ps(body);
   RuleTable table;
   table.agreement_ = ml::io::read_value<double>(ps);
-  // v1 envelopes predate the blocked layout: re-lower with the default
-  // geometry after the pool is parsed.
-  if (version >= 2) {
-    table.block_depth_cap_ = ml::io::read_value<int>(ps);
-    MPICP_CHECK_PARSE(
-        table.block_depth_cap_ >= 0 && table.block_depth_cap_ <= 20,
-        "rule table: implausible block depth");
-  }
+  table.block_depth_cap_ = ml::io::read_value<int>(ps);
+  MPICP_CHECK_PARSE(
+      table.block_depth_cap_ >= 0 && table.block_depth_cap_ <= 20,
+      "rule table: implausible block depth");
   const std::vector<int> features = ml::io::read_vector<int>(ps);
   table.threshold_ = ml::io::read_vector<double>(ps);
   const std::vector<int> left = ml::io::read_vector<int>(ps);

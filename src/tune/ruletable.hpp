@@ -1,18 +1,20 @@
-// Distilled rule-table serving tier (DESIGN.md §14).
+// Distilled rule table: an offline export of a fitted bank
+// (DESIGN.md §14).
 //
 // Open MPI's default decision logic is fast because it is branchy
 // thresholds compiled into the library (Pjesivac-Grbovic et al., the
 // paper's ref [8]); Hutter et al. (arXiv:1211.0906) show compact
 // surrogate structures retain most of a full model's decision quality.
-// This module closes that loop as a production artifact: a fitted
-// selector's picks over a grid are compressed into a `DecisionRules`
-// tree (tune/rulegen.hpp) and lowered into `RuleTable` — a flat SoA
-// threshold structure over (log2 msize, nodes, ppn) whose dispatch is
-// a handful of array reads: no model evaluation, no virtual calls, no
-// allocation. It is the third serving tier next to the compiled bank
-// (µs-scale argmin) and the interpreted selector, and the registry
-// (tune/registry.hpp) serves it as a per-shard fast path when the
-// distillation agreement clears a configurable floor.
+// This module produces that artifact: a fitted selector's picks over a
+// grid are compressed into a `DecisionRules` tree (tune/rulegen.hpp)
+// and lowered into `RuleTable` — a flat SoA threshold structure over
+// (log2 msize, nodes, ppn) whose dispatch is a handful of array reads:
+// no model evaluation, no virtual calls, no allocation. The distilled
+// tree exports as C source (`DecisionRules::to_c_code`) for a library's
+// hard-coded decision function. The table is lossy (its agreement with
+// the bank is measured on the distillation grid only), so the serving
+// registry (tune/registry.hpp) never answers from it: every served
+// selection is the compiled bank's exact argmin.
 //
 // Exact equivalence is the contract: the table reproduces the tree's
 // uid_for bit for bit (same thresholds, same comparisons, same
@@ -65,9 +67,9 @@ class RuleTable {
 
   /// Fraction of the distillation grid on which this table selects
   /// identically to the bank it was distilled from — stamped by
-  /// distill() and preserved across save/load, so a serving layer can
-  /// gate the fast path on fidelity. 0 when the table was lowered
-  /// directly from a hand-built tree.
+  /// distill() and preserved across save/load, so a consumer of the
+  /// exported table can judge its fidelity. 0 when the table was
+  /// lowered directly from a hand-built tree.
   double agreement() const { return agreement_; }
   void set_agreement(double agreement) { agreement_ = agreement; }
 
@@ -104,12 +106,10 @@ class RuleTable {
   /// Persistence with the model-file envelope discipline: the header
   /// carries the payload byte count and FNV-1a checksum, so a truncated
   /// or bit-flipped table fails loudly at load instead of silently
-  /// serving wrong rules. Version 2 (the default) records the blocked
-  /// geometry; version 1 emits the PR 8 envelope byte-for-byte. Both
-  /// load — v1 files re-lower their blocked form with the default
-  /// geometry.
-  void save(const std::filesystem::path& path) const { save(path, 2); }
-  void save(const std::filesystem::path& path, int version) const;
+  /// serving wrong rules. The version-2 envelope records the blocked
+  /// geometry; it is the only version written or loaded (any other
+  /// version raises ParseError).
+  void save(const std::filesystem::path& path) const;
   static RuleTable load(const std::filesystem::path& path);
 
  private:

@@ -158,8 +158,8 @@ class Selector {
   /// Predictions are bit-identical to this selector's.
   [[nodiscard]] CompiledBank compile() const;
 
-  /// Distill the bank all the way down to decision rules (the third
-  /// serving tier, DESIGN.md §14): compile, label `grid` with the
+  /// Distill the bank all the way down to decision rules (the offline
+  /// rule export, DESIGN.md §14): compile, label `grid` with the
   /// compiled argmin, fit a DecisionRules tree, lower it to a RuleTable
   /// and report the table's empirical agreement with the bank's picks.
   /// Convenience over tune::distill(compile(), grid, params).

@@ -1,18 +1,21 @@
 // Equivalence and serving tests for the compiled model bank
 // (tune/compiled_bank.hpp): the lowered SoA form must reproduce the
 // interpreted Selector bit for bit — for every learner, at every thread
-// count, under fault injection — while adding batched selection, a
-// memoized cache and a save/load round trip of its own.
+// count, under fault injection — while adding batched selection and a
+// save/load round trip of its own.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "collbench/dataset.hpp"
 #include "support/faultinject.hpp"
-#include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tune/compiled_bank.hpp"
@@ -22,7 +25,6 @@ namespace mpicp {
 namespace {
 
 namespace fi = support::faultinject;
-namespace metrics = support::metrics;
 
 /// Seeded synthetic dataset: 3-6 algorithms with distinct random cost
 /// models over a random grid (same recipe as the property suite; every
@@ -162,7 +164,7 @@ TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
 
 // ---- blocked batched layout vs legacy fused argmin ------------------------
 
-TEST(CompiledBankLayouts, BatchedGridAndBothEnvelopesMatchLegacyArgmin) {
+TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchLegacyArgmin) {
   const bench::Dataset ds = random_dataset(19);
   std::vector<bench::Instance> grid = ds.instances();
   const std::vector<bench::Instance> off = random_instances(57, 48);
@@ -174,20 +176,14 @@ TEST(CompiledBankLayouts, BatchedGridAndBothEnvelopesMatchLegacyArgmin) {
         << learner;
     const tune::CompiledBank bank = selector.compile();
 
-    // Both envelope versions load: v1 is the PR 8 format byte-for-byte,
-    // v2 nests the blocked flatbank geometry. Each re-lowers its
-    // blocked form on load.
-    namespace fs = std::filesystem;
-    const fs::path p1 = fs::temp_directory_path() /
-                        (std::string("mpicp_cb_v1_") + learner + ".txt");
-    const fs::path p2 = fs::temp_directory_path() /
-                        (std::string("mpicp_cb_v2_") + learner + ".txt");
-    bank.save(p1, 1);
-    bank.save(p2, 2);
-    const tune::CompiledBank v1 = tune::CompiledBank::load(p1);
-    const tune::CompiledBank v2 = tune::CompiledBank::load(p2);
-    fs::remove(p1);
-    fs::remove(p2);
+    // The v2 envelope nests the blocked flatbank geometry; the loaded
+    // bank re-lowers its blocked form.
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        (std::string("mpicp_cb_v2_") + learner + ".txt");
+    bank.save(path);
+    const tune::CompiledBank loaded = tune::CompiledBank::load(path);
+    std::filesystem::remove(path);
 
     std::vector<int> batched(grid.size(), 0);
     for (const int threads : {1, 4}) {
@@ -201,9 +197,7 @@ TEST(CompiledBankLayouts, BatchedGridAndBothEnvelopesMatchLegacyArgmin) {
             << grid[i].msize << " n=" << grid[i].nodes
             << " ppn=" << grid[i].ppn;
       }
-      EXPECT_EQ(v1.select_grid(grid), legacy)
-          << learner << " v1 envelope @" << threads << " threads";
-      EXPECT_EQ(v2.select_grid(grid), legacy)
+      EXPECT_EQ(loaded.select_grid(grid), legacy)
           << learner << " v2 envelope @" << threads << " threads";
     }
   }
@@ -229,60 +223,6 @@ TEST(CompiledBankLayouts, BatchedGridHonorsFaultInjection) {
       EXPECT_NE(pick, uids.front()) << learner;
     }
   }
-}
-
-// ---- selection cache ------------------------------------------------------
-
-TEST(CompiledBank, SelectionCacheCountsHitsAndMisses) {
-  const bench::Dataset ds = random_dataset(7);
-  tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  tune::CompiledBank bank = selector.compile();
-  EXPECT_FALSE(bank.cache_enabled());
-
-  bank.set_cache_enabled(true);
-  const std::uint64_t hits0 =
-      metrics::counter("compiled.cache.hits").value();
-  const std::uint64_t misses0 =
-      metrics::counter("compiled.cache.misses").value();
-
-  const bench::Instance a{8, 4, 1024};
-  const bench::Instance b{16, 2, 65536};
-  const int first = bank.select_uid(a);
-  EXPECT_EQ(bank.select_uid(a), first);   // hit
-  EXPECT_EQ(bank.select_uid(a), first);   // hit
-  (void)bank.select_uid(b);               // second distinct key: miss
-
-  const auto stats = bank.cache_stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(metrics::counter("compiled.cache.hits").value() - hits0, 2u);
-  EXPECT_EQ(metrics::counter("compiled.cache.misses").value() - misses0,
-            2u);
-
-  // Cached answers are the same answers.
-  bank.set_cache_enabled(false);
-  EXPECT_EQ(bank.cache_stats().hits, 0u);  // transition clears stats
-  EXPECT_EQ(bank.select_uid(a), first);
-}
-
-TEST(CompiledBank, CachedGridSelectionMatchesUncached) {
-  const bench::Dataset ds = random_dataset(9);
-  tune::Selector selector(tune::SelectorOptions{.learner = "rf"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  tune::CompiledBank bank = selector.compile();
-
-  // A grid with repeated instances: the memo must not change answers.
-  auto grid = random_instances(31, 12);
-  const auto repeats = grid;
-  grid.insert(grid.end(), repeats.begin(), repeats.end());
-  const std::vector<int> uncached = bank.select_grid(grid);
-  bank.set_cache_enabled(true);
-  const std::vector<int> cached = bank.select_grid(grid);
-  EXPECT_EQ(uncached, cached);
-  const auto stats = bank.cache_stats();
-  EXPECT_EQ(stats.hits + stats.misses, grid.size());
-  EXPECT_LE(stats.misses, repeats.size());  // every repeat is a hit
 }
 
 // ---- save / load round trip ----------------------------------------------
@@ -315,6 +255,39 @@ TEST(CompiledBank, SaveLoadRoundTripIsExact) {
       }
     }
   }
+}
+
+TEST(CompiledBank, LoadRejectsVersion1Envelopes) {
+  const bench::Dataset ds = random_dataset(13);
+  tune::Selector selector(tune::SelectorOptions{.learner = "xgboost"});
+  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mpicp_compiled_bank_v1.txt";
+  selector.compile().save(path);
+  std::string contents;
+  {
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    contents = ss.str();
+  }
+  // Only version 2 is written or loaded: a version-1 header on the bank
+  // or on its nested flatbank envelope is a parse error.
+  const std::pair<std::string, std::string> downgrades[] = {
+      {"mpicp-compiled-bank 2\n", "mpicp-compiled-bank 1\n"},
+      {"flatbank\n2\n", "flatbank\n1\n"}};
+  for (const auto& [from, to] : downgrades) {
+    std::string v1 = contents;
+    const std::size_t at = v1.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    v1.replace(at, from.size(), to);
+    {
+      std::ofstream os(path);
+      os << v1;
+    }
+    EXPECT_THROW((void)tune::CompiledBank::load(path), ParseError) << to;
+  }
+  std::filesystem::remove(path);
 }
 
 // ---- contracts ------------------------------------------------------------

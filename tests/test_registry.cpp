@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "collbench/dataset.hpp"
@@ -86,22 +88,19 @@ TEST(BankRegistry, SelectionsBitIdenticalToDirectServingAt1And4Threads) {
   const auto bank = compile_bank(ds, "gam");
   const auto instances = random_instances(101, 48);
 
-  for (const bool memo : {true, false}) {
-    tune::BankRegistry registry(
-        tune::BankRegistry::Options{.shards = 4, .memo_cache = memo});
-    const tune::BankKey key{ds.machine(), ds.collective()};
-    registry.publish(key, bank);
+  tune::BankRegistry registry(tune::BankRegistry::Options{.shards = 4});
+  const tune::BankKey key{ds.machine(), ds.collective()};
+  registry.publish(key, bank);
 
-    for (const int threads : {1, 4}) {
-      support::ScopedThreads scoped(threads);
-      for (const bench::Instance& inst : instances) {
-        EXPECT_EQ(registry.select_uid(key, inst), bank->select_uid(inst))
-            << "memo=" << memo << " @" << threads << " threads";
-      }
-      EXPECT_EQ(registry.select_grid(key, instances),
-                bank->select_grid(instances))
-          << "memo=" << memo << " @" << threads << " threads";
+  for (const int threads : {1, 4}) {
+    support::ScopedThreads scoped(threads);
+    for (const bench::Instance& inst : instances) {
+      EXPECT_EQ(registry.select_uid(key, inst), bank->select_uid(inst))
+          << "@" << threads << " threads";
     }
+    EXPECT_EQ(registry.select_grid(key, instances),
+              bank->select_grid(instances))
+        << "@" << threads << " threads";
   }
 }
 
@@ -297,6 +296,35 @@ TEST(BankRegistry, ShardStatsAccountLookupsMemoAndSwaps) {
   const int before = registry.select_uid(key, inst);
   registry.publish(key, bank);
   EXPECT_EQ(registry.select_uid(key, inst), before);
+
+  // Concurrent grid selection over repeated instances. The memo checks
+  // and fills under separate lock scopes, so two workers can both miss
+  // on one key: misses may exceed the distinct keys, but every
+  // selection is counted exactly once and the picks never change.
+  std::vector<bench::Instance> grid = random_instances(31, 12);
+  const std::vector<bench::Instance> distinct = grid;
+  for (int rep = 0; rep < 3; ++rep) {
+    grid.insert(grid.end(), distinct.begin(), distinct.end());
+  }
+  std::set<std::tuple<std::uint64_t, int, int>> keys;
+  for (const bench::Instance& i : distinct) {
+    keys.emplace(i.msize, i.nodes, i.ppn);
+  }
+  registry.publish(key, bank);  // fresh version: an empty memo
+  const auto totals = [&registry] {
+    std::pair<std::uint64_t, std::uint64_t> t{0, 0};
+    for (const auto& shard : registry.shard_stats()) {
+      t.first += shard.memo_hits;
+      t.second += shard.memo_misses;
+    }
+    return t;
+  };
+  const auto [hits0, misses0] = totals();
+  support::ScopedThreads scoped(4);
+  EXPECT_EQ(registry.select_grid(key, grid), bank->select_grid(grid));
+  const auto [hits1, misses1] = totals();
+  EXPECT_EQ((hits1 - hits0) + (misses1 - misses0), grid.size());
+  EXPECT_GE(misses1 - misses0, keys.size());
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Differential fidelity harness for the distilled rule-table serving
-// tier (tune/ruletable.hpp): the fitted DecisionRules tree, its flat
+// Differential fidelity harness for the distilled rule-table export
+// (tune/ruletable.hpp): the fitted DecisionRules tree, its flat
 // RuleTable lowering and the *compiled and executed* output of
 // DecisionRules::to_c_code must agree on every distillation grid point
 // and on randomized off-grid instances — for every learner, at thread
-// counts 1 and 4, and through the table's save/load round trip. The
-// registry's serving-tier plumbing (attach, fallback, auto-drop on hot
-// swap) is pinned here too.
+// counts 1 and 4, and through the table's save/load round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,7 +20,6 @@
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tune/compiled_bank.hpp"
-#include "tune/registry.hpp"
 #include "tune/ruletable.hpp"
 #include "tune/selector.hpp"
 
@@ -195,9 +192,9 @@ TEST(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
   }
 }
 
-// ---- blocked layout vs legacy walk, both envelope versions ---------------
+// ---- blocked layout vs legacy walk, through the saved envelope ----------
 
-TEST(RuleTableBlocked, BlockedBatchedAndBothEnvelopesMatchLegacyWalk) {
+TEST(RuleTableBlocked, BlockedBatchedAndSavedEnvelopeMatchLegacyWalk) {
   const bench::Dataset ds = random_dataset(29);
   const std::vector<bench::Instance> grid = ds.instances();
   std::vector<bench::Instance> probes = grid;
@@ -212,20 +209,15 @@ TEST(RuleTableBlocked, BlockedBatchedAndBothEnvelopesMatchLegacyWalk) {
         selector.distill(grid, {.max_depth = 32});
     const tune::RuleTable& table = dist.table;
 
-    // Both envelope versions load and re-lower the blocked form: v1 is
-    // the PR 8 format byte-for-byte, v2 carries the blocked geometry.
-    namespace fs = std::filesystem;
-    const fs::path p1 = fs::temp_directory_path() /
-                        (std::string("mpicp_rt_v1_") + learner + ".txt");
-    const fs::path p2 = fs::temp_directory_path() /
-                        (std::string("mpicp_rt_v2_") + learner + ".txt");
-    table.save(p1, 1);
-    table.save(p2, 2);
-    const tune::RuleTable v1 = tune::RuleTable::load(p1);
-    const tune::RuleTable v2 = tune::RuleTable::load(p2);
-    fs::remove(p1);
-    fs::remove(p2);
-    EXPECT_EQ(v2.agreement(), table.agreement()) << learner;
+    // The v2 envelope carries the blocked geometry; the loaded table
+    // re-lowers its blocked form.
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        (std::string("mpicp_rt_v2_") + learner + ".txt");
+    table.save(path);
+    const tune::RuleTable loaded = tune::RuleTable::load(path);
+    std::filesystem::remove(path);
+    EXPECT_EQ(loaded.agreement(), table.agreement()) << learner;
 
     std::vector<int> batched(probes.size(), 0);
     for (const int threads : {1, 4}) {
@@ -239,9 +231,7 @@ TEST(RuleTableBlocked, BlockedBatchedAndBothEnvelopesMatchLegacyWalk) {
             << " ppn=" << probes[i].ppn;
         ASSERT_EQ(batched[i], legacy)
             << learner << " batched dispatch @" << threads << " threads";
-        ASSERT_EQ(v1.uid_for(probes[i]), legacy)
-            << learner << " v1 envelope @" << threads << " threads";
-        ASSERT_EQ(v2.uid_for(probes[i]), legacy)
+        ASSERT_EQ(loaded.uid_for(probes[i]), legacy)
             << learner << " v2 envelope @" << threads << " threads";
       }
     }
@@ -280,6 +270,14 @@ TEST(RuleTable, LoadRejectsCorruptAndTruncatedFiles) {
     os << contents.substr(0, contents.size() / 2);
   }
   EXPECT_THROW((void)tune::RuleTable::load(path), ParseError);
+  {
+    // A version-1 header: only version 2 is written or loaded.
+    const std::string header = "mpicp-ruletable 2 ";
+    ASSERT_EQ(contents.rfind(header, 0), 0u);
+    std::ofstream os(path);
+    os << "mpicp-ruletable 1 " << contents.substr(header.size());
+  }
+  EXPECT_THROW((void)tune::RuleTable::load(path), ParseError);
   std::filesystem::remove(path);
 }
 
@@ -291,85 +289,6 @@ TEST(RuleTable, EmptyTableContracts) {
       std::exception);
   const std::vector<bench::Instance> grid = {{4, 4, 1024}};
   EXPECT_THROW((void)table.select_grid(grid), std::exception);
-}
-
-// ---- registry serving-tier plumbing --------------------------------------
-
-TEST(RegistryRules, DistillAttachServeAndDropOnSwap) {
-  const bench::Dataset ds = random_dataset(13);
-  const std::vector<bench::Instance> grid = ds.instances();
-  tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  auto bank = std::make_shared<const tune::CompiledBank>(selector.compile());
-
-  tune::BankRegistry registry;
-  const tune::BankKey key{"Hydra", sim::Collective::kBcast};
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kNone);
-  (void)registry.publish(key, bank);
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kCompiled);
-
-  // Uncapped depth on a distinct grid: agreement 1.0 clears any floor.
-  const auto outcome =
-      registry.distill_and_publish(key, grid, {.max_depth = 32});
-  ASSERT_TRUE(outcome.published) << outcome.error;
-  EXPECT_EQ(outcome.agreement, 1.0);
-  EXPECT_EQ(outcome.version, registry.version(key));
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kRules);
-  ASSERT_NE(registry.lookup_rules(key), nullptr);
-
-  // Selections now come from the table — and equal the bank's picks.
-  const auto stats0 = registry.shard_stats();
-  for (const bench::Instance& inst : grid) {
-    EXPECT_EQ(registry.select_uid(key, inst), bank->select_uid(inst));
-  }
-  std::uint64_t rule_selections = 0;
-  for (const auto& s : registry.shard_stats()) {
-    rule_selections += s.rule_selections;
-  }
-  for (const auto& s : stats0) rule_selections -= s.rule_selections;
-  EXPECT_EQ(rule_selections, grid.size());
-
-  // A hot swap of a fresh bank drops the table: the rules described the
-  // outgoing bank.
-  (void)registry.publish(key, bank);
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kCompiled);
-  EXPECT_EQ(registry.lookup_rules(key), nullptr);
-}
-
-TEST(RegistryRules, AgreementFloorRejectsLowFidelityTables) {
-  const bench::Dataset ds = random_dataset(13);
-  tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  auto bank = std::make_shared<const tune::CompiledBank>(selector.compile());
-
-  tune::BankRegistry registry({.rule_agreement_floor = 1.01});
-  const tune::BankKey key{"Hydra", sim::Collective::kBcast};
-  (void)registry.publish(key, bank);
-  const auto outcome = registry.distill_and_publish(key, ds.instances());
-  EXPECT_FALSE(outcome.published);
-  EXPECT_TRUE(outcome.rejected);
-  EXPECT_FALSE(outcome.error.empty());
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kCompiled);
-}
-
-TEST(RegistryRules, PublishRulesRefusesStaleVersionAndMissingKey) {
-  const bench::Dataset ds = random_dataset(13);
-  tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  auto bank = std::make_shared<const tune::CompiledBank>(selector.compile());
-  const tune::RuleDistillation dist = selector.distill(ds.instances());
-  auto table = std::make_shared<const tune::RuleTable>(dist.table);
-
-  tune::BankRegistry registry;
-  const tune::BankKey key{"Hydra", sim::Collective::kBcast};
-  EXPECT_EQ(registry.publish_rules(key, table), 0u);  // no bank yet
-
-  const std::uint64_t v1 = registry.publish(key, bank);
-  const std::uint64_t v2 = registry.publish(key, bank);  // hot swap
-  EXPECT_EQ(registry.publish_rules(key, table, v1), 0u);  // stale
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kCompiled);
-  EXPECT_EQ(registry.publish_rules(key, table, v2), v2);
-  EXPECT_EQ(registry.tier(key), tune::ServingTier::kRules);
 }
 
 }  // namespace
