@@ -19,7 +19,13 @@ namespace mpicp::bench {
 /// Progress callback: (configurations done, configurations total).
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
-/// Generate the dataset from scratch (deterministic in spec.seed).
+/// Generate the dataset from scratch. The (nodes, ppn, config) tasks run
+/// on support::parallel_for, each with its own network and its own
+/// observation stream seeded from (spec.seed, uid, nodes, ppn); the
+/// records are merged in the serial loop order, so the dataset is
+/// byte-identical at every thread count. `progress` is called on the
+/// calling thread only, with non-decreasing counts, ending at
+/// (total, total).
 Dataset generate_dataset(const DatasetSpec& spec,
                          const ProgressFn& progress = nullptr);
 

@@ -14,6 +14,7 @@
 #include "ml/linreg.hpp"
 #include "ml/median.hpp"
 #include "support/error.hpp"
+#include "support/reserve.hpp"
 
 namespace mpicp::ml {
 
@@ -97,28 +98,34 @@ int FlatBank::add(const Regressor& model) {
     MPICP_RAISE_ARG("cannot compile learner '" + model.name() + "'");
   }
   models_.push_back(m);
-  // The canonical pools are append-only, so global node indices never
-  // move — but the blocked prefixes are derived per model, so rebuild
-  // them whole (add() is a cold path; serving never lowers).
-  build_blocked();
+  // Canonical and derived pools are both append-only in model order, so
+  // only the new model's blocked prefixes and rank-cell table need
+  // deriving: add() costs what lowering the one model costs.
+  build_derived(models_.size() - 1);
   return idx;
 }
 
-void FlatBank::build_blocked() {
-  blk_tree_levels_.assign(tree_roots_.size(), 0);
-  blk_spill_.assign(tree_roots_.size(), 0);
-  blk_base_.assign(tree_roots_.size(), 0);
-  blk_exit_base_.assign(tree_roots_.size(), 0);
-  blk_thr_.clear();
-  blk_feat_.clear();
-  blk_exit_.clear();
-  blk_leaf_.clear();
+void FlatBank::build_derived(std::size_t first_model) {
+  if (first_model == 0) {
+    blk_tree_levels_.clear();
+    blk_spill_.clear();
+    blk_base_.clear();
+    blk_exit_base_.clear();
+    blk_thr_.clear();
+    blk_feat_.clear();
+    blk_exit_.clear();
+    blk_leaf_.clear();
+  }
+  blk_tree_levels_.resize(tree_roots_.size(), 0);
+  blk_spill_.resize(tree_roots_.size(), 0);
+  blk_base_.resize(tree_roots_.size(), 0);
+  blk_exit_base_.resize(tree_roots_.size(), 0);
   // (node, depth) DFS stack and the slot→node assignment of one block,
   // hoisted out of the per-tree loops.
   std::vector<std::pair<std::int32_t, int>> stack;
   stack.reserve(64);
   std::vector<std::int32_t> assign;
-  for (std::size_t mi = 0; mi < models_.size(); ++mi) {
+  for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
     const FlatModel& m = models_[mi];
     if (m.kind != FlatKind::kTreeEnsemble) continue;
     for (int t = m.tree_begin; t < m.tree_end; ++t) {
@@ -185,17 +192,20 @@ void FlatBank::build_blocked() {
       blk_spill_[t] = spill ? 1 : 0;
     }
   }
-  build_rank_tables();
+  build_rank_tables(first_model);
 }
 
-void FlatBank::build_rank_tables() {
-  rank_tables_.assign(models_.size(), RankTable{});
-  rank_thr_.clear();
-  cell_val_.clear();
+void FlatBank::build_rank_tables(std::size_t first_model) {
+  if (first_model == 0) {
+    rank_tables_.clear();
+    rank_thr_.clear();
+    cell_val_.clear();
+  }
+  rank_tables_.resize(models_.size());
   std::vector<std::vector<double>> per_feat(kMaxRankFeatures);
   std::vector<std::int32_t> node_rank;
   std::vector<std::int32_t> ranks;
-  for (std::size_t mi = 0; mi < models_.size(); ++mi) {
+  for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
     const FlatModel& m = models_[mi];
     if (m.kind != FlatKind::kTreeEnsemble) continue;
     // The model's nodes are one contiguous pool range (lower_trees
@@ -263,7 +273,7 @@ void FlatBank::build_rank_tables() {
     // with the same accumulation and link transform as the legacy walk
     // — yields the exact double every instance in the cell would get.
     rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
-    cell_val_.reserve(cell_val_.size() + cells);
+    support::reserve_more(cell_val_, cells);
     ranks.assign(static_cast<std::size_t>(std::max(dim, 1)), 0);
     const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
     for (std::size_t c = 0; c < cells; ++c) {
@@ -291,12 +301,12 @@ void FlatBank::build_rank_tables() {
 void FlatBank::lower_trees(const std::vector<RegressionTree>& trees,
                            FlatModel& m) {
   m.tree_begin = static_cast<int>(tree_roots_.size());
-  tree_roots_.reserve(tree_roots_.size() + trees.size());
+  support::reserve_more(tree_roots_, trees.size());
   for (const RegressionTree& tree : trees) {
     const int base = static_cast<int>(nodes_.size());
     tree_roots_.push_back(base);
     const auto& src = tree.nodes();
-    nodes_.reserve(nodes_.size() + src.size());
+    support::reserve_more(nodes_, src.size());
     for (const RegressionTree::Node& n : src) {
       FlatTreeNode fn;
       fn.feature = n.feature;
@@ -318,7 +328,7 @@ void FlatBank::lower_knn(const KnnRegressor& knn, FlatModel& m) {
   m.num_points = static_cast<int>(pts.rows());
   m.point_dim = static_cast<int>(pts.cols());
   m.points_begin = static_cast<int>(points_.size());
-  points_.reserve(points_.size() + pts.rows() * pts.cols());
+  support::reserve_more(points_, pts.rows() * pts.cols());
   for (std::size_t i = 0; i < pts.rows(); ++i) {
     const auto row = pts.row(i);
     points_.insert(points_.end(), row.begin(), row.end());
@@ -330,7 +340,7 @@ void FlatBank::lower_knn(const KnnRegressor& knn, FlatModel& m) {
   order_.insert(order_.end(), knn.order().begin(), knn.order().end());
   if (knn.params().use_kdtree && !knn.kd().empty()) {
     const int kd_base = static_cast<int>(kd_.size());
-    kd_.reserve(kd_.size() + knn.kd().size());
+    support::reserve_more(kd_, knn.kd().size());
     for (const KnnRegressor::KdNode& n : knn.kd()) {
       FlatKdNode fn;
       fn.axis = n.axis;
@@ -387,7 +397,7 @@ void FlatBank::lower_gam(const GamRegressor& gam, FlatModel& m) {
   m.num_bases = static_cast<int>(gam.bases().size());
   m.basis_size = gam.params().basis_per_feature;
   m.slot_begin = static_cast<int>(gam_slots_.size());
-  gam_slots_.reserve(gam_slots_.size() + gam.bases().size());
+  support::reserve_more(gam_slots_, gam.bases().size());
   for (std::size_t f = 0; f < gam.bases().size(); ++f) {
     const int bid = intern_basis(gam.bases()[f]);
     gam_slots_.push_back(intern_slot(bid, static_cast<int>(f)));
@@ -795,7 +805,7 @@ void FlatBank::load(std::istream& is) {
     max_point_dim_ = std::max(max_point_dim_, m.point_dim);
     max_k_ = std::max(max_k_, m.k);
   }
-  build_blocked();
+  build_derived(0);
 }
 
 }  // namespace mpicp::ml

@@ -29,8 +29,9 @@
 // *rank-cell table*: the exact prediction precomputed for every cell
 // of the model's threshold-rank grid, collapsing batched dispatch to a
 // few small binary searches plus one load per model. Both forms are
-// derived data — rebuilt from the canonical pools on add() and load()
-// — and reproduce the legacy traversal bit for bit.
+// derived data — appended for the new model alone on add(), rebuilt for
+// the whole bank on load() — and reproduce the legacy traversal bit for
+// bit.
 #pragma once
 
 #include <array>
@@ -178,6 +179,10 @@ class FlatBank {
 
   int block_depth_cap() const { return block_depth_cap_; }
 
+  /// True when tree-ensemble model `i` carries a rank-cell table, i.e.
+  /// predict_tree_batch answers it with a table lookup.
+  bool has_rank_table(std::size_t i) const { return rank_tables_[i].built; }
+
   /// Persist the bank in the version-2 envelope, which records the
   /// blocked layout geometry; the blocked form itself is derived data,
   /// re-lowered on load. load() accepts version 2 only and raises
@@ -187,11 +192,14 @@ class FlatBank {
 
  private:
   void lower_trees(const std::vector<RegressionTree>& trees, FlatModel& m);
-  /// Rebuild the derived blocked layout for every tree ensemble from
-  /// the canonical node pool (add() and load() both end here).
-  void build_blocked();
-  /// Rebuild the derived rank-cell tables (called by build_blocked).
-  void build_rank_tables();
+  /// Derive the blocked layout and rank-cell tables of models
+  /// [first_model, size()) from the canonical pools, appending to the
+  /// derived pools, which must hold exactly models [0, first_model).
+  /// add() derives the new model alone; load() passes 0, which clears
+  /// the derived pools and rebuilds them all, in the same order.
+  void build_derived(std::size_t first_model);
+  /// The rank-cell half of build_derived.
+  void build_rank_tables(std::size_t first_model);
   void lower_knn(const KnnRegressor& knn, FlatModel& m);
   void lower_gam(const GamRegressor& gam, FlatModel& m);
   int intern_basis(const BSplineBasis& basis);
@@ -245,7 +253,7 @@ class FlatBank {
   // a tree-ensemble model tests x[f] against one of the model's few
   // distinct thresholds, so the instance's per-feature threshold ranks
   // fix the outcome of every comparison — and the model's whole
-  // prediction is constant on each rank cell. build_blocked()
+  // prediction is constant on each rank cell. build_rank_tables()
   // enumerates the cells and stores the exact prediction (computed by
   // the canonical tree-order walk), turning batched dispatch into a
   // handful of small binary searches plus one load. Models whose cell

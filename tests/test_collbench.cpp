@@ -1,8 +1,16 @@
 // Tests for the benchmarking layer: noise model, budgeted runner,
-// dataset container, dataset specs and default-logic baselines.
+// dataset container, dataset specs, the (parallel) generator and
+// default-logic baselines.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "collbench/dataset.hpp"
 #include "collbench/defaults.hpp"
@@ -13,6 +21,7 @@
 #include "simmpi/coll/decision.hpp"
 #include "simnet/machine.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 
 namespace mpicp::bench {
 namespace {
@@ -186,6 +195,88 @@ TEST(Generator, DeterministicInSeed) {
   for (std::size_t i = 0; i < a.num_records(); ++i) {
     EXPECT_DOUBLE_EQ(a.records()[i].time_us, b.records()[i].time_us);
   }
+}
+
+/// A multi-allocation spec: 2 node counts x 2 ppns, every config.
+DatasetSpec multi_allocation_spec() {
+  DatasetSpec spec = dataset_spec("d2");
+  spec.name = "multi";
+  spec.nodes = {2, 3};
+  spec.ppns = {1, 2};
+  spec.msizes = {16, 1024, 65536};
+  spec.budget = {.max_reps = 3, .budget_us = 1e9};
+  return spec;
+}
+
+/// Same records in the same order, timings bit for bit.
+void expect_same_records(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.num_records(), b.num_records());
+  for (std::size_t i = 0; i < a.num_records(); ++i) {
+    const Record& ra = a.records()[i];
+    const Record& rb = b.records()[i];
+    EXPECT_EQ(ra.uid, rb.uid) << "record " << i;
+    EXPECT_EQ(ra.nodes, rb.nodes) << "record " << i;
+    EXPECT_EQ(ra.ppn, rb.ppn) << "record " << i;
+    EXPECT_EQ(ra.msize, rb.msize) << "record " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ra.time_us),
+              std::bit_cast<std::uint64_t>(rb.time_us))
+        << "record " << i;
+  }
+}
+
+TEST(Generator, ParallelRecordsMatchSerialInOrder) {
+  const DatasetSpec spec = multi_allocation_spec();
+  const Dataset serial = [&] {
+    const support::ScopedThreads scoped(1);
+    return generate_dataset(spec);
+  }();
+  // The serial loop order: nodes, then ppn, then config, then msize.
+  ASSERT_EQ(serial.records().front().nodes, 2);
+  ASSERT_EQ(serial.records().front().ppn, 1);
+  ASSERT_EQ(serial.records().back().nodes, 3);
+  ASSERT_EQ(serial.records().back().ppn, 2);
+
+  const support::ScopedThreads scoped(4);
+  expect_same_records(serial, generate_dataset(spec));
+
+  // Called from inside a parallel_for body, generation takes the nested
+  // serial fallback and still yields the same records.
+  std::vector<std::optional<Dataset>> nested(2);
+  support::parallel_for(nested.size(), 1, [&](std::size_t i) {
+    nested[i].emplace(generate_dataset(spec));
+  });
+  for (const std::optional<Dataset>& ds : nested) {
+    ASSERT_TRUE(ds.has_value());
+    expect_same_records(serial, *ds);
+  }
+}
+
+TEST(Generator, ProgressRunsOnTheCallingThreadAndEndsAtTotal) {
+  const DatasetSpec spec = multi_allocation_spec();
+  const std::size_t total =
+      spec.nodes.size() * spec.ppns.size() * spec.msizes.size() *
+      sim::algorithm_configs(spec.lib, spec.coll).size();
+  const support::ScopedThreads scoped(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> foreign_calls{0};
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  (void)generate_dataset(spec, [&](std::size_t done, std::size_t all) {
+    if (std::this_thread::get_id() != caller) {
+      ++foreign_calls;
+      return;
+    }
+    calls.emplace_back(done, all);
+  });
+  EXPECT_EQ(foreign_calls.load(), 0);
+  ASSERT_FALSE(calls.empty());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].second, total);
+    EXPECT_LE(calls[i].first, total);
+    if (i > 0) {
+      EXPECT_GE(calls[i].first, calls[i - 1].first);
+    }
+  }
+  EXPECT_EQ(calls.back(), std::make_pair(total, total));
 }
 
 TEST(Defaults, OpenMpiFixedRulesAreStable) {

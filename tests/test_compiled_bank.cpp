@@ -5,16 +5,21 @@
 // save/load round trip of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "collbench/dataset.hpp"
+#include "ml/flatten.hpp"
+#include "ml/learner.hpp"
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -221,6 +226,100 @@ TEST(CompiledBankLayouts, BatchedGridHonorsFaultInjection) {
     EXPECT_EQ(batched, legacy) << learner;
     for (const int pick : batched) {
       EXPECT_NE(pick, uids.front()) << learner;
+    }
+  }
+}
+
+// ---- incremental lowering vs full rebuild ---------------------------------
+
+TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
+  // Grid-valued features (few distinct values each, so the tree
+  // ensembles get rank-cell tables), one target per model so the two
+  // GBTs differ.
+  support::Xoshiro256 rng(2024);
+  const std::size_t rows = 240;
+  ml::Matrix x(rows, 3);
+  for (std::size_t r = 0; r < rows; ++r) {
+    x(r, 0) = static_cast<double>(rng.uniform_int(10));
+    x(r, 1) = static_cast<double>(1 + rng.uniform_int(16));
+    x(r, 2) = static_cast<double>(std::uint64_t{1} << rng.uniform_int(4));
+  }
+  const std::vector<const char*> learners = {"xgboost", "knn", "rf", "gam",
+                                             "xgboost"};
+  std::vector<std::unique_ptr<ml::Regressor>> models;
+  for (std::size_t k = 0; k < learners.size(); ++k) {
+    std::vector<double> y(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      y[r] = (1.0 + static_cast<double>(k)) * (x(r, 0) + 1.0) +
+             x(r, 1) * x(r, 2) / (1.0 + static_cast<double>(k)) +
+             rng.uniform(0.0, 0.5);
+    }
+    models.push_back(ml::make_regressor(learners[k]));
+    models.back()->fit(x, y);
+  }
+
+  // add() derives each model's blocked layout and rank-cell table on
+  // its own; load() rebuilds every derived pool from the saved
+  // canonical ones.
+  ml::FlatBank incremental;
+  for (const auto& model : models) incremental.add(*model);
+  std::stringstream envelope;
+  incremental.save(envelope);
+  ml::FlatBank rebuilt;
+  rebuilt.load(envelope);
+  ASSERT_EQ(rebuilt.size(), incremental.size());
+  for (const std::size_t i : {0u, 2u, 4u}) {
+    ASSERT_TRUE(incremental.is_tree_ensemble(i));
+    EXPECT_TRUE(incremental.has_rank_table(i)) << "model " << i;
+    EXPECT_TRUE(rebuilt.has_rank_table(i)) << "model " << i;
+  }
+
+  // Queries on the grid (training rows) and off it (fractional and
+  // out-of-range values).
+  std::vector<double> queries;
+  for (std::size_t r = 0; r < 24; ++r) {
+    queries.insert(queries.end(), {x(r, 0), x(r, 1), x(r, 2)});
+  }
+  for (int q = 0; q < 24; ++q) {
+    queries.insert(queries.end(), {rng.uniform(-2.0, 12.0),
+                                   rng.uniform(0.0, 20.0),
+                                   rng.uniform(0.5, 10.0)});
+  }
+  const std::size_t count = queries.size() / 3;
+  ml::FlatScratch sa;
+  ml::FlatScratch sb;
+  for (std::size_t q = 0; q < count; ++q) {
+    const std::span<const double> v(queries.data() + 3 * q, 3);
+    incremental.begin_query(sa);
+    rebuilt.begin_query(sb);
+    for (std::size_t i = 0; i < incremental.size(); ++i) {
+      EXPECT_EQ(incremental.predict_one(i, v, sa),
+                rebuilt.predict_one(i, v, sb))
+          << "model " << i << " query " << q;
+      EXPECT_EQ(incremental.predict_one_legacy(i, v, sa),
+                rebuilt.predict_one_legacy(i, v, sb))
+          << "model " << i << " query " << q;
+      EXPECT_EQ(incremental.predict_one(i, v, sa),
+                incremental.predict_one_legacy(i, v, sa))
+          << "model " << i << " query " << q;
+    }
+  }
+  const std::size_t batch = ml::FlatBank::kTreeBatch;
+  for (const std::size_t i : {0u, 2u, 4u}) {
+    for (std::size_t lo = 0; lo < count; lo += batch) {
+      const std::size_t n = std::min(batch, count - lo);
+      std::vector<double> a(n);
+      std::vector<double> b(n);
+      incremental.predict_tree_batch(i, queries.data() + 3 * lo, 3, n,
+                                     a.data(), 1);
+      rebuilt.predict_tree_batch(i, queries.data() + 3 * lo, 3, n, b.data(),
+                                 1);
+      for (std::size_t q = 0; q < n; ++q) {
+        EXPECT_EQ(a[q], b[q]) << "model " << i << " query " << lo + q;
+        const std::span<const double> v(queries.data() + 3 * (lo + q), 3);
+        EXPECT_EQ(a[q], incremental.predict_one_legacy(i, v, sa))
+            << "model " << i << " query " << lo + q;
+      }
     }
   }
 }

@@ -113,9 +113,11 @@ TEST(Lint, DirtyFixtureTreeReportsExactDiagnostics) {
 }
 
 TEST(Lint, AllocFixtureTreeReportsExactDiagnostics) {
-  // R9 fires only under src/ml and src/tune; reserved receivers,
-  // capacity-reusing assign(), default construction, unresolvable
-  // receivers and inline allow() all stay silent.
+  // R9 fires only under src/ml and src/tune; reserved receivers
+  // (reserve() or reserve_more()), capacity-reusing assign(), default
+  // construction, unresolvable receivers and inline allow() all stay
+  // silent. Exact growth reserves inside a loop (`X.reserve(X.size() +
+  // n)`, the quadratic pattern) are flagged through `.` and `->`.
   const LintRun run = run_lint("--root " + fixture_root("alloc"));
   EXPECT_EQ(run.exit_code, 1);
 
@@ -126,6 +128,8 @@ TEST(Lint, AllocFixtureTreeReportsExactDiagnostics) {
       {"src/ml/bad_alloc.cpp", 12, "no-alloc-in-loop"},
       {"src/ml/bad_alloc.cpp", 15, "no-alloc-in-loop"},
       {"src/ml/bad_alloc.cpp", 18, "no-alloc-in-loop"},
+      {"src/ml/reserve_growth.cpp", 18, "no-alloc-in-loop"},
+      {"src/ml/reserve_growth.cpp", 19, "no-alloc-in-loop"},
   };
   std::vector<Finding> got = parse_findings(run.output);
   std::sort(got.begin(), got.end());

@@ -613,8 +613,13 @@ void check_nodiscard(const std::string& rel,
 // the argument range of `parallel_for(...)` — and flags, inside them:
 //   a) `new` / `make_unique` / `make_shared`,
 //   b) `.push_back(` / `.emplace_back(` whose receiver identifier has
-//      no `<ident>.reserve` anywhere in the file, and
-//   c) sized `std::vector<...> name(args...)` constructions.
+//      no `<ident>.reserve` or `reserve_more(<ident>, ...)` anywhere in
+//      the file,
+//   c) sized `std::vector<...> name(args...)` constructions, and
+//   d) exact growth reserves `X.reserve(X.size() + n)`: each one sets
+//      the capacity to exactly what the next append needs, so a pool
+//      appended to once per iteration is copied whole every time
+//      (quadratic). support::reserve_more grows geometrically instead.
 // Receivers that cannot be resolved to an identifier (ternaries,
 // call-chain results) are skipped rather than guessed at; genuinely
 // unbounded loops justify themselves with allow(no-alloc-in-loop).
@@ -653,6 +658,37 @@ std::string receiver_of(const std::vector<Token>& toks, std::size_t dot) {
   }
   if (toks[i].kind != Token::Kind::kIdent) return "";
   return toks[i].text;
+}
+
+/// Index just past the member-access operator starting at toks[i]
+/// (`.` or `->`), or 0 when none starts there.
+std::size_t after_member_access(const std::vector<Token>& toks,
+                                std::size_t i) {
+  if (i < toks.size() && toks[i].text == ".") return i + 1;
+  if (i + 1 < toks.size() && toks[i].text == "-" &&
+      toks[i + 1].text == ">") {
+    return i + 2;
+  }
+  return 0;
+}
+
+/// True when the argument list opening at toks[open] names
+/// `recv.size()` / `recv->size()` and adds to something.
+bool adds_to_own_size(const std::vector<Token>& toks, std::size_t open,
+                      const std::string& recv) {
+  const std::size_t close = match_forward(toks, open, "(", ")");
+  bool own_size = false;
+  bool adds = false;
+  for (std::size_t i = open + 1; i < close; ++i) {
+    if (toks[i].text == "+") adds = true;
+    if (toks[i].text != recv) continue;
+    const std::size_t j = after_member_access(toks, i + 1);
+    if (j != 0 && j + 2 < close && toks[j].text == "size" &&
+        toks[j + 1].text == "(" && toks[j + 2].text == ")") {
+      own_size = true;
+    }
+  }
+  return own_size && adds;
 }
 
 void check_alloc_in_loop(const std::string& rel,
@@ -710,12 +746,28 @@ void check_alloc_in_loop(const std::string& rel,
     }
   }
 
-  // Receivers with a `<ident>.reserve` / `<ident>->reserve` anywhere in
-  // the file are considered pre-sized.
+  // Receivers with a `<ident>.reserve` / `<ident>->reserve` or a
+  // `reserve_more(<ident>, n)` anywhere in the file are considered
+  // pre-sized.
   std::set<std::string> reserved;
   for (std::size_t t = 0; t + 2 < toks.size(); ++t) {
     if (toks[t].kind != Token::Kind::kIdent) continue;
-    if (toks[t + 1].text == "." && toks[t + 2].text == "reserve") {
+    if (toks[t].text == "reserve_more" && toks[t + 1].text == "(") {
+      // The receiver is the last token of the first argument.
+      const std::size_t close = match_forward(toks, t + 1, "(", ")");
+      int depth = 0;
+      for (std::size_t i = t + 2; i < close; ++i) {
+        const std::string& s = toks[i].text;
+        if (s == "(" || s == "[" || s == "{") ++depth;
+        if (s == ")" || s == "]" || s == "}") --depth;
+        if (s == "," && depth == 0) {
+          if (toks[i - 1].kind == Token::Kind::kIdent) {
+            reserved.insert(toks[i - 1].text);
+          }
+          break;
+        }
+      }
+    } else if (toks[t + 1].text == "." && toks[t + 2].text == "reserve") {
       reserved.insert(toks[t].text);
     } else if (t + 3 < toks.size() && toks[t + 1].text == "-" &&
                toks[t + 2].text == ">" && toks[t + 3].text == "reserve") {
@@ -749,8 +801,32 @@ void check_alloc_in_loop(const std::string& rel,
             {rel, line, kRuleAllocLoop,
              "'" + recv + "." + tok.text +
                  "' inside a loop without a prior '" + recv +
-                 ".reserve' — reserve capacity up front, or justify "
+                 ".reserve' — reserve the final capacity once before "
+                 "the loop, grow with support::reserve_more(" + recv +
+                 ", n) when it is appended to repeatedly, or justify "
                  "with allow(no-alloc-in-loop)"});
+      }
+      continue;
+    }
+
+    if (tok.text == "reserve" && t + 1 < toks.size() &&
+        toks[t + 1].text == "(") {
+      // `X.reserve(...)` / `X->reserve(...)` whose argument adds to
+      // `X.size()` / `X->size()`.
+      const std::size_t op = t >= 1 && toks[t - 1].text == "." ? t - 1
+                             : t >= 2 && toks[t - 1].text == ">" &&
+                                     toks[t - 2].text == "-"
+                                 ? t - 2
+                                 : 0;
+      const std::string recv = op == 0 ? "" : receiver_of(toks, op);
+      if (!recv.empty() && adds_to_own_size(toks, t + 1, recv)) {
+        diags->push_back(
+            {rel, line, kRuleAllocLoop,
+             "'" + recv + ".reserve(" + recv +
+                 ".size() + ...)' inside a loop reserves exactly, so "
+                 "every append copies the whole pool (quadratic) — use "
+                 "support::reserve_more(" + recv + ", n), or reserve once "
+                 "before the loop"});
       }
       continue;
     }
@@ -1750,7 +1826,9 @@ int self_test(const fs::path& root) {
         {"src/ml/bad_alloc.cpp", 11, kRuleAllocLoop},
         {"src/ml/bad_alloc.cpp", 12, kRuleAllocLoop},
         {"src/ml/bad_alloc.cpp", 15, kRuleAllocLoop},
-        {"src/ml/bad_alloc.cpp", 18, kRuleAllocLoop}}},
+        {"src/ml/bad_alloc.cpp", 18, kRuleAllocLoop},
+        {"src/ml/reserve_growth.cpp", 18, kRuleAllocLoop},
+        {"src/ml/reserve_growth.cpp", 19, kRuleAllocLoop}}},
       {"spans", {{"src/tune/needs_span.cpp", 8, kRuleSpan}}},
       {"iwyu", {{"src/tune/consumer.cpp", 7, kRuleIwyu}}},
       {"suppressed", {}},
