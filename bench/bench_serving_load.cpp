@@ -6,11 +6,16 @@
 // production shape of "which algorithm?" answered at job-launch time
 // for a whole cluster, with training rolling underneath it.
 //
-// Before the timed run, a swap-free pre-pass pins correctness: the
+// Before the timed runs, a swap-free pre-pass pins correctness: the
 // registry's answers (its own parallel loop and `serve`) must be
-// bit-identical to direct CompiledBank serving. The timed run then
-// reports per-query latency percentiles (sampled every Kth query) and
-// aggregate throughput into BENCH_serving.json (bench_json.hpp):
+// bit-identical to direct CompiledBank serving. The stream is then
+// drained twice, on one thread and at the configured thread count N
+// (MPICP_THREADS), each with the same mid-run swaps. The N-thread run
+// gives the unsuffixed keys (per-query latency percentiles sampled
+// every Kth query, aggregate throughput, memo counts); the 1-thread run
+// adds throughput_qps_1t, so BENCH_serving.json (bench_json.hpp) also
+// carries throughput_qps_nt, p99_us_nt and scaling_efficiency =
+// qps(N) / (N * qps(1)):
 //
 //   --smoke            fewer queries / swaps — the CI mode
 //   --json-out=PATH    default BENCH_serving.json
@@ -163,6 +168,89 @@ bool verify_identity(const tune::BankRegistry& registry,
   return served == direct && looped == direct;
 }
 
+/// One timed drain of the whole stream and the registry counters it
+/// moved.
+struct Drain {
+  std::size_t queries = 0;
+  double elapsed_s = 0.0;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+  std::uint64_t swaps = 0;  ///< hot swaps inside the drain
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_misses = 0;
+
+  double qps() const { return static_cast<double>(queries) / elapsed_s; }
+};
+
+/// Drain `stream` on the support/parallel pool at the configured thread
+/// count, hot-publishing `num_swaps` bank variants along the way and
+/// timing every `sample_every`-th selection. Every bank is republished
+/// at its first variant beforehand, so each drain starts from the same
+/// banks under fresh versions (no memo entry of an earlier drain hits).
+Drain drain(tune::BankRegistry& registry, const std::vector<BankSetup>& banks,
+            const std::vector<tune::BankRegistry::Query>& stream,
+            int num_swaps, int sample_every) {
+  for (const BankSetup& bank : banks) {
+    registry.publish(bank.key, bank.variants[0]);
+  }
+  const auto totals = [&registry] {
+    Drain t;
+    for (const auto& shard : registry.shard_stats()) {
+      t.swaps += shard.swaps;
+      t.memo_hits += shard.memo_hits;
+      t.memo_misses += shard.memo_misses;
+    }
+    return t;
+  };
+  const Drain before = totals();
+  const std::size_t total_queries = stream.size();
+  const std::size_t swap_every =
+      num_swaps > 0 ? total_queries / (static_cast<std::size_t>(num_swaps) + 1)
+                    : total_queries + 1;
+  const std::size_t num_samples =
+      (total_queries + static_cast<std::size_t>(sample_every) - 1) /
+      static_cast<std::size_t>(sample_every);
+  std::vector<double> sample_us(num_samples, 0.0);
+
+  const auto start = Clock::now();
+  support::parallel_for(total_queries, 256, [&](std::size_t i) {
+    if (i > 0 && i % swap_every == 0) {
+      // A hot swap in the middle of the drain: in-flight selections on
+      // other workers keep their snapshot; later ones see the variant.
+      const std::size_t round = i / swap_every;
+      const BankSetup& bank = banks[round % banks.size()];
+      registry.publish(bank.key,
+                       bank.variants[round % bank.variants.size()]);
+    }
+    if (i % static_cast<std::size_t>(sample_every) == 0) {
+      const auto q0 = Clock::now();
+      (void)registry.select_uid(stream[i].key, stream[i].inst);
+      sample_us[i / static_cast<std::size_t>(sample_every)] =
+          seconds_since(q0) * 1e6;
+    } else {
+      (void)registry.select_uid(stream[i].key, stream[i].inst);
+    }
+  });
+  const double elapsed_s = seconds_since(start);
+  Drain d = totals();
+  d.elapsed_s = elapsed_s;
+  d.queries = total_queries;
+  d.swaps -= before.swaps;
+  d.memo_hits -= before.memo_hits;
+  d.memo_misses -= before.memo_misses;
+
+  std::sort(sample_us.begin(), sample_us.end());
+  const auto pct = [&](double p) {
+    const std::size_t idx = std::min(
+        sample_us.size() - 1,
+        static_cast<std::size_t>(p * static_cast<double>(sample_us.size())));
+    return sample_us[idx];
+  };
+  d.p50_us = pct(0.50);
+  d.p99_us = pct(0.99);
+  return d;
+}
+
 int run_load(std::size_t total_queries, int num_swaps, int sample_every,
              const std::string& json_path) {
   std::printf("fitting bank variants (4 keys x 2 refits)...\n");
@@ -187,66 +275,36 @@ int run_load(std::size_t total_queries, int num_swaps, int sample_every,
               "%zu-query pre-pass: yes\n\n",
               verify_n);
 
-  // The timed drain. Spans off: at millions of queries the per-span
-  // records would dominate memory; the span overhead itself is what
-  // bench_observability_overhead measures.
-  const std::size_t swap_every =
-      num_swaps > 0 ? total_queries / (static_cast<std::size_t>(num_swaps) + 1)
-                    : total_queries + 1;
-  const std::size_t num_samples =
-      (total_queries + static_cast<std::size_t>(sample_every) - 1) /
-      static_cast<std::size_t>(sample_every);
-  std::vector<double> sample_us(num_samples, 0.0);
+  // The timed drains: first on one thread, then at the configured
+  // thread count (the run the unsuffixed keys describe). Spans off: at
+  // millions of queries the per-span records would dominate memory; the
+  // span overhead itself is what bench_observability_overhead measures.
   support::trace::ScopedEnabled spans_off(false);
-
-  const auto start = Clock::now();
-  support::parallel_for(total_queries, 256, [&](std::size_t i) {
-    if (i > 0 && i % swap_every == 0) {
-      // A hot swap in the middle of the drain: in-flight selections on
-      // other workers keep their snapshot; later ones see the variant.
-      const std::size_t round = i / swap_every;
-      const BankSetup& bank = banks[round % banks.size()];
-      registry.publish(bank.key,
-                       bank.variants[round % bank.variants.size()]);
-    }
-    if (i % static_cast<std::size_t>(sample_every) == 0) {
-      const auto q0 = Clock::now();
-      (void)registry.select_uid(stream[i].key, stream[i].inst);
-      sample_us[i / static_cast<std::size_t>(sample_every)] =
-          seconds_since(q0) * 1e6;
-    } else {
-      (void)registry.select_uid(stream[i].key, stream[i].inst);
-    }
-  });
-  const double elapsed_s = seconds_since(start);
-
-  std::sort(sample_us.begin(), sample_us.end());
-  const auto pct = [&](double p) {
-    const std::size_t idx = std::min(
-        sample_us.size() - 1,
-        static_cast<std::size_t>(p * static_cast<double>(sample_us.size())));
-    return sample_us[idx];
-  };
-  const double p50 = pct(0.50);
-  const double p99 = pct(0.99);
-  const double qps = static_cast<double>(total_queries) / elapsed_s;
-
-  std::uint64_t swaps = 0, memo_hits = 0, memo_misses = 0;
-  for (const auto& shard : registry.shard_stats()) {
-    swaps += shard.swaps;
-    memo_hits += shard.memo_hits;
-    memo_misses += shard.memo_misses;
+  const int threads = support::configured_threads();
+  Drain one;
+  {
+    support::ScopedThreads serial(1);
+    one = drain(registry, banks, stream, num_swaps, sample_every);
   }
+  const Drain many = drain(registry, banks, stream, num_swaps, sample_every);
+  const double scaling =
+      many.qps() / (static_cast<double>(threads) * one.qps());
 
   support::TextTable table({"metric", "value"});
   table.add_row({"queries", std::to_string(total_queries)});
-  table.add_row({"hot swaps", std::to_string(swaps - banks.size())});
-  table.add_row({"elapsed [s]", support::format_double(elapsed_s, 3)});
-  table.add_row({"throughput [q/s]", support::format_double(qps, 0)});
-  table.add_row({"p50 latency [us]", support::format_double(p50, 3)});
-  table.add_row({"p99 latency [us]", support::format_double(p99, 3)});
-  table.add_row({"memo hits", std::to_string(memo_hits)});
-  table.add_row({"memo misses", std::to_string(memo_misses)});
+  table.add_row({"threads", std::to_string(threads)});
+  table.add_row({"hot swaps", std::to_string(many.swaps)});
+  table.add_row({"elapsed [s]", support::format_double(many.elapsed_s, 3)});
+  table.add_row({"throughput [q/s]", support::format_double(many.qps(), 0)});
+  table.add_row({"throughput, 1 thread [q/s]",
+                 support::format_double(one.qps(), 0)});
+  table.add_row({"scaling efficiency", support::format_double(scaling, 3)});
+  table.add_row({"p50 latency [us]", support::format_double(many.p50_us, 3)});
+  table.add_row({"p99 latency [us]", support::format_double(many.p99_us, 3)});
+  table.add_row({"p99 latency, 1 thread [us]",
+                 support::format_double(one.p99_us, 3)});
+  table.add_row({"memo hits", std::to_string(many.memo_hits)});
+  table.add_row({"memo misses", std::to_string(many.memo_misses)});
   std::ostringstream os;
   table.print(os);
   std::fputs(os.str().c_str(), stdout);
@@ -254,14 +312,18 @@ int run_load(std::size_t total_queries, int num_swaps, int sample_every,
   bench::JsonMetrics metrics;
   metrics.emplace_back("queries", static_cast<double>(total_queries));
   metrics.emplace_back("banks", static_cast<double>(banks.size()));
-  metrics.emplace_back("hot_swaps",
-                       static_cast<double>(swaps - banks.size()));
-  metrics.emplace_back("elapsed_s", elapsed_s);
-  metrics.emplace_back("throughput_qps", qps);
-  metrics.emplace_back("p50_us", p50);
-  metrics.emplace_back("p99_us", p99);
-  metrics.emplace_back("memo_hits", static_cast<double>(memo_hits));
-  metrics.emplace_back("memo_misses", static_cast<double>(memo_misses));
+  metrics.emplace_back("hot_swaps", static_cast<double>(many.swaps));
+  metrics.emplace_back("elapsed_s", many.elapsed_s);
+  metrics.emplace_back("throughput_qps", many.qps());
+  metrics.emplace_back("p50_us", many.p50_us);
+  metrics.emplace_back("p99_us", many.p99_us);
+  metrics.emplace_back("memo_hits", static_cast<double>(many.memo_hits));
+  metrics.emplace_back("memo_misses", static_cast<double>(many.memo_misses));
+  metrics.emplace_back("threads", static_cast<double>(threads));
+  metrics.emplace_back("throughput_qps_1t", one.qps());
+  metrics.emplace_back("throughput_qps_nt", many.qps());
+  metrics.emplace_back("p99_us_nt", many.p99_us);
+  metrics.emplace_back("scaling_efficiency", scaling);
   bench::json_report(json_path, "serving_load", metrics);
   std::printf("\nwrote %s\n", json_path.c_str());
   return 0;

@@ -42,9 +42,11 @@ void CompiledBank::predict_all_into(
   MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
   MPICP_REQUIRE(out.size() == uids_.size(),
                 "prediction buffer size mismatch");
-  metrics::counter("compiled.predict.calls").inc();
-  metrics::counter("compiled.predict.predictions_served")
-      .inc(uids_.size());
+  static metrics::Counter& calls = metrics::counter("compiled.predict.calls");
+  static metrics::Counter& served =
+      metrics::counter("compiled.predict.predictions_served");
+  calls.inc();
+  served.inc(uids_.size());
   double feat[kMaxInstanceFeatures];
   const std::size_t dim = feature_dim(features_);
   instance_features_into(inst, features_, std::span<double>(feat, dim));
@@ -101,14 +103,18 @@ int CompiledBank::argmin_uid(const bench::Instance& inst) const {
     }
   }
   if (excluded > 0) {
-    metrics::counter("compiled.select.argmin_excluded").inc(excluded);
+    static metrics::Counter& excluded_total =
+        metrics::counter("compiled.select.argmin_excluded");
+    excluded_total.inc(excluded);
   }
   return best_uid;
 }
 
 int CompiledBank::select_uid(const bench::Instance& inst) const {
   MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
-  metrics::counter("compiled.select.requests").inc();
+  static metrics::Counter& requests =
+      metrics::counter("compiled.select.requests");
+  requests.inc();
   const int best_uid = argmin_uid(inst);
   MPICP_REQUIRE(best_uid > 0,
                 "no usable model prediction for the instance (use "
@@ -119,20 +125,26 @@ int CompiledBank::select_uid(const bench::Instance& inst) const {
 int CompiledBank::select_uid_or_default(const bench::Instance& inst,
                                         sim::MpiLib lib,
                                         sim::Collective coll) const {
-  metrics::counter("compiled.select.requests").inc();
+  static metrics::Counter& requests =
+      metrics::counter("compiled.select.requests");
+  requests.inc();
   if (!uids_.empty()) {
     const int best_uid = argmin_uid(inst);
     if (best_uid > 0) return best_uid;
   }
   // No usable model: behave like an untuned library run.
-  metrics::counter("compiled.select.default_fallbacks").inc();
+  static metrics::Counter& fallbacks =
+      metrics::counter("compiled.select.default_fallbacks");
+  fallbacks.inc();
   return sim::library_default_uid(lib, coll, inst.nodes * inst.ppn,
                                   inst.msize);
 }
 
 int CompiledBank::select_uid_or_invalid(const bench::Instance& inst) const {
   if (uids_.empty()) return -1;
-  metrics::counter("compiled.select.requests").inc();
+  static metrics::Counter& requests =
+      metrics::counter("compiled.select.requests");
+  requests.inc();
   return argmin_uid(inst);
 }
 
@@ -197,7 +209,9 @@ void CompiledBank::argmin_batch(const bench::Instance* insts,
     out[b] = best_uid;
   }
   if (excluded > 0) {
-    metrics::counter("compiled.select.argmin_excluded").inc(excluded);
+    static metrics::Counter& excluded_total =
+        metrics::counter("compiled.select.argmin_excluded");
+    excluded_total.inc(excluded);
   }
 }
 
@@ -207,8 +221,12 @@ void CompiledBank::select_grid_into(std::span<const bench::Instance> grid,
   MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
   MPICP_REQUIRE(out.size() == grid.size(),
                 "grid selection buffer size mismatch");
-  metrics::counter("compiled.select.grid_requests").inc();
-  metrics::counter("compiled.select.grid_instances").inc(grid.size());
+  static metrics::Counter& grid_requests =
+      metrics::counter("compiled.select.grid_requests");
+  static metrics::Counter& grid_instances =
+      metrics::counter("compiled.select.grid_instances");
+  grid_requests.inc();
+  grid_instances.inc(grid.size());
   constexpr std::size_t kBatch = ml::FlatBank::kTreeBatch;
   const std::size_t batches = (grid.size() + kBatch - 1) / kBatch;
   // Parallelize over whole batches so each worker walks the blocked

@@ -47,7 +47,108 @@ std::uint64_t next_version() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+/// One thread's exact selection memo: (bank version, m, n, N) -> uid in
+/// an open-addressing table of BankRegistry::kMemoSlots slots with
+/// linear probing. Version 0 marks an empty slot (versions are never 0).
+/// Nothing is ever evicted one by one: at 3/4 load the table is cleared
+/// wholesale, which bounds both memory and probe length. Entries of
+/// retired versions can never hit again and go with the next clear.
+class Memo {
+ public:
+  /// The memoized uid, or -1 when absent.
+  int find(std::uint64_t version, const bench::Instance& inst) const {
+    if (!slots_) return -1;
+    const Slot& s = probe(version, inst);
+    return s.version != 0 ? s.uid : -1;
+  }
+
+  void insert(std::uint64_t version, const bench::Instance& inst, int uid) {
+    if (!slots_) {
+      slots_ = std::make_unique<Slot[]>(kSlots);
+    } else if (size_ >= kSlots / 4 * 3) {
+      std::fill_n(slots_.get(), kSlots, Slot{});
+      size_ = 0;
+    }
+    Slot& s = probe(version, inst);
+    if (s.version == 0) ++size_;
+    s = Slot{version, inst.msize, inst.nodes, inst.ppn, uid};
+  }
+
+ private:
+  static constexpr std::size_t kSlots = BankRegistry::kMemoSlots;
+  static constexpr std::size_t kMask = kSlots - 1;
+  static_assert((kSlots & kMask) == 0, "memo size must be a power of two");
+
+  struct Slot {
+    std::uint64_t version = 0;
+    std::uint64_t msize = 0;
+    int nodes = 0;
+    int ppn = 0;
+    int uid = 0;
+  };
+  static_assert(sizeof(Slot) == 32, "memo slots are 32 bytes");
+
+  /// The key's slot, or the empty slot that ends its probe sequence
+  /// (the load cap guarantees one).
+  Slot& probe(std::uint64_t version, const bench::Instance& inst) const {
+    for (std::size_t i = home(version, inst);; i = (i + 1) & kMask) {
+      Slot& s = slots_[i];
+      if (s.version == 0 || (s.version == version && s.msize == inst.msize &&
+                             s.nodes == inst.nodes && s.ppn == inst.ppn)) {
+        return s;
+      }
+    }
+  }
+
+  /// splitmix64's finalizer over the folded key.
+  static std::size_t home(std::uint64_t version,
+                          const bench::Instance& inst) {
+    std::uint64_t h = version * 0x9e3779b97f4a7c15ull ^ inst.msize;
+    h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(inst.nodes))
+          << 32) |
+         static_cast<std::uint32_t>(inst.ppn);
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return static_cast<std::size_t>(h) & kMask;
+  }
+
+  std::unique_ptr<Slot[]> slots_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
+
+/// Everything a selection writes lives here, on the calling thread.
+struct BankRegistry::ThreadState {
+  /// One cached snapshot: the map `shard` published as `generation`.
+  struct CachedSnapshot {
+    const Shard* shard = nullptr;
+    std::uint64_t generation = 0;
+    std::shared_ptr<const BankMap> map;
+  };
+  std::array<CachedSnapshot, kSnapshotSlots> snapshots;
+  std::size_t next_victim = 0;  ///< round-robin replacement cursor
+  Memo memo;
+  std::size_t cell = next_cell();  ///< this thread's counter cell
+
+  static std::size_t next_cell() {
+    static std::atomic<std::size_t> tickets{0};
+    // order: a unique-ticket counter; uniqueness needs atomicity only.
+    return tickets.fetch_add(1, std::memory_order_relaxed) % kCounterCells;
+  }
+};
+
+BankRegistry::ThreadState& BankRegistry::thread_state() {
+  thread_local ThreadState state;
+  return state;
+}
+
+BankRegistry::Shard::Shard()
+    : snapshot(std::make_shared<const BankMap>()),
+      generation(next_version()) {}
 
 std::string to_string(const BankKey& key) {
   return key.machine + "/" + sim::to_string(key.collective);
@@ -59,12 +160,7 @@ BankRegistry::BankRegistry(Options options) {
   for (int i = 0; i < n; ++i) {
     // Bounded setup loop (shard count <= 64), not a serving hot path.
     // mpicp-lint: allow(no-alloc-in-loop)
-    auto shard = std::make_unique<Shard>();
-    // order: publishes the empty snapshot map to future reader threads.
-    // mpicp-lint: allow(no-alloc-in-loop)
-    shard->snapshot.store(std::make_shared<const BankMap>(),
-                          std::memory_order_release);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
   metrics::gauge("registry.shards").set(static_cast<double>(n));
 }
@@ -76,8 +172,9 @@ int BankRegistry::shards() const {
 std::size_t BankRegistry::num_banks() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    // order: pairs with the release stores in publish().
-    total += shard->snapshot.load(std::memory_order_acquire)->size();
+    Shard& s = *shard;
+    const support::MutexLock lock(s.write_mu);
+    total += s.snapshot->size();
   }
   return total;
 }
@@ -86,65 +183,87 @@ BankRegistry::Shard& BankRegistry::shard_of(const BankKey& key) const {
   return *shards_[hash_key(key) % shards_.size()];
 }
 
-BankRegistry::Entry BankRegistry::find_entry(const BankKey& key) const {
-  Shard& shard = shard_of(key);
-  // order: independent statistic; readers only need eventual totals.
-  shard.lookups.fetch_add(1, std::memory_order_relaxed);
-  // The RCU read: one atomic snapshot load; the map behind it is
-  // immutable, so a concurrent publish cannot tear the find.
-  // order: pairs with the release stores in publish().
-  const std::shared_ptr<const BankMap> snap =
-      shard.snapshot.load(std::memory_order_acquire);
-  const auto it = snap->find(key);
-  if (it == snap->end()) return {};
-  // order: independent statistic; readers only need eventual totals.
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-int BankRegistry::select_in_entry(Shard& shard, const Entry& entry,
-                                  const bench::Instance& inst) const {
-  const MemoKey key{entry.version, inst.msize, inst.nodes, inst.ppn};
-  {
-    const support::MutexLock lock(shard.memo_mu);
-    const auto it = shard.memo.find(key);
-    if (it != shard.memo.end()) {
-      // order: independent statistic; readers only need eventual totals.
-      shard.memo_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+const BankRegistry::BankMap& BankRegistry::current_map(ThreadState& ts,
+                                                       Shard& shard) {
+  // order: pairs with the release store in publish(). A thread that
+  // synchronizes with a returned publish (the publisher itself, or a
+  // pool worker handed work after it) reads that generation or a later
+  // one, so it refreshes; the map itself is copied under write_mu.
+  const std::uint64_t generation =
+      shard.generation.load(std::memory_order_acquire);
+  ThreadState::CachedSnapshot* slot = nullptr;
+  for (ThreadState::CachedSnapshot& c : ts.snapshots) {
+    if (c.shard == &shard) {
+      if (c.generation == generation) return *c.map;
+      slot = &c;
+      break;
     }
   }
-  // Check and fill are separate lock scopes: concurrent misses on one
-  // key each run the argmin (same answer) and each count a miss, so
-  // misses can exceed the distinct keys; hits + misses still equals
-  // the selections.
+  if (slot == nullptr) {
+    // Generations are process-unique, so a slot naming a dead shard
+    // whose address a new shard reuses can never pass the check above.
+    slot = &ts.snapshots[ts.next_victim++ % kSnapshotSlots];
+    slot->shard = &shard;
+  }
+  const support::MutexLock lock(shard.write_mu);
+  slot->map = shard.snapshot;
+  // order: read under write_mu, which orders it with the swap it stamps.
+  slot->generation = shard.generation.load(std::memory_order_relaxed);
+  return *slot->map;
+}
+
+const BankRegistry::Entry* BankRegistry::find_entry(ThreadState& ts,
+                                                    Shard& shard,
+                                                    const BankKey& key) {
+  CounterCell& cell = shard.cells[ts.cell];
+  // order: independent statistic; readers only need eventual totals.
+  cell.lookups.fetch_add(1, std::memory_order_relaxed);
+  const BankMap& map = current_map(ts, shard);
+  const auto it = map.find(key);
+  if (it == map.end()) return nullptr;
+  // order: independent statistic; readers only need eventual totals.
+  cell.hits.fetch_add(1, std::memory_order_relaxed);
+  return &it->second;
+}
+
+int BankRegistry::select_in_entry(ThreadState& ts, Shard& shard,
+                                  const Entry& entry,
+                                  const bench::Instance& inst) {
+  CounterCell& cell = shard.cells[ts.cell];
+  const int memoized = ts.memo.find(entry.version, inst);
+  if (memoized > 0) {
+    // order: independent statistic; readers only need eventual totals.
+    cell.memo_hits.fetch_add(1, std::memory_order_relaxed);
+    return memoized;
+  }
   const int uid = entry.bank->select_uid_or_invalid(inst);
   // order: independent statistic; readers only need eventual totals.
-  shard.memo_misses.fetch_add(1, std::memory_order_relaxed);
-  if (uid > 0) {
-    const support::MutexLock lock(shard.memo_mu);
-    shard.memo.emplace(key, uid);
-  }
+  cell.memo_misses.fetch_add(1, std::memory_order_relaxed);
+  if (uid > 0) ts.memo.insert(entry.version, inst, uid);
   return uid;
 }
 
 std::shared_ptr<const CompiledBank> BankRegistry::lookup(
     const BankKey& key) const {
   MPICP_SPAN("registry.lookup");
-  return find_entry(key).bank;
+  const Entry* entry = find_entry(thread_state(), shard_of(key), key);
+  return entry != nullptr ? entry->bank : nullptr;
 }
 
 std::uint64_t BankRegistry::version(const BankKey& key) const {
-  return find_entry(key).version;
+  const Entry* entry = find_entry(thread_state(), shard_of(key), key);
+  return entry != nullptr ? entry->version : 0;
 }
 
 int BankRegistry::select_uid(const BankKey& key,
                              const bench::Instance& inst) const {
   MPICP_SPAN("registry.lookup");
-  const Entry entry = find_entry(key);
-  MPICP_REQUIRE(entry.bank != nullptr,
+  ThreadState& ts = thread_state();
+  Shard& shard = shard_of(key);
+  const Entry* entry = find_entry(ts, shard, key);
+  MPICP_REQUIRE(entry != nullptr,
                 "no bank registered for " + to_string(key));
-  const int uid = select_in_entry(shard_of(key), entry, inst);
+  const int uid = select_in_entry(ts, shard, *entry, inst);
   MPICP_REQUIRE(uid > 0,
                 "no usable model prediction for the instance (use "
                 "select_uid_or_default for graceful degradation)");
@@ -155,9 +274,10 @@ int BankRegistry::select_uid_or_default(const BankKey& key,
                                         const bench::Instance& inst,
                                         sim::MpiLib lib) const {
   MPICP_SPAN("registry.lookup");
-  const Entry entry = find_entry(key);
-  if (entry.bank != nullptr) {
-    const int uid = select_in_entry(shard_of(key), entry, inst);
+  ThreadState& ts = thread_state();
+  Shard& shard = shard_of(key);
+  if (const Entry* entry = find_entry(ts, shard, key)) {
+    const int uid = select_in_entry(ts, shard, *entry, inst);
     if (uid > 0) return uid;
   }
   // Missing bank or nothing usable: behave like an untuned job launch.
@@ -171,18 +291,20 @@ int BankRegistry::select_uid_or_default(const BankKey& key,
 std::vector<int> BankRegistry::select_grid(
     const BankKey& key, std::span<const bench::Instance> grid) const {
   MPICP_SPAN("registry.select_grid");
-  // Resolve the entry once: a whole grid is answered by one consistent
-  // bank version even if a publish lands mid-batch.
-  const Entry entry = find_entry(key);
-  MPICP_REQUIRE(entry.bank != nullptr,
+  Shard& shard = shard_of(key);
+  const Entry* found = find_entry(thread_state(), shard, key);
+  MPICP_REQUIRE(found != nullptr,
                 "no bank registered for " + to_string(key));
+  // Resolve the entry once and copy it: a whole grid is answered by one
+  // consistent bank version even if a publish lands mid-batch, and the
+  // workers never read this thread's snapshot cache.
+  const Entry entry = *found;
   static metrics::Counter& instances =
       metrics::counter("registry.grid_instances");
   instances.inc(grid.size());
-  Shard& shard = shard_of(key);
   std::vector<int> out(grid.size(), -1);
   support::parallel_for(grid.size(), 8, [&](std::size_t i) {
-    const int uid = select_in_entry(shard, entry, grid[i]);
+    const int uid = select_in_entry(thread_state(), shard, entry, grid[i]);
     MPICP_REQUIRE(uid > 0,
                   "no usable model prediction for a grid instance (use "
                   "select_uid_or_default for graceful degradation)");
@@ -215,23 +337,17 @@ std::uint64_t BankRegistry::publish(const BankKey& key,
   Shard& shard = shard_of(key);
   const std::uint64_t version = next_version();
   {
-    // Writers serialize among themselves; readers never wait — they
-    // keep using the snapshot they loaded until the store below.
+    // Writers serialize among themselves. Readers keep the snapshot
+    // they hold; each refreshes its copy (under this mutex) on its next
+    // read of the shard, once it sees the new generation.
     const support::MutexLock lock(shard.write_mu);
-    // order: the writer's own read; write_mu orders writer-to-writer.
-    const std::shared_ptr<const BankMap> old =
-        shard.snapshot.load(std::memory_order_acquire);
-    auto next = std::make_shared<BankMap>(*old);
+    auto next = std::make_shared<BankMap>(*shard.snapshot);
     (*next)[key] = Entry{std::move(bank), version};
-    // order: publishes the cloned map; pairs with the acquire loads on
-    // every reader path (find_entry, num_banks, shard_stats).
-    shard.snapshot.store(std::move(next), std::memory_order_release);
-  }
-  {
-    // Drop the shard memo wholesale: stale versions can never hit again
-    // (lookups now resolve the new version), this just bounds memory.
-    const support::MutexLock lock(shard.memo_mu);
-    shard.memo.clear();
+    shard.snapshot = std::move(next);
+    // order: publishes the swap; pairs with the acquire load in
+    // current_map(). No memo is cleared: the new version cannot hit an
+    // entry of the old one.
+    shard.generation.store(version, std::memory_order_release);
   }
   // order: independent statistic; readers only need eventual totals.
   shard.swaps.fetch_add(1, std::memory_order_relaxed);
@@ -278,20 +394,23 @@ std::vector<BankRegistry::ShardStats> BankRegistry::shard_stats() const {
   std::vector<ShardStats> out;
   out.reserve(shards_.size());
   for (const auto& shard : shards_) {
+    Shard& sh = *shard;
     ShardStats s;
-    // order: statistics snapshot; tolerates straddling in-flight
-    // selections (counters are independent, eventual totals).
-    s.lookups = shard->lookups.load(std::memory_order_relaxed);
+    for (const CounterCell& cell : sh.cells) {
+      // order: statistics snapshot; tolerates straddling in-flight
+      // selections (counters are independent, eventual totals).
+      s.lookups += cell.lookups.load(std::memory_order_relaxed);
+      // order: statistics snapshot (see above).
+      s.hits += cell.hits.load(std::memory_order_relaxed);
+      // order: statistics snapshot (see above).
+      s.memo_hits += cell.memo_hits.load(std::memory_order_relaxed);
+      // order: statistics snapshot (see above).
+      s.memo_misses += cell.memo_misses.load(std::memory_order_relaxed);
+    }
     // order: statistics snapshot (see above).
-    s.hits = shard->hits.load(std::memory_order_relaxed);
-    // order: statistics snapshot (see above).
-    s.memo_hits = shard->memo_hits.load(std::memory_order_relaxed);
-    // order: statistics snapshot (see above).
-    s.memo_misses = shard->memo_misses.load(std::memory_order_relaxed);
-    // order: statistics snapshot (see above).
-    s.swaps = shard->swaps.load(std::memory_order_relaxed);
-    // order: pairs with the release stores in publish().
-    s.banks = shard->snapshot.load(std::memory_order_acquire)->size();
+    s.swaps = sh.swaps.load(std::memory_order_relaxed);
+    const support::MutexLock lock(sh.write_mu);
+    s.banks = sh.snapshot->size();
     out.push_back(s);
   }
   return out;

@@ -5,32 +5,39 @@
 // queries allocation-free; `BankRegistry` is the long-running serving
 // layer above it — a concurrent map from (machine preset, collective)
 // to an immutable `CompiledBank`, sharded by key hash so unrelated
-// banks never contend. Reads are RCU-style: each shard publishes an
-// immutable snapshot map behind one `std::atomic<std::shared_ptr>`, so
-// a lookup is an atomic snapshot load plus a map find, and a
-// `publish()` (the hot-swap of a freshly refit bank) never blocks an
-// in-flight selection: writers clone the shard map, install the new
-// bank under a fresh process-unique version, and swap the snapshot
-// pointer; readers finish on whichever snapshot they loaded. The read
-// is not lock-free: libstdc++ implements the atomic shared_ptr load
-// with an internal spin lock (`is_lock_free()` is false under g++ 12),
-// and every memo lookup takes the shard's memo mutex.
+// banks never contend. Publishes are RCU-style: a writer clones the
+// shard's immutable snapshot map under the shard's `write_mu`, installs
+// the new bank under a fresh process-unique version, swaps the snapshot
+// and release-stores that version as the shard's `generation`; readers
+// finish on whichever snapshot they hold.
 //
-// One serving path answers every selection: registry lookup -> shard
-// memo -> `CompiledBank` argmin. The per-shard memo is keyed by
-// (bank version, m, n, N), so a hot swap naturally invalidates it — a
-// memoized answer always equals the selection of the exact bank
-// version it was computed from, which is what the swap-under-load
+// The read path writes only to the calling thread's own cache lines in
+// steady state. Each thread keeps a small fixed-size cache of
+// (shard, generation, snapshot) copies: a selection does one acquire
+// load of the shard's generation and, when it matches the cached one,
+// reads the cached map without touching any shared reference count.
+// Only after a publish does a thread refresh its copy, under
+// `write_mu`. A thread's cache can keep a retired snapshot and its
+// banks alive until that thread next reads the shard or exits (at most
+// kSnapshotSlots snapshots per thread).
+//
+// One serving path answers every selection: registry lookup -> the
+// calling thread's memo -> `CompiledBank` argmin. The memo is exact,
+// keyed by (bank version, m, n, N); versions are process-unique, so a
+// memoized answer always equals the selection of the exact bank version
+// it was computed from, which is what the swap-under-load
 // linearizability property in tests/test_registry.cpp and
-// tests/test_properties.cpp pins.
+// tests/test_properties.cpp pins. Each thread's memo holds kMemoSlots
+// slots (1 MiB) and is cleared wholesale at 3/4 load.
 //
 // Every path is observable: MPICP_SPAN("registry.lookup"/"registry.swap"/
 // "registry.serve"/"registry.refit") spans, process metrics
-// ("registry.*"), and per-shard statistics held once, in the shard's
-// own atomics, read back through shard_stats(). The shard count comes
-// from Options::shards (default 8).
+// ("registry.*"), and per-shard statistics held once, in per-thread
+// counter cells of the shard summed by shard_stats(). The shard count
+// comes from Options::shards (default 8).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -70,6 +77,10 @@ class BankRegistry {
     int shards = 0;
   };
 
+  /// Slots of each thread's selection memo (32 B each: 1 MiB). The
+  /// memo is cleared wholesale once 3/4 of them are filled.
+  static constexpr std::size_t kMemoSlots = std::size_t{1} << 15;
+
   BankRegistry() : BankRegistry(Options{}) {}
   explicit BankRegistry(Options options);
 
@@ -78,15 +89,16 @@ class BankRegistry {
 
   /// Hot-swap (or first install) of the bank serving `key`. Clones the
   /// shard's snapshot map, installs `bank` under a fresh process-unique
-  /// version and atomically publishes the new snapshot; in-flight
-  /// selections finish on the snapshot they already loaded. Returns the
-  /// new version (monotonic; never 0).
+  /// version and publishes the new snapshot; in-flight selections finish
+  /// on the snapshot they already hold, and every selection that starts
+  /// after this returns (on a thread synchronized with it) sees the new
+  /// bank. Returns the new version (monotonic; never 0).
   std::uint64_t publish(const BankKey& key,
                         std::shared_ptr<const CompiledBank> bank);
 
-  /// The bank currently serving `key` (nullptr when absent): one atomic
-  /// snapshot load plus a map find. The load never waits on a publish,
-  /// but it is not lock-free (see the header comment).
+  /// The bank currently serving `key` (nullptr when absent): the
+  /// calling thread's snapshot copy plus a map find. The returned
+  /// owning pointer costs one reference-count update on the bank.
   [[nodiscard]] std::shared_ptr<const CompiledBank> lookup(
       const BankKey& key) const;
 
@@ -156,10 +168,10 @@ class BankRegistry {
       const SelectorOptions& options = {},
       const RefitValidator& validator = {});
 
-  /// Point-in-time per-shard accounting, read from the shard atomics
-  /// (the only place these statistics are kept).
+  /// Point-in-time per-shard accounting, summed over the shard's
+  /// counter cells (the only place these statistics are kept).
   struct ShardStats {
-    std::uint64_t lookups = 0;     ///< snapshot loads on the select path
+    std::uint64_t lookups = 0;     ///< entry finds on the select path
     std::uint64_t hits = 0;        ///< lookups that found a bank
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_misses = 0;
@@ -175,33 +187,55 @@ class BankRegistry {
   };
   using BankMap = std::map<BankKey, Entry>;
 
-  /// (bank version, msize, nodes, ppn) -> selected uid. Versions are
-  /// process-unique, so memoized answers can never alias across swaps.
-  using MemoKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
+  /// Per-thread slots of the snapshot cache, searched linearly.
+  static constexpr std::size_t kSnapshotSlots = 16;
+  /// Counter cells per shard; a thread counts into cell
+  /// (thread ticket % kCounterCells).
+  static constexpr std::size_t kCounterCells = 16;
 
-  struct Shard {
-    /// RCU snapshot: readers atomically load, writers clone-and-swap
-    /// under write_mu.
-    std::atomic<std::shared_ptr<const BankMap>> snapshot;
-    support::Mutex write_mu;
-
-    support::Mutex memo_mu;
-    std::map<MemoKey, int> memo MPICP_GUARDED_BY(memo_mu);
-
+  /// One cache line of selection statistics, written by the threads
+  /// whose ticket maps to it.
+  struct alignas(64) CounterCell {
     std::atomic<std::uint64_t> lookups{0};
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> memo_hits{0};
     std::atomic<std::uint64_t> memo_misses{0};
-    std::atomic<std::uint64_t> swaps{0};
   };
 
+  struct Shard {
+    Shard();
+
+    /// Serializes publishers and guards `snapshot`; readers take it
+    /// only to refresh their cached copy after a publish.
+    support::Mutex write_mu;
+    std::shared_ptr<const BankMap> snapshot MPICP_GUARDED_BY(write_mu);
+    /// Process-unique stamp of `snapshot`, release-stored after each
+    /// swap; the one shared word a steady-state reader loads.
+    std::atomic<std::uint64_t> generation;
+    std::atomic<std::uint64_t> swaps{0};
+    /// Atomics padded per cache line, not guarded data.
+    // mpicp-lint: allow(lock-discipline)
+    std::array<CounterCell, kCounterCells> cells;
+  };
+
+  /// The calling thread's snapshot cache, memo and counter ticket
+  /// (defined in registry.cpp).
+  struct ThreadState;
+  static ThreadState& thread_state();
+
   Shard& shard_of(const BankKey& key) const;
-  /// Snapshot entry fetch with per-shard accounting; empty Entry when
-  /// the key has no bank.
-  Entry find_entry(const BankKey& key) const;
-  /// Selection through the shard memo; -1 when no prediction is usable.
-  int select_in_entry(Shard& shard, const Entry& entry,
-                      const bench::Instance& inst) const;
+  /// The calling thread's copy of the shard's current map, refreshed
+  /// under write_mu when the shard's generation has moved.
+  static const BankMap& current_map(ThreadState& ts, Shard& shard);
+  /// Entry fetch with per-shard accounting; nullptr when the key has no
+  /// bank. Points into the thread's cached snapshot: valid until this
+  /// thread next refreshes that shard.
+  static const Entry* find_entry(ThreadState& ts, Shard& shard,
+                                 const BankKey& key);
+  /// Selection through the thread's memo; -1 when no prediction is
+  /// usable.
+  static int select_in_entry(ThreadState& ts, Shard& shard,
+                             const Entry& entry, const bench::Instance& inst);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

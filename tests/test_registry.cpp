@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -79,6 +80,20 @@ std::shared_ptr<const tune::CompiledBank> compile_bank(
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
   EXPECT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
   return std::make_shared<const tune::CompiledBank>(selector.compile());
+}
+
+/// Summed over every shard.
+tune::BankRegistry::ShardStats total_stats(
+    const tune::BankRegistry& registry) {
+  tune::BankRegistry::ShardStats t;
+  for (const auto& shard : registry.shard_stats()) {
+    t.lookups += shard.lookups;
+    t.hits += shard.hits;
+    t.memo_hits += shard.memo_hits;
+    t.memo_misses += shard.memo_misses;
+    t.swaps += shard.swaps;
+  }
+  return t;
 }
 
 // ---- bit-identity with direct CompiledBank serving -----------------------
@@ -277,30 +292,23 @@ TEST(BankRegistry, ShardStatsAccountLookupsMemoAndSwaps) {
   (void)registry.select_uid(key, inst);  // memo hit
   (void)registry.select_uid(key, inst);  // memo hit
 
-  std::uint64_t lookups = 0, hits = 0, memo_hits = 0, memo_misses = 0,
-                swaps = 0;
-  for (const auto& shard : registry.shard_stats()) {
-    lookups += shard.lookups;
-    hits += shard.hits;
-    memo_hits += shard.memo_hits;
-    memo_misses += shard.memo_misses;
-    swaps += shard.swaps;
-  }
-  EXPECT_EQ(lookups, 3u);
-  EXPECT_EQ(hits, 3u);
-  EXPECT_EQ(memo_hits, 2u);
-  EXPECT_EQ(memo_misses, 1u);
-  EXPECT_EQ(swaps, 1u);
+  const auto stats = total_stats(registry);
+  EXPECT_EQ(stats.lookups, 3u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.memo_hits, 2u);
+  EXPECT_EQ(stats.memo_misses, 1u);
+  EXPECT_EQ(stats.swaps, 1u);
 
-  // A publish drops the memo; the same query recomputes, same answer.
+  // A publish moves the version, so the same query misses the memo and
+  // recomputes the same answer.
   const int before = registry.select_uid(key, inst);
   registry.publish(key, bank);
   EXPECT_EQ(registry.select_uid(key, inst), before);
 
-  // Concurrent grid selection over repeated instances. The memo checks
-  // and fills under separate lock scopes, so two workers can both miss
-  // on one key: misses may exceed the distinct keys, but every
-  // selection is counted exactly once and the picks never change.
+  // Concurrent grid selection over repeated instances. Each thread has
+  // its own memo, so every worker that meets a key misses on it once:
+  // misses may exceed the distinct keys, but every selection is counted
+  // exactly once and the picks never change.
   std::vector<bench::Instance> grid = random_instances(31, 12);
   const std::vector<bench::Instance> distinct = grid;
   for (int rep = 0; rep < 3; ++rep) {
@@ -310,21 +318,149 @@ TEST(BankRegistry, ShardStatsAccountLookupsMemoAndSwaps) {
   for (const bench::Instance& i : distinct) {
     keys.emplace(i.msize, i.nodes, i.ppn);
   }
-  registry.publish(key, bank);  // fresh version: an empty memo
-  const auto totals = [&registry] {
-    std::pair<std::uint64_t, std::uint64_t> t{0, 0};
-    for (const auto& shard : registry.shard_stats()) {
-      t.first += shard.memo_hits;
-      t.second += shard.memo_misses;
-    }
-    return t;
-  };
-  const auto [hits0, misses0] = totals();
+  registry.publish(key, bank);  // fresh version: no memo entry hits
+  const auto t0 = total_stats(registry);
   support::ScopedThreads scoped(4);
   EXPECT_EQ(registry.select_grid(key, grid), bank->select_grid(grid));
-  const auto [hits1, misses1] = totals();
-  EXPECT_EQ((hits1 - hits0) + (misses1 - misses0), grid.size());
-  EXPECT_GE(misses1 - misses0, keys.size());
+  const auto t1 = total_stats(registry);
+  EXPECT_EQ((t1.memo_hits - t0.memo_hits) + (t1.memo_misses - t0.memo_misses),
+            grid.size());
+  EXPECT_GE(t1.memo_misses - t0.memo_misses, keys.size());
+}
+
+// ---- the per-thread read path ----------------------------------------------
+
+/// Two banks that disagree on `probe` (found by search).
+struct DisagreeingBanks {
+  std::shared_ptr<const tune::CompiledBank> a;
+  std::shared_ptr<const tune::CompiledBank> b;
+  bench::Instance probe;
+};
+
+DisagreeingBanks disagreeing_banks() {
+  DisagreeingBanks out{compile_bank(random_dataset(53), "gam"),
+                       compile_bank(random_dataset(59), "gam"),
+                       {}};
+  for (const bench::Instance& inst : random_instances(109, 400)) {
+    if (out.a->select_uid(inst) != out.b->select_uid(inst)) {
+      out.probe = inst;
+      return out;
+    }
+  }
+  ADD_FAILURE() << "no instance separates the two banks";
+  return out;
+}
+
+TEST(BankRegistryReadPath, ServeAccountsEveryQueryOnceAcrossThreadCells) {
+  const bench::Dataset ds_a = random_dataset(61);
+  const bench::Dataset ds_b = random_dataset(67);
+  const auto bank_a = compile_bank(ds_a, "gam");
+  const auto bank_b = compile_bank(ds_b, "knn");
+  const tune::BankKey key_a{"Hydra", sim::Collective::kBcast};
+  const tune::BankKey key_b{"SuperMUC", sim::Collective::kAlltoall};
+  tune::BankRegistry registry(tune::BankRegistry::Options{.shards = 3});
+  registry.publish(key_a, bank_a);
+  registry.publish(key_b, bank_b);
+
+  // A mixed stream with repeats, so both memo hits and misses occur.
+  support::Xoshiro256 rng(71);
+  const auto distinct = random_instances(113, 150);
+  std::vector<tune::BankRegistry::Query> stream;
+  for (int i = 0; i < 2000; ++i) {
+    stream.push_back({rng.uniform_int(2) == 0 ? key_a : key_b,
+                      distinct[rng.uniform_int(distinct.size())]});
+  }
+  std::vector<int> expected;
+  for (const auto& q : stream) {
+    expected.push_back((q.key == key_a ? bank_a : bank_b)->select_uid(q.inst));
+  }
+
+  const auto before = total_stats(registry);
+  support::ScopedThreads scoped(4);
+  EXPECT_EQ(registry.serve(stream), expected);
+  const auto after = total_stats(registry);
+  const std::uint64_t queries = stream.size();
+  EXPECT_EQ(after.lookups - before.lookups, queries);
+  EXPECT_EQ(after.hits - before.hits, queries);
+  EXPECT_EQ((after.memo_hits - before.memo_hits) +
+                (after.memo_misses - before.memo_misses),
+            queries);
+  EXPECT_GT(after.memo_hits - before.memo_hits, 0u);
+  EXPECT_EQ(after.swaps, 2u);
+}
+
+TEST(BankRegistryReadPath, PicksStayExactAcrossAWholesaleMemoClear) {
+  const auto bank = compile_bank(random_dataset(73), "gam");
+  const tune::BankKey key{"Hydra", sim::Collective::kAllreduce};
+  tune::BankRegistry registry;
+  registry.publish(key, bank);
+
+  // kMemoSlots distinct off-grid instances: more than the memo holds
+  // before it clears at 3/4 load, so at least one wholesale clear falls
+  // after the first 1000, whatever this thread's memo held before.
+  std::vector<bench::Instance> instances;
+  instances.reserve(tune::BankRegistry::kMemoSlots);
+  for (int nodes = 1; nodes <= 64; ++nodes) {
+    for (int ppn = 1; ppn <= 16; ++ppn) {
+      for (int shift = 0; shift < 32; ++shift) {
+        instances.push_back({nodes, ppn, (std::uint64_t{1} << shift) + 3});
+      }
+    }
+  }
+  ASSERT_EQ(instances.size(), tune::BankRegistry::kMemoSlots);
+  support::ScopedThreads scoped(1);
+  for (const bench::Instance& inst : instances) {
+    ASSERT_EQ(registry.select_uid(key, inst), bank->select_uid(inst));
+  }
+  const auto before = total_stats(registry);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(registry.select_uid(key, instances[i]),
+              bank->select_uid(instances[i]));
+  }
+  const auto after = total_stats(registry);
+  // Cleared, not kept: every repeat recomputes.
+  EXPECT_EQ(after.memo_misses - before.memo_misses, 1000u);
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+}
+
+TEST(BankRegistryReadPath, RegistryAtARecycledAddressServesItsOwnBank) {
+  const DisagreeingBanks banks = disagreeing_banks();
+  const tune::BankKey key{"Hydra", sim::Collective::kBcast};
+  std::optional<tune::BankRegistry> registry;
+  for (int round = 0; round < 200; ++round) {
+    // Each round's registry (and, likely, its shards) reuses the last
+    // one's memory; this thread's snapshot cache must not answer from
+    // the dead registry.
+    registry.emplace();
+    const auto& bank = round % 3 == 0 ? banks.a : banks.b;
+    registry->publish(key, bank);
+    ASSERT_EQ(registry->select_uid(key, banks.probe),
+              bank->select_uid(banks.probe))
+        << "round " << round;
+    registry.reset();
+  }
+}
+
+TEST(BankRegistryReadPath, PublishIsVisibleToThePublisherAndPoolWorkers) {
+  const DisagreeingBanks banks = disagreeing_banks();
+  const tune::BankKey key{"Hydra", sim::Collective::kBcast};
+  tune::BankRegistry registry;
+  registry.publish(key, banks.a);
+
+  support::ScopedThreads scoped(4);
+  const std::vector<bench::Instance> grid(256, banks.probe);
+  const std::vector<tune::BankRegistry::Query> stream(256,
+                                                      {key, banks.probe});
+  // Warm every thread's snapshot cache and memo on bank A.
+  EXPECT_EQ(registry.serve(stream),
+            std::vector<int>(256, banks.a->select_uid(banks.probe)));
+  EXPECT_EQ(registry.select_grid(key, grid), banks.a->select_grid(grid));
+
+  registry.publish(key, banks.b);
+  const int want = banks.b->select_uid(banks.probe);
+  EXPECT_EQ(registry.select_uid(key, banks.probe), want);
+  EXPECT_EQ(registry.select_grid(key, grid), std::vector<int>(256, want));
+  EXPECT_EQ(registry.serve(stream), std::vector<int>(256, want));
 }
 
 }  // namespace
