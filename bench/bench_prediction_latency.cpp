@@ -7,9 +7,13 @@
 // selector, compiles the bank, and times single-query argmin and
 // whole-grid selection on both paths at one thread (the speedup is the
 // engine's, not the pool's), verifying that every pick is identical.
-// Results land in a BENCH_prediction.json report (bench_json.hpp).
+// For the tree ensembles it also times grid argmin per layout and
+// single-query argmin on off-grid instances (rank-cell table vs the
+// legacy node walk). Results land in a BENCH_prediction.json report
+// (bench_json.hpp).
 //
-//   --smoke            comparison only (gam + knn, fewer reps), skip the
+//   --smoke            comparison only (gam + knn, fewer reps, plus the
+//                      xgboost/rf layout and off-grid rows), skip the
 //                      google-benchmark microbenches — the CI mode
 //   --json-out=PATH    where to write the JSON report
 //                      (default BENCH_prediction.json)
@@ -310,6 +314,68 @@ LayoutRow compare_layouts(const std::string& learner, int reps) {
   return row;
 }
 
+/// Single-query off-grid argmin for a tree-ensemble learner: the
+/// compiled select_uid (one rank-cell lookup per model when the model
+/// has a table) against the legacy per-instance node walk, best of
+/// `reps` passes over byte-granular message sizes and node / ppn counts
+/// off the training grid, at one thread. Both must pick what the
+/// interpreted selector picks.
+struct OffgridRow {
+  std::string learner;
+  double single_us_legacy = 1e300;
+  double single_us_compiled = 1e300;
+  bool picks_identical = true;
+
+  double speedup() const { return single_us_legacy / single_us_compiled; }
+};
+
+std::vector<bench::Instance> make_offgrid_stream(std::size_t count) {
+  support::Xoshiro256 rng(1234);
+  std::vector<bench::Instance> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back({2 + static_cast<int>(rng.uniform_int(63)),
+                   1 + static_cast<int>(rng.uniform_int(32)),
+                   1 + rng.uniform_int(std::uint64_t{1} << 22)});
+  }
+  return out;
+}
+
+OffgridRow compare_offgrid_single(const std::string& learner, int reps) {
+  const bench::Dataset& ds = training_data();
+  tune::Selector selector(tune::SelectorOptions{.learner = learner});
+  (void)selector.fit(ds, ds.node_counts());
+  const tune::CompiledBank bank = selector.compile();
+  const std::vector<bench::Instance> stream = make_offgrid_stream(256);
+
+  support::ScopedThreads scoped(1);
+  OffgridRow row;
+  row.learner = learner;
+  std::vector<int> expected(stream.size());
+  for (std::size_t q = 0; q < stream.size(); ++q) {
+    expected[q] = selector.select_uid(stream[q]);
+  }
+  std::vector<int> picks(stream.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    auto start = Clock::now();
+    for (std::size_t q = 0; q < stream.size(); ++q) {
+      picks[q] = bank.select_grid_legacy({&stream[q], 1}).front();
+    }
+    row.single_us_legacy = std::min(
+        row.single_us_legacy, seconds_since(start) * 1e6 / stream.size());
+    if (picks != expected) row.picks_identical = false;
+
+    start = Clock::now();
+    for (std::size_t q = 0; q < stream.size(); ++q) {
+      picks[q] = bank.select_uid(stream[q]);
+    }
+    row.single_us_compiled = std::min(
+        row.single_us_compiled, seconds_since(start) * 1e6 / stream.size());
+    if (picks != expected) row.picks_identical = false;
+  }
+  return row;
+}
+
 int run_comparison(bool smoke, const std::string& json_path) {
   const std::vector<std::string> learners =
       smoke ? std::vector<std::string>{"gam", "knn"}
@@ -378,7 +444,7 @@ int run_comparison(bool smoke, const std::string& json_path) {
        "picks identical"});
   bool layouts_identical = true;
   double min_layout_speedup = 1e300;
-  for (const std::string& learner : {"xgboost", "rf"}) {
+  for (const char* learner : {"xgboost", "rf"}) {
     const LayoutRow row = compare_layouts(learner, layout_reps);
     layouts_identical = layouts_identical && row.picks_identical;
     min_layout_speedup = std::min(min_layout_speedup, row.speedup());
@@ -405,6 +471,33 @@ int run_comparison(bool smoke, const std::string& json_path) {
   layout_table.print(os_layout);
   std::fputs(os_layout.str().c_str(), stdout);
 
+  const int offgrid_reps = smoke ? 3 : 8;
+  std::printf("\nGBT/RF single-query off-grid argmin (1 thread, best of "
+              "%d)\n\n",
+              offgrid_reps);
+  support::TextTable offgrid_table(
+      {"learner", "legacy walk [us]", "compiled [us]", "speedup",
+       "picks identical"});
+  bool offgrid_identical = true;
+  for (const char* learner : {"xgboost", "rf"}) {
+    const OffgridRow row = compare_offgrid_single(learner, offgrid_reps);
+    offgrid_identical = offgrid_identical && row.picks_identical;
+    offgrid_table.add_row(
+        {row.learner, support::format_double(row.single_us_legacy, 3),
+         support::format_double(row.single_us_compiled, 3),
+         support::format_double(row.speedup(), 2),
+         row.picks_identical ? "yes" : "NO"});
+    metrics.emplace_back(row.learner + ".offgrid_single_us_legacy",
+                         row.single_us_legacy);
+    metrics.emplace_back(row.learner + ".offgrid_single_us_compiled",
+                         row.single_us_compiled);
+    metrics.emplace_back(row.learner + ".offgrid_speedup_single",
+                         row.speedup());
+  }
+  std::ostringstream os_offgrid;
+  offgrid_table.print(os_offgrid);
+  std::fputs(os_offgrid.str().c_str(), stdout);
+
   bench::json_report(json_path, "prediction_latency", metrics);
   std::printf("\nwrote %s\n", json_path.c_str());
   if (!all_identical) {
@@ -419,6 +512,13 @@ int run_comparison(bool smoke, const std::string& json_path) {
     return 1;
   }
   std::printf("batched layout picks bit-identical to legacy: yes\n");
+  if (!offgrid_identical) {
+    std::printf("FAIL: off-grid single-query picks differ from the "
+                "interpreted selector\n");
+    return 1;
+  }
+  std::printf("off-grid single-query picks bit-identical to "
+              "interpreted: yes\n");
   if (min_layout_speedup < 1.5) {
     std::printf("FAIL: batched grid argmin speedup %.2fx below the 1.5x "
                 "gate\n",

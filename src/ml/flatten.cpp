@@ -447,16 +447,40 @@ void FlatBank::search_kd(const FlatModel& m, int node,
   }
 }
 
+double FlatBank::rank_cell_value(const RankTable& rt,
+                                 const double* x) const {
+  // The instance's per-feature threshold ranks pick the precomputed
+  // cell, so the whole ensemble costs a few small binary searches plus
+  // one load.
+  std::int64_t idx = 0;
+  for (int f = 0; f < rt.dim; ++f) {
+    const double* T = rank_thr_.data() + rt.thr_begin[f];
+    const std::int32_t len = rt.thr_len[f];
+    const double v = x[f];
+    // rank = #{T <= v}; a NaN feature ranks past every threshold so
+    // every comparison takes the legacy `!(x < thr)` branch.
+    const std::int32_t r =
+        v != v ? len
+               : static_cast<std::int32_t>(
+                     std::upper_bound(T, T + len, v) - T);
+    idx += static_cast<std::int64_t>(r) * rt.stride[f];
+  }
+  return cell_val_[static_cast<std::size_t>(rt.cells_begin + idx)];
+}
+
 double FlatBank::predict_one(std::size_t i, std::span<const double> x,
                              FlatScratch& s) const {
   MPICP_ASSERT(i < models_.size(), "flat model index out of range");
   const FlatModel& m = models_[i];
   switch (m.kind) {
     case FlatKind::kTreeEnsemble: {
-      // Blocked branch-free walk: predicated index steps through each
-      // tree's packed prefix. Spill-free trees (the common case)
-      // finish with one inline leaf-value load; only spilling exits
-      // fall back to the legacy node-pool walk.
+      // A rank-cell table answers the whole ensemble with one lookup.
+      const RankTable& rt = rank_tables_[i];
+      if (rt.built) return rank_cell_value(rt, x.data());
+      // Otherwise the blocked branch-free walk: predicated index steps
+      // through each tree's packed prefix. Spill-free trees (the
+      // common case) finish with one inline leaf-value load; only
+      // spilling exits fall back to the legacy node-pool walk.
       double raw = m.base_score;
       for (int t = m.tree_begin; t < m.tree_end; ++t) {
         const double* thr = blk_thr_.data() + blk_base_[t];
@@ -581,26 +605,9 @@ void FlatBank::predict_tree_batch(std::size_t i, const double* xs,
                "predict_tree_batch on a non-tree model");
   const RankTable& rt = rank_tables_[i];
   if (rt.built) {
-    // Rank-cell fast path: the instance's per-feature threshold ranks
-    // pick the precomputed cell, so the whole ensemble costs a few
-    // small binary searches plus one load per instance.
-    const double* cells = cell_val_.data() + rt.cells_begin;
+    // Rank-cell fast path: one table lookup per instance.
     for (std::size_t b = 0; b < count; ++b) {
-      const double* x = xs + b * x_stride;
-      std::int64_t idx = 0;
-      for (int f = 0; f < rt.dim; ++f) {
-        const double* T = rank_thr_.data() + rt.thr_begin[f];
-        const std::int32_t len = rt.thr_len[f];
-        const double v = x[f];
-        // rank = #{T <= v}; a NaN feature ranks past every threshold
-        // so every comparison takes the legacy `!(x < thr)` branch.
-        const std::int32_t r =
-            v != v ? len
-                   : static_cast<std::int32_t>(
-                         std::upper_bound(T, T + len, v) - T);
-        idx += static_cast<std::int64_t>(r) * rt.stride[f];
-      }
-      out[b * out_stride] = cells[idx];
+      out[b * out_stride] = rank_cell_value(rt, xs + b * x_stride);
     }
     return;
   }

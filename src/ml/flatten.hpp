@@ -27,11 +27,11 @@
 // of a whole batch pipeline and auto-vectorize. On top of the block,
 // models whose distinct-threshold structure is small enough carry a
 // *rank-cell table*: the exact prediction precomputed for every cell
-// of the model's threshold-rank grid, collapsing batched dispatch to a
-// few small binary searches plus one load per model. Both forms are
-// derived data — appended for the new model alone on add(), rebuilt for
-// the whole bank on load() — and reproduce the legacy traversal bit for
-// bit.
+// of the model's threshold-rank grid, collapsing both single and
+// batched dispatch to a few small binary searches plus one load per
+// model. Both forms are derived data — appended for the new model
+// alone on add(), rebuilt for the whole bank on load() — and reproduce
+// the legacy traversal bit for bit.
 #pragma once
 
 #include <array>
@@ -150,8 +150,9 @@ class FlatBank {
 
   /// Predict with model `i` on the feature vector `x`. Bit-identical to
   /// the interpreted regressor's predict_one. Allocation-free once
-  /// `scratch` has warmed up. Tree ensembles go through the blocked
-  /// branch-free layout; everything else is the PR 5 path.
+  /// `scratch` has warmed up. Tree ensembles with a rank-cell table
+  /// are one table lookup; those without walk the blocked branch-free
+  /// layout; every other kind runs its flat kernel.
   double predict_one(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
 
@@ -163,7 +164,8 @@ class FlatBank {
 
   /// Batched tree-ensemble scoring: `xs` points at `count` feature
   /// vectors of `x_stride` doubles each (count <= kTreeBatch); writes
-  /// the prediction for instance b to out[b * out_stride]. All trees
+  /// the prediction for instance b to out[b * out_stride]. A model with
+  /// a rank-cell table is one lookup per instance; otherwise all trees
   /// are walked level-by-level across the whole batch — independent
   /// comparisons pipeline instead of serializing on one branchy walk.
   /// Bit-identical to predict_one on every instance. Only valid for
@@ -180,7 +182,7 @@ class FlatBank {
   int block_depth_cap() const { return block_depth_cap_; }
 
   /// True when tree-ensemble model `i` carries a rank-cell table, i.e.
-  /// predict_tree_batch answers it with a table lookup.
+  /// predict_one and predict_tree_batch answer it with a table lookup.
   bool has_rank_table(std::size_t i) const { return rank_tables_[i].built; }
 
   /// Persist the bank in the version-2 envelope, which records the
@@ -255,10 +257,11 @@ class FlatBank {
   // fix the outcome of every comparison — and the model's whole
   // prediction is constant on each rank cell. build_rank_tables()
   // enumerates the cells and stores the exact prediction (computed by
-  // the canonical tree-order walk), turning batched dispatch into a
-  // handful of small binary searches plus one load. Models whose cell
-  // count exceeds kMaxRankCells (continuous features) skip the table
-  // and serve through the blocked walk.
+  // the canonical tree-order walk), turning single and batched
+  // dispatch into a handful of small binary searches plus one load
+  // (rank_cell_value). Models whose cell count exceeds kMaxRankCells
+  // (continuous features) skip the table and serve through the
+  // blocked walk.
   static constexpr int kMaxRankFeatures = 8;
   static constexpr std::size_t kMaxRankCells = std::size_t{1} << 14;
   struct RankTable {
@@ -269,6 +272,9 @@ class FlatBank {
     std::array<std::int32_t, kMaxRankFeatures> stride{};
     std::int64_t cells_begin = 0;
   };
+  /// The prediction stored for the rank cell of feature vector `x`.
+  double rank_cell_value(const RankTable& rt, const double* x) const;
+
   std::vector<RankTable> rank_tables_;  ///< per model
   support::AlignedVec<double> rank_thr_;  ///< sorted distinct thresholds
   support::AlignedVec<double> cell_val_;  ///< final per-cell predictions

@@ -16,7 +16,7 @@
 // the two serving paths stay distinguishable in the registry.
 //
 // The bank keeps no selection memo: repeated queries are memoized one
-// layer up, in the serving registry's per-shard cache
+// layer up, in the serving registry's per-thread memo
 // (tune/registry.hpp).
 #pragma once
 
@@ -65,9 +65,10 @@ class CompiledBank {
   /// Batched selection over a whole instance grid, into a caller-owned
   /// buffer of exactly grid.size() entries. Batches of
   /// ml::FlatBank::kTreeBatch instances are scored together — tree
-  /// ensembles walk the blocked layout level-by-level across the whole
-  /// batch, so the grid argmin pipelines instead of serializing on one
-  /// branchy walk per instance. Bit-identical to per-instance
+  /// ensembles answer from their rank-cell tables, or, without one,
+  /// walk the blocked layout level-by-level across the whole batch, so
+  /// the grid argmin pipelines instead of serializing on one branchy
+  /// walk per instance. Bit-identical to per-instance
   /// select_uid. Throws if any instance has no usable prediction.
   void select_grid_into(std::span<const bench::Instance> grid,
                         std::span<int> out) const;

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -19,6 +21,8 @@
 
 #include "collbench/dataset.hpp"
 #include "ml/flatten.hpp"
+#include "ml/forest.hpp"
+#include "ml/gbt.hpp"
 #include "ml/learner.hpp"
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
@@ -321,6 +325,251 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
             << "model " << i << " query " << lo + q;
       }
     }
+  }
+}
+
+// ---- single-instance rank-cell dispatch ----------------------------------
+
+/// Off-grid instances: byte-granular message sizes, and node / ppn
+/// counts well outside random_dataset's training range.
+std::vector<bench::Instance> offgrid_instances(std::uint64_t seed,
+                                               int count) {
+  support::Xoshiro256 rng(seed);
+  std::vector<bench::Instance> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    out.push_back({1 + static_cast<int>(rng.uniform_int(200)),
+                   1 + static_cast<int>(rng.uniform_int(64)),
+                   1 + rng.uniform_int(std::uint64_t{1} << 23)});
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every single-instance path on model `i` returns the same bits:
+/// predict_one (the rank-cell table when the model has one),
+/// predict_one_legacy, a one-instance predict_tree_batch and the
+/// interpreted regressor.
+void expect_single_paths_agree(const ml::FlatBank& bank, std::size_t i,
+                               const ml::Regressor& model,
+                               std::span<const double> x,
+                               ml::FlatScratch& scratch,
+                               const std::string& where) {
+  bank.begin_query(scratch);
+  const double fast = bank.predict_one(i, x, scratch);
+  double batched = 0.0;
+  bank.predict_tree_batch(i, x.data(), x.size(), 1, &batched, 1);
+  EXPECT_EQ(bits(fast), bits(bank.predict_one_legacy(i, x, scratch)))
+      << where;
+  EXPECT_EQ(bits(fast), bits(batched)) << where;
+  EXPECT_EQ(bits(fast), bits(model.predict_one(x))) << where;
+}
+
+/// Sorted distinct split thresholds per feature over all trees.
+std::vector<std::vector<double>> split_thresholds(const ml::Regressor& model,
+                                                  std::size_t dim) {
+  const std::vector<ml::RegressionTree>* trees = nullptr;
+  if (const auto* gbt =
+          dynamic_cast<const ml::GradientBoostedTrees*>(&model)) {
+    trees = &gbt->trees();
+  } else if (const auto* rf = dynamic_cast<const ml::RandomForest*>(&model)) {
+    trees = &rf->trees();
+  }
+  std::vector<std::vector<double>> out(dim);
+  if (trees == nullptr) return out;
+  for (const ml::RegressionTree& tree : *trees) {
+    for (const auto& node : tree.nodes()) {
+      if (node.feature >= 0) out[node.feature].push_back(node.threshold);
+    }
+  }
+  for (auto& v : out) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  }
+  return out;
+}
+
+/// Fits xgboost and rf on `x` (one shared target) and lowers both.
+struct TreeBankFixture {
+  std::vector<std::unique_ptr<ml::Regressor>> models;
+  ml::FlatBank bank;
+
+  TreeBankFixture(const ml::Matrix& x, std::span<const double> y) {
+    for (const char* learner : {"xgboost", "rf"}) {
+      models.push_back(ml::make_regressor(learner));
+      models.back()->fit(x, y);
+      bank.add(*models.back());
+    }
+  }
+};
+
+/// At every stored threshold, its nextafter neighbours, and with ±inf /
+/// NaN in any feature, every single-instance path agrees bit for bit.
+void expect_agreement_at_thresholds_and_non_finite(
+    const TreeBankFixture& fx, const ml::Matrix& x,
+    std::span<const std::size_t> base_rows) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t dim = x.cols();
+  ml::FlatScratch scratch;
+  for (std::size_t i = 0; i < fx.bank.size(); ++i) {
+    const ml::Regressor& model = *fx.models[i];
+    const auto thresholds = split_thresholds(model, dim);
+    for (const std::size_t r : base_rows) {
+      std::vector<double> q(dim);
+      for (std::size_t f = 0; f < dim; ++f) q[f] = x(r, f);
+      for (std::size_t f = 0; f < dim; ++f) {
+        const double keep = q[f];
+        for (const double t : thresholds[f]) {
+          for (const double v : {std::nextafter(t, -kInf), t,
+                                 std::nextafter(t, kInf)}) {
+            q[f] = v;
+            expect_single_paths_agree(
+                fx.bank, i, model, q, scratch,
+                model.name() + " row " + std::to_string(r) + " x[" +
+                    std::to_string(f) + "]=" + std::to_string(v));
+          }
+        }
+        for (const double v : {kInf, -kInf, std::nan("")}) {
+          q[f] = v;
+          expect_single_paths_agree(
+              fx.bank, i, model, q, scratch,
+              model.name() + " row " + std::to_string(r) + " x[" +
+                  std::to_string(f) + "]=" + std::to_string(v));
+        }
+        q[f] = keep;
+      }
+    }
+    for (const double v : {kInf, -kInf, std::nan("")}) {
+      const std::vector<double> q(dim, v);
+      expect_single_paths_agree(fx.bank, i, model, q, scratch,
+                                model.name() + " all " + std::to_string(v));
+    }
+  }
+}
+
+TEST(FlatBankRankTables, SingleInstanceTableMatchesEveryWalkBitForBit) {
+  // Grid-valued features, so both ensembles get rank-cell tables.
+  support::Xoshiro256 rng(77);
+  const std::size_t rows = 320;
+  ml::Matrix x(rows, 3);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    x(r, 0) = static_cast<double>(rng.uniform_int(12));
+    x(r, 1) = static_cast<double>(1 + rng.uniform_int(16));
+    x(r, 2) = static_cast<double>(std::uint64_t{1} << rng.uniform_int(4));
+    y[r] = 2.0 * x(r, 0) + x(r, 1) * x(r, 2) + rng.uniform(0.0, 0.5) + 1.0;
+  }
+  const TreeBankFixture fx(x, y);
+  for (std::size_t i = 0; i < fx.bank.size(); ++i) {
+    ASSERT_TRUE(fx.bank.has_rank_table(i)) << fx.models[i]->name();
+  }
+  const std::size_t base_rows[] = {0, 1, 2, 3};
+  expect_agreement_at_thresholds_and_non_finite(fx, x, base_rows);
+}
+
+TEST(FlatBankRankTables, ModelsOverTheCellCapKeepTheBlockedWalk) {
+  // Continuous features: the threshold-rank grid is far larger than
+  // kMaxRankCells, so neither model gets a table and predict_one must
+  // still reproduce the legacy walk.
+  support::Xoshiro256 rng(91);
+  const std::size_t rows = 600;
+  ml::Matrix x(rows, 4);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < 4; ++f) x(r, f) = rng.uniform(0.0, 100.0);
+    y[r] = 1.0 + x(r, 0) + 0.5 * x(r, 1) * x(r, 2) / 100.0 +
+           std::sqrt(x(r, 3)) + rng.uniform(0.0, 1.0);
+  }
+  const TreeBankFixture fx(x, y);
+  for (std::size_t i = 0; i < fx.bank.size(); ++i) {
+    ASSERT_TRUE(fx.bank.is_tree_ensemble(i));
+    EXPECT_FALSE(fx.bank.has_rank_table(i)) << fx.models[i]->name();
+  }
+  const std::size_t base_rows[] = {0, 1};
+  expect_agreement_at_thresholds_and_non_finite(fx, x, base_rows);
+}
+
+TEST(CompiledBankRankTables, OffGridQueriesMatchLegacyAndInterpreted) {
+  const bench::Dataset ds = random_dataset(31);
+  const std::vector<bench::Instance> stream = offgrid_instances(101, 96);
+  for (const char* learner : {"xgboost", "rf"}) {
+    tune::Selector selector(tune::SelectorOptions{.learner = learner});
+    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 2u)
+        << learner;
+    const tune::CompiledBank bank = selector.compile();
+    const ml::FlatBank& flat = bank.flat();
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      ASSERT_TRUE(flat.has_rank_table(i)) << learner << " model " << i;
+    }
+    ml::FlatScratch scratch;
+    for (const bench::Instance& inst : stream) {
+      const std::vector<double> x =
+          tune::instance_features(inst, bank.features());
+      flat.begin_query(scratch);
+      for (std::size_t i = 0; i < flat.size(); ++i) {
+        const double fast = flat.predict_one(i, x, scratch);
+        EXPECT_EQ(bits(fast), bits(flat.predict_one_legacy(i, x, scratch)))
+            << learner << " uid " << bank.uids()[i] << " m=" << inst.msize
+            << " n=" << inst.nodes << " ppn=" << inst.ppn;
+        EXPECT_EQ(bits(fast),
+                  bits(selector.predicted_time_us(bank.uids()[i], inst)))
+            << learner << " uid " << bank.uids()[i] << " m=" << inst.msize
+            << " n=" << inst.nodes << " ppn=" << inst.ppn;
+      }
+    }
+    std::vector<int> expected(stream.size());
+    for (std::size_t q = 0; q < stream.size(); ++q) {
+      expected[q] = selector.select_uid(stream[q]);
+    }
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      // Per-instance selections on the pool's workers, each with its
+      // own thread-local scratch.
+      std::vector<int> picked(stream.size(), 0);
+      support::parallel_for(stream.size(), 8, [&](std::size_t q) {
+        picked[q] = bank.select_uid(stream[q]);
+      });
+      EXPECT_EQ(picked, expected) << learner << " @" << threads;
+      for (std::size_t q = 0; q < stream.size(); ++q) {
+        EXPECT_EQ(selector.select_uid(stream[q]), bank.select_uid(stream[q]))
+            << learner << " query " << q << " @" << threads;
+      }
+      EXPECT_EQ(bank.select_grid(stream), expected)
+          << learner << " grid @" << threads;
+    }
+  }
+}
+
+TEST(CompiledBankRankTables, ForcedPredictionsOverrideTableValues) {
+  const bench::Dataset ds = random_dataset(31);
+  const std::vector<bench::Instance> stream = offgrid_instances(202, 32);
+  for (const char* learner : {"xgboost", "rf"}) {
+    tune::Selector selector(tune::SelectorOptions{.learner = learner});
+    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 2u)
+        << learner;
+    const tune::CompiledBank bank = selector.compile();
+    const std::vector<int> uids = selector.uids();
+    for (std::size_t i = 0; i < bank.num_models(); ++i) {
+      ASSERT_TRUE(bank.flat().has_rank_table(i)) << learner;
+    }
+    // Poison the lowest uid and force the highest to a zero time: every
+    // table-served query must pick the forced uid, exactly as the
+    // interpreted selector does.
+    fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0},
+                                                    {uids.back(), 0.0}}});
+    for (const bench::Instance& inst : stream) {
+      const auto preds = bank.predict_all(inst);
+      EXPECT_EQ(preds.front().time_us, -1.0) << learner;
+      EXPECT_FALSE(preds.front().usable) << learner;
+      EXPECT_EQ(preds.back().time_us, 0.0) << learner;
+      expect_identical(selector, bank, inst);
+      EXPECT_EQ(bank.select_uid(inst), uids.back()) << learner;
+      EXPECT_EQ(selector.select_uid(inst), uids.back()) << learner;
+    }
+    EXPECT_EQ(bank.select_grid(stream),
+              std::vector<int>(stream.size(), uids.back()))
+        << learner;
   }
 }
 
