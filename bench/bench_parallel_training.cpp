@@ -1,20 +1,22 @@
 // Serial-vs-parallel wall-clock of the reproduce path on a Bcast
 // dataset: generating the trimmed default grid with the DES
-// (bench::generate_dataset), fitting one regression model per algorithm
+// (bench::generate_dataset), replaying that grid through the program
+// builders and the executor to count simulated messages (DES
+// messages/s and runs/s), fitting one regression model per algorithm
 // configuration uid (Selector::fit) and answering argmin queries over
 // the full bank (Selector::predict_all). Records the speedup trajectory
 // of the support/parallel layer and asserts the determinism contract:
-// the generated datasets and the selected uids must be identical at
-// every thread count.
+// the generated datasets, the simulated message counts and the
+// selected uids must be identical at every thread count.
 //
 //   --dataset=<name>   Table II dataset to train on (cached under data/;
 //                      default: a trimmed d1 grid generated in-process,
 //                      about half a minute on one core)
 //   --learner=<name>   regressor (default xgboost — the heaviest fit)
 //   --threads=<n>      parallel thread count (default 4; serial is
-//                      always measured as the baseline; generation is
-//                      timed once per thread count, and only for the
-//                      default grid)
+//                      always measured as the baseline; generation and
+//                      the DES replay are timed once per thread count,
+//                      and only for the default grid)
 //   --repeats=<n>      timing repetitions, best-of (default 3)
 //   --json-out=<path>  also write a bench_json.hpp report (the CI
 //                      trajectory artifact, e.g. BENCH_training.json)
@@ -33,6 +35,9 @@
 #include "bench_json.hpp"
 #include "collbench/generator.hpp"
 #include "collbench/specs.hpp"
+#include "simmpi/coll/registry.hpp"
+#include "simmpi/executor.hpp"
+#include "simnet/machine.hpp"
 #include "support/cli.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
@@ -68,6 +73,46 @@ TimedGeneration generate_at(int threads,
   const auto start = Clock::now();
   mpicp::bench::Dataset ds = mpicp::bench::generate_dataset(spec);
   return {seconds_since(start), std::move(ds)};
+}
+
+struct DesReplay {
+  double seconds = 0.0;
+  std::uint64_t runs = 0;
+  std::uint64_t messages = 0;
+};
+
+/// Replays the grid's DES runs (build_algorithm + Executor::run) the
+/// way the generator schedules them, one task and one executor per
+/// (n, ppn, config), and counts the simulated messages, which
+/// generate_dataset does not report.
+DesReplay replay_des_at(int threads, const mpicp::bench::DatasetSpec& spec) {
+  using namespace mpicp;
+  support::ScopedThreads scope(threads);
+  const sim::MachineDesc machine = sim::machine_by_name(spec.machine);
+  const auto& configs = sim::algorithm_configs(spec.lib, spec.coll);
+  const std::size_t num_cfg = configs.size();
+  const std::size_t num_ppn = spec.ppns.size();
+  std::vector<std::uint64_t> messages(spec.nodes.size() * num_ppn *
+                                      num_cfg);
+  const auto start = Clock::now();
+  support::parallel_for(messages.size(), 1, [&](std::size_t t) {
+    const int n = spec.nodes[t / (num_ppn * num_cfg)];
+    const int ppn = spec.ppns[(t / num_cfg) % num_ppn];
+    sim::Network net(machine, n, ppn);
+    sim::Executor exec(net);
+    const sim::Comm comm(n, ppn);
+    for (const std::uint64_t m : spec.msizes) {
+      const sim::BuiltCollective built =
+          sim::build_algorithm(spec.lib, spec.coll, configs[t % num_cfg],
+                               comm, m, /*root=*/0, /*tracking=*/false);
+      messages[t] += exec.run(built.programs).num_messages;
+    }
+  });
+  DesReplay out;
+  out.seconds = seconds_since(start);
+  out.runs = messages.size() * spec.msizes.size();
+  for (const std::uint64_t m : messages) out.messages += m;
+  return out;
 }
 
 /// Same records in the same order, timings bit for bit.
@@ -134,9 +179,13 @@ int main(int argc, char** argv) {
   // dataset comes from the cache and skips the generation timing.
   std::optional<TimedGeneration> gen_serial;
   std::optional<TimedGeneration> gen_parallel;
+  std::optional<DesReplay> des_serial;
+  std::optional<DesReplay> des_parallel;
   if (dataset_name.empty()) {
     gen_serial = generate_at(1, default_spec());
     gen_parallel = generate_at(threads, default_spec());
+    des_serial = replay_des_at(1, default_spec());
+    des_parallel = replay_des_at(threads, default_spec());
   }
   const bench::Dataset ds = gen_parallel
                                 ? gen_parallel->ds
@@ -173,6 +222,13 @@ int main(int argc, char** argv) {
          support::format_double(
              gen_serial->seconds / gen_parallel->seconds, 3)});
   }
+  if (des_serial) {
+    table.add_row({"DES replay (build + run)",
+                   support::format_double(des_serial->seconds, 4),
+                   support::format_double(des_parallel->seconds, 4),
+                   support::format_double(
+                       des_serial->seconds / des_parallel->seconds, 3)});
+  }
   table.add_row({"fit model bank", support::format_double(serial.fit_s, 4),
                  support::format_double(parallel.fit_s, 4),
                  support::format_double(serial.fit_s / parallel.fit_s, 3)});
@@ -183,6 +239,14 @@ int main(int argc, char** argv) {
   std::ostringstream os;
   table.print(os);
   std::fputs(os.str().c_str(), stdout);
+  if (des_serial) {
+    const double msgs = static_cast<double>(des_serial->messages);
+    std::printf("DES replay: %llu runs, %.0f simulated messages; "
+                "%.4g / %.4g messages/s at 1 / %d threads\n",
+                static_cast<unsigned long long>(des_serial->runs), msgs,
+                msgs / des_serial->seconds, msgs / des_parallel->seconds,
+                threads);
+  }
 
   const std::string json_path = cli.get("json-out", "");
   if (!json_path.empty()) {
@@ -202,12 +266,26 @@ int main(int argc, char** argv) {
                    {"generate_speedup",
                     gen_serial->seconds / gen_parallel->seconds}});
     }
+    if (des_serial) {
+      const double msgs = static_cast<double>(des_serial->messages);
+      const double runs = static_cast<double>(des_serial->runs);
+      keys.insert(keys.end(),
+                  {{"des_messages_per_s_serial", msgs / des_serial->seconds},
+                   {"des_messages_per_s_parallel",
+                    msgs / des_parallel->seconds},
+                   {"des_runs_per_s_serial", runs / des_serial->seconds},
+                   {"des_runs_per_s_parallel", runs / des_parallel->seconds}});
+    }
     bench::json_report(json_path, "parallel_training", keys);
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 
   if (gen_serial && !same_records(gen_serial->ds, gen_parallel->ds)) {
     std::printf("\nFAIL: generated datasets differ between thread counts\n");
+    return 1;
+  }
+  if (des_serial && des_serial->messages != des_parallel->messages) {
+    std::printf("\nFAIL: DES message counts differ between thread counts\n");
     return 1;
   }
   if (serial.selected != parallel.selected) {

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "simmpi/executor.hpp"
 #include "simnet/machine.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -18,10 +19,11 @@ Dataset generate_dataset(const DatasetSpec& spec,
   const auto& configs = sim::algorithm_configs(spec.lib, spec.coll);
 
   // One task per (n, ppn, config), numbered in the serial loop order
-  // n-major, then ppn, then config. Each task owns its network and its
-  // observation stream, seeded from (seed, uid, n, ppn) alone, so its
-  // records do not depend on which thread runs it or when; merging the
-  // per-task slots in index order reproduces the serial record order.
+  // n-major, then ppn, then config. Each task owns its network, the
+  // executor all its message sizes run on, and its observation stream,
+  // seeded from (seed, uid, n, ppn) alone, so its records do not depend
+  // on which thread runs it or when; merging the per-task slots in
+  // index order reproduces the serial record order.
   const std::size_t num_cfg = configs.size();
   const std::size_t num_ppn = spec.ppns.size();
   const std::size_t tasks = spec.nodes.size() * num_ppn * num_cfg;
@@ -38,13 +40,14 @@ Dataset generate_dataset(const DatasetSpec& spec,
     const int ppn = spec.ppns[(t / num_cfg) % num_ppn];
     const sim::AlgoConfig& cfg = configs[t % num_cfg];
     sim::Network net(machine, n, ppn);
+    sim::Executor exec(net);
     support::Xoshiro256 rng(support::hash_combine(
         {spec.seed, static_cast<std::uint64_t>(cfg.uid),
          static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(ppn)}));
     std::vector<Record>& out = slots[t];
     for (const std::uint64_t m : spec.msizes) {
       const RunnerResult res = run_benchmark(
-          net, spec.lib, spec.coll, cfg, m, noise, spec.budget, rng);
+          exec, spec.lib, spec.coll, cfg, m, noise, spec.budget, rng);
       for (const double obs : res.observations_us) {
         out.push_back({cfg.uid, n, ppn, m, obs});
       }

@@ -3,21 +3,20 @@
 #include <algorithm>
 
 #include "simmpi/coll/types.hpp"
-#include "simmpi/executor.hpp"
 
 namespace mpicp::bench {
 
-RunnerResult run_benchmark(sim::Network& net, sim::MpiLib lib,
+RunnerResult run_benchmark(sim::Executor& exec, sim::MpiLib lib,
                            sim::Collective coll, const sim::AlgoConfig& cfg,
                            std::uint64_t msize, const NoiseModel& noise,
                            const RunnerBudget& budget,
                            support::Xoshiro256& rng) {
   MPICP_REQUIRE(budget.max_reps >= 1 && budget.budget_us > 0.0,
                 "empty benchmark budget");
+  const sim::Network& net = exec.network();
   const sim::Comm comm(net.num_nodes(), net.ppn());
   sim::BuiltCollective built = sim::build_algorithm(
       lib, coll, cfg, comm, msize, /*root=*/0, /*tracking=*/false);
-  sim::Executor exec(net);
   RunnerResult result;
   result.des_time_us = exec.run(built.programs).makespan_us;
   result.true_time_us = noise.true_time_us(

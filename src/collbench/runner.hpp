@@ -14,7 +14,7 @@
 
 #include "collbench/noise.hpp"
 #include "simmpi/coll/registry.hpp"
-#include "simnet/network.hpp"
+#include "simmpi/executor.hpp"
 
 namespace mpicp::bench {
 
@@ -29,11 +29,12 @@ struct RunnerResult {
   std::vector<double> observations_us;
 };
 
-/// Benchmark one algorithm configuration on an existing network
-/// allocation. `rng` supplies the observation noise; the uid's
+/// Benchmark one algorithm configuration on the network allocation of
+/// `exec`, which the caller reuses across runs (one executor per
+/// generation task). `rng` supplies the observation noise; the uid's
 /// systematic factor comes from `noise`.
 [[nodiscard]] RunnerResult run_benchmark(
-    sim::Network& net, sim::MpiLib lib, sim::Collective coll,
+    sim::Executor& exec, sim::MpiLib lib, sim::Collective coll,
     const sim::AlgoConfig& cfg, std::uint64_t msize,
     const NoiseModel& noise, const RunnerBudget& budget,
     support::Xoshiro256& rng);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "simnet/machine.hpp"
@@ -41,9 +42,7 @@ class Network {
 
   Placement placement() const { return placement_; }
 
-  int node_of(int rank) const {
-    return placement_ == Placement::kBlock ? rank / ppn_ : rank % nodes_;
-  }
+  int node_of(int rank) const { return node_of_[rank]; }
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
 
   /// Channel parameters that apply between two ranks.
@@ -61,12 +60,16 @@ class Network {
   void reset();
 
  private:
-  double& pick_earliest(std::vector<double>& pool, int node);
+  static double& pick_earliest(std::vector<double>& pool, int node,
+                               std::size_t width);
 
   MachineDesc desc_;
   int nodes_;
   int ppn_;
   Placement placement_;
+  // Rank -> node under the placement, so the per-message link() and
+  // same_node() do no division.
+  std::vector<std::int32_t> node_of_;
   // Flattened [node][rail] and [node][channel] next-available times.
   std::vector<double> rail_avail_;
   std::vector<double> mem_avail_;

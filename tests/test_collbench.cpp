@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -70,13 +71,14 @@ TEST(Noise, SmallRunsAreNoisier) {
 
 TEST(Runner, RespectsRepCap) {
   sim::Network net(sim::hydra_machine(), 4, 2);
+  sim::Executor exec(net);
   const NoiseModel noise(1);
   support::Xoshiro256 rng(1);
   const auto& cfg =
       sim::algorithm_configs(sim::MpiLib::kOpenMPI, sim::Collective::kBcast)
           .front();
   const RunnerResult res =
-      run_benchmark(net, sim::MpiLib::kOpenMPI, sim::Collective::kBcast,
+      run_benchmark(exec, sim::MpiLib::kOpenMPI, sim::Collective::kBcast,
                     cfg, 1024, noise, {.max_reps = 7, .budget_us = 1e9},
                     rng);
   EXPECT_EQ(res.observations_us.size(), 7u);
@@ -86,6 +88,7 @@ TEST(Runner, RespectsRepCap) {
 
 TEST(Runner, BudgetTruncatesExpensiveRuns) {
   sim::Network net(sim::hydra_machine(), 16, 8);
+  sim::Executor exec(net);
   const NoiseModel noise(1);
   support::Xoshiro256 rng(1);
   // The linear broadcast of 4 MiB takes several milliseconds; a 1 ms
@@ -95,7 +98,7 @@ TEST(Runner, BudgetTruncatesExpensiveRuns) {
           .front();
   ASSERT_EQ(cfg.name, "linear");
   const RunnerResult res = run_benchmark(
-      net, sim::MpiLib::kOpenMPI, sim::Collective::kBcast, cfg, 4u << 20,
+      exec, sim::MpiLib::kOpenMPI, sim::Collective::kBcast, cfg, 4u << 20,
       noise, {.max_reps = 500, .budget_us = 1000.0}, rng);
   EXPECT_EQ(res.observations_us.size(), 1u);
 }
@@ -248,6 +251,28 @@ TEST(Generator, ParallelRecordsMatchSerialInOrder) {
   for (const std::optional<Dataset>& ds : nested) {
     ASSERT_TRUE(ds.has_value());
     expect_same_records(serial, *ds);
+  }
+}
+
+/// The committed CSVs are the simulator's own output, so regenerating
+/// one of their multi-node, multi-ppn allocations must reproduce its
+/// rows bit for bit: Jupiter (one rail) Allreduce and Hydra (two rails)
+/// Alltoall.
+TEST(Generator, RegeneratesCommittedAllocationBitForBit) {
+  for (const std::string name : {"d4", "d6"}) {
+    DatasetSpec spec = dataset_spec(name);
+    const Dataset committed = Dataset::load_csv(
+        std::filesystem::path(MPICP_DATA_DIR) / (name + ".csv"), name,
+        spec.lib, spec.coll, spec.machine);
+    spec.nodes = {7};
+    spec.ppns = {8};
+    Dataset expected(name, spec.lib, spec.coll, spec.machine);
+    for (const Record& rec : committed.records()) {
+      if (rec.nodes == 7 && rec.ppn == 8) expected.add(rec);
+    }
+    ASSERT_GT(expected.num_records(), 100u) << name;
+    SCOPED_TRACE(name);
+    expect_same_records(expected, generate_dataset(spec));
   }
 }
 

@@ -452,8 +452,15 @@ int main(int argc, char** argv) {
   for (const BenchReport& report : reports) {
     const auto it = baseline.find(report.name);
     if (it == baseline.end()) {
-      rows.push_back({report.name, "(entire bench)", 0.0, 0.0, 0.0,
-                      "info (no baseline bench)"});
+      // Report every key of a bench without a baseline; none can block.
+      if (report.metrics.empty()) {
+        rows.push_back({report.name, "(entire bench)", 0.0, 0.0, 0.0,
+                        "info (no baseline bench)"});
+      }
+      for (const auto& [key, current] : report.metrics) {
+        rows.push_back(
+            {report.name, key, 0.0, current, 0.0, "info (no baseline bench)"});
+      }
       continue;
     }
     compare_report(report, it->second, threshold, &rows, &blocking);
