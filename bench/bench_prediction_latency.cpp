@@ -7,13 +7,13 @@
 // selector, compiles the bank, and times single-query argmin and
 // whole-grid selection on both paths at one thread (the speedup is the
 // engine's, not the pool's), verifying that every pick is identical.
-// For the tree ensembles it also times grid argmin per layout and
-// single-query argmin on off-grid instances (rank-cell table vs the
-// legacy node walk). Results land in a BENCH_prediction.json report
-// (bench_json.hpp).
+// For the tree ensembles it also times the batched grid argmin and the
+// single-query argmin on off-grid instances (rank-cell tables) against
+// the interpreted selector. Results land in a BENCH_prediction.json
+// report (bench_json.hpp).
 //
 //   --smoke            comparison only (gam + knn, fewer reps, plus the
-//                      xgboost/rf layout and off-grid rows), skip the
+//                      xgboost/rf grid and off-grid rows), skip the
 //                      google-benchmark microbenches — the CI mode
 //   --json-out=PATH    where to write the JSON report
 //                      (default BENCH_prediction.json)
@@ -259,20 +259,19 @@ ComparisonRow compare_serving(const std::string& learner, int repeats) {
   return row;
 }
 
-/// Per-layout grid-argmin comparison for the tree-ensemble learners
-/// (DESIGN.md §16): the PR 8 per-instance pointer-free argmin
-/// (select_grid_legacy) against the blocked batched kernel
-/// (select_grid_into), p50/p99 per instance over repeated full-grid
-/// passes at one thread.
-struct LayoutRow {
+/// Grid-argmin comparison for the tree-ensemble learners: the
+/// interpreted selector's per-instance select_uid against the compiled
+/// batched kernel (select_grid_into), p50/p99 per instance over repeated
+/// full-grid passes at one thread.
+struct TreeGridRow {
   std::string learner;
-  double legacy_p50_us = 0.0;
-  double legacy_p99_us = 0.0;
+  double interpreted_p50_us = 0.0;
+  double interpreted_p99_us = 0.0;
   double batched_p50_us = 0.0;
   double batched_p99_us = 0.0;
   bool picks_identical = true;
 
-  double speedup() const { return legacy_p50_us / batched_p50_us; }
+  double speedup() const { return interpreted_p50_us / batched_p50_us; }
 };
 
 double percentile_of(std::vector<double>& samples, double p) {
@@ -283,7 +282,7 @@ double percentile_of(std::vector<double>& samples, double p) {
   return samples[idx];
 }
 
-LayoutRow compare_layouts(const std::string& learner, int reps) {
+TreeGridRow compare_tree_grid(const std::string& learner, int reps) {
   const bench::Dataset& ds = training_data();
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
   (void)selector.fit(ds, ds.node_counts());
@@ -291,24 +290,26 @@ LayoutRow compare_layouts(const std::string& learner, int reps) {
   const std::vector<bench::Instance> grid = make_query_grid();
 
   support::ScopedThreads scoped(1);
-  LayoutRow row;
+  TreeGridRow row;
   row.learner = learner;
-  std::vector<double> legacy_us(reps, 0.0);
+  std::vector<double> interpreted_us(reps, 0.0);
   std::vector<double> batched_us(reps, 0.0);
-  std::vector<int> legacy_picks;
+  std::vector<int> interpreted_picks(grid.size(), -1);
   std::vector<int> batched_picks(grid.size(), -1);
   for (int rep = 0; rep < reps; ++rep) {
     auto start = Clock::now();
-    legacy_picks = bank.select_grid_legacy(grid);
-    legacy_us[rep] = seconds_since(start) * 1e6 / grid.size();
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      interpreted_picks[i] = selector.select_uid(grid[i]);
+    }
+    interpreted_us[rep] = seconds_since(start) * 1e6 / grid.size();
 
     start = Clock::now();
     bank.select_grid_into(grid, batched_picks);
     batched_us[rep] = seconds_since(start) * 1e6 / grid.size();
-    if (batched_picks != legacy_picks) row.picks_identical = false;
+    if (batched_picks != interpreted_picks) row.picks_identical = false;
   }
-  row.legacy_p50_us = percentile_of(legacy_us, 0.50);
-  row.legacy_p99_us = percentile_of(legacy_us, 0.99);
+  row.interpreted_p50_us = percentile_of(interpreted_us, 0.50);
+  row.interpreted_p99_us = percentile_of(interpreted_us, 0.99);
   row.batched_p50_us = percentile_of(batched_us, 0.50);
   row.batched_p99_us = percentile_of(batched_us, 0.99);
   return row;
@@ -316,17 +317,19 @@ LayoutRow compare_layouts(const std::string& learner, int reps) {
 
 /// Single-query off-grid argmin for a tree-ensemble learner: the
 /// compiled select_uid (one rank-cell lookup per model when the model
-/// has a table) against the legacy per-instance node walk, best of
+/// has a table) against the interpreted selector's select_uid, best of
 /// `reps` passes over byte-granular message sizes and node / ppn counts
-/// off the training grid, at one thread. Both must pick what the
-/// interpreted selector picks.
+/// off the training grid, at one thread. The compiled picks must equal
+/// the interpreted ones.
 struct OffgridRow {
   std::string learner;
-  double single_us_legacy = 1e300;
+  double single_us_interpreted = 1e300;
   double single_us_compiled = 1e300;
   bool picks_identical = true;
 
-  double speedup() const { return single_us_legacy / single_us_compiled; }
+  double speedup() const {
+    return single_us_interpreted / single_us_compiled;
+  }
 };
 
 std::vector<bench::Instance> make_offgrid_stream(std::size_t count) {
@@ -352,18 +355,15 @@ OffgridRow compare_offgrid_single(const std::string& learner, int reps) {
   OffgridRow row;
   row.learner = learner;
   std::vector<int> expected(stream.size());
-  for (std::size_t q = 0; q < stream.size(); ++q) {
-    expected[q] = selector.select_uid(stream[q]);
-  }
   std::vector<int> picks(stream.size());
   for (int rep = 0; rep < reps; ++rep) {
     auto start = Clock::now();
     for (std::size_t q = 0; q < stream.size(); ++q) {
-      picks[q] = bank.select_grid_legacy({&stream[q], 1}).front();
+      expected[q] = selector.select_uid(stream[q]);
     }
-    row.single_us_legacy = std::min(
-        row.single_us_legacy, seconds_since(start) * 1e6 / stream.size());
-    if (picks != expected) row.picks_identical = false;
+    row.single_us_interpreted =
+        std::min(row.single_us_interpreted,
+                 seconds_since(start) * 1e6 / stream.size());
 
     start = Clock::now();
     for (std::size_t q = 0; q < stream.size(); ++q) {
@@ -431,64 +431,62 @@ int run_comparison(bool smoke, const std::string& json_path) {
   table.print(os);
   std::fputs(os.str().c_str(), stdout);
 
-  // Blocked-layout trajectory for the tree ensembles: legacy
-  // per-instance argmin vs the batched kernel, both layouts must pick
-  // identically and the batched kernel must clear 1.5x at p50.
-  const int layout_reps = smoke ? 24 : 64;
-  std::printf("\nGBT/RF grid argmin per layout (1 thread, %d full-grid "
-              "passes)\n\n",
-              layout_reps);
-  support::TextTable layout_table(
-      {"learner", "legacy p50 [us/inst]", "legacy p99 [us/inst]",
+  // Tree-ensemble grid trajectory: interpreted per-instance argmin vs
+  // the compiled batched kernel; both must pick identically and the
+  // batched kernel must clear 1.5x at p50.
+  const int grid_reps = smoke ? 24 : 64;
+  std::printf("\nGBT/RF grid argmin (1 thread, %d full-grid passes)\n\n",
+              grid_reps);
+  support::TextTable grid_table(
+      {"learner", "interpreted p50 [us/inst]", "interpreted p99 [us/inst]",
        "batched p50 [us/inst]", "batched p99 [us/inst]", "p50 speedup",
        "picks identical"});
-  bool layouts_identical = true;
-  double min_layout_speedup = 1e300;
+  bool grids_identical = true;
+  double min_grid_speedup = 1e300;
   for (const char* learner : {"xgboost", "rf"}) {
-    const LayoutRow row = compare_layouts(learner, layout_reps);
-    layouts_identical = layouts_identical && row.picks_identical;
-    min_layout_speedup = std::min(min_layout_speedup, row.speedup());
-    layout_table.add_row(
-        {row.learner, support::format_double(row.legacy_p50_us, 3),
-         support::format_double(row.legacy_p99_us, 3),
+    const TreeGridRow row = compare_tree_grid(learner, grid_reps);
+    grids_identical = grids_identical && row.picks_identical;
+    min_grid_speedup = std::min(min_grid_speedup, row.speedup());
+    grid_table.add_row(
+        {row.learner, support::format_double(row.interpreted_p50_us, 3),
+         support::format_double(row.interpreted_p99_us, 3),
          support::format_double(row.batched_p50_us, 3),
          support::format_double(row.batched_p99_us, 3),
          support::format_double(row.speedup(), 2),
          row.picks_identical ? "yes" : "NO"});
-    metrics.emplace_back(row.learner + ".grid_legacy_p50_us",
-                         row.legacy_p50_us);
-    metrics.emplace_back(row.learner + ".grid_legacy_p99_us",
-                         row.legacy_p99_us);
+    metrics.emplace_back(row.learner + ".grid_interpreted_p50_us",
+                         row.interpreted_p50_us);
+    metrics.emplace_back(row.learner + ".grid_interpreted_p99_us",
+                         row.interpreted_p99_us);
     metrics.emplace_back(row.learner + ".grid_batched_p50_us",
                          row.batched_p50_us);
     metrics.emplace_back(row.learner + ".grid_batched_p99_us",
                          row.batched_p99_us);
-    metrics.emplace_back(row.learner + ".layout_speedup_p50",
-                         row.speedup());
+    metrics.emplace_back(row.learner + ".grid_speedup_p50", row.speedup());
   }
-  metrics.emplace_back("layout_speedup_min", min_layout_speedup);
-  std::ostringstream os_layout;
-  layout_table.print(os_layout);
-  std::fputs(os_layout.str().c_str(), stdout);
+  metrics.emplace_back("grid_speedup_min", min_grid_speedup);
+  std::ostringstream os_grid;
+  grid_table.print(os_grid);
+  std::fputs(os_grid.str().c_str(), stdout);
 
   const int offgrid_reps = smoke ? 3 : 8;
   std::printf("\nGBT/RF single-query off-grid argmin (1 thread, best of "
               "%d)\n\n",
               offgrid_reps);
   support::TextTable offgrid_table(
-      {"learner", "legacy walk [us]", "compiled [us]", "speedup",
+      {"learner", "interpreted [us]", "compiled [us]", "speedup",
        "picks identical"});
   bool offgrid_identical = true;
   for (const char* learner : {"xgboost", "rf"}) {
     const OffgridRow row = compare_offgrid_single(learner, offgrid_reps);
     offgrid_identical = offgrid_identical && row.picks_identical;
     offgrid_table.add_row(
-        {row.learner, support::format_double(row.single_us_legacy, 3),
+        {row.learner, support::format_double(row.single_us_interpreted, 3),
          support::format_double(row.single_us_compiled, 3),
          support::format_double(row.speedup(), 2),
          row.picks_identical ? "yes" : "NO"});
-    metrics.emplace_back(row.learner + ".offgrid_single_us_legacy",
-                         row.single_us_legacy);
+    metrics.emplace_back(row.learner + ".offgrid_single_us_interpreted",
+                         row.single_us_interpreted);
     metrics.emplace_back(row.learner + ".offgrid_single_us_compiled",
                          row.single_us_compiled);
     metrics.emplace_back(row.learner + ".offgrid_speedup_single",
@@ -506,12 +504,13 @@ int run_comparison(bool smoke, const std::string& json_path) {
     return 1;
   }
   std::printf("compiled picks bit-identical to interpreted: yes\n");
-  if (!layouts_identical) {
-    std::printf("FAIL: batched layout picks differ from the legacy "
-                "layout\n");
+  if (!grids_identical) {
+    std::printf("FAIL: GBT/RF batched grid picks differ from the "
+                "interpreted selector\n");
     return 1;
   }
-  std::printf("batched layout picks bit-identical to legacy: yes\n");
+  std::printf("GBT/RF batched grid picks bit-identical to interpreted: "
+              "yes\n");
   if (!offgrid_identical) {
     std::printf("FAIL: off-grid single-query picks differ from the "
                 "interpreted selector\n");
@@ -519,10 +518,10 @@ int run_comparison(bool smoke, const std::string& json_path) {
   }
   std::printf("off-grid single-query picks bit-identical to "
               "interpreted: yes\n");
-  if (min_layout_speedup < 1.5) {
+  if (min_grid_speedup < 1.5) {
     std::printf("FAIL: batched grid argmin speedup %.2fx below the 1.5x "
                 "gate\n",
-                min_layout_speedup);
+                min_grid_speedup);
     return 1;
   }
   return 0;

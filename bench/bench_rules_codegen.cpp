@@ -5,13 +5,11 @@
 // latency of the flat table walk (ns) against the compiled bank's
 // argmin (µs) on the same query stream.
 //
-// Four hard gates make this a harness, not a report: the flat table
+// Two hard gates make this a harness, not a report: the flat table
 // must agree with the tree it was lowered from on every probe (exact
-// equivalence is the export's contract); the rule-table p50 must be at
-// least 10x faster than the bank argmin p50; the blocked and batched
-// layouts (DESIGN.md §16) must agree bit for bit with the PR 8 legacy
-// walk on every probe; and the batched grid kernel must beat the
-// legacy layout by at least 2x at p50. Any failing exits non-zero.
+// equivalence is the export's contract), and the rule-table p50 must
+// be at least 10x faster than the bank argmin p50. Either failing
+// exits non-zero.
 //
 //   --smoke            fewer dispatches — the CI mode
 //   --json-out=PATH    default BENCH_rules.json
@@ -20,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -204,77 +201,24 @@ int run(std::size_t dispatches, const std::string& json_path) {
     bank_us[b] = seconds_since(t0) * 1e6 / static_cast<double>(kBatch);
   }
 
-  // Layout comparison (DESIGN.md §16): the PR 8 branchy walk
-  // (uid_for_legacy), the blocked predicated walk (uid_for — already
-  // timed above as rule_ns), and the batched level-synchronous grid
-  // kernel over the same stream slices.
-  std::vector<double> legacy_ns(batches, 0.0);
-  std::vector<double> batched_ns(batches, 0.0);
-  std::vector<int> batch_out(kBatch, -1);
-  for (std::size_t b = 0; b < batches; ++b) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = b * kBatch; i < (b + 1) * kBatch; ++i) {
-      sink += dist.table.uid_for_legacy(stream[i]);
-    }
-    legacy_ns[b] = seconds_since(t0) * 1e9 / static_cast<double>(kBatch);
-  }
-  for (std::size_t b = 0; b < batches; ++b) {
-    const std::span<const bench::Instance> slice{stream.data() + b * kBatch,
-                                                 kBatch};
-    const auto t0 = Clock::now();
-    dist.table.select_grid_into(slice, batch_out);
-    batched_ns[b] = seconds_since(t0) * 1e9 / static_cast<double>(kBatch);
-    sink += batch_out[0];
-  }
-
-  // Hard gate 3 — every layout agrees bit for bit on every probe: the
-  // blocked walk against the legacy walk, and the batched kernel
-  // against both, over the full stream in one grid call.
-  std::vector<int> grid_out(stream.size(), -1);
-  dist.table.select_grid_into(stream, grid_out);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const int legacy = dist.table.uid_for_legacy(stream[i]);
-    if (dist.table.uid_for(stream[i]) != legacy || grid_out[i] != legacy) {
-      std::printf("FAIL: blocked/batched layout diverges from legacy\n");
-      return 1;
-    }
-  }
-  std::printf("legacy == blocked == batched on %zu stream probes: yes\n\n",
-              stream.size());
-
   const double rule_p50 = percentile(rule_ns, 0.50);
   const double rule_p99 = percentile(rule_ns, 0.99);
   const double bank_p50 = percentile(bank_us, 0.50);
   const double bank_p99 = percentile(bank_us, 0.99);
-  const double legacy_p50 = percentile(legacy_ns, 0.50);
-  const double legacy_p99 = percentile(legacy_ns, 0.99);
-  const double batched_p50 = percentile(batched_ns, 0.50);
-  const double batched_p99 = percentile(batched_ns, 0.99);
   const double speedup = bank_p50 * 1e3 / rule_p50;
-  const double layout_speedup = legacy_p50 / batched_p50;
 
   support::TextTable table({"metric", "value"});
   table.add_row({"dispatches per tier",
                  std::to_string(batches * kBatch)});
-  table.add_row({"legacy layout p50 [ns]",
-                 support::format_double(legacy_p50, 1)});
-  table.add_row({"legacy layout p99 [ns]",
-                 support::format_double(legacy_p99, 1)});
-  table.add_row({"blocked walk p50 [ns]",
+  table.add_row({"rule table p50 [ns]",
                  support::format_double(rule_p50, 1)});
-  table.add_row({"blocked walk p99 [ns]",
+  table.add_row({"rule table p99 [ns]",
                  support::format_double(rule_p99, 1)});
-  table.add_row({"batched kernel p50 [ns]",
-                 support::format_double(batched_p50, 1)});
-  table.add_row({"batched kernel p99 [ns]",
-                 support::format_double(batched_p99, 1)});
   table.add_row({"bank argmin p50 [us]",
                  support::format_double(bank_p50, 3)});
   table.add_row({"bank argmin p99 [us]",
                  support::format_double(bank_p99, 3)});
   table.add_row({"p50 speedup vs bank", support::format_double(speedup, 1)});
-  table.add_row({"batched p50 speedup vs legacy",
-                 support::format_double(layout_speedup, 2)});
   std::ostringstream os2;
   table.print(os2);
   std::fputs(os2.str().c_str(), stdout);
@@ -284,14 +228,9 @@ int run(std::size_t dispatches, const std::string& json_path) {
                        static_cast<double>(batches * kBatch));
   metrics.emplace_back("rule_p50_ns", rule_p50);
   metrics.emplace_back("rule_p99_ns", rule_p99);
-  metrics.emplace_back("legacy_p50_ns", legacy_p50);
-  metrics.emplace_back("legacy_p99_ns", legacy_p99);
-  metrics.emplace_back("batched_p50_ns", batched_p50);
-  metrics.emplace_back("batched_p99_ns", batched_p99);
   metrics.emplace_back("bank_p50_us", bank_p50);
   metrics.emplace_back("bank_p99_us", bank_p99);
   metrics.emplace_back("speedup_p50", speedup);
-  metrics.emplace_back("layout_speedup_p50", layout_speedup);
   bench::json_report(json_path, "rules_codegen", metrics);
   std::printf("\nwrote %s\n", json_path.c_str());
 
@@ -299,15 +238,6 @@ int run(std::size_t dispatches, const std::string& json_path) {
   if (speedup < 10.0) {
     std::printf("FAIL: rule-table p50 speedup %.1fx below the 10x gate\n",
                 speedup);
-    return 1;
-  }
-
-  // Hard gate 4 — the blocked batched kernel must beat the PR 8 layout
-  // by >= 2x at p50 on grid dispatch, or the rework is not paying rent.
-  if (layout_speedup < 2.0) {
-    std::printf(
-        "FAIL: batched layout speedup %.2fx below the 2x gate\n",
-        layout_speedup);
     return 1;
   }
 

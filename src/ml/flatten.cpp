@@ -173,7 +173,7 @@ void FlatBank::build_derived(std::size_t first_model) {
           // Pass-through slot for a leaf shallower than the block: both
           // children route to the same leaf, so the predicated step can
           // take either branch (even on a NaN feature) and still land
-          // on the node the legacy walk stops at.
+          // on the node the plain tree walk stops at.
           ft[s] = 0;
           thr[s] = std::numeric_limits<double>::infinity();
           assign[2 * s + 1] = n;
@@ -270,8 +270,9 @@ void FlatBank::build_rank_tables(std::size_t first_model) {
     // Enumerate cells in stride order. A cell's rank vector fixes the
     // outcome of every comparison (`x < T[j]` iff `rank(x) <= j`), so
     // walking each tree with those outcomes — in canonical tree order,
-    // with the same accumulation and link transform as the legacy walk
-    // — yields the exact double every instance in the cell would get.
+    // with the same accumulation and link transform as the interpreted
+    // predict_one — yields the exact double every instance in the cell
+    // would get.
     rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
     support::reserve_more(cell_val_, cells);
     ranks.assign(static_cast<std::size_t>(std::max(dim, 1)), 0);
@@ -457,8 +458,8 @@ double FlatBank::rank_cell_value(const RankTable& rt,
     const double* T = rank_thr_.data() + rt.thr_begin[f];
     const std::int32_t len = rt.thr_len[f];
     const double v = x[f];
-    // rank = #{T <= v}; a NaN feature ranks past every threshold so
-    // every comparison takes the legacy `!(x < thr)` branch.
+    // rank = #{T <= v}; a NaN feature ranks past every threshold, so
+    // every comparison takes the right branch, as the tree walk does.
     const std::int32_t r =
         v != v ? len
                : static_cast<std::int32_t>(
@@ -480,7 +481,7 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
       // Otherwise the blocked branch-free walk: predicated index steps
       // through each tree's packed prefix. Spill-free trees (the
       // common case) finish with one inline leaf-value load; only
-      // spilling exits fall back to the legacy node-pool walk.
+      // spilling exits finish with a plain node-pool walk.
       double raw = m.base_score;
       for (int t = m.tree_begin; t < m.tree_end; ++t) {
         const double* thr = blk_thr_.data() + blk_base_[t];
@@ -569,29 +570,6 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
       return coef_[m.coef_begin];
   }
   MPICP_RAISE_INTERNAL("unhandled FlatKind");
-}
-
-double FlatBank::predict_one_legacy(std::size_t i, std::span<const double> x,
-                                    FlatScratch& s) const {
-  MPICP_ASSERT(i < models_.size(), "flat model index out of range");
-  const FlatModel& m = models_[i];
-  if (m.kind != FlatKind::kTreeEnsemble) return predict_one(i, x, s);
-  // The PR 5 data-dependent walk over the pointer-free node pool — the
-  // reference the blocked layout is differentially pinned against.
-  double raw = m.base_score;
-  for (int t = m.tree_begin; t < m.tree_end; ++t) {
-    int cur = tree_roots_[t];
-    while (nodes_[cur].feature >= 0) {
-      cur = x[nodes_[cur].feature] < nodes_[cur].threshold
-                ? nodes_[cur].left
-                : nodes_[cur].right;
-    }
-    raw += nodes_[cur].value;
-  }
-  if (m.mean_over_trees) {
-    raw /= static_cast<double>(m.tree_end - m.tree_begin);
-  }
-  return m.exp_link ? std::exp(raw) : raw;
 }
 
 void FlatBank::predict_tree_batch(std::size_t i, const double* xs,
@@ -811,6 +789,33 @@ void FlatBank::load(std::istream& is) {
     max_basis_size_ = std::max(max_basis_size_, m.basis_size);
     max_point_dim_ = std::max(max_point_dim_, m.point_dim);
     max_k_ = std::max(max_k_, m.k);
+  }
+  // The derived build walks every tree from the file, so its shape is
+  // checked first. lower_trees() appends tree after tree in preorder:
+  // the roots partition the node pool into non-empty ranges starting
+  // at 0, and every child lies after its parent inside its own tree.
+  const auto pool = static_cast<std::int64_t>(nodes_.size());
+  const auto num_trees = static_cast<std::int64_t>(tree_roots_.size());
+  MPICP_CHECK_PARSE(num_trees == 0 ? pool == 0 : tree_roots_[0] == 0,
+                    "flatbank: tree roots do not cover the node pool");
+  for (std::int64_t t = 0; t < num_trees; ++t) {
+    const std::int64_t root = tree_roots_[t];
+    const std::int64_t end = t + 1 < num_trees ? tree_roots_[t + 1] : pool;
+    MPICP_CHECK_PARSE(root < end && end <= pool,
+                      "flatbank: tree root out of range");
+    for (std::int64_t n = root; n < end; ++n) {
+      const FlatTreeNode& node = nodes_[n];
+      if (node.feature < 0) continue;
+      MPICP_CHECK_PARSE(node.left > n && node.left < end &&
+                            node.right > n && node.right < end,
+                        "flatbank: tree child index out of preorder range");
+    }
+  }
+  for (const FlatModel& m : models_) {
+    if (m.kind != FlatKind::kTreeEnsemble) continue;
+    MPICP_CHECK_PARSE(0 <= m.tree_begin && m.tree_begin < m.tree_end &&
+                          m.tree_end <= num_trees,
+                      "flatbank: model tree range outside the tree roots");
   }
   build_derived(0);
 }

@@ -21,8 +21,8 @@
 // level-order into a cache-line-aligned complete-binary-tree block, so
 // the hot traversal is predicated index arithmetic
 // (`slot = 2*slot + 1 + !(x[f] < thr)`) with no data-dependent
-// branches; subtrees deeper than K spill into the legacy node pool and
-// finish with the original walk. `predict_tree_batch` walks up to
+// branches; subtrees deeper than K spill into the canonical node pool and
+// finish with a plain tree walk. `predict_tree_batch` walks up to
 // kTreeBatch independent instances per tree level, so the comparisons
 // of a whole batch pipeline and auto-vectorize. On top of the block,
 // models whose distinct-threshold structure is small enough carry a
@@ -31,7 +31,7 @@
 // batched dispatch to a few small binary searches plus one load per
 // model. Both forms are derived data — appended for the new model
 // alone on add(), rebuilt for the whole bank on load() — and reproduce
-// the legacy traversal bit for bit.
+// the interpreted regressor bit for bit.
 #pragma once
 
 #include <array>
@@ -155,12 +155,6 @@ class FlatBank {
   /// layout; every other kind runs its flat kernel.
   double predict_one(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
-
-  /// The PR 5 pointer-free traversal, kept as the differential
-  /// reference for the blocked layout (tests and the layout-comparison
-  /// benches). Identical to predict_one for non-tree models.
-  double predict_one_legacy(std::size_t i, std::span<const double> x,
-                            FlatScratch& scratch) const;
 
   /// Batched tree-ensemble scoring: `xs` points at `count` feature
   /// vectors of `x_stride` doubles each (count <= kTreeBatch); writes

@@ -250,44 +250,6 @@ std::vector<int> CompiledBank::select_grid(
   return out;
 }
 
-std::vector<int> CompiledBank::select_grid_legacy(
-    std::span<const bench::Instance> grid) const {
-  MPICP_SPAN("compiled.select_grid_legacy");
-  MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
-  std::vector<int> out(grid.size(), -1);
-  // The PR 8 shape: per-instance fused predict+argmin over the
-  // pointer-free layout, parallelized over instances.
-  support::parallel_for(grid.size(), 8, [&](std::size_t g) {
-    double feat[kMaxInstanceFeatures];
-    const std::size_t dim = feature_dim(features_);
-    instance_features_into(grid[g], features_,
-                           std::span<double>(feat, dim));
-    ml::FlatScratch& scratch = thread_scratch();
-    bank_.begin_query(scratch);
-    int best_uid = -1;
-    double best_time = 0.0;
-    for (std::size_t i = 0; i < uids_.size(); ++i) {
-      double t = bank_.predict_one_legacy(i, {feat, dim}, scratch);
-      if (support::faultinject::active()) {
-        if (const auto forced =
-                support::faultinject::forced_prediction(uids_[i])) {
-          t = *forced;
-        }
-      }
-      if (!(std::isfinite(t) && t >= 0.0)) continue;
-      if (best_uid < 0 || t < best_time) {
-        best_uid = uids_[i];
-        best_time = t;
-      }
-    }
-    MPICP_REQUIRE(best_uid > 0,
-                  "no usable model prediction for a grid instance (use "
-                  "select_uid_or_default for graceful degradation)");
-    out[g] = best_uid;
-  });
-  return out;
-}
-
 void CompiledBank::save(const std::filesystem::path& path) const {
   MPICP_REQUIRE(!uids_.empty(), "saving an empty compiled bank");
   if (path.has_parent_path()) {

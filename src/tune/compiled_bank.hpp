@@ -77,12 +77,6 @@ class CompiledBank {
   [[nodiscard]] std::vector<int> select_grid(
       std::span<const bench::Instance> grid) const;
 
-  /// The PR 8 per-instance grid argmin over the pointer-free layout —
-  /// the differential reference for the blocked batched kernel (tests
-  /// and the layout-comparison bench). Same picks, branchier walks.
-  [[nodiscard]] std::vector<int> select_grid_legacy(
-      std::span<const bench::Instance> grid) const;
-
   /// Persist / restore the compiled form (text format, exact doubles).
   /// The version-2 envelope nests the v2 flatbank envelope with the
   /// blocked-layout geometry; it is the only version written or

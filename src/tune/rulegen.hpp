@@ -73,8 +73,9 @@ class DecisionRules {
   const std::vector<Node>& nodes() const { return nodes_; }
 
   /// The feature encoding the tree splits on: 0 is log2(max(msize, 1)),
-  /// 1 is nodes, 2 is ppn. Shared with RuleTable so both walk the same
-  /// arithmetic.
+  /// 1 is nodes, 2 is ppn. The one definition of the log2 message-size
+  /// encoding: RuleTable derives its integer bounds from it, so both
+  /// take the same branch on every instance.
   static double feature_of(const bench::Instance& inst, int f);
 
  private:

@@ -1,17 +1,13 @@
 #include "tune/ruletable.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
-#include <utility>
 
 #include "ml/io.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/trace.hpp"
 #include "tune/compiled_bank.hpp"
 
@@ -21,39 +17,27 @@ namespace metrics = support::metrics;
 
 namespace {
 
-/// The dispatch features, identical to DecisionRules::feature_of
-/// evaluated once per instance: log2 is the only one that costs
-/// anything. `feat` must hold at least 3 doubles.
-inline void features_of(const bench::Instance& inst, double* feat) {
-  feat[0] = std::log2(
-      static_cast<double>(std::max<std::uint64_t>(inst.msize, 1)));
-  feat[1] = static_cast<double>(inst.nodes);
-  feat[2] = static_cast<double>(inst.ppn);
-}
+/// The v2 envelope's block-depth field. Dispatch does not use it; it
+/// is written as 8 and range-checked on load to keep the file format
+/// stable.
+constexpr int kEnvelopeBlockDepth = 8;
 
-/// Per-instance feature stride in the batched kernel: 3 live features
-/// padded to 4 so the row offset is a shift, not a multiply.
-constexpr std::size_t kFeatStride = 4;
-
-/// The legacy double comparison `feature(v) < thr` is monotone
+/// The tree's comparison `feature_of(inst, f) < thr` is monotone
 /// non-increasing in the raw instance value v (uint64 -> double
 /// conversion and log2 are both monotone), so the smallest v on which
-/// it turns false — found by binary search *with the exact legacy
+/// it turns false — found by binary search *with the tree's own
 /// transform* — is an integer bound with the same truth table:
-/// `v < integer_bound(f, thr)` takes the same branch as the legacy
-/// compare on every representable instance. This moves std::log2 out
-/// of the dispatch path entirely, into lowering.
+/// `v < integer_bound(f, thr)` takes the same branch as the tree on
+/// every representable instance. This moves std::log2 out of the
+/// dispatch path entirely, into lowering.
 ///
-/// When the comparison holds even at UINT64_MAX (thr = +inf, which
-/// only the synthetic pass-through slots use), the bound saturates:
-/// `v < UINT64_MAX` diverges only at v == UINT64_MAX, and pass-through
-/// slots route both children to the same leaf, so the result is still
-/// identical.
+/// When the comparison holds even at UINT64_MAX (thr = +inf), the
+/// bound saturates: `v < UINT64_MAX` diverges only at v == UINT64_MAX.
 std::uint64_t integer_bound(int feature, double thr) {
   const auto below = [feature, thr](std::uint64_t v) {
     const double f =
         feature == 0
-            ? std::log2(static_cast<double>(std::max<std::uint64_t>(v, 1)))
+            ? DecisionRules::feature_of(bench::Instance{.msize = v}, 0)
             : static_cast<double>(v);
     return f < thr;
   };
@@ -68,13 +52,16 @@ std::uint64_t integer_bound(int feature, double thr) {
   return hi;
 }
 
-/// The raw integer features the integerized comparisons consume, in
-/// the same order as DecisionRules::feature_of.
-inline void raw_features_of(const bench::Instance& inst,
-                            std::uint64_t* u) {
-  u[0] = inst.msize;
-  u[1] = static_cast<std::uint64_t>(inst.nodes);
-  u[2] = static_cast<std::uint64_t>(inst.ppn);
+/// Both children of inner node `i` lie after it and inside a pool of
+/// `n` nodes. The lowering emits preorder, so this holds for every
+/// table it builds, and it guarantees every walk terminates.
+bool children_in_preorder(std::size_t i, std::int32_t left,
+                          std::int32_t right, std::size_t n) {
+  const auto ok = [i, n](std::int32_t c) {
+    return c > static_cast<std::int64_t>(i) &&
+           static_cast<std::size_t>(c) < n;
+  };
+  return ok(left) && ok(right);
 }
 
 }  // namespace
@@ -98,9 +85,8 @@ RuleTable RuleTable::lower(const DecisionRules& rules) {
       table.right_[i] = -1;
     } else {
       MPICP_REQUIRE(node.feature < 3, "bad rule feature index");
-      MPICP_REQUIRE(node.left >= 0 && node.left < static_cast<int>(n) &&
-                        node.right >= 0 && node.right < static_cast<int>(n),
-                    "rule tree child index out of range");
+      MPICP_REQUIRE(children_in_preorder(i, node.left, node.right, n),
+                    "rule tree child index out of preorder range");
       table.feature_[i] = static_cast<std::int8_t>(node.feature);
       table.threshold_[i] = node.threshold;
       table.left_[i] = node.left;
@@ -108,65 +94,17 @@ RuleTable RuleTable::lower(const DecisionRules& rules) {
     }
   }
   metrics::counter("ruletable.lowered").inc();
-  table.build_blocked();
+  table.build_integer_bounds();
   return table;
 }
 
-void RuleTable::build_blocked() {
-  MPICP_ASSERT(!feature_.empty(), "blocking an empty rule table");
-  // Integerized thresholds for the whole pool (the spill walk uses
-  // them; the block below copies its prefix).
+void RuleTable::build_integer_bounds() {
   ithr_.assign(feature_.size(), 0);
   for (std::size_t i = 0; i < feature_.size(); ++i) {
     if (feature_[i] >= 0) {
       ithr_[i] = integer_bound(feature_[i], threshold_[i]);
     }
   }
-  // Blocked levels: the deepest comparison level, capped so the block
-  // stays a few cache lines. Subtrees below the cap spill back into
-  // the flat pool.
-  int levels = 0;
-  std::vector<std::pair<std::int32_t, int>> stack;
-  stack.reserve(64);
-  stack.push_back({0, 0});
-  while (!stack.empty()) {
-    const auto [i, d] = stack.back();
-    stack.pop_back();
-    if (feature_[i] < 0) continue;
-    levels = std::max(levels, d + 1);
-    if (levels >= block_depth_cap_) {
-      levels = block_depth_cap_;
-      break;
-    }
-    stack.push_back({left_[i], d + 1});
-    stack.push_back({right_[i], d + 1});
-  }
-  blk_levels_ = levels;
-  const std::size_t inner = (std::size_t{1} << levels) - 1;
-  const std::size_t exits = std::size_t{1} << levels;
-  blk_ithr_.assign(inner, 0);
-  blk_feat_.assign(inner, 0);
-  blk_exit_.assign(exits, 0);
-  std::vector<std::int32_t> assign(inner + exits, -1);
-  assign[0] = 0;
-  for (std::size_t s = 0; s < inner; ++s) {
-    const std::int32_t i = assign[s];
-    if (feature_[i] >= 0) {
-      blk_feat_[s] = feature_[i];
-      blk_ithr_[s] = ithr_[i];
-      assign[2 * s + 1] = left_[i];
-      assign[2 * s + 2] = right_[i];
-    } else {
-      // Pass-through slot for a leaf shallower than the block: both
-      // children route to the same leaf, so the predicated step lands
-      // where the legacy walk stops regardless of the comparison.
-      blk_feat_[s] = 0;
-      blk_ithr_[s] = std::numeric_limits<std::uint64_t>::max();
-      assign[2 * s + 1] = i;
-      assign[2 * s + 2] = i;
-    }
-  }
-  for (std::size_t e = 0; e < exits; ++e) blk_exit_[e] = assign[inner + e];
 }
 
 int RuleTable::num_leaves() const {
@@ -177,103 +115,14 @@ int RuleTable::num_leaves() const {
 
 int RuleTable::uid_for(const bench::Instance& inst) const {
   MPICP_ASSERT(!feature_.empty(), "dispatch on an empty rule table");
-  std::uint64_t u[3];
-  raw_features_of(inst, u);
-  // Predicated walk through the blocked prefix — no data-dependent
-  // branches, no log2 (integerized thresholds) — then the flat pool
-  // finishes any spill (a no-op when the exit slot is already a leaf).
-  const std::uint32_t exit_off = (1u << blk_levels_) - 1;
-  std::uint32_t slot = 0;
-  for (int d = 0; d < blk_levels_; ++d) {
-    slot = 2 * slot + 1 +
-           static_cast<std::uint32_t>(
-               !(u[blk_feat_[slot]] < blk_ithr_[slot]));
-  }
-  std::int32_t cur = blk_exit_[slot - exit_off];
+  const std::uint64_t u[3] = {inst.msize,
+                              static_cast<std::uint64_t>(inst.nodes),
+                              static_cast<std::uint64_t>(inst.ppn)};
+  std::int32_t cur = 0;
   while (feature_[cur] >= 0) {
     cur = u[feature_[cur]] < ithr_[cur] ? left_[cur] : right_[cur];
   }
   return left_[cur];
-}
-
-int RuleTable::uid_for_legacy(const bench::Instance& inst) const {
-  MPICP_ASSERT(!feature_.empty(), "dispatch on an empty rule table");
-  // The PR 8 walk: same arithmetic, data-dependent branches.
-  double feat[3];
-  features_of(inst, feat);
-  std::int32_t cur = 0;
-  std::int8_t f = feature_[0];
-  while (f >= 0) {
-    cur = feat[f] < threshold_[cur] ? left_[cur] : right_[cur];
-    f = feature_[cur];
-  }
-  return left_[cur];
-}
-
-void RuleTable::select_grid_into(std::span<const bench::Instance> grid,
-                                 std::span<int> out) const {
-  MPICP_SPAN("tune.ruletable.select_grid");
-  MPICP_REQUIRE(!feature_.empty(), "dispatch on an empty rule table");
-  MPICP_REQUIRE(out.size() == grid.size(),
-                "rule table output buffer size mismatch");
-  // Cached references: registration takes a mutex + map walk, and the
-  // registry never deallocates instruments, so pay it once per process
-  // instead of once per ns-scale grid call.
-  static metrics::Counter& grid_requests =
-      metrics::counter("ruletable.grid_requests");
-  static metrics::Counter& grid_instances =
-      metrics::counter("ruletable.grid_instances");
-  grid_requests.inc();
-  grid_instances.inc(grid.size());
-  const std::size_t n = grid.size();
-  const std::size_t batches = (n + kDispatchBatch - 1) / kDispatchBatch;
-  const std::uint32_t exit_off = (1u << blk_levels_) - 1;
-  // Batched level-synchronous dispatch: each batch walks the block one
-  // level at a time across all its instances, so the independent
-  // comparisons pipeline instead of serializing on one branchy walk.
-  const auto dispatch_batch = [&](std::size_t bi) {
-    const std::size_t lo = bi * kDispatchBatch;
-    const std::size_t count = std::min(kDispatchBatch, n - lo);
-    std::uint64_t u[kDispatchBatch * kFeatStride];
-    std::uint32_t slot[kDispatchBatch];
-    for (std::size_t b = 0; b < count; ++b) {
-      raw_features_of(grid[lo + b], u + b * kFeatStride);
-      slot[b] = 0;
-    }
-    for (int d = 0; d < blk_levels_; ++d) {
-      for (std::size_t b = 0; b < count; ++b) {
-        const std::uint32_t s = slot[b];
-        slot[b] = 2 * s + 1 +
-                  static_cast<std::uint32_t>(
-                      !(u[b * kFeatStride + blk_feat_[s]] <
-                        blk_ithr_[s]));
-      }
-    }
-    for (std::size_t b = 0; b < count; ++b) {
-      std::int32_t cur = blk_exit_[slot[b] - exit_off];
-      const std::uint64_t* f = u + b * kFeatStride;
-      while (feature_[cur] >= 0) {
-        cur = f[feature_[cur]] < ithr_[cur] ? left_[cur] : right_[cur];
-      }
-      out[lo + b] = left_[cur];
-    }
-  };
-  // Grids of one pool chunk (64 batches ≈ 1024 instances) or less run
-  // inline: parallel_for would serialize them anyway, and skipping it
-  // skips a std::function construction per ns-scale call.
-  constexpr std::size_t kGridChunk = 64;
-  if (batches <= kGridChunk) {
-    for (std::size_t bi = 0; bi < batches; ++bi) dispatch_batch(bi);
-  } else {
-    support::parallel_for(batches, kGridChunk, dispatch_batch);
-  }
-}
-
-std::vector<int> RuleTable::select_grid(
-    std::span<const bench::Instance> grid) const {
-  std::vector<int> out(grid.size(), -1);
-  select_grid_into(grid, out);
-  return out;
 }
 
 void RuleTable::save(const std::filesystem::path& path) const {
@@ -284,10 +133,10 @@ void RuleTable::save(const std::filesystem::path& path) const {
   }
   // Envelope discipline of the model files: serialize the payload to a
   // buffer first so the header carries its exact byte count and FNV-1a
-  // checksum. The blocked-layout geometry follows the agreement.
+  // checksum.
   std::ostringstream payload;
   ml::io::write_value(payload, agreement_);
-  ml::io::write_value(payload, block_depth_cap_);
+  ml::io::write_value(payload, kEnvelopeBlockDepth);
   std::vector<int> features(feature_.begin(), feature_.end());
   ml::io::write_vector(payload, features);
   ml::io::write_vector(payload, threshold_);
@@ -342,10 +191,9 @@ RuleTable RuleTable::load(const std::filesystem::path& path) {
   std::istringstream ps(body);
   RuleTable table;
   table.agreement_ = ml::io::read_value<double>(ps);
-  table.block_depth_cap_ = ml::io::read_value<int>(ps);
-  MPICP_CHECK_PARSE(
-      table.block_depth_cap_ >= 0 && table.block_depth_cap_ <= 20,
-      "rule table: implausible block depth");
+  const int block_depth = ml::io::read_value<int>(ps);
+  MPICP_CHECK_PARSE(block_depth >= 0 && block_depth <= 20,
+                    "rule table: implausible block depth");
   const std::vector<int> features = ml::io::read_vector<int>(ps);
   table.threshold_ = ml::io::read_vector<double>(ps);
   const std::vector<int> left = ml::io::read_vector<int>(ps);
@@ -365,13 +213,11 @@ RuleTable RuleTable::load(const std::filesystem::path& path) {
     table.left_[i] = left[i];
     table.right_[i] = right[i];
     if (features[i] >= 0) {
-      const bool in_range =
-          left[i] >= 0 && left[i] < static_cast<int>(n) && right[i] >= 0 &&
-          right[i] < static_cast<int>(n);
-      MPICP_CHECK_PARSE(in_range, "rule table: child index out of range");
+      MPICP_CHECK_PARSE(children_in_preorder(i, left[i], right[i], n),
+                        "rule table: child index out of preorder range");
     }
   }
-  table.build_blocked();
+  table.build_integer_bounds();
   return table;
 }
 

@@ -17,24 +17,17 @@
 // selection is the compiled bank's exact argmin.
 //
 // Exact equivalence is the contract: the table reproduces the tree's
-// uid_for bit for bit (same thresholds, same comparisons, same
-// traversal), and both match the C source `DecisionRules::to_c_code`
-// emits — tests/test_ruletable.cpp compiles and executes the generated
-// C to pin all three against each other on every grid point.
+// uid_for bit for bit (same thresholds, same traversal), and both match
+// the C source `DecisionRules::to_c_code` emits —
+// tests/test_ruletable.cpp compiles and executes the generated C to pin
+// all three against each other on every grid point.
 //
-// Dispatch runs through a *blocked* branch-free layout (DESIGN.md §16):
-// the first K tree levels packed level-order into one cache-line-
-// aligned block walked by predicated index arithmetic, deeper subtrees
-// spilling into the flat SoA pool; `select_grid_into` walks batches of
-// independent instances level-by-level so their comparisons pipeline.
-// The double thresholds are additionally rewritten into *integer
-// bounds*: `log2(msize) < thr` is monotone in msize, so a binary
-// search with the exact legacy transform finds the smallest raw value
-// on which the comparison flips, and dispatch compares (msize, nodes,
-// ppn) directly — no log2 in the hot path, provably the same branch on
-// every possible instance. The PR 8 pointer-free walk survives as
-// `uid_for_legacy`, the differential reference the blocked layout is
-// pinned against.
+// Dispatch is one walk over the node pool on *integer bounds*:
+// `log2(msize) < thr` is monotone in msize, so a binary search with
+// the tree's own feature transform (`DecisionRules::feature_of`) finds
+// the smallest raw value on which the comparison flips, and dispatch
+// compares (msize, nodes, ppn) directly — no log2 in the hot path,
+// provably the same branch as the tree on every possible instance.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +36,6 @@
 #include <vector>
 
 #include "collbench/dataset.hpp"
-#include "support/aligned.hpp"
 #include "tune/rulegen.hpp"
 
 namespace mpicp::tune {
@@ -51,7 +43,7 @@ namespace mpicp::tune {
 class CompiledBank;
 
 /// Flat SoA lowering of a DecisionRules tree: allocation-free ns-scale
-/// dispatch, batched grid selection, checksummed persistence.
+/// dispatch and checksummed persistence.
 class RuleTable {
  public:
   RuleTable() = default;
@@ -73,70 +65,39 @@ class RuleTable {
   double agreement() const { return agreement_; }
   void set_agreement(double agreement) { agreement_ = agreement; }
 
-  /// Instances walked per level by the batched grid kernel.
-  static constexpr std::size_t kDispatchBatch = 16;
-
-  /// Blocked levels cap: 2^8-1 = 255 inner slots (~2 KB of thresholds)
-  /// covers the default depth-8 distillation entirely, so the whole hot
-  /// walk usually never leaves the block.
-  static constexpr int kDefaultBlockDepthCap = 8;
-
-  /// ns-scale dispatch through the blocked branch-free layout:
-  /// predicated index steps through the packed prefix, then the flat
-  /// pool finishes any spill. Never allocates and never throws on a
-  /// non-empty table.
+  /// ns-scale dispatch: one walk over the node pool comparing the raw
+  /// (msize, nodes, ppn) against the integer bounds. Never allocates
+  /// and never throws on a non-empty table.
   int uid_for(const bench::Instance& inst) const;
-
-  /// The PR 8 data-dependent walk over the flat node pool — the
-  /// differential reference for the blocked layout (tests and the
-  /// layout-comparison bench). Same result, branchier traversal.
-  int uid_for_legacy(const bench::Instance& inst) const;
-
-  /// Batched dispatch into a caller-owned buffer of grid.size()
-  /// entries: kDispatchBatch instances walk the block level-by-level
-  /// together (their comparisons pipeline), batches parallelized over
-  /// the pool. Allocation-free per instance.
-  void select_grid_into(std::span<const bench::Instance> grid,
-                        std::span<int> out) const;
-
-  /// Allocating convenience wrapper around select_grid_into.
-  [[nodiscard]] std::vector<int> select_grid(
-      std::span<const bench::Instance> grid) const;
 
   /// Persistence with the model-file envelope discipline: the header
   /// carries the payload byte count and FNV-1a checksum, so a truncated
   /// or bit-flipped table fails loudly at load instead of silently
-  /// serving wrong rules. The version-2 envelope records the blocked
-  /// geometry; it is the only version written or loaded (any other
-  /// version raises ParseError).
+  /// serving wrong rules. load() also rejects any node pool whose
+  /// child indices do not point strictly forward (the lowering emits
+  /// preorder), so every loaded walk terminates. Version 2 is the only
+  /// version written or loaded (any other version raises ParseError).
   void save(const std::filesystem::path& path) const;
   static RuleTable load(const std::filesystem::path& path);
 
  private:
-  void build_blocked();
+  /// Derive ithr_ from the node pool.
+  void build_integer_bounds();
 
-  // SoA node pool in DecisionRules order (node 0 is the root):
-  // feature_[i] is 0 (log2 msize), 1 (nodes) or 2 (ppn) for an inner
-  // node and -1 for a leaf; leaves store their uid in left_[i].
+  // SoA node pool in DecisionRules order (node 0 is the root, children
+  // always after their parent): feature_[i] is 0 (log2 msize), 1
+  // (nodes) or 2 (ppn) for an inner node and -1 for a leaf; leaves
+  // store their uid in left_[i].
   std::vector<std::int8_t> feature_;
   std::vector<double> threshold_;
   std::vector<std::int32_t> left_;
   std::vector<std::int32_t> right_;
   double agreement_ = 0.0;
 
-  // Blocked branch-free prefix (derived from the pool above; only the
-  // geometry is serialized). Exit slots hold indices into the node
-  // pool: a leaf when the path terminated inside the block, or the
-  // root of a spill subtree deeper than the block. Thresholds are the
-  // integerized bounds: `u < blk_ithr_` takes the same branch as the
-  // legacy `feature(u) < threshold_` on every possible instance (see
-  // integer_bound in ruletable.cpp); `ithr_` is the same rewrite for
-  // the whole node pool, used by the spill walk.
-  int block_depth_cap_ = kDefaultBlockDepthCap;
-  int blk_levels_ = 0;
-  support::AlignedVec<std::uint64_t> blk_ithr_;
-  support::AlignedVec<std::int32_t> blk_feat_;
-  support::AlignedVec<std::int32_t> blk_exit_;
+  // Integerized thresholds (derived, never serialized): for an inner
+  // node, `raw feature < ithr_[i]` takes the same branch as the tree's
+  // `feature_of(inst, f) < threshold_[i]` on every possible instance
+  // (see integer_bound in ruletable.cpp).
   std::vector<std::uint64_t> ithr_;
 };
 

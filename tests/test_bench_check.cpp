@@ -1,8 +1,9 @@
 // Self-test for tools/bench_check: runs the real binary over generated
 // bench reports / baselines and asserts the gate semantics — green
-// within threshold, exit 1 only on a blocking p99 regression, advisory
-// (but green) on any other directional drift, and a --write-baseline
-// round-trip that compares clean against itself.
+// within threshold, exit 1 only on a blocking p99 regression or a
+// missing p99 baseline key, advisory (but green) on any other
+// directional drift or missing key, and a --write-baseline round-trip
+// that compares clean against itself.
 //
 // The binary path is injected by CMake (MPICP_BENCH_CHECK_BIN).
 #include <gtest/gtest.h>
@@ -162,6 +163,38 @@ TEST_F(BenchCheckTest, UnknownBenchIsInformationalNotFatal) {
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("no baseline bench"), std::string::npos)
       << run.output;
+}
+
+TEST_F(BenchCheckTest, BaselineKeyMissingFromTheRunIsReported) {
+  const std::string base = write("baseline.json", baseline(0.2, 0.3, 5e6));
+  // The bench stopped emitting its p99 gate: that must block.
+  const std::string no_p99 = write(
+      "no_p99.json",
+      "{\n  \"bench\": \"serving_load\",\n  \"schema\": 1,\n"
+      "  \"metrics\": {\n    \"queries\": 200000,\n"
+      "    \"p50_us\": 0.2,\n    \"throughput_qps\": 5e6\n  }\n}\n");
+  const GateRun blocked =
+      run_gate("--baseline " + base + " --current " + no_p99);
+  EXPECT_EQ(blocked.exit_code, 1) << blocked.output;
+  EXPECT_NE(blocked.output.find("p99_us"), std::string::npos)
+      << blocked.output;
+  EXPECT_NE(blocked.output.find("BLOCKING (missing from current run)"),
+            std::string::npos)
+      << blocked.output;
+  // A missing non-p99 key is reported but stays advisory.
+  const std::string no_p50 = write(
+      "no_p50.json",
+      "{\n  \"bench\": \"serving_load\",\n  \"schema\": 1,\n"
+      "  \"metrics\": {\n    \"queries\": 200000,\n"
+      "    \"p99_us\": 0.3,\n    \"throughput_qps\": 5e6\n  }\n}\n");
+  const GateRun advisory =
+      run_gate("--baseline " + base + " --current " + no_p50);
+  EXPECT_EQ(advisory.exit_code, 0) << advisory.output;
+  EXPECT_NE(advisory.output.find("ADVISORY (missing from current run)"),
+            std::string::npos)
+      << advisory.output;
+  EXPECT_NE(advisory.output.find("PASS"), std::string::npos)
+      << advisory.output;
 }
 
 TEST_F(BenchCheckTest, MissingOrMalformedInputsAreUsageErrors) {

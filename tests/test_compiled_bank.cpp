@@ -171,9 +171,9 @@ TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
   }
 }
 
-// ---- blocked batched layout vs legacy fused argmin ------------------------
+// ---- batched grid kernel vs the interpreted selector ---------------------
 
-TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchLegacyArgmin) {
+TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchInterpretedArgmin) {
   const bench::Dataset ds = random_dataset(19);
   std::vector<bench::Instance> grid = ds.instances();
   const std::vector<bench::Instance> off = random_instances(57, 48);
@@ -197,16 +197,18 @@ TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchLegacyArgmin) {
     std::vector<int> batched(grid.size(), 0);
     for (const int threads : {1, 4}) {
       support::ScopedThreads scoped(threads);
-      const std::vector<int> legacy = bank.select_grid_legacy(grid);
-      bank.select_grid_into(grid, batched);
-      ASSERT_EQ(legacy.size(), grid.size());
+      std::vector<int> interpreted(grid.size(), 0);
       for (std::size_t i = 0; i < grid.size(); ++i) {
-        ASSERT_EQ(batched[i], legacy[i])
+        interpreted[i] = selector.select_uid(grid[i]);
+      }
+      bank.select_grid_into(grid, batched);
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_EQ(batched[i], interpreted[i])
             << learner << " batched argmin @" << threads << " threads, m="
             << grid[i].msize << " n=" << grid[i].nodes
             << " ppn=" << grid[i].ppn;
       }
-      EXPECT_EQ(loaded.select_grid(grid), legacy)
+      EXPECT_EQ(loaded.select_grid(grid), interpreted)
           << learner << " v2 envelope @" << threads << " threads";
     }
   }
@@ -223,11 +225,14 @@ TEST(CompiledBankLayouts, BatchedGridHonorsFaultInjection) {
     const std::vector<int> uids = selector.uids();
 
     // Poison one uid: the batched path must exclude it exactly like the
-    // legacy fused walk does.
+    // interpreted selector does.
     fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0}}});
-    const std::vector<int> legacy = bank.select_grid_legacy(grid);
+    std::vector<int> interpreted(grid.size(), 0);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      interpreted[i] = selector.select_uid(grid[i]);
+    }
     const std::vector<int> batched = bank.select_grid(grid);
-    EXPECT_EQ(batched, legacy) << learner;
+    EXPECT_EQ(batched, interpreted) << learner;
     for (const int pick : batched) {
       EXPECT_NE(pick, uids.front()) << learner;
     }
@@ -300,11 +305,7 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
       EXPECT_EQ(incremental.predict_one(i, v, sa),
                 rebuilt.predict_one(i, v, sb))
           << "model " << i << " query " << q;
-      EXPECT_EQ(incremental.predict_one_legacy(i, v, sa),
-                rebuilt.predict_one_legacy(i, v, sb))
-          << "model " << i << " query " << q;
-      EXPECT_EQ(incremental.predict_one(i, v, sa),
-                incremental.predict_one_legacy(i, v, sa))
+      EXPECT_EQ(incremental.predict_one(i, v, sa), models[i]->predict_one(v))
           << "model " << i << " query " << q;
     }
   }
@@ -321,11 +322,88 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
       for (std::size_t q = 0; q < n; ++q) {
         EXPECT_EQ(a[q], b[q]) << "model " << i << " query " << lo + q;
         const std::span<const double> v(queries.data() + 3 * (lo + q), 3);
-        EXPECT_EQ(a[q], incremental.predict_one_legacy(i, v, sa))
+        EXPECT_EQ(a[q], models[i]->predict_one(v))
             << "model " << i << " query " << lo + q;
       }
     }
   }
+}
+
+// ---- loader hardening ------------------------------------------------------
+
+/// Loads `lines` (one envelope value per line) as a flat bank and
+/// returns the ParseError message, or "" when the load succeeds.
+std::string flatbank_load_error(const std::vector<std::string>& lines) {
+  std::stringstream envelope;
+  for (const std::string& line : lines) envelope << line << '\n';
+  ml::FlatBank bank;
+  try {
+    bank.load(envelope);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
+  support::Xoshiro256 rng(8);
+  const std::size_t rows = 120;
+  ml::Matrix x(rows, 3);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    x(r, 0) = static_cast<double>(rng.uniform_int(10));
+    x(r, 1) = static_cast<double>(1 + rng.uniform_int(16));
+    x(r, 2) = static_cast<double>(1 + rng.uniform_int(4));
+    y[r] = 1.0 + x(r, 0) + x(r, 1) * x(r, 2) + rng.uniform(0.0, 0.5);
+  }
+  const std::unique_ptr<ml::Regressor> model = ml::make_regressor("xgboost");
+  model->fit(x, y);
+  ml::FlatBank bank;
+  bank.add(*model);
+  std::stringstream saved;
+  bank.save(saved);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(saved, line);) lines.push_back(line);
+
+  // v2 layout, one value per line: tag, version, block depth, model
+  // count, 19 values per model (tree_end is the 4th), node count, 5
+  // values per node (feature, threshold, left, right, value), then the
+  // tree-root vector (size, roots).
+  constexpr std::size_t kModelFields = 19;
+  const std::size_t tree_end_line = 4 + 3;
+  const std::size_t nodes_line = 4 + kModelFields;
+  const std::size_t num_nodes = std::stoul(lines[nodes_line]);
+  const auto node_line = [&](std::size_t n, std::size_t field) {
+    return nodes_line + 1 + 5 * n + field;
+  };
+  const std::size_t roots_line = nodes_line + 1 + 5 * num_nodes;
+  const std::size_t num_trees = std::stoul(lines[roots_line]);
+  ASSERT_GT(num_trees, 1u);
+  ASSERT_EQ(std::stoul(lines[tree_end_line]), num_trees);
+  ASSERT_NE(lines[node_line(0, 0)], "-1") << "root of tree 0 is a leaf";
+  ASSERT_EQ(flatbank_load_error(lines), "");
+
+  // True when the envelope with `line` set to `value` fails to load
+  // with a message naming `check`.
+  const auto rejected = [&](std::size_t line, const std::string& value,
+                            const std::string& check) {
+    std::vector<std::string> out = lines;
+    out[line] = value;
+    return flatbank_load_error(out).find(check) != std::string::npos;
+  };
+  const std::string past_pool = std::to_string(num_nodes);
+  // A back edge (root -> root) would loop the derived build forever.
+  EXPECT_TRUE(rejected(node_line(0, 2), "0", "preorder"));
+  // Children past the pool would read outside nodes_.
+  EXPECT_TRUE(rejected(node_line(0, 3), past_pool, "preorder"));
+  // A child inside the pool but in the next tree.
+  EXPECT_TRUE(rejected(node_line(0, 3), lines[roots_line + 2], "preorder"));
+  // Roots and per-model tree ranges outside their pools.
+  EXPECT_TRUE(
+      rejected(roots_line + num_trees, past_pool, "root out of range"));
+  EXPECT_TRUE(rejected(roots_line + 1, "1", "do not cover"));
+  EXPECT_TRUE(rejected(tree_end_line, std::to_string(num_trees + 1),
+                       "tree range"));
 }
 
 // ---- single-instance rank-cell dispatch ----------------------------------
@@ -348,9 +426,8 @@ std::vector<bench::Instance> offgrid_instances(std::uint64_t seed,
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Every single-instance path on model `i` returns the same bits:
-/// predict_one (the rank-cell table when the model has one),
-/// predict_one_legacy, a one-instance predict_tree_batch and the
-/// interpreted regressor.
+/// predict_one (the rank-cell table when the model has one), a
+/// one-instance predict_tree_batch and the interpreted regressor.
 void expect_single_paths_agree(const ml::FlatBank& bank, std::size_t i,
                                const ml::Regressor& model,
                                std::span<const double> x,
@@ -360,8 +437,6 @@ void expect_single_paths_agree(const ml::FlatBank& bank, std::size_t i,
   const double fast = bank.predict_one(i, x, scratch);
   double batched = 0.0;
   bank.predict_tree_batch(i, x.data(), x.size(), 1, &batched, 1);
-  EXPECT_EQ(bits(fast), bits(bank.predict_one_legacy(i, x, scratch)))
-      << where;
   EXPECT_EQ(bits(fast), bits(batched)) << where;
   EXPECT_EQ(bits(fast), bits(model.predict_one(x))) << where;
 }
@@ -470,8 +545,8 @@ TEST(FlatBankRankTables, SingleInstanceTableMatchesEveryWalkBitForBit) {
 
 TEST(FlatBankRankTables, ModelsOverTheCellCapKeepTheBlockedWalk) {
   // Continuous features: the threshold-rank grid is far larger than
-  // kMaxRankCells, so neither model gets a table and predict_one must
-  // still reproduce the legacy walk.
+  // kMaxRankCells, so neither model gets a table and the blocked walk
+  // must still reproduce the interpreted regressor.
   support::Xoshiro256 rng(91);
   const std::size_t rows = 600;
   ml::Matrix x(rows, 4);
@@ -490,7 +565,7 @@ TEST(FlatBankRankTables, ModelsOverTheCellCapKeepTheBlockedWalk) {
   expect_agreement_at_thresholds_and_non_finite(fx, x, base_rows);
 }
 
-TEST(CompiledBankRankTables, OffGridQueriesMatchLegacyAndInterpreted) {
+TEST(CompiledBankRankTables, OffGridQueriesMatchInterpreted) {
   const bench::Dataset ds = random_dataset(31);
   const std::vector<bench::Instance> stream = offgrid_instances(101, 96);
   for (const char* learner : {"xgboost", "rf"}) {
@@ -509,9 +584,6 @@ TEST(CompiledBankRankTables, OffGridQueriesMatchLegacyAndInterpreted) {
       flat.begin_query(scratch);
       for (std::size_t i = 0; i < flat.size(); ++i) {
         const double fast = flat.predict_one(i, x, scratch);
-        EXPECT_EQ(bits(fast), bits(flat.predict_one_legacy(i, x, scratch)))
-            << learner << " uid " << bank.uids()[i] << " m=" << inst.msize
-            << " n=" << inst.nodes << " ppn=" << inst.ppn;
         EXPECT_EQ(bits(fast),
                   bits(selector.predicted_time_us(bank.uids()[i], inst)))
             << learner << " uid " << bank.uids()[i] << " m=" << inst.msize

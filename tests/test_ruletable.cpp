@@ -1,9 +1,11 @@
 // Differential fidelity harness for the distilled rule-table export
-// (tune/ruletable.hpp): the fitted DecisionRules tree, its flat
-// RuleTable lowering and the *compiled and executed* output of
+// (tune/ruletable.hpp): the fitted DecisionRules tree (the reference),
+// its flat RuleTable lowering and the *compiled and executed* output of
 // DecisionRules::to_c_code must agree on every distillation grid point
 // and on randomized off-grid instances — for every learner, at thread
-// counts 1 and 4, and through the table's save/load round trip.
+// counts 1 and 4, and through the table's save/load round trip. The
+// v2 envelope bytes are pinned, and the loader's structural checks are
+// probed with hand-edited, re-checksummed files.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "collbench/dataset.hpp"
+#include "ml/io.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tune/compiled_bank.hpp"
@@ -128,12 +131,24 @@ std::optional<std::vector<int>> run_generated_c(
 
 // ---- tree == table == executed C, all learners, both thread counts -------
 
-TEST(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
-  const bench::Dataset ds = random_dataset(21);
+struct DifferentialCase {
+  std::uint64_t dataset_seed;
+  std::uint64_t probe_seed;
+  int off_grid_probes;
+};
+
+class RuleTableDifferential
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+TEST_P(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
+  const DifferentialCase c = GetParam();
+  const bench::Dataset ds = random_dataset(c.dataset_seed);
   const std::vector<bench::Instance> grid = ds.instances();
-  const std::vector<bench::Instance> off_grid = random_instances(77, 64);
+  const std::vector<bench::Instance> off_grid =
+      random_instances(c.probe_seed, c.off_grid_probes);
   std::vector<bench::Instance> probes = grid;
   probes.insert(probes.end(), off_grid.begin(), off_grid.end());
+  const std::string tag = std::to_string(c.dataset_seed);
 
   for (const char* learner : kAllLearners) {
     tune::Selector selector(tune::SelectorOptions{.learner = learner});
@@ -148,10 +163,10 @@ TEST(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
     EXPECT_EQ(dist.table.num_nodes(), dist.rules.num_nodes()) << learner;
     EXPECT_EQ(dist.table.num_leaves(), dist.rules.num_leaves()) << learner;
 
-    // Save/load round trip: the served table is the loaded one.
+    // Save/load round trip: the exported table is the loaded one.
     const std::filesystem::path path =
         std::filesystem::temp_directory_path() /
-        (std::string("mpicp_ruletable_") + learner + ".txt");
+        ("mpicp_ruletable_" + tag + "_" + learner + ".txt");
     dist.table.save(path);
     const tune::RuleTable loaded = tune::RuleTable::load(path);
     std::filesystem::remove(path);
@@ -168,19 +183,12 @@ TEST(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
         ASSERT_EQ(loaded.uid_for(inst), tree_uid)
             << learner << " (loaded) @" << threads << " threads";
       }
-      // The batched path agrees with per-instance dispatch.
-      const std::vector<int> batched = dist.table.select_grid(probes);
-      ASSERT_EQ(batched.size(), probes.size());
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        ASSERT_EQ(batched[i], dist.rules.uid_for(probes[i]))
-            << learner << " grid[" << i << "] @" << threads;
-      }
     }
 
     // The emitted C, compiled and executed, is the third equal voice.
     const std::string fn = std::string("mpicp_rules_") + learner;
-    const auto executed =
-        run_generated_c(dist.rules.to_c_code(fn), fn, probes, learner);
+    const auto executed = run_generated_c(dist.rules.to_c_code(fn), fn,
+                                          probes, tag + "_" + learner);
     if (!executed.has_value()) {
       GTEST_SKIP() << "no working C compiler on PATH";
     }
@@ -192,51 +200,9 @@ TEST(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
   }
 }
 
-// ---- blocked layout vs legacy walk, through the saved envelope ----------
-
-TEST(RuleTableBlocked, BlockedBatchedAndSavedEnvelopeMatchLegacyWalk) {
-  const bench::Dataset ds = random_dataset(29);
-  const std::vector<bench::Instance> grid = ds.instances();
-  std::vector<bench::Instance> probes = grid;
-  const std::vector<bench::Instance> off_grid = random_instances(101, 96);
-  probes.insert(probes.end(), off_grid.begin(), off_grid.end());
-
-  for (const char* learner : kAllLearners) {
-    tune::Selector selector(tune::SelectorOptions{.learner = learner});
-    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u)
-        << learner;
-    const tune::RuleDistillation dist =
-        selector.distill(grid, {.max_depth = 32});
-    const tune::RuleTable& table = dist.table;
-
-    // The v2 envelope carries the blocked geometry; the loaded table
-    // re-lowers its blocked form.
-    const std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        (std::string("mpicp_rt_v2_") + learner + ".txt");
-    table.save(path);
-    const tune::RuleTable loaded = tune::RuleTable::load(path);
-    std::filesystem::remove(path);
-    EXPECT_EQ(loaded.agreement(), table.agreement()) << learner;
-
-    std::vector<int> batched(probes.size(), 0);
-    for (const int threads : {1, 4}) {
-      support::ScopedThreads scoped(threads);
-      table.select_grid_into(probes, batched);
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        const int legacy = table.uid_for_legacy(probes[i]);
-        ASSERT_EQ(table.uid_for(probes[i]), legacy)
-            << learner << " blocked walk @" << threads << " threads, m="
-            << probes[i].msize << " n=" << probes[i].nodes
-            << " ppn=" << probes[i].ppn;
-        ASSERT_EQ(batched[i], legacy)
-            << learner << " batched dispatch @" << threads << " threads";
-        ASSERT_EQ(loaded.uid_for(probes[i]), legacy)
-            << learner << " v2 envelope @" << threads << " threads";
-      }
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, RuleTableDifferential,
+                         ::testing::Values(DifferentialCase{21, 77, 64},
+                                           DifferentialCase{29, 101, 96}));
 
 // ---- persistence contracts -----------------------------------------------
 
@@ -284,11 +250,190 @@ TEST(RuleTable, LoadRejectsCorruptAndTruncatedFiles) {
 TEST(RuleTable, EmptyTableContracts) {
   const tune::RuleTable table;
   EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.num_nodes(), 0);
+  EXPECT_EQ(table.num_leaves(), 0);
   EXPECT_THROW(
       table.save(std::filesystem::temp_directory_path() / "mpicp_rt.txt"),
       std::exception);
-  const std::vector<bench::Instance> grid = {{4, 4, 1024}};
-  EXPECT_THROW((void)table.select_grid(grid), std::exception);
+  EXPECT_THROW((void)table.uid_for({4, 4, 1024}), std::exception);
+  EXPECT_THROW((void)tune::RuleTable::lower(tune::DecisionRules{}),
+               std::exception);
+}
+
+/// Reads a whole file into a string.
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// A tiny hand-labeled grid and the tree fitted on it: small message
+/// sizes go to uid 1, larger ones to uid 2 on fewer than 16 processes
+/// and to uid 3 otherwise. 3000 bytes puts a non-power-of-two
+/// midpoint into the log2 thresholds.
+tune::DecisionRules hand_built_rules() {
+  std::vector<tune::LabeledInstance> points;
+  for (const int nodes : {2, 8, 32}) {
+    for (const int ppn : {1, 4}) {
+      for (const std::uint64_t m :
+           {std::uint64_t{64}, std::uint64_t{3000}, std::uint64_t{1} << 20}) {
+        const int uid = m < 1024 ? 1 : nodes * ppn < 16 ? 2 : 3;
+        points.push_back({{nodes, ppn, m}, uid});
+      }
+    }
+  }
+  return tune::DecisionRules::fit(points);
+}
+
+/// The v2 envelope of hand_built_rules() lowered with agreement 0.8125,
+/// byte for byte (the block-depth field reads 8). A change to the file
+/// format has to change this fixture on purpose.
+constexpr const char* kHandBuiltEnvelopeV2 = R"(mpicp-ruletable 2 202 6b52fd5761d21768
+0.8125
+8
+15
+0
+-1
+1
+-1
+0
+1
+2
+-1
+-1
+-1
+1
+2
+-1
+-1
+-1
+15
+8.7753733926916215
+0
+5
+0
+15.775373392691622
+20
+2.5
+0
+0
+0
+20
+2.5
+0
+0
+0
+15
+1
+1
+3
+2
+5
+6
+7
+2
+3
+3
+11
+12
+2
+3
+3
+15
+2
+-1
+4
+-1
+10
+9
+8
+-1
+-1
+-1
+14
+13
+-1
+-1
+-1
+)";
+
+TEST(RuleTable, V2EnvelopeBytesArePinned) {
+  const tune::DecisionRules rules = hand_built_rules();
+  tune::RuleTable table = tune::RuleTable::lower(rules);
+  table.set_agreement(0.8125);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mpicp_rt_pinned.txt";
+  table.save(path);
+  EXPECT_EQ(slurp(path), kHandBuiltEnvelopeV2);
+
+  // A table saved in that format loads and picks like the tree.
+  {
+    std::ofstream os(path);
+    os << kHandBuiltEnvelopeV2;
+  }
+  const tune::RuleTable loaded = tune::RuleTable::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.agreement(), 0.8125);
+  EXPECT_EQ(loaded.num_nodes(), rules.num_nodes());
+  for (const bench::Instance& inst : random_instances(5, 256)) {
+    ASSERT_EQ(loaded.uid_for(inst), rules.uid_for(inst))
+        << "m=" << inst.msize << " n=" << inst.nodes << " ppn=" << inst.ppn;
+  }
+}
+
+TEST(RuleTable, LoadRejectsChildIndicesOutsidePreorder) {
+  const tune::RuleTable table = tune::RuleTable::lower(hand_built_rules());
+  ASSERT_GT(table.num_nodes(), 1);
+  const auto n = static_cast<std::size_t>(table.num_nodes());
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mpicp_rt_preorder.txt";
+  table.save(path);
+  const std::string contents = slurp(path);
+  const std::size_t header_end = contents.find('\n') + 1;
+  std::vector<std::string> payload;
+  {
+    std::istringstream is(contents.substr(header_end));
+    for (std::string line; std::getline(is, line);) payload.push_back(line);
+  }
+  // Payload, one value per line: agreement, block depth, then the
+  // feature, threshold, left and right vectors (each a size line and
+  // n values). The root is an inner node.
+  const std::size_t features_line = 2;
+  const std::size_t left_line = features_line + 2 * (1 + n);
+  const std::size_t right_line = left_line + 1 + n;
+  ASSERT_EQ(payload[features_line], std::to_string(n));
+  ASSERT_EQ(payload[left_line], std::to_string(n));
+  ASSERT_EQ(payload[right_line], std::to_string(n));
+  ASSERT_NE(payload[features_line + 1], "-1");
+
+  // Rewrites one payload line and re-seals the envelope with a fresh
+  // byte count and checksum, so only the structural check can object.
+  const auto load_edited = [&](std::size_t line, const std::string& value) {
+    std::vector<std::string> edited = payload;
+    edited[line] = value;
+    std::string body;
+    for (const std::string& l : edited) body += l + '\n';
+    std::ostringstream header;
+    header << "mpicp-ruletable 2 " << body.size() << ' ' << std::hex
+           << ml::io::fnv1a64(body) << '\n';
+    {
+      std::ofstream os(path);
+      os << header.str() << body;
+    }
+    return tune::RuleTable::load(path);
+  };
+  // The unedited payload re-seals to a loadable table.
+  EXPECT_EQ(load_edited(left_line + 1, payload[left_line + 1]).num_nodes(),
+            table.num_nodes());
+  // A back edge (root -> root): the walk would never terminate.
+  EXPECT_THROW((void)load_edited(left_line + 1, "0"), ParseError);
+  EXPECT_THROW((void)load_edited(right_line + 1, "0"), ParseError);
+  // Out of the pool on either side.
+  EXPECT_THROW((void)load_edited(left_line + 1, std::to_string(n)),
+               ParseError);
+  EXPECT_THROW((void)load_edited(right_line + 1, "-1"), ParseError);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

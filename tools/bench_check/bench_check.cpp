@@ -1,11 +1,14 @@
 // bench_check: the CI bench-regression gate. Compares one or more
 // BENCH_*.json reports (bench/bench_json.hpp schema) against the
 // committed bench/baseline.json and fails — exit 1 — only when a
-// p99-class latency key regresses by more than the threshold. Every
-// other drift (p50, throughput, speedup, neutral counters) is
-// advisory: it lands in the comparison report artifact but keeps the
-// gate green, so noisy-but-harmless runner variance cannot block a
-// merge while tail-latency regressions still can.
+// p99-class latency key regresses by more than the threshold, or when
+// a p99-class baseline key is missing from the current run of its
+// bench (dropping a gate takes a visible edit to baseline.json). Every
+// other drift (p50, throughput, speedup, neutral counters, other
+// missing keys) is advisory: it lands in the comparison report
+// artifact but keeps the gate green, so noisy-but-harmless runner
+// variance cannot block a merge while tail-latency regressions still
+// can.
 //
 // Usage:
 //   bench_check --baseline bench/baseline.json \
@@ -14,7 +17,7 @@
 //   bench_check --write-baseline bench/baseline.json --current ...
 //
 // Exit codes: 0 green (possibly with advisories), 1 blocking p99
-// regression, 2 usage or parse error.
+// regression or missing p99 key, 2 usage or parse error.
 //
 // Like mpicp_lint, this tool depends only on the standard library so
 // it builds before (and independently of) the project libraries.
@@ -291,6 +294,7 @@ struct Row {
   double current = 0.0;
   double change = 0.0;  // relative, + means worse for directional keys
   std::string status;   // "ok" | "improved" | "info" | "ADVISORY" | "BLOCKING"
+  bool missing = false;  // baseline key absent from the current run
 };
 
 std::string format_pct(double change) {
@@ -336,6 +340,19 @@ void compare_report(const BenchReport& report, const Metrics& baseline,
     }
     rows->push_back(row);
   }
+  // A baseline key the run no longer emits: blocking when it is a p99
+  // gate, so a bench cannot drop one silently.
+  for (const auto& [key, base] : baseline) {
+    if (report.metrics.count(key) != 0) continue;
+    Row row{report.name, key, base, 0.0, 0.0, "", true};
+    if (is_blocking_key(key)) {
+      row.status = "BLOCKING (missing from current run)";
+      ++*blocking;
+    } else {
+      row.status = "ADVISORY (missing from current run)";
+    }
+    rows->push_back(row);
+  }
 }
 
 void print_rows(std::ostream& os, const std::vector<Row>& rows,
@@ -349,13 +366,15 @@ void print_rows(std::ostream& os, const std::vector<Row>& rows,
     std::snprintf(line, sizeof line, "%-19s %-37s %-13s %-13s %-10s %s\n",
                   row.bench.c_str(), row.key.c_str(),
                   format_value(row.baseline).c_str(),
-                  format_value(row.current).c_str(),
-                  format_pct(row.change).c_str(), row.status.c_str());
+                  row.missing ? "-" : format_value(row.current).c_str(),
+                  row.missing ? "-" : format_pct(row.change).c_str(),
+                  row.status.c_str());
     os << line;
   }
   os << "\nresult: "
      << (blocking > 0 ? "FAIL (" + std::to_string(blocking) +
-                            " blocking p99 regression(s))"
+                            " blocking p99 regression(s) or missing "
+                            "p99 key(s))"
                       : "PASS")
      << "\n";
 }
