@@ -9,8 +9,10 @@
 // engine's, not the pool's), verifying that every pick is identical.
 // For the tree ensembles it also times the batched grid argmin and the
 // single-query argmin on off-grid instances (rank-cell tables) against
-// the interpreted selector. Results land in a BENCH_prediction.json
-// report (bench_json.hpp).
+// the interpreted selector, and the KNN single-query argmin on
+// off-grid instances drawn like the perfbench serve_offgrid workload.
+// Every comparison is a hard gate on identical picks. Results land in a
+// BENCH_prediction.json report (bench_json.hpp).
 //
 //   --smoke            comparison only (gam + knn, fewer reps, plus the
 //                      xgboost/rf grid and off-grid rows), skip the
@@ -344,12 +346,29 @@ std::vector<bench::Instance> make_offgrid_stream(std::size_t count) {
   return out;
 }
 
-OffgridRow compare_offgrid_single(const std::string& learner, int reps) {
+/// Off-grid instances drawn as the perfbench serve_offgrid workload
+/// draws them: nodes in [2, 64], ppn in [1, 48], message sizes
+/// log-uniform over [1 B, 4 MiB] at byte granularity.
+std::vector<bench::Instance> make_serve_offgrid_stream(std::size_t count) {
+  support::Xoshiro256 rng(4321);
+  std::vector<bench::Instance> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const int nodes = 2 + static_cast<int>(rng.uniform_int(63));
+    const int ppn = 1 + static_cast<int>(rng.uniform_int(48));
+    const double m = std::clamp(std::floor(std::exp2(22.0 * rng.uniform())),
+                                1.0, 4194304.0);
+    out.push_back({nodes, ppn, static_cast<std::uint64_t>(m)});
+  }
+  return out;
+}
+
+OffgridRow compare_offgrid_single(const std::string& learner, int reps,
+                                  const std::vector<bench::Instance>& stream) {
   const bench::Dataset& ds = training_data();
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
   (void)selector.fit(ds, ds.node_counts());
   const tune::CompiledBank bank = selector.compile();
-  const std::vector<bench::Instance> stream = make_offgrid_stream(256);
 
   support::ScopedThreads scoped(1);
   OffgridRow row;
@@ -478,7 +497,8 @@ int run_comparison(bool smoke, const std::string& json_path) {
        "picks identical"});
   bool offgrid_identical = true;
   for (const char* learner : {"xgboost", "rf"}) {
-    const OffgridRow row = compare_offgrid_single(learner, offgrid_reps);
+    const OffgridRow row = compare_offgrid_single(learner, offgrid_reps,
+                                                  make_offgrid_stream(256));
     offgrid_identical = offgrid_identical && row.picks_identical;
     offgrid_table.add_row(
         {row.learner, support::format_double(row.single_us_interpreted, 3),
@@ -495,6 +515,31 @@ int run_comparison(bool smoke, const std::string& json_path) {
   std::ostringstream os_offgrid;
   offgrid_table.print(os_offgrid);
   std::fputs(os_offgrid.str().c_str(), stdout);
+
+  // KNN off the grid, drawn like the serve_offgrid workload: the
+  // factored-grid search against the interpreted kd-tree reference.
+  std::printf("\nKNN single-query off-grid argmin, serve_offgrid draw "
+              "(1 thread, best of %d)\n\n",
+              offgrid_reps);
+  const OffgridRow knn_row = compare_offgrid_single(
+      "knn", offgrid_reps, make_serve_offgrid_stream(1024));
+  support::TextTable knn_table({"learner", "interpreted [us]",
+                                "compiled [us]", "speedup",
+                                "picks identical"});
+  knn_table.add_row(
+      {knn_row.learner,
+       support::format_double(knn_row.single_us_interpreted, 3),
+       support::format_double(knn_row.single_us_compiled, 3),
+       support::format_double(knn_row.speedup(), 2),
+       knn_row.picks_identical ? "yes" : "NO"});
+  metrics.emplace_back("knn.offgrid_single_us_interpreted",
+                       knn_row.single_us_interpreted);
+  metrics.emplace_back("knn.offgrid_single_us_compiled",
+                       knn_row.single_us_compiled);
+  metrics.emplace_back("knn.offgrid_speedup_single", knn_row.speedup());
+  std::ostringstream os_knn;
+  knn_table.print(os_knn);
+  std::fputs(os_knn.str().c_str(), stdout);
 
   bench::json_report(json_path, "prediction_latency", metrics);
   std::printf("\nwrote %s\n", json_path.c_str());
@@ -518,6 +563,12 @@ int run_comparison(bool smoke, const std::string& json_path) {
   }
   std::printf("off-grid single-query picks bit-identical to "
               "interpreted: yes\n");
+  if (!knn_row.picks_identical) {
+    std::printf("FAIL: KNN off-grid picks differ from the interpreted "
+                "selector\n");
+    return 1;
+  }
+  std::printf("KNN off-grid picks bit-identical to interpreted: yes\n");
   if (min_grid_speedup < 1.5) {
     std::printf("FAIL: batched grid argmin speedup %.2fx below the 1.5x "
                 "gate\n",

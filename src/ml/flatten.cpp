@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "ml/forest.hpp"
@@ -32,26 +33,92 @@ bool same_bits(double a, double b) {
   return ua == ub;
 }
 
-double sq_dist(std::span<const double> a, std::span<const double> b) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += (a[i] - b[i]) * (a[i] - b[i]);
+/// Offers (dist, row) to `best`, the ascending (distance, row) list of
+/// the `count` nearest rows so far, capped at k. Returns false when the
+/// candidate does not enter — nor would a later row at the same
+/// distance. The pair order is the reference KNN's tie rule.
+bool knn_offer(std::pair<double, int>* best, int& count, int k, double dist,
+               int row) {
+  const std::pair<double, int> cand(dist, row);
+  int pos = count;
+  if (count < k) {
+    ++count;
+  } else if (cand < best[k - 1]) {
+    pos = k - 1;
+  } else {
+    return false;
   }
-  return acc;
+  for (; pos > 0 && cand < best[pos - 1]; --pos) best[pos] = best[pos - 1];
+  best[pos] = cand;
+  return true;
 }
 
-/// Max-heap of (distance, index) capped at k elements — identical to
-/// the interpreted KNN's helper so neighbor sets and their in-heap
-/// iteration order match exactly.
-void heap_offer(std::vector<std::pair<double, int>>& heap, std::size_t k,
-                double dist, int idx) {
-  if (heap.size() < k) {
-    heap.emplace_back(dist, idx);
-    std::push_heap(heap.begin(), heap.end());
-  } else if (dist < heap.front().first) {
-    std::pop_heap(heap.begin(), heap.end());
-    heap.back() = {dist, idx};
-    std::push_heap(heap.begin(), heap.end());
+/// Initial window width of the KNN grid search, per factored axis. On
+/// the d6 bank under off-grid queries, W = 2 (4 candidate cells)
+/// accepts ~81 % of model queries at once and ~97 % after one widening;
+/// wider first windows cost more in cells than they save in widenings.
+constexpr int kKnnWindow = 2;
+/// Slack of the window acceptance test. The k-th distance must lie
+/// below the outside bound by more than the rounding of a 4-term sum
+/// (relative) and of subnormal terms (absolute).
+constexpr double kKnnRelSlack = 1e-12;
+constexpr double kKnnAbsSlack = 1e-300;
+
+/// Fills bwin[0, keep) with the `keep` b-tuples nearest the query over
+/// axes 1..BD, as (partial distance, tuple) ascending; every tuple left
+/// out is at least bwin[keep - 1].first away. The tuples come in
+/// groups of one axis-1 value (`groups`: num_groups + 1 starts), which
+/// are visited nearest first; a group whose axis-1 term alone reaches
+/// the current keep-th distance is skipped with every group beyond it,
+/// since a left-to-right sum of non-negative terms is at least its
+/// first term.
+template <int BD>
+void nearest_tuples(std::span<const double> q, const double* B, int b_len,
+                    const std::int32_t* groups, int num_groups, int keep,
+                    std::pair<double, int>* bwin) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double q1 = q[1];
+  int lo = 0;
+  int hi = num_groups;
+  while (lo < hi) {  // first group with axis-1 value >= q1
+    const int mid = (lo + hi) / 2;
+    if (B[groups[mid]] < q1) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  hi = lo;  // groups [lo, hi) are done
+  int kept = 0;
+  while (lo > 0 || hi < num_groups) {
+    const double tl =
+        lo > 0 ? (q1 - B[groups[lo - 1]]) * (q1 - B[groups[lo - 1]]) : kInf;
+    const double tr =
+        hi < num_groups ? (q1 - B[groups[hi]]) * (q1 - B[groups[hi]]) : kInf;
+    const bool left = lo > 0 && (hi == num_groups || tl <= tr);
+    if (kept == keep && !((left ? tl : tr) < bwin[keep - 1].first)) break;
+    const int gi = left ? --lo : hi++;
+    for (int b = groups[gi]; b < groups[gi + 1]; ++b) {
+      // Partial distance, summed left to right as sq_dist sums the
+      // same terms.
+      double v = 0.0;
+      for (int f = 0; f < BD; ++f) {
+        const double d = q[f + 1] - B[f * b_len + b];
+        v += d * d;
+      }
+      // The insertion of knn_offer on distances alone: the pair
+      // comparison costs ~20 % of a d6 argmin in this loop.
+      int at = kept;
+      if (kept < keep) {
+        ++kept;
+      } else if (v < bwin[keep - 1].first) {
+        at = keep - 1;
+      } else {
+        continue;
+      }
+      for (; at > 0 && v < bwin[at - 1].first; --at) bwin[at] = bwin[at - 1];
+      bwin[at] = {v, b};
+    }
   }
 }
 
@@ -76,6 +143,17 @@ int FlatBank::add(const Regressor& model) {
     lower_trees(rf->trees(), m);
   } else if (const auto* knn = dynamic_cast<const KnnRegressor*>(&model)) {
     MPICP_REQUIRE(!knn->targets().empty(), "compiling an unfitted model");
+    const Matrix& pts = knn->points();
+    MPICP_REQUIRE(knn->params().k >= 1 && knn->params().k <= kMaxKnnK,
+                  "knn k outside [1, kMaxKnnK]");
+    MPICP_REQUIRE(pts.cols() >= 1 &&
+                      pts.cols() <= static_cast<std::size_t>(kMaxKnnDim),
+                  "knn feature count outside [1, kMaxKnnDim]");
+    for (std::size_t r = 0; r < pts.rows(); ++r) {
+      MPICP_REQUIRE(std::ranges::all_of(
+                        pts.row(r), [](double v) { return std::isfinite(v); }),
+                    "knn training points must be finite");
+    }
     lower_knn(*knn, m);
   } else if (const auto* gam = dynamic_cast<const GamRegressor*>(&model)) {
     MPICP_REQUIRE(!gam->beta().empty(), "compiling an unfitted model");
@@ -193,6 +271,7 @@ void FlatBank::build_derived(std::size_t first_model) {
     }
   }
   build_rank_tables(first_model);
+  build_knn_grids(first_model);
 }
 
 void FlatBank::build_rank_tables(std::size_t first_model) {
@@ -299,6 +378,102 @@ void FlatBank::build_rank_tables(std::size_t first_model) {
   }
 }
 
+void FlatBank::build_knn_grids(std::size_t first_model) {
+  if (first_model == 0) {
+    knn_grids_.clear();
+    grid_coord_.clear();
+    grid_cell_.clear();
+    grid_rows_.clear();
+    grid_group_.clear();
+    max_grid_b_ = 0;
+  }
+  knn_grids_.resize(models_.size());
+  std::vector<double> axis0;
+  std::vector<std::int32_t> by_tuple;
+  std::vector<std::int32_t> tuple_of;
+  std::vector<std::int32_t> tuple_rep;
+  std::vector<std::int32_t> cursor;
+  for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
+    const FlatModel& m = models_[mi];
+    if (m.kind != FlatKind::kKnn) continue;
+    const int n = m.num_points;
+    const int bdim = m.point_dim - 1;
+    const auto tail = [&](int p) { return point_row(m, p).subspan(1); };
+    // Axis 0: the sorted distinct values.
+    axis0.resize(static_cast<std::size_t>(n));
+    for (int p = 0; p < n; ++p) axis0[p] = point_row(m, p)[0];
+    std::sort(axis0.begin(), axis0.end());
+    axis0.erase(std::unique(axis0.begin(), axis0.end()), axis0.end());
+    // The other axes: distinct tuples, numbered in lexicographic order.
+    by_tuple.resize(static_cast<std::size_t>(n));
+    std::iota(by_tuple.begin(), by_tuple.end(), 0);
+    std::sort(by_tuple.begin(), by_tuple.end(), [&](int a, int b) {
+      const auto ta = tail(a);
+      const auto tb = tail(b);
+      return std::lexicographical_compare(ta.begin(), ta.end(), tb.begin(),
+                                          tb.end());
+    });
+    tuple_of.resize(static_cast<std::size_t>(n));
+    tuple_rep.clear();
+    for (int j = 0; j < n; ++j) {
+      const int p = by_tuple[j];
+      if (tuple_rep.empty() ||
+          !std::ranges::equal(tail(tuple_rep.back()), tail(p))) {
+        // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
+        // tuple count is unknowable before this very scan.
+        tuple_rep.push_back(p);
+      }
+      tuple_of[p] = static_cast<std::int32_t>(tuple_rep.size()) - 1;
+    }
+    const std::size_t a_len = axis0.size();
+    const std::size_t b_len = tuple_rep.size();
+    const std::size_t cells = a_len * b_len;
+    // A grid over the cap (continuous features) is served by a scan.
+    if (cells > kMaxKnnGridCells) continue;
+    KnnGrid& g = knn_grids_[mi];
+    g.a_len = static_cast<int>(a_len);
+    g.b_len = static_cast<int>(b_len);
+    g.coord_begin = static_cast<std::int32_t>(grid_coord_.size());
+    support::reserve_more(grid_coord_, a_len + b_len * bdim);
+    grid_coord_.insert(grid_coord_.end(), axis0.begin(), axis0.end());
+    for (int f = 0; f < bdim; ++f) {
+      for (const std::int32_t p : tuple_rep) {
+        grid_coord_.push_back(tail(p)[f]);
+      }
+    }
+    // Cell offsets by counting sort; filling in ascending row order
+    // keeps every cell's rows in row order.
+    cursor.assign(cells + 1, 0);
+    const auto cell_of = [&](int p) {
+      const std::size_t a = static_cast<std::size_t>(
+          std::lower_bound(axis0.begin(), axis0.end(), point_row(m, p)[0]) -
+          axis0.begin());
+      return a * b_len + static_cast<std::size_t>(tuple_of[p]);
+    };
+    for (int p = 0; p < n; ++p) ++cursor[cell_of(p) + 1];
+    std::partial_sum(cursor.begin(), cursor.end(), cursor.begin());
+    g.cell_begin = static_cast<std::int32_t>(grid_cell_.size());
+    grid_cell_.insert(grid_cell_.end(), cursor.begin(), cursor.end());
+    g.rows_begin = static_cast<std::int32_t>(grid_rows_.size());
+    grid_rows_.resize(grid_rows_.size() + static_cast<std::size_t>(n));
+    std::int32_t* rows = grid_rows_.data() + g.rows_begin;
+    for (int p = 0; p < n; ++p) rows[cursor[cell_of(p)]++] = p;
+    // Groups of b-tuples sharing their axis-1 value (contiguous, since
+    // the tuples are in lexicographic order).
+    g.group_begin = static_cast<std::int32_t>(grid_group_.size());
+    support::reserve_more(grid_group_, b_len + 1);
+    for (std::size_t j = 0; j < b_len && bdim > 0; ++j) {
+      if (j == 0 || tail(tuple_rep[j])[0] != tail(tuple_rep[j - 1])[0]) {
+        grid_group_.push_back(static_cast<std::int32_t>(j));
+      }
+    }
+    g.num_groups = static_cast<int>(grid_group_.size()) - g.group_begin;
+    grid_group_.push_back(static_cast<std::int32_t>(b_len));
+    max_grid_b_ = std::max(max_grid_b_, g.b_len);
+    g.built = true;
+  }
+}
+
 void FlatBank::lower_trees(const std::vector<RegressionTree>& trees,
                            FlatModel& m) {
   m.tree_begin = static_cast<int>(tree_roots_.size());
@@ -337,25 +512,6 @@ void FlatBank::lower_knn(const KnnRegressor& knn, FlatModel& m) {
   m.targets_begin = static_cast<int>(targets_.size());
   targets_.insert(targets_.end(), knn.targets().begin(),
                   knn.targets().end());
-  m.order_begin = static_cast<int>(order_.size());
-  order_.insert(order_.end(), knn.order().begin(), knn.order().end());
-  if (knn.params().use_kdtree && !knn.kd().empty()) {
-    const int kd_base = static_cast<int>(kd_.size());
-    support::reserve_more(kd_, knn.kd().size());
-    for (const KnnRegressor::KdNode& n : knn.kd()) {
-      FlatKdNode fn;
-      fn.axis = n.axis;
-      fn.split = n.split;
-      fn.left = n.left >= 0 ? n.left + kd_base : -1;
-      fn.right = n.right >= 0 ? n.right + kd_base : -1;
-      fn.begin = n.begin;
-      fn.end = n.end;
-      kd_.push_back(fn);
-    }
-    m.kd_root = kd_base;
-  } else {
-    m.kd_root = -1;
-  }
   if (knn.params().scale_inputs) {
     m.scaler_begin = static_cast<int>(scaler_mean_.size());
     scaler_mean_.insert(scaler_mean_.end(), knn.scaler().mean().begin(),
@@ -366,8 +522,6 @@ void FlatBank::lower_knn(const KnnRegressor& knn, FlatModel& m) {
   } else {
     m.scaler_begin = -1;
   }
-  max_point_dim_ = std::max(max_point_dim_, m.point_dim);
-  max_k_ = std::max(max_k_, m.k);
 }
 
 int FlatBank::intern_basis(const BSplineBasis& basis) {
@@ -419,33 +573,132 @@ void FlatBank::begin_query(FlatScratch& scratch) const {
   if (scratch.slot_stamp.size() < slots_.size()) {
     scratch.slot_stamp.resize(slots_.size(), 0);
   }
-  if (scratch.scaled.size() < static_cast<std::size_t>(max_point_dim_)) {
-    scratch.scaled.resize(static_cast<std::size_t>(max_point_dim_));
-  }
-  if (scratch.heap.capacity() < static_cast<std::size_t>(max_k_)) {
-    scratch.heap.reserve(static_cast<std::size_t>(max_k_));
+  if (scratch.knn_bwin.size() < static_cast<std::size_t>(max_grid_b_)) {
+    scratch.knn_bwin.resize(static_cast<std::size_t>(max_grid_b_));
   }
 }
 
-void FlatBank::search_kd(const FlatModel& m, int node,
-                         std::span<const double> q,
-                         std::vector<std::pair<double, int>>& heap) const {
-  const FlatKdNode& n = kd_[node];
-  const auto k = static_cast<std::size_t>(m.k);
-  if (n.axis < 0) {
-    for (int i = n.begin; i < n.end; ++i) {
-      const int p = order_[m.order_begin + i];
-      heap_offer(heap, k, sq_dist(q, point_row(m, p)), p);
+double FlatBank::predict_knn(std::size_t i, std::span<const double> x,
+                             FlatScratch& s) const {
+  const FlatModel& m = models_[i];
+  const int dim = m.point_dim;
+  std::span<const double> q = x.first(static_cast<std::size_t>(dim));
+  if (m.scaler_begin >= 0) {
+    double* sc = s.scaled.data();
+    const double* mean = scaler_mean_.data() + m.scaler_begin;
+    const double* inv = scaler_inv_std_.data() + m.scaler_begin;
+    for (int f = 0; f < dim; ++f) {
+      sc[f] = (x[f] - mean[f]) * inv[f];
     }
-    return;
+    q = {sc, static_cast<std::size_t>(dim)};
   }
-  const double delta = q[n.axis] - n.split;
-  const int near = delta < 0.0 ? n.left : n.right;
-  const int far = delta < 0.0 ? n.right : n.left;
-  search_kd(m, near, q, heap);
-  if (heap.size() < k || delta * delta < heap.front().first) {
-    search_kd(m, far, q, heap);
+  const int k = std::min(m.k, m.num_points);
+  std::pair<double, int>* best = s.knn_best.data();
+  int count = 0;
+  const KnnGrid& g = knn_grids_[i];
+  if (!g.built) {
+    for (int p = 0; p < m.num_points; ++p) {
+      knn_offer(best, count, k, sq_dist(q, point_row(m, p)), p);
+    }
+  } else {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const int bdim = dim - 1;
+    const double* A = grid_coord_.data() + g.coord_begin;
+    const double* B = A + g.a_len;  // strip f: B[f * b_len + tuple]
+    const std::int32_t* cell = grid_cell_.data() + g.cell_begin;
+    const std::int32_t* rows = grid_rows_.data() + g.rows_begin;
+    const double q0 = q[0];
+    const int pos = static_cast<int>(std::lower_bound(A, A + g.a_len, q0) - A);
+    std::pair<double, int>* bwin = s.knn_bwin.data();
+    double p[kMaxKnnDim];
+    int wa = kKnnWindow;
+    int wb = kKnnWindow;
+    int nb = 0;
+    for (;;) {
+      // The wa axis-0 values nearest q0, grown outward from its slot.
+      int lo = pos;
+      int hi = pos;
+      while (hi - lo < std::min(wa, g.a_len)) {
+        if (lo == 0) {
+          ++hi;
+        } else if (hi == g.a_len || q0 - A[lo - 1] <= A[hi] - q0) {
+          --lo;
+        } else {
+          ++hi;
+        }
+      }
+      // The nb nearest b-tuples, plus the next one for the bound;
+      // reselected only when the B window widened.
+      if (nb != std::min(wb, g.b_len)) {
+        nb = std::min(wb, g.b_len);
+        const int keep = std::min(nb + 1, g.b_len);
+        const std::int32_t* groups = grid_group_.data() + g.group_begin;
+        switch (bdim) {
+          case 0:
+            bwin[0] = {0.0, 0};
+            break;
+          case 1:
+            nearest_tuples<1>(q, B, g.b_len, groups, g.num_groups, keep, bwin);
+            break;
+          case 2:
+            nearest_tuples<2>(q, B, g.b_len, groups, g.num_groups, keep, bwin);
+            break;
+          default:
+            nearest_tuples<3>(q, B, g.b_len, groups, g.num_groups, keep, bwin);
+            break;
+        }
+      }
+      // Every candidate cell: one sq_dist over its shared coordinates,
+      // then its rows in row order until one fails to enter.
+      count = 0;
+      double a_min = kInf;
+      for (int a = lo; a < hi; ++a) {
+        p[0] = A[a];
+        a_min = std::min(a_min, (q0 - A[a]) * (q0 - A[a]));
+        const std::int32_t* crow = cell + static_cast<std::size_t>(a) * g.b_len;
+        for (int w = 0; w < nb; ++w) {
+          const int b = bwin[w].second;
+          const std::int32_t r1 = crow[b + 1];
+          std::int32_t r = crow[b];
+          if (r == r1) continue;
+          for (int f = 0; f < bdim; ++f) p[f + 1] = B[f * g.b_len + b];
+          const double d = sq_dist(q, {p, static_cast<std::size_t>(dim)});
+          while (r < r1 && knn_offer(best, count, k, d, rows[r])) ++r;
+        }
+      }
+      const bool a_all = lo == 0 && hi == g.a_len;
+      const bool b_all = nb == g.b_len;
+      if (a_all && b_all) break;
+      // Lower bounds on the distance of any point outside the windows:
+      // dropping non-negative terms from a left-to-right sum cannot
+      // raise it, so a point whose axis-0 value lies outside is at
+      // least a_out + (nearest b-tuple) away, and one whose b-tuple
+      // lies outside at least (nearest axis-0 value) + b_out.
+      const double a_out = std::min(
+          lo > 0 ? (q0 - A[lo - 1]) * (q0 - A[lo - 1]) : kInf,
+          hi < g.a_len ? (q0 - A[hi]) * (q0 - A[hi]) : kInf);
+      const double b_out = b_all ? kInf : bwin[nb].first;
+      const double via_a = a_out + bwin[0].first;
+      const double via_b = std::min(a_min, a_out) + b_out;
+      if (count == k && best[k - 1].first + kKnnAbsSlack <
+                            std::min(via_a, via_b) * (1.0 - kKnnRelSlack)) {
+        break;
+      }
+      // Widen the axis whose bound binds (the other once it is full).
+      if (b_all || (!a_all && via_a <= via_b)) {
+        wa *= 2;
+      } else {
+        wb *= 2;
+      }
+    }
   }
+  MPICP_ASSERT(count > 0, "knn query on empty model");
+  // Ascending (distance, row) order, as the reference sums.
+  double acc = 0.0;
+  for (int j = 0; j < count; ++j) {
+    acc += targets_[m.targets_begin + best[j].second];
+  }
+  return acc / static_cast<double>(count);
 }
 
 double FlatBank::rank_cell_value(const RankTable& rt,
@@ -510,34 +763,8 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
       }
       return m.exp_link ? std::exp(raw) : raw;
     }
-    case FlatKind::kKnn: {
-      const int dim = m.point_dim;
-      std::span<const double> q = x;
-      if (m.scaler_begin >= 0) {
-        double* sc = s.scaled.data();
-        const double* mean = scaler_mean_.data() + m.scaler_begin;
-        const double* inv = scaler_inv_std_.data() + m.scaler_begin;
-        for (int f = 0; f < dim; ++f) {
-          sc[f] = (x[f] - mean[f]) * inv[f];
-        }
-        q = {sc, static_cast<std::size_t>(dim)};
-      }
-      s.heap.clear();
-      if (m.kd_root >= 0) {
-        search_kd(m, m.kd_root, q, s.heap);
-      } else {
-        const auto k = static_cast<std::size_t>(m.k);
-        for (int p = 0; p < m.num_points; ++p) {
-          heap_offer(s.heap, k, sq_dist(q, point_row(m, p)), p);
-        }
-      }
-      MPICP_ASSERT(!s.heap.empty(), "knn query on empty model");
-      double acc = 0.0;
-      for (const auto& [dist, idx] : s.heap) {
-        acc += targets_[m.targets_begin + idx];
-      }
-      return acc / static_cast<double>(s.heap.size());
-    }
+    case FlatKind::kKnn:
+      return predict_knn(i, x, s);
     case FlatKind::kGam: {
       const int nb = m.basis_size;
       double eta = 0.0;
@@ -641,9 +868,9 @@ void FlatBank::predict_tree_batch(std::size_t i, const double* xs,
 
 void FlatBank::save(std::ostream& os) const {
   io::write_tag(os, "flatbank");
-  io::write_value(os, 2);
-  // The blocked form is derived data, re-lowered on load: only its
-  // geometry travels with the canonical pools.
+  io::write_value(os, 3);
+  // The blocked form, rank tables and KNN grids are derived data,
+  // rebuilt on load: only the block geometry travels with the pools.
   io::write_value(os, block_depth_cap_);
   io::write_value(os, models_.size());
   for (const FlatModel& m : models_) {
@@ -658,8 +885,6 @@ void FlatBank::save(std::ostream& os) const {
     io::write_value(os, m.num_points);
     io::write_value(os, m.point_dim);
     io::write_value(os, m.targets_begin);
-    io::write_value(os, m.order_begin);
-    io::write_value(os, m.kd_root);
     io::write_value(os, m.scaler_begin);
     io::write_value(os, m.slot_begin);
     io::write_value(os, m.num_bases);
@@ -678,16 +903,6 @@ void FlatBank::save(std::ostream& os) const {
   io::write_vector(os, tree_roots_);
   io::write_vector(os, points_);
   io::write_vector(os, targets_);
-  io::write_vector(os, order_);
-  io::write_value(os, kd_.size());
-  for (const FlatKdNode& n : kd_) {
-    io::write_value(os, n.axis);
-    io::write_value(os, n.split);
-    io::write_value(os, n.left);
-    io::write_value(os, n.right);
-    io::write_value(os, n.begin);
-    io::write_value(os, n.end);
-  }
   io::write_vector(os, scaler_mean_);
   io::write_vector(os, scaler_inv_std_);
   io::write_value(os, bases_.size());
@@ -707,7 +922,7 @@ void FlatBank::save(std::ostream& os) const {
 
 void FlatBank::load(std::istream& is) {
   io::expect_tag(is, "flatbank");
-  MPICP_CHECK_PARSE(io::read_value<int>(is) == 2,
+  MPICP_CHECK_PARSE(io::read_value<int>(is) == 3,
                     "unsupported flatbank version");
   block_depth_cap_ = io::read_value<int>(is);
   MPICP_REQUIRE(block_depth_cap_ >= 0 && block_depth_cap_ <= 20,
@@ -716,7 +931,11 @@ void FlatBank::load(std::istream& is) {
   MPICP_REQUIRE(num_models < (1u << 20), "implausible flatbank size");
   models_.assign(num_models, FlatModel{});
   for (FlatModel& m : models_) {
-    m.kind = static_cast<FlatKind>(io::read_value<int>(is));
+    const int kind = io::read_value<int>(is);
+    MPICP_CHECK_PARSE(kind >= static_cast<int>(FlatKind::kTreeEnsemble) &&
+                          kind <= static_cast<int>(FlatKind::kConstant),
+                      "flatbank: unknown model kind");
+    m.kind = static_cast<FlatKind>(kind);
     m.exp_link = io::read_value<int>(is) != 0;
     m.tree_begin = io::read_value<int>(is);
     m.tree_end = io::read_value<int>(is);
@@ -727,8 +946,6 @@ void FlatBank::load(std::istream& is) {
     m.num_points = io::read_value<int>(is);
     m.point_dim = io::read_value<int>(is);
     m.targets_begin = io::read_value<int>(is);
-    m.order_begin = io::read_value<int>(is);
-    m.kd_root = io::read_value<int>(is);
     m.scaler_begin = io::read_value<int>(is);
     m.slot_begin = io::read_value<int>(is);
     m.num_bases = io::read_value<int>(is);
@@ -749,18 +966,6 @@ void FlatBank::load(std::istream& is) {
   tree_roots_ = io::read_vector<int>(is);
   points_ = io::read_vector<double>(is);
   targets_ = io::read_vector<double>(is);
-  order_ = io::read_vector<int>(is);
-  const auto num_kd = io::read_value<std::size_t>(is);
-  MPICP_REQUIRE(num_kd < (1u << 26), "implausible flatbank kd pool");
-  kd_.assign(num_kd, FlatKdNode{});
-  for (FlatKdNode& n : kd_) {
-    n.axis = io::read_value<int>(is);
-    n.split = io::read_value<double>(is);
-    n.left = io::read_value<int>(is);
-    n.right = io::read_value<int>(is);
-    n.begin = io::read_value<int>(is);
-    n.end = io::read_value<int>(is);
-  }
   scaler_mean_ = io::read_vector<double>(is);
   scaler_inv_std_ = io::read_vector<double>(is);
   const auto num_bases = io::read_value<std::size_t>(is);
@@ -783,12 +988,8 @@ void FlatBank::load(std::istream& is) {
   gam_slots_ = io::read_vector<int>(is);
   coef_ = io::read_vector<double>(is);
   max_basis_size_ = 0;
-  max_point_dim_ = 0;
-  max_k_ = 0;
   for (const FlatModel& m : models_) {
     max_basis_size_ = std::max(max_basis_size_, m.basis_size);
-    max_point_dim_ = std::max(max_point_dim_, m.point_dim);
-    max_k_ = std::max(max_k_, m.k);
   }
   // The derived build walks every tree from the file, so its shape is
   // checked first. lower_trees() appends tree after tree in preorder:
@@ -816,6 +1017,35 @@ void FlatBank::load(std::istream& is) {
     MPICP_CHECK_PARSE(0 <= m.tree_begin && m.tree_begin < m.tree_end &&
                           m.tree_end <= num_trees,
                       "flatbank: model tree range outside the tree roots");
+  }
+  // The KNN grid build walks every point of every KNN model, and a
+  // query fills a kMaxKnnK-entry buffer: check both bounds first. (The
+  // points are finite: io::read_value rejects nan and inf tokens.)
+  for (const FlatModel& m : models_) {
+    if (m.kind != FlatKind::kKnn) continue;
+    MPICP_CHECK_PARSE(m.k >= 1 && m.k <= kMaxKnnK,
+                      "flatbank: knn k outside [1, kMaxKnnK]");
+    MPICP_CHECK_PARSE(m.point_dim >= 1 && m.point_dim <= kMaxKnnDim,
+                      "flatbank: knn point_dim outside [1, kMaxKnnDim]");
+    const std::int64_t n = m.num_points;
+    const std::int64_t dim = m.point_dim;
+    MPICP_CHECK_PARSE(
+        n >= 1 && m.points_begin >= 0 &&
+            m.points_begin + n * dim <=
+                static_cast<std::int64_t>(points_.size()),
+        "flatbank: knn points outside the point pool");
+    MPICP_CHECK_PARSE(
+        m.targets_begin >= 0 &&
+            m.targets_begin + n <= static_cast<std::int64_t>(targets_.size()),
+        "flatbank: knn targets outside the target pool");
+    MPICP_CHECK_PARSE(
+        m.scaler_begin == -1 ||
+            (m.scaler_begin >= 0 &&
+             m.scaler_begin + dim <=
+                 static_cast<std::int64_t>(scaler_mean_.size()) &&
+             m.scaler_begin + dim <=
+                 static_cast<std::int64_t>(scaler_inv_std_.size())),
+        "flatbank: knn scaler outside the scaler pools");
   }
   build_derived(0);
 }

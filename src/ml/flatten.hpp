@@ -4,8 +4,10 @@
 //
 //   - every GBT/RF tree of every model lives in one node array with
 //     per-tree root offsets (pointer-free, cache-friendly traversal),
-//   - KNN points/targets/kd-nodes are packed row-major with the
-//     standard scaler folded into per-model coefficient strips,
+//   - KNN points/targets are packed row-major with the standard
+//     scaler folded into per-model coefficient strips, and each model
+//     carries a factored grid of its distinct coordinates for an exact
+//     windowed neighbour search (below),
 //   - GAM / linear / median models reduce to packed coefficient blocks,
 //     with bitwise-identical spline bases deduplicated into shared
 //     "evaluation slots" so each distinct basis is evaluated once per
@@ -32,6 +34,19 @@
 // model. Both forms are derived data — appended for the new model
 // alone on add(), rebuilt for the whole bank on load() — and reproduce
 // the interpreted regressor bit for bit.
+//
+// KNN models carry a *factored grid* (DESIGN.md §11), also derived
+// data: the scaled points factor as (distinct axis-0 values, i.e.
+// log2 msize) × (distinct tuples of the other axes), and every
+// (a, b) cell lists its rows in row order (cells may be empty). A
+// query takes the W nearest axis-0 values and the W nearest b-tuples,
+// computes the reference `sq_dist` once per non-empty candidate cell
+// and keeps the k smallest by (distance, row) — the reference's tie
+// rule (ml/knn.hpp). It accepts the answer only when the k-th distance
+// lies below a lower bound on every point outside the windows, and
+// widens the windows otherwise, up to every cell; so the answer is
+// exact with no second search. Models whose grid exceeds
+// kMaxKnnGridCells (continuous features) scan every point instead.
 #pragma once
 
 #include <array>
@@ -59,14 +74,10 @@ struct FlatTreeNode {
   double value = 0.0;
 };
 
-struct FlatKdNode {
-  int axis = -1;  ///< -1: leaf
-  double split = 0.0;
-  int left = -1;   ///< global kd index
-  int right = -1;  ///< global kd index
-  int begin = 0;   ///< leaf: range into the model's order strip
-  int end = 0;
-};
+/// Caps of a compiled KNN model: its k (the size of the per-query
+/// neighbour buffer) and its feature count (the scaled query buffer).
+inline constexpr int kMaxKnnK = 64;
+inline constexpr int kMaxKnnDim = 4;
 
 /// One deduplicated (basis, feature-index) evaluation unit shared by
 /// every GAM whose smoother for that feature is bitwise identical.
@@ -98,8 +109,6 @@ struct FlatModel {
   int num_points = 0;
   int point_dim = 0;
   int targets_begin = 0;  ///< row offset into the target pool
-  int order_begin = 0;    ///< offset into the kd leaf permutation pool
-  int kd_root = -1;       ///< global kd index; -1: brute force
   int scaler_begin = -1;  ///< offset into the scaler pools; -1: unscaled
   // GAM.
   int slot_begin = 0;  ///< range into the per-model slot-index pool
@@ -117,8 +126,11 @@ struct FlatScratch {
   std::vector<double> slot_values;  ///< slot-major basis values
   std::vector<std::uint64_t> slot_stamp;
   std::uint64_t query_stamp = 0;
-  std::vector<double> scaled;  ///< z-scaled query for KNN models
-  std::vector<std::pair<double, int>> heap;
+  std::array<double, kMaxKnnDim> scaled{};  ///< z-scaled KNN query
+  /// The nearest b-tuples as (partial distance, tuple), ascending.
+  std::vector<std::pair<double, int>> knn_bwin;
+  /// The k nearest rows so far as (distance, row), ascending.
+  std::array<std::pair<double, int>, kMaxKnnK> knn_best{};
 };
 
 class FlatBank {
@@ -179,10 +191,15 @@ class FlatBank {
   /// predict_one and predict_tree_batch answer it with a table lookup.
   bool has_rank_table(std::size_t i) const { return rank_tables_[i].built; }
 
-  /// Persist the bank in the version-2 envelope, which records the
-  /// blocked layout geometry; the blocked form itself is derived data,
-  /// re-lowered on load. load() accepts version 2 only and raises
-  /// ParseError on any other version.
+  /// True when KNN model `i` is searched through its factored grid;
+  /// false for a model over kMaxKnnGridCells, which scans every point.
+  bool has_knn_grid(std::size_t i) const { return knn_grids_[i].built; }
+
+  /// Persist the bank in the version-3 envelope, which records the
+  /// blocked layout geometry; the blocked form, the rank-cell tables and
+  /// the KNN grids are derived data, rebuilt on load. load() accepts
+  /// version 3 only and raises ParseError on any other version, and on
+  /// model ranges that fall outside their pools.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
@@ -196,6 +213,10 @@ class FlatBank {
   void build_derived(std::size_t first_model);
   /// The rank-cell half of build_derived.
   void build_rank_tables(std::size_t first_model);
+  /// The KNN-grid half of build_derived.
+  void build_knn_grids(std::size_t first_model);
+  double predict_knn(std::size_t i, std::span<const double> x,
+                     FlatScratch& scratch) const;
   void lower_knn(const KnnRegressor& knn, FlatModel& m);
   void lower_gam(const GamRegressor& gam, FlatModel& m);
   int intern_basis(const BSplineBasis& basis);
@@ -206,16 +227,12 @@ class FlatBank {
                 static_cast<std::size_t>(p) * m.point_dim,
             static_cast<std::size_t>(m.point_dim)};
   }
-  void search_kd(const FlatModel& m, int node, std::span<const double> q,
-                 std::vector<std::pair<double, int>>& heap) const;
 
   std::vector<FlatModel> models_;
   std::vector<FlatTreeNode> nodes_;
   std::vector<int> tree_roots_;
   std::vector<double> points_;
   std::vector<double> targets_;
-  std::vector<int> order_;
-  std::vector<FlatKdNode> kd_;
   std::vector<double> scaler_mean_;
   std::vector<double> scaler_inv_std_;
   std::vector<BSplineBasis> bases_;
@@ -223,11 +240,9 @@ class FlatBank {
   std::vector<int> gam_slots_;  ///< per model-feature: slot index
   std::vector<double> coef_;
   int max_basis_size_ = 0;
-  int max_point_dim_ = 0;
-  int max_k_ = 0;
 
   // Blocked branch-free layout (derived, never serialized as data —
-  // only its geometry travels in the v2 envelope). Per tree: its own
+  // only its geometry travels in the envelope). Per tree: its own
   // blocked level count (min of the cap and the tree's depth), the
   // offsets of its inner-slot block and exit rows, and whether any
   // exit spills. Exit slots hold indices into the canonical `nodes_`
@@ -272,6 +287,29 @@ class FlatBank {
   std::vector<RankTable> rank_tables_;  ///< per model
   support::AlignedVec<double> rank_thr_;  ///< sorted distinct thresholds
   support::AlignedVec<double> cell_val_;  ///< final per-cell predictions
+
+  // Factored KNN grids (derived, never serialized). Per model: its
+  // sorted distinct axis-0 values and its distinct b-tuples (axes
+  // 1..dim-1, one strip of b_len values per axis) in grid_coord_, and
+  // a_len * b_len + 1 row offsets in grid_cell_ (cell a * b_len + b)
+  // into its rows in grid_rows_.
+  static constexpr std::size_t kMaxKnnGridCells = std::size_t{1} << 16;
+  struct KnnGrid {
+    bool built = false;
+    int a_len = 0;
+    int b_len = 0;
+    std::int32_t coord_begin = 0;  ///< axis-0 strip, then the b strips
+    std::int32_t cell_begin = 0;
+    std::int32_t rows_begin = 0;
+    std::int32_t group_begin = 0;  ///< b-tuple groups of one axis-1 value
+    int num_groups = 0;
+  };
+  std::vector<KnnGrid> knn_grids_;  ///< per model
+  std::vector<double> grid_coord_;
+  std::vector<std::int32_t> grid_cell_;
+  std::vector<std::int32_t> grid_rows_;
+  std::vector<std::int32_t> grid_group_;
+  int max_grid_b_ = 0;  ///< largest b_len: sizes the scratch
 };
 
 }  // namespace mpicp::ml

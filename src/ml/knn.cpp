@@ -105,21 +105,16 @@ int KnnRegressor::build_kd(int begin, int end, int depth) {
 
 namespace {
 
-double sq_dist(std::span<const double> a, std::span<const double> b) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += (a[i] - b[i]) * (a[i] - b[i]);
-  }
-  return acc;
-}
-
-/// Max-heap of (distance, index) capped at k elements.
+/// Max-heap of (distance, index) capped at k elements. The pair order
+/// is the tie rule: a point enters iff it precedes the current k-th
+/// neighbour by (distance, row index), so the neighbour set depends on
+/// the training multiset only, never on the order points are offered.
 void heap_offer(std::vector<std::pair<double, int>>& heap, std::size_t k,
                 double dist, int idx) {
   if (heap.size() < k) {
     heap.emplace_back(dist, idx);
     std::push_heap(heap.begin(), heap.end());
-  } else if (dist < heap.front().first) {
+  } else if (std::pair(dist, idx) < heap.front()) {
     std::pop_heap(heap.begin(), heap.end());
     heap.back() = {dist, idx};
     std::push_heap(heap.begin(), heap.end());
@@ -144,7 +139,9 @@ void KnnRegressor::search_kd(
   const int near = delta < 0.0 ? n.left : n.right;
   const int far = delta < 0.0 ? n.right : n.left;
   search_kd(near, q, heap);
-  if (heap.size() < k || delta * delta < heap.front().first) {
+  // `<=`: a far point exactly at the current k-th distance can still
+  // enter the heap on a smaller row index.
+  if (heap.size() < k || delta * delta <= heap.front().first) {
     search_kd(far, q, heap);
   }
 }
@@ -161,6 +158,9 @@ double KnnRegressor::query(std::span<const double> scaled) const {
     }
   }
   MPICP_ASSERT(!heap.empty(), "knn query on empty model");
+  // Sum in ascending (distance, row) order: the mean's bits then depend
+  // on the neighbour set alone.
+  std::sort_heap(heap.begin(), heap.end());
   double acc = 0.0;
   for (const auto& [dist, idx] : heap) acc += targets_[idx];
   return acc / static_cast<double>(heap.size());

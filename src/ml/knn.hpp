@@ -4,13 +4,31 @@
 // targets — exactly the caret defaults the paper relies on. Queries use
 // a kd-tree over the scaled training points with brute force as the
 // (test-verified) reference path.
+//
+// Tie rule: the neighbours are the k smallest training rows by
+// (squared scaled distance, row index), and their targets are summed in
+// that ascending order. The answer is therefore a function of the
+// training multiset alone — the kd-tree, brute force and the compiled
+// bank's grid search (ml/flatten.hpp) all return the same bits.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ml/learner.hpp"
 
 namespace mpicp::ml {
+
+/// Squared Euclidean distance, summed left to right over the features.
+/// The one distance every KNN search path uses, so equal coordinates
+/// give equal bits wherever they are compared.
+inline double sq_dist(std::span<const double> a, std::span<const double> b) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    acc += (a[i] - b[i]) * (a[i] - b[i]);
+  }
+  return acc;
+}
 
 /// Per-feature standardization to zero mean / unit variance.
 class StandardScaler {
@@ -37,15 +55,6 @@ struct KnnParams {
 
 class KnnRegressor final : public Regressor {
  public:
-  struct KdNode {
-    int axis = -1;       // -1: leaf
-    double split = 0.0;
-    int left = -1;
-    int right = -1;
-    int begin = 0;       // leaf: range into order_
-    int end = 0;
-  };
-
   explicit KnnRegressor(KnnParams params = {});
 
   void fit(const Matrix& x, std::span<const double> y) override;
@@ -59,10 +68,17 @@ class KnnRegressor final : public Regressor {
   const StandardScaler& scaler() const { return scaler_; }
   const Matrix& points() const { return points_; }
   const std::vector<double>& targets() const { return targets_; }
-  const std::vector<int>& order() const { return order_; }
-  const std::vector<KdNode>& kd() const { return kd_; }
 
  private:
+  struct KdNode {
+    int axis = -1;       // -1: leaf
+    double split = 0.0;
+    int left = -1;
+    int right = -1;
+    int begin = 0;       // leaf: range into order_
+    int end = 0;
+  };
+
   int build_kd(int begin, int end, int depth);
   void search_kd(int node, std::span<const double> q,
                  std::vector<std::pair<double, int>>& heap) const;

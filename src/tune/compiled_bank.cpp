@@ -16,6 +16,9 @@ namespace mpicp::tune {
 
 namespace metrics = support::metrics;
 
+static_assert(kMaxInstanceFeatures <= ml::kMaxKnnDim,
+              "every instance feature vector must fit a compiled KNN model");
+
 namespace {
 
 /// One scratch per thread, reused across queries and banks — the only

@@ -78,7 +78,7 @@ class CompiledBank {
       std::span<const bench::Instance> grid) const;
 
   /// Persist / restore the compiled form (text format, exact doubles).
-  /// The version-2 envelope nests the v2 flatbank envelope with the
+  /// The version-2 envelope nests the v3 flatbank envelope with the
   /// blocked-layout geometry; it is the only version written or
   /// loaded (any other version raises ParseError).
   void save(const std::filesystem::path& path) const;

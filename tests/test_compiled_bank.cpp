@@ -23,6 +23,7 @@
 #include "ml/flatten.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
+#include "ml/knn.hpp"
 #include "ml/learner.hpp"
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
@@ -365,11 +366,11 @@ TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
   std::vector<std::string> lines;
   for (std::string line; std::getline(saved, line);) lines.push_back(line);
 
-  // v2 layout, one value per line: tag, version, block depth, model
-  // count, 19 values per model (tree_end is the 4th), node count, 5
+  // v3 layout, one value per line: tag, version, block depth, model
+  // count, 17 values per model (tree_end is the 4th), node count, 5
   // values per node (feature, threshold, left, right, value), then the
   // tree-root vector (size, roots).
-  constexpr std::size_t kModelFields = 19;
+  constexpr std::size_t kModelFields = 17;
   const std::size_t tree_end_line = 4 + 3;
   const std::size_t nodes_line = 4 + kModelFields;
   const std::size_t num_nodes = std::stoul(lines[nodes_line]);
@@ -404,6 +405,68 @@ TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
   EXPECT_TRUE(rejected(roots_line + 1, "1", "do not cover"));
   EXPECT_TRUE(rejected(tree_end_line, std::to_string(num_trees + 1),
                        "tree range"));
+}
+
+TEST(FlatBankLoad, RejectsKnnFieldsOutsideTheirPools) {
+  support::Xoshiro256 rng(9);
+  const std::size_t rows = 20;
+  ml::Matrix x(rows, 3);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < 3; ++f) {
+      x(r, f) = static_cast<double>(rng.uniform_int(5));
+    }
+    y[r] = rng.uniform(1.0, 10.0);
+  }
+  ml::KnnRegressor model;
+  model.fit(x, y);
+  ml::FlatBank bank;
+  bank.add(model);
+  std::stringstream saved;
+  bank.save(saved);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(saved, line);) lines.push_back(line);
+
+  // v3 layout: tag, version, block depth, model count, then the 17
+  // model fields: kind, exp_link, tree_begin, tree_end, base_score,
+  // mean_over_trees, k, points_begin, num_points, point_dim,
+  // targets_begin, scaler_begin, then the GAM/coefficient fields.
+  const auto field = [](std::size_t f) { return 4 + f; };
+  ASSERT_EQ(lines[1], "3");
+  ASSERT_EQ(lines[field(0)], "1") << "kind is kKnn";
+  ASSERT_EQ(lines[field(8)], std::to_string(rows));
+  ASSERT_EQ(lines[field(11)], "0") << "the model is scaled";
+  ASSERT_EQ(flatbank_load_error(lines), "");
+
+  const auto error_with = [&](std::size_t line, const std::string& value) {
+    std::vector<std::string> out = lines;
+    out[line] = value;
+    return flatbank_load_error(out);
+  };
+  const auto rejected = [&](std::size_t line, const std::string& value,
+                            const std::string& check) {
+    return error_with(line, value).find(check) != std::string::npos;
+  };
+  EXPECT_TRUE(rejected(1, "2", "unsupported flatbank version"));
+  EXPECT_TRUE(rejected(field(0), "5", "unknown model kind"));
+  EXPECT_TRUE(rejected(field(0), "-1", "unknown model kind"));
+  EXPECT_TRUE(rejected(field(6), "0", "knn k outside"));
+  EXPECT_TRUE(rejected(field(6), std::to_string(ml::kMaxKnnK + 1),
+                       "knn k outside"));
+  EXPECT_TRUE(rejected(field(9), "0", "point_dim outside"));
+  EXPECT_TRUE(rejected(field(9), "5", "point_dim outside"));
+  EXPECT_TRUE(rejected(field(7), "-1", "point pool"));
+  EXPECT_TRUE(rejected(field(7), "1", "point pool"));
+  EXPECT_TRUE(rejected(field(8), "0", "point pool"));
+  EXPECT_TRUE(rejected(field(8), std::to_string(rows + 1), "point pool"));
+  EXPECT_TRUE(rejected(field(10), "1", "target pool"));
+  EXPECT_TRUE(rejected(field(10), "-1", "target pool"));
+  EXPECT_TRUE(rejected(field(11), "1", "scaler pools"));
+  EXPECT_TRUE(rejected(field(11), "-2", "scaler pools"));
+  // Fewer features over the same pools, or the model read unscaled,
+  // stay inside every pool and load.
+  EXPECT_EQ(error_with(field(9), "2"), "");
+  EXPECT_EQ(error_with(field(11), "-1"), "");
 }
 
 // ---- single-instance rank-cell dispatch ----------------------------------
@@ -645,6 +708,236 @@ TEST(CompiledBankRankTables, ForcedPredictionsOverrideTableValues) {
   }
 }
 
+// ---- KNN factored-grid search --------------------------------------------
+
+/// One KNN model on a Cartesian grid shaped like d6: axis 0 (log2
+/// msize) × nodes × ppn, with p = nodes * ppn appended when `with_p`.
+/// Each grid point is measured `min_reps`..`max_reps` times; a draw of
+/// 0 drops the point and leaves its grid cell empty.
+struct KnnGridModel {
+  std::string name;
+  ml::Matrix x;
+  std::vector<double> y;
+  std::unique_ptr<ml::KnnRegressor> model;
+};
+
+KnnGridModel knn_grid_model(std::string name, std::uint64_t seed,
+                            bool with_p, int min_reps, int max_reps,
+                            ml::KnnParams params) {
+  const double log_msizes[] = {0, 4, 8, 10, 12, 14, 16, 19};
+  const double nodes[] = {4, 7, 8, 13, 16, 19, 20, 24, 27, 32, 35, 36};
+  const double ppns[] = {1, 4, 8, 10, 16, 17, 20, 24, 28, 32};
+  support::Xoshiro256 rng(seed);
+  std::vector<std::vector<double>> rows;
+  std::vector<double> y;
+  for (const double lm : log_msizes) {
+    for (const double n : nodes) {
+      for (const double ppn : ppns) {
+        const auto draws =
+            static_cast<std::uint64_t>(max_reps - min_reps + 1);
+        const int reps = min_reps + static_cast<int>(rng.uniform_int(draws));
+        for (int r = 0; r < reps; ++r) {
+          rows.push_back({lm, n, ppn});
+          if (with_p) rows.back().push_back(n * ppn);
+          y.push_back(rng.uniform(1.0, 1000.0));
+        }
+      }
+    }
+  }
+  KnnGridModel out{std::move(name), ml::Matrix(rows.size(), rows[0].size()),
+                   std::move(y), nullptr};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t f = 0; f < rows[r].size(); ++f) out.x(r, f) = rows[r][f];
+  }
+  out.model = std::make_unique<ml::KnnRegressor>(params);
+  out.model->fit(out.x, out.y);
+  return out;
+}
+
+/// Queries for a model trained on `x`: every 5th training point
+/// exactly; points with one or every feature at the midpoint between
+/// two adjacent grid values (equidistant both ways, an exact tie when
+/// the model is unscaled); points far outside the grid; and off-grid
+/// points drawn like the serve_offgrid workload.
+std::vector<std::vector<double>> knn_queries(const ml::Matrix& x,
+                                             std::uint64_t seed) {
+  const std::size_t dim = x.cols();
+  std::vector<std::vector<double>> axes(dim);
+  for (std::size_t f = 0; f < dim; ++f) {
+    for (std::size_t r = 0; r < x.rows(); ++r) axes[f].push_back(x(r, f));
+    std::sort(axes[f].begin(), axes[f].end());
+    axes[f].erase(std::unique(axes[f].begin(), axes[f].end()),
+                  axes[f].end());
+  }
+  support::Xoshiro256 rng(seed);
+  const auto midpoint = [&](std::size_t f) {
+    if (axes[f].size() < 2) return axes[f][0];
+    const std::size_t j = rng.uniform_int(axes[f].size() - 1);
+    return (axes[f][j] + axes[f][j + 1]) / 2.0;
+  };
+  std::vector<std::vector<double>> out;
+  for (std::size_t r = 0; r < x.rows(); r += 5) {
+    const auto row = x.row(r);
+    out.emplace_back(row.begin(), row.end());
+  }
+  for (int i = 0; i < 300; ++i) {
+    const auto row = x.row(rng.uniform_int(x.rows()));
+    std::vector<double> one(row.begin(), row.end());
+    one[rng.uniform_int(dim)] = midpoint(rng.uniform_int(dim));
+    out.push_back(one);
+    std::vector<double> all(dim);
+    for (std::size_t f = 0; f < dim; ++f) all[f] = midpoint(f);
+    out.push_back(all);
+  }
+  for (const double far : {-1e3, -40.0, 80.0, 1e4, 1e150}) {
+    out.push_back(std::vector<double>(dim, far));
+    const auto row = x.row(rng.uniform_int(x.rows()));
+    std::vector<double> one(row.begin(), row.end());
+    one[rng.uniform_int(dim)] = far;
+    out.push_back(one);
+  }
+  for (int i = 0; i < 1500; ++i) {
+    const double n = static_cast<double>(2 + rng.uniform_int(63));
+    const double ppn = static_cast<double>(1 + rng.uniform_int(48));
+    const std::vector<double> draw = {rng.uniform(0.0, 22.0), n, ppn, n * ppn};
+    out.emplace_back(draw.begin(),
+                     draw.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min<std::size_t>(dim, 4)));
+  }
+  return out;
+}
+
+/// Bit-level check of model `i` of `bank` against its interpreted
+/// regressor on `queries`, one thread and a 4-thread pool, each worker
+/// with its own scratch.
+void expect_knn_matches_reference(const ml::FlatBank& bank, std::size_t i,
+                                  const ml::Regressor& model,
+                                  const std::vector<std::vector<double>>& qs,
+                                  const std::string& where) {
+  std::vector<std::uint64_t> want(qs.size());
+  for (std::size_t q = 0; q < qs.size(); ++q) {
+    want[q] = bits(model.predict_one(qs[q]));
+  }
+  for (const int threads : {1, 4}) {
+    support::ScopedThreads scoped(threads);
+    std::vector<std::uint64_t> got(qs.size());
+    support::parallel_for(qs.size(), 16, [&](std::size_t q) {
+      thread_local ml::FlatScratch scratch;
+      bank.begin_query(scratch);
+      got[q] = bits(bank.predict_one(i, qs[q], scratch));
+    });
+    std::size_t mismatches = 0;
+    for (std::size_t q = 0; q < qs.size(); ++q) {
+      if (got[q] != want[q]) {
+        ++mismatches;
+        ADD_FAILURE() << where << " @" << threads << " query " << q << ": "
+                      << std::bit_cast<double>(got[q]) << " vs "
+                      << std::bit_cast<double>(want[q]);
+        if (mismatches > 5) return;
+      }
+    }
+  }
+}
+
+TEST(FlatBankKnnGrid, MatchesTheInterpretedReferenceBitForBit) {
+  ml::KnnParams scaled;
+  ml::KnnParams unscaled;
+  unscaled.scale_inputs = false;
+  ml::KnnParams wide;
+  wide.k = 12;
+  std::vector<KnnGridModel> cases;
+  cases.push_back(knn_grid_model("d6-like repeats", 1, true, 1, 4, scaled));
+  cases.push_back(knn_grid_model("3 features, dropped rows", 2, false, 0, 2,
+                                 scaled));
+  cases.push_back(knn_grid_model("single-row cells", 3, true, 1, 1, scaled));
+  cases.push_back(knn_grid_model("k above a cell", 4, true, 0, 3, wide));
+  cases.push_back(
+      knn_grid_model("unscaled, exact midpoint ties", 5, false, 1, 3,
+                     unscaled));
+  cases.push_back(
+      knn_grid_model("unscaled 4 features", 6, true, 0, 4, unscaled));
+  ml::FlatBank bank;
+  for (const KnnGridModel& c : cases) bank.add(*c.model);
+  std::stringstream saved;
+  bank.save(saved);
+  ml::FlatBank loaded;
+  loaded.load(saved);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_TRUE(bank.has_knn_grid(i)) << cases[i].name;
+    ASSERT_TRUE(loaded.has_knn_grid(i)) << cases[i].name;
+    const auto queries = knn_queries(cases[i].x, 100 + i);
+    expect_knn_matches_reference(bank, i, *cases[i].model, queries,
+                                 cases[i].name);
+    expect_knn_matches_reference(loaded, i, *cases[i].model, queries,
+                                 cases[i].name + " (loaded)");
+  }
+}
+
+TEST(FlatBankKnnGrid, SmallAndContinuousModelsMatchTheReference) {
+  // Fewer points than k; one and two features; and a continuous
+  // training set whose grid exceeds the cell cap, served by a scan.
+  support::Xoshiro256 rng(21);
+  std::vector<std::pair<std::string, ml::Matrix>> sets;
+  ml::Matrix tiny(3, 3);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t f = 0; f < 3; ++f) tiny(r, f) = rng.uniform_int(4);
+  }
+  sets.emplace_back("3 points, k = 5", tiny);
+  ml::Matrix one(200, 1);
+  for (std::size_t r = 0; r < 200; ++r) one(r, 0) = rng.uniform_int(12);
+  sets.emplace_back("1 feature", one);
+  ml::Matrix two(300, 2);
+  for (std::size_t r = 0; r < 300; ++r) {
+    two(r, 0) = rng.uniform_int(9);
+    two(r, 1) = 1 + rng.uniform_int(20);
+  }
+  sets.emplace_back("2 features", two);
+  ml::Matrix continuous(400, 3);
+  for (std::size_t r = 0; r < 400; ++r) {
+    for (std::size_t f = 0; f < 3; ++f) {
+      continuous(r, f) = rng.uniform(0.0, 40.0);
+    }
+  }
+  sets.emplace_back("continuous", continuous);
+  ml::FlatBank bank;
+  std::vector<std::unique_ptr<ml::KnnRegressor>> models;
+  for (const auto& [name, x] : sets) {
+    std::vector<double> y(x.rows());
+    for (double& v : y) v = rng.uniform(1.0, 100.0);
+    models.push_back(std::make_unique<ml::KnnRegressor>());
+    models.back()->fit(x, y);
+    bank.add(*models.back());
+  }
+  EXPECT_FALSE(bank.has_knn_grid(sets.size() - 1));
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    if (i + 1 < sets.size()) {
+      EXPECT_TRUE(bank.has_knn_grid(i)) << sets[i].first;
+    }
+    expect_knn_matches_reference(bank, i, *models[i],
+                                 knn_queries(sets[i].second, 300 + i),
+                                 sets[i].first);
+  }
+}
+
+TEST(FlatBankKnnGrid, RejectsModelsOverTheCaps) {
+  ml::Matrix x(8, 5);
+  std::vector<double> y(8, 1.0);
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t f = 0; f < 5; ++f) x(r, f) = static_cast<double>(r + f);
+  }
+  ml::KnnRegressor five_features;
+  five_features.fit(x, y);
+  ml::FlatBank bank;
+  EXPECT_THROW(bank.add(five_features), InvalidArgument);
+  ml::KnnParams params;
+  params.k = ml::kMaxKnnK + 1;
+  ml::KnnRegressor wide(params);
+  ml::Matrix x3(8, 3);
+  wide.fit(x3, y);
+  EXPECT_THROW(bank.add(wide), InvalidArgument);
+  EXPECT_EQ(bank.size(), 0u);
+}
+
 // ---- save / load round trip ----------------------------------------------
 
 TEST(CompiledBank, SaveLoadRoundTripIsExact) {
@@ -677,7 +970,7 @@ TEST(CompiledBank, SaveLoadRoundTripIsExact) {
   }
 }
 
-TEST(CompiledBank, LoadRejectsVersion1Envelopes) {
+TEST(CompiledBank, LoadRejectsOutdatedEnvelopes) {
   const bench::Dataset ds = random_dataset(13);
   tune::Selector selector(tune::SelectorOptions{.learner = "xgboost"});
   ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
@@ -691,11 +984,13 @@ TEST(CompiledBank, LoadRejectsVersion1Envelopes) {
     ss << is.rdbuf();
     contents = ss.str();
   }
-  // Only version 2 is written or loaded: a version-1 header on the bank
-  // or on its nested flatbank envelope is a parse error.
+  // Only the current versions are written or loaded: a version-1 bank
+  // header, or a nested flatbank envelope older than version 3 (v2
+  // carried the compiled kd-tree), is a parse error.
   const std::pair<std::string, std::string> downgrades[] = {
       {"mpicp-compiled-bank 2\n", "mpicp-compiled-bank 1\n"},
-      {"flatbank\n2\n", "flatbank\n1\n"}};
+      {"flatbank\n3\n", "flatbank\n2\n"},
+      {"flatbank\n3\n", "flatbank\n1\n"}};
   for (const auto& [from, to] : downgrades) {
     std::string v1 = contents;
     const std::size_t at = v1.find(from);

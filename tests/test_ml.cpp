@@ -2,7 +2,11 @@
 // gradient boosting, KNN, splines, GAM, random forest, CV utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ml/cv.hpp"
 #include "ml/forest.hpp"
@@ -210,6 +214,98 @@ TEST(KnnTest, KdTreeMatchesBruteForce) {
                                    rng.uniform(0.0, 40.0)};
     EXPECT_NEAR(a.predict_one(q), b.predict_one(q), 1e-9);
   }
+}
+
+TEST(KnnTest, EqualDistancesBreakByRowAndSumInThatOrder) {
+  // Rows 0-6 lie at squared distance 1 from the origin, rows 7.. far
+  // away (enough of them for the kd-tree to split). The neighbours are
+  // rows 0-4 by (distance, row), and their targets are summed in that
+  // order: a cancelling 1e17 pair makes any other order, or any other
+  // row, change the bits.
+  const double ring[7][2] = {{1, 0}, {0, 1},  {-1, 0}, {0, -1},
+                             {1, 0}, {0, 1}, {-1, 0}};
+  const double ring_y[7] = {1e17, 1.0, -1e17, 1.0, 3.0, 1e9, 1e9};
+  const std::size_t far_rows = 40;
+  Matrix x(7 + far_rows, 2);
+  std::vector<double> y(7 + far_rows);
+  for (std::size_t r = 0; r < 7; ++r) {
+    x(r, 0) = ring[r][0];
+    x(r, 1) = ring[r][1];
+    y[r] = ring_y[r];
+  }
+  for (std::size_t r = 7; r < x.rows(); ++r) {
+    x(r, 0) = 10.0 + static_cast<double>(r);
+    x(r, 1) = -5.0 - static_cast<double>(r % 7);
+    y[r] = 1e12;
+  }
+  const double expected =
+      ((((ring_y[0] + ring_y[1]) + ring_y[2]) + ring_y[3]) + ring_y[4]) /
+      5.0;
+  const std::vector<double> origin = {0.0, 0.0};
+  for (const bool kd : {true, false}) {
+    KnnParams params;
+    params.scale_inputs = false;
+    params.use_kdtree = kd;
+    KnnRegressor model(params);
+    model.fit(x, y);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(model.predict_one(origin)),
+              std::bit_cast<std::uint64_t>(expected))
+        << "use_kdtree=" << kd << " got " << model.predict_one(origin);
+  }
+}
+
+TEST(KnnTest, KdTreeAndBruteForceAgreeBitForBitOnARepeatedGrid) {
+  // A d6-shaped training set: every (log2 msize, nodes, ppn, p) grid
+  // point measured 1-4 times, so off-grid queries meet many exact ties
+  // at the k-th distance.
+  const int nodes[] = {4, 7, 8, 13, 16, 19, 20, 24, 27, 32, 35, 36};
+  const int ppns[] = {1, 4, 8, 10, 16, 17, 20, 24, 28, 32};
+  const int log_msizes[] = {0, 4, 8, 10, 12, 14, 16, 19};
+  support::Xoshiro256 rng(606);
+  std::vector<std::array<double, 4>> rows;
+  std::vector<double> y;
+  for (const int lm : log_msizes) {
+    for (const int n : nodes) {
+      for (const int ppn : ppns) {
+        const int reps = 1 + static_cast<int>(rng.uniform_int(4));
+        for (int r = 0; r < reps; ++r) {
+          rows.push_back({static_cast<double>(lm), static_cast<double>(n),
+                          static_cast<double>(ppn),
+                          static_cast<double>(n) * ppn});
+          y.push_back(rng.uniform(1.0, 1000.0));
+        }
+      }
+    }
+  }
+  Matrix x(rows.size(), 4);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t f = 0; f < 4; ++f) x(r, f) = rows[r][f];
+  }
+  KnnParams kd;
+  kd.use_kdtree = true;
+  KnnParams brute;
+  brute.use_kdtree = false;
+  KnnRegressor a(kd);
+  KnnRegressor b(brute);
+  a.fit(x, y);
+  b.fit(x, y);
+  // Off-grid queries drawn like the serve_offgrid workload: nodes in
+  // [2, 64], ppn in [1, 48], msize log-uniform over [1 B, 4 MiB].
+  int mismatches = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const double n = static_cast<double>(2 + rng.uniform_int(63));
+    const double ppn = static_cast<double>(1 + rng.uniform_int(48));
+    const auto msize = static_cast<std::uint64_t>(
+        std::exp2(rng.uniform(0.0, 22.0)));
+    const std::vector<double> q = {
+        std::log2(static_cast<double>(std::max<std::uint64_t>(msize, 1))), n,
+        ppn, n * ppn};
+    if (std::bit_cast<std::uint64_t>(a.predict_one(q)) !=
+        std::bit_cast<std::uint64_t>(b.predict_one(q))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(KnnTest, GeneralizesSmoothFunction) {
