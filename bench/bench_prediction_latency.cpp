@@ -7,7 +7,7 @@
 // selector, compiles the bank, and times single-query argmin and
 // whole-grid selection on both paths at one thread (the speedup is the
 // engine's, not the pool's), verifying that every pick is identical.
-// For the tree ensembles it also times the batched grid argmin and the
+// For the tree ensembles it also times the compiled grid argmin and the
 // single-query argmin on off-grid instances (rank-cell tables) against
 // the interpreted selector, and the KNN single-query argmin on
 // off-grid instances drawn like the perfbench serve_offgrid workload.
@@ -263,17 +263,17 @@ ComparisonRow compare_serving(const std::string& learner, int repeats) {
 
 /// Grid-argmin comparison for the tree-ensemble learners: the
 /// interpreted selector's per-instance select_uid against the compiled
-/// batched kernel (select_grid_into), p50/p99 per instance over repeated
+/// bank's select_grid_into, p50/p99 per instance over repeated
 /// full-grid passes at one thread.
 struct TreeGridRow {
   std::string learner;
   double interpreted_p50_us = 0.0;
   double interpreted_p99_us = 0.0;
-  double batched_p50_us = 0.0;
-  double batched_p99_us = 0.0;
+  double compiled_p50_us = 0.0;
+  double compiled_p99_us = 0.0;
   bool picks_identical = true;
 
-  double speedup() const { return interpreted_p50_us / batched_p50_us; }
+  double speedup() const { return interpreted_p50_us / compiled_p50_us; }
 };
 
 double percentile_of(std::vector<double>& samples, double p) {
@@ -295,9 +295,9 @@ TreeGridRow compare_tree_grid(const std::string& learner, int reps) {
   TreeGridRow row;
   row.learner = learner;
   std::vector<double> interpreted_us(reps, 0.0);
-  std::vector<double> batched_us(reps, 0.0);
+  std::vector<double> compiled_us(reps, 0.0);
   std::vector<int> interpreted_picks(grid.size(), -1);
-  std::vector<int> batched_picks(grid.size(), -1);
+  std::vector<int> compiled_picks(grid.size(), -1);
   for (int rep = 0; rep < reps; ++rep) {
     auto start = Clock::now();
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -306,14 +306,14 @@ TreeGridRow compare_tree_grid(const std::string& learner, int reps) {
     interpreted_us[rep] = seconds_since(start) * 1e6 / grid.size();
 
     start = Clock::now();
-    bank.select_grid_into(grid, batched_picks);
-    batched_us[rep] = seconds_since(start) * 1e6 / grid.size();
-    if (batched_picks != interpreted_picks) row.picks_identical = false;
+    bank.select_grid_into(grid, compiled_picks);
+    compiled_us[rep] = seconds_since(start) * 1e6 / grid.size();
+    if (compiled_picks != interpreted_picks) row.picks_identical = false;
   }
   row.interpreted_p50_us = percentile_of(interpreted_us, 0.50);
   row.interpreted_p99_us = percentile_of(interpreted_us, 0.99);
-  row.batched_p50_us = percentile_of(batched_us, 0.50);
-  row.batched_p99_us = percentile_of(batched_us, 0.99);
+  row.compiled_p50_us = percentile_of(compiled_us, 0.50);
+  row.compiled_p99_us = percentile_of(compiled_us, 0.99);
   return row;
 }
 
@@ -451,14 +451,14 @@ int run_comparison(bool smoke, const std::string& json_path) {
   std::fputs(os.str().c_str(), stdout);
 
   // Tree-ensemble grid trajectory: interpreted per-instance argmin vs
-  // the compiled batched kernel; both must pick identically and the
-  // batched kernel must clear 1.5x at p50.
+  // the compiled grid argmin; both must pick identically and the
+  // compiled grid must clear 1.5x at p50.
   const int grid_reps = smoke ? 24 : 64;
   std::printf("\nGBT/RF grid argmin (1 thread, %d full-grid passes)\n\n",
               grid_reps);
   support::TextTable grid_table(
       {"learner", "interpreted p50 [us/inst]", "interpreted p99 [us/inst]",
-       "batched p50 [us/inst]", "batched p99 [us/inst]", "p50 speedup",
+       "compiled p50 [us/inst]", "compiled p99 [us/inst]", "p50 speedup",
        "picks identical"});
   bool grids_identical = true;
   double min_grid_speedup = 1e300;
@@ -469,18 +469,20 @@ int run_comparison(bool smoke, const std::string& json_path) {
     grid_table.add_row(
         {row.learner, support::format_double(row.interpreted_p50_us, 3),
          support::format_double(row.interpreted_p99_us, 3),
-         support::format_double(row.batched_p50_us, 3),
-         support::format_double(row.batched_p99_us, 3),
+         support::format_double(row.compiled_p50_us, 3),
+         support::format_double(row.compiled_p99_us, 3),
          support::format_double(row.speedup(), 2),
          row.picks_identical ? "yes" : "NO"});
     metrics.emplace_back(row.learner + ".grid_interpreted_p50_us",
                          row.interpreted_p50_us);
     metrics.emplace_back(row.learner + ".grid_interpreted_p99_us",
                          row.interpreted_p99_us);
+    // The key names predate the per-instance grid path; they stay, as
+    // bench/baseline.json gates on them.
     metrics.emplace_back(row.learner + ".grid_batched_p50_us",
-                         row.batched_p50_us);
+                         row.compiled_p50_us);
     metrics.emplace_back(row.learner + ".grid_batched_p99_us",
-                         row.batched_p99_us);
+                         row.compiled_p99_us);
     metrics.emplace_back(row.learner + ".grid_speedup_p50", row.speedup());
   }
   metrics.emplace_back("grid_speedup_min", min_grid_speedup);
@@ -517,7 +519,7 @@ int run_comparison(bool smoke, const std::string& json_path) {
   std::fputs(os_offgrid.str().c_str(), stdout);
 
   // KNN off the grid, drawn like the serve_offgrid workload: the
-  // factored-grid search against the interpreted kd-tree reference.
+  // factored-grid search against the interpreted brute-force reference.
   std::printf("\nKNN single-query off-grid argmin, serve_offgrid draw "
               "(1 thread, best of %d)\n\n",
               offgrid_reps);
@@ -550,11 +552,11 @@ int run_comparison(bool smoke, const std::string& json_path) {
   }
   std::printf("compiled picks bit-identical to interpreted: yes\n");
   if (!grids_identical) {
-    std::printf("FAIL: GBT/RF batched grid picks differ from the "
+    std::printf("FAIL: GBT/RF compiled grid picks differ from the "
                 "interpreted selector\n");
     return 1;
   }
-  std::printf("GBT/RF batched grid picks bit-identical to interpreted: "
+  std::printf("GBT/RF compiled grid picks bit-identical to interpreted: "
               "yes\n");
   if (!offgrid_identical) {
     std::printf("FAIL: off-grid single-query picks differ from the "
@@ -570,7 +572,7 @@ int run_comparison(bool smoke, const std::string& json_path) {
   }
   std::printf("KNN off-grid picks bit-identical to interpreted: yes\n");
   if (min_grid_speedup < 1.5) {
-    std::printf("FAIL: batched grid argmin speedup %.2fx below the 1.5x "
+    std::printf("FAIL: compiled grid argmin speedup %.2fx below the 1.5x "
                 "gate\n",
                 min_grid_speedup);
     return 1;

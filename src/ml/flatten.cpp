@@ -177,99 +177,13 @@ int FlatBank::add(const Regressor& model) {
   }
   models_.push_back(m);
   // Canonical and derived pools are both append-only in model order, so
-  // only the new model's blocked prefixes and rank-cell table need
-  // deriving: add() costs what lowering the one model costs.
+  // only the new model's rank-cell table or KNN grid needs deriving:
+  // add() costs what lowering the one model costs.
   build_derived(models_.size() - 1);
   return idx;
 }
 
 void FlatBank::build_derived(std::size_t first_model) {
-  if (first_model == 0) {
-    blk_tree_levels_.clear();
-    blk_spill_.clear();
-    blk_base_.clear();
-    blk_exit_base_.clear();
-    blk_thr_.clear();
-    blk_feat_.clear();
-    blk_exit_.clear();
-    blk_leaf_.clear();
-  }
-  blk_tree_levels_.resize(tree_roots_.size(), 0);
-  blk_spill_.resize(tree_roots_.size(), 0);
-  blk_base_.resize(tree_roots_.size(), 0);
-  blk_exit_base_.resize(tree_roots_.size(), 0);
-  // (node, depth) DFS stack and the slot→node assignment of one block,
-  // hoisted out of the per-tree loops.
-  std::vector<std::pair<std::int32_t, int>> stack;
-  stack.reserve(64);
-  std::vector<std::int32_t> assign;
-  for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
-    const FlatModel& m = models_[mi];
-    if (m.kind != FlatKind::kTreeEnsemble) continue;
-    for (int t = m.tree_begin; t < m.tree_end; ++t) {
-      // Blocked levels for this tree: its own deepest comparison
-      // level, capped — shallow trees never walk padding levels.
-      int levels = 0;
-      stack.clear();
-      stack.push_back({tree_roots_[t], 0});
-      while (!stack.empty()) {
-        const auto [n, d] = stack.back();
-        stack.pop_back();
-        if (nodes_[n].feature < 0) continue;
-        levels = std::max(levels, d + 1);
-        if (levels >= block_depth_cap_) {
-          levels = block_depth_cap_;
-          break;
-        }
-        stack.push_back({nodes_[n].left, d + 1});
-        stack.push_back({nodes_[n].right, d + 1});
-      }
-      blk_tree_levels_[t] = levels;
-      const std::size_t inner = (std::size_t{1} << levels) - 1;
-      const std::size_t exits = std::size_t{1} << levels;
-      assign.assign(inner + exits, -1);
-      blk_base_[t] = static_cast<std::int32_t>(blk_thr_.size());
-      blk_exit_base_[t] = static_cast<std::int32_t>(blk_exit_.size());
-      blk_thr_.resize(blk_thr_.size() + inner);
-      blk_feat_.resize(blk_feat_.size() + inner);
-      blk_exit_.resize(blk_exit_.size() + exits);
-      blk_leaf_.resize(blk_leaf_.size() + exits);
-      double* thr = blk_thr_.data() + blk_base_[t];
-      std::int32_t* ft = blk_feat_.data() + blk_base_[t];
-      std::int32_t* ex = blk_exit_.data() + blk_exit_base_[t];
-      double* leaf = blk_leaf_.data() + blk_exit_base_[t];
-      assign[0] = tree_roots_[t];
-      for (std::size_t s = 0; s < inner; ++s) {
-        const std::int32_t n = assign[s];
-        const FlatTreeNode& node = nodes_[n];
-        if (node.feature >= 0) {
-          ft[s] = node.feature;
-          thr[s] = node.threshold;
-          assign[2 * s + 1] = node.left;
-          assign[2 * s + 2] = node.right;
-        } else {
-          // Pass-through slot for a leaf shallower than the block: both
-          // children route to the same leaf, so the predicated step can
-          // take either branch (even on a NaN feature) and still land
-          // on the node the plain tree walk stops at.
-          ft[s] = 0;
-          thr[s] = std::numeric_limits<double>::infinity();
-          assign[2 * s + 1] = n;
-          assign[2 * s + 2] = n;
-        }
-      }
-      bool spill = false;
-      for (std::size_t e = 0; e < exits; ++e) {
-        ex[e] = assign[inner + e];
-        const FlatTreeNode& node = nodes_[ex[e]];
-        // Spill-free exits carry the leaf value inline, so the hot
-        // walk finishes with one load instead of a node-pool visit.
-        leaf[e] = node.value;
-        spill = spill || node.feature >= 0;
-      }
-      blk_spill_[t] = spill ? 1 : 0;
-    }
-  }
   build_rank_tables(first_model);
   build_knn_grids(first_model);
 }
@@ -295,7 +209,7 @@ void FlatBank::build_rank_tables(std::size_t first_model) {
             ? tree_roots_[m.tree_end]
             : static_cast<int>(nodes_.size());
     // Distinct thresholds per feature, sorted; bail out on any shape
-    // the table cannot represent exactly (the blocked walk serves it).
+    // the table cannot represent exactly (the plain walk serves it).
     RankTable& rt = rank_tables_[mi];
     for (auto& v : per_feat) v.clear();
     bool representable = true;
@@ -731,26 +645,10 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
       // A rank-cell table answers the whole ensemble with one lookup.
       const RankTable& rt = rank_tables_[i];
       if (rt.built) return rank_cell_value(rt, x.data());
-      // Otherwise the blocked branch-free walk: predicated index steps
-      // through each tree's packed prefix. Spill-free trees (the
-      // common case) finish with one inline leaf-value load; only
-      // spilling exits finish with a plain node-pool walk.
+      // Otherwise walk every tree in the node pool, in canonical order.
       double raw = m.base_score;
       for (int t = m.tree_begin; t < m.tree_end; ++t) {
-        const double* thr = blk_thr_.data() + blk_base_[t];
-        const std::int32_t* ft = blk_feat_.data() + blk_base_[t];
-        const int levels = blk_tree_levels_[t];
-        const std::uint32_t exit_off = (1u << levels) - 1;
-        std::uint32_t slot = 0;
-        for (int d = 0; d < levels; ++d) {
-          slot = 2 * slot + 1 +
-                 static_cast<std::uint32_t>(!(x[ft[slot]] < thr[slot]));
-        }
-        if (!blk_spill_[t]) {
-          raw += blk_leaf_[blk_exit_base_[t] + (slot - exit_off)];
-          continue;
-        }
-        std::int32_t cur = blk_exit_[blk_exit_base_[t] + (slot - exit_off)];
+        int cur = tree_roots_[t];
         while (nodes_[cur].feature >= 0) {
           cur = x[nodes_[cur].feature] < nodes_[cur].threshold
                     ? nodes_[cur].left
@@ -799,79 +697,10 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
   MPICP_RAISE_INTERNAL("unhandled FlatKind");
 }
 
-void FlatBank::predict_tree_batch(std::size_t i, const double* xs,
-                                  std::size_t x_stride, std::size_t count,
-                                  double* out,
-                                  std::size_t out_stride) const {
-  MPICP_ASSERT(i < models_.size(), "flat model index out of range");
-  MPICP_ASSERT(count <= kTreeBatch, "tree batch wider than kTreeBatch");
-  const FlatModel& m = models_[i];
-  MPICP_ASSERT(m.kind == FlatKind::kTreeEnsemble,
-               "predict_tree_batch on a non-tree model");
-  const RankTable& rt = rank_tables_[i];
-  if (rt.built) {
-    // Rank-cell fast path: one table lookup per instance.
-    for (std::size_t b = 0; b < count; ++b) {
-      out[b * out_stride] = rank_cell_value(rt, xs + b * x_stride);
-    }
-    return;
-  }
-  double raw[kTreeBatch];
-  for (std::size_t b = 0; b < count; ++b) raw[b] = m.base_score;
-  // Tree-outer, instance-inner: each tree's block is walked to
-  // completion by every instance of the batch while its thresholds sit
-  // in L1, and the per-instance register-resident walks are
-  // independent chains the core overlaps in flight. Spill-free trees
-  // (the common case) finish with one inline leaf-value load.
-  for (int t = m.tree_begin; t < m.tree_end; ++t) {
-    const double* thr = blk_thr_.data() + blk_base_[t];
-    const std::int32_t* ft = blk_feat_.data() + blk_base_[t];
-    const int levels = blk_tree_levels_[t];
-    const std::uint32_t exit_off = (1u << levels) - 1;
-    if (!blk_spill_[t]) {
-      const double* leaf = blk_leaf_.data() + blk_exit_base_[t];
-      for (std::size_t b = 0; b < count; ++b) {
-        const double* x = xs + b * x_stride;
-        std::uint32_t slot = 0;
-        for (int d = 0; d < levels; ++d) {
-          slot = 2 * slot + 1 +
-                 static_cast<std::uint32_t>(!(x[ft[slot]] < thr[slot]));
-        }
-        raw[b] += leaf[slot - exit_off];
-      }
-      continue;
-    }
-    const std::int32_t* ex = blk_exit_.data() + blk_exit_base_[t];
-    for (std::size_t b = 0; b < count; ++b) {
-      const double* x = xs + b * x_stride;
-      std::uint32_t slot = 0;
-      for (int d = 0; d < levels; ++d) {
-        slot = 2 * slot + 1 +
-               static_cast<std::uint32_t>(!(x[ft[slot]] < thr[slot]));
-      }
-      std::int32_t cur = ex[slot - exit_off];
-      while (nodes_[cur].feature >= 0) {
-        cur = x[nodes_[cur].feature] < nodes_[cur].threshold
-                  ? nodes_[cur].left
-                  : nodes_[cur].right;
-      }
-      raw[b] += nodes_[cur].value;
-    }
-  }
-  const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
-  for (std::size_t b = 0; b < count; ++b) {
-    double r = raw[b];
-    if (m.mean_over_trees) r /= num_trees;
-    out[b * out_stride] = m.exp_link ? std::exp(r) : r;
-  }
-}
-
 void FlatBank::save(std::ostream& os) const {
   io::write_tag(os, "flatbank");
-  io::write_value(os, 3);
-  // The blocked form, rank tables and KNN grids are derived data,
-  // rebuilt on load: only the block geometry travels with the pools.
-  io::write_value(os, block_depth_cap_);
+  // The rank tables and KNN grids are derived data, rebuilt on load.
+  io::write_value(os, 4);
   io::write_value(os, models_.size());
   for (const FlatModel& m : models_) {
     io::write_value(os, static_cast<int>(m.kind));
@@ -922,11 +751,8 @@ void FlatBank::save(std::ostream& os) const {
 
 void FlatBank::load(std::istream& is) {
   io::expect_tag(is, "flatbank");
-  MPICP_CHECK_PARSE(io::read_value<int>(is) == 3,
+  MPICP_CHECK_PARSE(io::read_value<int>(is) == 4,
                     "unsupported flatbank version");
-  block_depth_cap_ = io::read_value<int>(is);
-  MPICP_REQUIRE(block_depth_cap_ >= 0 && block_depth_cap_ <= 20,
-                "implausible flatbank block depth");
   const auto num_models = io::read_value<std::size_t>(is);
   MPICP_REQUIRE(num_models < (1u << 20), "implausible flatbank size");
   models_.assign(num_models, FlatModel{});
@@ -987,14 +813,12 @@ void FlatBank::load(std::istream& is) {
   }
   gam_slots_ = io::read_vector<int>(is);
   coef_ = io::read_vector<double>(is);
-  max_basis_size_ = 0;
-  for (const FlatModel& m : models_) {
-    max_basis_size_ = std::max(max_basis_size_, m.basis_size);
-  }
   // The derived build walks every tree from the file, so its shape is
   // checked first. lower_trees() appends tree after tree in preorder:
   // the roots partition the node pool into non-empty ranges starting
   // at 0, and every child lies after its parent inside its own tree.
+  // The walk reads x[feature] from a query of at most kMaxKnnDim
+  // features.
   const auto pool = static_cast<std::int64_t>(nodes_.size());
   const auto num_trees = static_cast<std::int64_t>(tree_roots_.size());
   MPICP_CHECK_PARSE(num_trees == 0 ? pool == 0 : tree_roots_[0] == 0,
@@ -1007,6 +831,8 @@ void FlatBank::load(std::istream& is) {
     for (std::int64_t n = root; n < end; ++n) {
       const FlatTreeNode& node = nodes_[n];
       if (node.feature < 0) continue;
+      MPICP_CHECK_PARSE(node.feature < kMaxKnnDim,
+                        "flatbank: tree feature outside [0, kMaxKnnDim)");
       MPICP_CHECK_PARSE(node.left > n && node.left < end &&
                             node.right > n && node.right < end,
                         "flatbank: tree child index out of preorder range");
@@ -1046,6 +872,47 @@ void FlatBank::load(std::istream& is) {
              m.scaler_begin + dim <=
                  static_cast<std::int64_t>(scaler_inv_std_.size())),
         "flatbank: knn scaler outside the scaler pools");
+  }
+  // The GAM, linear and constant kernels read a coefficient block; a
+  // GAM also follows its slot indices to a basis and a query feature,
+  // and its basis writes basis_size values into a scratch slot.
+  const auto coef_pool = static_cast<std::int64_t>(coef_.size());
+  const auto num_gam_slots = static_cast<std::int64_t>(gam_slots_.size());
+  max_basis_size_ = 0;
+  for (const FlatModel& m : models_) {
+    if (m.kind == FlatKind::kTreeEnsemble || m.kind == FlatKind::kKnn) {
+      continue;
+    }
+    MPICP_CHECK_PARSE(m.coef_begin >= 0 && m.coef_len >= 1 &&
+                          m.coef_begin + std::int64_t{m.coef_len} <= coef_pool,
+                      "flatbank: coefficients outside the coefficient pool");
+    if (m.kind == FlatKind::kLinear) {
+      MPICP_CHECK_PARSE(m.coef_len - 1 <= kMaxKnnDim,
+                        "flatbank: linear model over kMaxKnnDim features");
+    }
+    if (m.kind != FlatKind::kGam) continue;
+    MPICP_CHECK_PARSE(
+        m.coef_len == 1 + std::int64_t{m.num_bases} * m.basis_size,
+        "flatbank: gam coefficients do not match its bases");
+    MPICP_CHECK_PARSE(m.num_bases >= 1 && m.slot_begin >= 0 &&
+                          m.slot_begin + std::int64_t{m.num_bases} <=
+                              num_gam_slots,
+                      "flatbank: gam slot range outside the slot pool");
+    for (int f = 0; f < m.num_bases; ++f) {
+      const int slot = gam_slots_[m.slot_begin + f];
+      MPICP_CHECK_PARSE(
+          slot >= 0 && static_cast<std::size_t>(slot) < slots_.size(),
+          "flatbank: gam slot index outside the slot pool");
+      const FlatBasisSlot& sl = slots_[slot];
+      MPICP_CHECK_PARSE(
+          sl.basis >= 0 && static_cast<std::size_t>(sl.basis) < bases_.size(),
+          "flatbank: basis index outside the basis pool");
+      MPICP_CHECK_PARSE(sl.feature >= 0 && sl.feature < kMaxKnnDim,
+                        "flatbank: gam slot feature outside [0, kMaxKnnDim)");
+      MPICP_CHECK_PARSE(bases_[sl.basis].num_basis() == m.basis_size,
+                        "flatbank: basis size differs from its model's");
+    }
+    max_basis_size_ = std::max(max_basis_size_, m.basis_size);
   }
   build_derived(0);
 }

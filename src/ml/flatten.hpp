@@ -18,22 +18,14 @@
 // are bit-identical to the interpreted `Regressor::predict_one` — the
 // lowering reorders memory, never arithmetic.
 //
-// Tree ensembles additionally carry a *blocked* branch-free layout
-// (DESIGN.md §16): the first K levels of every tree are packed
-// level-order into a cache-line-aligned complete-binary-tree block, so
-// the hot traversal is predicated index arithmetic
-// (`slot = 2*slot + 1 + !(x[f] < thr)`) with no data-dependent
-// branches; subtrees deeper than K spill into the canonical node pool and
-// finish with a plain tree walk. `predict_tree_batch` walks up to
-// kTreeBatch independent instances per tree level, so the comparisons
-// of a whole batch pipeline and auto-vectorize. On top of the block,
-// models whose distinct-threshold structure is small enough carry a
-// *rank-cell table*: the exact prediction precomputed for every cell
-// of the model's threshold-rank grid, collapsing both single and
-// batched dispatch to a few small binary searches plus one load per
-// model. Both forms are derived data — appended for the new model
-// alone on add(), rebuilt for the whole bank on load() — and reproduce
-// the interpreted regressor bit for bit.
+// Tree ensembles whose distinct-threshold structure is small enough
+// carry a *rank-cell table* (DESIGN.md §16): the exact prediction
+// precomputed for every cell of the model's threshold-rank grid, so a
+// query is a few small binary searches plus one load per model. Models
+// over the cell cap (continuous features) walk their trees in the node
+// pool. The table is derived data — appended for the new model alone on
+// add(), rebuilt for the whole bank on load() — and reproduces the
+// interpreted regressor bit for bit.
 //
 // KNN models carry a *factored grid* (DESIGN.md §11), also derived
 // data: the scaled points factor as (distinct axis-0 values, i.e.
@@ -135,18 +127,6 @@ struct FlatScratch {
 
 class FlatBank {
  public:
-  /// Instances walked per tree level by predict_tree_batch: enough
-  /// independent comparison chains to hide the gather latency, small
-  /// enough that slots and accumulators stay in registers.
-  static constexpr std::size_t kTreeBatch = 16;
-
-  /// Blocked levels per tree (capped by that tree's own depth, so
-  /// shallow trees never walk padding levels): at the cap, 2^8-1 = 255
-  /// inner slots ≈ 3 KB per tree — deep enough that the default GBT
-  /// (depth 6) fits entirely and fully-grown RF trees keep most of
-  /// their walk inside the block.
-  static constexpr int kDefaultBlockDepthCap = 8;
-
   /// Lower one fitted regressor into the pools; returns its model index.
   /// Raises kInvalidArgument for regressor types it cannot compile.
   int add(const Regressor& model);
@@ -163,57 +143,36 @@ class FlatBank {
   /// Predict with model `i` on the feature vector `x`. Bit-identical to
   /// the interpreted regressor's predict_one. Allocation-free once
   /// `scratch` has warmed up. Tree ensembles with a rank-cell table
-  /// are one table lookup; those without walk the blocked branch-free
-  /// layout; every other kind runs its flat kernel.
+  /// are one table lookup; those without walk their trees in the node
+  /// pool; every other kind runs its flat kernel.
   double predict_one(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
 
-  /// Batched tree-ensemble scoring: `xs` points at `count` feature
-  /// vectors of `x_stride` doubles each (count <= kTreeBatch); writes
-  /// the prediction for instance b to out[b * out_stride]. A model with
-  /// a rank-cell table is one lookup per instance; otherwise all trees
-  /// are walked level-by-level across the whole batch — independent
-  /// comparisons pipeline instead of serializing on one branchy walk.
-  /// Bit-identical to predict_one on every instance. Only valid for
-  /// kTreeEnsemble models.
-  void predict_tree_batch(std::size_t i, const double* xs,
-                          std::size_t x_stride, std::size_t count,
-                          double* out, std::size_t out_stride) const;
-
-  /// True when model `i` is served by the blocked batched kernel.
-  bool is_tree_ensemble(std::size_t i) const {
-    return models_[i].kind == FlatKind::kTreeEnsemble;
-  }
-
-  int block_depth_cap() const { return block_depth_cap_; }
-
   /// True when tree-ensemble model `i` carries a rank-cell table, i.e.
-  /// predict_one and predict_tree_batch answer it with a table lookup.
+  /// predict_one answers it with a table lookup.
   bool has_rank_table(std::size_t i) const { return rank_tables_[i].built; }
 
   /// True when KNN model `i` is searched through its factored grid;
   /// false for a model over kMaxKnnGridCells, which scans every point.
   bool has_knn_grid(std::size_t i) const { return knn_grids_[i].built; }
 
-  /// Persist the bank in the version-3 envelope, which records the
-  /// blocked layout geometry; the blocked form, the rank-cell tables and
-  /// the KNN grids are derived data, rebuilt on load. load() accepts
-  /// version 3 only and raises ParseError on any other version, and on
-  /// model ranges that fall outside their pools.
+  /// Persist the bank in the version-4 envelope: the canonical pools
+  /// only, since the rank-cell tables and the KNN grids are derived
+  /// data, rebuilt on load. load() accepts version 4 only and raises
+  /// ParseError on any other version, and on any index a query or the
+  /// derived build would follow outside its pool or query buffer.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
  private:
   void lower_trees(const std::vector<RegressionTree>& trees, FlatModel& m);
-  /// Derive the blocked layout and rank-cell tables of models
+  /// Derive the rank-cell tables and KNN grids of models
   /// [first_model, size()) from the canonical pools, appending to the
   /// derived pools, which must hold exactly models [0, first_model).
   /// add() derives the new model alone; load() passes 0, which clears
   /// the derived pools and rebuilds them all, in the same order.
   void build_derived(std::size_t first_model);
-  /// The rank-cell half of build_derived.
   void build_rank_tables(std::size_t first_model);
-  /// The KNN-grid half of build_derived.
   void build_knn_grids(std::size_t first_model);
   double predict_knn(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
@@ -241,36 +200,16 @@ class FlatBank {
   std::vector<double> coef_;
   int max_basis_size_ = 0;
 
-  // Blocked branch-free layout (derived, never serialized as data —
-  // only its geometry travels in the envelope). Per tree: its own
-  // blocked level count (min of the cap and the tree's depth), the
-  // offsets of its inner-slot block and exit rows, and whether any
-  // exit spills. Exit slots hold indices into the canonical `nodes_`
-  // pool — a leaf for paths that terminate inside the block, or the
-  // root of a spill subtree deeper than the block — and, for
-  // spill-free trees, the leaf *values* directly (blk_leaf_), so the
-  // hot walk never touches the node pool at all.
-  int block_depth_cap_ = kDefaultBlockDepthCap;
-  std::vector<std::int32_t> blk_tree_levels_;  ///< per tree
-  std::vector<std::uint8_t> blk_spill_;        ///< per tree: any deep exit?
-  std::vector<std::int32_t> blk_base_;       ///< per tree: inner-slot offset
-  std::vector<std::int32_t> blk_exit_base_;  ///< per tree: exit-row offset
-  support::AlignedVec<double> blk_thr_;
-  support::AlignedVec<std::int32_t> blk_feat_;
-  support::AlignedVec<std::int32_t> blk_exit_;
-  support::AlignedVec<double> blk_leaf_;  ///< exit-row leaf values
-
   // Rank-cell tables (derived, never serialized): every comparison of
   // a tree-ensemble model tests x[f] against one of the model's few
   // distinct thresholds, so the instance's per-feature threshold ranks
   // fix the outcome of every comparison — and the model's whole
   // prediction is constant on each rank cell. build_rank_tables()
   // enumerates the cells and stores the exact prediction (computed by
-  // the canonical tree-order walk), turning single and batched
-  // dispatch into a handful of small binary searches plus one load
-  // (rank_cell_value). Models whose cell count exceeds kMaxRankCells
-  // (continuous features) skip the table and serve through the
-  // blocked walk.
+  // the canonical tree-order walk), turning dispatch into a handful of
+  // small binary searches plus one load (rank_cell_value). Models whose
+  // cell count exceeds kMaxRankCells (continuous features) skip the
+  // table and serve through the plain node-pool walk.
   static constexpr int kMaxRankFeatures = 8;
   static constexpr std::size_t kMaxRankCells = std::size_t{1} << 14;
   struct RankTable {

@@ -69,38 +69,6 @@ void KnnRegressor::fit(const Matrix& x, std::span<const double> y) {
       std::copy(x.row(i).begin(), x.row(i).end(), points_.row(i).begin());
     }
   }
-  kd_.clear();
-  order_.resize(points_.rows());
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    order_[i] = static_cast<int>(i);
-  }
-  if (params_.use_kdtree) {
-    build_kd(0, static_cast<int>(order_.size()), 0);
-  }
-}
-
-int KnnRegressor::build_kd(int begin, int end, int depth) {
-  constexpr int kLeafSize = 16;
-  const int node_idx = static_cast<int>(kd_.size());
-  kd_.emplace_back();
-  if (end - begin <= kLeafSize) {
-    kd_[node_idx].begin = begin;
-    kd_[node_idx].end = end;
-    return node_idx;
-  }
-  const int axis = depth % static_cast<int>(points_.cols());
-  const int mid = (begin + end) / 2;
-  std::nth_element(order_.begin() + begin, order_.begin() + mid,
-                   order_.begin() + end, [&](int a, int b) {
-                     return points_(a, axis) < points_(b, axis);
-                   });
-  kd_[node_idx].axis = axis;
-  kd_[node_idx].split = points_(order_[mid], axis);
-  const int left = build_kd(begin, mid, depth + 1);
-  const int right = build_kd(mid, end, depth + 1);
-  kd_[node_idx].left = left;
-  kd_[node_idx].right = right;
-  return node_idx;
 }
 
 namespace {
@@ -123,39 +91,11 @@ void heap_offer(std::vector<std::pair<double, int>>& heap, std::size_t k,
 
 }  // namespace
 
-void KnnRegressor::search_kd(
-    int node, std::span<const double> q,
-    std::vector<std::pair<double, int>>& heap) const {
-  const KdNode& n = kd_[node];
-  const auto k = static_cast<std::size_t>(params_.k);
-  if (n.axis < 0) {
-    for (int i = n.begin; i < n.end; ++i) {
-      const int p = order_[i];
-      heap_offer(heap, k, sq_dist(q, points_.row(p)), p);
-    }
-    return;
-  }
-  const double delta = q[n.axis] - n.split;
-  const int near = delta < 0.0 ? n.left : n.right;
-  const int far = delta < 0.0 ? n.right : n.left;
-  search_kd(near, q, heap);
-  // `<=`: a far point exactly at the current k-th distance can still
-  // enter the heap on a smaller row index.
-  if (heap.size() < k || delta * delta <= heap.front().first) {
-    search_kd(far, q, heap);
-  }
-}
-
 double KnnRegressor::query(std::span<const double> scaled) const {
   std::vector<std::pair<double, int>> heap;
-  if (params_.use_kdtree && !kd_.empty()) {
-    search_kd(0, scaled, heap);
-  } else {
-    const auto k = static_cast<std::size_t>(params_.k);
-    for (std::size_t i = 0; i < points_.rows(); ++i) {
-      heap_offer(heap, k, sq_dist(scaled, points_.row(i)),
-                 static_cast<int>(i));
-    }
+  const auto k = static_cast<std::size_t>(params_.k);
+  for (std::size_t i = 0; i < points_.rows(); ++i) {
+    heap_offer(heap, k, sq_dist(scaled, points_.row(i)), static_cast<int>(i));
   }
   MPICP_ASSERT(!heap.empty(), "knn query on empty model");
   // Sum in ascending (distance, row) order: the mean's bits then depend
@@ -170,7 +110,6 @@ void KnnRegressor::save(std::ostream& os) const {
   io::write_tag(os, "knn");
   io::write_value(os, params_.k);
   io::write_value(os, params_.scale_inputs ? 1 : 0);
-  io::write_value(os, params_.use_kdtree ? 1 : 0);
   scaler_.save(os);
   io::write_value(os, points_.rows());
   io::write_value(os, points_.cols());
@@ -186,7 +125,6 @@ void KnnRegressor::load(std::istream& is) {
   io::expect_tag(is, "knn");
   params_.k = io::read_value<int>(is);
   params_.scale_inputs = io::read_value<int>(is) != 0;
-  params_.use_kdtree = io::read_value<int>(is) != 0;
   scaler_.load(is);
   const auto rows = io::read_value<std::size_t>(is);
   const auto cols = io::read_value<std::size_t>(is);
@@ -200,14 +138,6 @@ void KnnRegressor::load(std::istream& is) {
   }
   targets_ = io::read_vector<double>(is);
   MPICP_REQUIRE(targets_.size() == rows, "knn model size mismatch");
-  // The kd-tree is deterministic in the points; rebuild instead of
-  // serializing it.
-  kd_.clear();
-  order_.resize(rows);
-  for (std::size_t i = 0; i < rows; ++i) order_[i] = static_cast<int>(i);
-  if (params_.use_kdtree && rows > 0) {
-    build_kd(0, static_cast<int>(rows), 0);
-  }
 }
 
 double KnnRegressor::predict_one(std::span<const double> x) const {

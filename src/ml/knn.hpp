@@ -1,15 +1,14 @@
 // K-nearest-neighbor regression (the paper's KNN learner).
 //
 // K = 5, z-scaled inputs, Euclidean distance, mean of the neighbors'
-// targets — exactly the caret defaults the paper relies on. Queries use
-// a kd-tree over the scaled training points with brute force as the
-// (test-verified) reference path.
+// targets — exactly the caret defaults the paper relies on. A query
+// scans every scaled training point: this is the reference that the
+// compiled bank's grid search (ml/flatten.hpp) is tested against.
 //
 // Tie rule: the neighbours are the k smallest training rows by
 // (squared scaled distance, row index), and their targets are summed in
 // that ascending order. The answer is therefore a function of the
-// training multiset alone — the kd-tree, brute force and the compiled
-// bank's grid search (ml/flatten.hpp) all return the same bits.
+// training multiset alone, and the grid search returns the same bits.
 #pragma once
 
 #include <span>
@@ -50,7 +49,6 @@ class StandardScaler {
 struct KnnParams {
   int k = 5;
   bool scale_inputs = true;
-  bool use_kdtree = true;
 };
 
 class KnnRegressor final : public Regressor {
@@ -70,26 +68,12 @@ class KnnRegressor final : public Regressor {
   const std::vector<double>& targets() const { return targets_; }
 
  private:
-  struct KdNode {
-    int axis = -1;       // -1: leaf
-    double split = 0.0;
-    int left = -1;
-    int right = -1;
-    int begin = 0;       // leaf: range into order_
-    int end = 0;
-  };
-
-  int build_kd(int begin, int end, int depth);
-  void search_kd(int node, std::span<const double> q,
-                 std::vector<std::pair<double, int>>& heap) const;
   double query(std::span<const double> scaled) const;
 
   KnnParams params_;
   StandardScaler scaler_;
   Matrix points_;  // scaled training points
   std::vector<double> targets_;
-  std::vector<int> order_;  // kd-tree leaf permutation
-  std::vector<KdNode> kd_;
 };
 
 }  // namespace mpicp::ml

@@ -1,6 +1,5 @@
 #include "tune/compiled_bank.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 
@@ -26,14 +25,6 @@ namespace {
 ml::FlatScratch& thread_scratch() {
   thread_local ml::FlatScratch scratch;
   return scratch;
-}
-
-/// Per-thread prediction matrix of the batched grid argmin
-/// (model-major, ml::FlatBank::kTreeBatch instances wide). Grows to
-/// the largest bank served on this thread and is never shrunk.
-std::vector<double>& thread_batch_preds() {
-  thread_local std::vector<double> preds;
-  return preds;
 }
 
 }  // namespace
@@ -151,73 +142,6 @@ int CompiledBank::select_uid_or_invalid(const bench::Instance& inst) const {
   return argmin_uid(inst);
 }
 
-void CompiledBank::argmin_batch(const bench::Instance* insts,
-                                std::size_t count, int* out) const {
-  constexpr std::size_t kBatch = ml::FlatBank::kTreeBatch;
-  const std::size_t dim = feature_dim(features_);
-  double feats[kBatch * kMaxInstanceFeatures];
-  for (std::size_t b = 0; b < count; ++b) {
-    instance_features_into(
-        insts[b], features_,
-        std::span<double>(feats + b * kMaxInstanceFeatures, dim));
-  }
-  const std::size_t num_models = uids_.size();
-  std::vector<double>& preds = thread_batch_preds();
-  if (preds.size() < num_models * kBatch) {
-    preds.resize(num_models * kBatch);
-  }
-  ml::FlatScratch& scratch = thread_scratch();
-  // Two passes over the bank. Non-tree models (GAM/KNN/linear/constant)
-  // keep the per-instance order: begin_query stamps the slot memo per
-  // query vector, so all of an instance's GAM evaluations must share
-  // one query epoch. Tree ensembles have no cross-model query state and
-  // go model-major through the blocked batched kernel, where the win is.
-  for (std::size_t b = 0; b < count; ++b) {
-    const std::span<const double> x{feats + b * kMaxInstanceFeatures, dim};
-    bank_.begin_query(scratch);
-    for (std::size_t i = 0; i < num_models; ++i) {
-      if (bank_.is_tree_ensemble(i)) continue;
-      preds[i * kBatch + b] = bank_.predict_one(i, x, scratch);
-    }
-  }
-  for (std::size_t i = 0; i < num_models; ++i) {
-    if (!bank_.is_tree_ensemble(i)) continue;
-    bank_.predict_tree_batch(i, feats, kMaxInstanceFeatures, count,
-                             preds.data() + i * kBatch, 1);
-  }
-  // Reduce in ascending model (= uid) order per instance: identical
-  // usability screen and tie-breaking to argmin_uid.
-  const bool faults = support::faultinject::active();
-  std::size_t excluded = 0;
-  for (std::size_t b = 0; b < count; ++b) {
-    int best_uid = -1;
-    double best_time = 0.0;
-    for (std::size_t i = 0; i < num_models; ++i) {
-      double t = preds[i * kBatch + b];
-      if (faults) {
-        if (const auto forced =
-                support::faultinject::forced_prediction(uids_[i])) {
-          t = *forced;
-        }
-      }
-      if (!(std::isfinite(t) && t >= 0.0)) {
-        ++excluded;
-        continue;
-      }
-      if (best_uid < 0 || t < best_time) {
-        best_uid = uids_[i];
-        best_time = t;
-      }
-    }
-    out[b] = best_uid;
-  }
-  if (excluded > 0) {
-    static metrics::Counter& excluded_total =
-        metrics::counter("compiled.select.argmin_excluded");
-    excluded_total.inc(excluded);
-  }
-}
-
 void CompiledBank::select_grid_into(std::span<const bench::Instance> grid,
                                     std::span<int> out) const {
   MPICP_SPAN("compiled.select_grid");
@@ -230,14 +154,8 @@ void CompiledBank::select_grid_into(std::span<const bench::Instance> grid,
       metrics::counter("compiled.select.grid_instances");
   grid_requests.inc();
   grid_instances.inc(grid.size());
-  constexpr std::size_t kBatch = ml::FlatBank::kTreeBatch;
-  const std::size_t batches = (grid.size() + kBatch - 1) / kBatch;
-  // Parallelize over whole batches so each worker walks the blocked
-  // layout level-by-level across kTreeBatch independent instances.
-  support::parallel_for(batches, 4, [&](std::size_t blk) {
-    const std::size_t lo = blk * kBatch;
-    const std::size_t n = std::min(kBatch, grid.size() - lo);
-    argmin_batch(grid.data() + lo, n, out.data() + lo);
+  support::parallel_for(grid.size(), 64, [&](std::size_t i) {
+    out[i] = argmin_uid(grid[i]);
   });
   for (std::size_t i = 0; i < grid.size(); ++i) {
     MPICP_REQUIRE(out[i] > 0,
@@ -265,7 +183,6 @@ void CompiledBank::save(const std::filesystem::path& path) const {
   os << "mpicp-compiled-bank 2\n";
   os << (features_.include_total_processes ? 1 : 0) << '\n';
   ml::io::write_vector(os, uids_);
-  // The nested flatbank envelope carries the blocked-layout geometry.
   bank_.save(os);
   if (!os) {
     MPICP_RAISE_ERROR("failed writing compiled bank to " + path.string());

@@ -7,7 +7,7 @@
 // (non-finite / negative) excluded, ties to the lowest uid, optional
 // library-default fallback. Serving is allocation-free per query — the
 // feature vector lives on the stack and all per-query state sits in a
-// thread-local `ml::FlatScratch` — and `select_grid` batches whole
+// thread-local `ml::FlatScratch` — and `select_grid` spreads whole
 // instance grids with `parallel_for` over the *instances* (the
 // interpreted path parallelizes over uids inside one query instead).
 //
@@ -62,14 +62,11 @@ class CompiledBank {
   /// (tune/registry.hpp) builds its fallback policy on this.
   [[nodiscard]] int select_uid_or_invalid(const bench::Instance& inst) const;
 
-  /// Batched selection over a whole instance grid, into a caller-owned
-  /// buffer of exactly grid.size() entries. Batches of
-  /// ml::FlatBank::kTreeBatch instances are scored together — tree
-  /// ensembles answer from their rank-cell tables, or, without one,
-  /// walk the blocked layout level-by-level across the whole batch, so
-  /// the grid argmin pipelines instead of serializing on one branchy
-  /// walk per instance. Bit-identical to per-instance
-  /// select_uid. Throws if any instance has no usable prediction.
+  /// Selection over a whole instance grid, into a caller-owned buffer
+  /// of exactly grid.size() entries: a parallel_for over the instances,
+  /// each running the per-instance argmin, so it is bit-identical to
+  /// select_uid at every thread count. Throws if any instance has no
+  /// usable prediction.
   void select_grid_into(std::span<const bench::Instance> grid,
                         std::span<int> out) const;
 
@@ -78,9 +75,9 @@ class CompiledBank {
       std::span<const bench::Instance> grid) const;
 
   /// Persist / restore the compiled form (text format, exact doubles).
-  /// The version-2 envelope nests the v3 flatbank envelope with the
-  /// blocked-layout geometry; it is the only version written or
-  /// loaded (any other version raises ParseError).
+  /// The version-2 envelope nests the v4 flatbank envelope; it is the
+  /// only version written or loaded (any other version, or a nested
+  /// flatbank of another version, raises ParseError).
   void save(const std::filesystem::path& path) const;
   static CompiledBank load(const std::filesystem::path& path);
 
@@ -90,10 +87,6 @@ class CompiledBank {
   /// Fused predict+argmin on one instance; -1 when no prediction is
   /// usable. Never allocates (thread-local scratch).
   int argmin_uid(const bench::Instance& inst) const;
-  /// Batched fused predict+argmin over up to ml::FlatBank::kTreeBatch
-  /// instances; writes one uid (or -1) per instance.
-  void argmin_batch(const bench::Instance* insts, std::size_t count,
-                    int* out) const;
 
   FeatureOptions features_;
   std::vector<int> uids_;  ///< ascending; parallel to bank_ models

@@ -17,11 +17,6 @@ namespace metrics = support::metrics;
 
 namespace {
 
-/// The v2 envelope's block-depth field. Dispatch does not use it; it
-/// is written as 8 and range-checked on load to keep the file format
-/// stable.
-constexpr int kEnvelopeBlockDepth = 8;
-
 /// The tree's comparison `feature_of(inst, f) < thr` is monotone
 /// non-increasing in the raw instance value v (uint64 -> double
 /// conversion and log2 are both monotone), so the smallest v on which
@@ -136,7 +131,6 @@ void RuleTable::save(const std::filesystem::path& path) const {
   // checksum.
   std::ostringstream payload;
   ml::io::write_value(payload, agreement_);
-  ml::io::write_value(payload, kEnvelopeBlockDepth);
   std::vector<int> features(feature_.begin(), feature_.end());
   ml::io::write_vector(payload, features);
   ml::io::write_vector(payload, threshold_);
@@ -150,7 +144,7 @@ void RuleTable::save(const std::filesystem::path& path) const {
   if (!os) {
     MPICP_RAISE_ERROR("cannot open " + path.string() + " for writing");
   }
-  os << "mpicp-ruletable 2 " << body.size() << ' '
+  os << "mpicp-ruletable 3 " << body.size() << ' '
      << std::hex << ml::io::fnv1a64(body) << std::dec << '\n'
      << body;
   if (!os) {
@@ -165,7 +159,7 @@ RuleTable RuleTable::load(const std::filesystem::path& path) {
     MPICP_RAISE_PARSE("cannot open rule table file " + path.string());
   }
   ml::io::expect_tag(is, "mpicp-ruletable");
-  MPICP_CHECK_PARSE(ml::io::read_value<int>(is) == 2,
+  MPICP_CHECK_PARSE(ml::io::read_value<int>(is) == 3,
                     "unsupported rule table version");
   const auto bytes = ml::io::read_value<std::size_t>(is);
   MPICP_CHECK_PARSE(bytes < (1u << 28), "implausible rule table size");
@@ -191,9 +185,6 @@ RuleTable RuleTable::load(const std::filesystem::path& path) {
   std::istringstream ps(body);
   RuleTable table;
   table.agreement_ = ml::io::read_value<double>(ps);
-  const int block_depth = ml::io::read_value<int>(ps);
-  MPICP_CHECK_PARSE(block_depth >= 0 && block_depth <= 20,
-                    "rule table: implausible block depth");
   const std::vector<int> features = ml::io::read_vector<int>(ps);
   table.threshold_ = ml::io::read_vector<double>(ps);
   const std::vector<int> left = ml::io::read_vector<int>(ps);

@@ -75,7 +75,7 @@ class RuleTable {
   /// or bit-flipped table fails loudly at load instead of silently
   /// serving wrong rules. load() also rejects any node pool whose
   /// child indices do not point strictly forward (the lowering emits
-  /// preorder), so every loaded walk terminates. Version 2 is the only
+  /// preorder), so every loaded walk terminates. Version 3 is the only
   /// version written or loaded (any other version raises ParseError).
   void save(const std::filesystem::path& path) const;
   static RuleTable load(const std::filesystem::path& path);

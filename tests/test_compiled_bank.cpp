@@ -1,7 +1,7 @@
 // Equivalence and serving tests for the compiled model bank
 // (tune/compiled_bank.hpp): the lowered SoA form must reproduce the
 // interpreted Selector bit for bit — for every learner, at every thread
-// count, under fault injection — while adding batched selection and a
+// count, under fault injection — while adding grid selection and a
 // save/load round trip of its own.
 #include <gtest/gtest.h>
 
@@ -126,7 +126,7 @@ TEST_P(CompiledEquivalence, EveryLearnerBitIdenticalAtEveryThreadCount) {
         EXPECT_EQ(selector.select_uid(inst), bank.select_uid(inst))
             << learner << " @" << threads << " threads";
       }
-      // The batched grid path agrees with per-instance selection.
+      // The grid path agrees with per-instance selection.
       const std::vector<int> picked = bank.select_grid(instances);
       ASSERT_EQ(picked.size(), instances.size());
       for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -172,9 +172,9 @@ TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
   }
 }
 
-// ---- batched grid kernel vs the interpreted selector ---------------------
+// ---- grid selection vs the interpreted selector --------------------------
 
-TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchInterpretedArgmin) {
+TEST(CompiledBankLayouts, GridAndSavedEnvelopeMatchInterpretedArgmin) {
   const bench::Dataset ds = random_dataset(19);
   std::vector<bench::Instance> grid = ds.instances();
   const std::vector<bench::Instance> off = random_instances(57, 48);
@@ -186,8 +186,7 @@ TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchInterpretedArgmin) {
         << learner;
     const tune::CompiledBank bank = selector.compile();
 
-    // The v2 envelope nests the blocked flatbank geometry; the loaded
-    // bank re-lowers its blocked form.
+    // The loaded bank rebuilds its rank tables and KNN grids.
     const std::filesystem::path path =
         std::filesystem::temp_directory_path() /
         (std::string("mpicp_cb_v2_") + learner + ".txt");
@@ -195,17 +194,17 @@ TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchInterpretedArgmin) {
     const tune::CompiledBank loaded = tune::CompiledBank::load(path);
     std::filesystem::remove(path);
 
-    std::vector<int> batched(grid.size(), 0);
+    std::vector<int> grid_picks(grid.size(), 0);
     for (const int threads : {1, 4}) {
       support::ScopedThreads scoped(threads);
       std::vector<int> interpreted(grid.size(), 0);
       for (std::size_t i = 0; i < grid.size(); ++i) {
         interpreted[i] = selector.select_uid(grid[i]);
       }
-      bank.select_grid_into(grid, batched);
+      bank.select_grid_into(grid, grid_picks);
       for (std::size_t i = 0; i < grid.size(); ++i) {
-        ASSERT_EQ(batched[i], interpreted[i])
-            << learner << " batched argmin @" << threads << " threads, m="
+        ASSERT_EQ(grid_picks[i], interpreted[i])
+            << learner << " grid argmin @" << threads << " threads, m="
             << grid[i].msize << " n=" << grid[i].nodes
             << " ppn=" << grid[i].ppn;
       }
@@ -215,7 +214,7 @@ TEST(CompiledBankLayouts, BatchedGridAndSavedEnvelopeMatchInterpretedArgmin) {
   }
 }
 
-TEST(CompiledBankLayouts, BatchedGridHonorsFaultInjection) {
+TEST(CompiledBankLayouts, GridHonorsFaultInjection) {
   const bench::Dataset ds = random_dataset(19);
   const std::vector<bench::Instance> grid = ds.instances();
   for (const char* learner : {"xgboost", "rf"}) {
@@ -225,16 +224,16 @@ TEST(CompiledBankLayouts, BatchedGridHonorsFaultInjection) {
     const tune::CompiledBank bank = selector.compile();
     const std::vector<int> uids = selector.uids();
 
-    // Poison one uid: the batched path must exclude it exactly like the
+    // Poison one uid: the grid path must exclude it exactly like the
     // interpreted selector does.
     fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0}}});
     std::vector<int> interpreted(grid.size(), 0);
     for (std::size_t i = 0; i < grid.size(); ++i) {
       interpreted[i] = selector.select_uid(grid[i]);
     }
-    const std::vector<int> batched = bank.select_grid(grid);
-    EXPECT_EQ(batched, interpreted) << learner;
-    for (const int pick : batched) {
+    const std::vector<int> grid_picks = bank.select_grid(grid);
+    EXPECT_EQ(grid_picks, interpreted) << learner;
+    for (const int pick : grid_picks) {
       EXPECT_NE(pick, uids.front()) << learner;
     }
   }
@@ -268,9 +267,8 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
     models.back()->fit(x, y);
   }
 
-  // add() derives each model's blocked layout and rank-cell table on
-  // its own; load() rebuilds every derived pool from the saved
-  // canonical ones.
+  // add() derives each model's rank-cell table on its own; load()
+  // rebuilds every derived pool from the saved canonical ones.
   ml::FlatBank incremental;
   for (const auto& model : models) incremental.add(*model);
   std::stringstream envelope;
@@ -279,7 +277,6 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
   rebuilt.load(envelope);
   ASSERT_EQ(rebuilt.size(), incremental.size());
   for (const std::size_t i : {0u, 2u, 4u}) {
-    ASSERT_TRUE(incremental.is_tree_ensemble(i));
     EXPECT_TRUE(incremental.has_rank_table(i)) << "model " << i;
     EXPECT_TRUE(rebuilt.has_rank_table(i)) << "model " << i;
   }
@@ -310,24 +307,6 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
           << "model " << i << " query " << q;
     }
   }
-  const std::size_t batch = ml::FlatBank::kTreeBatch;
-  for (const std::size_t i : {0u, 2u, 4u}) {
-    for (std::size_t lo = 0; lo < count; lo += batch) {
-      const std::size_t n = std::min(batch, count - lo);
-      std::vector<double> a(n);
-      std::vector<double> b(n);
-      incremental.predict_tree_batch(i, queries.data() + 3 * lo, 3, n,
-                                     a.data(), 1);
-      rebuilt.predict_tree_batch(i, queries.data() + 3 * lo, 3, n, b.data(),
-                                 1);
-      for (std::size_t q = 0; q < n; ++q) {
-        EXPECT_EQ(a[q], b[q]) << "model " << i << " query " << lo + q;
-        const std::span<const double> v(queries.data() + 3 * (lo + q), 3);
-        EXPECT_EQ(a[q], models[i]->predict_one(v))
-            << "model " << i << " query " << lo + q;
-      }
-    }
-  }
 }
 
 // ---- loader hardening ------------------------------------------------------
@@ -346,6 +325,32 @@ std::string flatbank_load_error(const std::vector<std::string>& lines) {
   return "";
 }
 
+/// The envelope lines of `bank` and the line of its first basis-pool
+/// value: the v4 layout puts, after the model fields, the node pool
+/// (count, 5 values per node), then five vectors (tree roots, points,
+/// targets, scaler means, scaler inverse deviations; each a size line
+/// and its values), then the basis pool (count, then lo, hi, num_basis
+/// per basis), the slot pool (count, then basis, feature per slot), the
+/// per-model slot-index vector and the coefficient vector.
+struct EnvelopeLines {
+  std::vector<std::string> lines;
+  std::size_t bases_line = 0;
+};
+
+EnvelopeLines envelope_lines(const ml::FlatBank& bank) {
+  std::stringstream saved;
+  bank.save(saved);
+  EnvelopeLines out;
+  for (std::string line; std::getline(saved, line);) {
+    out.lines.push_back(line);
+  }
+  std::size_t at = 3 + 17 * bank.size();
+  at += 1 + 5 * std::stoul(out.lines[at]);
+  for (int v = 0; v < 5; ++v) at += 1 + std::stoul(out.lines[at]);
+  out.bases_line = at;
+  return out;
+}
+
 TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
   support::Xoshiro256 rng(8);
   const std::size_t rows = 120;
@@ -361,18 +366,15 @@ TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
   model->fit(x, y);
   ml::FlatBank bank;
   bank.add(*model);
-  std::stringstream saved;
-  bank.save(saved);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(saved, line);) lines.push_back(line);
+  const std::vector<std::string> lines = envelope_lines(bank).lines;
 
-  // v3 layout, one value per line: tag, version, block depth, model
-  // count, 17 values per model (tree_end is the 4th), node count, 5
-  // values per node (feature, threshold, left, right, value), then the
-  // tree-root vector (size, roots).
+  // v4 layout, one value per line: tag, version, model count, 17
+  // values per model (tree_end is the 4th), node count, 5 values per
+  // node (feature, threshold, left, right, value), then the tree-root
+  // vector (size, roots).
   constexpr std::size_t kModelFields = 17;
-  const std::size_t tree_end_line = 4 + 3;
-  const std::size_t nodes_line = 4 + kModelFields;
+  const std::size_t tree_end_line = 3 + 3;
+  const std::size_t nodes_line = 3 + kModelFields;
   const std::size_t num_nodes = std::stoul(lines[nodes_line]);
   const auto node_line = [&](std::size_t n, std::size_t field) {
     return nodes_line + 1 + 5 * n + field;
@@ -405,6 +407,9 @@ TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
   EXPECT_TRUE(rejected(roots_line + 1, "1", "do not cover"));
   EXPECT_TRUE(rejected(tree_end_line, std::to_string(num_trees + 1),
                        "tree range"));
+  // The walk would read x[feature] past a kMaxKnnDim-feature query.
+  EXPECT_TRUE(rejected(node_line(0, 0), std::to_string(ml::kMaxKnnDim),
+                       "tree feature"));
 }
 
 TEST(FlatBankLoad, RejectsKnnFieldsOutsideTheirPools) {
@@ -422,17 +427,14 @@ TEST(FlatBankLoad, RejectsKnnFieldsOutsideTheirPools) {
   model.fit(x, y);
   ml::FlatBank bank;
   bank.add(model);
-  std::stringstream saved;
-  bank.save(saved);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(saved, line);) lines.push_back(line);
+  const std::vector<std::string> lines = envelope_lines(bank).lines;
 
-  // v3 layout: tag, version, block depth, model count, then the 17
-  // model fields: kind, exp_link, tree_begin, tree_end, base_score,
-  // mean_over_trees, k, points_begin, num_points, point_dim,
-  // targets_begin, scaler_begin, then the GAM/coefficient fields.
-  const auto field = [](std::size_t f) { return 4 + f; };
-  ASSERT_EQ(lines[1], "3");
+  // v4 layout: tag, version, model count, then the 17 model fields:
+  // kind, exp_link, tree_begin, tree_end, base_score, mean_over_trees,
+  // k, points_begin, num_points, point_dim, targets_begin,
+  // scaler_begin, then the GAM/coefficient fields.
+  const auto field = [](std::size_t f) { return 3 + f; };
+  ASSERT_EQ(lines[1], "4");
   ASSERT_EQ(lines[field(0)], "1") << "kind is kKnn";
   ASSERT_EQ(lines[field(8)], std::to_string(rows));
   ASSERT_EQ(lines[field(11)], "0") << "the model is scaled";
@@ -447,7 +449,7 @@ TEST(FlatBankLoad, RejectsKnnFieldsOutsideTheirPools) {
                             const std::string& check) {
     return error_with(line, value).find(check) != std::string::npos;
   };
-  EXPECT_TRUE(rejected(1, "2", "unsupported flatbank version"));
+  EXPECT_TRUE(rejected(1, "3", "unsupported flatbank version"));
   EXPECT_TRUE(rejected(field(0), "5", "unknown model kind"));
   EXPECT_TRUE(rejected(field(0), "-1", "unknown model kind"));
   EXPECT_TRUE(rejected(field(6), "0", "knn k outside"));
@@ -469,6 +471,122 @@ TEST(FlatBankLoad, RejectsKnnFieldsOutsideTheirPools) {
   EXPECT_EQ(error_with(field(11), "-1"), "");
 }
 
+TEST(FlatBankLoad, RejectsGamFieldsOutsideTheirPools) {
+  support::Xoshiro256 rng(10);
+  const std::size_t rows = 80;
+  ml::Matrix x(rows, 3);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    x(r, 0) = rng.uniform(0.0, 22.0);
+    x(r, 1) = rng.uniform(1.0, 64.0);
+    x(r, 2) = rng.uniform(1.0, 32.0);
+    y[r] = 1.0 + x(r, 0) + x(r, 1) * x(r, 2) + rng.uniform(0.0, 0.5);
+  }
+  const std::unique_ptr<ml::Regressor> model = ml::make_regressor("gam");
+  model->fit(x, y);
+  ml::FlatBank bank;
+  bank.add(*model);
+  const EnvelopeLines env = envelope_lines(bank);
+  const std::vector<std::string>& lines = env.lines;
+
+  // Model fields 12-16: slot_begin, num_bases, basis_size, coef_begin,
+  // coef_len.
+  const auto field = [](std::size_t f) { return 3 + f; };
+  ASSERT_EQ(lines[field(0)], "2") << "kind is kGam";
+  ASSERT_EQ(lines[field(13)], "3");
+  const std::size_t num_bases = std::stoul(lines[env.bases_line]);
+  const auto basis_line = [&](std::size_t b, std::size_t f) {
+    return env.bases_line + 1 + 3 * b + f;
+  };
+  const std::size_t slots_line = basis_line(num_bases, 0);
+  const std::size_t num_slots = std::stoul(lines[slots_line]);
+  const auto slot_line = [&](std::size_t s, std::size_t f) {
+    return slots_line + 1 + 2 * s + f;
+  };
+  const std::size_t gam_slots_line = slot_line(num_slots, 0);
+  ASSERT_EQ(num_bases, 3u);
+  ASSERT_EQ(num_slots, 3u);
+  ASSERT_EQ(lines[gam_slots_line], "3");
+  ASSERT_EQ(lines[basis_line(0, 2)], lines[field(14)]);
+  ASSERT_EQ(flatbank_load_error(lines), "");
+
+  const auto rejected = [&](std::size_t line, const std::string& value,
+                            const std::string& check) {
+    std::vector<std::string> out = lines;
+    out[line] = value;
+    return flatbank_load_error(out).find(check) != std::string::npos;
+  };
+  const std::string coef_len = lines[field(16)];
+  EXPECT_TRUE(rejected(field(15), "-1", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(15), "1", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(16), std::to_string(std::stoul(coef_len) + 1),
+                       "coefficient pool"));
+  EXPECT_TRUE(rejected(field(14), std::to_string(
+                                      std::stoul(lines[field(14)]) + 1),
+                       "do not match its bases"));
+  EXPECT_TRUE(rejected(field(12), "-1", "slot range"));
+  EXPECT_TRUE(rejected(field(12), "1", "slot range"));
+  EXPECT_TRUE(rejected(gam_slots_line + 3, "-1", "slot index"));
+  EXPECT_TRUE(
+      rejected(gam_slots_line + 3, std::to_string(num_slots), "slot index"));
+  EXPECT_TRUE(rejected(slot_line(2, 0), "-1", "basis index"));
+  EXPECT_TRUE(
+      rejected(slot_line(2, 0), std::to_string(num_bases), "basis index"));
+  EXPECT_TRUE(rejected(slot_line(2, 1), "-1", "slot feature"));
+  EXPECT_TRUE(rejected(slot_line(2, 1), std::to_string(ml::kMaxKnnDim),
+                       "slot feature"));
+  // A basis wider than its model's basis_size would write past the
+  // model's stride in the scratch slot values.
+  EXPECT_TRUE(rejected(basis_line(2, 2),
+                       std::to_string(std::stoul(lines[field(14)]) + 1),
+                       "basis size differs"));
+}
+
+TEST(FlatBankLoad, RejectsLinearAndConstantFieldsOutsideTheirPools) {
+  support::Xoshiro256 rng(12);
+  const std::size_t rows = 40;
+  ml::Matrix x(rows, 4);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < 4; ++f) x(r, f) = rng.uniform(0.0, 10.0);
+    y[r] = 2.0 + x(r, 0) + 3.0 * x(r, 3) + rng.uniform(0.0, 0.5);
+  }
+  ml::FlatBank bank;
+  for (const char* learner : {"linear", "median"}) {
+    const std::unique_ptr<ml::Regressor> model = ml::make_regressor(learner);
+    model->fit(x, y);
+    bank.add(*model);
+  }
+  const std::vector<std::string> lines = envelope_lines(bank).lines;
+  // Model fields 15-16 (coef_begin, coef_len) of the linear model, then
+  // of the constant one; the coefficient pool holds 5 + 1 values.
+  const auto field = [](std::size_t model, std::size_t f) {
+    return 3 + 17 * model + f;
+  };
+  ASSERT_EQ(lines[field(0, 0)], "3") << "kind is kLinear";
+  ASSERT_EQ(lines[field(1, 0)], "4") << "kind is kConstant";
+  ASSERT_EQ(lines[field(0, 16)], "5");
+  ASSERT_EQ(lines[field(1, 15)], "5");
+  ASSERT_EQ(flatbank_load_error(lines), "");
+
+  const auto rejected = [&](std::size_t line, const std::string& value,
+                            const std::string& check) {
+    std::vector<std::string> out = lines;
+    out[line] = value;
+    return flatbank_load_error(out).find(check) != std::string::npos;
+  };
+  EXPECT_TRUE(rejected(field(0, 15), "-1", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(0, 15), "2", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(0, 16), "0", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(0, 16), "7", "coefficient pool"));
+  // Inside the pool, but the kernel would read x[4] of a query holding
+  // at most kMaxKnnDim features.
+  EXPECT_TRUE(rejected(field(0, 16), "6", "over kMaxKnnDim"));
+  EXPECT_TRUE(rejected(field(1, 15), "-1", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(1, 15), "6", "coefficient pool"));
+  EXPECT_TRUE(rejected(field(1, 16), "0", "coefficient pool"));
+}
+
 // ---- single-instance rank-cell dispatch ----------------------------------
 
 /// Off-grid instances: byte-granular message sizes, and node / ppn
@@ -488,20 +606,17 @@ std::vector<bench::Instance> offgrid_instances(std::uint64_t seed,
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Every single-instance path on model `i` returns the same bits:
-/// predict_one (the rank-cell table when the model has one), a
-/// one-instance predict_tree_batch and the interpreted regressor.
+/// predict_one on model `i` (the rank-cell table when the model has
+/// one, the plain node-pool walk otherwise) returns the interpreted
+/// regressor's bits.
 void expect_single_paths_agree(const ml::FlatBank& bank, std::size_t i,
                                const ml::Regressor& model,
                                std::span<const double> x,
                                ml::FlatScratch& scratch,
                                const std::string& where) {
   bank.begin_query(scratch);
-  const double fast = bank.predict_one(i, x, scratch);
-  double batched = 0.0;
-  bank.predict_tree_batch(i, x.data(), x.size(), 1, &batched, 1);
-  EXPECT_EQ(bits(fast), bits(batched)) << where;
-  EXPECT_EQ(bits(fast), bits(model.predict_one(x))) << where;
+  EXPECT_EQ(bits(bank.predict_one(i, x, scratch)), bits(model.predict_one(x)))
+      << where;
 }
 
 /// Sorted distinct split thresholds per feature over all trees.
@@ -543,7 +658,8 @@ struct TreeBankFixture {
 };
 
 /// At every stored threshold, its nextafter neighbours, and with ±inf /
-/// NaN in any feature, every single-instance path agrees bit for bit.
+/// NaN in any feature, predict_one agrees with the interpreted
+/// regressor bit for bit.
 void expect_agreement_at_thresholds_and_non_finite(
     const TreeBankFixture& fx, const ml::Matrix& x,
     std::span<const std::size_t> base_rows) {
@@ -606,10 +722,10 @@ TEST(FlatBankRankTables, SingleInstanceTableMatchesEveryWalkBitForBit) {
   expect_agreement_at_thresholds_and_non_finite(fx, x, base_rows);
 }
 
-TEST(FlatBankRankTables, ModelsOverTheCellCapKeepTheBlockedWalk) {
+TEST(FlatBankRankTables, ModelsOverTheCellCapKeepThePlainWalk) {
   // Continuous features: the threshold-rank grid is far larger than
-  // kMaxRankCells, so neither model gets a table and the blocked walk
-  // must still reproduce the interpreted regressor.
+  // kMaxRankCells, so neither model gets a table and the plain
+  // node-pool walk must still reproduce the interpreted regressor.
   support::Xoshiro256 rng(91);
   const std::size_t rows = 600;
   ml::Matrix x(rows, 4);
@@ -621,7 +737,6 @@ TEST(FlatBankRankTables, ModelsOverTheCellCapKeepTheBlockedWalk) {
   }
   const TreeBankFixture fx(x, y);
   for (std::size_t i = 0; i < fx.bank.size(); ++i) {
-    ASSERT_TRUE(fx.bank.is_tree_ensemble(i));
     EXPECT_FALSE(fx.bank.has_rank_table(i)) << fx.models[i]->name();
   }
   const std::size_t base_rows[] = {0, 1};
@@ -705,6 +820,62 @@ TEST(CompiledBankRankTables, ForcedPredictionsOverrideTableValues) {
     EXPECT_EQ(bank.select_grid(stream),
               std::vector<int>(stream.size(), uids.back()))
         << learner;
+  }
+}
+
+// ---- tree ensembles over the rank-cell cap --------------------------------
+
+/// Byte-granular message sizes and random node / ppn counts: every
+/// feature gets dozens of distinct split thresholds, so no tree model
+/// fitted on it stays under kMaxRankCells.
+bench::Dataset continuous_dataset(std::uint64_t seed) {
+  support::Xoshiro256 rng(seed);
+  bench::Dataset ds("over-cap", sim::MpiLib::kOpenMPI,
+                    sim::Collective::kBcast, "Hydra");
+  for (int uid = 1; uid <= 4; ++uid) {
+    const double a = rng.uniform(1.0, 50.0);
+    const double b = rng.uniform(0.0, 5.0);
+    const double c = rng.uniform(1e-4, 1e-2);
+    for (int r = 0; r < 300; ++r) {
+      const int n = 1 + static_cast<int>(rng.uniform_int(64));
+      const int ppn = 1 + static_cast<int>(rng.uniform_int(32));
+      const std::uint64_t m = 1 + rng.uniform_int(std::uint64_t{1} << 22);
+      const double p = static_cast<double>(n) * ppn;
+      const double t = a * std::log2(p + 1) + b * p +
+                       c * static_cast<double>(m) + 1.0;
+      ds.add({uid, n, ppn, m, rng.lognormal_median(t, 0.08)});
+    }
+  }
+  return ds;
+}
+
+TEST(CompiledBankOverTheCellCap, GridAndSingleSelectionsMatchInterpreted) {
+  const bench::Dataset ds = continuous_dataset(43);
+  std::vector<bench::Instance> queries = offgrid_instances(303, 96);
+  const std::vector<bench::Instance> train = ds.instances();
+  queries.insert(queries.end(), train.begin(), train.begin() + 64);
+  for (const char* learner : {"xgboost", "rf"}) {
+    tune::Selector selector(tune::SelectorOptions{.learner = learner});
+    ASSERT_EQ(selector.fit(ds, ds.node_counts()).uids_total(), 4u)
+        << learner;
+    const tune::CompiledBank bank = selector.compile();
+    for (std::size_t i = 0; i < bank.num_models(); ++i) {
+      ASSERT_FALSE(bank.flat().has_rank_table(i)) << learner << " model " << i;
+    }
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      std::vector<int> interpreted(queries.size(), 0);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        interpreted[q] = selector.select_uid(queries[q]);
+      }
+      std::vector<int> single(queries.size(), 0);
+      support::parallel_for(queries.size(), 8, [&](std::size_t q) {
+        single[q] = bank.select_uid(queries[q]);
+      });
+      EXPECT_EQ(single, interpreted) << learner << " @" << threads;
+      EXPECT_EQ(bank.select_grid(queries), interpreted)
+          << learner << " grid @" << threads;
+    }
   }
 }
 
@@ -985,12 +1156,14 @@ TEST(CompiledBank, LoadRejectsOutdatedEnvelopes) {
     contents = ss.str();
   }
   // Only the current versions are written or loaded: a version-1 bank
-  // header, or a nested flatbank envelope older than version 3 (v2
-  // carried the compiled kd-tree), is a parse error.
+  // header, or a nested flatbank envelope older than version 4 (v3
+  // carried the blocked-layout depth, v2 the compiled kd-tree), is a
+  // parse error.
   const std::pair<std::string, std::string> downgrades[] = {
       {"mpicp-compiled-bank 2\n", "mpicp-compiled-bank 1\n"},
-      {"flatbank\n3\n", "flatbank\n2\n"},
-      {"flatbank\n3\n", "flatbank\n1\n"}};
+      {"flatbank\n4\n", "flatbank\n3\n"},
+      {"flatbank\n4\n", "flatbank\n2\n"},
+      {"flatbank\n4\n", "flatbank\n1\n"}};
   for (const auto& [from, to] : downgrades) {
     std::string v1 = contents;
     const std::size_t at = v1.find(from);

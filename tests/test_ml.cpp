@@ -3,16 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "ml/cv.hpp"
 #include "ml/forest.hpp"
 #include "ml/gam.hpp"
 #include "ml/gbt.hpp"
+#include "ml/io.hpp"
 #include "ml/knn.hpp"
+#include "ml/learner.hpp"
 #include "ml/linreg.hpp"
 #include "ml/metrics.hpp"
 #include "ml/spline.hpp"
@@ -198,30 +201,11 @@ TEST(KnnTest, ExactOnTrainingPointsForK1) {
   }
 }
 
-TEST(KnnTest, KdTreeMatchesBruteForce) {
-  const Synth s = make_synth(500, 0.1, 5);
-  KnnParams kd;
-  kd.use_kdtree = true;
-  KnnParams brute;
-  brute.use_kdtree = false;
-  KnnRegressor a(kd);
-  KnnRegressor b(brute);
-  a.fit(s.x, s.y);
-  b.fit(s.x, s.y);
-  support::Xoshiro256 rng(6);
-  for (int i = 0; i < 200; ++i) {
-    const std::vector<double> q = {rng.uniform(-1.0, 23.0),
-                                   rng.uniform(0.0, 40.0)};
-    EXPECT_NEAR(a.predict_one(q), b.predict_one(q), 1e-9);
-  }
-}
-
 TEST(KnnTest, EqualDistancesBreakByRowAndSumInThatOrder) {
   // Rows 0-6 lie at squared distance 1 from the origin, rows 7.. far
-  // away (enough of them for the kd-tree to split). The neighbours are
-  // rows 0-4 by (distance, row), and their targets are summed in that
-  // order: a cancelling 1e17 pair makes any other order, or any other
-  // row, change the bits.
+  // away. The neighbours are rows 0-4 by (distance, row), and their
+  // targets are summed in that order: a cancelling 1e17 pair makes any
+  // other order, or any other row, change the bits.
   const double ring[7][2] = {{1, 0}, {0, 1},  {-1, 0}, {0, -1},
                              {1, 0}, {0, 1}, {-1, 0}};
   const double ring_y[7] = {1e17, 1.0, -1e17, 1.0, 3.0, 1e9, 1e9};
@@ -242,70 +226,45 @@ TEST(KnnTest, EqualDistancesBreakByRowAndSumInThatOrder) {
       ((((ring_y[0] + ring_y[1]) + ring_y[2]) + ring_y[3]) + ring_y[4]) /
       5.0;
   const std::vector<double> origin = {0.0, 0.0};
-  for (const bool kd : {true, false}) {
-    KnnParams params;
-    params.scale_inputs = false;
-    params.use_kdtree = kd;
-    KnnRegressor model(params);
-    model.fit(x, y);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(model.predict_one(origin)),
-              std::bit_cast<std::uint64_t>(expected))
-        << "use_kdtree=" << kd << " got " << model.predict_one(origin);
-  }
+  KnnParams params;
+  params.scale_inputs = false;
+  KnnRegressor model(params);
+  model.fit(x, y);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(model.predict_one(origin)),
+            std::bit_cast<std::uint64_t>(expected))
+      << "got " << model.predict_one(origin);
 }
 
-TEST(KnnTest, KdTreeAndBruteForceAgreeBitForBitOnARepeatedGrid) {
-  // A d6-shaped training set: every (log2 msize, nodes, ppn, p) grid
-  // point measured 1-4 times, so off-grid queries meet many exact ties
-  // at the k-th distance.
-  const int nodes[] = {4, 7, 8, 13, 16, 19, 20, 24, 27, 32, 35, 36};
-  const int ppns[] = {1, 4, 8, 10, 16, 17, 20, 24, 28, 32};
-  const int log_msizes[] = {0, 4, 8, 10, 12, 14, 16, 19};
-  support::Xoshiro256 rng(606);
-  std::vector<std::array<double, 4>> rows;
-  std::vector<double> y;
-  for (const int lm : log_msizes) {
-    for (const int n : nodes) {
-      for (const int ppn : ppns) {
-        const int reps = 1 + static_cast<int>(rng.uniform_int(4));
-        for (int r = 0; r < reps; ++r) {
-          rows.push_back({static_cast<double>(lm), static_cast<double>(n),
-                          static_cast<double>(ppn),
-                          static_cast<double>(n) * ppn});
-          y.push_back(rng.uniform(1.0, 1000.0));
-        }
-      }
-    }
+TEST(KnnTest, PayloadInTheKdTreeFormatIsAParseError) {
+  // The knn payload once carried a kd-tree flag after scale_inputs.
+  // Such a payload must fail to parse, never load one field off.
+  const Synth s = make_synth(40, 0.0, 11);
+  KnnRegressor model;
+  model.fit(s.x, s.y);
+  std::ostringstream current;
+  model.save(current);
+  const std::string body = current.str();
+  // Tag, k, scale_inputs: the flag went after the third line.
+  std::size_t at = 0;
+  for (int line = 0; line < 3; ++line) at = body.find('\n', at) + 1;
+  for (const char* flag : {"1\n", "0\n"}) {
+    const std::string old_body = body.substr(0, at) + flag + body.substr(at);
+    std::istringstream bare(old_body);
+    KnnRegressor loaded;
+    EXPECT_THROW(loaded.load(bare), ParseError) << flag;
+    // The same payload, correctly sealed in a regressor-v2 envelope.
+    std::ostringstream sealed;
+    sealed << "regressor-v2 knn " << old_body.size() << ' ' << std::hex
+           << io::fnv1a64(old_body) << '\n'
+           << old_body;
+    std::istringstream enveloped(sealed.str());
+    EXPECT_THROW((void)load_regressor(enveloped), ParseError) << flag;
   }
-  Matrix x(rows.size(), 4);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t f = 0; f < 4; ++f) x(r, f) = rows[r][f];
-  }
-  KnnParams kd;
-  kd.use_kdtree = true;
-  KnnParams brute;
-  brute.use_kdtree = false;
-  KnnRegressor a(kd);
-  KnnRegressor b(brute);
-  a.fit(x, y);
-  b.fit(x, y);
-  // Off-grid queries drawn like the serve_offgrid workload: nodes in
-  // [2, 64], ppn in [1, 48], msize log-uniform over [1 B, 4 MiB].
-  int mismatches = 0;
-  for (int i = 0; i < 5000; ++i) {
-    const double n = static_cast<double>(2 + rng.uniform_int(63));
-    const double ppn = static_cast<double>(1 + rng.uniform_int(48));
-    const auto msize = static_cast<std::uint64_t>(
-        std::exp2(rng.uniform(0.0, 22.0)));
-    const std::vector<double> q = {
-        std::log2(static_cast<double>(std::max<std::uint64_t>(msize, 1))), n,
-        ppn, n * ppn};
-    if (std::bit_cast<std::uint64_t>(a.predict_one(q)) !=
-        std::bit_cast<std::uint64_t>(b.predict_one(q))) {
-      ++mismatches;
-    }
-  }
-  EXPECT_EQ(mismatches, 0);
+  // The current payload round-trips.
+  std::istringstream round(body);
+  KnnRegressor loaded;
+  loaded.load(round);
+  EXPECT_EQ(loaded.predict_one(s.x.row(0)), model.predict_one(s.x.row(0)));
 }
 
 TEST(KnnTest, GeneralizesSmoothFunction) {

@@ -4,7 +4,7 @@
 // DecisionRules::to_c_code must agree on every distillation grid point
 // and on randomized off-grid instances — for every learner, at thread
 // counts 1 and 4, and through the table's save/load round trip. The
-// v2 envelope bytes are pinned, and the loader's structural checks are
+// v3 envelope bytes are pinned, and the loader's structural checks are
 // probed with hand-edited, re-checksummed files.
 #include <gtest/gtest.h>
 
@@ -237,8 +237,8 @@ TEST(RuleTable, LoadRejectsCorruptAndTruncatedFiles) {
   }
   EXPECT_THROW((void)tune::RuleTable::load(path), ParseError);
   {
-    // A version-1 header: only version 2 is written or loaded.
-    const std::string header = "mpicp-ruletable 2 ";
+    // A version-1 header: only version 3 is written or loaded.
+    const std::string header = "mpicp-ruletable 3 ";
     ASSERT_EQ(contents.rfind(header, 0), 0u);
     std::ofstream os(path);
     os << "mpicp-ruletable 1 " << contents.substr(header.size());
@@ -286,12 +286,11 @@ tune::DecisionRules hand_built_rules() {
   return tune::DecisionRules::fit(points);
 }
 
-/// The v2 envelope of hand_built_rules() lowered with agreement 0.8125,
-/// byte for byte (the block-depth field reads 8). A change to the file
-/// format has to change this fixture on purpose.
-constexpr const char* kHandBuiltEnvelopeV2 = R"(mpicp-ruletable 2 202 6b52fd5761d21768
+/// The v3 envelope of hand_built_rules() lowered with agreement 0.8125,
+/// byte for byte. A change to the file format has to change this
+/// fixture on purpose.
+constexpr const char* kHandBuiltEnvelopeV3 = R"(mpicp-ruletable 3 200 37eee0cfcd40d872
 0.8125
-8
 15
 0
 -1
@@ -358,28 +357,44 @@ constexpr const char* kHandBuiltEnvelopeV2 = R"(mpicp-ruletable 2 202 6b52fd5761
 -1
 )";
 
-TEST(RuleTable, V2EnvelopeBytesArePinned) {
+TEST(RuleTable, V3EnvelopeBytesArePinned) {
   const tune::DecisionRules rules = hand_built_rules();
   tune::RuleTable table = tune::RuleTable::lower(rules);
   table.set_agreement(0.8125);
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() / "mpicp_rt_pinned.txt";
   table.save(path);
-  EXPECT_EQ(slurp(path), kHandBuiltEnvelopeV2);
+  EXPECT_EQ(slurp(path), kHandBuiltEnvelopeV3);
 
   // A table saved in that format loads and picks like the tree.
   {
     std::ofstream os(path);
-    os << kHandBuiltEnvelopeV2;
+    os << kHandBuiltEnvelopeV3;
   }
   const tune::RuleTable loaded = tune::RuleTable::load(path);
-  std::filesystem::remove(path);
   EXPECT_EQ(loaded.agreement(), 0.8125);
   EXPECT_EQ(loaded.num_nodes(), rules.num_nodes());
   for (const bench::Instance& inst : random_instances(5, 256)) {
     ASSERT_EQ(loaded.uid_for(inst), rules.uid_for(inst))
         << "m=" << inst.msize << " n=" << inst.nodes << " ppn=" << inst.ppn;
   }
+
+  // The same table in the v2 format, which carried an unused
+  // block-depth field (always 8) after the agreement, correctly sealed:
+  // a parse error, never a table read one field off.
+  const std::string v3(kHandBuiltEnvelopeV3);
+  const std::string payload = v3.substr(v3.find('\n') + 1);
+  const std::size_t agreement_end = payload.find('\n') + 1;
+  const std::string body = payload.substr(0, agreement_end) + "8\n" +
+                           payload.substr(agreement_end);
+  {
+    std::ofstream os(path);
+    os << "mpicp-ruletable 2 " << body.size() << ' ' << std::hex
+       << ml::io::fnv1a64(body) << '\n'
+       << body;
+  }
+  EXPECT_THROW((void)tune::RuleTable::load(path), ParseError);
+  std::filesystem::remove(path);
 }
 
 TEST(RuleTable, LoadRejectsChildIndicesOutsidePreorder) {
@@ -396,10 +411,10 @@ TEST(RuleTable, LoadRejectsChildIndicesOutsidePreorder) {
     std::istringstream is(contents.substr(header_end));
     for (std::string line; std::getline(is, line);) payload.push_back(line);
   }
-  // Payload, one value per line: agreement, block depth, then the
-  // feature, threshold, left and right vectors (each a size line and
-  // n values). The root is an inner node.
-  const std::size_t features_line = 2;
+  // Payload, one value per line: agreement, then the feature,
+  // threshold, left and right vectors (each a size line and n values).
+  // The root is an inner node.
+  const std::size_t features_line = 1;
   const std::size_t left_line = features_line + 2 * (1 + n);
   const std::size_t right_line = left_line + 1 + n;
   ASSERT_EQ(payload[features_line], std::to_string(n));
@@ -415,7 +430,7 @@ TEST(RuleTable, LoadRejectsChildIndicesOutsidePreorder) {
     std::string body;
     for (const std::string& l : edited) body += l + '\n';
     std::ostringstream header;
-    header << "mpicp-ruletable 2 " << body.size() << ' ' << std::hex
+    header << "mpicp-ruletable 3 " << body.size() << ' ' << std::hex
            << ml::io::fnv1a64(body) << '\n';
     {
       std::ofstream os(path);
