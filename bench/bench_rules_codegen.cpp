@@ -5,19 +5,22 @@
 // latency of the flat table walk (ns) against the compiled bank's
 // argmin (µs) on the same query stream.
 //
-// Two hard gates make this a harness, not a report: the flat table
-// must agree with the tree it was lowered from on every probe (exact
-// equivalence is the export's contract), and the rule-table p50 must
+// Two hard gates make this a harness, not a report: the table saved
+// and loaded back must agree with the fitted one on every probe (the
+// exported file is the export's contract), and the rule-table p50 must
 // be at least 10x faster than the bank argmin p50. Either failing
 // exits non-zero.
 //
 //   --smoke            fewer dispatches — the CI mode
 //   --json-out=PATH    default BENCH_rules.json
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,11 +143,11 @@ int run(std::size_t dispatches, const std::string& json_path) {
         tune::distill(bank, grid, {.max_depth = depth});
     sweep.add_row({std::to_string(depth),
                    std::to_string(dist.table.num_leaves()),
-                   support::format_double(dist.agreement, 4)});
+                   support::format_double(dist.table.agreement(), 4)});
     const std::string prefix = "depth" + std::to_string(depth) + "_";
     metrics.emplace_back(prefix + "leaves",
                          static_cast<double>(dist.table.num_leaves()));
-    metrics.emplace_back(prefix + "agreement", dist.agreement);
+    metrics.emplace_back(prefix + "agreement", dist.table.agreement());
   }
   std::ostringstream os;
   sweep.print(os);
@@ -154,27 +157,33 @@ int run(std::size_t dispatches, const std::string& json_path) {
   const tune::RuleDistillation dist = tune::distill(bank, grid, {});
   metrics.emplace_back("leaves",
                        static_cast<double>(dist.table.num_leaves()));
-  metrics.emplace_back("agreement", dist.agreement);
+  metrics.emplace_back("agreement", dist.table.agreement());
   std::printf("\nserving table: %d leaves, agreement %.4f\n",
-              dist.table.num_leaves(), dist.agreement);
+              dist.table.num_leaves(), dist.table.agreement());
 
-  // Hard gate 1 — exact tree/table equivalence on every probe. This is
-  // the tier's contract; a single divergence means the lowering is
-  // broken, not slow.
+  // Hard gate 1 — the saved-and-loaded table picks exactly like the
+  // fitted one on every probe. A single divergence means the file
+  // format or the bound derivation is broken, not slow.
+  const std::filesystem::path saved =
+      std::filesystem::temp_directory_path() /
+      ("mpicp_bench_rules_" + std::to_string(::getpid()) + ".txt");
+  dist.table.save(saved);
+  const tune::RuleTable loaded = tune::RuleTable::load(saved);
+  std::filesystem::remove(saved);
   const std::vector<bench::Instance> stream = make_stream(dispatches);
   for (const bench::Instance& inst : grid) {
-    if (dist.table.uid_for(inst) != dist.rules.uid_for(inst)) {
-      std::printf("FAIL: table diverges from tree on a grid point\n");
+    if (loaded.uid_for(inst) != dist.table.uid_for(inst)) {
+      std::printf("FAIL: loaded table diverges on a grid point\n");
       return 1;
     }
   }
   for (const bench::Instance& inst : stream) {
-    if (dist.table.uid_for(inst) != dist.rules.uid_for(inst)) {
-      std::printf("FAIL: table diverges from tree off-grid\n");
+    if (loaded.uid_for(inst) != dist.table.uid_for(inst)) {
+      std::printf("FAIL: loaded table diverges off-grid\n");
       return 1;
     }
   }
-  std::printf("table == tree on %zu grid + %zu stream probes: yes\n\n",
+  std::printf("loaded == fitted on %zu grid + %zu stream probes: yes\n\n",
               grid.size(), stream.size());
 
   // Latency: per-dispatch cost in batches of kBatch (one clock read per
@@ -241,9 +250,9 @@ int run(std::size_t dispatches, const std::string& json_path) {
     return 1;
   }
 
-  std::printf("\nserving tree rendered as C (what a library maintainer "
+  std::printf("\ndistilled table rendered as C (what a library maintainer "
               "would hard-code):\n\n%s",
-              dist.rules.to_c_code("mpicp_select_bcast_hydra").c_str());
+              dist.table.to_c_code("mpicp_select_bcast_hydra").c_str());
   return 0;
 }
 

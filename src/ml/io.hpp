@@ -4,10 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,7 +81,7 @@ std::vector<T> read_vector(std::istream& is) {
   return values;
 }
 
-/// FNV-1a 64-bit — the payload checksum of the regressor-v2 envelope.
+/// FNV-1a 64-bit — the payload checksum of the sealed envelopes below.
 /// Not cryptographic; catches the bit-flips and truncations a corrupted
 /// model transfer produces.
 inline std::uint64_t fnv1a64(std::string_view data) {
@@ -89,6 +91,55 @@ inline std::uint64_t fnv1a64(std::string_view data) {
     hash *= 0x100000001b3ull;
   }
   return hash;
+}
+
+/// Sealed envelope, the framing of every checksummed file:
+/// `<bytes> <fnv1a64 hex>\n<payload>`, written after the caller's own
+/// header tokens (e.g. `regressor-v2 <name> `). The payload is
+/// serialized to a buffer first, so the header carries its exact byte
+/// count and checksum, and a truncated or bit-flipped file fails
+/// loudly at load instead of deserializing into something wrong.
+inline void write_sealed(std::ostream& os, std::string_view payload) {
+  os << payload.size() << ' ' << std::hex << fnv1a64(payload) << std::dec
+     << '\n'
+     << payload;
+}
+
+/// Read the rest of a sealed envelope (everything write_sealed wrote)
+/// and return the verified payload. A byte count of `max_bytes` or
+/// more, a short read, a malformed checksum or a checksum mismatch is
+/// a ParseError prefixed with `what`.
+inline std::string read_sealed(std::istream& is, std::size_t max_bytes,
+                               const std::string& what) {
+  std::size_t bytes = 0;
+  std::string checksum_hex;
+  if (!(is >> bytes >> checksum_hex)) {
+    MPICP_RAISE_PARSE(what + ": truncated header");
+  }
+  MPICP_CHECK_PARSE(bytes < max_bytes, what + ": implausible payload size");
+  is.get();  // the newline terminating the header
+  std::string payload(bytes, '\0');
+  is.read(payload.data(), static_cast<std::streamsize>(bytes));
+  const auto got = static_cast<std::size_t>(is.gcount());
+  if (got != bytes) {
+    MPICP_RAISE_PARSE(what + ": truncated payload — expected " +
+                      std::to_string(bytes) + " bytes, got " +
+                      std::to_string(got));
+  }
+  std::uint64_t expected = 0;
+  try {
+    expected = std::stoull(checksum_hex, nullptr, 16);
+  } catch (const std::exception&) {
+    MPICP_RAISE_PARSE(what + ": malformed checksum '" + checksum_hex + "'");
+  }
+  const std::uint64_t actual = fnv1a64(payload);
+  if (actual != expected) {
+    std::ostringstream msg;
+    msg << what << ": checksum mismatch — header " << std::hex << expected
+        << ", payload " << actual;
+    MPICP_RAISE_PARSE(msg.str());
+  }
+  return payload;
 }
 
 }  // namespace mpicp::ml::io

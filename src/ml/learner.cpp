@@ -24,16 +24,10 @@ std::vector<double> Regressor::predict(const Matrix& x) const {
 }
 
 void save_regressor(std::ostream& os, const Regressor& model) {
-  // v2 envelope: the payload is serialized to a buffer first so the
-  // header can carry its exact byte count and FNV-1a checksum. A
-  // truncated or bit-flipped model file then fails loudly at load time
-  // instead of deserializing into a silently wrong model.
   std::ostringstream payload;
   model.save(payload);
-  const std::string body = payload.str();
-  os << "regressor-v2 " << model.name() << ' ' << body.size() << ' '
-     << std::hex << io::fnv1a64(body) << std::dec << '\n'
-     << body;
+  os << "regressor-v2 " << model.name() << ' ';
+  io::write_sealed(os, payload.str());
 }
 
 std::unique_ptr<Regressor> load_regressor(std::istream& is) {
@@ -56,37 +50,11 @@ std::unique_ptr<Regressor> load_regressor(std::istream& is) {
                     "model stream: missing regressor header (got '" + tag +
                         "')");
   std::string name;
-  std::size_t bytes = 0;
-  std::string checksum_hex;
-  if (!(is >> name >> bytes >> checksum_hex)) {
+  if (!(is >> name)) {
     MPICP_RAISE_PARSE("model stream: truncated regressor-v2 header");
   }
-  MPICP_CHECK_PARSE(bytes < (1u << 30),
-                    "model stream: implausible payload size");
-  is.get();  // the newline terminating the header
-  std::string body(bytes, '\0');
-  is.read(body.data(), static_cast<std::streamsize>(bytes));
-  const auto got = static_cast<std::size_t>(is.gcount());
-  if (got != bytes) {
-    MPICP_RAISE_PARSE("model stream: truncated payload for '" + name +
-                     "' — expected " + std::to_string(bytes) +
-                     " bytes, got " + std::to_string(got));
-  }
-  std::uint64_t expected = 0;
-  try {
-    expected = std::stoull(checksum_hex, nullptr, 16);
-  } catch (const std::exception&) {
-    MPICP_RAISE_PARSE("model stream: malformed checksum '" + checksum_hex +
-                     "'");
-  }
-  const std::uint64_t actual = io::fnv1a64(body);
-  if (actual != expected) {
-    std::ostringstream os;
-    os << "model stream: checksum mismatch for '" << name << "' — header "
-       << std::hex << expected << ", payload " << actual;
-    MPICP_RAISE_PARSE(os.str());
-  }
-  std::istringstream payload(body);
+  std::istringstream payload(
+      io::read_sealed(is, 1u << 30, "model stream: '" + name + "'"));
   auto model = make_regressor(name);
   model->load(payload);
   return model;

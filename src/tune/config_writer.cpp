@@ -1,6 +1,10 @@
 #include "tune/config_writer.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <functional>
 #include <fstream>
+#include <optional>
 
 #include "support/error.hpp"
 #include "support/str.hpp"
@@ -11,6 +15,19 @@ namespace mpicp::tune {
 namespace {
 
 constexpr std::uint64_t kInfinity = ~std::uint64_t{0};
+
+/// The whole of `token` as a T: a sign on an unsigned field, a value
+/// outside T's range or trailing characters are a ParseError.
+template <typename T>
+T parse_field(const std::string& token, const std::string& key) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc{} || ptr != end) {
+    MPICP_RAISE_PARSE("tuning file: bad " + key + " value '" + token + "'");
+  }
+  return value;
+}
 
 }  // namespace
 
@@ -27,6 +44,11 @@ TuningConfig build_tuning_config(const Selector& selector, sim::MpiLib lib,
                                  const std::vector<std::uint64_t>& msizes) {
   MPICP_SPAN("tune.config.build");
   MPICP_REQUIRE(!msizes.empty(), "need at least one message size");
+  // Strictly increasing sizes give strictly increasing rule ranges, the
+  // only kind read_tuning_file accepts back.
+  MPICP_REQUIRE(std::adjacent_find(msizes.begin(), msizes.end(),
+                                   std::greater_equal<>()) == msizes.end(),
+                "message sizes must strictly increase");
   TuningConfig config;
   config.lib = lib;
   config.coll = coll;
@@ -89,31 +111,39 @@ TuningConfig read_tuning_file(const std::filesystem::path& path) {
     const auto trimmed = std::string(support::trim(line));
     if (trimmed.empty() || trimmed[0] == '#') continue;
     const auto parts = support::split(trimmed, ' ');
+    MPICP_CHECK_PARSE(parts.size() >= 2,
+                      "tuning file: directive '" + parts[0] + "' has no value");
     if (parts[0] == "lib") {
-      config.lib = sim::mpilib_from_string(parts.at(1));
+      config.lib = sim::mpilib_from_string(parts[1]);
     } else if (parts[0] == "collective") {
-      config.coll = sim::collective_from_string(parts.at(1));
+      config.coll = sim::collective_from_string(parts[1]);
     } else if (parts[0] == "nodes") {
-      config.nodes = static_cast<int>(support::parse_int(parts.at(1)));
+      config.nodes = parse_field<int>(parts[1], "nodes");
     } else if (parts[0] == "ppn") {
-      config.ppn = static_cast<int>(support::parse_int(parts.at(1)));
+      config.ppn = parse_field<int>(parts[1], "ppn");
     } else if (parts[0] == "rule") {
-      TuningRule rule;
+      std::optional<std::uint64_t> upto;
+      std::optional<int> uid;
       for (const std::string& token : parts) {
         if (support::starts_with(token, "msize_upto=")) {
           const std::string v = token.substr(11);
-          rule.msize_upto = v == "inf"
-                                ? kInfinity
-                                : static_cast<std::uint64_t>(
-                                      support::parse_int(v));
+          upto = v == "inf" ? kInfinity
+                            : parse_field<std::uint64_t>(v, "msize_upto");
         } else if (support::starts_with(token, "uid=")) {
-          rule.uid = static_cast<int>(support::parse_int(token.substr(4)));
+          uid = parse_field<int>(token.substr(4), "uid");
         }
       }
-      MPICP_REQUIRE(rule.uid > 0, "tuning rule without uid");
+      MPICP_CHECK_PARSE(upto.has_value(), "tuning rule without msize_upto");
+      MPICP_CHECK_PARSE(uid.has_value() && *uid > 0,
+                        "tuning rule without a positive uid");
+      // uid_for serves the first rule covering a size, so ranges must
+      // strictly increase or later rules would silently never apply.
+      MPICP_CHECK_PARSE(
+          config.rules.empty() || *upto > config.rules.back().msize_upto,
+          "tuning rule msize_upto does not strictly increase");
       // mpicp-lint: allow(no-alloc-in-loop) unbounded parse loop; the
       // rule count is unknown until the file ends.
-      config.rules.push_back(rule);
+      config.rules.push_back({*upto, *uid});
     } else {
       MPICP_RAISE_PARSE("unknown tuning-file directive '" + parts[0] + "'");
     }

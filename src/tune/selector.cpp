@@ -8,7 +8,6 @@
 
 #include "ml/io.hpp"
 #include "tune/compiled_bank.hpp"
-#include "tune/ruletable.hpp"
 #include "simmpi/coll/decision.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
@@ -381,12 +380,6 @@ CompiledBank Selector::compile() const {
   metrics::counter("compiled.compile.calls").inc();
   metrics::counter("compiled.compile.models").inc(models_.size());
   return bank;
-}
-
-RuleDistillation Selector::distill(std::span<const bench::Instance> grid,
-                                   RuleParams params) const {
-  MPICP_SPAN("selector.distill");
-  return tune::distill(compile(), grid, params);
 }
 
 }  // namespace mpicp::tune

@@ -23,12 +23,10 @@
 #include "collbench/dataset.hpp"
 #include "ml/learner.hpp"
 #include "simmpi/coll/registry.hpp"
-#include "tune/rulegen.hpp"
 
 namespace mpicp::tune {
 
 class CompiledBank;
-struct RuleDistillation;
 
 /// Instance feature encoding. The paper's features are message size,
 /// number of nodes and processes per node; we use log2(m) for the
@@ -157,14 +155,6 @@ class Selector {
   /// compiled bank is an immutable snapshot: refit, then recompile.
   /// Predictions are bit-identical to this selector's.
   [[nodiscard]] CompiledBank compile() const;
-
-  /// Distill the bank all the way down to decision rules (the offline
-  /// rule export, DESIGN.md §14): compile, label `grid` with the
-  /// compiled argmin, fit a DecisionRules tree, lower it to a RuleTable
-  /// and report the table's empirical agreement with the bank's picks.
-  /// Convenience over tune::distill(compile(), grid, params).
-  [[nodiscard]] RuleDistillation distill(
-      std::span<const bench::Instance> grid, RuleParams params = {}) const;
 
   /// Persist the fitted model bank (train offline once, load in the job
   /// prolog — the paper's deployment split between the tuning step and

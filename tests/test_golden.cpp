@@ -36,6 +36,8 @@
 #include "tune/selector.hpp"
 #include "tune/stream.hpp"
 
+#include "rule_voices.hpp"
+
 #ifndef MPICP_GOLDEN_DIR
 #error "build must define MPICP_GOLDEN_DIR (see tests/CMakeLists.txt)"
 #endif
@@ -566,8 +568,8 @@ TEST(Golden, StreamRejectedRefitKeepsIncumbent) {
 // and distilled into a rule table; the snapshot byte-pins the tree shape
 // (node/leaf counts), the empirical agreement, the table's selection
 // surface over the 36-point unseen grid, and an FNV-1a hash of the
-// emitted C source — so any drift in the split search, the lowering or
-// the code generator lands as a reviewable diff.
+// emitted C source — so any drift in the split search, the integer
+// bounds or the code generator lands as a reviewable diff.
 
 struct DistillRun {
   tune::RuleDistillation dist;
@@ -581,17 +583,17 @@ DistillRun run_distill() {
   tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
   (void)selector.fit(ds, {2, 4, 8, 16, 32});
   const std::vector<bench::Instance> grid = ds.instances();
-  run.dist = selector.distill(grid, {.max_depth = 12});
-  run.c_source = run.dist.rules.to_c_code("mpicp_select_bcast_hydra");
+  run.dist = tune::distill(selector.compile(), grid, {.max_depth = 12});
+  run.c_source = run.dist.table.to_c_code("mpicp_select_bcast_hydra");
 
   std::ostringstream os;
   os.precision(17);  // doubles round-trip exactly
   os << "{\n";
   os << "  \"distill\": {\n";
   os << "    \"grid_points\": " << run.dist.grid_points << ",\n";
-  os << "    \"tree_nodes\": " << run.dist.rules.num_nodes() << ",\n";
-  os << "    \"tree_leaves\": " << run.dist.rules.num_leaves() << ",\n";
-  os << "    \"agreement\": " << run.dist.agreement << "\n  },\n";
+  os << "    \"tree_nodes\": " << run.dist.table.num_nodes() << ",\n";
+  os << "    \"tree_leaves\": " << run.dist.table.num_leaves() << ",\n";
+  os << "    \"agreement\": " << run.dist.table.agreement() << "\n  },\n";
   os << "  \"surface\": [";
   bool first = true;
   for (const int n : {3, 6, 12, 24}) {
@@ -617,19 +619,20 @@ std::filesystem::path distill_golden_path() {
   return std::filesystem::path(MPICP_GOLDEN_DIR) / "rule_distill.json";
 }
 
-// The acceptance reconciliation: tree and table are the same classifier
-// on the surface, and an uncapped-enough tree reproduces the bank.
+// The acceptance reconciliation: the table's integer-bound walk and the
+// split thresholds it was fitted with are the same classifier on the
+// surface, and an uncapped-enough tree reproduces the bank.
 TEST(Golden, DistillTreeAndTableAgreeOnSurface) {
   const DistillRun run = run_distill();
-  EXPECT_EQ(run.dist.agreement, 1.0);
-  EXPECT_EQ(run.dist.table.agreement(), run.dist.agreement);
+  EXPECT_EQ(run.dist.table.agreement(), 1.0);
   for (const int n : {3, 6, 12, 24}) {
     for (const int ppn : {1, 4, 8}) {
       for (const std::uint64_t m :
            {std::uint64_t{64}, std::uint64_t{65536},
             std::uint64_t{1048576}}) {
-        EXPECT_EQ(run.dist.table.uid_for({n, ppn, m}),
-                  run.dist.rules.uid_for({n, ppn, m}))
+        const bench::Instance inst{n, ppn, m};
+        EXPECT_EQ(run.dist.table.uid_for(inst),
+                  rule_voices::reference_uid(run.dist.table, inst))
             << "n=" << n << " ppn=" << ppn << " m=" << m;
       }
     }

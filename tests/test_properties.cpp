@@ -18,9 +18,10 @@
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tune/registry.hpp"
-#include "tune/rulegen.hpp"
 #include "tune/ruletable.hpp"
 #include "tune/selector.hpp"
+
+#include "rule_voices.hpp"
 
 namespace mpicp {
 namespace {
@@ -314,8 +315,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RegistryLinearizability,
 
 // ---- decision-rule distillation invariants --------------------------------
 
-/// Random labeled set over a lattice; duplicate instances (with
-/// possibly conflicting labels) allowed when `distinct` is false.
+/// Random labeled set over a lattice with jittered message sizes (off
+/// the powers of two, so split thresholds fall between integers in
+/// exp2 space); duplicate instances (with possibly conflicting labels)
+/// allowed when `distinct` is false.
 std::vector<tune::LabeledInstance> random_labeled(std::uint64_t seed,
                                                   bool distinct) {
   support::Xoshiro256 rng(seed);
@@ -324,7 +327,8 @@ std::vector<tune::LabeledInstance> random_labeled(std::uint64_t seed,
     for (const int ppn : {1, 4, 8}) {
       for (int shift = 4; shift <= 20; shift += 4) {
         if (rng.uniform_int(3) == 0) continue;  // random subset
-        const bench::Instance inst{n, ppn, std::uint64_t{1} << shift};
+        const std::uint64_t base = std::uint64_t{1} << shift;
+        const bench::Instance inst{n, ppn, base + rng.uniform_int(base)};
         const int uid = 1 + static_cast<int>(rng.uniform_int(5));
         points.push_back({inst, uid});
         if (!distinct && rng.uniform_int(4) == 0) {
@@ -345,40 +349,58 @@ class RuleInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RuleInvariants, AgreementEqualsRecountAndLeavesBounded) {
   const std::uint64_t seed = GetParam();
   const auto points = random_labeled(seed, /*distinct=*/false);
+  // Every labeled point plus off-grid probes, non-power-of-two message
+  // sizes included (the boundary cases of the integer bounds).
+  std::vector<bench::Instance> probes;
+  for (const auto& p : points) probes.push_back(p.inst);
+  support::Xoshiro256 rng(seed + 1000);
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t base = std::uint64_t{1} << rng.uniform_int(24);
+    probes.push_back({1 + static_cast<int>(rng.uniform_int(48)),
+                      1 + static_cast<int>(rng.uniform_int(12)),
+                      base + rng.uniform_int(base)});
+  }
+  bool c_ran = true;
   for (const int depth : {1, 3, 8, 32}) {
-    const tune::DecisionRules rules =
-        tune::DecisionRules::fit(points, {.max_depth = depth});
-    // agreement() is exactly the empirical recount, no more, no less.
-    std::size_t hits = 0;
-    for (const auto& p : points) {
-      hits += rules.uid_for(p.inst) == p.uid ? 1 : 0;
-    }
-    EXPECT_DOUBLE_EQ(rules.agreement(points),
-                     static_cast<double>(hits) /
-                         static_cast<double>(points.size()))
-        << "seed " << seed << " depth " << depth;
-    // A leaf never represents zero points.
-    EXPECT_LE(static_cast<std::size_t>(rules.num_leaves()), points.size())
-        << "seed " << seed << " depth " << depth;
-    // The flat lowering is the same classifier.
-    const tune::RuleTable table = tune::RuleTable::lower(rules);
-    EXPECT_EQ(table.num_leaves(), rules.num_leaves());
-    for (const auto& p : points) {
-      ASSERT_EQ(table.uid_for(p.inst), rules.uid_for(p.inst))
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      const tune::RuleTable table =
+          tune::RuleTable::fit(points, {.max_depth = depth});
+      // agreement() is exactly the empirical recount, no more, no less.
+      std::size_t hits = 0;
+      for (const auto& p : points) {
+        hits += rule_voices::reference_uid(table, p.inst) == p.uid ? 1 : 0;
+      }
+      EXPECT_DOUBLE_EQ(table.agreement(),
+                       static_cast<double>(hits) /
+                           static_cast<double>(points.size()))
           << "seed " << seed << " depth " << depth;
+      // A leaf never represents zero points.
+      EXPECT_LE(static_cast<std::size_t>(table.num_leaves()), points.size())
+          << "seed " << seed << " depth " << depth;
+      // Reference walk, table, loaded table and executed C are one
+      // classifier.
+      const std::string tag = "prop_" + std::to_string(seed) + "_" +
+                              std::to_string(depth) + "_" +
+                              std::to_string(threads);
+      bool ran = false;
+      ASSERT_TRUE(rule_voices::four_voices_agree(table, probes, tag, ran))
+          << "seed " << seed << " depth " << depth << " @" << threads;
+      c_ran = c_ran && ran;
     }
   }
+  if (!c_ran) GTEST_SKIP() << "no working C compiler on PATH";
 }
 
 TEST_P(RuleInvariants, UncappedTreeOnDistinctPointsIsExact) {
   const std::uint64_t seed = GetParam();
   const auto points = random_labeled(seed, /*distinct=*/true);
-  const tune::DecisionRules rules = tune::DecisionRules::fit(
+  const tune::RuleTable table = tune::RuleTable::fit(
       points, {.max_depth = std::numeric_limits<int>::max(),
                .min_points_per_leaf = 1});
   // Distinct points are always separable, and tie-splits guarantee the
   // greedy fit keeps separating until every leaf is pure.
-  EXPECT_DOUBLE_EQ(rules.agreement(points), 1.0) << "seed " << seed;
+  EXPECT_DOUBLE_EQ(table.agreement(), 1.0) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RuleInvariants,

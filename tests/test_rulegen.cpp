@@ -1,11 +1,13 @@
-// Tests for decision-rule encoding and the guideline checker.
+// Tests for fitting decision rules (RuleTable::fit) and the guideline
+// checker.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
 #include "collbench/guidelines.hpp"
 #include "simnet/machine.hpp"
-#include "tune/rulegen.hpp"
+#include "tune/ruletable.hpp"
 
 namespace mpicp::tune {
 namespace {
@@ -28,8 +30,8 @@ std::vector<LabeledInstance> threshold_labels() {
 
 TEST(Rulegen, PerfectlySeparableGridIsLearnedExactly) {
   const auto points = threshold_labels();
-  const DecisionRules rules = DecisionRules::fit(points, {.max_depth = 6});
-  EXPECT_DOUBLE_EQ(rules.agreement(points), 1.0);
+  const RuleTable rules = RuleTable::fit(points, {.max_depth = 6});
+  EXPECT_DOUBLE_EQ(rules.agreement(), 1.0);
   // Generalization inside the boxes.
   EXPECT_EQ(rules.uid_for({6, 6, 100}), 1);
   EXPECT_EQ(rules.uid_for({6, 6, 1u << 20}), 2);
@@ -38,24 +40,24 @@ TEST(Rulegen, PerfectlySeparableGridIsLearnedExactly) {
 
 TEST(Rulegen, DepthCapTradesAccuracyForSize) {
   const auto points = threshold_labels();
-  const DecisionRules shallow =
-      DecisionRules::fit(points, {.max_depth = 1});
-  const DecisionRules deep = DecisionRules::fit(points, {.max_depth = 8});
+  const RuleTable shallow =
+      RuleTable::fit(points, {.max_depth = 1});
+  const RuleTable deep = RuleTable::fit(points, {.max_depth = 8});
   EXPECT_LE(shallow.num_leaves(), 2);
-  EXPECT_GE(deep.agreement(points), shallow.agreement(points));
+  EXPECT_GE(deep.agreement(), shallow.agreement());
 }
 
 TEST(Rulegen, PureGridYieldsSingleLeaf) {
   std::vector<LabeledInstance> points;
   for (const int n : {2, 4}) points.push_back({{n, 1, 64}, 7});
-  const DecisionRules rules = DecisionRules::fit(points);
+  const RuleTable rules = RuleTable::fit(points);
   EXPECT_EQ(rules.num_leaves(), 1);
   EXPECT_EQ(rules.uid_for({32, 32, 1u << 22}), 7);
 }
 
 TEST(Rulegen, CCodeContainsAllLeafUids) {
   const auto points = threshold_labels();
-  const DecisionRules rules = DecisionRules::fit(points, {.max_depth = 6});
+  const RuleTable rules = RuleTable::fit(points, {.max_depth = 6});
   const std::string code = rules.to_c_code("select_algo");
   EXPECT_NE(code.find("int select_algo"), std::string::npos);
   EXPECT_NE(code.find("return 1;"), std::string::npos);
@@ -65,8 +67,21 @@ TEST(Rulegen, CCodeContainsAllLeafUids) {
   EXPECT_NE(code.find("ppn <"), std::string::npos);
 }
 
+TEST(Rulegen, SavedAndLoadedTableRendersTheSameC) {
+  // The C export reads only the node pool and its derived integer
+  // bounds, so a loaded table exports byte-identical source.
+  const auto points = threshold_labels();
+  const RuleTable rules = RuleTable::fit(points, {.max_depth = 6});
+  const auto path = std::filesystem::temp_directory_path() /
+                    "mpicp_rulegen_saved_c.txt";
+  rules.save(path);
+  const RuleTable loaded = RuleTable::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.to_c_code("select_algo"), rules.to_c_code("select_algo"));
+}
+
 TEST(Rulegen, RejectsEmptyGrid) {
-  EXPECT_THROW(DecisionRules::fit({}), Error);
+  EXPECT_THROW(RuleTable::fit({}), Error);
 }
 
 TEST(Rulegen, XorLabelPatternReachesFullAgreement) {
@@ -79,8 +94,8 @@ TEST(Rulegen, XorLabelPatternReachesFullAgreement) {
       {{16, 1, 64}, 2},
       {{16, 8, 64}, 1},
   };
-  const DecisionRules rules = DecisionRules::fit(points, {.max_depth = 8});
-  EXPECT_DOUBLE_EQ(rules.agreement(points), 1.0);
+  const RuleTable rules = RuleTable::fit(points, {.max_depth = 8});
+  EXPECT_DOUBLE_EQ(rules.agreement(), 1.0);
   EXPECT_EQ(rules.num_leaves(), 4);
 }
 
@@ -92,11 +107,11 @@ TEST(Rulegen, DuplicateInstancesWithConflictingLabelsTerminate) {
   std::vector<LabeledInstance> points;
   for (int rep = 0; rep < 3; ++rep) points.push_back({{4, 2, 1024}, 1});
   points.push_back({{4, 2, 1024}, 2});
-  const DecisionRules rules = DecisionRules::fit(
+  const RuleTable rules = RuleTable::fit(
       points, {.max_depth = 64, .min_points_per_leaf = 0});
   EXPECT_EQ(rules.num_leaves(), 1);
   EXPECT_EQ(rules.uid_for({4, 2, 1024}), 1);
-  EXPECT_DOUBLE_EQ(rules.agreement(points), 0.75);
+  EXPECT_DOUBLE_EQ(rules.agreement(), 0.75);
 }
 
 TEST(Rulegen, AdjacentDoubleThresholdsCannotRecurseForever) {
@@ -110,11 +125,11 @@ TEST(Rulegen, AdjacentDoubleThresholdsCannotRecurseForever) {
   points.push_back({{2, 1, kLower}, 1});
   points.push_back({{2, 1, kLower + 1}, 2});
   points.push_back({{2, 1, kLower + 1}, 1});
-  const DecisionRules rules = DecisionRules::fit(
+  const RuleTable rules = RuleTable::fit(
       points, {.max_depth = 1024, .min_points_per_leaf = 0});
   // The impure node terminates as a majority leaf.
   EXPECT_EQ(rules.num_leaves(), 1);
-  EXPECT_DOUBLE_EQ(rules.agreement(points), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(rules.agreement(), 2.0 / 3.0);
 }
 
 TEST(Guidelines, ChecksRunAndReportFiniteRatios) {

@@ -1,19 +1,16 @@
 // Differential fidelity harness for the distilled rule-table export
-// (tune/ruletable.hpp): the fitted DecisionRules tree (the reference),
-// its flat RuleTable lowering and the *compiled and executed* output of
-// DecisionRules::to_c_code must agree on every distillation grid point
-// and on randomized off-grid instances — for every learner, at thread
-// counts 1 and 4, and through the table's save/load round trip. The
-// v3 envelope bytes are pinned, and the loader's structural checks are
-// probed with hand-edited, re-checksummed files.
+// (tune/ruletable.hpp): a reference walk of the stored split thresholds,
+// the fitted RuleTable, the same table saved and loaded, and the
+// *compiled and executed* output of RuleTable::to_c_code must agree on
+// every distillation grid point and on randomized off-grid instances —
+// for every learner, at thread counts 1 and 4. The v3 envelope bytes
+// are pinned, and the loader's structural checks are probed with
+// hand-edited, re-checksummed files.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +22,8 @@
 #include "tune/compiled_bank.hpp"
 #include "tune/ruletable.hpp"
 #include "tune/selector.hpp"
+
+#include "rule_voices.hpp"
 
 namespace mpicp {
 namespace {
@@ -81,55 +80,7 @@ std::vector<bench::Instance> random_instances(std::uint64_t seed,
 constexpr const char* kAllLearners[] = {"xgboost", "rf",     "knn",
                                         "gam",     "linear", "median"};
 
-/// Compile `to_c_code` output with the system C compiler and execute it
-/// on `instances` via a scanf/printf harness; nullopt when no working
-/// compiler is on PATH (the caller skips, never passes vacuously).
-std::optional<std::vector<int>> run_generated_c(
-    const std::string& c_source, const std::string& function_name,
-    const std::vector<bench::Instance>& instances, const std::string& tag) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / ("mpicp_rulec_" + tag);
-  fs::create_directories(dir);
-  const fs::path src = dir / "rules.c";
-  const fs::path bin = dir / "rules_bin";
-  const fs::path input = dir / "input.txt";
-  const fs::path output = dir / "output.txt";
-  {
-    std::ofstream os(src);
-    os << "#include <stdio.h>\n\n"
-       << c_source << "\n"
-       << "int main(void) {\n"
-       << "  unsigned long long msize; int nodes, ppn;\n"
-       << "  while (scanf(\"%llu %d %d\", &msize, &nodes, &ppn) == 3) {\n"
-       << "    printf(\"%d\\n\", " << function_name
-       << "(msize, nodes, ppn));\n"
-       << "  }\n"
-       << "  return 0;\n"
-       << "}\n";
-  }
-  {
-    std::ofstream os(input);
-    for (const bench::Instance& inst : instances) {
-      os << inst.msize << ' ' << inst.nodes << ' ' << inst.ppn << '\n';
-    }
-  }
-  const std::string compile = "cc -O1 -o '" + bin.string() + "' '" +
-                              src.string() + "' 2>/dev/null";
-  if (std::system(compile.c_str()) != 0) return std::nullopt;
-  const std::string run = "'" + bin.string() + "' < '" + input.string() +
-                          "' > '" + output.string() + "'";
-  if (std::system(run.c_str()) != 0) return std::nullopt;
-  std::ifstream is(output);
-  std::vector<int> uids;
-  uids.reserve(instances.size());
-  int uid = 0;
-  while (is >> uid) uids.push_back(uid);
-  fs::remove_all(dir);
-  if (uids.size() != instances.size()) return std::nullopt;
-  return uids;
-}
-
-// ---- tree == table == executed C, all learners, both thread counts -------
+// ---- reference == table == loaded table == executed C -------------------
 
 struct DifferentialCase {
   std::uint64_t dataset_seed;
@@ -148,56 +99,34 @@ TEST_P(RuleTableDifferential, TreeTableAndGeneratedCAgreeEverywhere) {
       random_instances(c.probe_seed, c.off_grid_probes);
   std::vector<bench::Instance> probes = grid;
   probes.insert(probes.end(), off_grid.begin(), off_grid.end());
-  const std::string tag = std::to_string(c.dataset_seed);
 
+  bool c_ran = true;
   for (const char* learner : kAllLearners) {
-    tune::Selector selector(tune::SelectorOptions{.learner = learner});
-    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u)
-        << learner;
-    const tune::RuleDistillation dist =
-        selector.distill(grid, {.max_depth = 32});
-
-    // An uncapped tree on a label-distinct grid reproduces the bank.
-    EXPECT_EQ(dist.agreement, 1.0) << learner;
-    EXPECT_EQ(dist.table.agreement(), dist.agreement) << learner;
-    EXPECT_EQ(dist.table.num_nodes(), dist.rules.num_nodes()) << learner;
-    EXPECT_EQ(dist.table.num_leaves(), dist.rules.num_leaves()) << learner;
-
-    // Save/load round trip: the exported table is the loaded one.
-    const std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        ("mpicp_ruletable_" + tag + "_" + learner + ".txt");
-    dist.table.save(path);
-    const tune::RuleTable loaded = tune::RuleTable::load(path);
-    std::filesystem::remove(path);
-    EXPECT_EQ(loaded.agreement(), dist.table.agreement()) << learner;
-    ASSERT_EQ(loaded.num_nodes(), dist.table.num_nodes()) << learner;
-
+    std::string c_source;
     for (const int threads : {1, 4}) {
       support::ScopedThreads scoped(threads);
-      for (const bench::Instance& inst : probes) {
-        const int tree_uid = dist.rules.uid_for(inst);
-        ASSERT_EQ(dist.table.uid_for(inst), tree_uid)
-            << learner << " @" << threads << " threads, m=" << inst.msize
-            << " n=" << inst.nodes << " ppn=" << inst.ppn;
-        ASSERT_EQ(loaded.uid_for(inst), tree_uid)
-            << learner << " (loaded) @" << threads << " threads";
-      }
-    }
+      tune::Selector selector(tune::SelectorOptions{.learner = learner});
+      ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u)
+          << learner;
+      const tune::RuleDistillation dist =
+          tune::distill(selector.compile(), grid, {.max_depth = 32});
 
-    // The emitted C, compiled and executed, is the third equal voice.
-    const std::string fn = std::string("mpicp_rules_") + learner;
-    const auto executed = run_generated_c(dist.rules.to_c_code(fn), fn,
-                                          probes, tag + "_" + learner);
-    if (!executed.has_value()) {
-      GTEST_SKIP() << "no working C compiler on PATH";
-    }
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      ASSERT_EQ((*executed)[i], dist.rules.uid_for(probes[i]))
-          << learner << " generated C diverges at m=" << probes[i].msize
-          << " n=" << probes[i].nodes << " ppn=" << probes[i].ppn;
+      // An uncapped tree on a label-distinct grid reproduces the bank.
+      EXPECT_EQ(dist.table.agreement(), 1.0) << learner;
+      // The thread count never changes the distilled table.
+      const std::string source = dist.table.to_c_code("f");
+      if (threads == 1) c_source = source;
+      EXPECT_EQ(source, c_source) << learner << " @" << threads;
+
+      const std::string tag = "diff_" + std::to_string(c.dataset_seed) +
+                              "_" + learner + "_" + std::to_string(threads);
+      bool ran = false;
+      ASSERT_TRUE(rule_voices::four_voices_agree(dist.table, probes, tag, ran))
+          << learner << " @" << threads << " threads";
+      c_ran = c_ran && ran;
     }
   }
+  if (!c_ran) GTEST_SKIP() << "no working C compiler on PATH";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RuleTableDifferential,
@@ -210,7 +139,8 @@ TEST(RuleTable, LoadRejectsCorruptAndTruncatedFiles) {
   const bench::Dataset ds = random_dataset(5);
   tune::Selector selector(tune::SelectorOptions{.learner = "knn"});
   ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  const tune::RuleDistillation dist = selector.distill(ds.instances());
+  const tune::RuleDistillation dist =
+      tune::distill(selector.compile(), ds.instances());
 
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() / "mpicp_ruletable_corrupt.txt";
@@ -256,8 +186,8 @@ TEST(RuleTable, EmptyTableContracts) {
       table.save(std::filesystem::temp_directory_path() / "mpicp_rt.txt"),
       std::exception);
   EXPECT_THROW((void)table.uid_for({4, 4, 1024}), std::exception);
-  EXPECT_THROW((void)tune::RuleTable::lower(tune::DecisionRules{}),
-               std::exception);
+  EXPECT_THROW((void)table.to_c_code("f"), std::exception);
+  EXPECT_THROW((void)tune::RuleTable::fit({}), std::exception);
 }
 
 /// Reads a whole file into a string.
@@ -268,11 +198,11 @@ std::string slurp(const std::filesystem::path& path) {
   return ss.str();
 }
 
-/// A tiny hand-labeled grid and the tree fitted on it: small message
+/// A tiny hand-labeled grid and the table fitted on it: small message
 /// sizes go to uid 1, larger ones to uid 2 on fewer than 16 processes
 /// and to uid 3 otherwise. 3000 bytes puts a non-power-of-two
 /// midpoint into the log2 thresholds.
-tune::DecisionRules hand_built_rules() {
+tune::RuleTable hand_built_table() {
   std::vector<tune::LabeledInstance> points;
   for (const int nodes : {2, 8, 32}) {
     for (const int ppn : {1, 4}) {
@@ -283,10 +213,10 @@ tune::DecisionRules hand_built_rules() {
       }
     }
   }
-  return tune::DecisionRules::fit(points);
+  return tune::RuleTable::fit(points);
 }
 
-/// The v3 envelope of hand_built_rules() lowered with agreement 0.8125,
+/// The v3 envelope of hand_built_table() with agreement 0.8125,
 /// byte for byte. A change to the file format has to change this
 /// fixture on purpose.
 constexpr const char* kHandBuiltEnvelopeV3 = R"(mpicp-ruletable 3 200 37eee0cfcd40d872
@@ -358,24 +288,23 @@ constexpr const char* kHandBuiltEnvelopeV3 = R"(mpicp-ruletable 3 200 37eee0cfcd
 )";
 
 TEST(RuleTable, V3EnvelopeBytesArePinned) {
-  const tune::DecisionRules rules = hand_built_rules();
-  tune::RuleTable table = tune::RuleTable::lower(rules);
+  tune::RuleTable table = hand_built_table();
   table.set_agreement(0.8125);
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() / "mpicp_rt_pinned.txt";
   table.save(path);
   EXPECT_EQ(slurp(path), kHandBuiltEnvelopeV3);
 
-  // A table saved in that format loads and picks like the tree.
+  // A table saved in that format loads and picks like the fitted one.
   {
     std::ofstream os(path);
     os << kHandBuiltEnvelopeV3;
   }
   const tune::RuleTable loaded = tune::RuleTable::load(path);
   EXPECT_EQ(loaded.agreement(), 0.8125);
-  EXPECT_EQ(loaded.num_nodes(), rules.num_nodes());
+  EXPECT_EQ(loaded.num_nodes(), table.num_nodes());
   for (const bench::Instance& inst : random_instances(5, 256)) {
-    ASSERT_EQ(loaded.uid_for(inst), rules.uid_for(inst))
+    ASSERT_EQ(loaded.uid_for(inst), table.uid_for(inst))
         << "m=" << inst.msize << " n=" << inst.nodes << " ppn=" << inst.ppn;
   }
 
@@ -398,7 +327,7 @@ TEST(RuleTable, V3EnvelopeBytesArePinned) {
 }
 
 TEST(RuleTable, LoadRejectsChildIndicesOutsidePreorder) {
-  const tune::RuleTable table = tune::RuleTable::lower(hand_built_rules());
+  const tune::RuleTable table = hand_built_table();
   ASSERT_GT(table.num_nodes(), 1);
   const auto n = static_cast<std::size_t>(table.num_nodes());
   const std::filesystem::path path =

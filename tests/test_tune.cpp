@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "collbench/defaults.hpp"
 #include "support/rng.hpp"
@@ -209,6 +212,52 @@ TEST(ConfigWriter, FoldsAndRoundTrips) {
   for (std::size_t i = 0; i < config.rules.size(); ++i) {
     EXPECT_EQ(loaded.rules[i].uid, config.rules[i].uid);
     EXPECT_EQ(loaded.rules[i].msize_upto, config.rules[i].msize_upto);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ConfigWriter, MalformedFilesAreParseErrors) {
+  // A tuning file comes from outside the program: every malformed one
+  // is a ParseError naming the problem, never an out_of_range, an
+  // InvalidArgument or a silently wrapped or truncated value.
+  const std::string header =
+      "lib OpenMPI\ncollective bcast\nnodes 4\nppn 2\n";
+  const std::string rules =
+      "rule msize_upto=1024 uid=1  # label\nrule msize_upto=inf uid=2\n";
+  struct Case {
+    const char* what;
+    std::string contents;
+  };
+  const std::vector<Case> cases = {
+      {"bare directive", header + "nodes\n" + rules},
+      {"rule without uid", header + "rule msize_upto=64\n"},
+      {"rule without msize_upto", header + "rule uid=1\n"},
+      {"negative msize_upto", header + "rule msize_upto=-1 uid=1\n"},
+      {"nodes outside int", "nodes 4294967297\n" + rules},
+      {"ppn outside int", "ppn -2147483649\n" + rules},
+      {"uid outside int", header + "rule msize_upto=64 uid=4294967297\n"},
+      {"msize_upto repeats",
+       header + "rule msize_upto=64 uid=1\nrule msize_upto=64 uid=2\n"},
+      {"msize_upto decreases",
+       header + "rule msize_upto=inf uid=1\nrule msize_upto=64 uid=2\n"},
+  };
+  const auto path =
+      std::filesystem::temp_directory_path() / "mpicp_tuning_malformed.conf";
+  const auto read = [&](const std::string& contents) {
+    {
+      std::ofstream os(path);
+      os << contents;
+    }
+    return read_tuning_file(path);
+  };
+  // The well-formed file the cases break loads.
+  const TuningConfig ok = read(header + rules);
+  EXPECT_EQ(ok.nodes, 4);
+  ASSERT_EQ(ok.rules.size(), 2u);
+  EXPECT_EQ(ok.uid_for(1024), 1);
+  EXPECT_EQ(ok.uid_for(1025), 2);
+  for (const Case& c : cases) {
+    EXPECT_THROW((void)read(c.contents), ParseError) << c.what;
   }
   std::filesystem::remove(path);
 }
