@@ -64,12 +64,6 @@ tune::StreamOptions soak_options() {
   // stationary serving error is pure jitter and each regime shift is a
   // crisp step for the detector (see tests/test_stream.cpp).
   opts.selector.learner = "knn";
-  opts.window_capacity = 512;
-  opts.min_refit_rows = 160;
-  opts.holdout_every = 4;
-  opts.refit_cooldown = 32;
-  opts.backoff_initial = 64;
-  opts.accept_tolerance = 1.05;
   return opts;
 }
 

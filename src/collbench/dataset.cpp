@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "support/csv.hpp"
 #include "support/error.hpp"
@@ -137,10 +138,12 @@ Dataset Dataset::load_csv(const std::filesystem::path& path,
   const std::size_t c_time = table.column("time_us");
   for (std::size_t i = 0; i < table.num_rows(); ++i) {
     Record rec;
-    rec.uid = static_cast<int>(table.cell_int(i, c_uid));
-    rec.nodes = static_cast<int>(table.cell_int(i, c_nodes));
-    rec.ppn = static_cast<int>(table.cell_int(i, c_ppn));
-    rec.msize = static_cast<std::uint64_t>(table.cell_int(i, c_msize));
+    MPICP_CHECK_PARSE(
+        narrow_key({table.cell_int(i, c_uid), table.cell_int(i, c_nodes),
+                    table.cell_int(i, c_ppn), table.cell_int(i, c_msize)},
+                   rec),
+        path.string() + ": data row " + std::to_string(i + 1) +
+            ": configuration key out of range");
     rec.time_us = table.cell_double(i, c_time);
     ds.add(rec);
   }
@@ -161,11 +164,22 @@ void quarantine(IngestReport& report, std::size_t lineno,
 
 }  // namespace
 
-std::string validate_record(const Record& rec,
-                            const IngestOptions& options) {
+bool narrow_key(const ParsedKey& key, Record& rec) {
+  if (!std::in_range<int>(key.uid) || !std::in_range<int>(key.nodes) ||
+      !std::in_range<int>(key.ppn) || key.msize < 0) {
+    return false;
+  }
+  rec.uid = static_cast<int>(key.uid);
+  rec.nodes = static_cast<int>(key.nodes);
+  rec.ppn = static_cast<int>(key.ppn);
+  rec.msize = static_cast<std::uint64_t>(key.msize);
+  return true;
+}
+
+std::string validate_record(const Record& rec) {
   if (!std::isfinite(rec.time_us)) return "non-finite time";
   if (rec.time_us <= 0.0) return "non-positive time";
-  if (rec.time_us > options.max_time_us) return "implausible time";
+  if (rec.time_us > kMaxTimeUs) return "implausible time";
   if (rec.uid < 1 || rec.nodes < 1 || rec.ppn < 1) {
     return "bad configuration key";
   }
@@ -176,8 +190,7 @@ Dataset Dataset::load_csv_tolerant(const std::filesystem::path& path,
                                    std::string name, sim::MpiLib lib,
                                    sim::Collective coll,
                                    std::string machine,
-                                   IngestReport* report,
-                                   const IngestOptions& options) {
+                                   IngestReport* report) {
   MPICP_SPAN("ingest.load_csv_tolerant");
   const support::CsvReadResult read = support::read_csv_lenient(path);
   const support::CsvTable& table = read.table;
@@ -198,17 +211,19 @@ Dataset Dataset::load_csv_tolerant(const std::filesystem::path& path,
     ++local.rows_seen;
     const std::size_t lineno = read.linenos[i];
     Record rec;
+    bool key_in_range = false;
     try {
-      rec.uid = static_cast<int>(table.cell_int(i, c_uid));
-      rec.nodes = static_cast<int>(table.cell_int(i, c_nodes));
-      rec.ppn = static_cast<int>(table.cell_int(i, c_ppn));
-      rec.msize = static_cast<std::uint64_t>(table.cell_int(i, c_msize));
+      key_in_range = narrow_key(
+          {table.cell_int(i, c_uid), table.cell_int(i, c_nodes),
+           table.cell_int(i, c_ppn), table.cell_int(i, c_msize)},
+          rec);
       rec.time_us = table.cell_double(i, c_time);
     } catch (const ParseError&) {
       quarantine(local, lineno, "unparseable field");
       continue;
     }
-    const std::string reason = validate_record(rec, options);
+    const std::string reason =
+        key_in_range ? validate_record(rec) : "bad configuration key";
     if (!reason.empty()) {
       quarantine(local, lineno, reason);
     } else {

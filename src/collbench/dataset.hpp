@@ -41,13 +41,10 @@ struct Instance {
   bool operator==(const Instance&) const = default;
 };
 
-/// Validation knobs of the tolerant ingest path.
-struct IngestOptions {
-  /// Timings above this are quarantined as implausible (1e9 us is ~17
-  /// minutes for a single collective — far past anything the Table II
-  /// grids produce; legitimate slow outliers stay well below it).
-  double max_time_us = 1e9;
-};
+/// Timings above this are quarantined as implausible (1e9 us is ~17
+/// minutes for a single collective — far past anything the Table II
+/// grids produce; legitimate slow outliers stay well below it).
+inline constexpr double kMaxTimeUs = 1e9;
 
 /// Structured account of one tolerant CSV ingest: every input row is
 /// either ingested or quarantined under a reason, and the counts add
@@ -68,14 +65,30 @@ struct IngestReport {
   bool clean() const { return rows_quarantined == 0; }
 };
 
+/// One row's configuration key as parsed from text, before narrowing.
+struct ParsedKey {
+  std::int64_t uid = 0;
+  std::int64_t nodes = 0;
+  std::int64_t ppn = 0;
+  std::int64_t msize = 0;
+};
+
+/// Narrows a parsed key into `rec`. Returns false, leaving `rec`
+/// untouched, when a value does not fit its field: a uid, node or ppn
+/// count outside `int`, or a negative message size. Every CSV and
+/// stream reader takes its keys through this, so an out-of-range value
+/// never wraps into a valid-looking key; the tolerant readers
+/// quarantine such a row as "bad configuration key", the strict loader
+/// raises ParseError.
+[[nodiscard]] bool narrow_key(const ParsedKey& key, Record& rec);
+
 /// Semantic validation of one observation against the tolerant-ingest
 /// rules. Returns the quarantine reason — exactly the strings
 /// Dataset::load_csv_tolerant accounts under ("non-finite time",
 /// "non-positive time", "implausible time", "bad configuration key") —
 /// or "" when the record is ingestible. Streaming consumers reuse this
 /// so their quarantine accounting matches file ingest byte for byte.
-[[nodiscard]] std::string validate_record(const Record& rec,
-                                          const IngestOptions& options = {});
+[[nodiscard]] std::string validate_record(const Record& rec);
 
 class Dataset {
  public:
@@ -136,8 +149,7 @@ class Dataset {
                                    std::string name, sim::MpiLib lib,
                                    sim::Collective coll,
                                    std::string machine,
-                                   IngestReport* report = nullptr,
-                                   const IngestOptions& options = {});
+                                   IngestReport* report = nullptr);
 
  private:
   static std::uint64_t key(int uid, const Instance& inst);

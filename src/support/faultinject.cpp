@@ -52,7 +52,7 @@ std::optional<std::string> corrupt_csv_row(const std::string& line,
       cells[col] = "-" + cells[col];
       break;
     case CsvFault::kOutlierValue:
-      // Past any plausible collective timing (see IngestOptions), no
+      // Past any plausible collective timing (see bench::kMaxTimeUs), no
       // matter how small the original value was.
       cells[col] = "1e15";
       break;

@@ -12,9 +12,9 @@
 //  * a Page–Hinkley cumulative test on the *absolute* relative error —
 //    catches a broad accuracy collapse even when per-uid biases cancel.
 //
-// Both are deterministic: the thresholds are fixed options and the
-// statistics are pure functions of the observation sequence, so a
-// seeded stream always alarms at the same observation. The alarm is
+// Both are deterministic: the thresholds are fixed constants (drift.cpp)
+// and the statistics are pure functions of the observation sequence, so
+// a seeded stream always alarms at the same observation. The alarm is
 // sticky until reset() — the pipeline resets after a successful swap,
 // giving the refit bank a fresh baseline.
 #pragma once
@@ -23,23 +23,6 @@
 #include <map>
 
 namespace mpicp::tune {
-
-struct DriftOptions {
-  double ewma_alpha = 0.1;       ///< EWMA smoothing factor
-  double ewma_threshold = 0.45;  ///< alarm when any |per-uid EWMA| exceeds
-  /// No alarm before this many total observations (warm-up: the first
-  /// errors after a refit reflect holdout noise, not drift).
-  std::size_t min_samples = 48;
-  /// A uid's EWMA only participates once it has this many observations
-  /// (a zero-initialized EWMA needs ~2/alpha samples to reach level).
-  std::size_t min_uid_samples = 16;
-  double ph_delta = 0.05;   ///< Page–Hinkley drift allowance
-  double ph_lambda = 12.0;  ///< Page–Hinkley alarm threshold
-  /// Winsorize |rel_error| at this value before feeding either
-  /// statistic: a single straggler spike (2-3x the true time) must not
-  /// dominate an EWMA or dump a huge Page–Hinkley increment.
-  double clamp = 3.0;
-};
 
 /// Which statistic crossed its threshold on an observation.
 enum class DriftSignal {
@@ -52,8 +35,6 @@ const char* to_string(DriftSignal signal);
 
 class DriftDetector {
  public:
-  explicit DriftDetector(DriftOptions options = {});
-
   /// Feed one signed relative prediction error — (measured - predicted)
   /// / predicted — for the algorithm `uid`. Returns the signal that
   /// first crossed its threshold on this observation (kNone while the
@@ -80,7 +61,6 @@ class DriftDetector {
     std::size_t count = 0;
   };
 
-  DriftOptions options_;
   std::map<int, Ewma> per_uid_;
   std::size_t samples_ = 0;
   // Page–Hinkley on |rel_error|: running mean, cumulative deviation and

@@ -14,9 +14,9 @@ OnlineSelector::OnlineSelector(Options options)
                 "online selector needs candidates");
   MPICP_REQUIRE(options_.probes_per_algorithm >= 1,
                 "need at least one probe per algorithm");
-  MPICP_REQUIRE(options_.max_observations_per_uid >=
-                    static_cast<std::size_t>(options_.probes_per_algorithm),
-                "max_observations_per_uid must cover the probe budget");
+  MPICP_REQUIRE(static_cast<std::size_t>(options_.probes_per_algorithm) <=
+                    kMaxObservationsPerUid,
+                "the probe budget must fit the retained observations");
 }
 
 std::uint64_t OnlineSelector::key(const bench::Instance& inst) {
@@ -70,14 +70,13 @@ void OnlineSelector::record(const bench::Instance& inst, int uid,
   const support::MutexLock lock(mu_);
   std::vector<double>& times = cell(inst).observations[uid];
   times.push_back(time_us);
-  // Bounded memory: keep only the freshest max_observations_per_uid
+  // Bounded memory: keep only the freshest kMaxObservationsPerUid
   // measurements (a long-running stream would otherwise grow without
   // bound per instance).
-  if (times.size() > options_.max_observations_per_uid) {
+  if (times.size() > kMaxObservationsPerUid) {
     times.erase(times.begin(),
-                times.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        times.size() - options_.max_observations_per_uid));
+                times.begin() + static_cast<std::ptrdiff_t>(
+                                    times.size() - kMaxObservationsPerUid));
   }
 }
 

@@ -22,14 +22,15 @@ namespace mpicp::tune {
 
 class OnlineSelector {
  public:
+  /// Bounded memory: at most this many retained observations per
+  /// (instance, uid); beyond it the oldest measurement is evicted (a
+  /// long-running job keeps the freshest evidence).
+  static constexpr std::size_t kMaxObservationsPerUid = 256;
+
   struct Options {
     std::vector<int> candidate_uids;  ///< algorithms to explore
+    /// At most kMaxObservationsPerUid, so convergence stays reachable.
     int probes_per_algorithm = 3;
-    /// Bounded memory: at most this many retained observations per
-    /// (instance, uid); beyond it the oldest measurement is evicted
-    /// (a long-running job keeps the freshest evidence). Must be at
-    /// least probes_per_algorithm so convergence stays reachable.
-    std::size_t max_observations_per_uid = 256;
   };
 
   explicit OnlineSelector(Options options);
@@ -45,7 +46,7 @@ class OnlineSelector {
   bool converged(const bench::Instance& inst) const;
 
   /// Total retained observations across all instances and uids — the
-  /// quantity Options::max_observations_per_uid bounds (stream callers
+  /// quantity kMaxObservationsPerUid bounds (stream callers
   /// assert their memory cap against it).
   std::size_t observation_count() const;
 

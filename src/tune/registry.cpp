@@ -16,28 +16,6 @@ namespace metrics = support::metrics;
 
 namespace {
 
-constexpr int kDefaultShards = 8;
-constexpr int kMaxShards = 64;
-
-/// Options::shards, or the default when it is <= 0; the result is
-/// always in [1, kMaxShards].
-int resolve_shards(int requested) {
-  return requested <= 0 ? kDefaultShards : std::min(requested, kMaxShards);
-}
-
-/// FNV-1a over the machine name with the collective mixed in — stable
-/// across processes, so a given key always lands on the same shard.
-std::uint64_t hash_key(const BankKey& key) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : key.machine) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  h ^= static_cast<std::uint64_t>(key.collective) + 0x9e3779b97f4a7c15ull;
-  h *= 1099511628211ull;
-  return h;
-}
-
 /// Process-wide version source: every publish anywhere in the process
 /// gets a distinct version, so memo entries can never alias across
 /// swaps — not even between independent registries.
@@ -123,9 +101,9 @@ class Memo {
 
 /// Everything a selection writes lives here, on the calling thread.
 struct BankRegistry::ThreadState {
-  /// One cached snapshot: the map `shard` published as `generation`.
+  /// One cached snapshot: the map `registry` published as `generation`.
   struct CachedSnapshot {
-    const Shard* shard = nullptr;
+    const BankRegistry* registry = nullptr;
     std::uint64_t generation = 0;
     std::shared_ptr<const BankMap> map;
   };
@@ -146,79 +124,59 @@ BankRegistry::ThreadState& BankRegistry::thread_state() {
   return state;
 }
 
-BankRegistry::Shard::Shard()
-    : snapshot(std::make_shared<const BankMap>()),
-      generation(next_version()) {}
-
 std::string to_string(const BankKey& key) {
   return key.machine + "/" + sim::to_string(key.collective);
 }
 
-BankRegistry::BankRegistry(Options options) {
-  const int n = resolve_shards(options.shards);
-  shards_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    // Bounded setup loop (shard count <= 64), not a serving hot path.
-    // mpicp-lint: allow(no-alloc-in-loop)
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  metrics::gauge("registry.shards").set(static_cast<double>(n));
-}
+BankRegistry::BankRegistry()
+    : snapshot_(std::make_shared<const BankMap>()),
+      generation_(next_version()) {}
 
-int BankRegistry::shards() const {
-  return static_cast<int>(shards_.size());
-}
+// Out of line, so GCC does not inline the snapshot's release into
+// callers that hold a registry in std::optional (a -Wmaybe-uninitialized
+// false positive).
+BankRegistry::~BankRegistry() = default;
 
 std::size_t BankRegistry::num_banks() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    Shard& s = *shard;
-    const support::MutexLock lock(s.write_mu);
-    total += s.snapshot->size();
-  }
-  return total;
+  const support::MutexLock lock(write_mu_);
+  return snapshot_->size();
 }
 
-BankRegistry::Shard& BankRegistry::shard_of(const BankKey& key) const {
-  return *shards_[hash_key(key) % shards_.size()];
-}
-
-const BankRegistry::BankMap& BankRegistry::current_map(ThreadState& ts,
-                                                       Shard& shard) {
+const BankRegistry::BankMap& BankRegistry::current_map(
+    ThreadState& ts) const {
   // order: pairs with the release store in publish(). A thread that
   // synchronizes with a returned publish (the publisher itself, or a
   // pool worker handed work after it) reads that generation or a later
-  // one, so it refreshes; the map itself is copied under write_mu.
+  // one, so it refreshes; the map itself is copied under write_mu_.
   const std::uint64_t generation =
-      shard.generation.load(std::memory_order_acquire);
+      generation_.load(std::memory_order_acquire);
   ThreadState::CachedSnapshot* slot = nullptr;
   for (ThreadState::CachedSnapshot& c : ts.snapshots) {
-    if (c.shard == &shard) {
+    if (c.registry == this) {
       if (c.generation == generation) return *c.map;
       slot = &c;
       break;
     }
   }
   if (slot == nullptr) {
-    // Generations are process-unique, so a slot naming a dead shard
-    // whose address a new shard reuses can never pass the check above.
+    // Generations are process-unique, so a slot naming a dead registry
+    // whose address a new one reuses can never pass the check above.
     slot = &ts.snapshots[ts.next_victim++ % kSnapshotSlots];
-    slot->shard = &shard;
+    slot->registry = this;
   }
-  const support::MutexLock lock(shard.write_mu);
-  slot->map = shard.snapshot;
-  // order: read under write_mu, which orders it with the swap it stamps.
-  slot->generation = shard.generation.load(std::memory_order_relaxed);
+  const support::MutexLock lock(write_mu_);
+  slot->map = snapshot_;
+  // order: read under write_mu_, which orders it with the swap it stamps.
+  slot->generation = generation_.load(std::memory_order_relaxed);
   return *slot->map;
 }
 
-const BankRegistry::Entry* BankRegistry::find_entry(ThreadState& ts,
-                                                    Shard& shard,
-                                                    const BankKey& key) {
-  CounterCell& cell = shard.cells[ts.cell];
+const BankRegistry::Entry* BankRegistry::find_entry(
+    ThreadState& ts, const BankKey& key) const {
+  CounterCell& cell = cells_[ts.cell];
   // order: independent statistic; readers only need eventual totals.
   cell.lookups.fetch_add(1, std::memory_order_relaxed);
-  const BankMap& map = current_map(ts, shard);
+  const BankMap& map = current_map(ts);
   const auto it = map.find(key);
   if (it == map.end()) return nullptr;
   // order: independent statistic; readers only need eventual totals.
@@ -226,10 +184,9 @@ const BankRegistry::Entry* BankRegistry::find_entry(ThreadState& ts,
   return &it->second;
 }
 
-int BankRegistry::select_in_entry(ThreadState& ts, Shard& shard,
-                                  const Entry& entry,
-                                  const bench::Instance& inst) {
-  CounterCell& cell = shard.cells[ts.cell];
+int BankRegistry::select_in_entry(ThreadState& ts, const Entry& entry,
+                                  const bench::Instance& inst) const {
+  CounterCell& cell = cells_[ts.cell];
   const int memoized = ts.memo.find(entry.version, inst);
   if (memoized > 0) {
     // order: independent statistic; readers only need eventual totals.
@@ -246,12 +203,12 @@ int BankRegistry::select_in_entry(ThreadState& ts, Shard& shard,
 std::shared_ptr<const CompiledBank> BankRegistry::lookup(
     const BankKey& key) const {
   MPICP_SPAN("registry.lookup");
-  const Entry* entry = find_entry(thread_state(), shard_of(key), key);
+  const Entry* entry = find_entry(thread_state(), key);
   return entry != nullptr ? entry->bank : nullptr;
 }
 
 std::uint64_t BankRegistry::version(const BankKey& key) const {
-  const Entry* entry = find_entry(thread_state(), shard_of(key), key);
+  const Entry* entry = find_entry(thread_state(), key);
   return entry != nullptr ? entry->version : 0;
 }
 
@@ -259,11 +216,10 @@ int BankRegistry::select_uid(const BankKey& key,
                              const bench::Instance& inst) const {
   MPICP_SPAN("registry.lookup");
   ThreadState& ts = thread_state();
-  Shard& shard = shard_of(key);
-  const Entry* entry = find_entry(ts, shard, key);
+  const Entry* entry = find_entry(ts, key);
   MPICP_REQUIRE(entry != nullptr,
                 "no bank registered for " + to_string(key));
-  const int uid = select_in_entry(ts, shard, *entry, inst);
+  const int uid = select_in_entry(ts, *entry, inst);
   MPICP_REQUIRE(uid > 0,
                 "no usable model prediction for the instance (use "
                 "select_uid_or_default for graceful degradation)");
@@ -275,9 +231,8 @@ int BankRegistry::select_uid_or_default(const BankKey& key,
                                         sim::MpiLib lib) const {
   MPICP_SPAN("registry.lookup");
   ThreadState& ts = thread_state();
-  Shard& shard = shard_of(key);
-  if (const Entry* entry = find_entry(ts, shard, key)) {
-    const int uid = select_in_entry(ts, shard, *entry, inst);
+  if (const Entry* entry = find_entry(ts, key)) {
+    const int uid = select_in_entry(ts, *entry, inst);
     if (uid > 0) return uid;
   }
   // Missing bank or nothing usable: behave like an untuned job launch.
@@ -291,8 +246,7 @@ int BankRegistry::select_uid_or_default(const BankKey& key,
 std::vector<int> BankRegistry::select_grid(
     const BankKey& key, std::span<const bench::Instance> grid) const {
   MPICP_SPAN("registry.select_grid");
-  Shard& shard = shard_of(key);
-  const Entry* found = find_entry(thread_state(), shard, key);
+  const Entry* found = find_entry(thread_state(), key);
   MPICP_REQUIRE(found != nullptr,
                 "no bank registered for " + to_string(key));
   // Resolve the entry once and copy it: a whole grid is answered by one
@@ -304,7 +258,7 @@ std::vector<int> BankRegistry::select_grid(
   instances.inc(grid.size());
   std::vector<int> out(grid.size(), -1);
   support::parallel_for(grid.size(), 8, [&](std::size_t i) {
-    const int uid = select_in_entry(thread_state(), shard, entry, grid[i]);
+    const int uid = select_in_entry(thread_state(), entry, grid[i]);
     MPICP_REQUIRE(uid > 0,
                   "no usable model prediction for a grid instance (use "
                   "select_uid_or_default for graceful degradation)");
@@ -334,23 +288,22 @@ std::uint64_t BankRegistry::publish(const BankKey& key,
                                      to_string(key));
   MPICP_REQUIRE(bank->num_models() > 0,
                 "publishing an empty bank for " + to_string(key));
-  Shard& shard = shard_of(key);
   const std::uint64_t version = next_version();
   {
     // Writers serialize among themselves. Readers keep the snapshot
     // they hold; each refreshes its copy (under this mutex) on its next
-    // read of the shard, once it sees the new generation.
-    const support::MutexLock lock(shard.write_mu);
-    auto next = std::make_shared<BankMap>(*shard.snapshot);
+    // read of the registry, once it sees the new generation.
+    const support::MutexLock lock(write_mu_);
+    auto next = std::make_shared<BankMap>(*snapshot_);
     (*next)[key] = Entry{std::move(bank), version};
-    shard.snapshot = std::move(next);
+    snapshot_ = std::move(next);
     // order: publishes the swap; pairs with the acquire load in
     // current_map(). No memo is cleared: the new version cannot hit an
-    // entry of the old one.
-    shard.generation.store(version, std::memory_order_release);
+    // entry of the old one, nor of any other key.
+    generation_.store(version, std::memory_order_release);
   }
   // order: independent statistic; readers only need eventual totals.
-  shard.swaps.fetch_add(1, std::memory_order_relaxed);
+  swaps_.fetch_add(1, std::memory_order_relaxed);
   static metrics::Counter& swaps = metrics::counter("registry.swaps");
   swaps.inc();
   return version;
@@ -374,46 +327,44 @@ BankRegistry::RefitOutcome BankRegistry::refit_and_publish(
         // keep serving the last good bank.
         outcome.rejected = true;
         outcome.error = verdict;
-        metrics::counter("registry.refit_rejected").inc();
+        static metrics::Counter& rejected =
+            metrics::counter("registry.refit_rejected");
+        rejected.inc();
         return outcome;
       }
     }
     outcome.version = publish(key, std::move(compiled));
     outcome.published = true;
-    metrics::counter("registry.refits").inc();
+    static metrics::Counter& refits = metrics::counter("registry.refits");
+    refits.inc();
   } catch (const std::exception& e) {
     // The last good bank keeps serving; the caller decides whether a
     // failed refit is fatal.
     outcome.error = e.what();
-    metrics::counter("registry.refit_failures").inc();
+    static metrics::Counter& failures =
+        metrics::counter("registry.refit_failures");
+    failures.inc();
   }
   return outcome;
 }
 
 std::vector<BankRegistry::ShardStats> BankRegistry::shard_stats() const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    Shard& sh = *shard;
-    ShardStats s;
-    for (const CounterCell& cell : sh.cells) {
-      // order: statistics snapshot; tolerates straddling in-flight
-      // selections (counters are independent, eventual totals).
-      s.lookups += cell.lookups.load(std::memory_order_relaxed);
-      // order: statistics snapshot (see above).
-      s.hits += cell.hits.load(std::memory_order_relaxed);
-      // order: statistics snapshot (see above).
-      s.memo_hits += cell.memo_hits.load(std::memory_order_relaxed);
-      // order: statistics snapshot (see above).
-      s.memo_misses += cell.memo_misses.load(std::memory_order_relaxed);
-    }
+  ShardStats s;
+  for (const CounterCell& cell : cells_) {
+    // order: statistics snapshot; tolerates straddling in-flight
+    // selections (counters are independent, eventual totals).
+    s.lookups += cell.lookups.load(std::memory_order_relaxed);
     // order: statistics snapshot (see above).
-    s.swaps = sh.swaps.load(std::memory_order_relaxed);
-    const support::MutexLock lock(sh.write_mu);
-    s.banks = sh.snapshot->size();
-    out.push_back(s);
+    s.hits += cell.hits.load(std::memory_order_relaxed);
+    // order: statistics snapshot (see above).
+    s.memo_hits += cell.memo_hits.load(std::memory_order_relaxed);
+    // order: statistics snapshot (see above).
+    s.memo_misses += cell.memo_misses.load(std::memory_order_relaxed);
   }
-  return out;
+  // order: statistics snapshot (see above).
+  s.swaps = swaps_.load(std::memory_order_relaxed);
+  s.banks = num_banks();
+  return {s};
 }
 
 }  // namespace mpicp::tune

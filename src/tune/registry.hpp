@@ -1,25 +1,23 @@
-// Tuning-as-a-service: a sharded, hot-reloadable bank registry
-// (DESIGN.md §12).
+// Tuning-as-a-service: a hot-reloadable bank registry (DESIGN.md §12).
 //
 // The compiled bank (tune/compiled_bank.hpp) answers single-bank
 // queries allocation-free; `BankRegistry` is the long-running serving
 // layer above it — a concurrent map from (machine preset, collective)
-// to an immutable `CompiledBank`, sharded by key hash so unrelated
-// banks never contend. Publishes are RCU-style: a writer clones the
-// shard's immutable snapshot map under the shard's `write_mu`, installs
-// the new bank under a fresh process-unique version, swaps the snapshot
-// and release-stores that version as the shard's `generation`; readers
-// finish on whichever snapshot they hold.
+// to an immutable `CompiledBank`. Publishes are RCU-style: a writer
+// clones the registry's immutable snapshot map under `write_mu_`,
+// installs the new bank under a fresh process-unique version, swaps the
+// snapshot and release-stores that version as the registry's
+// `generation_`; readers finish on whichever snapshot they hold.
 //
 // The read path writes only to the calling thread's own cache lines in
 // steady state. Each thread keeps a small fixed-size cache of
-// (shard, generation, snapshot) copies: a selection does one acquire
-// load of the shard's generation and, when it matches the cached one,
-// reads the cached map without touching any shared reference count.
-// Only after a publish does a thread refresh its copy, under
-// `write_mu`. A thread's cache can keep a retired snapshot and its
-// banks alive until that thread next reads the shard or exits (at most
-// kSnapshotSlots snapshots per thread).
+// (registry, generation, snapshot) copies: a selection does one acquire
+// load of the registry's generation and, when it matches the cached
+// one, reads the cached map without touching any shared reference
+// count. Only after a publish (to any key) does a thread refresh its
+// copy, under `write_mu_`. A thread's cache can keep a retired snapshot
+// and its banks alive until that thread next reads the registry or
+// exits (at most kSnapshotSlots snapshots per thread).
 //
 // One serving path answers every selection: registry lookup -> the
 // calling thread's memo -> `CompiledBank` argmin. The memo is exact,
@@ -27,14 +25,14 @@
 // memoized answer always equals the selection of the exact bank version
 // it was computed from, which is what the swap-under-load
 // linearizability property in tests/test_registry.cpp and
-// tests/test_properties.cpp pins. Each thread's memo holds kMemoSlots
-// slots (1 MiB) and is cleared wholesale at 3/4 load.
+// tests/test_properties.cpp pins. A publish to one key therefore leaves
+// every other key's memo entries hitting. Each thread's memo holds
+// kMemoSlots slots (1 MiB) and is cleared wholesale at 3/4 load.
 //
 // Every path is observable: MPICP_SPAN("registry.lookup"/"registry.swap"/
 // "registry.serve"/"registry.refit") spans, process metrics
-// ("registry.*"), and per-shard statistics held once, in per-thread
-// counter cells of the shard summed by shard_stats(). The shard count
-// comes from Options::shards (default 8).
+// ("registry.*"), and selection statistics held once, in per-thread
+// counter cells summed by shard_stats().
 #pragma once
 
 #include <array>
@@ -72,23 +70,17 @@ std::string to_string(const BankKey& key);
 
 class BankRegistry {
  public:
-  struct Options {
-    /// Shard count; <= 0 selects the default of 8. Clamped to [1, 64].
-    int shards = 0;
-  };
-
   /// Slots of each thread's selection memo (32 B each: 1 MiB). The
   /// memo is cleared wholesale once 3/4 of them are filled.
   static constexpr std::size_t kMemoSlots = std::size_t{1} << 15;
 
-  BankRegistry() : BankRegistry(Options{}) {}
-  explicit BankRegistry(Options options);
+  BankRegistry();
+  ~BankRegistry();
 
-  int shards() const;
   std::size_t num_banks() const;
 
   /// Hot-swap (or first install) of the bank serving `key`. Clones the
-  /// shard's snapshot map, installs `bank` under a fresh process-unique
+  /// registry's snapshot map, installs `bank` under a fresh process-unique
   /// version and publishes the new snapshot; in-flight selections finish
   /// on the snapshot they already hold, and every selection that starts
   /// after this returns (on a thread synchronized with it) sees the new
@@ -168,16 +160,20 @@ class BankRegistry {
       const SelectorOptions& options = {},
       const RefitValidator& validator = {});
 
-  /// Point-in-time per-shard accounting, summed over the shard's
-  /// counter cells (the only place these statistics are kept).
+  /// Point-in-time accounting, summed over the registry's counter
+  /// cells (the only place these statistics are kept).
   struct ShardStats {
-    std::uint64_t lookups = 0;     ///< entry finds on the select path
+    /// Entry finds: one per lookup(), version() or select_*() call
+    /// (refit_and_publish() makes some too) and one per serve() query.
+    std::uint64_t lookups = 0;
     std::uint64_t hits = 0;        ///< lookups that found a bank
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_misses = 0;
-    std::uint64_t swaps = 0;       ///< publishes routed to this shard
+    std::uint64_t swaps = 0;       ///< publishes
     std::size_t banks = 0;         ///< keys currently served
   };
+  /// One entry: the registry keeps a single snapshot. (A vector, so
+  /// callers that sum over entries need not change.)
   [[nodiscard]] std::vector<ShardStats> shard_stats() const;
 
  private:
@@ -189,8 +185,7 @@ class BankRegistry {
 
   /// Per-thread slots of the snapshot cache, searched linearly.
   static constexpr std::size_t kSnapshotSlots = 16;
-  /// Counter cells per shard; a thread counts into cell
-  /// (thread ticket % kCounterCells).
+  /// Counter cells; a thread counts into cell (ticket % kCounterCells).
   static constexpr std::size_t kCounterCells = 16;
 
   /// One cache line of selection statistics, written by the threads
@@ -202,42 +197,34 @@ class BankRegistry {
     std::atomic<std::uint64_t> memo_misses{0};
   };
 
-  struct Shard {
-    Shard();
-
-    /// Serializes publishers and guards `snapshot`; readers take it
-    /// only to refresh their cached copy after a publish.
-    support::Mutex write_mu;
-    std::shared_ptr<const BankMap> snapshot MPICP_GUARDED_BY(write_mu);
-    /// Process-unique stamp of `snapshot`, release-stored after each
-    /// swap; the one shared word a steady-state reader loads.
-    std::atomic<std::uint64_t> generation;
-    std::atomic<std::uint64_t> swaps{0};
-    /// Atomics padded per cache line, not guarded data.
-    // mpicp-lint: allow(lock-discipline)
-    std::array<CounterCell, kCounterCells> cells;
-  };
-
   /// The calling thread's snapshot cache, memo and counter ticket
   /// (defined in registry.cpp).
   struct ThreadState;
   static ThreadState& thread_state();
 
-  Shard& shard_of(const BankKey& key) const;
-  /// The calling thread's copy of the shard's current map, refreshed
-  /// under write_mu when the shard's generation has moved.
-  static const BankMap& current_map(ThreadState& ts, Shard& shard);
-  /// Entry fetch with per-shard accounting; nullptr when the key has no
-  /// bank. Points into the thread's cached snapshot: valid until this
-  /// thread next refreshes that shard.
-  static const Entry* find_entry(ThreadState& ts, Shard& shard,
-                                 const BankKey& key);
+  /// The calling thread's copy of the current map, refreshed under
+  /// write_mu_ when the registry's generation has moved.
+  const BankMap& current_map(ThreadState& ts) const;
+  /// Entry fetch with accounting; nullptr when the key has no bank.
+  /// Points into the thread's cached snapshot: valid until this thread
+  /// next refreshes it.
+  const Entry* find_entry(ThreadState& ts, const BankKey& key) const;
   /// Selection through the thread's memo; -1 when no prediction is
   /// usable.
-  static int select_in_entry(ThreadState& ts, Shard& shard,
-                             const Entry& entry, const bench::Instance& inst);
+  int select_in_entry(ThreadState& ts, const Entry& entry,
+                      const bench::Instance& inst) const;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Serializes publishers and guards `snapshot_`; readers take it only
+  /// to refresh their cached copy after a publish.
+  mutable support::Mutex write_mu_;
+  std::shared_ptr<const BankMap> snapshot_ MPICP_GUARDED_BY(write_mu_);
+  /// Process-unique stamp of `snapshot_`, release-stored after each
+  /// swap; the one shared word a steady-state reader loads.
+  std::atomic<std::uint64_t> generation_;
+  std::atomic<std::uint64_t> swaps_{0};
+  /// Atomics padded per cache line, not guarded data.
+  // mpicp-lint: allow(lock-discipline)
+  mutable std::array<CounterCell, kCounterCells> cells_;
 };
 
 }  // namespace mpicp::tune

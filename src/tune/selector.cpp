@@ -1,6 +1,7 @@
 #include "tune/selector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 
@@ -19,6 +20,16 @@
 namespace mpicp::tune {
 
 namespace metrics = support::metrics;
+
+namespace {
+
+/// Learners tried, in order, for a uid whose configured-learner fit
+/// failed: a structurally different learner first (knn has no normal
+/// equations to go singular), then the constant median predictor, which
+/// fits whenever at least one finite observation exists.
+constexpr std::array<const char*, 2> kFallbackLearners = {"knn", "median"};
+
+}  // namespace
 
 std::size_t feature_dim(const FeatureOptions& opts) {
   return opts.include_total_processes ? 4 : 3;
@@ -129,10 +140,10 @@ const FitReport& Selector::fit(const bench::Dataset& ds,
   // The degradation ladder: configured learner first, then the fallback
   // chain (skipping duplicates of the configured learner).
   std::vector<std::string> chain = {options_.learner};
-  chain.reserve(1 + options_.fallback_learners.size());
-  for (const std::string& name : options_.fallback_learners) {
+  chain.reserve(1 + kFallbackLearners.size());
+  for (const char* name : kFallbackLearners) {
     if (std::find(chain.begin(), chain.end(), name) == chain.end()) {
-      chain.push_back(name);
+      chain.emplace_back(name);
     }
   }
 

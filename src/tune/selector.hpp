@@ -4,7 +4,7 @@
 // model on an unseen instance and returns the argmin.
 //
 // Robustness layer (see README "Fault tolerance & degradation"): fitting
-// degrades per uid through a configurable learner chain instead of
+// degrades per uid through a fixed learner chain instead of
 // aborting the whole bank, every fit is accounted for in a FitReport,
 // and selection excludes non-finite/negative predictions from the
 // argmin — falling back to the library's own default decision when no
@@ -54,12 +54,6 @@ void instance_features_into(const bench::Instance& inst,
 struct SelectorOptions {
   std::string learner = "gam";  ///< ml::make_regressor name
   FeatureOptions features;
-  /// Learners tried, in order, for a uid whose configured-learner fit
-  /// failed. The default chain mirrors the degradation ladder: a
-  /// structurally different learner first (knn has no normal equations
-  /// to go singular), then the constant median predictor, which fits
-  /// whenever at least one finite observation exists.
-  std::vector<std::string> fallback_learners = {"knn", "median"};
 };
 
 /// Per-uid account of one Selector::fit — which learner ended up in the
@@ -99,8 +93,8 @@ class Selector {
   /// `train_nodes` (raw observations, not aggregates — the models see
   /// the measurement noise, as in the paper). Rows with non-finite or
   /// non-positive timings are screened out per uid; a uid whose fit
-  /// fails degrades through options().fallback_learners, and a uid with
-  /// no usable model is left out of the bank. Every deviation is
+  /// fails degrades through the fallback chain (knn, then median), and a
+  /// uid with no usable model is left out of the bank. Every deviation is
   /// recorded in the returned FitReport (also retained and queryable via
   /// fit_report()). Throws only when *no* uid is fittable. The report is
   /// [[nodiscard]] deliberately: silently dropping it hides degraded

@@ -27,19 +27,7 @@ constexpr std::size_t kStreamColumns = 5;  // uid,nodes,ppn,msize,time_us
 
 StreamPipeline::StreamPipeline(BankRegistry& registry,
                                StreamOptions options)
-    : registry_(registry), options_(std::move(options)) {
-  MPICP_REQUIRE(options_.window_capacity > 0,
-                "window_capacity must be positive");
-  MPICP_REQUIRE(options_.min_refit_rows > 0,
-                "min_refit_rows must be positive");
-  MPICP_REQUIRE(options_.holdout_every >= 2,
-                "holdout_every must be >= 2 (every row in the holdout "
-                "would leave nothing to train on)");
-  MPICP_REQUIRE(options_.accept_tolerance > 0.0,
-                "accept_tolerance must be positive");
-  MPICP_REQUIRE(options_.backoff_multiplier >= 1.0,
-                "backoff_multiplier must be >= 1");
-}
+    : registry_(registry), options_(std::move(options)) {}
 
 StreamPipeline::RowOutcome StreamPipeline::push_row(
     const BankKey& key, const std::string& row_text) {
@@ -55,10 +43,12 @@ StreamPipeline::RowOutcome StreamPipeline::push_row(
     reason = "row width mismatch";  // read_csv_lenient's structural reason
   } else {
     try {
-      rec.uid = static_cast<int>(support::parse_int(cells[0]));
-      rec.nodes = static_cast<int>(support::parse_int(cells[1]));
-      rec.ppn = static_cast<int>(support::parse_int(cells[2]));
-      rec.msize = static_cast<std::uint64_t>(support::parse_int(cells[3]));
+      if (!bench::narrow_key(
+              {support::parse_int(cells[0]), support::parse_int(cells[1]),
+               support::parse_int(cells[2]), support::parse_int(cells[3])},
+              rec)) {
+        reason = "bad configuration key";
+      }
       rec.time_us = support::parse_double(cells[4]);
     } catch (const ParseError&) {
       reason = "unparseable field";
@@ -101,7 +91,7 @@ StreamPipeline::RowOutcome StreamPipeline::push_locked(
 
   // The same semantic screen as Dataset::load_csv_tolerant — a
   // corrupted value never reaches the window, the detector or a refit.
-  const std::string reason = bench::validate_record(rec, options_.ingest);
+  const std::string reason = bench::validate_record(rec);
   if (!reason.empty()) {
     ++stats_.rows_quarantined;
     quarantined.inc();
@@ -128,18 +118,16 @@ void StreamPipeline::ingest(KeyState& state, const bench::Record& rec) {
   ++stats_.rows_ingested;
   ingested.inc();
   ++state.accepted;
-  if (state.accepted % options_.holdout_every == 0) {
+  if (state.accepted % kHoldoutEvery == 0) {
     state.holdout.push_back(rec);
-    const std::size_t cap = std::max<std::size_t>(
-        1, options_.window_capacity / options_.holdout_every);
-    while (state.holdout.size() > cap) {
+    while (state.holdout.size() > kWindowCapacity / kHoldoutEvery) {
       state.holdout.pop_front();
       ++stats_.window_evictions;
       evictions.inc();
     }
   } else {
     state.window.push_back(rec);
-    while (state.window.size() > options_.window_capacity) {
+    while (state.window.size() > kWindowCapacity) {
       state.window.pop_front();
       ++stats_.window_evictions;
       evictions.inc();
@@ -179,8 +167,9 @@ void StreamPipeline::observe_error(KeyState& state, const BankKey& key,
   stats_.detection_rows.push_back(stats_.rows_seen);
   stats_.rows_discarded_on_drift +=
       state.window.size() + state.holdout.size();
-  metrics::counter("stream.rows_discarded_on_drift")
-      .inc(state.window.size() + state.holdout.size());
+  static metrics::Counter& discarded =
+      metrics::counter("stream.rows_discarded_on_drift");
+  discarded.inc(state.window.size() + state.holdout.size());
   state.window.clear();
   state.holdout.clear();
   state.pending_refit = true;
@@ -191,7 +180,7 @@ void StreamPipeline::maybe_refit(KeyState& state, const BankKey& key,
                                  RowOutcome* out) {
   const bool bootstrap = registry_.version(key) == 0;
   if (!bootstrap && !state.pending_refit) return;
-  if (state.window.size() + state.holdout.size() < options_.min_refit_rows) {
+  if (state.window.size() + state.holdout.size() < kMinRefitRows) {
     return;  // keep accumulating
   }
   if (state.accepted < state.backoff_until) {
@@ -202,7 +191,7 @@ void StreamPipeline::maybe_refit(KeyState& state, const BankKey& key,
     return;
   }
   if (state.attempted_before &&
-      state.accepted - state.last_attempt_at < options_.refit_cooldown) {
+      state.accepted - state.last_attempt_at < kRefitCooldown) {
     return;  // base rate limit between attempts
   }
 
@@ -229,7 +218,7 @@ void StreamPipeline::maybe_refit(KeyState& state, const BankKey& key,
         if (!incumbent) return std::string();
         const double cand_err = holdout_error(state, candidate);
         const double inc_err = holdout_error(state, *incumbent);
-        if (cand_err > inc_err * options_.accept_tolerance) {
+        if (cand_err > inc_err * kAcceptTolerance) {
           return "candidate holdout error " +
                  support::format_double(cand_err, 6) +
                  " worse than incumbent " +
@@ -264,12 +253,8 @@ void StreamPipeline::maybe_refit(KeyState& state, const BankKey& key,
   out->rejected = true;
   state.backoff =
       state.backoff == 0
-          ? options_.backoff_initial
-          : std::min<std::uint64_t>(
-                static_cast<std::uint64_t>(
-                    static_cast<double>(state.backoff) *
-                    options_.backoff_multiplier),
-                options_.backoff_max);
+          ? kBackoffInitial
+          : std::min(state.backoff * kBackoffMultiplier, kBackoffMax);
   state.backoff_until = state.accepted + state.backoff;
 }
 

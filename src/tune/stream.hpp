@@ -38,35 +38,37 @@ namespace mpicp::tune {
 struct StreamOptions {
   sim::MpiLib lib = sim::MpiLib::kOpenMPI;
   SelectorOptions selector;
-  DriftOptions drift;
-  bench::IngestOptions ingest;
-
-  /// Per-key training window: oldest accepted rows are evicted beyond
-  /// this (the holdout slice is bounded at window_capacity /
-  /// holdout_every alongside).
-  std::size_t window_capacity = 2048;
-  /// A refit needs at least this many windowed rows (training slice +
-  /// holdout) — both for the bootstrap fit and after a drift discard.
-  std::size_t min_refit_rows = 192;
-  /// Every holdout_every-th accepted row goes to the holdout slice
-  /// (never trained on) — the validation set refits must win on.
-  std::size_t holdout_every = 5;
-  /// A candidate is published only when its holdout error does not
-  /// exceed the incumbent's times this factor.
-  double accept_tolerance = 1.02;
-  /// Minimum accepted rows between consecutive refit attempts on one
-  /// key — the base rate limit against refit storms.
-  std::uint64_t refit_cooldown = 64;
-  /// Exponential backoff after a failed or rejected refit: wait
-  /// backoff_initial accepted rows, then x backoff_multiplier per
-  /// consecutive failure, capped at backoff_max.
-  std::uint64_t backoff_initial = 128;
-  double backoff_multiplier = 2.0;
-  std::uint64_t backoff_max = 8192;
 };
 
 class StreamPipeline {
  public:
+  /// Per-key training window: oldest accepted rows are evicted beyond
+  /// this (the holdout slice is bounded at kWindowCapacity /
+  /// kHoldoutEvery alongside).
+  static constexpr std::size_t kWindowCapacity = 512;
+  /// A refit needs at least this many windowed rows (training slice +
+  /// holdout) — both for the bootstrap fit and after a drift discard.
+  static constexpr std::size_t kMinRefitRows = 160;
+  /// Every kHoldoutEvery-th accepted row goes to the holdout slice
+  /// (never trained on) — the validation set refits must win on.
+  static constexpr std::size_t kHoldoutEvery = 4;
+  /// A candidate is published only when its holdout error does not
+  /// exceed the incumbent's times this factor.
+  static constexpr double kAcceptTolerance = 1.05;
+  /// Minimum accepted rows between consecutive refit attempts on one
+  /// key — the base rate limit against refit storms.
+  static constexpr std::uint64_t kRefitCooldown = 32;
+  /// Exponential backoff after a failed or rejected refit: wait
+  /// kBackoffInitial accepted rows, then x kBackoffMultiplier per
+  /// consecutive failure, capped at kBackoffMax.
+  static constexpr std::uint64_t kBackoffInitial = 64;
+  static constexpr std::uint64_t kBackoffMultiplier = 2;
+  static constexpr std::uint64_t kBackoffMax = 8192;
+  static_assert(kHoldoutEvery >= 2,
+                "every row in the holdout would leave nothing to train on");
+  static_assert(kWindowCapacity / kHoldoutEvery > 0,
+                "the holdout slice must hold at least one row");
+
   StreamPipeline(BankRegistry& registry, StreamOptions options = {});
 
   /// What one pushed row did to the pipeline.
@@ -146,7 +148,7 @@ class StreamPipeline {
   double holdout_error(const KeyState& state, const CompiledBank& bank) const;
 
   BankRegistry& registry_;
-  /// Validated by the constructor; immutable afterwards.
+  /// Immutable after construction.
   StreamOptions options_;  // mpicp-lint: allow(lock-discipline)
   /// Serializes the pump: whole rows interleave, never their steps.
   mutable support::Mutex mu_;

@@ -166,6 +166,47 @@ TEST(CsvQuarantine, CleanFileMatchesStrictLoad) {
   }
 }
 
+// Keys that do not fit their fields must not wrap into valid-looking
+// ones (-5 would become msize 2^64 - 5, 4294967297 would become uid 1):
+// the tolerant loader quarantines each such row, the strict one raises.
+TEST(CsvQuarantine, OutOfRangeKeysAreRejectedNotWrapped) {
+  const char* header = "uid,nodes,ppn,msize,time_us\n";
+  const char* good = "1,2,4,64,10.5\n";
+  const char* bad_rows[] = {
+      "1,2,4,-5,10.5\n",            // negative msize
+      "4294967297,2,4,64,10.5\n",   // uid past int
+      "1,-4294967295,4,64,10.5\n",  // nodes below int
+      "1,2,4294967300,64,10.5\n",   // ppn past int
+  };
+  const auto path = temp_csv("mpicp_faults_key_range");
+
+  std::string all = header;
+  all += good;
+  for (const char* row : bad_rows) all += row;
+  spit(path, all);
+  bench::IngestReport report;
+  const bench::Dataset tolerant = bench::Dataset::load_csv_tolerant(
+      path, "range", sim::MpiLib::kOpenMPI, sim::Collective::kBcast,
+      "Hydra", &report);
+  EXPECT_EQ(report.rows_seen, 5u);
+  EXPECT_EQ(report.rows_ingested, 1u);
+  EXPECT_EQ(report.rows_quarantined, 4u);
+  EXPECT_EQ(report.reasons.at("bad configuration key"), 4u);
+  ASSERT_EQ(tolerant.num_records(), 1u);
+  EXPECT_EQ(tolerant.records()[0].msize, 64u);
+
+  for (const char* row : bad_rows) {
+    spit(path, std::string(header) + good + row);
+    EXPECT_THROW((void)bench::Dataset::load_csv(path, "range",
+                                                sim::MpiLib::kOpenMPI,
+                                                sim::Collective::kBcast,
+                                                "Hydra"),
+                 ParseError)
+        << row;
+  }
+  std::filesystem::remove(path);
+}
+
 // ---- fit fallback chain ---------------------------------------------------
 
 TEST(FitFallback, ForcedFailureFallsBackToKnn) {

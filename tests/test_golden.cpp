@@ -313,12 +313,6 @@ bench::StreamSpec golden_stream_spec() {
 tune::StreamOptions golden_stream_options() {
   tune::StreamOptions opts;
   opts.selector.learner = "knn";  // memorizes per-config regime factors
-  opts.window_capacity = 512;
-  opts.min_refit_rows = 160;
-  opts.holdout_every = 4;
-  opts.refit_cooldown = 32;
-  opts.backoff_initial = 64;
-  opts.accept_tolerance = 1.05;
   return opts;
 }
 

@@ -62,30 +62,33 @@ TEST(Online, RejectsBadInput) {
 }
 
 TEST(Online, EvictionBoundsRetainedObservations) {
+  constexpr int kCap =
+      static_cast<int>(OnlineSelector::kMaxObservationsPerUid);
   OnlineSelector sel({.candidate_uids = {1, 2},
-                      .probes_per_algorithm = 3,
-                      .max_observations_per_uid = 5});
+                      .probes_per_algorithm = 3});
   // A long-running stream of measurements: retained observations stay
   // capped per (instance, uid) and only the freshest survive.
-  for (int i = 0; i < 40; ++i) {
-    sel.record(kInst, 1, 100.0 - i);  // newest measurements are fastest
-    sel.record(kInst, 2, 50.0);
+  for (int i = 0; i < kCap + 40; ++i) {
+    sel.record(kInst, 1, 1000.0 - i);  // newest measurements are fastest
+    sel.record(kInst, 2, 500.0);
   }
-  EXPECT_EQ(sel.observation_count(), 10u);  // 5 per uid, 2 uids
-  // The freshest five uid-1 times (61..65 us) still lose to uid 2's
-  // steady 50 us...
+  EXPECT_EQ(sel.observation_count(), 2u * kCap);  // kCap per uid, 2 uids
+  // The freshest kCap uid-1 times (705..960 us) still lose to uid 2's
+  // steady 500 us...
   EXPECT_EQ(sel.current_best(kInst), 2);
-  // ...but a burst of fast uid-1 measurements flips the decision even
-  // though 40 slow ones came first: stale evidence was evicted.
-  for (int i = 0; i < 5; ++i) {
+  // ...but a burst of kCap fast uid-1 measurements flips the decision
+  // even though kCap + 40 slow ones came first: stale evidence was
+  // evicted (kept, it would hold the median above 500 us).
+  for (int i = 0; i < kCap; ++i) {
     sel.record(kInst, 1, 10.0);
   }
-  EXPECT_EQ(sel.observation_count(), 10u);
+  EXPECT_EQ(sel.observation_count(), 2u * kCap);
   EXPECT_EQ(sel.current_best(kInst), 1);
-  // The cap must cover the probe budget.
+  // The cap must cover the probe budget: probes above it are refused.
+  EXPECT_NO_THROW(OnlineSelector({.candidate_uids = {1},
+                                  .probes_per_algorithm = kCap}));
   EXPECT_THROW(OnlineSelector({.candidate_uids = {1},
-                               .probes_per_algorithm = 3,
-                               .max_observations_per_uid = 2}),
+                               .probes_per_algorithm = kCap + 1}),
                Error);
 }
 

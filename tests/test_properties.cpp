@@ -290,8 +290,7 @@ TEST_P(RegistryLinearizability,
   const tune::BankKey key{"Hydra", sim::Collective::kBcast};
   const std::size_t swap_at_1 = 1 + rng.uniform_int(instances.size() - 2);
   const std::size_t swap_at_2 = 1 + rng.uniform_int(instances.size() - 2);
-  tune::BankRegistry registry(
-      tune::BankRegistry::Options{.shards = 1 + static_cast<int>(seed % 4)});
+  tune::BankRegistry registry;
   registry.publish(key, versions[0]);
 
   support::ScopedThreads scoped(4);

@@ -1,4 +1,4 @@
-// Serving-registry tests (tune/registry.hpp): the sharded hot-swap
+// Serving-registry tests (tune/registry.hpp): the one-snapshot hot-swap
 // layer must be a transparent wrapper — bit-identical to direct
 // CompiledBank serving at every thread count — while adding what a
 // bank alone cannot: concurrent multi-bank streams, RCU publishes
@@ -82,7 +82,7 @@ std::shared_ptr<const tune::CompiledBank> compile_bank(
   return std::make_shared<const tune::CompiledBank>(selector.compile());
 }
 
-/// Summed over every shard.
+/// Summed over every shard_stats() entry.
 tune::BankRegistry::ShardStats total_stats(
     const tune::BankRegistry& registry) {
   tune::BankRegistry::ShardStats t;
@@ -103,7 +103,7 @@ TEST(BankRegistry, SelectionsBitIdenticalToDirectServingAt1And4Threads) {
   const auto bank = compile_bank(ds, "gam");
   const auto instances = random_instances(101, 48);
 
-  tune::BankRegistry registry(tune::BankRegistry::Options{.shards = 4});
+  tune::BankRegistry registry;
   const tune::BankKey key{ds.machine(), ds.collective()};
   registry.publish(key, bank);
 
@@ -283,8 +283,8 @@ TEST(BankRegistry, MissingKeyThrowsAndOrDefaultFallsBack) {
 TEST(BankRegistry, ShardStatsAccountLookupsMemoAndSwaps) {
   const auto bank = compile_bank(random_dataset(41), "gam");
   const tune::BankKey key{"Hydra", sim::Collective::kBcast};
-  tune::BankRegistry registry(tune::BankRegistry::Options{.shards = 2});
-  EXPECT_EQ(registry.shards(), 2);
+  tune::BankRegistry registry;
+  ASSERT_EQ(registry.shard_stats().size(), 1u);  // one snapshot
   registry.publish(key, bank);
 
   const bench::Instance inst{8, 4, 1024};
@@ -358,7 +358,7 @@ TEST(BankRegistryReadPath, ServeAccountsEveryQueryOnceAcrossThreadCells) {
   const auto bank_b = compile_bank(ds_b, "knn");
   const tune::BankKey key_a{"Hydra", sim::Collective::kBcast};
   const tune::BankKey key_b{"SuperMUC", sim::Collective::kAlltoall};
-  tune::BankRegistry registry(tune::BankRegistry::Options{.shards = 3});
+  tune::BankRegistry registry;
   registry.publish(key_a, bank_a);
   registry.publish(key_b, bank_b);
 
@@ -428,9 +428,9 @@ TEST(BankRegistryReadPath, RegistryAtARecycledAddressServesItsOwnBank) {
   const tune::BankKey key{"Hydra", sim::Collective::kBcast};
   std::optional<tune::BankRegistry> registry;
   for (int round = 0; round < 200; ++round) {
-    // Each round's registry (and, likely, its shards) reuses the last
-    // one's memory; this thread's snapshot cache must not answer from
-    // the dead registry.
+    // Each round's registry sits at the last one's address (the
+    // optional's storage); this thread's snapshot cache, keyed by that
+    // address, must not answer from the dead registry.
     registry.emplace();
     const auto& bank = round % 3 == 0 ? banks.a : banks.b;
     registry->publish(key, bank);
@@ -461,6 +461,67 @@ TEST(BankRegistryReadPath, PublishIsVisibleToThePublisherAndPoolWorkers) {
   EXPECT_EQ(registry.select_uid(key, banks.probe), want);
   EXPECT_EQ(registry.select_grid(key, grid), std::vector<int>(256, want));
   EXPECT_EQ(registry.serve(stream), std::vector<int>(256, want));
+}
+
+// Every key lives in one snapshot, so a publish to key B moves the
+// generation every reader of key A checks. A's readers must still get
+// A's picks throughout, and A's memo entries must keep hitting: the
+// memo is keyed by bank version, not by snapshot generation.
+TEST(BankRegistryReadPath, PublishToOneKeyKeepsAnotherKeysPicksAndMemo) {
+  const auto bank_a = compile_bank(random_dataset(79), "gam");
+  const auto bank_b = compile_bank(random_dataset(83), "knn");
+  const tune::BankKey key_a{"Hydra", sim::Collective::kBcast};
+  const tune::BankKey key_b{"Jupiter", sim::Collective::kAllreduce};
+  tune::BankRegistry registry;
+  registry.publish(key_a, bank_a);
+  registry.publish(key_b, bank_b);
+  const std::uint64_t version_a = registry.version(key_a);
+
+  const auto instances = random_instances(127, 64);
+  std::vector<int> want;
+  for (const bench::Instance& inst : instances) {
+    want.push_back(bank_a->select_uid(inst));
+  }
+
+  // Three lanes serve A while one lane republishes B.
+  constexpr int kPublishes = 8;
+  std::atomic<std::uint64_t> wrong{0};
+  {
+    support::ScopedThreads scoped(4);
+    support::parallel_for(4, 1, [&](std::size_t lane) {
+      if (lane == 0) {
+        for (int p = 0; p < kPublishes; ++p) registry.publish(key_b, bank_b);
+        return;
+      }
+      for (int round = 0; round < 50; ++round) {
+        for (std::size_t i = 0; i < instances.size(); ++i) {
+          if (registry.select_uid(key_a, instances[i]) != want[i]) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(registry.version(key_a), version_a);
+  EXPECT_EQ(total_stats(registry).swaps, 2u + kPublishes);
+
+  // On one thread: warm A's memo (two passes, so a wholesale clear left
+  // over from earlier selections on this thread cannot fall in the
+  // measured pass), republish B, and serve A again: hits only.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const bench::Instance& inst : instances) {
+      (void)registry.select_uid(key_a, inst);
+    }
+  }
+  const auto before = total_stats(registry);
+  for (int p = 0; p < kPublishes; ++p) registry.publish(key_b, bank_b);
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    EXPECT_EQ(registry.select_uid(key_a, instances[i]), want[i]);
+  }
+  const auto after = total_stats(registry);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  EXPECT_EQ(after.memo_hits - before.memo_hits, instances.size());
 }
 
 }  // namespace

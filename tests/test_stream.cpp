@@ -62,12 +62,6 @@ tune::StreamOptions pipeline_options() {
   // additive learner would fold the factors into its residual and blur
   // the drift signal.)
   opts.selector.learner = "knn";
-  opts.window_capacity = 512;
-  opts.min_refit_rows = 160;
-  opts.holdout_every = 4;
-  opts.refit_cooldown = 32;
-  opts.backoff_initial = 64;
-  opts.accept_tolerance = 1.05;
   return opts;
 }
 
@@ -178,7 +172,9 @@ TEST(MeasurementStream, RegimeScheduleAndFaultAccounting) {
 // Every corrupted row the generator emits must land in quarantine (or
 // vanish as a dropped row) — and nothing else may: the stream's fault
 // log and the pipeline's ingest accounting reconcile exactly, the same
-// contract the file-based tolerant ingest pins in test_faults.
+// contract the file-based tolerant ingest pins in test_faults. Refits
+// run alongside (the bootstrap publishes mid-stream) and must not
+// disturb the ingest ledger.
 TEST(StreamPipeline, QuarantineReconcilesWithFaultLog) {
   bench::StreamSpec spec = drifting_spec();
   spec.shifts.clear();
@@ -186,9 +182,7 @@ TEST(StreamPipeline, QuarantineReconcilesWithFaultLog) {
   bench::MeasurementStream stream(spec);
 
   tune::BankRegistry registry;
-  tune::StreamOptions opts = pipeline_options();
-  opts.min_refit_rows = 100000;  // ingest only: no refits interfering
-  tune::StreamPipeline pipeline(registry, opts);
+  tune::StreamPipeline pipeline(registry, pipeline_options());
 
   for (int i = 0; i < 800; ++i) {
     const auto row = stream.next();
@@ -213,7 +207,26 @@ TEST(StreamPipeline, QuarantineReconcilesWithFaultLog) {
         << reason;
     EXPECT_GT(count, 0u);
   }
-  EXPECT_EQ(registry.version(stream_key()), 0u);  // no refit ran
+}
+
+// Keys that do not fit their fields are quarantined, not wrapped: -5
+// would become msize 2^64 - 5 and 4294967297 would become uid 1.
+TEST(StreamPipeline, OutOfRangeKeysAreQuarantined) {
+  tune::BankRegistry registry;
+  tune::StreamPipeline pipeline(registry, pipeline_options());
+  for (const char* row :
+       {"1,2,4,-5,10.0", "4294967297,2,4,64,10.0", "1,-4294967295,4,64,10.0",
+        "1,2,4294967300,64,10.0"}) {
+    const auto out = pipeline.push_row(stream_key(), row);
+    EXPECT_FALSE(out.ingested) << row;
+    EXPECT_EQ(out.quarantine_reason, "bad configuration key") << row;
+  }
+  const auto out = pipeline.push_row(stream_key(), "1,2,4,64,10.0");
+  EXPECT_TRUE(out.ingested);
+  const auto stats = pipeline.stats();
+  EXPECT_EQ(stats.rows_quarantined, 4u);
+  EXPECT_EQ(stats.quarantine_reasons.at("bad configuration key"), 4u);
+  EXPECT_EQ(stats.rows_ingested, 1u);
 }
 
 // ---- pipeline: bounded memory -------------------------------------------
@@ -225,23 +238,30 @@ TEST(StreamPipeline, WindowStaysBounded) {
   bench::MeasurementStream stream(spec);
 
   tune::BankRegistry registry;
-  tune::StreamOptions opts = pipeline_options();
-  opts.window_capacity = 64;
-  opts.holdout_every = 4;
-  opts.min_refit_rows = 100000;
-  tune::StreamPipeline pipeline(registry, opts);
+  tune::StreamPipeline pipeline(registry, pipeline_options());
 
-  for (int i = 0; i < 1000; ++i) {
+  // Three times the window plus its holdout slice, so both evict.
+  constexpr std::size_t kRows =
+      3 * (tune::StreamPipeline::kWindowCapacity +
+           tune::StreamPipeline::kWindowCapacity /
+               tune::StreamPipeline::kHoldoutEvery);
+  for (std::size_t i = 0; i < kRows; ++i) {
     (void)pipeline.push_row(stream_key(), stream.next().text);
   }
-  const auto& stats = pipeline.stats();
-  EXPECT_LE(pipeline.window_size(stream_key()), opts.window_capacity);
+  const auto stats = pipeline.stats();
+  EXPECT_LE(pipeline.window_size(stream_key()),
+            tune::StreamPipeline::kWindowCapacity);
   EXPECT_LE(pipeline.holdout_size(stream_key()),
-            opts.window_capacity / opts.holdout_every);
-  EXPECT_EQ(stats.rows_ingested, 1000u);
+            tune::StreamPipeline::kWindowCapacity /
+                tune::StreamPipeline::kHoldoutEvery);
+  EXPECT_EQ(stats.rows_ingested, kRows);
+  EXPECT_GT(stats.window_evictions, 0u);
+  // Every ingested row is windowed, held out, evicted, or discarded by
+  // a drift alarm — exactly one of them.
   EXPECT_EQ(stats.window_evictions,
             stats.rows_ingested - pipeline.window_size(stream_key()) -
-                pipeline.holdout_size(stream_key()));
+                pipeline.holdout_size(stream_key()) -
+                stats.rows_discarded_on_drift);
 }
 
 // ---- pipeline: detect -> refit -> validate -> swap ----------------------
@@ -377,7 +397,8 @@ TEST(StreamPipeline, FaultedRefitKeepsIncumbentThenHeals) {
       << "a faulted refit must never replace the incumbent";
   EXPECT_GT(mid.backoff_skips, 0u) << "failed refits must back off";
   // Exponential backoff bounds the attempt storm: 1200 faulted rows at
-  // backoff 64 -> 128 -> 256 -> ... allow only a handful of attempts.
+  // backoff 64 -> 128 -> 256 -> ... (kBackoffInitial, doubling) allow
+  // only a handful of attempts.
   EXPECT_LE(mid.refits_failed, 6u);
 
   // Phase 3: faults cleared — the next due refit publishes and serving
