@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "support/csv.hpp"
@@ -22,12 +21,19 @@ Dataset::Dataset(std::string name, sim::MpiLib lib, sim::Collective coll,
       coll_(coll),
       machine_(std::move(machine)) {}
 
-std::uint64_t Dataset::key(int uid, const Instance& inst) {
-  // uid < 2^10, nodes/ppn < 2^12, msize < 2^30 — comfortably disjoint.
-  return (static_cast<std::uint64_t>(uid) << 54) ^
-         (static_cast<std::uint64_t>(inst.nodes) << 42) ^
-         (static_cast<std::uint64_t>(inst.ppn) << 30) ^
-         static_cast<std::uint64_t>(inst.msize);
+std::size_t Dataset::KeyHash::operator()(const Key& k) const noexcept {
+  // Exact fields in, one mixed word out: equal keys hash equal and no
+  // field range is assumed, so distinct configurations never merge.
+  std::uint64_t h = 0;
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.uid)),
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.inst.nodes)),
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.inst.ppn)),
+        k.inst.msize}) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  return static_cast<std::size_t>(h);
 }
 
 void Dataset::add(const Record& rec) {
@@ -39,43 +45,44 @@ void Dataset::add(const Record& rec) {
 
 void Dataset::add_unchecked(const Record& rec) {
   records_.push_back(rec);
-  samples_[key(rec.uid, {rec.nodes, rec.ppn, rec.msize})].push_back(
-      rec.time_us);
+  const Instance inst{rec.nodes, rec.ppn, rec.msize};
+  const auto [it, first] = samples_.try_emplace({rec.uid, inst});
+  it->second.push_back(rec.time_us);
+  if (first) {
+    uids_.insert(rec.uid);
+    if (instances_.insert(inst).second) {
+      node_counts_.insert(inst.nodes);
+      ppns_.insert(inst.ppn);
+      msizes_.insert(inst.msize);
+    }
+  }
   MedianCache& cache = *median_cache_;
   const support::MutexLock lock(cache.mu);
   cache.values.clear();
 }
 
 std::vector<int> Dataset::uids() const {
-  std::set<int> s;
-  for (const Record& r : records_) s.insert(r.uid);
-  return {s.begin(), s.end()};
+  return {uids_.begin(), uids_.end()};
 }
 
 std::vector<int> Dataset::node_counts() const {
-  std::set<int> s;
-  for (const Record& r : records_) s.insert(r.nodes);
-  return {s.begin(), s.end()};
+  return {node_counts_.begin(), node_counts_.end()};
 }
 
 std::vector<int> Dataset::ppns() const {
-  std::set<int> s;
-  for (const Record& r : records_) s.insert(r.ppn);
-  return {s.begin(), s.end()};
+  return {ppns_.begin(), ppns_.end()};
 }
 
 std::vector<std::uint64_t> Dataset::msizes() const {
-  std::set<std::uint64_t> s;
-  for (const Record& r : records_) s.insert(r.msize);
-  return {s.begin(), s.end()};
+  return {msizes_.begin(), msizes_.end()};
 }
 
 bool Dataset::has(int uid, const Instance& inst) const {
-  return samples_.contains(key(uid, inst));
+  return samples_.contains({uid, inst});
 }
 
 double Dataset::time_us(int uid, const Instance& inst) const {
-  const std::uint64_t k = key(uid, inst);
+  const Key k{uid, inst};
   MedianCache& cache = *median_cache_;
   {
     const support::MutexLock lock(cache.mu);
@@ -98,7 +105,7 @@ double Dataset::time_us(int uid, const Instance& inst) const {
 
 Dataset::Best Dataset::best(const Instance& inst) const {
   Best best;
-  for (const int uid : uids()) {
+  for (const int uid : uids_) {
     if (!has(uid, inst)) continue;
     const double t = time_us(uid, inst);
     if (best.uid == 0 || t < best.time_us) best = {uid, t};
@@ -108,12 +115,7 @@ Dataset::Best Dataset::best(const Instance& inst) const {
 }
 
 std::vector<Instance> Dataset::instances() const {
-  std::set<std::tuple<int, int, std::uint64_t>> s;
-  for (const Record& r : records_) s.insert({r.nodes, r.ppn, r.msize});
-  std::vector<Instance> out;
-  out.reserve(s.size());
-  for (const auto& [n, ppn, m] : s) out.push_back({n, ppn, m});
-  return out;
+  return {instances_.begin(), instances_.end()};
 }
 
 void Dataset::save_csv(const std::filesystem::path& path) const {

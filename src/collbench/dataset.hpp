@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,7 +39,8 @@ struct Instance {
   int ppn = 0;
   std::uint64_t msize = 0;
 
-  bool operator==(const Instance&) const = default;
+  /// Lexicographic in (nodes, ppn, msize): the order instances() lists.
+  auto operator<=>(const Instance&) const = default;
 };
 
 /// Timings above this are quarantined as implausible (1e9 us is ~17
@@ -111,7 +113,8 @@ class Dataset {
   std::size_t num_records() const { return records_.size(); }
   const std::vector<Record>& records() const { return records_; }
 
-  /// All uids / node counts / ppns / message sizes present (sorted).
+  /// All uids / node counts / ppns / message sizes present (sorted),
+  /// read from the index add() keeps.
   std::vector<int> uids() const;
   std::vector<int> node_counts() const;
   std::vector<int> ppns() const;
@@ -123,14 +126,15 @@ class Dataset {
   double time_us(int uid, const Instance& inst) const;
 
   /// Empirically best configuration for an instance (argmin of median
-  /// time over all uids measured there).
+  /// time over all uids measured there, scanned in ascending uid order,
+  /// so an exact tie goes to the lowest uid).
   struct Best {
     int uid = 0;
     double time_us = 0.0;
   };
   Best best(const Instance& inst) const;
 
-  /// All instances (n, ppn, m) present in the dataset.
+  /// All instances (n, ppn, m) present in the dataset (sorted).
   std::vector<Instance> instances() const;
 
   // ---- persistence ----------------------------------------------------
@@ -152,14 +156,30 @@ class Dataset {
                                    IngestReport* report = nullptr);
 
  private:
-  static std::uint64_t key(int uid, const Instance& inst);
+  /// Exact identity of one configuration's measurements.
+  struct Key {
+    int uid = 0;
+    Instance inst;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept;
+  };
 
   std::string name_;
   sim::MpiLib lib_;
   sim::Collective coll_;
   std::string machine_;
   std::vector<Record> records_;
-  std::unordered_map<std::uint64_t, std::vector<double>> samples_;
+  std::unordered_map<Key, std::vector<double>, KeyHash> samples_;
+  // The index: distinct values of every key field, kept sorted as rows
+  // are added. A row whose (uid, instance) is already in samples_ adds
+  // nothing to it, so only the first row of a configuration touches it.
+  std::set<int> uids_;
+  std::set<Instance> instances_;
+  std::set<int> node_counts_;
+  std::set<int> ppns_;
+  std::set<std::uint64_t> msizes_;
   // Lazily cached medians — the only mutable state behind the const
   // query API, so it carries its own lock: time_us()/best() are called
   // concurrently from the parallel evaluator and selector paths.
@@ -168,7 +188,7 @@ class Dataset {
   // every add clears it).
   struct MedianCache {
     support::Mutex mu;
-    std::unordered_map<std::uint64_t, double> values MPICP_GUARDED_BY(mu);
+    std::unordered_map<Key, double, KeyHash> values MPICP_GUARDED_BY(mu);
   };
   std::shared_ptr<MedianCache> median_cache_ =
       std::make_shared<MedianCache>();

@@ -197,7 +197,39 @@ void FlatBank::build_rank_tables(std::size_t first_model) {
   rank_tables_.resize(models_.size());
   std::vector<std::vector<double>> per_feat(kMaxRankFeatures);
   std::vector<std::int32_t> node_rank;
-  std::vector<std::int32_t> ranks;
+  // Per-feature inclusive rank intervals [lo, hi]: the cells from which
+  // one tree node is reached.
+  struct RankBox {
+    std::array<std::int32_t, kMaxRankFeatures> lo{};
+    std::array<std::int32_t, kMaxRankFeatures> hi{};
+  };
+  std::vector<std::pair<int, RankBox>> pending;  // nodes still to visit
+  pending.reserve(64);
+  // Adds `value` to every cell of `box`: an odometer over features
+  // 1..dim-1, with feature 0 (stride 1) one contiguous run per step.
+  const auto add_to_box = [](double* cell, const RankTable& rt,
+                             const RankBox& box, double value) {
+    if (rt.dim == 0) {
+      cell[0] += value;
+      return;
+    }
+    std::array<std::int32_t, kMaxRankFeatures> r = box.lo;
+    for (;;) {
+      std::int64_t base = 0;
+      for (int f = 1; f < rt.dim; ++f) {
+        base += static_cast<std::int64_t>(r[f]) * rt.stride[f];
+      }
+      for (std::int32_t r0 = box.lo[0]; r0 <= box.hi[0]; ++r0) {
+        cell[base + r0] += value;
+      }
+      int f = 1;
+      for (; f < rt.dim; ++f) {
+        if (++r[f] <= box.hi[f]) break;
+        r[f] = box.lo[f];
+      }
+      if (f == rt.dim) return;
+    }
+  };
   for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
     const FlatModel& m = models_[mi];
     if (m.kind != FlatKind::kTreeEnsemble) continue;
@@ -260,33 +292,54 @@ void FlatBank::build_rank_tables(std::size_t first_model) {
       node_rank[n - node_begin] = static_cast<std::int32_t>(
           std::lower_bound(v.begin(), v.end(), node.threshold) - v.begin());
     }
-    // Enumerate cells in stride order. A cell's rank vector fixes the
+    // Fill the cells tree by tree. A cell's rank vector fixes the
     // outcome of every comparison (`x < T[j]` iff `rank(x) <= j`), so
-    // walking each tree with those outcomes — in canonical tree order,
-    // with the same accumulation and link transform as the interpreted
-    // predict_one — yields the exact double every instance in the cell
-    // would get.
+    // the cells that reach a leaf form a box of per-feature rank
+    // intervals, and each tree's leaves partition the grid. Starting
+    // every cell at base_score and adding each leaf's value to its box,
+    // in canonical tree order, sums every cell in walk order; the same
+    // mean and link transform as the interpreted predict_one then yield
+    // the exact double every instance in the cell would get.
     rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
     support::reserve_more(cell_val_, cells);
-    ranks.assign(static_cast<std::size_t>(std::max(dim, 1)), 0);
+    cell_val_.resize(cell_val_.size() + cells, m.base_score);
+    double* cell = cell_val_.data() + rt.cells_begin;
+    RankBox whole;
+    for (int f = 0; f < dim; ++f) whole.hi[f] = rt.thr_len[f];
+    for (int t = m.tree_begin; t < m.tree_end; ++t) {
+      // Depth first: descend left with the box narrowed in place and
+      // leave the right branch's box on the stack. A branch no cell
+      // reaches (an empty interval) is dropped.
+      int cur = tree_roots_[t];
+      RankBox box = whole;
+      for (;;) {
+        const FlatTreeNode& node = nodes_[cur];
+        if (node.feature >= 0) {
+          const int f = node.feature;
+          const std::int32_t j = node_rank[cur - node_begin];
+          if (j < box.hi[f]) {
+            pending.push_back({node.right, box});
+            pending.back().second.lo[f] = std::max(box.lo[f], j + 1);
+          }
+          if (box.lo[f] <= j) {
+            box.hi[f] = std::min(box.hi[f], j);
+            cur = node.left;
+            continue;
+          }
+        } else {
+          add_to_box(cell, rt, box, node.value);
+        }
+        if (pending.empty()) break;
+        cur = pending.back().first;
+        box = pending.back().second;
+        pending.pop_back();
+      }
+    }
     const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
     for (std::size_t c = 0; c < cells; ++c) {
-      double raw = m.base_score;
-      for (int t = m.tree_begin; t < m.tree_end; ++t) {
-        int cur = tree_roots_[t];
-        while (nodes_[cur].feature >= 0) {
-          cur = ranks[nodes_[cur].feature] <= node_rank[cur - node_begin]
-                    ? nodes_[cur].left
-                    : nodes_[cur].right;
-        }
-        raw += nodes_[cur].value;
-      }
+      double raw = cell[c];
       if (m.mean_over_trees) raw /= num_trees;
-      cell_val_.push_back(m.exp_link ? std::exp(raw) : raw);
-      for (int f = 0; f < dim; ++f) {
-        if (++ranks[f] <= rt.thr_len[f]) break;
-        ranks[f] = 0;
-      }
+      cell[c] = m.exp_link ? std::exp(raw) : raw;
     }
     rt.built = true;
   }

@@ -205,11 +205,12 @@ class FlatBank {
   // distinct thresholds, so the instance's per-feature threshold ranks
   // fix the outcome of every comparison — and the model's whole
   // prediction is constant on each rank cell. build_rank_tables()
-  // enumerates the cells and stores the exact prediction (computed by
-  // the canonical tree-order walk), turning dispatch into a handful of
-  // small binary searches plus one load (rank_cell_value). Models whose
-  // cell count exceeds kMaxRankCells (continuous features) skip the
-  // table and serve through the plain node-pool walk.
+  // stores the exact prediction of every cell (each leaf's value added
+  // to its box of cells, in canonical tree order), turning dispatch
+  // into a handful of small binary searches plus one load
+  // (rank_cell_value). Models whose cell count exceeds kMaxRankCells
+  // (continuous features) skip the table and serve through the plain
+  // node-pool walk.
   static constexpr int kMaxRankFeatures = 8;
   static constexpr std::size_t kMaxRankCells = std::size_t{1} << 14;
   struct RankTable {

@@ -12,36 +12,28 @@ namespace {
 
 bool log_link(GbtObjective obj) { return obj != GbtObjective::kSquared; }
 
-/// Per-sample gradient/hessian of the objective at raw score f.
-GradPair grad_hess(GbtObjective obj, double tweedie_p, double y, double f) {
+/// Per-sample gradient/hessian of the objective at raw score f, and the
+/// loss there: one evaluation of each exponential serves all three.
+struct RowTerms {
+  GradPair gh;
+  double loss = 0.0;
+};
+
+RowTerms row_terms(GbtObjective obj, double tweedie_p, double y, double f) {
   switch (obj) {
     case GbtObjective::kSquared:
-      return {f - y, 1.0};
+      return {{f - y, 1.0}, 0.5 * (y - f) * (y - f)};
     case GbtObjective::kGamma: {
       // -2 log-lik (up to constants): g = 1 - y e^{-f}.
       const double ef = std::exp(-f);
-      return {1.0 - y * ef, y * ef};
+      return {{1.0 - y * ef, y * ef}, y * ef + f};
     }
     case GbtObjective::kTweedie: {
       const double p = tweedie_p;
       const double a = std::exp((1.0 - p) * f);
       const double b = std::exp((2.0 - p) * f);
-      return {-y * a + b, (p - 1.0) * y * a + (2.0 - p) * b};
-    }
-  }
-  MPICP_RAISE_INTERNAL("unhandled GbtObjective");
-}
-
-double loss_value(GbtObjective obj, double tweedie_p, double y, double f) {
-  switch (obj) {
-    case GbtObjective::kSquared:
-      return 0.5 * (y - f) * (y - f);
-    case GbtObjective::kGamma:
-      return y * std::exp(-f) + f;
-    case GbtObjective::kTweedie: {
-      const double p = tweedie_p;
-      return -y * std::exp((1.0 - p) * f) / (1.0 - p) +
-             std::exp((2.0 - p) * f) / (2.0 - p);
+      return {{-y * a + b, (p - 1.0) * y * a + (2.0 - p) * b},
+              -y * a / (1.0 - p) + b / (2.0 - p)};
     }
   }
   MPICP_RAISE_INTERNAL("unhandled GbtObjective");
@@ -81,6 +73,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y) {
 
   std::vector<double> score(n, base_score_);
   std::vector<GradPair> gh(n);
+  std::vector<int> leaf_of(n);
   std::vector<int> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = static_cast<int>(i);
 
@@ -91,18 +84,21 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y) {
   for (int round = 0; round < params_.rounds; ++round) {
     double total_loss = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      gh[i] = grad_hess(params_.objective, params_.tweedie_p, y[i],
-                        score[i]);
-      total_loss +=
-          loss_value(params_.objective, params_.tweedie_p, y[i], score[i]);
+      const RowTerms t =
+          row_terms(params_.objective, params_.tweedie_p, y[i], score[i]);
+      gh[i] = t.gh;
+      total_loss += t.loss;
     }
     loss_.push_back(total_loss / static_cast<double>(n));
 
     RegressionTree tree;
-    tree.fit(binner, codes, d, gh, all_rows, tree_params, hist_scratch);
-    for (std::size_t i = 0; i < n; ++i) {
-      score[i] += tree.predict_one(x.row(i));
-    }
+    tree.fit(binner, codes, d, gh, all_rows, tree_params, hist_scratch,
+             leaf_of);
+    // Every row landed in the leaf its walk would reach (the build's
+    // `bin <= best_bin` is the walk's `x < threshold`), so the build's
+    // record replaces a walk per row.
+    const std::vector<RegressionTree::Node>& nodes = tree.nodes();
+    for (std::size_t i = 0; i < n; ++i) score[i] += nodes[leaf_of[i]].value;
     trees_.push_back(std::move(tree));
   }
 }

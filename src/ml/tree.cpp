@@ -70,11 +70,12 @@ void RegressionTree::fit(const FeatureBinner& binner,
                          std::span<const std::uint8_t> codes,
                          int num_features, std::span<const GradPair> gh,
                          std::vector<int> rows, const TreeParams& params,
-                         std::vector<GradPair>& hist_scratch) {
+                         std::vector<GradPair>& hist_scratch,
+                         std::span<int> leaf_of) {
   MPICP_REQUIRE(!rows.empty(), "cannot fit a tree on zero rows");
   nodes_.clear();
   build(binner, codes, num_features, gh, std::move(rows), 0, params,
-        hist_scratch);
+        hist_scratch, leaf_of);
 }
 
 int RegressionTree::build(const FeatureBinner& binner,
@@ -82,7 +83,14 @@ int RegressionTree::build(const FeatureBinner& binner,
                           int num_features, std::span<const GradPair> gh,
                           std::vector<int> rows, int depth,
                           const TreeParams& params,
-                          std::vector<GradPair>& hist) {
+                          std::vector<GradPair>& hist,
+                          std::span<int> leaf_of) {
+  const auto make_leaf = [&](int node) {
+    if (!leaf_of.empty()) {
+      for (const int i : rows) leaf_of[i] = node;
+    }
+    return node;
+  };
   double g_sum = 0.0;
   double h_sum = 0.0;
   for (const int i : rows) {
@@ -94,7 +102,9 @@ int RegressionTree::build(const FeatureBinner& binner,
   nodes_[node_idx].value =
       params.learning_rate * (-g_sum / (h_sum + params.lambda));
 
-  if (depth >= params.max_depth || rows.size() < 2) return node_idx;
+  if (depth >= params.max_depth || rows.size() < 2) {
+    return make_leaf(node_idx);
+  }
 
   // Histogram split search.
   const double parent_score = g_sum * g_sum / (h_sum + params.lambda);
@@ -133,7 +143,7 @@ int RegressionTree::build(const FeatureBinner& binner,
       }
     }
   }
-  if (best_feature < 0) return node_idx;
+  if (best_feature < 0) return make_leaf(node_idx);
 
   std::vector<int> left_rows;
   std::vector<int> right_rows;
@@ -149,9 +159,11 @@ int RegressionTree::build(const FeatureBinner& binner,
   nodes_[node_idx].threshold = binner.edge(best_feature, best_bin);
   nodes_[node_idx].gain = best_gain;
   const int left = build(binner, codes, num_features, gh,
-                         std::move(left_rows), depth + 1, params, hist);
+                         std::move(left_rows), depth + 1, params, hist,
+                         leaf_of);
   const int right = build(binner, codes, num_features, gh,
-                          std::move(right_rows), depth + 1, params, hist);
+                          std::move(right_rows), depth + 1, params, hist,
+                          leaf_of);
   nodes_[node_idx].left = left;
   nodes_[node_idx].right = right;
   return node_idx;

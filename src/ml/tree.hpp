@@ -72,11 +72,16 @@ class RegressionTree {
            const TreeParams& params);
 
   /// As above, but reuses `hist_scratch` for the split-search histogram
-  /// so ensemble fits allocate it once instead of once per tree.
+  /// so ensemble fits allocate it once instead of once per tree. When
+  /// `leaf_of` is non-empty, leaf_of[i] receives the index of the leaf
+  /// each row i of `rows` landed in: the leaf predict_one reaches for
+  /// that row, since a row goes left iff its bin code is at most the
+  /// split's bin, i.e. iff its value lies below the split's edge.
   void fit(const FeatureBinner& binner,
            std::span<const std::uint8_t> codes, int num_features,
            std::span<const GradPair> gh, std::vector<int> rows,
-           const TreeParams& params, std::vector<GradPair>& hist_scratch);
+           const TreeParams& params, std::vector<GradPair>& hist_scratch,
+           std::span<int> leaf_of = {});
 
   double predict_one(std::span<const double> x) const;
 
@@ -98,7 +103,8 @@ class RegressionTree {
   int build(const FeatureBinner& binner,
             std::span<const std::uint8_t> codes, int num_features,
             std::span<const GradPair> gh, std::vector<int> rows, int depth,
-            const TreeParams& params, std::vector<GradPair>& hist);
+            const TreeParams& params, std::vector<GradPair>& hist,
+            std::span<int> leaf_of);
 
   std::vector<Node> nodes_;
 };

@@ -19,23 +19,9 @@ OnlineSelector::OnlineSelector(Options options)
                 "the probe budget must fit the retained observations");
 }
 
-std::uint64_t OnlineSelector::key(const bench::Instance& inst) {
-  return (static_cast<std::uint64_t>(inst.nodes) << 48) ^
-         (static_cast<std::uint64_t>(inst.ppn) << 36) ^
-         static_cast<std::uint64_t>(inst.msize);
-}
-
-OnlineSelector::Cell& OnlineSelector::cell(const bench::Instance& inst) {
-  Cell& c = cells_[key(inst)];
-  // The hash key is not invertible; keep the instance so the cells can
-  // be re-exported as measurement rows (observations_dataset).
-  c.inst = inst;
-  return c;
-}
-
 int OnlineSelector::next_uid(const bench::Instance& inst) {
   const support::MutexLock lock(mu_);
-  Cell& c = cell(inst);
+  Cell& c = cells_[inst];
   if (c.committed_uid >= 0) return c.committed_uid;
   // Round-robin over candidates that still need probes.
   const auto probes = static_cast<std::size_t>(
@@ -68,7 +54,7 @@ void OnlineSelector::record(const bench::Instance& inst, int uid,
                             double time_us) {
   MPICP_REQUIRE(time_us > 0.0, "non-positive measurement");
   const support::MutexLock lock(mu_);
-  std::vector<double>& times = cell(inst).observations[uid];
+  std::vector<double>& times = cells_[inst].observations[uid];
   times.push_back(time_us);
   // Bounded memory: keep only the freshest kMaxObservationsPerUid
   // measurements (a long-running stream would otherwise grow without
@@ -83,7 +69,7 @@ void OnlineSelector::record(const bench::Instance& inst, int uid,
 std::size_t OnlineSelector::observation_count() const {
   const support::MutexLock lock(mu_);
   std::size_t total = 0;
-  for (const auto& [cell_key, cell] : cells_) {
+  for (const auto& [inst, cell] : cells_) {
     for (const auto& [uid, times] : cell.observations) {
       total += times.size();
     }
@@ -93,7 +79,7 @@ std::size_t OnlineSelector::observation_count() const {
 
 bool OnlineSelector::converged(const bench::Instance& inst) const {
   const support::MutexLock lock(mu_);
-  const auto it = cells_.find(key(inst));
+  const auto it = cells_.find(inst);
   if (it == cells_.end()) return false;
   if (it->second.committed_uid >= 0) return true;
   for (const int uid : options_.candidate_uids) {
@@ -109,7 +95,7 @@ bool OnlineSelector::converged(const bench::Instance& inst) const {
 
 int OnlineSelector::current_best(const bench::Instance& inst) const {
   const support::MutexLock lock(mu_);
-  const auto it = cells_.find(key(inst));
+  const auto it = cells_.find(inst);
   MPICP_REQUIRE(it != cells_.end() && !it->second.observations.empty(),
                 "no observations for instance");
   if (it->second.committed_uid >= 0) return it->second.committed_uid;
@@ -131,11 +117,10 @@ bench::Dataset OnlineSelector::observations_dataset(
   MPICP_SPAN("online.export_dataset");
   bench::Dataset ds(std::move(name), lib, coll, std::move(machine));
   const support::MutexLock lock(mu_);
-  for (const auto& [cell_key, cell] : cells_) {
+  for (const auto& [inst, cell] : cells_) {
     for (const auto& [uid, times] : cell.observations) {
       for (const double time_us : times) {
-        ds.add({uid, cell.inst.nodes, cell.inst.ppn, cell.inst.msize,
-                time_us});
+        ds.add({uid, inst.nodes, inst.ppn, inst.msize, time_us});
       }
     }
   }

@@ -9,7 +9,6 @@
 // trade-off.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -72,13 +71,9 @@ class OnlineSelector {
 
  private:
   struct Cell {
-    bench::Instance inst;  ///< the (m, n, N) this cell aggregates
     std::map<int, std::vector<double>> observations;  // uid -> times
     int committed_uid = -1;
   };
-
-  static std::uint64_t key(const bench::Instance& inst);
-  Cell& cell(const bench::Instance& inst) MPICP_REQUIRES(mu_);
 
   /// Validated by the constructor; immutable afterwards.
   Options options_;  // mpicp-lint: allow(lock-discipline)
@@ -87,7 +82,8 @@ class OnlineSelector {
   /// observations under mu_ (via observations_dataset) and fits on the
   /// copy, so the lock never spans a fit.
   mutable support::Mutex mu_;
-  std::map<std::uint64_t, Cell> cells_ MPICP_GUARDED_BY(mu_);
+  /// One cell per exact instance, in (nodes, ppn, msize) order.
+  std::map<bench::Instance, Cell> cells_ MPICP_GUARDED_BY(mu_);
 };
 
 }  // namespace mpicp::tune

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "simnet/machine.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/stats.hpp"
 
 namespace mpicp::bench {
 namespace {
@@ -117,6 +119,80 @@ TEST(Dataset, MedianAggregationAndBest) {
   EXPECT_DOUBLE_EQ(best.time_us, 15.0);
   EXPECT_FALSE(ds.has(3, inst));
   EXPECT_THROW(ds.time_us(3, inst), InvalidArgument);
+}
+
+TEST(Dataset, MessageSizesPastThirtyBitsKeepTheirOwnSamples) {
+  Dataset ds("t", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  ds.add({1, 2, 5, 64, 10.0});
+  ds.add({1, 2, 1, (std::uint64_t{1} << 32) + 64, 1000.0});
+  EXPECT_DOUBLE_EQ(ds.time_us(1, {2, 5, 64}), 10.0);
+  EXPECT_DOUBLE_EQ(ds.time_us(1, {2, 1, (std::uint64_t{1} << 32) + 64}),
+                   1000.0);
+  EXPECT_FALSE(ds.has(1, {2, 1, 64}));
+  EXPECT_EQ(ds.instances().size(), 2u);
+}
+
+TEST(Dataset, IndexMatchesABruteForceScan) {
+  // Rows out of uid order, uid 3 missing at one instance, and an exact
+  // median tie between uids 2 and 4 that must go to uid 2.
+  Dataset ds("t", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  const std::vector<Record> rows = {
+      {4, 8, 2, 1024, 7.0},  {2, 8, 2, 1024, 9.0}, {3, 8, 2, 1024, 8.0},
+      {2, 8, 2, 1024, 5.0},  {4, 4, 1, 64, 3.0},   {2, 4, 1, 64, 3.0},
+      {1, 4, 1, 64, 6.0},    {3, 4, 2, 64, 2.0},   {1, 8, 2, 1024, 9.5},
+      {4, 4, 2, 64, 2.5},    {2, 4, 1, 64, 3.0},   {1, 4, 2, 64, 2.0},
+  };
+  for (const Record& r : rows) ds.add(r);
+
+  std::set<int> uids;
+  std::set<int> nodes;
+  std::set<int> ppns;
+  std::set<std::uint64_t> msizes;
+  std::set<Instance> instances;
+  for (const Record& r : ds.records()) {
+    uids.insert(r.uid);
+    nodes.insert(r.nodes);
+    ppns.insert(r.ppn);
+    msizes.insert(r.msize);
+    instances.insert({r.nodes, r.ppn, r.msize});
+  }
+  EXPECT_EQ(ds.uids(), std::vector<int>(uids.begin(), uids.end()));
+  EXPECT_EQ(ds.node_counts(), std::vector<int>(nodes.begin(), nodes.end()));
+  EXPECT_EQ(ds.ppns(), std::vector<int>(ppns.begin(), ppns.end()));
+  EXPECT_EQ(ds.msizes(),
+            std::vector<std::uint64_t>(msizes.begin(), msizes.end()));
+  EXPECT_EQ(ds.instances(),
+            std::vector<Instance>(instances.begin(), instances.end()));
+  EXPECT_FALSE(ds.has(3, {4, 1, 64}));
+
+  for (const Instance& inst : instances) {
+    // Brute force: the median of every uid's rows at `inst`, and the
+    // strictly smallest in ascending uid order.
+    int best_uid = 0;
+    double best_time = 0.0;
+    for (const int uid : uids) {
+      std::vector<double> times;
+      for (const Record& r : rows) {
+        if (r.uid == uid && Instance{r.nodes, r.ppn, r.msize} == inst) {
+          times.push_back(r.time_us);
+        }
+      }
+      if (times.empty()) continue;
+      const double med = support::median(times);
+      if (best_uid == 0 || med < best_time) {
+        best_uid = uid;
+        best_time = med;
+      }
+    }
+    const Dataset::Best best = ds.best(inst);
+    EXPECT_EQ(best.uid, best_uid) << inst.nodes << "/" << inst.ppn;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best.time_us),
+              std::bit_cast<std::uint64_t>(best_time));
+  }
+  // The tie at (4, 1, 64): uids 2 and 4 both have median 3.0.
+  EXPECT_EQ(ds.best({4, 1, 64}).uid, 2);
+  EXPECT_EQ(ds.best({8, 2, 1024}).uid, 2);  // median(9, 5) = 7 = uid 4
+  EXPECT_EQ(ds.best({4, 2, 64}).uid, 1);    // 2.0 ties uid 3, lowest wins
 }
 
 TEST(Dataset, CsvRoundTrip) {

@@ -722,6 +722,35 @@ TEST(FlatBankRankTables, SingleInstanceTableMatchesEveryWalkBitForBit) {
   expect_agreement_at_thresholds_and_non_finite(fx, x, base_rows);
 }
 
+TEST(FlatBankRankTables, TreeByTreeFillMatchesTheWalkOnMultiFeatureSplits) {
+  // Feature 0 all-distinct (quantile edges), features 1 and 2 on small
+  // grids that drive the target: every tree ensemble splits on two or
+  // more features and still fits under the cell cap, so each cell sums
+  // leaves from boxes cut along several axes.
+  support::Xoshiro256 rng(123);
+  const std::size_t rows = 240;
+  ml::Matrix x(rows, 3);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    x(r, 0) = static_cast<double>(r) + rng.uniform(0.0, 0.5);
+    x(r, 1) = static_cast<double>(1 + rng.uniform_int(8));
+    x(r, 2) = static_cast<double>(std::uint64_t{1} << rng.uniform_int(4));
+    y[r] = 0.02 * x(r, 0) + 3.0 * x(r, 1) + 5.0 * x(r, 2) +
+           rng.uniform(0.0, 0.5) + 1.0;
+  }
+  const TreeBankFixture fx(x, y);
+  for (std::size_t i = 0; i < fx.bank.size(); ++i) {
+    ASSERT_TRUE(fx.bank.has_rank_table(i)) << fx.models[i]->name();
+    const auto thresholds = split_thresholds(*fx.models[i], x.cols());
+    const auto split_features = std::count_if(
+        thresholds.begin(), thresholds.end(),
+        [](const std::vector<double>& v) { return !v.empty(); });
+    ASSERT_GE(split_features, 2) << fx.models[i]->name();
+  }
+  const std::size_t base_rows[] = {0, 57, 130, 239};
+  expect_agreement_at_thresholds_and_non_finite(fx, x, base_rows);
+}
+
 TEST(FlatBankRankTables, ModelsOverTheCellCapKeepThePlainWalk) {
   // Continuous features: the threshold-rank grid is far larger than
   // kMaxRankCells, so neither model gets a table and the plain

@@ -6,8 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ml/cv.hpp"
 #include "ml/forest.hpp"
@@ -181,6 +183,70 @@ TEST(GbtTest, FeatureImportanceFindsTheDominantFeature) {
   ASSERT_EQ(imp.size(), 2u);
   EXPECT_NEAR(imp[0] + imp[1], 1.0, 1e-9);
   EXPECT_GT(imp[0], 0.95);
+}
+
+/// FNV-1a over the bit patterns of `values`.
+std::uint64_t bits_digest(std::span<const double> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : values) {
+    const auto u = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct GbtPin {
+  GbtObjective objective;
+  double first_loss;
+  double last_loss;
+  double prediction;  ///< at training row 0
+  std::uint64_t loss_digest;
+  std::uint64_t prediction_digest;  ///< every training row
+};
+
+TEST(GbtTest, FitIsPinnedBitForBit) {
+  // Pinned from the fit that recomputed each row's exponentials in the
+  // loss and re-walked every new tree for the score update: computing
+  // them once per round and reading scores off the build's leaves must
+  // not move a single bit.
+  const GbtPin pins[] = {
+      {GbtObjective::kSquared, 0x1.f487e034a4349p+6, 0x1.03f1559d6ec03p-1,
+       0x1.636c107889e05p+3, 12227590040572307120ULL,
+       16634599982351061751ULL},
+      {GbtObjective::kGamma, 0x1.f441b3402b5bp+1, 0x1.d598566ca5c1dp+1,
+       0x1.5d76cb7f2ac6ep+3, 16126457179496534945ULL,
+       434929780736233550ULL},
+      {GbtObjective::kTweedie, 0x1.11f7c1e08427dp+4, 0x1.00fcc5a6e9c66p+4,
+       0x1.589cfe02e8e99p+3, 11450466493193068277ULL,
+       12098198565883792721ULL},
+  };
+  const Synth s = make_synth(300, 0.05, 7);
+  for (const GbtPin& pin : pins) {
+    GbtParams params;
+    params.objective = pin.objective;
+    params.rounds = 40;
+    GradientBoostedTrees model(params);
+    model.fit(s.x, s.y);
+    const std::vector<double>& loss = model.training_loss();
+    ASSERT_EQ(loss.size(), 40u);
+    const std::vector<double> pred = model.predict(s.x);
+    const std::string where =
+        "objective " + std::to_string(static_cast<int>(pin.objective));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss.front()),
+              std::bit_cast<std::uint64_t>(pin.first_loss))
+        << where << std::hexfloat << ": " << loss.front();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss.back()),
+              std::bit_cast<std::uint64_t>(pin.last_loss))
+        << where << std::hexfloat << ": " << loss.back();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.front()),
+              std::bit_cast<std::uint64_t>(pin.prediction))
+        << where << std::hexfloat << ": " << pred.front();
+    EXPECT_EQ(bits_digest(loss), pin.loss_digest) << where;
+    EXPECT_EQ(bits_digest(pred), pin.prediction_digest) << where;
+  }
 }
 
 TEST(GbtTest, RejectsNonPositiveTargetsForLogLink) {

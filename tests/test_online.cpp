@@ -1,6 +1,9 @@
 // Tests for the STAR-MPI-style online selector extension.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "support/rng.hpp"
 #include "tune/online.hpp"
 
@@ -52,6 +55,28 @@ TEST(Online, InstancesAreIndependent) {
   sel.record(kOther, 2, 3.0);
   EXPECT_EQ(sel.current_best(kInst), 1);
   EXPECT_EQ(sel.current_best(kOther), 2);
+}
+
+TEST(Online, InstancesBeyondThirtyBitsGetTheirOwnCells) {
+  // Message sizes past any packed-key field width must not fold two
+  // instances into one cell.
+  const bench::Instance small{2, 5, 64};
+  const bench::Instance huge{2, 1, (std::uint64_t{1} << 38) + 64};
+  OnlineSelector sel({.candidate_uids = {1, 2},
+                      .probes_per_algorithm = 1});
+  sel.record(small, 1, 10.0);
+  sel.record(huge, 2, 1000.0);
+  EXPECT_EQ(sel.observation_count(), 2u);
+  EXPECT_FALSE(sel.converged(small));
+  EXPECT_FALSE(sel.converged(huge));
+  EXPECT_EQ(sel.current_best(small), 1);
+  EXPECT_EQ(sel.current_best(huge), 2);
+  const bench::Dataset ds = sel.observations_dataset(
+      "online", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  EXPECT_EQ(ds.instances(), (std::vector<bench::Instance>{huge, small}));
+  EXPECT_DOUBLE_EQ(ds.time_us(1, small), 10.0);
+  EXPECT_DOUBLE_EQ(ds.time_us(2, huge), 1000.0);
+  EXPECT_FALSE(ds.has(2, small));
 }
 
 TEST(Online, RejectsBadInput) {
