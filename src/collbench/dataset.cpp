@@ -56,7 +56,7 @@ void Dataset::add_unchecked(const Record& rec) {
       msizes_.insert(inst.msize);
     }
   }
-  MedianCache& cache = *median_cache_;
+  MedianCache& cache = median_cache_;
   const support::MutexLock lock(cache.mu);
   cache.values.clear();
 }
@@ -83,7 +83,7 @@ bool Dataset::has(int uid, const Instance& inst) const {
 
 double Dataset::time_us(int uid, const Instance& inst) const {
   const Key k{uid, inst};
-  MedianCache& cache = *median_cache_;
+  MedianCache& cache = median_cache_;
   {
     const support::MutexLock lock(cache.mu);
     const auto cached = cache.values.find(k);

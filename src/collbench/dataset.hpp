@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
@@ -182,16 +181,25 @@ class Dataset {
   std::set<std::uint64_t> msizes_;
   // Lazily cached medians — the only mutable state behind the const
   // query API, so it carries its own lock: time_us()/best() are called
-  // concurrently from the parallel evaluator and selector paths.
-  // Heap-allocated so Dataset stays movable; copies share the cache,
-  // which is harmless (identical samples yield identical medians, and
-  // every add clears it).
+  // concurrently from the parallel evaluator and selector paths. Each
+  // Dataset owns its cache: a copy or move starts with an empty one
+  // (medians are recomputed on demand), so copies that diverge never
+  // read each other's medians, and Dataset stays copyable and movable.
   struct MedianCache {
+    MedianCache() = default;
+    MedianCache(const MedianCache& /*other*/) noexcept {}
+    MedianCache& operator=(const MedianCache& other) {
+      if (this != &other) {
+        const support::MutexLock lock(mu);
+        values.clear();
+      }
+      return *this;
+    }
+
     support::Mutex mu;
     std::unordered_map<Key, double, KeyHash> values MPICP_GUARDED_BY(mu);
   };
-  std::shared_ptr<MedianCache> median_cache_ =
-      std::make_shared<MedianCache>();
+  mutable MedianCache median_cache_;
 };
 
 /// Render an ingest health report as an aligned table (support/table).

@@ -10,7 +10,6 @@
 #include "ml/forest.hpp"
 #include "ml/gam.hpp"
 #include "ml/gbt.hpp"
-#include "ml/io.hpp"
 #include "ml/knn.hpp"
 #include "ml/linreg.hpp"
 #include "ml/median.hpp"
@@ -177,38 +176,90 @@ int FlatBank::add(const Regressor& model) {
   }
   models_.push_back(m);
   // Canonical and derived pools are both append-only in model order, so
-  // only the new model's rank-cell table or KNN grid needs deriving:
+  // the new model's rank-cell table or KNN grid is derived here, once:
   // add() costs what lowering the one model costs.
-  build_derived(models_.size() - 1);
+  rank_tables_.emplace_back();
+  knn_grids_.emplace_back();
+  if (m.kind == FlatKind::kTreeEnsemble) build_rank_table(models_.size() - 1);
+  if (m.kind == FlatKind::kKnn) build_knn_grid(models_.size() - 1);
   return idx;
 }
 
-void FlatBank::build_derived(std::size_t first_model) {
-  build_rank_tables(first_model);
-  build_knn_grids(first_model);
-}
-
-void FlatBank::build_rank_tables(std::size_t first_model) {
-  if (first_model == 0) {
-    rank_tables_.clear();
-    rank_thr_.clear();
-    cell_val_.clear();
-  }
-  rank_tables_.resize(models_.size());
+void FlatBank::build_rank_table(std::size_t mi) {
+  const FlatModel& m = models_[mi];
+  // The model's nodes are one contiguous pool range (lower_trees
+  // appends tree after tree), bounded by the next tree root.
+  const int node_begin = tree_roots_[m.tree_begin];
+  const int node_end =
+      static_cast<std::size_t>(m.tree_end) < tree_roots_.size()
+          ? tree_roots_[m.tree_end]
+          : static_cast<int>(nodes_.size());
+  // Distinct thresholds per feature, sorted; bail out on any shape the
+  // table cannot represent exactly (the plain walk serves it).
   std::vector<std::vector<double>> per_feat(kMaxRankFeatures);
-  std::vector<std::int32_t> node_rank;
+  int dim = 0;
+  for (int n = node_begin; n < node_end; ++n) {
+    const FlatTreeNode& node = nodes_[n];
+    if (node.feature < 0) continue;
+    if (node.feature >= kMaxRankFeatures || std::isnan(node.threshold)) {
+      return;
+    }
+    dim = std::max(dim, node.feature + 1);
+    // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
+    // per-feature split is unknowable before this very scan.
+    per_feat[node.feature].push_back(node.threshold);
+  }
+  std::size_t cells = 1;
+  for (int f = 0; f < dim; ++f) {
+    auto& v = per_feat[f];
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    cells *= v.size() + 1;
+    if (cells > kMaxRankCells) return;
+  }
+  RankTable& rt = rank_tables_[mi];
+  rt.dim = dim;
+  std::size_t stride = 1;
+  for (int f = 0; f < dim; ++f) {
+    rt.thr_begin[f] = static_cast<std::int32_t>(rank_thr_.size());
+    rt.thr_len[f] = static_cast<std::int32_t>(per_feat[f].size());
+    rt.stride[f] = static_cast<std::int32_t>(stride);
+    stride *= per_feat[f].size() + 1;
+    rank_thr_.insert(rank_thr_.end(), per_feat[f].begin(),
+                     per_feat[f].end());
+  }
+  // Per-node threshold rank (index of its threshold in the feature's
+  // sorted strip), so the cell walks below are pure integer compares.
+  std::vector<std::int32_t> node_rank(
+      static_cast<std::size_t>(node_end - node_begin), -1);
+  for (int n = node_begin; n < node_end; ++n) {
+    const FlatTreeNode& node = nodes_[n];
+    if (node.feature < 0) continue;
+    const auto& v = per_feat[node.feature];
+    node_rank[n - node_begin] = static_cast<std::int32_t>(
+        std::lower_bound(v.begin(), v.end(), node.threshold) - v.begin());
+  }
+  // Fill the cells tree by tree. A cell's rank vector fixes the
+  // outcome of every comparison (`x < T[j]` iff `rank(x) <= j`), so
+  // the cells that reach a leaf form a box of per-feature rank
+  // intervals, and each tree's leaves partition the grid. Starting
+  // every cell at base_score and adding each leaf's value to its box,
+  // in canonical tree order, sums every cell in walk order; the same
+  // mean and link transform as the interpreted predict_one then yield
+  // the exact double every instance in the cell would get.
+  rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
+  support::reserve_more(cell_val_, cells);
+  cell_val_.resize(cell_val_.size() + cells, m.base_score);
+  double* cell = cell_val_.data() + rt.cells_begin;
   // Per-feature inclusive rank intervals [lo, hi]: the cells from which
   // one tree node is reached.
   struct RankBox {
     std::array<std::int32_t, kMaxRankFeatures> lo{};
     std::array<std::int32_t, kMaxRankFeatures> hi{};
   };
-  std::vector<std::pair<int, RankBox>> pending;  // nodes still to visit
-  pending.reserve(64);
   // Adds `value` to every cell of `box`: an odometer over features
   // 1..dim-1, with feature 0 (stride 1) one contiguous run per step.
-  const auto add_to_box = [](double* cell, const RankTable& rt,
-                             const RankBox& box, double value) {
+  const auto add_to_box = [&rt, cell](const RankBox& box, double value) {
     if (rt.dim == 0) {
       cell[0] += value;
       return;
@@ -230,215 +281,125 @@ void FlatBank::build_rank_tables(std::size_t first_model) {
       if (f == rt.dim) return;
     }
   };
-  for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
-    const FlatModel& m = models_[mi];
-    if (m.kind != FlatKind::kTreeEnsemble) continue;
-    // The model's nodes are one contiguous pool range (lower_trees
-    // appends tree after tree), bounded by the next tree root.
-    const int node_begin = tree_roots_[m.tree_begin];
-    const int node_end =
-        static_cast<std::size_t>(m.tree_end) < tree_roots_.size()
-            ? tree_roots_[m.tree_end]
-            : static_cast<int>(nodes_.size());
-    // Distinct thresholds per feature, sorted; bail out on any shape
-    // the table cannot represent exactly (the plain walk serves it).
-    RankTable& rt = rank_tables_[mi];
-    for (auto& v : per_feat) v.clear();
-    bool representable = true;
-    int dim = 0;
-    for (int n = node_begin; n < node_end && representable; ++n) {
-      const FlatTreeNode& node = nodes_[n];
-      if (node.feature < 0) continue;
-      if (node.feature >= kMaxRankFeatures ||
-          std::isnan(node.threshold)) {
-        representable = false;
-        break;
-      }
-      dim = std::max(dim, node.feature + 1);
-      // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
-      // per-feature split is unknowable before this very scan.
-      per_feat[node.feature].push_back(node.threshold);
-    }
-    if (!representable) continue;
-    std::size_t cells = 1;
-    for (int f = 0; f < dim; ++f) {
-      auto& v = per_feat[f];
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-      cells *= v.size() + 1;
-      if (cells > kMaxRankCells) {
-        representable = false;
-        break;
-      }
-    }
-    if (!representable) continue;
-    rt.dim = dim;
-    std::size_t stride = 1;
-    for (int f = 0; f < dim; ++f) {
-      rt.thr_begin[f] = static_cast<std::int32_t>(rank_thr_.size());
-      rt.thr_len[f] = static_cast<std::int32_t>(per_feat[f].size());
-      rt.stride[f] = static_cast<std::int32_t>(stride);
-      stride *= per_feat[f].size() + 1;
-      rank_thr_.insert(rank_thr_.end(), per_feat[f].begin(),
-                       per_feat[f].end());
-    }
-    // Per-node threshold rank (index of its threshold in the feature's
-    // sorted strip), so the cell walks below are pure integer compares.
-    node_rank.assign(static_cast<std::size_t>(node_end - node_begin), -1);
-    for (int n = node_begin; n < node_end; ++n) {
-      const FlatTreeNode& node = nodes_[n];
-      if (node.feature < 0) continue;
-      const auto& v = per_feat[node.feature];
-      node_rank[n - node_begin] = static_cast<std::int32_t>(
-          std::lower_bound(v.begin(), v.end(), node.threshold) - v.begin());
-    }
-    // Fill the cells tree by tree. A cell's rank vector fixes the
-    // outcome of every comparison (`x < T[j]` iff `rank(x) <= j`), so
-    // the cells that reach a leaf form a box of per-feature rank
-    // intervals, and each tree's leaves partition the grid. Starting
-    // every cell at base_score and adding each leaf's value to its box,
-    // in canonical tree order, sums every cell in walk order; the same
-    // mean and link transform as the interpreted predict_one then yield
-    // the exact double every instance in the cell would get.
-    rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
-    support::reserve_more(cell_val_, cells);
-    cell_val_.resize(cell_val_.size() + cells, m.base_score);
-    double* cell = cell_val_.data() + rt.cells_begin;
-    RankBox whole;
-    for (int f = 0; f < dim; ++f) whole.hi[f] = rt.thr_len[f];
-    for (int t = m.tree_begin; t < m.tree_end; ++t) {
-      // Depth first: descend left with the box narrowed in place and
-      // leave the right branch's box on the stack. A branch no cell
-      // reaches (an empty interval) is dropped.
-      int cur = tree_roots_[t];
-      RankBox box = whole;
-      for (;;) {
-        const FlatTreeNode& node = nodes_[cur];
-        if (node.feature >= 0) {
-          const int f = node.feature;
-          const std::int32_t j = node_rank[cur - node_begin];
-          if (j < box.hi[f]) {
-            pending.push_back({node.right, box});
-            pending.back().second.lo[f] = std::max(box.lo[f], j + 1);
-          }
-          if (box.lo[f] <= j) {
-            box.hi[f] = std::min(box.hi[f], j);
-            cur = node.left;
-            continue;
-          }
-        } else {
-          add_to_box(cell, rt, box, node.value);
+  std::vector<std::pair<int, RankBox>> pending;  // nodes still to visit
+  pending.reserve(64);
+  RankBox whole;
+  for (int f = 0; f < dim; ++f) whole.hi[f] = rt.thr_len[f];
+  for (int t = m.tree_begin; t < m.tree_end; ++t) {
+    // Depth first: descend left with the box narrowed in place and
+    // leave the right branch's box on the stack. A branch no cell
+    // reaches (an empty interval) is dropped.
+    int cur = tree_roots_[t];
+    RankBox box = whole;
+    for (;;) {
+      const FlatTreeNode& node = nodes_[cur];
+      if (node.feature >= 0) {
+        const int f = node.feature;
+        const std::int32_t j = node_rank[cur - node_begin];
+        if (j < box.hi[f]) {
+          pending.push_back({node.right, box});
+          pending.back().second.lo[f] = std::max(box.lo[f], j + 1);
         }
-        if (pending.empty()) break;
-        cur = pending.back().first;
-        box = pending.back().second;
-        pending.pop_back();
+        if (box.lo[f] <= j) {
+          box.hi[f] = std::min(box.hi[f], j);
+          cur = node.left;
+          continue;
+        }
+      } else {
+        add_to_box(box, node.value);
       }
+      if (pending.empty()) break;
+      cur = pending.back().first;
+      box = pending.back().second;
+      pending.pop_back();
     }
-    const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
-    for (std::size_t c = 0; c < cells; ++c) {
-      double raw = cell[c];
-      if (m.mean_over_trees) raw /= num_trees;
-      cell[c] = m.exp_link ? std::exp(raw) : raw;
-    }
-    rt.built = true;
   }
+  const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
+  for (std::size_t c = 0; c < cells; ++c) {
+    double raw = cell[c];
+    if (m.mean_over_trees) raw /= num_trees;
+    cell[c] = m.exp_link ? std::exp(raw) : raw;
+  }
+  rt.built = true;
 }
 
-void FlatBank::build_knn_grids(std::size_t first_model) {
-  if (first_model == 0) {
-    knn_grids_.clear();
-    grid_coord_.clear();
-    grid_cell_.clear();
-    grid_rows_.clear();
-    grid_group_.clear();
-    max_grid_b_ = 0;
-  }
-  knn_grids_.resize(models_.size());
-  std::vector<double> axis0;
-  std::vector<std::int32_t> by_tuple;
-  std::vector<std::int32_t> tuple_of;
+void FlatBank::build_knn_grid(std::size_t mi) {
+  const FlatModel& m = models_[mi];
+  const int n = m.num_points;
+  const int bdim = m.point_dim - 1;
+  const auto tail = [&](int p) { return point_row(m, p).subspan(1); };
+  // Axis 0: the sorted distinct values.
+  std::vector<double> axis0(static_cast<std::size_t>(n));
+  for (int p = 0; p < n; ++p) axis0[p] = point_row(m, p)[0];
+  std::sort(axis0.begin(), axis0.end());
+  axis0.erase(std::unique(axis0.begin(), axis0.end()), axis0.end());
+  // The other axes: distinct tuples, numbered in lexicographic order.
+  std::vector<std::int32_t> by_tuple(static_cast<std::size_t>(n));
+  std::iota(by_tuple.begin(), by_tuple.end(), 0);
+  std::sort(by_tuple.begin(), by_tuple.end(), [&](int a, int b) {
+    const auto ta = tail(a);
+    const auto tb = tail(b);
+    return std::lexicographical_compare(ta.begin(), ta.end(), tb.begin(),
+                                        tb.end());
+  });
+  std::vector<std::int32_t> tuple_of(static_cast<std::size_t>(n));
   std::vector<std::int32_t> tuple_rep;
-  std::vector<std::int32_t> cursor;
-  for (std::size_t mi = first_model; mi < models_.size(); ++mi) {
-    const FlatModel& m = models_[mi];
-    if (m.kind != FlatKind::kKnn) continue;
-    const int n = m.num_points;
-    const int bdim = m.point_dim - 1;
-    const auto tail = [&](int p) { return point_row(m, p).subspan(1); };
-    // Axis 0: the sorted distinct values.
-    axis0.resize(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) axis0[p] = point_row(m, p)[0];
-    std::sort(axis0.begin(), axis0.end());
-    axis0.erase(std::unique(axis0.begin(), axis0.end()), axis0.end());
-    // The other axes: distinct tuples, numbered in lexicographic order.
-    by_tuple.resize(static_cast<std::size_t>(n));
-    std::iota(by_tuple.begin(), by_tuple.end(), 0);
-    std::sort(by_tuple.begin(), by_tuple.end(), [&](int a, int b) {
-      const auto ta = tail(a);
-      const auto tb = tail(b);
-      return std::lexicographical_compare(ta.begin(), ta.end(), tb.begin(),
-                                          tb.end());
-    });
-    tuple_of.resize(static_cast<std::size_t>(n));
-    tuple_rep.clear();
-    for (int j = 0; j < n; ++j) {
-      const int p = by_tuple[j];
-      if (tuple_rep.empty() ||
-          !std::ranges::equal(tail(tuple_rep.back()), tail(p))) {
-        // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
-        // tuple count is unknowable before this very scan.
-        tuple_rep.push_back(p);
-      }
-      tuple_of[p] = static_cast<std::int32_t>(tuple_rep.size()) - 1;
+  for (int j = 0; j < n; ++j) {
+    const int p = by_tuple[j];
+    if (tuple_rep.empty() ||
+        !std::ranges::equal(tail(tuple_rep.back()), tail(p))) {
+      // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
+      // tuple count is unknowable before this very scan.
+      tuple_rep.push_back(p);
     }
-    const std::size_t a_len = axis0.size();
-    const std::size_t b_len = tuple_rep.size();
-    const std::size_t cells = a_len * b_len;
-    // A grid over the cap (continuous features) is served by a scan.
-    if (cells > kMaxKnnGridCells) continue;
-    KnnGrid& g = knn_grids_[mi];
-    g.a_len = static_cast<int>(a_len);
-    g.b_len = static_cast<int>(b_len);
-    g.coord_begin = static_cast<std::int32_t>(grid_coord_.size());
-    support::reserve_more(grid_coord_, a_len + b_len * bdim);
-    grid_coord_.insert(grid_coord_.end(), axis0.begin(), axis0.end());
-    for (int f = 0; f < bdim; ++f) {
-      for (const std::int32_t p : tuple_rep) {
-        grid_coord_.push_back(tail(p)[f]);
-      }
-    }
-    // Cell offsets by counting sort; filling in ascending row order
-    // keeps every cell's rows in row order.
-    cursor.assign(cells + 1, 0);
-    const auto cell_of = [&](int p) {
-      const std::size_t a = static_cast<std::size_t>(
-          std::lower_bound(axis0.begin(), axis0.end(), point_row(m, p)[0]) -
-          axis0.begin());
-      return a * b_len + static_cast<std::size_t>(tuple_of[p]);
-    };
-    for (int p = 0; p < n; ++p) ++cursor[cell_of(p) + 1];
-    std::partial_sum(cursor.begin(), cursor.end(), cursor.begin());
-    g.cell_begin = static_cast<std::int32_t>(grid_cell_.size());
-    grid_cell_.insert(grid_cell_.end(), cursor.begin(), cursor.end());
-    g.rows_begin = static_cast<std::int32_t>(grid_rows_.size());
-    grid_rows_.resize(grid_rows_.size() + static_cast<std::size_t>(n));
-    std::int32_t* rows = grid_rows_.data() + g.rows_begin;
-    for (int p = 0; p < n; ++p) rows[cursor[cell_of(p)]++] = p;
-    // Groups of b-tuples sharing their axis-1 value (contiguous, since
-    // the tuples are in lexicographic order).
-    g.group_begin = static_cast<std::int32_t>(grid_group_.size());
-    support::reserve_more(grid_group_, b_len + 1);
-    for (std::size_t j = 0; j < b_len && bdim > 0; ++j) {
-      if (j == 0 || tail(tuple_rep[j])[0] != tail(tuple_rep[j - 1])[0]) {
-        grid_group_.push_back(static_cast<std::int32_t>(j));
-      }
-    }
-    g.num_groups = static_cast<int>(grid_group_.size()) - g.group_begin;
-    grid_group_.push_back(static_cast<std::int32_t>(b_len));
-    max_grid_b_ = std::max(max_grid_b_, g.b_len);
-    g.built = true;
+    tuple_of[p] = static_cast<std::int32_t>(tuple_rep.size()) - 1;
   }
+  const std::size_t a_len = axis0.size();
+  const std::size_t b_len = tuple_rep.size();
+  const std::size_t cells = a_len * b_len;
+  // A grid over the cap (continuous features) is served by a scan.
+  if (cells > kMaxKnnGridCells) return;
+  KnnGrid& g = knn_grids_[mi];
+  g.a_len = static_cast<int>(a_len);
+  g.b_len = static_cast<int>(b_len);
+  g.coord_begin = static_cast<std::int32_t>(grid_coord_.size());
+  support::reserve_more(grid_coord_, a_len + b_len * bdim);
+  grid_coord_.insert(grid_coord_.end(), axis0.begin(), axis0.end());
+  for (int f = 0; f < bdim; ++f) {
+    for (const std::int32_t p : tuple_rep) {
+      grid_coord_.push_back(tail(p)[f]);
+    }
+  }
+  // Cell offsets by counting sort; filling in ascending row order
+  // keeps every cell's rows in row order.
+  std::vector<std::int32_t> cursor(cells + 1, 0);
+  const auto cell_of = [&](int p) {
+    const std::size_t a = static_cast<std::size_t>(
+        std::lower_bound(axis0.begin(), axis0.end(), point_row(m, p)[0]) -
+        axis0.begin());
+    return a * b_len + static_cast<std::size_t>(tuple_of[p]);
+  };
+  for (int p = 0; p < n; ++p) ++cursor[cell_of(p) + 1];
+  std::partial_sum(cursor.begin(), cursor.end(), cursor.begin());
+  g.cell_begin = static_cast<std::int32_t>(grid_cell_.size());
+  grid_cell_.insert(grid_cell_.end(), cursor.begin(), cursor.end());
+  g.rows_begin = static_cast<std::int32_t>(grid_rows_.size());
+  grid_rows_.resize(grid_rows_.size() + static_cast<std::size_t>(n));
+  std::int32_t* rows = grid_rows_.data() + g.rows_begin;
+  for (int p = 0; p < n; ++p) rows[cursor[cell_of(p)]++] = p;
+  // Groups of b-tuples sharing their axis-1 value (contiguous, since
+  // the tuples are in lexicographic order).
+  g.group_begin = static_cast<std::int32_t>(grid_group_.size());
+  support::reserve_more(grid_group_, b_len + 1);
+  for (std::size_t j = 0; j < b_len && bdim > 0; ++j) {
+    if (j == 0 || tail(tuple_rep[j])[0] != tail(tuple_rep[j - 1])[0]) {
+      grid_group_.push_back(static_cast<std::int32_t>(j));
+    }
+  }
+  g.num_groups = static_cast<int>(grid_group_.size()) - g.group_begin;
+  grid_group_.push_back(static_cast<std::int32_t>(b_len));
+  max_grid_b_ = std::max(max_grid_b_, g.b_len);
+  g.built = true;
 }
 
 void FlatBank::lower_trees(const std::vector<RegressionTree>& trees,
@@ -748,226 +709,6 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
       return coef_[m.coef_begin];
   }
   MPICP_RAISE_INTERNAL("unhandled FlatKind");
-}
-
-void FlatBank::save(std::ostream& os) const {
-  io::write_tag(os, "flatbank");
-  // The rank tables and KNN grids are derived data, rebuilt on load.
-  io::write_value(os, 4);
-  io::write_value(os, models_.size());
-  for (const FlatModel& m : models_) {
-    io::write_value(os, static_cast<int>(m.kind));
-    io::write_value(os, m.exp_link ? 1 : 0);
-    io::write_value(os, m.tree_begin);
-    io::write_value(os, m.tree_end);
-    io::write_value(os, m.base_score);
-    io::write_value(os, m.mean_over_trees ? 1 : 0);
-    io::write_value(os, m.k);
-    io::write_value(os, m.points_begin);
-    io::write_value(os, m.num_points);
-    io::write_value(os, m.point_dim);
-    io::write_value(os, m.targets_begin);
-    io::write_value(os, m.scaler_begin);
-    io::write_value(os, m.slot_begin);
-    io::write_value(os, m.num_bases);
-    io::write_value(os, m.basis_size);
-    io::write_value(os, m.coef_begin);
-    io::write_value(os, m.coef_len);
-  }
-  io::write_value(os, nodes_.size());
-  for (const FlatTreeNode& n : nodes_) {
-    io::write_value(os, n.feature);
-    io::write_value(os, n.threshold);
-    io::write_value(os, n.left);
-    io::write_value(os, n.right);
-    io::write_value(os, n.value);
-  }
-  io::write_vector(os, tree_roots_);
-  io::write_vector(os, points_);
-  io::write_vector(os, targets_);
-  io::write_vector(os, scaler_mean_);
-  io::write_vector(os, scaler_inv_std_);
-  io::write_value(os, bases_.size());
-  for (const BSplineBasis& b : bases_) {
-    io::write_value(os, b.lo());
-    io::write_value(os, b.hi());
-    io::write_value(os, b.num_basis());
-  }
-  io::write_value(os, slots_.size());
-  for (const FlatBasisSlot& s : slots_) {
-    io::write_value(os, s.basis);
-    io::write_value(os, s.feature);
-  }
-  io::write_vector(os, gam_slots_);
-  io::write_vector(os, coef_);
-}
-
-void FlatBank::load(std::istream& is) {
-  io::expect_tag(is, "flatbank");
-  MPICP_CHECK_PARSE(io::read_value<int>(is) == 4,
-                    "unsupported flatbank version");
-  const auto num_models = io::read_value<std::size_t>(is);
-  MPICP_REQUIRE(num_models < (1u << 20), "implausible flatbank size");
-  models_.assign(num_models, FlatModel{});
-  for (FlatModel& m : models_) {
-    const int kind = io::read_value<int>(is);
-    MPICP_CHECK_PARSE(kind >= static_cast<int>(FlatKind::kTreeEnsemble) &&
-                          kind <= static_cast<int>(FlatKind::kConstant),
-                      "flatbank: unknown model kind");
-    m.kind = static_cast<FlatKind>(kind);
-    m.exp_link = io::read_value<int>(is) != 0;
-    m.tree_begin = io::read_value<int>(is);
-    m.tree_end = io::read_value<int>(is);
-    m.base_score = io::read_value<double>(is);
-    m.mean_over_trees = io::read_value<int>(is) != 0;
-    m.k = io::read_value<int>(is);
-    m.points_begin = io::read_value<int>(is);
-    m.num_points = io::read_value<int>(is);
-    m.point_dim = io::read_value<int>(is);
-    m.targets_begin = io::read_value<int>(is);
-    m.scaler_begin = io::read_value<int>(is);
-    m.slot_begin = io::read_value<int>(is);
-    m.num_bases = io::read_value<int>(is);
-    m.basis_size = io::read_value<int>(is);
-    m.coef_begin = io::read_value<int>(is);
-    m.coef_len = io::read_value<int>(is);
-  }
-  const auto num_nodes = io::read_value<std::size_t>(is);
-  MPICP_REQUIRE(num_nodes < (1u << 28), "implausible flatbank node pool");
-  nodes_.assign(num_nodes, FlatTreeNode{});
-  for (FlatTreeNode& n : nodes_) {
-    n.feature = io::read_value<int>(is);
-    n.threshold = io::read_value<double>(is);
-    n.left = io::read_value<int>(is);
-    n.right = io::read_value<int>(is);
-    n.value = io::read_value<double>(is);
-  }
-  tree_roots_ = io::read_vector<int>(is);
-  points_ = io::read_vector<double>(is);
-  targets_ = io::read_vector<double>(is);
-  scaler_mean_ = io::read_vector<double>(is);
-  scaler_inv_std_ = io::read_vector<double>(is);
-  const auto num_bases = io::read_value<std::size_t>(is);
-  MPICP_REQUIRE(num_bases < (1u << 16), "implausible flatbank basis pool");
-  bases_.clear();
-  bases_.reserve(num_bases);
-  for (std::size_t b = 0; b < num_bases; ++b) {
-    const auto lo = io::read_value<double>(is);
-    const auto hi = io::read_value<double>(is);
-    const auto nb = io::read_value<int>(is);
-    bases_.emplace_back(lo, hi, nb);
-  }
-  const auto num_slots = io::read_value<std::size_t>(is);
-  MPICP_REQUIRE(num_slots < (1u << 20), "implausible flatbank slot pool");
-  slots_.assign(num_slots, FlatBasisSlot{});
-  for (FlatBasisSlot& s : slots_) {
-    s.basis = io::read_value<int>(is);
-    s.feature = io::read_value<int>(is);
-  }
-  gam_slots_ = io::read_vector<int>(is);
-  coef_ = io::read_vector<double>(is);
-  // The derived build walks every tree from the file, so its shape is
-  // checked first. lower_trees() appends tree after tree in preorder:
-  // the roots partition the node pool into non-empty ranges starting
-  // at 0, and every child lies after its parent inside its own tree.
-  // The walk reads x[feature] from a query of at most kMaxKnnDim
-  // features.
-  const auto pool = static_cast<std::int64_t>(nodes_.size());
-  const auto num_trees = static_cast<std::int64_t>(tree_roots_.size());
-  MPICP_CHECK_PARSE(num_trees == 0 ? pool == 0 : tree_roots_[0] == 0,
-                    "flatbank: tree roots do not cover the node pool");
-  for (std::int64_t t = 0; t < num_trees; ++t) {
-    const std::int64_t root = tree_roots_[t];
-    const std::int64_t end = t + 1 < num_trees ? tree_roots_[t + 1] : pool;
-    MPICP_CHECK_PARSE(root < end && end <= pool,
-                      "flatbank: tree root out of range");
-    for (std::int64_t n = root; n < end; ++n) {
-      const FlatTreeNode& node = nodes_[n];
-      if (node.feature < 0) continue;
-      MPICP_CHECK_PARSE(node.feature < kMaxKnnDim,
-                        "flatbank: tree feature outside [0, kMaxKnnDim)");
-      MPICP_CHECK_PARSE(node.left > n && node.left < end &&
-                            node.right > n && node.right < end,
-                        "flatbank: tree child index out of preorder range");
-    }
-  }
-  for (const FlatModel& m : models_) {
-    if (m.kind != FlatKind::kTreeEnsemble) continue;
-    MPICP_CHECK_PARSE(0 <= m.tree_begin && m.tree_begin < m.tree_end &&
-                          m.tree_end <= num_trees,
-                      "flatbank: model tree range outside the tree roots");
-  }
-  // The KNN grid build walks every point of every KNN model, and a
-  // query fills a kMaxKnnK-entry buffer: check both bounds first. (The
-  // points are finite: io::read_value rejects nan and inf tokens.)
-  for (const FlatModel& m : models_) {
-    if (m.kind != FlatKind::kKnn) continue;
-    MPICP_CHECK_PARSE(m.k >= 1 && m.k <= kMaxKnnK,
-                      "flatbank: knn k outside [1, kMaxKnnK]");
-    MPICP_CHECK_PARSE(m.point_dim >= 1 && m.point_dim <= kMaxKnnDim,
-                      "flatbank: knn point_dim outside [1, kMaxKnnDim]");
-    const std::int64_t n = m.num_points;
-    const std::int64_t dim = m.point_dim;
-    MPICP_CHECK_PARSE(
-        n >= 1 && m.points_begin >= 0 &&
-            m.points_begin + n * dim <=
-                static_cast<std::int64_t>(points_.size()),
-        "flatbank: knn points outside the point pool");
-    MPICP_CHECK_PARSE(
-        m.targets_begin >= 0 &&
-            m.targets_begin + n <= static_cast<std::int64_t>(targets_.size()),
-        "flatbank: knn targets outside the target pool");
-    MPICP_CHECK_PARSE(
-        m.scaler_begin == -1 ||
-            (m.scaler_begin >= 0 &&
-             m.scaler_begin + dim <=
-                 static_cast<std::int64_t>(scaler_mean_.size()) &&
-             m.scaler_begin + dim <=
-                 static_cast<std::int64_t>(scaler_inv_std_.size())),
-        "flatbank: knn scaler outside the scaler pools");
-  }
-  // The GAM, linear and constant kernels read a coefficient block; a
-  // GAM also follows its slot indices to a basis and a query feature,
-  // and its basis writes basis_size values into a scratch slot.
-  const auto coef_pool = static_cast<std::int64_t>(coef_.size());
-  const auto num_gam_slots = static_cast<std::int64_t>(gam_slots_.size());
-  max_basis_size_ = 0;
-  for (const FlatModel& m : models_) {
-    if (m.kind == FlatKind::kTreeEnsemble || m.kind == FlatKind::kKnn) {
-      continue;
-    }
-    MPICP_CHECK_PARSE(m.coef_begin >= 0 && m.coef_len >= 1 &&
-                          m.coef_begin + std::int64_t{m.coef_len} <= coef_pool,
-                      "flatbank: coefficients outside the coefficient pool");
-    if (m.kind == FlatKind::kLinear) {
-      MPICP_CHECK_PARSE(m.coef_len - 1 <= kMaxKnnDim,
-                        "flatbank: linear model over kMaxKnnDim features");
-    }
-    if (m.kind != FlatKind::kGam) continue;
-    MPICP_CHECK_PARSE(
-        m.coef_len == 1 + std::int64_t{m.num_bases} * m.basis_size,
-        "flatbank: gam coefficients do not match its bases");
-    MPICP_CHECK_PARSE(m.num_bases >= 1 && m.slot_begin >= 0 &&
-                          m.slot_begin + std::int64_t{m.num_bases} <=
-                              num_gam_slots,
-                      "flatbank: gam slot range outside the slot pool");
-    for (int f = 0; f < m.num_bases; ++f) {
-      const int slot = gam_slots_[m.slot_begin + f];
-      MPICP_CHECK_PARSE(
-          slot >= 0 && static_cast<std::size_t>(slot) < slots_.size(),
-          "flatbank: gam slot index outside the slot pool");
-      const FlatBasisSlot& sl = slots_[slot];
-      MPICP_CHECK_PARSE(
-          sl.basis >= 0 && static_cast<std::size_t>(sl.basis) < bases_.size(),
-          "flatbank: basis index outside the basis pool");
-      MPICP_CHECK_PARSE(sl.feature >= 0 && sl.feature < kMaxKnnDim,
-                        "flatbank: gam slot feature outside [0, kMaxKnnDim)");
-      MPICP_CHECK_PARSE(bases_[sl.basis].num_basis() == m.basis_size,
-                        "flatbank: basis size differs from its model's");
-    }
-    max_basis_size_ = std::max(max_basis_size_, m.basis_size);
-  }
-  build_derived(0);
 }
 
 }  // namespace mpicp::ml

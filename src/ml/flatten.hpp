@@ -23,9 +23,8 @@
 // precomputed for every cell of the model's threshold-rank grid, so a
 // query is a few small binary searches plus one load per model. Models
 // over the cell cap (continuous features) walk their trees in the node
-// pool. The table is derived data — appended for the new model alone on
-// add(), rebuilt for the whole bank on load() — and reproduces the
-// interpreted regressor bit for bit.
+// pool. The table is derived data, built once for the new model in
+// add(), and reproduces the interpreted regressor bit for bit.
 //
 // KNN models carry a *factored grid* (DESIGN.md §11), also derived
 // data: the scaled points factor as (distinct axis-0 values, i.e.
@@ -43,7 +42,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <utility>
 #include <vector>
@@ -156,24 +154,13 @@ class FlatBank {
   /// false for a model over kMaxKnnGridCells, which scans every point.
   bool has_knn_grid(std::size_t i) const { return knn_grids_[i].built; }
 
-  /// Persist the bank in the version-4 envelope: the canonical pools
-  /// only, since the rank-cell tables and the KNN grids are derived
-  /// data, rebuilt on load. load() accepts version 4 only and raises
-  /// ParseError on any other version, and on any index a query or the
-  /// derived build would follow outside its pool or query buffer.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
-
  private:
   void lower_trees(const std::vector<RegressionTree>& trees, FlatModel& m);
-  /// Derive the rank-cell tables and KNN grids of models
-  /// [first_model, size()) from the canonical pools, appending to the
-  /// derived pools, which must hold exactly models [0, first_model).
-  /// add() derives the new model alone; load() passes 0, which clears
-  /// the derived pools and rebuilds them all, in the same order.
-  void build_derived(std::size_t first_model);
-  void build_rank_tables(std::size_t first_model);
-  void build_knn_grids(std::size_t first_model);
+  /// Derive the rank-cell table of tree-ensemble model `mi` / the grid
+  /// of KNN model `mi` from the canonical pools, appending to the
+  /// derived ones. add() calls them once, for the model it lowers.
+  void build_rank_table(std::size_t mi);
+  void build_knn_grid(std::size_t mi);
   double predict_knn(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
   void lower_knn(const KnnRegressor& knn, FlatModel& m);
@@ -200,11 +187,11 @@ class FlatBank {
   std::vector<double> coef_;
   int max_basis_size_ = 0;
 
-  // Rank-cell tables (derived, never serialized): every comparison of
+  // Rank-cell tables (derived): every comparison of
   // a tree-ensemble model tests x[f] against one of the model's few
   // distinct thresholds, so the instance's per-feature threshold ranks
   // fix the outcome of every comparison — and the model's whole
-  // prediction is constant on each rank cell. build_rank_tables()
+  // prediction is constant on each rank cell. build_rank_table()
   // stores the exact prediction of every cell (each leaf's value added
   // to its box of cells, in canonical tree order), turning dispatch
   // into a handful of small binary searches plus one load
@@ -228,7 +215,7 @@ class FlatBank {
   support::AlignedVec<double> rank_thr_;  ///< sorted distinct thresholds
   support::AlignedVec<double> cell_val_;  ///< final per-cell predictions
 
-  // Factored KNN grids (derived, never serialized). Per model: its
+  // Factored KNN grids (derived). Per model: its
   // sorted distinct axis-0 values and its distinct b-tuples (axes
   // 1..dim-1, one strip of b_len values per axis) in grid_coord_, and
   // a_len * b_len + 1 row offsets in grid_cell_ (cell a * b_len + b)

@@ -1,9 +1,7 @@
 #include "tune/compiled_bank.hpp"
 
 #include <cmath>
-#include <fstream>
 
-#include "ml/io.hpp"
 #include "simmpi/coll/decision.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
@@ -169,43 +167,6 @@ std::vector<int> CompiledBank::select_grid(
   std::vector<int> out(grid.size(), -1);
   select_grid_into(grid, out);
   return out;
-}
-
-void CompiledBank::save(const std::filesystem::path& path) const {
-  MPICP_REQUIRE(!uids_.empty(), "saving an empty compiled bank");
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream os(path);
-  if (!os) {
-    MPICP_RAISE_ERROR("cannot open " + path.string() + " for writing");
-  }
-  os << "mpicp-compiled-bank 2\n";
-  os << (features_.include_total_processes ? 1 : 0) << '\n';
-  ml::io::write_vector(os, uids_);
-  bank_.save(os);
-  if (!os) {
-    MPICP_RAISE_ERROR("failed writing compiled bank to " + path.string());
-  }
-}
-
-CompiledBank CompiledBank::load(const std::filesystem::path& path) {
-  std::ifstream is(path);
-  if (!is) {
-    MPICP_RAISE_PARSE("cannot open compiled bank file " + path.string());
-  }
-  ml::io::expect_tag(is, "mpicp-compiled-bank");
-  MPICP_CHECK_PARSE(ml::io::read_value<int>(is) == 2,
-                    "unsupported compiled bank version");
-  CompiledBank bank;
-  bank.features_.include_total_processes =
-      ml::io::read_value<int>(is) != 0;
-  bank.uids_ = ml::io::read_vector<int>(is);
-  bank.bank_.load(is);
-  MPICP_CHECK_PARSE(bank.uids_.size() == bank.bank_.size(),
-                    "compiled bank uid/model count mismatch");
-  MPICP_CHECK_PARSE(!bank.uids_.empty(), "empty compiled bank file");
-  return bank;
 }
 
 }  // namespace mpicp::tune

@@ -18,9 +18,12 @@
 // The bank keeps no selection memo: repeated queries are memoized one
 // layer up, in the serving registry's per-thread memo
 // (tune/registry.hpp).
+//
+// The bank is derived, never stored: the persisted artifact is the
+// selector file (Selector::save/load), and a server builds its bank at
+// start-up with `Selector::load(path).compile()`.
 #pragma once
 
-#include <filesystem>
 #include <span>
 #include <vector>
 
@@ -73,13 +76,6 @@ class CompiledBank {
   /// Allocating convenience wrapper around select_grid_into.
   [[nodiscard]] std::vector<int> select_grid(
       std::span<const bench::Instance> grid) const;
-
-  /// Persist / restore the compiled form (text format, exact doubles).
-  /// The version-2 envelope nests the v4 flatbank envelope; it is the
-  /// only version written or loaded (any other version, or a nested
-  /// flatbank of another version, raises ParseError).
-  void save(const std::filesystem::path& path) const;
-  static CompiledBank load(const std::filesystem::path& path);
 
  private:
   friend class Selector;

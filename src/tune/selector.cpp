@@ -365,7 +365,12 @@ Selector Selector::load(const std::filesystem::path& path) {
   MPICP_CHECK_PARSE(count >= 1 && count < 100000,
                     "implausible selector model count");
   for (std::size_t i = 0; i < count; ++i) {
+    // A uid <= 0 could never be selected (every argmin requires a
+    // positive uid), and a repeated one would silently drop a model.
     const int uid = ml::io::read_value<int>(is);
+    MPICP_CHECK_PARSE(uid > 0, "non-positive uid in selector file");
+    MPICP_CHECK_PARSE(!selector.models_.contains(uid),
+                      "repeated uid in selector file");
     selector.models_.emplace(uid, ml::load_regressor(is));
   }
   return selector;

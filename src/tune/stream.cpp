@@ -1,8 +1,11 @@
 #include "tune/stream.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "support/error.hpp"
@@ -22,6 +25,33 @@ namespace {
 constexpr double kUnusablePenalty = 10.0;
 
 constexpr std::size_t kStreamColumns = 5;  // uid,nodes,ppn,msize,time_us
+
+/// The "stream.quarantine.<reason>" counter, resolved once per reason:
+/// push_row's three structural reasons and the semantic ones of
+/// bench::validate_record. A reason outside the table is looked up by
+/// name.
+metrics::Counter& quarantine_counter(const std::string& reason) {
+  static const std::array<std::pair<std::string_view, metrics::Counter*>, 6>
+      kCounters = [] {
+        std::array<std::pair<std::string_view, metrics::Counter*>, 6> out = {{
+            {"row width mismatch", nullptr},
+            {"unparseable field", nullptr},
+            {"bad configuration key", nullptr},
+            {"non-finite time", nullptr},
+            {"non-positive time", nullptr},
+            {"implausible time", nullptr},
+        }};
+        for (auto& [name, counter] : out) {
+          counter = &metrics::counter("stream.quarantine." +
+                                      std::string(name));
+        }
+        return out;
+      }();
+  for (const auto& [name, counter] : kCounters) {
+    if (name == reason) return *counter;
+  }
+  return metrics::counter("stream.quarantine." + reason);
+}
 
 }  // namespace
 
@@ -55,18 +85,9 @@ StreamPipeline::RowOutcome StreamPipeline::push_row(
     }
   }
   if (!reason.empty()) {
-    static metrics::Counter& seen = metrics::counter("stream.rows_seen");
-    static metrics::Counter& quarantined =
-        metrics::counter("stream.rows_quarantined");
     const support::MutexLock lock(mu_);
-    ++stats_.rows_seen;
-    seen.inc();
-    ++stats_.rows_quarantined;
-    quarantined.inc();
-    ++stats_.quarantine_reasons[reason];
-    metrics::counter("stream.quarantine." + reason).inc();
     RowOutcome out;
-    out.quarantine_reason = reason;
+    (void)admit_locked(reason, out);
     return out;
   }
   return push(key, rec);
@@ -81,25 +102,10 @@ StreamPipeline::RowOutcome StreamPipeline::push(const BankKey& key,
 StreamPipeline::RowOutcome StreamPipeline::push_locked(
     const BankKey& key, const bench::Record& rec) {
   MPICP_SPAN("stream.push");
-  static metrics::Counter& seen = metrics::counter("stream.rows_seen");
-  static metrics::Counter& quarantined =
-      metrics::counter("stream.rows_quarantined");
-
-  RowOutcome out;
-  ++stats_.rows_seen;
-  seen.inc();
-
   // The same semantic screen as Dataset::load_csv_tolerant — a
   // corrupted value never reaches the window, the detector or a refit.
-  const std::string reason = bench::validate_record(rec);
-  if (!reason.empty()) {
-    ++stats_.rows_quarantined;
-    quarantined.inc();
-    ++stats_.quarantine_reasons[reason];
-    metrics::counter("stream.quarantine." + reason).inc();
-    out.quarantine_reason = reason;
-    return out;
-  }
+  RowOutcome out;
+  if (!admit_locked(bench::validate_record(rec), out)) return out;
 
   KeyState& state = states_[key];
   ingest(state, rec);
@@ -108,6 +114,22 @@ StreamPipeline::RowOutcome StreamPipeline::push_locked(
   observe_error(state, key, rec, &out);
   maybe_refit(state, key, &out);
   return out;
+}
+
+bool StreamPipeline::admit_locked(const std::string& reason,
+                                  RowOutcome& out) {
+  static metrics::Counter& seen = metrics::counter("stream.rows_seen");
+  static metrics::Counter& quarantined =
+      metrics::counter("stream.rows_quarantined");
+  ++stats_.rows_seen;
+  seen.inc();
+  if (reason.empty()) return true;
+  ++stats_.rows_quarantined;
+  quarantined.inc();
+  ++stats_.quarantine_reasons[reason];
+  quarantine_counter(reason).inc();
+  out.quarantine_reason = reason;
+  return false;
 }
 
 void StreamPipeline::ingest(KeyState& state, const bench::Record& rec) {

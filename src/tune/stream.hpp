@@ -134,6 +134,11 @@ class StreamPipeline {
   [[nodiscard]] RowOutcome push_locked(const BankKey& key,
                                        const bench::Record& rec)
       MPICP_REQUIRES(mu_);
+  /// Counts one row as seen and, when `reason` is non-empty, quarantines
+  /// it under that reason into the stats, the counters and `out`.
+  /// Returns true when the row is admitted (no reason).
+  [[nodiscard]] bool admit_locked(const std::string& reason, RowOutcome& out)
+      MPICP_REQUIRES(mu_);
   void ingest(KeyState& state, const bench::Record& rec)
       MPICP_REQUIRES(mu_);
   void observe_error(KeyState& state, const BankKey& key,

@@ -132,6 +132,31 @@ TEST(Dataset, MessageSizesPastThirtyBitsKeepTheirOwnSamples) {
   EXPECT_EQ(ds.instances().size(), 2u);
 }
 
+TEST(Dataset, CopiesNeverReadEachOthersMedians) {
+  Dataset a("t", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  a.add({1, 1, 1, 64, 10.0});
+  const Instance inst{1, 1, 64};
+  Dataset b = a;
+  b.add({1, 1, 1, 64, 30.0});
+  b.add({1, 1, 1, 64, 40.0});
+  // a caches its median first; b's must still come from b's samples.
+  EXPECT_DOUBLE_EQ(a.time_us(1, inst), 10.0);
+  EXPECT_DOUBLE_EQ(b.time_us(1, inst), 30.0);
+
+  // Copy assignment, then divergence after both have cached.
+  Dataset c("c", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  c = b;
+  EXPECT_DOUBLE_EQ(c.time_us(1, inst), 30.0);
+  c.add({1, 1, 1, 64, 50.0});
+  c.add({1, 1, 1, 64, 60.0});
+  EXPECT_DOUBLE_EQ(b.time_us(1, inst), 30.0);
+  EXPECT_DOUBLE_EQ(c.time_us(1, inst), 40.0);
+  EXPECT_DOUBLE_EQ(a.time_us(1, inst), 10.0);
+
+  const Dataset moved = std::move(c);
+  EXPECT_DOUBLE_EQ(moved.time_us(1, inst), 40.0);
+}
+
 TEST(Dataset, IndexMatchesABruteForceScan) {
   // Rows out of uid order, uid 3 missing at one instance, and an exact
   // median tie between uids 2 and 4 that must go to uid 2.

@@ -1,8 +1,8 @@
 // Equivalence and serving tests for the compiled model bank
 // (tune/compiled_bank.hpp): the lowered SoA form must reproduce the
 // interpreted Selector bit for bit — for every learner, at every thread
-// count, under fault injection — while adding grid selection and a
-// save/load round trip of its own.
+// count, under fault injection — while adding grid selection. The bank
+// is never stored: a server rebuilds it with Selector::load().compile().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -174,7 +172,7 @@ TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
 
 // ---- grid selection vs the interpreted selector --------------------------
 
-TEST(CompiledBankLayouts, GridAndSavedEnvelopeMatchInterpretedArgmin) {
+TEST(CompiledBankLayouts, GridAndReloadedSelectorMatchInterpretedArgmin) {
   const bench::Dataset ds = random_dataset(19);
   std::vector<bench::Instance> grid = ds.instances();
   const std::vector<bench::Instance> off = random_instances(57, 48);
@@ -186,13 +184,26 @@ TEST(CompiledBankLayouts, GridAndSavedEnvelopeMatchInterpretedArgmin) {
         << learner;
     const tune::CompiledBank bank = selector.compile();
 
-    // The loaded bank rebuilds its rank tables and KNN grids.
+    // The one persisted serving artifact is the selector file; a server
+    // compiles the bank from it, rebuilding the rank tables and grids.
     const std::filesystem::path path =
         std::filesystem::temp_directory_path() /
-        (std::string("mpicp_cb_v2_") + learner + ".txt");
-    bank.save(path);
-    const tune::CompiledBank loaded = tune::CompiledBank::load(path);
+        (std::string("mpicp_cb_selector_") + learner + ".txt");
+    selector.save(path);
+    const tune::CompiledBank loaded = tune::Selector::load(path).compile();
     std::filesystem::remove(path);
+    ASSERT_EQ(loaded.uids(), bank.uids()) << learner;
+    for (const bench::Instance& inst : grid) {
+      const auto before = bank.predict_all(inst);
+      const auto after = loaded.predict_all(inst);
+      ASSERT_EQ(before.size(), after.size());
+      for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(before[i].time_us),
+                  std::bit_cast<std::uint64_t>(after[i].time_us))
+            << learner << " uid " << before[i].uid;
+        EXPECT_EQ(before[i].usable, after[i].usable);
+      }
+    }
 
     std::vector<int> grid_picks(grid.size(), 0);
     for (const int threads : {1, 4}) {
@@ -209,7 +220,7 @@ TEST(CompiledBankLayouts, GridAndSavedEnvelopeMatchInterpretedArgmin) {
             << " ppn=" << grid[i].ppn;
       }
       EXPECT_EQ(loaded.select_grid(grid), interpreted)
-          << learner << " v2 envelope @" << threads << " threads";
+          << learner << " reloaded selector @" << threads << " threads";
     }
   }
 }
@@ -239,9 +250,9 @@ TEST(CompiledBankLayouts, GridHonorsFaultInjection) {
   }
 }
 
-// ---- incremental lowering vs full rebuild ---------------------------------
+// ---- incremental lowering --------------------------------------------------
 
-TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
+TEST(FlatBankLowering, MixedKindBankBuiltByAddMatchesEveryModel) {
   // Grid-valued features (few distinct values each, so the tree
   // ensembles get rank-cell tables), one target per model so the two
   // GBTs differ.
@@ -267,18 +278,13 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
     models.back()->fit(x, y);
   }
 
-  // add() derives each model's rank-cell table on its own; load()
-  // rebuilds every derived pool from the saved canonical ones.
+  // add() derives each model's rank-cell table or KNN grid on its own,
+  // appending to pools that already hold the earlier models'.
   ml::FlatBank incremental;
   for (const auto& model : models) incremental.add(*model);
-  std::stringstream envelope;
-  incremental.save(envelope);
-  ml::FlatBank rebuilt;
-  rebuilt.load(envelope);
-  ASSERT_EQ(rebuilt.size(), incremental.size());
+  ASSERT_EQ(incremental.size(), models.size());
   for (const std::size_t i : {0u, 2u, 4u}) {
     EXPECT_TRUE(incremental.has_rank_table(i)) << "model " << i;
-    EXPECT_TRUE(rebuilt.has_rank_table(i)) << "model " << i;
   }
 
   // Queries on the grid (training rows) and off it (fractional and
@@ -293,298 +299,16 @@ TEST(FlatBankLowering, IncrementalAddMatchesFullRebuildOnLoad) {
                                    rng.uniform(0.5, 10.0)});
   }
   const std::size_t count = queries.size() / 3;
-  ml::FlatScratch sa;
-  ml::FlatScratch sb;
+  ml::FlatScratch scratch;
   for (std::size_t q = 0; q < count; ++q) {
     const std::span<const double> v(queries.data() + 3 * q, 3);
-    incremental.begin_query(sa);
-    rebuilt.begin_query(sb);
+    incremental.begin_query(scratch);
     for (std::size_t i = 0; i < incremental.size(); ++i) {
-      EXPECT_EQ(incremental.predict_one(i, v, sa),
-                rebuilt.predict_one(i, v, sb))
-          << "model " << i << " query " << q;
-      EXPECT_EQ(incremental.predict_one(i, v, sa), models[i]->predict_one(v))
+      EXPECT_EQ(incremental.predict_one(i, v, scratch),
+                models[i]->predict_one(v))
           << "model " << i << " query " << q;
     }
   }
-}
-
-// ---- loader hardening ------------------------------------------------------
-
-/// Loads `lines` (one envelope value per line) as a flat bank and
-/// returns the ParseError message, or "" when the load succeeds.
-std::string flatbank_load_error(const std::vector<std::string>& lines) {
-  std::stringstream envelope;
-  for (const std::string& line : lines) envelope << line << '\n';
-  ml::FlatBank bank;
-  try {
-    bank.load(envelope);
-  } catch (const ParseError& e) {
-    return e.what();
-  }
-  return "";
-}
-
-/// The envelope lines of `bank` and the line of its first basis-pool
-/// value: the v4 layout puts, after the model fields, the node pool
-/// (count, 5 values per node), then five vectors (tree roots, points,
-/// targets, scaler means, scaler inverse deviations; each a size line
-/// and its values), then the basis pool (count, then lo, hi, num_basis
-/// per basis), the slot pool (count, then basis, feature per slot), the
-/// per-model slot-index vector and the coefficient vector.
-struct EnvelopeLines {
-  std::vector<std::string> lines;
-  std::size_t bases_line = 0;
-};
-
-EnvelopeLines envelope_lines(const ml::FlatBank& bank) {
-  std::stringstream saved;
-  bank.save(saved);
-  EnvelopeLines out;
-  for (std::string line; std::getline(saved, line);) {
-    out.lines.push_back(line);
-  }
-  std::size_t at = 3 + 17 * bank.size();
-  at += 1 + 5 * std::stoul(out.lines[at]);
-  for (int v = 0; v < 5; ++v) at += 1 + std::stoul(out.lines[at]);
-  out.bases_line = at;
-  return out;
-}
-
-TEST(FlatBankLoad, RejectsTreeIndicesOutsideTheirPreorderPools) {
-  support::Xoshiro256 rng(8);
-  const std::size_t rows = 120;
-  ml::Matrix x(rows, 3);
-  std::vector<double> y(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    x(r, 0) = static_cast<double>(rng.uniform_int(10));
-    x(r, 1) = static_cast<double>(1 + rng.uniform_int(16));
-    x(r, 2) = static_cast<double>(1 + rng.uniform_int(4));
-    y[r] = 1.0 + x(r, 0) + x(r, 1) * x(r, 2) + rng.uniform(0.0, 0.5);
-  }
-  const std::unique_ptr<ml::Regressor> model = ml::make_regressor("xgboost");
-  model->fit(x, y);
-  ml::FlatBank bank;
-  bank.add(*model);
-  const std::vector<std::string> lines = envelope_lines(bank).lines;
-
-  // v4 layout, one value per line: tag, version, model count, 17
-  // values per model (tree_end is the 4th), node count, 5 values per
-  // node (feature, threshold, left, right, value), then the tree-root
-  // vector (size, roots).
-  constexpr std::size_t kModelFields = 17;
-  const std::size_t tree_end_line = 3 + 3;
-  const std::size_t nodes_line = 3 + kModelFields;
-  const std::size_t num_nodes = std::stoul(lines[nodes_line]);
-  const auto node_line = [&](std::size_t n, std::size_t field) {
-    return nodes_line + 1 + 5 * n + field;
-  };
-  const std::size_t roots_line = nodes_line + 1 + 5 * num_nodes;
-  const std::size_t num_trees = std::stoul(lines[roots_line]);
-  ASSERT_GT(num_trees, 1u);
-  ASSERT_EQ(std::stoul(lines[tree_end_line]), num_trees);
-  ASSERT_NE(lines[node_line(0, 0)], "-1") << "root of tree 0 is a leaf";
-  ASSERT_EQ(flatbank_load_error(lines), "");
-
-  // True when the envelope with `line` set to `value` fails to load
-  // with a message naming `check`.
-  const auto rejected = [&](std::size_t line, const std::string& value,
-                            const std::string& check) {
-    std::vector<std::string> out = lines;
-    out[line] = value;
-    return flatbank_load_error(out).find(check) != std::string::npos;
-  };
-  const std::string past_pool = std::to_string(num_nodes);
-  // A back edge (root -> root) would loop the derived build forever.
-  EXPECT_TRUE(rejected(node_line(0, 2), "0", "preorder"));
-  // Children past the pool would read outside nodes_.
-  EXPECT_TRUE(rejected(node_line(0, 3), past_pool, "preorder"));
-  // A child inside the pool but in the next tree.
-  EXPECT_TRUE(rejected(node_line(0, 3), lines[roots_line + 2], "preorder"));
-  // Roots and per-model tree ranges outside their pools.
-  EXPECT_TRUE(
-      rejected(roots_line + num_trees, past_pool, "root out of range"));
-  EXPECT_TRUE(rejected(roots_line + 1, "1", "do not cover"));
-  EXPECT_TRUE(rejected(tree_end_line, std::to_string(num_trees + 1),
-                       "tree range"));
-  // The walk would read x[feature] past a kMaxKnnDim-feature query.
-  EXPECT_TRUE(rejected(node_line(0, 0), std::to_string(ml::kMaxKnnDim),
-                       "tree feature"));
-}
-
-TEST(FlatBankLoad, RejectsKnnFieldsOutsideTheirPools) {
-  support::Xoshiro256 rng(9);
-  const std::size_t rows = 20;
-  ml::Matrix x(rows, 3);
-  std::vector<double> y(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t f = 0; f < 3; ++f) {
-      x(r, f) = static_cast<double>(rng.uniform_int(5));
-    }
-    y[r] = rng.uniform(1.0, 10.0);
-  }
-  ml::KnnRegressor model;
-  model.fit(x, y);
-  ml::FlatBank bank;
-  bank.add(model);
-  const std::vector<std::string> lines = envelope_lines(bank).lines;
-
-  // v4 layout: tag, version, model count, then the 17 model fields:
-  // kind, exp_link, tree_begin, tree_end, base_score, mean_over_trees,
-  // k, points_begin, num_points, point_dim, targets_begin,
-  // scaler_begin, then the GAM/coefficient fields.
-  const auto field = [](std::size_t f) { return 3 + f; };
-  ASSERT_EQ(lines[1], "4");
-  ASSERT_EQ(lines[field(0)], "1") << "kind is kKnn";
-  ASSERT_EQ(lines[field(8)], std::to_string(rows));
-  ASSERT_EQ(lines[field(11)], "0") << "the model is scaled";
-  ASSERT_EQ(flatbank_load_error(lines), "");
-
-  const auto error_with = [&](std::size_t line, const std::string& value) {
-    std::vector<std::string> out = lines;
-    out[line] = value;
-    return flatbank_load_error(out);
-  };
-  const auto rejected = [&](std::size_t line, const std::string& value,
-                            const std::string& check) {
-    return error_with(line, value).find(check) != std::string::npos;
-  };
-  EXPECT_TRUE(rejected(1, "3", "unsupported flatbank version"));
-  EXPECT_TRUE(rejected(field(0), "5", "unknown model kind"));
-  EXPECT_TRUE(rejected(field(0), "-1", "unknown model kind"));
-  EXPECT_TRUE(rejected(field(6), "0", "knn k outside"));
-  EXPECT_TRUE(rejected(field(6), std::to_string(ml::kMaxKnnK + 1),
-                       "knn k outside"));
-  EXPECT_TRUE(rejected(field(9), "0", "point_dim outside"));
-  EXPECT_TRUE(rejected(field(9), "5", "point_dim outside"));
-  EXPECT_TRUE(rejected(field(7), "-1", "point pool"));
-  EXPECT_TRUE(rejected(field(7), "1", "point pool"));
-  EXPECT_TRUE(rejected(field(8), "0", "point pool"));
-  EXPECT_TRUE(rejected(field(8), std::to_string(rows + 1), "point pool"));
-  EXPECT_TRUE(rejected(field(10), "1", "target pool"));
-  EXPECT_TRUE(rejected(field(10), "-1", "target pool"));
-  EXPECT_TRUE(rejected(field(11), "1", "scaler pools"));
-  EXPECT_TRUE(rejected(field(11), "-2", "scaler pools"));
-  // Fewer features over the same pools, or the model read unscaled,
-  // stay inside every pool and load.
-  EXPECT_EQ(error_with(field(9), "2"), "");
-  EXPECT_EQ(error_with(field(11), "-1"), "");
-}
-
-TEST(FlatBankLoad, RejectsGamFieldsOutsideTheirPools) {
-  support::Xoshiro256 rng(10);
-  const std::size_t rows = 80;
-  ml::Matrix x(rows, 3);
-  std::vector<double> y(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    x(r, 0) = rng.uniform(0.0, 22.0);
-    x(r, 1) = rng.uniform(1.0, 64.0);
-    x(r, 2) = rng.uniform(1.0, 32.0);
-    y[r] = 1.0 + x(r, 0) + x(r, 1) * x(r, 2) + rng.uniform(0.0, 0.5);
-  }
-  const std::unique_ptr<ml::Regressor> model = ml::make_regressor("gam");
-  model->fit(x, y);
-  ml::FlatBank bank;
-  bank.add(*model);
-  const EnvelopeLines env = envelope_lines(bank);
-  const std::vector<std::string>& lines = env.lines;
-
-  // Model fields 12-16: slot_begin, num_bases, basis_size, coef_begin,
-  // coef_len.
-  const auto field = [](std::size_t f) { return 3 + f; };
-  ASSERT_EQ(lines[field(0)], "2") << "kind is kGam";
-  ASSERT_EQ(lines[field(13)], "3");
-  const std::size_t num_bases = std::stoul(lines[env.bases_line]);
-  const auto basis_line = [&](std::size_t b, std::size_t f) {
-    return env.bases_line + 1 + 3 * b + f;
-  };
-  const std::size_t slots_line = basis_line(num_bases, 0);
-  const std::size_t num_slots = std::stoul(lines[slots_line]);
-  const auto slot_line = [&](std::size_t s, std::size_t f) {
-    return slots_line + 1 + 2 * s + f;
-  };
-  const std::size_t gam_slots_line = slot_line(num_slots, 0);
-  ASSERT_EQ(num_bases, 3u);
-  ASSERT_EQ(num_slots, 3u);
-  ASSERT_EQ(lines[gam_slots_line], "3");
-  ASSERT_EQ(lines[basis_line(0, 2)], lines[field(14)]);
-  ASSERT_EQ(flatbank_load_error(lines), "");
-
-  const auto rejected = [&](std::size_t line, const std::string& value,
-                            const std::string& check) {
-    std::vector<std::string> out = lines;
-    out[line] = value;
-    return flatbank_load_error(out).find(check) != std::string::npos;
-  };
-  const std::string coef_len = lines[field(16)];
-  EXPECT_TRUE(rejected(field(15), "-1", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(15), "1", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(16), std::to_string(std::stoul(coef_len) + 1),
-                       "coefficient pool"));
-  EXPECT_TRUE(rejected(field(14), std::to_string(
-                                      std::stoul(lines[field(14)]) + 1),
-                       "do not match its bases"));
-  EXPECT_TRUE(rejected(field(12), "-1", "slot range"));
-  EXPECT_TRUE(rejected(field(12), "1", "slot range"));
-  EXPECT_TRUE(rejected(gam_slots_line + 3, "-1", "slot index"));
-  EXPECT_TRUE(
-      rejected(gam_slots_line + 3, std::to_string(num_slots), "slot index"));
-  EXPECT_TRUE(rejected(slot_line(2, 0), "-1", "basis index"));
-  EXPECT_TRUE(
-      rejected(slot_line(2, 0), std::to_string(num_bases), "basis index"));
-  EXPECT_TRUE(rejected(slot_line(2, 1), "-1", "slot feature"));
-  EXPECT_TRUE(rejected(slot_line(2, 1), std::to_string(ml::kMaxKnnDim),
-                       "slot feature"));
-  // A basis wider than its model's basis_size would write past the
-  // model's stride in the scratch slot values.
-  EXPECT_TRUE(rejected(basis_line(2, 2),
-                       std::to_string(std::stoul(lines[field(14)]) + 1),
-                       "basis size differs"));
-}
-
-TEST(FlatBankLoad, RejectsLinearAndConstantFieldsOutsideTheirPools) {
-  support::Xoshiro256 rng(12);
-  const std::size_t rows = 40;
-  ml::Matrix x(rows, 4);
-  std::vector<double> y(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t f = 0; f < 4; ++f) x(r, f) = rng.uniform(0.0, 10.0);
-    y[r] = 2.0 + x(r, 0) + 3.0 * x(r, 3) + rng.uniform(0.0, 0.5);
-  }
-  ml::FlatBank bank;
-  for (const char* learner : {"linear", "median"}) {
-    const std::unique_ptr<ml::Regressor> model = ml::make_regressor(learner);
-    model->fit(x, y);
-    bank.add(*model);
-  }
-  const std::vector<std::string> lines = envelope_lines(bank).lines;
-  // Model fields 15-16 (coef_begin, coef_len) of the linear model, then
-  // of the constant one; the coefficient pool holds 5 + 1 values.
-  const auto field = [](std::size_t model, std::size_t f) {
-    return 3 + 17 * model + f;
-  };
-  ASSERT_EQ(lines[field(0, 0)], "3") << "kind is kLinear";
-  ASSERT_EQ(lines[field(1, 0)], "4") << "kind is kConstant";
-  ASSERT_EQ(lines[field(0, 16)], "5");
-  ASSERT_EQ(lines[field(1, 15)], "5");
-  ASSERT_EQ(flatbank_load_error(lines), "");
-
-  const auto rejected = [&](std::size_t line, const std::string& value,
-                            const std::string& check) {
-    std::vector<std::string> out = lines;
-    out[line] = value;
-    return flatbank_load_error(out).find(check) != std::string::npos;
-  };
-  EXPECT_TRUE(rejected(field(0, 15), "-1", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(0, 15), "2", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(0, 16), "0", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(0, 16), "7", "coefficient pool"));
-  // Inside the pool, but the kernel would read x[4] of a query holding
-  // at most kMaxKnnDim features.
-  EXPECT_TRUE(rejected(field(0, 16), "6", "over kMaxKnnDim"));
-  EXPECT_TRUE(rejected(field(1, 15), "-1", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(1, 15), "6", "coefficient pool"));
-  EXPECT_TRUE(rejected(field(1, 16), "0", "coefficient pool"));
 }
 
 // ---- single-instance rank-cell dispatch ----------------------------------
@@ -1058,18 +782,11 @@ TEST(FlatBankKnnGrid, MatchesTheInterpretedReferenceBitForBit) {
       knn_grid_model("unscaled 4 features", 6, true, 0, 4, unscaled));
   ml::FlatBank bank;
   for (const KnnGridModel& c : cases) bank.add(*c.model);
-  std::stringstream saved;
-  bank.save(saved);
-  ml::FlatBank loaded;
-  loaded.load(saved);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     ASSERT_TRUE(bank.has_knn_grid(i)) << cases[i].name;
-    ASSERT_TRUE(loaded.has_knn_grid(i)) << cases[i].name;
-    const auto queries = knn_queries(cases[i].x, 100 + i);
-    expect_knn_matches_reference(bank, i, *cases[i].model, queries,
+    expect_knn_matches_reference(bank, i, *cases[i].model,
+                                 knn_queries(cases[i].x, 100 + i),
                                  cases[i].name);
-    expect_knn_matches_reference(loaded, i, *cases[i].model, queries,
-                                 cases[i].name + " (loaded)");
   }
 }
 
@@ -1136,75 +853,6 @@ TEST(FlatBankKnnGrid, RejectsModelsOverTheCaps) {
   wide.fit(x3, y);
   EXPECT_THROW(bank.add(wide), InvalidArgument);
   EXPECT_EQ(bank.size(), 0u);
-}
-
-// ---- save / load round trip ----------------------------------------------
-
-TEST(CompiledBank, SaveLoadRoundTripIsExact) {
-  const bench::Dataset ds = random_dataset(13);
-  const auto instances = random_instances(17, 16);
-  for (const char* learner : kAllLearners) {
-    tune::Selector selector(tune::SelectorOptions{.learner = learner});
-    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u)
-        << learner;
-    const tune::CompiledBank bank = selector.compile();
-
-    const std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        (std::string("mpicp_compiled_bank_") + learner + ".txt");
-    bank.save(path);
-    const tune::CompiledBank loaded = tune::CompiledBank::load(path);
-    std::filesystem::remove(path);
-
-    EXPECT_EQ(loaded.uids(), bank.uids()) << learner;
-    for (const bench::Instance& inst : instances) {
-      const auto before = bank.predict_all(inst);
-      const auto after = loaded.predict_all(inst);
-      ASSERT_EQ(before.size(), after.size());
-      for (std::size_t i = 0; i < before.size(); ++i) {
-        EXPECT_EQ(before[i].time_us, after[i].time_us)
-            << learner << " uid " << before[i].uid;
-        EXPECT_EQ(before[i].usable, after[i].usable);
-      }
-    }
-  }
-}
-
-TEST(CompiledBank, LoadRejectsOutdatedEnvelopes) {
-  const bench::Dataset ds = random_dataset(13);
-  tune::Selector selector(tune::SelectorOptions{.learner = "xgboost"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 0u);
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "mpicp_compiled_bank_v1.txt";
-  selector.compile().save(path);
-  std::string contents;
-  {
-    std::ifstream is(path);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    contents = ss.str();
-  }
-  // Only the current versions are written or loaded: a version-1 bank
-  // header, or a nested flatbank envelope older than version 4 (v3
-  // carried the blocked-layout depth, v2 the compiled kd-tree), is a
-  // parse error.
-  const std::pair<std::string, std::string> downgrades[] = {
-      {"mpicp-compiled-bank 2\n", "mpicp-compiled-bank 1\n"},
-      {"flatbank\n4\n", "flatbank\n3\n"},
-      {"flatbank\n4\n", "flatbank\n2\n"},
-      {"flatbank\n4\n", "flatbank\n1\n"}};
-  for (const auto& [from, to] : downgrades) {
-    std::string v1 = contents;
-    const std::size_t at = v1.find(from);
-    ASSERT_NE(at, std::string::npos) << from;
-    v1.replace(at, from.size(), to);
-    {
-      std::ofstream os(path);
-      os << v1;
-    }
-    EXPECT_THROW((void)tune::CompiledBank::load(path), ParseError) << to;
-  }
-  std::filesystem::remove(path);
 }
 
 // ---- contracts ------------------------------------------------------------

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "ml/learner.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tune/selector.hpp"
 
@@ -98,6 +101,33 @@ TEST(SelectorRoundTrip, DecisionsIdenticalAfterSaveLoad) {
                          selector.predicted_time_us(uid, inst));
       }
     }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SelectorLoad, RejectsRepeatedAndNonPositiveUids) {
+  const Synth train = make_synth(60, 3);
+  const auto model = ml::make_regressor("linear");
+  model->fit(train.x, train.y);
+  const auto path =
+      std::filesystem::temp_directory_path() / "mpicp_selector_uids.model";
+  // A selector file holding the same fitted model under each uid.
+  const auto write = [&](const std::vector<int>& uids) {
+    std::ofstream os(path);
+    os << "mpicp-selector 1\nlinear\n0\n" << uids.size() << '\n';
+    for (const int uid : uids) {
+      os << uid << '\n';
+      ml::save_regressor(os, *model);
+    }
+  };
+  write({1, 2});
+  EXPECT_EQ(tune::Selector::load(path).uids(), (std::vector<int>{1, 2}));
+  // A repeated uid would drop a model; a uid <= 0 can never be served.
+  for (const std::vector<int>& uids : std::vector<std::vector<int>>{
+           {1, 1}, {2, 1, 2}, {0, 2}, {-3, 2}, {1, -1}}) {
+    write(uids);
+    EXPECT_THROW((void)tune::Selector::load(path), ParseError)
+        << ::testing::PrintToString(uids);
   }
   std::filesystem::remove(path);
 }
