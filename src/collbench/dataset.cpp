@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "support/csv.hpp"
@@ -128,35 +131,40 @@ void Dataset::save_csv(const std::filesystem::path& path) const {
   support::write_csv(path, table);
 }
 
-Dataset Dataset::load_csv(const std::filesystem::path& path,
-                          std::string name, sim::MpiLib lib,
-                          sim::Collective coll, std::string machine) {
-  const support::CsvTable table = support::read_csv(path);
-  Dataset ds(std::move(name), lib, coll, std::move(machine));
-  const std::size_t c_uid = table.column("uid");
-  const std::size_t c_nodes = table.column("nodes");
-  const std::size_t c_ppn = table.column("ppn");
-  const std::size_t c_msize = table.column("msize");
-  const std::size_t c_time = table.column("time_us");
-  for (std::size_t i = 0; i < table.num_rows(); ++i) {
-    Record rec;
-    MPICP_CHECK_PARSE(
-        narrow_key({table.cell_int(i, c_uid), table.cell_int(i, c_nodes),
-                    table.cell_int(i, c_ppn), table.cell_int(i, c_msize)},
-                   rec),
-        path.string() + ": data row " + std::to_string(i + 1) +
-            ": configuration key out of range");
-    rec.time_us = table.cell_double(i, c_time);
-    ds.add(rec);
-  }
-  return ds;
+namespace {
+
+namespace metrics = support::metrics;
+
+/// The five columns of a dataset CSV, resolved once per file.
+struct RecordColumns {
+  explicit RecordColumns(const support::CsvReader& reader)
+      : uid(reader.column("uid")),
+        nodes(reader.column("nodes")),
+        ppn(reader.column("ppn")),
+        msize(reader.column("msize")),
+        time_us(reader.column("time_us")) {}
+
+  std::size_t uid;
+  std::size_t nodes;
+  std::size_t ppn;
+  std::size_t msize;
+  std::size_t time_us;
+};
+
+/// A row's configuration key, its cells parsed in the order uid, nodes,
+/// ppn, msize; throws ParseError at the first unparseable one.
+ParsedKey parse_key(std::span<const std::string_view> cells,
+                    const RecordColumns& c) {
+  return {support::parse_int(cells[c.uid]),
+          support::parse_int(cells[c.nodes]),
+          support::parse_int(cells[c.ppn]),
+          support::parse_int(cells[c.msize])};
 }
 
-namespace {
+constexpr std::size_t kMaxSamples = 10;
 
 void quarantine(IngestReport& report, std::size_t lineno,
                 const std::string& reason) {
-  constexpr std::size_t kMaxSamples = 10;
   ++report.rows_quarantined;
   ++report.reasons[reason];
   if (report.samples.size() < kMaxSamples) {
@@ -164,7 +172,57 @@ void quarantine(IngestReport& report, std::size_t lineno,
   }
 }
 
+/// Accounts the rows `first` quarantined ahead of those `report` did.
+void prepend(IngestReport& report, IngestReport first) {
+  report.rows_quarantined += first.rows_quarantined;
+  for (const auto& [reason, count] : first.reasons) {
+    report.reasons[reason] += count;
+  }
+  for (const IngestReport::Sample& s : report.samples) {
+    if (first.samples.size() == kMaxSamples) break;
+    first.samples.push_back(s);
+  }
+  report.samples = std::move(first.samples);
+}
+
 }  // namespace
+
+Dataset Dataset::load_csv(const std::filesystem::path& path,
+                          std::string name, sim::MpiLib lib,
+                          sim::Collective coll, std::string machine) {
+  support::CsvReader reader(path);
+  const RecordColumns c(reader);
+  Dataset ds(std::move(name), lib, coll, std::move(machine));
+  // A row-width mismatch anywhere in the file is the error, as when the
+  // whole table was read before its first cell was parsed; failing that,
+  // the first row that fails to parse or to add. So a row's failure is
+  // held back until the rest of the file has passed the width check.
+  std::exception_ptr row_error;
+  std::size_t data_row = 0;
+  while (reader.next()) {
+    const auto cells = reader.cells();
+    if (cells.size() != reader.header().size()) {
+      MPICP_RAISE_PARSE(path.string() + ":" +
+                        std::to_string(reader.lineno()) +
+                        ": row width mismatch");
+    }
+    ++data_row;
+    if (row_error) continue;
+    try {
+      Record rec;
+      MPICP_CHECK_PARSE(narrow_key(parse_key(cells, c), rec),
+                        path.string() + ": data row " +
+                            std::to_string(data_row) +
+                            ": configuration key out of range");
+      rec.time_us = support::parse_double(cells[c.time_us]);
+      ds.add(rec);
+    } catch (const Error&) {
+      row_error = std::current_exception();
+    }
+  }
+  if (row_error) std::rethrow_exception(row_error);
+  return ds;
+}
 
 bool narrow_key(const ParsedKey& key, Record& rec) {
   if (!std::in_range<int>(key.uid) || !std::in_range<int>(key.nodes) ||
@@ -194,32 +252,27 @@ Dataset Dataset::load_csv_tolerant(const std::filesystem::path& path,
                                    std::string machine,
                                    IngestReport* report) {
   MPICP_SPAN("ingest.load_csv_tolerant");
-  const support::CsvReadResult read = support::read_csv_lenient(path);
-  const support::CsvTable& table = read.table;
+  support::CsvReader reader(path);
+  const RecordColumns c(reader);
   Dataset ds(std::move(name), lib, coll, std::move(machine));
+  // Rows of the wrong width are accounted ahead of every other
+  // quarantined row, as when the whole table was read before its first
+  // cell was parsed: the report's samples list them first.
   IngestReport local;
-  // Structurally bad rows never reached the table; account for them
-  // first so rows_seen covers every data line in the file.
-  for (const support::CsvRowError& err : read.errors) {
+  IngestReport misshapen;
+  while (reader.next()) {
     ++local.rows_seen;
-    quarantine(local, err.lineno, err.reason);
-  }
-  const std::size_t c_uid = table.column("uid");
-  const std::size_t c_nodes = table.column("nodes");
-  const std::size_t c_ppn = table.column("ppn");
-  const std::size_t c_msize = table.column("msize");
-  const std::size_t c_time = table.column("time_us");
-  for (std::size_t i = 0; i < table.num_rows(); ++i) {
-    ++local.rows_seen;
-    const std::size_t lineno = read.linenos[i];
+    const std::size_t lineno = reader.lineno();
+    const auto cells = reader.cells();
+    if (cells.size() != reader.header().size()) {
+      quarantine(misshapen, lineno, "row width mismatch");
+      continue;
+    }
     Record rec;
     bool key_in_range = false;
     try {
-      key_in_range = narrow_key(
-          {table.cell_int(i, c_uid), table.cell_int(i, c_nodes),
-           table.cell_int(i, c_ppn), table.cell_int(i, c_msize)},
-          rec);
-      rec.time_us = table.cell_double(i, c_time);
+      key_in_range = narrow_key(parse_key(cells, c), rec);
+      rec.time_us = support::parse_double(cells[c.time_us]);
     } catch (const ParseError&) {
       quarantine(local, lineno, "unparseable field");
       continue;
@@ -233,13 +286,21 @@ Dataset Dataset::load_csv_tolerant(const std::filesystem::path& path,
       ++local.rows_ingested;
     }
   }
-  namespace metrics = support::metrics;
-  metrics::counter("ingest.files").inc();
-  metrics::counter("ingest.rows_seen").inc(local.rows_seen);
-  metrics::counter("ingest.rows_ingested").inc(local.rows_ingested);
-  metrics::counter("ingest.rows_quarantined").inc(local.rows_quarantined);
+  prepend(local, std::move(misshapen));
+  static metrics::Counter& files = metrics::counter("ingest.files");
+  static metrics::Counter& rows_seen = metrics::counter("ingest.rows_seen");
+  static metrics::Counter& rows_ingested =
+      metrics::counter("ingest.rows_ingested");
+  static metrics::Counter& rows_quarantined =
+      metrics::counter("ingest.rows_quarantined");
+  static metrics::Family<metrics::Counter> quarantined(
+      "ingest.quarantine.", kQuarantineReasons);
+  files.inc();
+  rows_seen.inc(local.rows_seen);
+  rows_ingested.inc(local.rows_ingested);
+  rows_quarantined.inc(local.rows_quarantined);
   for (const auto& [reason, count] : local.reasons) {
-    metrics::counter("ingest.quarantine." + reason).inc(count);
+    quarantined.get(reason).inc(count);
   }
   if (report) *report = local;
   return ds;

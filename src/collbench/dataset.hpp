@@ -91,6 +91,13 @@ struct ParsedKey {
 /// so their quarantine accounting matches file ingest byte for byte.
 [[nodiscard]] std::string validate_record(const Record& rec);
 
+/// Every reason a tolerant reader quarantines a row under: the
+/// structural ones ("row width mismatch", "unparseable field") and
+/// those validate_record returns.
+inline constexpr const char* kQuarantineReasons[] = {
+    "row width mismatch", "unparseable field", "bad configuration key",
+    "non-finite time",    "non-positive time", "implausible time"};
+
 class Dataset {
  public:
   Dataset(std::string name, sim::MpiLib lib, sim::Collective coll,

@@ -64,8 +64,12 @@ double kfold_rmse(const std::string& learner, const Matrix& x,
   // are reduced in fold order — the result is bit-identical to the
   // serial loop at any thread count.
   MPICP_SPAN("cv.kfold_rmse");
-  support::metrics::counter("cv.runs").inc();
-  support::metrics::counter("cv.folds").inc(static_cast<std::size_t>(folds));
+  static support::metrics::Counter& runs =
+      support::metrics::counter("cv.runs");
+  static support::metrics::Counter& fold_count =
+      support::metrics::counter("cv.folds");
+  runs.inc();
+  fold_count.inc(static_cast<std::size_t>(folds));
   const std::vector<Split> splits = kfold_splits(x.rows(), folds, seed);
   std::vector<double> fold_rmse(splits.size(), 0.0);
   support::parallel_for(splits.size(), 1, [&](std::size_t f) {
@@ -75,7 +79,9 @@ double kfold_rmse(const std::string& learner, const Matrix& x,
     model->fit(take_rows(x, split.train), take(y, split.train));
     const auto pred = model->predict(take_rows(x, split.test));
     fold_rmse[f] = rmse(take(y, split.test), pred);
-    support::metrics::histogram("cv.fold_rmse").observe(fold_rmse[f]);
+    static support::metrics::Histogram& rmse_hist =
+        support::metrics::histogram("cv.fold_rmse");
+    rmse_hist.observe(fold_rmse[f]);
   });
   double acc = 0.0;
   for (const double r : fold_rmse) acc += r;

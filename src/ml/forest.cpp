@@ -43,7 +43,7 @@ void RandomForest::fit(const Matrix& x, std::span<const double> y) {
       params_.row_fraction * static_cast<double>(n));
   trees_.clear();
   trees_.reserve(static_cast<std::size_t>(params_.num_trees));
-  std::vector<GradPair> hist_scratch;
+  RegressionTree::Scratch scratch;
   std::vector<int> rows;
   rows.reserve(std::max<std::size_t>(sample_size, 1));
   for (int t = 0; t < params_.num_trees; ++t) {
@@ -52,7 +52,7 @@ void RandomForest::fit(const Matrix& x, std::span<const double> y) {
       r = static_cast<int>(rng.uniform_int(n));  // bootstrap
     }
     RegressionTree tree;
-    tree.fit(binner, codes, d, gh, rows, tree_params, hist_scratch);
+    tree.fit(binner, codes, d, gh, rows, tree_params, scratch);
     trees_.push_back(std::move(tree));
   }
 }

@@ -1,7 +1,10 @@
 #include "ml/gam.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "ml/io.hpp"
 #include "support/error.hpp"
@@ -13,22 +16,27 @@ GamRegressor::GamRegressor(GamParams params) : params_(params) {
   MPICP_REQUIRE(params_.lambda >= 0.0, "negative smoothing penalty");
 }
 
-Matrix GamRegressor::design_row(std::span<const double> x) const {
-  const int nb = params_.basis_per_feature;
-  Matrix row(1, 1 + x.size() * static_cast<std::size_t>(nb));
-  row(0, 0) = 1.0;
+void GamRegressor::design_row_into(std::span<const double> x,
+                                   std::span<double> out) const {
+  const auto nb = static_cast<std::size_t>(params_.basis_per_feature);
+  out[0] = 1.0;
   for (std::size_t f = 0; f < x.size(); ++f) {
-    const auto b = bases_[f].evaluate(x[f]);
-    for (int j = 0; j < nb; ++j) row(0, 1 + f * nb + j) = b[j];
+    bases_[f].evaluate_into(x[f], out.subspan(1 + f * nb, nb));
   }
-  return row;
 }
 
 void GamRegressor::fit(const Matrix& x, std::span<const double> y) {
   MPICP_REQUIRE(x.rows() == y.size() && !y.empty(),
                 "training data shape mismatch");
+  // The sparse products are exact only on finite factors (matrix.cpp).
   for (const double v : y) {
-    MPICP_REQUIRE(v > 0.0, "Gamma family needs positive targets");
+    MPICP_REQUIRE(std::isfinite(v) && v > 0.0,
+                  "Gamma family needs finite positive targets");
+  }
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (const double v : x.row(i)) {
+      MPICP_REQUIRE(std::isfinite(v), "GAM needs finite features");
+    }
   }
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
@@ -50,15 +58,26 @@ void GamRegressor::fit(const Matrix& x, std::span<const double> y) {
 
   // Full design matrix [1 | B_1 | ... | B_d].
   const std::size_t cols = 1 + d * static_cast<std::size_t>(nb);
+  // Repetitions of one instance are adjacent rows with the same feature
+  // bits, and so the same design row: copy it rather than re-evaluate.
   Matrix design(n, cols);
   for (std::size_t i = 0; i < n; ++i) {
-    const Matrix row = design_row(x.row(i));
-    std::copy(row.row(0).begin(), row.row(0).end(), design.row(i).begin());
+    const auto xi = x.row(i);
+    if (i > 0 && std::memcmp(xi.data(), x.row(i - 1).data(),
+                             xi.size_bytes()) == 0) {
+      std::ranges::copy(design.row(i - 1), design.row(i).begin());
+    } else {
+      design_row_into(xi, design.row(i));
+    }
   }
+
+  // At most 4 of each smoother's basis values are nonzero in a row, so
+  // every product below runs on the design's nonzero entries alone.
+  const SparseRows sparse(design);
 
   // Penalized normal matrix: X'X + lambda * blockdiag(S_f) (+ a whiff of
   // ridge for identifiability of the overlapping constant directions).
-  Matrix normal = design.gram();
+  Matrix normal = sparse.gram();
   for (std::size_t f = 0; f < d; ++f) {
     const Matrix pen = bases_[f].penalty();
     for (int a = 0; a < nb; ++a) {
@@ -71,10 +90,22 @@ void GamRegressor::fit(const Matrix& x, std::span<const double> y) {
   for (std::size_t c = 0; c < cols; ++c) normal(c, c) += 1e-8;
 
   // Penalized IRLS. Gamma + log link has unit IRLS weights, so the
-  // normal matrix is iteration-invariant; only the working response z =
-  // eta + (y - mu)/mu changes.
+  // normal matrix is iteration-invariant and factored once; only the
+  // working response z = eta + (y - mu)/mu changes.
+  // Each row's mean mu = exp(eta) is computed once per iteration, for
+  // the deviance, and serves the next iteration's working response.
+  // Equal design rows get equal eta bits, so a row reuses the previous
+  // row's mean when its eta repeats.
+  const Matrix factor = cholesky_factor(normal);
+  const auto mean_of = [](double eta) {
+    return std::exp(std::clamp(eta, -40.0, 40.0));
+  };
   std::vector<double> eta(n);
-  for (std::size_t i = 0; i < n; ++i) eta[i] = std::log(y[i]);
+  std::vector<double> mu(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    eta[i] = std::log(y[i]);
+    mu[i] = mean_of(eta[i]);
+  }
   beta_.assign(cols, 0.0);
   iterations_ = 0;
   double prev_dev = 1e300;
@@ -82,16 +113,18 @@ void GamRegressor::fit(const Matrix& x, std::span<const double> y) {
   for (int it = 0; it < params_.max_iters; ++it) {
     ++iterations_;
     for (std::size_t i = 0; i < n; ++i) {
-      const double mu = std::exp(std::clamp(eta[i], -40.0, 40.0));
-      z[i] = eta[i] + (y[i] - mu) / mu;
+      z[i] = eta[i] + (y[i] - mu[i]) / mu[i];
     }
-    beta_ = cholesky_solve(normal, design.transpose_times(z));
-    eta = design.times(beta_);
+    beta_ = cholesky_substitute(factor, sparse.transpose_times(z));
+    eta = sparse.times(beta_);
     // Gamma deviance for convergence monitoring.
     double dev = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double mu = std::exp(std::clamp(eta[i], -40.0, 40.0));
-      dev += 2.0 * (-std::log(y[i] / mu) + (y[i] - mu) / mu);
+      mu[i] = i > 0 && std::bit_cast<std::uint64_t>(eta[i]) ==
+                           std::bit_cast<std::uint64_t>(eta[i - 1])
+                  ? mu[i - 1]
+                  : mean_of(eta[i]);
+      dev += 2.0 * (-std::log(y[i] / mu[i]) + (y[i] - mu[i]) / mu[i]);
     }
     if (std::abs(prev_dev - dev) <
         params_.tol * (std::abs(dev) + params_.tol)) {
@@ -132,11 +165,10 @@ void GamRegressor::load(std::istream& is) {
 
 double GamRegressor::predict_one(std::span<const double> x) const {
   MPICP_REQUIRE(!beta_.empty(), "predicting with an unfitted model");
-  const Matrix row = design_row(x);
+  std::vector<double> row(beta_.size());
+  design_row_into(x, row);
   double eta = 0.0;
-  for (std::size_t c = 0; c < row.cols(); ++c) {
-    eta += row(0, c) * beta_[c];
-  }
+  for (std::size_t c = 0; c < row.size(); ++c) eta += row[c] * beta_[c];
   return std::exp(std::clamp(eta, -40.0, 40.0));
 }
 

@@ -42,7 +42,9 @@ class GamRegressor final : public Regressor {
   const std::vector<double>& beta() const { return beta_; }
 
  private:
-  Matrix design_row(std::span<const double> x) const;
+  /// [1 | B_1(x_1) | ... | B_d(x_d)] into `out` (1 + d * basis values).
+  void design_row_into(std::span<const double> x,
+                       std::span<double> out) const;
 
   GamParams params_;
   std::vector<BSplineBasis> bases_;

@@ -1,6 +1,9 @@
 #include "ml/gbt.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "ml/io.hpp"
 #include "support/error.hpp"
@@ -12,6 +15,26 @@ namespace {
 
 bool log_link(GbtObjective obj) { return obj != GbtObjective::kSquared; }
 
+/// The exponentials of a raw score f that the log-link objectives use:
+/// e^{-f} for Gamma; e^{(1-p)f} and e^{(2-p)f} for Tweedie.
+struct ScoreExps {
+  double a = 0.0;
+  double b = 0.0;
+};
+
+ScoreExps score_exps(GbtObjective obj, double tweedie_p, double f) {
+  switch (obj) {
+    case GbtObjective::kSquared:
+      return {};
+    case GbtObjective::kGamma:
+      return {std::exp(-f), 0.0};
+    case GbtObjective::kTweedie:
+      return {std::exp((1.0 - tweedie_p) * f),
+              std::exp((2.0 - tweedie_p) * f)};
+  }
+  MPICP_RAISE_INTERNAL("unhandled GbtObjective");
+}
+
 /// Per-sample gradient/hessian of the objective at raw score f, and the
 /// loss there: one evaluation of each exponential serves all three.
 struct RowTerms {
@@ -19,19 +42,20 @@ struct RowTerms {
   double loss = 0.0;
 };
 
-RowTerms row_terms(GbtObjective obj, double tweedie_p, double y, double f) {
+RowTerms row_terms(GbtObjective obj, double tweedie_p, double y, double f,
+                   const ScoreExps& e) {
   switch (obj) {
     case GbtObjective::kSquared:
       return {{f - y, 1.0}, 0.5 * (y - f) * (y - f)};
     case GbtObjective::kGamma: {
       // -2 log-lik (up to constants): g = 1 - y e^{-f}.
-      const double ef = std::exp(-f);
+      const double ef = e.a;
       return {{1.0 - y * ef, y * ef}, y * ef + f};
     }
     case GbtObjective::kTweedie: {
       const double p = tweedie_p;
-      const double a = std::exp((1.0 - p) * f);
-      const double b = std::exp((2.0 - p) * f);
+      const double a = e.a;
+      const double b = e.b;
       return {{-y * a + b, (p - 1.0) * y * a + (2.0 - p) * b},
               -y * a / (1.0 - p) + b / (2.0 - p)};
     }
@@ -74,26 +98,35 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y) {
   std::vector<double> score(n, base_score_);
   std::vector<GradPair> gh(n);
   std::vector<int> leaf_of(n);
-  std::vector<int> all_rows(n);
-  for (std::size_t i = 0; i < n; ++i) all_rows[i] = static_cast<int>(i);
+  std::vector<int> rows(n);
 
   TreeParams tree_params = params_.tree;
   tree_params.learning_rate = params_.learning_rate;
 
-  std::vector<GradPair> hist_scratch;
+  RegressionTree::Scratch scratch;
   for (int round = 0; round < params_.rounds; ++round) {
+    // Rows of one instance are adjacent and land in the same leaves, so
+    // they share a score: a row whose score has the previous row's bits
+    // reuses its exponentials, which are then the very values a fresh
+    // evaluation would return. Any other row recomputes them.
     double total_loss = 0.0;
+    ScoreExps e;
     for (std::size_t i = 0; i < n; ++i) {
+      if (i == 0 || std::bit_cast<std::uint64_t>(score[i]) !=
+                        std::bit_cast<std::uint64_t>(score[i - 1])) {
+        e = score_exps(params_.objective, params_.tweedie_p, score[i]);
+      }
       const RowTerms t =
-          row_terms(params_.objective, params_.tweedie_p, y[i], score[i]);
+          row_terms(params_.objective, params_.tweedie_p, y[i], score[i], e);
       gh[i] = t.gh;
       total_loss += t.loss;
     }
     loss_.push_back(total_loss / static_cast<double>(n));
 
+    // The build permutes `rows`; every tree starts from row order.
+    std::iota(rows.begin(), rows.end(), 0);
     RegressionTree tree;
-    tree.fit(binner, codes, d, gh, all_rows, tree_params, hist_scratch,
-             leaf_of);
+    tree.fit(binner, codes, d, gh, rows, tree_params, scratch, leaf_of);
     // Every row landed in the leaf its walk would reach (the build's
     // `bin <= best_bin` is the walk's `x < threshold`), so the build's
     // record replaces a walk per row.

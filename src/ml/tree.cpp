@@ -57,37 +57,69 @@ std::vector<std::uint8_t> FeatureBinner::encode(const Matrix& x) const {
   return codes;
 }
 
+/// What every node of one tree's growth shares.
+struct RegressionTree::Grow {
+  const FeatureBinner& binner;
+  std::span<const std::uint8_t> codes;
+  int num_features;
+  std::span<const GradPair> gh;
+  const TreeParams& params;
+  Scratch& scratch;
+  std::span<int> leaf_of;
+  bool runs;  ///< fill histograms run by run
+};
+
 void RegressionTree::fit(const FeatureBinner& binner,
                          std::span<const std::uint8_t> codes,
                          int num_features, std::span<const GradPair> gh,
                          std::vector<int> rows, const TreeParams& params) {
-  std::vector<GradPair> hist_scratch;
-  fit(binner, codes, num_features, gh, std::move(rows), params,
-      hist_scratch);
+  Scratch scratch;
+  fit(binner, codes, num_features, gh, std::span<int>(rows), params,
+      scratch);
 }
 
 void RegressionTree::fit(const FeatureBinner& binner,
                          std::span<const std::uint8_t> codes,
                          int num_features, std::span<const GradPair> gh,
-                         std::vector<int> rows, const TreeParams& params,
-                         std::vector<GradPair>& hist_scratch,
-                         std::span<int> leaf_of) {
+                         std::span<int> rows, const TreeParams& params,
+                         Scratch& scratch, std::span<int> leaf_of) {
   MPICP_REQUIRE(!rows.empty(), "cannot fit a tree on zero rows");
   nodes_.clear();
-  build(binner, codes, num_features, gh, std::move(rows), 0, params,
-        hist_scratch, leaf_of);
+  if (scratch.staged.size() < rows.size()) {
+    scratch.staged.resize(rows.size());
+  }
+  // Whether most rows repeat the previous row's codes, as an instance's
+  // repetitions do in a dataset read in grid order; the first rows
+  // decide. Only then does the split search sum each run of one bin in
+  // registers: on rows in random order (bootstrap samples, CV folds,
+  // stream windows) its run test would mispredict. Both fills add in
+  // row order, so the choice never changes a bit.
+  const std::size_t probe = std::min<std::size_t>(rows.size(), 256);
+  std::size_t repeats = 0;
+  const auto row_codes = [&](int i) {
+    return codes.subspan(static_cast<std::size_t>(i) * num_features,
+                         static_cast<std::size_t>(num_features));
+  };
+  for (std::size_t k = 1; k < probe; ++k) {
+    if (std::ranges::equal(row_codes(rows[k]), row_codes(rows[k - 1]))) {
+      ++repeats;
+    }
+  }
+  const bool runs = 2 * repeats >= probe;
+  const Grow grow{binner, codes, num_features, gh,
+                  params, scratch, leaf_of, runs};
+  build(grow, rows, 0);
 }
 
-int RegressionTree::build(const FeatureBinner& binner,
-                          std::span<const std::uint8_t> codes,
-                          int num_features, std::span<const GradPair> gh,
-                          std::vector<int> rows, int depth,
-                          const TreeParams& params,
-                          std::vector<GradPair>& hist,
-                          std::span<int> leaf_of) {
+int RegressionTree::build(const Grow& grow, std::span<int> rows,
+                          int depth) {
+  const TreeParams& params = grow.params;
+  const int num_features = grow.num_features;
+  const std::span<const std::uint8_t> codes = grow.codes;
+  const std::span<const GradPair> gh = grow.gh;
   const auto make_leaf = [&](int node) {
-    if (!leaf_of.empty()) {
-      for (const int i : rows) leaf_of[i] = node;
+    if (!grow.leaf_of.empty()) {
+      for (const int i : rows) grow.leaf_of[i] = node;
     }
     return node;
   };
@@ -113,16 +145,36 @@ int RegressionTree::build(const FeatureBinner& binner,
   double best_gain = params.min_gain;
   // `hist` is the fit-wide scratch buffer: assign() below reuses its
   // capacity, so the whole tree (and ensemble) shares one allocation.
+  std::vector<GradPair>& hist = grow.scratch.hist;
   for (int f = 0; f < num_features; ++f) {
-    const int nbins = binner.num_bins(f);
+    const int nbins = grow.binner.num_bins(f);
     if (nbins < 2) continue;
     hist.assign(nbins, GradPair{});
-    for (const int i : rows) {
-      const std::uint8_t b = codes[static_cast<std::size_t>(i) *
-                                       num_features +
-                                   f];
-      hist[b].g += gh[i].g;
-      hist[b].h += gh[i].h;
+    const auto code_of = [&](int i) {
+      return codes[static_cast<std::size_t>(i) * num_features + f];
+    };
+    if (grow.runs) {
+      // A run of rows in one bin sums in registers: the bin's additions,
+      // in row order, without a store and reload between them.
+      std::uint8_t cur = code_of(rows[0]);
+      GradPair acc;
+      for (const int i : rows) {
+        const std::uint8_t b = code_of(i);
+        if (b != cur) {
+          hist[cur] = acc;
+          cur = b;
+          acc = hist[b];
+        }
+        acc.g += gh[i].g;
+        acc.h += gh[i].h;
+      }
+      hist[cur] = acc;
+    } else {
+      for (const int i : rows) {
+        GradPair& bin = hist[code_of(i)];
+        bin.g += gh[i].g;
+        bin.h += gh[i].h;
+      }
     }
     double gl = 0.0;
     double hl = 0.0;
@@ -145,25 +197,29 @@ int RegressionTree::build(const FeatureBinner& binner,
   }
   if (best_feature < 0) return make_leaf(node_idx);
 
-  std::vector<int> left_rows;
-  std::vector<int> right_rows;
+  // Stable partition in place: left rows move to the front in their
+  // order, right rows wait in the staging area and follow them. Every
+  // row is written to both places and only the count of its side
+  // advances, so rows in random order cost no mispredicted branch.
+  std::span<int> staged(grow.scratch.staged);
+  std::size_t num_left = 0;
+  std::size_t num_right = 0;
   for (const int i : rows) {
-    const std::uint8_t b =
-        codes[static_cast<std::size_t>(i) * num_features + best_feature];
-    (b <= best_bin ? left_rows : right_rows).push_back(i);
+    const auto left = static_cast<std::size_t>(
+        codes[static_cast<std::size_t>(i) * num_features + best_feature] <=
+        best_bin);
+    rows[num_left] = i;
+    staged[num_right] = i;
+    num_left += left;
+    num_right += 1 - left;
   }
-  rows.clear();
-  rows.shrink_to_fit();
+  std::copy_n(staged.begin(), num_right, rows.begin() + num_left);
 
   nodes_[node_idx].feature = best_feature;
-  nodes_[node_idx].threshold = binner.edge(best_feature, best_bin);
+  nodes_[node_idx].threshold = grow.binner.edge(best_feature, best_bin);
   nodes_[node_idx].gain = best_gain;
-  const int left = build(binner, codes, num_features, gh,
-                         std::move(left_rows), depth + 1, params, hist,
-                         leaf_of);
-  const int right = build(binner, codes, num_features, gh,
-                          std::move(right_rows), depth + 1, params, hist,
-                          leaf_of);
+  const int left = build(grow, rows.first(num_left), depth + 1);
+  const int right = build(grow, rows.subspan(num_left), depth + 1);
   nodes_[node_idx].left = left;
   nodes_[node_idx].right = right;
   return node_idx;

@@ -64,6 +64,14 @@ class RegressionTree {
     double gain = 0.0;  ///< split gain (internal nodes)
   };
 
+  /// Buffers an ensemble fit reuses across its trees: the split-search
+  /// histogram and the staging area of the row partition. Once they
+  /// have reached their size, a tree allocates only its own nodes.
+  struct Scratch {
+    std::vector<GradPair> hist;
+    std::vector<int> staged;
+  };
+
   /// Fit on binned rows. `rows` selects the training subset (with
   /// repetitions allowed, for bagging).
   void fit(const FeatureBinner& binner,
@@ -71,16 +79,16 @@ class RegressionTree {
            std::span<const GradPair> gh, std::vector<int> rows,
            const TreeParams& params);
 
-  /// As above, but reuses `hist_scratch` for the split-search histogram
-  /// so ensemble fits allocate it once instead of once per tree. When
-  /// `leaf_of` is non-empty, leaf_of[i] receives the index of the leaf
-  /// each row i of `rows` landed in: the leaf predict_one reaches for
-  /// that row, since a row goes left iff its bin code is at most the
-  /// split's bin, i.e. iff its value lies below the split's edge.
+  /// As above, but grows the tree inside `rows`, which it leaves
+  /// permuted, and in `scratch`. When `leaf_of` is non-empty, leaf_of[i]
+  /// receives the index of the leaf each row i of `rows` landed in: the
+  /// leaf predict_one reaches for that row, since a row goes left iff
+  /// its bin code is at most the split's bin, i.e. iff its value lies
+  /// below the split's edge.
   void fit(const FeatureBinner& binner,
            std::span<const std::uint8_t> codes, int num_features,
-           std::span<const GradPair> gh, std::vector<int> rows,
-           const TreeParams& params, std::vector<GradPair>& hist_scratch,
+           std::span<const GradPair> gh, std::span<int> rows,
+           const TreeParams& params, Scratch& scratch,
            std::span<int> leaf_of = {});
 
   double predict_one(std::span<const double> x) const;
@@ -100,11 +108,8 @@ class RegressionTree {
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  int build(const FeatureBinner& binner,
-            std::span<const std::uint8_t> codes, int num_features,
-            std::span<const GradPair> gh, std::vector<int> rows, int depth,
-            const TreeParams& params, std::vector<GradPair>& hist,
-            std::span<int> leaf_of);
+  struct Grow;
+  int build(const Grow& grow, std::span<int> rows, int depth);
 
   std::vector<Node> nodes_;
 };

@@ -1,7 +1,5 @@
 #include "support/csv.hpp"
 
-#include <fstream>
-
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -10,13 +8,6 @@ namespace mpicp::support {
 CsvTable::CsvTable(std::vector<std::string> header)
     : header_(std::move(header)) {
   MPICP_REQUIRE(!header_.empty(), "CSV header must not be empty");
-}
-
-std::size_t CsvTable::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (header_[i] == name) return i;
-  }
-  MPICP_RAISE_PARSE("CSV column '" + name + "' not found");
 }
 
 void CsvTable::add_row(std::vector<std::string> row) {
@@ -30,62 +21,36 @@ const std::vector<std::string>& CsvTable::row(std::size_t i) const {
   return rows_[i];
 }
 
-const std::string& CsvTable::cell(std::size_t row, std::size_t col) const {
-  MPICP_REQUIRE(row < rows_.size() && col < header_.size(),
-                "CSV cell out of range");
-  return rows_[row][col];
-}
-
-double CsvTable::cell_double(std::size_t row, std::size_t col) const {
-  return parse_double(cell(row, col));
-}
-
-std::int64_t CsvTable::cell_int(std::size_t row, std::size_t col) const {
-  return parse_int(cell(row, col));
-}
-
-namespace {
-
-/// Shared reader core: strict mode throws on the first structurally bad
-/// row, lenient mode logs and skips it.
-CsvReadResult read_csv_impl(const std::filesystem::path& path,
-                            bool lenient) {
-  std::ifstream in(path);
-  if (!in) MPICP_RAISE_PARSE("cannot open CSV file " + path.string());
-  std::string line;
-  if (!std::getline(in, line)) {
+CsvReader::CsvReader(const std::filesystem::path& path) : in_(path) {
+  if (!in_) MPICP_RAISE_PARSE("cannot open CSV file " + path.string());
+  if (!std::getline(in_, line_)) {
     MPICP_RAISE_PARSE("CSV file " + path.string() + " is empty");
   }
-  CsvReadResult result;
-  result.table = CsvTable(split(trim(line), ','));
-  std::size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    auto cells = split(trimmed, ',');
-    if (cells.size() != result.table.header().size()) {
-      if (!lenient) {
-        MPICP_RAISE_PARSE(path.string() + ":" + std::to_string(lineno) +
-                         ": row width mismatch");
-      }
-      result.errors.push_back({lineno, "row width mismatch"});
-      continue;
-    }
-    result.table.add_row(std::move(cells));
-    result.linenos.push_back(lineno);
+  header_ = split(trim(line_), ',');
+  cells_.reserve(header_.size());
+}
+
+std::size_t CsvReader::column(std::string_view name) const {
+  for (std::size_t i = 0; i < header_.size(); ++i) {
+    if (header_[i] == name) return i;
   }
-  return result;
+  MPICP_RAISE_PARSE("CSV column '" + std::string(name) + "' not found");
 }
 
-}  // namespace
-
-CsvTable read_csv(const std::filesystem::path& path) {
-  return read_csv_impl(path, /*lenient=*/false).table;
-}
-
-CsvReadResult read_csv_lenient(const std::filesystem::path& path) {
-  return read_csv_impl(path, /*lenient=*/true);
+bool CsvReader::next() {
+  while (std::getline(in_, line_)) {
+    ++lineno_;
+    std::string_view rest = trim(line_);
+    if (rest.empty()) continue;
+    cells_.clear();
+    while (true) {
+      const std::size_t pos = rest.find(',');
+      cells_.push_back(rest.substr(0, pos));
+      if (pos == std::string_view::npos) return true;
+      rest.remove_prefix(pos + 1);
+    }
+  }
+  return false;
 }
 
 void write_csv(const std::filesystem::path& path, const CsvTable& table) {

@@ -1,18 +1,21 @@
 // Minimal CSV persistence for measurement datasets.
 //
 // The format is deliberately simple (no quoting — our data are numbers and
-// identifier-like strings), but reads are validated and errors carry the
-// offending line number.
+// identifier-like strings). Reads stream row by row and report each row's
+// file line number, so the loaders' errors can name it.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mpicp::support {
 
-/// An in-memory CSV table: a header and rows of string cells.
+/// An in-memory CSV table for writing: a header and rows of string cells.
 class CsvTable {
  public:
   CsvTable() = default;
@@ -22,42 +25,44 @@ class CsvTable {
   std::size_t num_rows() const { return rows_.size(); }
   std::size_t num_cols() const { return header_.size(); }
 
-  /// Column index by name; throws ParseError if absent.
-  std::size_t column(const std::string& name) const;
-
   void add_row(std::vector<std::string> row);
   const std::vector<std::string>& row(std::size_t i) const;
-
-  const std::string& cell(std::size_t row, std::size_t col) const;
-  double cell_double(std::size_t row, std::size_t col) const;
-  std::int64_t cell_int(std::size_t row, std::size_t col) const;
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
 
-[[nodiscard]] CsvTable read_csv(const std::filesystem::path& path);
+/// Streams a CSV file one row at a time, so a loader parses its cells
+/// without materializing the table. The header is read on construction;
+/// next() skips blank lines and splits the following line, trimmed as a
+/// whole, at every comma. The cells view the reader's line buffer: they
+/// stay valid until the next call to next().
+class CsvReader {
+ public:
+  /// Throws ParseError when the file cannot be opened or is empty.
+  explicit CsvReader(const std::filesystem::path& path);
+
+  const std::vector<std::string>& header() const { return header_; }
+  /// Column index by name; throws ParseError if absent.
+  std::size_t column(std::string_view name) const;
+
+  /// Advances to the next non-blank line; false at the end of the file.
+  bool next();
+  /// 1-based file line number of the current row.
+  std::size_t lineno() const { return lineno_; }
+  /// The current row's cells, as many as it has commas plus one (which
+  /// need not be the header's width).
+  std::span<const std::string_view> cells() const { return cells_; }
+
+ private:
+  std::ifstream in_;
+  std::vector<std::string> header_;
+  std::string line_;
+  std::vector<std::string_view> cells_;
+  std::size_t lineno_ = 1;
+};
+
 void write_csv(const std::filesystem::path& path, const CsvTable& table);
-
-/// One structurally bad row skipped by read_csv_lenient.
-struct CsvRowError {
-  std::size_t lineno = 0;  ///< 1-based line number in the file
-  std::string reason;
-};
-
-struct CsvReadResult {
-  CsvTable table;
-  /// 1-based file line number of each kept row, parallel to the table's
-  /// rows (for error reporting downstream of the CSV layer).
-  std::vector<std::size_t> linenos;
-  std::vector<CsvRowError> errors;
-};
-
-/// Like read_csv, but structurally bad rows (wrong cell count) are
-/// recorded in `errors` and skipped instead of aborting the read. The
-/// header and file-level failures (missing/empty file) still throw.
-[[nodiscard]] CsvReadResult read_csv_lenient(
-    const std::filesystem::path& path);
 
 }  // namespace mpicp::support

@@ -23,8 +23,10 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -152,6 +154,51 @@ class Registry {
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
+
+/// The instruments "<prefix><name>" for a fixed list of names: get()
+/// registers each on its first use and then returns it from a cache, so
+/// a per-call path finds it by comparing names instead of building the
+/// full name and looking it up in the registry. A name never used is
+/// never registered; a name outside the list is looked up by name.
+template <typename Instrument>
+class Family {
+ public:
+  Family(std::string prefix, std::span<const char* const> names)
+      : prefix_(std::move(prefix)),
+        names_(names.begin(), names.end()),
+        cache_(names_.size()) {}
+
+  Instrument& get(std::string_view name) {
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] != name) continue;
+      // order: acquire pairs with the release below, so the instrument
+      // another thread registered is fully constructed when read here.
+      Instrument* inst = cache_[i].load(std::memory_order_acquire);
+      if (inst == nullptr) {
+        // Racing first uses store the same pointer: the registry hands
+        // out one instrument per name.
+        inst = &lookup(prefix_ + names_[i]);
+        // order: publishes the registered instrument (see above).
+        cache_[i].store(inst, std::memory_order_release);
+      }
+      return *inst;
+    }
+    return lookup(prefix_ + std::string(name));
+  }
+
+ private:
+  static Instrument& lookup(std::string_view full_name) {
+    if constexpr (std::is_same_v<Instrument, Counter>) {
+      return counter(full_name);
+    } else {
+      return histogram(full_name);
+    }
+  }
+
+  std::string prefix_;
+  std::vector<std::string> names_;
+  std::vector<std::atomic<Instrument*>> cache_;
+};
 
 /// Render a snapshot as aligned human-readable tables.
 void print_metrics(std::ostream& os, const Snapshot& snapshot);

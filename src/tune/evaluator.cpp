@@ -28,8 +28,12 @@ Evaluation evaluate(const bench::Dataset& ds, const Selector& selector,
     }
   }
   MPICP_REQUIRE(!instances.empty(), "no test instances found");
-  support::metrics::counter("evaluate.calls").inc();
-  support::metrics::counter("evaluate.instances").inc(instances.size());
+  static support::metrics::Counter& calls =
+      support::metrics::counter("evaluate.calls");
+  static support::metrics::Counter& evaluated =
+      support::metrics::counter("evaluate.instances");
+  calls.inc();
+  evaluated.inc(instances.size());
 
   // Selection runs on the compiled bank: one lowering pays for the whole
   // grid, and the batched argmin parallelizes over instances instead of

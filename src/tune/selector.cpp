@@ -203,7 +203,9 @@ const FitReport& Selector::fit(const bench::Dataset& ds,
         const auto t0 = std::chrono::steady_clock::now();
         model->fit(x, y);
         const auto dt = std::chrono::steady_clock::now() - t0;
-        metrics::histogram("fit.time_us." + chain[level])
+        static metrics::Family<metrics::Histogram> fit_time_us(
+            "fit.time_us.", ml::kLearnerNames);
+        fit_time_us.get(chain[level])
             .observe(std::chrono::duration<double, std::micro>(dt).count());
         fitted[t] = std::move(model);
         outcome.learner = chain[level];
@@ -225,15 +227,26 @@ const FitReport& Selector::fit(const bench::Dataset& ds,
   // The registry mirrors the FitReport exactly (the golden test pins
   // this reconciliation), accumulated once on the calling thread so the
   // totals are independent of the thread count.
-  metrics::counter("fit.calls").inc();
-  metrics::counter("fit.uids_total").inc(report_.uids_total());
-  metrics::counter("fit.uids_clean").inc(report_.uids_clean());
-  metrics::counter("fit.uids_fallback").inc(report_.uids_fallback());
-  metrics::counter("fit.uids_unusable").inc(report_.uids_unusable());
-  metrics::counter("fit.rows_dropped").inc(report_.rows_dropped());
+  static metrics::Counter& calls = metrics::counter("fit.calls");
+  static metrics::Counter& uids_total = metrics::counter("fit.uids_total");
+  static metrics::Counter& uids_clean = metrics::counter("fit.uids_clean");
+  static metrics::Counter& uids_fallback =
+      metrics::counter("fit.uids_fallback");
+  static metrics::Counter& uids_unusable =
+      metrics::counter("fit.uids_unusable");
+  static metrics::Counter& rows_dropped =
+      metrics::counter("fit.rows_dropped");
+  calls.inc();
+  uids_total.inc(report_.uids_total());
+  uids_clean.inc(report_.uids_clean());
+  uids_fallback.inc(report_.uids_fallback());
+  uids_unusable.inc(report_.uids_unusable());
+  rows_dropped.inc(report_.rows_dropped());
   for (const FitOutcome& o : report_.outcomes) {
     if (o.usable()) {
-      metrics::histogram("fit.fallback_depth").observe(o.fallback_depth);
+      static metrics::Histogram& fallback_depth =
+          metrics::histogram("fit.fallback_depth");
+      fallback_depth.observe(o.fallback_depth);
     }
   }
   MPICP_REQUIRE(!models_.empty(),
@@ -254,8 +267,11 @@ std::vector<Selector::Prediction> Selector::predict_all(
     const bench::Instance& inst) const {
   MPICP_SPAN("selector.predict_all");
   MPICP_REQUIRE(!models_.empty(), "selector has not been fitted");
-  metrics::counter("predict.calls").inc();
-  metrics::counter("predict.predictions_served").inc(models_.size());
+  static metrics::Counter& calls = metrics::counter("predict.calls");
+  static metrics::Counter& served =
+      metrics::counter("predict.predictions_served");
+  calls.inc();
+  served.inc(models_.size());
   const auto feat = instance_features(inst, options_.features);
   std::vector<Prediction> out;
   std::vector<const ml::Regressor*> bank;
@@ -302,15 +318,23 @@ int argmin_usable(const std::vector<Selector::Prediction>& predictions) {
     }
   }
   if (excluded > 0) {
-    metrics::counter("select.argmin_excluded").inc(excluded);
+    static metrics::Counter& argmin_excluded =
+        metrics::counter("select.argmin_excluded");
+    argmin_excluded.inc(excluded);
   }
   return best_uid;
+}
+
+/// "select.requests", which both selection entry points count.
+metrics::Counter& select_requests() {
+  static metrics::Counter& requests = metrics::counter("select.requests");
+  return requests;
 }
 
 }  // namespace
 
 int Selector::select_uid(const bench::Instance& inst) const {
-  metrics::counter("select.requests").inc();
+  select_requests().inc();
   const int best_uid = argmin_usable(predict_all(inst));
   MPICP_REQUIRE(best_uid > 0,
                 "no usable model prediction for the instance (use "
@@ -321,13 +345,15 @@ int Selector::select_uid(const bench::Instance& inst) const {
 int Selector::select_uid_or_default(const bench::Instance& inst,
                                     sim::MpiLib lib,
                                     sim::Collective coll) const {
-  metrics::counter("select.requests").inc();
+  select_requests().inc();
   if (!models_.empty()) {
     const int best_uid = argmin_usable(predict_all(inst));
     if (best_uid > 0) return best_uid;
   }
   // No usable model: behave like an untuned library run.
-  metrics::counter("select.default_fallbacks").inc();
+  static metrics::Counter& default_fallbacks =
+      metrics::counter("select.default_fallbacks");
+  default_fallbacks.inc();
   return sim::library_default_uid(lib, coll, inst.nodes * inst.ppn,
                                   inst.msize);
 }
@@ -393,8 +419,11 @@ CompiledBank Selector::compile() const {
     bank.uids_.push_back(uid);
     bank.bank_.add(*model);
   }
-  metrics::counter("compiled.compile.calls").inc();
-  metrics::counter("compiled.compile.models").inc(models_.size());
+  static metrics::Counter& calls = metrics::counter("compiled.compile.calls");
+  static metrics::Counter& compiled_models =
+      metrics::counter("compiled.compile.models");
+  calls.inc();
+  compiled_models.inc(models_.size());
   return bank;
 }
 

@@ -1,7 +1,6 @@
 #include "tune/stream.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <string>
@@ -26,33 +25,6 @@ constexpr double kUnusablePenalty = 10.0;
 
 constexpr std::size_t kStreamColumns = 5;  // uid,nodes,ppn,msize,time_us
 
-/// The "stream.quarantine.<reason>" counter, resolved once per reason:
-/// push_row's three structural reasons and the semantic ones of
-/// bench::validate_record. A reason outside the table is looked up by
-/// name.
-metrics::Counter& quarantine_counter(const std::string& reason) {
-  static const std::array<std::pair<std::string_view, metrics::Counter*>, 6>
-      kCounters = [] {
-        std::array<std::pair<std::string_view, metrics::Counter*>, 6> out = {{
-            {"row width mismatch", nullptr},
-            {"unparseable field", nullptr},
-            {"bad configuration key", nullptr},
-            {"non-finite time", nullptr},
-            {"non-positive time", nullptr},
-            {"implausible time", nullptr},
-        }};
-        for (auto& [name, counter] : out) {
-          counter = &metrics::counter("stream.quarantine." +
-                                      std::string(name));
-        }
-        return out;
-      }();
-  for (const auto& [name, counter] : kCounters) {
-    if (name == reason) return *counter;
-  }
-  return metrics::counter("stream.quarantine." + reason);
-}
-
 }  // namespace
 
 StreamPipeline::StreamPipeline(BankRegistry& registry,
@@ -70,7 +42,7 @@ StreamPipeline::RowOutcome StreamPipeline::push_row(
   bench::Record rec;
   std::string reason;
   if (cells.size() != kStreamColumns) {
-    reason = "row width mismatch";  // read_csv_lenient's structural reason
+    reason = "row width mismatch";  // load_csv_tolerant's structural reason
   } else {
     try {
       if (!bench::narrow_key(
@@ -126,8 +98,10 @@ bool StreamPipeline::admit_locked(const std::string& reason,
   if (reason.empty()) return true;
   ++stats_.rows_quarantined;
   quarantined.inc();
+  static metrics::Family<metrics::Counter> reasons(
+      "stream.quarantine.", bench::kQuarantineReasons);
   ++stats_.quarantine_reasons[reason];
-  quarantine_counter(reason).inc();
+  reasons.get(reason).inc();
   out.quarantine_reason = reason;
   return false;
 }

@@ -82,7 +82,7 @@ class StreamPipeline {
   };
 
   /// Feed one textual measurement row ("uid,nodes,ppn,msize,time_us").
-  /// Structurally bad rows are quarantined with read_csv-style reasons;
+  /// Structurally bad rows are quarantined with load_csv_tolerant's reasons;
   /// parsed rows continue through push().
   [[nodiscard]] RowOutcome push_row(const BankKey& key,
                                     const std::string& row_text);

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <set>
 #include <string>
@@ -25,6 +26,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
+#include "support/str.hpp"
 
 namespace mpicp::bench {
 namespace {
@@ -326,6 +328,253 @@ void expect_same_records(const Dataset& a, const Dataset& b) {
               std::bit_cast<std::uint64_t>(rb.time_us))
         << "record " << i;
   }
+}
+
+// ---- the streaming loaders against the table-based ones -----------------
+//
+// Dataset::load_csv and load_csv_tolerant once read the whole file into a
+// table of strings (each non-blank line trimmed and split at commas) and
+// parsed the cells afterwards. The reference below is that path; the
+// streaming loaders must agree with it on records, errors and reports.
+
+/// The table-based read: every non-blank line's cells and file line
+/// number; rows of the wrong width throw (strict) or are listed apart.
+struct TableRead {
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::size_t> linenos;
+  std::vector<std::size_t> misshapen;
+};
+
+TableRead read_table(const std::filesystem::path& path, bool lenient) {
+  std::ifstream in(path);
+  if (!in) throw ParseError("cannot open CSV file " + path.string());
+  std::string line;
+  if (!std::getline(in, line)) {
+    throw ParseError("CSV file " + path.string() + " is empty");
+  }
+  TableRead t;
+  t.header = support::split(support::trim(line), ',');
+  std::size_t lineno = 1;
+  while (std::getline(in, line)) {
+    ++lineno;
+    const std::string_view trimmed = support::trim(line);
+    if (trimmed.empty()) continue;
+    std::vector<std::string> cells = support::split(trimmed, ',');
+    if (cells.size() != t.header.size()) {
+      if (!lenient) {
+        throw ParseError(path.string() + ":" + std::to_string(lineno) +
+                         ": row width mismatch");
+      }
+      t.misshapen.push_back(lineno);
+      continue;
+    }
+    t.rows.push_back(std::move(cells));
+    t.linenos.push_back(lineno);
+  }
+  return t;
+}
+
+std::size_t column_of(const TableRead& t, const std::string& name) {
+  for (std::size_t i = 0; i < t.header.size(); ++i) {
+    if (t.header[i] == name) return i;
+  }
+  throw ParseError("CSV column '" + name + "' not found");
+}
+
+/// What one load produced: the records, or the error it raised.
+struct LoadOutcome {
+  std::vector<Record> records;
+  IngestReport report;
+  std::string error;  ///< "<kind>: <message>", empty on success
+};
+
+/// The message a reader sees, without the raise site ("[file:line]")
+/// and the checked expression ("malformed input: <expr> — ") that the
+/// error macros add around it: both name source code, not the input.
+std::string user_message(const std::string& what) {
+  std::string msg = what.substr(0, what.rfind(" ["));
+  const std::size_t dash = msg.find(" — ");
+  if (dash != std::string::npos) msg = msg.substr(dash + 5);
+  return msg;
+}
+
+template <typename Load>
+LoadOutcome outcome_of(Load load) {
+  LoadOutcome out;
+  try {
+    const Dataset ds = load(out.report);
+    out.records = ds.records();
+  } catch (const ParseError& e) {
+    out.error = "ParseError: " + user_message(e.what());
+  } catch (const InvalidArgument& e) {
+    out.error = "InvalidArgument: " + user_message(e.what());
+  }
+  return out;
+}
+
+Dataset table_load(const std::filesystem::path& path) {
+  const TableRead t = read_table(path, /*lenient=*/false);
+  Dataset ds("csv", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  const std::size_t c_uid = column_of(t, "uid");
+  const std::size_t c_nodes = column_of(t, "nodes");
+  const std::size_t c_ppn = column_of(t, "ppn");
+  const std::size_t c_msize = column_of(t, "msize");
+  const std::size_t c_time = column_of(t, "time_us");
+  for (std::size_t i = 0; i < t.rows.size(); ++i) {
+    const std::vector<std::string>& row = t.rows[i];
+    Record rec;
+    if (!narrow_key({support::parse_int(row[c_uid]),
+                     support::parse_int(row[c_nodes]),
+                     support::parse_int(row[c_ppn]),
+                     support::parse_int(row[c_msize])},
+                    rec)) {
+      throw ParseError(path.string() + ": data row " +
+                       std::to_string(i + 1) +
+                       ": configuration key out of range");
+    }
+    rec.time_us = support::parse_double(row[c_time]);
+    ds.add(rec);
+  }
+  return ds;
+}
+
+Dataset table_load_tolerant(const std::filesystem::path& path,
+                            IngestReport& report) {
+  const TableRead t = read_table(path, /*lenient=*/true);
+  Dataset ds("csv", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
+  const auto quarantine = [&](std::size_t lineno, const std::string& why) {
+    ++report.rows_quarantined;
+    ++report.reasons[why];
+    if (report.samples.size() < 10) report.samples.push_back({lineno, why});
+  };
+  for (const std::size_t lineno : t.misshapen) {
+    ++report.rows_seen;
+    quarantine(lineno, "row width mismatch");
+  }
+  const std::size_t c_uid = column_of(t, "uid");
+  const std::size_t c_nodes = column_of(t, "nodes");
+  const std::size_t c_ppn = column_of(t, "ppn");
+  const std::size_t c_msize = column_of(t, "msize");
+  const std::size_t c_time = column_of(t, "time_us");
+  for (std::size_t i = 0; i < t.rows.size(); ++i) {
+    ++report.rows_seen;
+    const std::vector<std::string>& row = t.rows[i];
+    Record rec;
+    bool key_in_range = false;
+    try {
+      key_in_range = narrow_key({support::parse_int(row[c_uid]),
+                                 support::parse_int(row[c_nodes]),
+                                 support::parse_int(row[c_ppn]),
+                                 support::parse_int(row[c_msize])},
+                                rec);
+      rec.time_us = support::parse_double(row[c_time]);
+    } catch (const ParseError&) {
+      quarantine(t.linenos[i], "unparseable field");
+      continue;
+    }
+    const std::string reason =
+        key_in_range ? validate_record(rec) : "bad configuration key";
+    if (!reason.empty()) {
+      quarantine(t.linenos[i], reason);
+    } else {
+      ds.add(rec);
+      ++report.rows_ingested;
+    }
+  }
+  return ds;
+}
+
+void expect_same_outcome(const LoadOutcome& got, const LoadOutcome& want) {
+  EXPECT_EQ(got.error, want.error);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < got.records.size(); ++i) {
+    const Record& a = got.records[i];
+    const Record& b = want.records[i];
+    EXPECT_EQ(a.uid, b.uid) << "record " << i;
+    EXPECT_EQ(a.nodes, b.nodes) << "record " << i;
+    EXPECT_EQ(a.ppn, b.ppn) << "record " << i;
+    EXPECT_EQ(a.msize, b.msize) << "record " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time_us),
+              std::bit_cast<std::uint64_t>(b.time_us))
+        << "record " << i;
+  }
+  EXPECT_EQ(got.report.rows_seen, want.report.rows_seen);
+  EXPECT_EQ(got.report.rows_ingested, want.report.rows_ingested);
+  EXPECT_EQ(got.report.rows_quarantined, want.report.rows_quarantined);
+  EXPECT_EQ(got.report.reasons, want.report.reasons);
+  ASSERT_EQ(got.report.samples.size(), want.report.samples.size());
+  for (std::size_t i = 0; i < got.report.samples.size(); ++i) {
+    EXPECT_EQ(got.report.samples[i].lineno, want.report.samples[i].lineno)
+        << "sample " << i;
+    EXPECT_EQ(got.report.samples[i].reason, want.report.samples[i].reason)
+        << "sample " << i;
+  }
+}
+
+TEST(Dataset, StreamingLoadMatchesTableLoad) {
+  const std::string header = "uid,nodes,ppn,msize,time_us\n";
+  std::string many_bad_cells;
+  for (int i = 0; i < 8; ++i) {
+    many_bad_cells += "1,2,x" + std::to_string(i) + ",64,5\n";
+  }
+  const std::pair<std::string, std::string> fixtures[] = {
+      {"layout",
+       header + "1,2,4,64,12.5\n\n  2 , 4,8 ,1024, 99.25  \r\n\r\n"
+                "\t3,1,1,0,0.5\r\n   \n1,2,4,64,1e-3"},
+      {"width", header + "1,2,4,64,12.5\n1,2,4,64\n2,2,4,64,7\n,\n"},
+      {"non_numeric",
+       header + "1,2,4,64,12.5\n1,2,4,64,abc\n1,2x,4,64,3\n1,,4,64,3\n"},
+      {"key_range",
+       header + "1,2,4,64,12.5\n\n99999999999,2,4,64,3\n1,2,4,-1,3\n"
+                "1,-3000000000,4,64,3\n"},
+      {"bad_time",
+       header + "1,2,4,64,12.5\n1,2,4,64,-2\n1,2,4,64,0\n1,2,4,64,nan\n"
+                "1,2,4,64,inf\n1,2,4,64,1e12\n0,2,4,64,3\n"},
+      // A bad cell before a misshapen row: the misshapen row is the
+      // strict error and the first samples of the tolerant report.
+      {"ordering",
+       header + many_bad_cells + "1,2,4,64,12.5\n1,2\n7,7,7,7,7,7\n"
+                "1,2,4,64,-1\n1\n1,2,4,64,2\n"},
+      {"reordered", "time_us,msize,note,ppn,nodes,uid\n"
+                    "12.5,64,a,4,2,1\n99.25,1024,,8,4,2\n"},
+      {"missing_column", "uid,nodes,msize,time_us\n1,2,64,12.5\n"},
+      {"header_only", header},
+      {"empty", ""},
+  };
+  const auto dir = std::filesystem::temp_directory_path();
+  for (const auto& [name, text] : fixtures) {
+    SCOPED_TRACE(name);
+    const auto path = dir / ("mpicp_stream_" + name + ".csv");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    expect_same_outcome(
+        outcome_of([&](IngestReport&) {
+          return Dataset::load_csv(path, "csv", sim::MpiLib::kOpenMPI,
+                                   sim::Collective::kBcast, "Hydra");
+        }),
+        outcome_of([&](IngestReport&) { return table_load(path); }));
+    expect_same_outcome(
+        outcome_of([&](IngestReport& report) {
+          return Dataset::load_csv_tolerant(path, "csv", sim::MpiLib::kOpenMPI,
+                                            sim::Collective::kBcast, "Hydra",
+                                            &report);
+        }),
+        outcome_of([&](IngestReport& report) {
+          return table_load_tolerant(path, report);
+        }));
+    std::filesystem::remove(path);
+  }
+  // A missing file fails the same way in every loader.
+  const auto missing = dir / "mpicp_stream_does_not_exist.csv";
+  expect_same_outcome(
+      outcome_of([&](IngestReport&) {
+        return Dataset::load_csv(missing, "csv", sim::MpiLib::kOpenMPI,
+                                 sim::Collective::kBcast, "Hydra");
+      }),
+      outcome_of([&](IngestReport&) { return table_load(missing); }));
 }
 
 TEST(Generator, ParallelRecordsMatchSerialInOrder) {

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include <string>
 
 #include "collbench/dataset.hpp"
+#include "collbench/specs.hpp"
 #include "collbench/streamgen.hpp"
 #include "ml/io.hpp"
 #include "support/faultinject.hpp"
@@ -33,6 +35,7 @@
 #include "support/trace.hpp"
 #include "tune/registry.hpp"
 #include "tune/ruletable.hpp"
+#include "tune/evaluator.hpp"
 #include "tune/selector.hpp"
 #include "tune/stream.hpp"
 
@@ -40,6 +43,9 @@
 
 #ifndef MPICP_GOLDEN_DIR
 #error "build must define MPICP_GOLDEN_DIR (see tests/CMakeLists.txt)"
+#endif
+#ifndef MPICP_DATA_DIR
+#error "build must define MPICP_DATA_DIR (see tests/CMakeLists.txt)"
 #endif
 
 namespace mpicp {
@@ -662,6 +668,72 @@ TEST(Golden, DistillMatchesCommittedSnapshot) {
       << "distillation outcome drifted from the committed snapshot; if "
          "the change is intentional, refresh with MPICP_UPDATE_GOLDEN=1 "
          "and commit the diff";
+}
+
+// ---- Table IV cells on the committed datasets ---------------------------
+//
+// Every fitted model feeds Table IV, so the bits of its cells pin the
+// whole set-up path: CSV ingest, every learner's fit, the compiled bank
+// and the evaluation. A change meant to be exact (a faster fit, a
+// leaner loader) must leave this snapshot untouched; a change meant to
+// move the models re-records it with MPICP_UPDATE_GOLDEN=1.
+
+/// `"key": <17 significant digits>, "key_bits": "<hexfloat>"` — both
+/// spell the exact double; the hexfloat shows which bits moved.
+std::string format_cell(const char* key, double v) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "\"%s\": %.17g, \"%s_bits\": \"%a\"", key,
+                v, key, v);
+  return buf;
+}
+
+std::string render_table4() {
+  std::ostringstream os;
+  os << "{\n  \"cells\": [";
+  bool first = true;
+  for (const std::string name : {"d4", "d6"}) {
+    const bench::DatasetSpec& spec = bench::dataset_spec(name);
+    const bench::Dataset ds = bench::Dataset::load_csv(
+        std::filesystem::path(MPICP_DATA_DIR) / (name + ".csv"), name,
+        spec.lib, spec.coll, spec.machine);
+    for (const std::string learner : {"xgboost", "gam", "knn", "rf"}) {
+      const tune::EvalSummary s =
+          tune::run_split_evaluation(ds, learner, false).summary;
+      os << (first ? "" : ",") << "\n    {\"dataset\": \"" << name
+         << "\", \"learner\": \"" << learner << "\",\n     "
+         << format_cell("mean_speedup", s.mean_speedup) << ",\n     "
+         << format_cell("mean_norm_predicted", s.mean_norm_predicted)
+         << "}";
+      first = false;
+    }
+  }
+  os << "\n  ]\n}\n";
+  return os.str();
+}
+
+TEST(Golden, Table4CellsMatchCommittedSnapshot) {
+  const std::string json = render_table4();
+  const auto path =
+      std::filesystem::path(MPICP_GOLDEN_DIR) / "table4_cells.json";
+
+  const char* update = std::getenv("MPICP_UPDATE_GOLDEN");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream os(path);
+    ASSERT_TRUE(os.good()) << "cannot write " << path;
+    os << json;
+    GTEST_SKIP() << "golden snapshot rewritten at " << path
+                 << " — review and commit the diff";
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden snapshot " << path
+      << " — generate it with MPICP_UPDATE_GOLDEN=1 and commit it";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(json, want.str())
+      << "a Table IV cell moved; if the models are meant to change, "
+         "refresh with MPICP_UPDATE_GOLDEN=1 and commit the diff";
 }
 
 }  // namespace

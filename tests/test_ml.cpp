@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -77,6 +78,48 @@ TEST(MatrixTest, GramAndSolve) {
   const auto sol = cholesky_solve(a, {1.0, 2.0});
   EXPECT_NEAR(sol[0], 1.0 / 11.0, 1e-9);
   EXPECT_NEAR(sol[1], 7.0 / 11.0, 1e-9);
+}
+
+TEST(MatrixTest, SparseRowsMatchDenseProductsBitForBit) {
+  // Mostly zero rows with both signed zeros, like a GAM design; every
+  // dense term is kept, so the sparse skip must not move a bit.
+  support::Xoshiro256 rng(31);
+  Matrix x(40, 9);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      const double u = rng.uniform(0.0, 1.0);
+      x(i, j) = u < 0.4 ? 0.0 : u < 0.6 ? -0.0 : rng.uniform(-3.0, 3.0);
+    }
+  }
+  std::vector<double> v(x.rows());
+  std::vector<double> beta(x.cols());
+  for (double& e : v) e = rng.uniform(-2.0, 2.0);
+  for (double& e : beta) e = rng.uniform(-2.0, 2.0);
+  v[3] = 0.0;
+  beta[2] = -0.0;
+
+  const SparseRows sparse(x);
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const Matrix g = sparse.gram();
+  const Matrix dense_g = x.gram();
+  for (std::size_t a = 0; a < x.cols(); ++a) {
+    for (std::size_t b = 0; b < x.cols(); ++b) {
+      EXPECT_TRUE(same_bits(g(a, b), dense_g(a, b))) << a << "," << b;
+    }
+  }
+  const std::vector<double> xtv = sparse.transpose_times(v);
+  const std::vector<double> dense_xtv = x.transpose_times(v);
+  for (std::size_t a = 0; a < x.cols(); ++a) {
+    EXPECT_TRUE(same_bits(xtv[a], dense_xtv[a])) << a;
+  }
+  const std::vector<double> xb = sparse.times(beta);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    double acc = 0.0;
+    for (std::size_t a = 0; a < x.cols(); ++a) acc += x(i, a) * beta[a];
+    EXPECT_TRUE(same_bits(xb[i], acc)) << i;
+  }
 }
 
 TEST(MatrixTest, SolveRejectsIndefinite) {
@@ -207,6 +250,30 @@ struct GbtPin {
   std::uint64_t prediction_digest;  ///< every training row
 };
 
+/// make_synth's surface with each point repeated in an adjacent run of
+/// 1-4 rows with noisy targets, as a dataset's repetitions of one
+/// instance are, plus point 0 once more at the end: a repeat that is
+/// not adjacent to its first occurrence.
+Synth make_runs(std::size_t points, std::uint64_t seed) {
+  const Synth base = make_synth(points, 0.0, seed);
+  support::Xoshiro256 rng(seed + 1);
+  std::vector<std::size_t> src;
+  for (std::size_t i = 0; i < points; ++i) {
+    src.insert(src.end(), 1 + i % 4, i);
+  }
+  src.push_back(0);
+  Synth s;
+  s.x = Matrix(src.size(), base.x.cols());
+  s.y.resize(src.size());
+  for (std::size_t r = 0; r < src.size(); ++r) {
+    for (std::size_t f = 0; f < base.x.cols(); ++f) {
+      s.x(r, f) = base.x(src[r], f);
+    }
+    s.y[r] = base.y[src[r]] * rng.lognormal_median(1.0, 0.05);
+  }
+  return s;
+}
+
 TEST(GbtTest, FitIsPinnedBitForBit) {
   // Pinned from the fit that recomputed each row's exponentials in the
   // loss and re-walked every new tree for the score update: computing
@@ -235,6 +302,45 @@ TEST(GbtTest, FitIsPinnedBitForBit) {
     const std::vector<double> pred = model.predict(s.x);
     const std::string where =
         "objective " + std::to_string(static_cast<int>(pin.objective));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss.front()),
+              std::bit_cast<std::uint64_t>(pin.first_loss))
+        << where << std::hexfloat << ": " << loss.front();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss.back()),
+              std::bit_cast<std::uint64_t>(pin.last_loss))
+        << where << std::hexfloat << ": " << loss.back();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.front()),
+              std::bit_cast<std::uint64_t>(pin.prediction))
+        << where << std::hexfloat << ": " << pred.front();
+    EXPECT_EQ(bits_digest(loss), pin.loss_digest) << where;
+    EXPECT_EQ(bits_digest(pred), pin.prediction_digest) << where;
+  }
+
+  // Pinned before a row could reuse the previous row's exponentials:
+  // runs of equal rows share a score, so they take the reuse path, and
+  // every row whose score changes must recompute.
+  const GbtPin run_pins[] = {
+      {GbtObjective::kSquared, 0x1.00d746e3fa8bp+7, 0x1.be92cc07353edp-1,
+       0x1.e27da40e4e988p+3, 3452666773587437864ULL,
+       5744524043026424852ULL},
+      {GbtObjective::kGamma, 0x1.fdd75e1d03991p+1, 0x1.df806b8524aa2p+1,
+       0x1.e32be3050abbap+3, 10450304838046292836ULL,
+       10546984096539486320ULL},
+      {GbtObjective::kTweedie, 0x1.1c6b6a58cfa99p+4, 0x1.0b487758e2fbbp+4,
+       0x1.e2cee584635cbp+3, 9781140672391648687ULL,
+       3599876680123850645ULL},
+  };
+  const Synth runs = make_runs(120, 17);
+  for (const GbtPin& pin : run_pins) {
+    GbtParams params;
+    params.objective = pin.objective;
+    params.rounds = 40;
+    GradientBoostedTrees model(params);
+    model.fit(runs.x, runs.y);
+    const std::vector<double>& loss = model.training_loss();
+    ASSERT_EQ(loss.size(), 40u);
+    const std::vector<double> pred = model.predict(runs.x);
+    const std::string where =
+        "runs, objective " + std::to_string(static_cast<int>(pin.objective));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(loss.front()),
               std::bit_cast<std::uint64_t>(pin.first_loss))
         << where << std::hexfloat << ": " << loss.front();
@@ -379,10 +485,35 @@ TEST(GamTest, FitsMultiplicativeSurface) {
   EXPECT_GE(model.iterations_used(), 1);
 }
 
+TEST(GamTest, FitIsPinnedBitForBit) {
+  // Pinned from the fit that built each design row as its own matrix,
+  // multiplied every zero basis value and refactored the normal matrix
+  // on every iteration.
+  const Synth runs = make_runs(150, 23);
+  GamRegressor model;
+  model.fit(runs.x, runs.y);
+  const std::vector<double> pred = model.predict(runs.x);
+  EXPECT_EQ(model.iterations_used(), 6);
+  EXPECT_EQ(bits_digest(model.beta()), 17260135789235317853ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.front()),
+            std::bit_cast<std::uint64_t>(0x1.5fb53035ec329p+3))
+      << std::hexfloat << pred.front();
+  EXPECT_EQ(bits_digest(pred), 12751317027293100361ULL);
+}
+
 TEST(GamTest, RejectsNonPositiveTargets) {
   Matrix x(3, 1);
   GamRegressor model;
   EXPECT_THROW(model.fit(x, std::vector<double>{1.0, 0.0, 2.0}), Error);
+}
+
+TEST(GamTest, RejectsNonFiniteTargetsAndFeatures) {
+  Matrix x(3, 1);
+  GamRegressor model;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(model.fit(x, std::vector<double>{1.0, inf, 2.0}), Error);
+  x(1, 0) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(model.fit(x, std::vector<double>{1.0, 3.0, 2.0}), Error);
 }
 
 TEST(ForestTest, FitsAndIsDeterministic) {
@@ -398,6 +529,22 @@ TEST(ForestTest, FitsAndIsDeterministic) {
     EXPECT_DOUBLE_EQ(pa[i], pb[i]);
   }
   EXPECT_LT(mape(test.y, pa), 0.2);
+}
+
+TEST(ForestTest, FitIsPinnedBitForBit) {
+  // Pinned from the tree build that copied each node's rows into two
+  // fresh vectors. Bootstrap samples repeat rows, and the build must
+  // keep every node's rows in their sampled order.
+  const Synth s = make_synth(300, 0.05, 29);
+  ForestParams params;
+  params.num_trees = 25;
+  RandomForest model(params);
+  model.fit(s.x, s.y);
+  const std::vector<double> pred = model.predict(s.x);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.front()),
+            std::bit_cast<std::uint64_t>(0x1.433ffa6ba33b4p+3))
+      << std::hexfloat << pred.front();
+  EXPECT_EQ(bits_digest(pred), 16636189386707265745ULL);
 }
 
 TEST(LinearTest, RecoversLogLinearModel) {

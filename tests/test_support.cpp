@@ -151,12 +151,15 @@ TEST(Csv, RoundTrip) {
   t.add_row({"1", "2.5"});
   t.add_row({"3", "x"});
   write_csv(path, t);
-  const CsvTable r = read_csv(path);
-  EXPECT_EQ(r.num_rows(), 2u);
-  EXPECT_EQ(r.cell_int(0, r.column("a")), 1);
-  EXPECT_DOUBLE_EQ(r.cell_double(0, r.column("b")), 2.5);
-  EXPECT_EQ(r.cell(1, 1), "x");
-  EXPECT_THROW(r.column("missing"), ParseError);
+  CsvReader r(path);
+  EXPECT_EQ(r.header(), t.header());
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(parse_int(r.cells()[r.column("a")]), 1);
+  EXPECT_DOUBLE_EQ(parse_double(r.cells()[r.column("b")]), 2.5);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.cells()[1], "x");
+  EXPECT_FALSE(r.next());
+  EXPECT_THROW((void)r.column("missing"), ParseError);
   std::filesystem::remove(path);
 }
 
@@ -167,20 +170,28 @@ TEST(Csv, RejectsRaggedRows) {
 
 TEST(Csv, RejectsMalformedFiles) {
   const auto dir = std::filesystem::temp_directory_path();
-  EXPECT_THROW(read_csv(dir / "mpicp_does_not_exist.csv"), ParseError);
+  EXPECT_THROW(CsvReader(dir / "mpicp_does_not_exist.csv"), ParseError);
 
-  const auto ragged = dir / "mpicp_ragged.csv";
+  const auto empty = dir / "mpicp_empty.csv";
+  { std::ofstream out(empty); }
+  EXPECT_THROW(CsvReader{empty}, ParseError);
+  std::filesystem::remove(empty);
+}
+
+TEST(Csv, ReportsRaggedRowsWithTheirLine) {
+  const auto ragged =
+      std::filesystem::temp_directory_path() / "mpicp_ragged.csv";
   {
     std::ofstream out(ragged);
     out << "a,b\n1,2\n3\n";
   }
-  EXPECT_THROW(read_csv(ragged), ParseError);
+  CsvReader r(ragged);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.cells().size(), 2u);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.cells().size(), 1u);
+  EXPECT_EQ(r.lineno(), 3u);
   std::filesystem::remove(ragged);
-
-  const auto empty = dir / "mpicp_empty.csv";
-  { std::ofstream out(empty); }
-  EXPECT_THROW(read_csv(empty), ParseError);
-  std::filesystem::remove(empty);
 }
 
 TEST(Csv, SkipsBlankLines) {
@@ -188,10 +199,15 @@ TEST(Csv, SkipsBlankLines) {
                     "mpicp_blank_lines.csv";
   {
     std::ofstream out(path);
-    out << "a,b\n1,2\n\n3,4\n";
+    out << "a,b\n1,2\n\n \r\n3,4\r\n";
   }
-  const CsvTable t = read_csv(path);
-  EXPECT_EQ(t.num_rows(), 2u);
+  CsvReader r(path);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.lineno(), 2u);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.lineno(), 5u);
+  EXPECT_EQ(r.cells()[1], "4");
+  EXPECT_FALSE(r.next());
   std::filesystem::remove(path);
 }
 
