@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <span>
-#include <string_view>
+#include <fstream>
 #include <utility>
 
 #include "support/csv.hpp"
@@ -40,9 +38,7 @@ std::size_t Dataset::KeyHash::operator()(const Key& k) const noexcept {
 }
 
 void Dataset::add(const Record& rec) {
-  MPICP_REQUIRE(rec.uid >= 1 && rec.time_us > 0.0 && rec.nodes >= 1 &&
-                    rec.ppn >= 1,
-                "malformed dataset record");
+  MPICP_REQUIRE(validate_record(rec).empty(), "malformed dataset record");
   add_unchecked(rec);
 }
 
@@ -50,7 +46,9 @@ void Dataset::add_unchecked(const Record& rec) {
   records_.push_back(rec);
   const Instance inst{rec.nodes, rec.ppn, rec.msize};
   const auto [it, first] = samples_.try_emplace({rec.uid, inst});
-  it->second.push_back(rec.time_us);
+  std::vector<double>& times = it->second;
+  times.insert(std::upper_bound(times.begin(), times.end(), rec.time_us),
+               rec.time_us);
   if (first) {
     uids_.insert(rec.uid);
     if (instances_.insert(inst).second) {
@@ -59,9 +57,6 @@ void Dataset::add_unchecked(const Record& rec) {
       msizes_.insert(inst.msize);
     }
   }
-  MedianCache& cache = median_cache_;
-  const support::MutexLock lock(cache.mu);
-  cache.values.clear();
 }
 
 std::vector<int> Dataset::uids() const {
@@ -85,14 +80,7 @@ bool Dataset::has(int uid, const Instance& inst) const {
 }
 
 double Dataset::time_us(int uid, const Instance& inst) const {
-  const Key k{uid, inst};
-  MedianCache& cache = median_cache_;
-  {
-    const support::MutexLock lock(cache.mu);
-    const auto cached = cache.values.find(k);
-    if (cached != cache.values.end()) return cached->second;
-  }
-  const auto it = samples_.find(k);
+  const auto it = samples_.find({uid, inst});
   if (it == samples_.end()) {
     MPICP_RAISE_ARG("dataset " + name_ + ": no measurement for uid " +
                           std::to_string(uid) + " at n=" +
@@ -100,17 +88,15 @@ double Dataset::time_us(int uid, const Instance& inst) const {
                           std::to_string(inst.ppn) + " m=" +
                           std::to_string(inst.msize));
   }
-  const double med = support::median(it->second);
-  const support::MutexLock lock(cache.mu);
-  cache.values.emplace(k, med);
-  return med;
+  return support::quantile_sorted(it->second, 0.5);
 }
 
 Dataset::Best Dataset::best(const Instance& inst) const {
   Best best;
   for (const int uid : uids_) {
-    if (!has(uid, inst)) continue;
-    const double t = time_us(uid, inst);
+    const auto it = samples_.find({uid, inst});
+    if (it == samples_.end()) continue;
+    const double t = support::quantile_sorted(it->second, 0.5);
     if (best.uid == 0 || t < best.time_us) best = {uid, t};
   }
   MPICP_REQUIRE(best.uid != 0, "no measurements for instance");
@@ -122,118 +108,51 @@ std::vector<Instance> Dataset::instances() const {
 }
 
 void Dataset::save_csv(const std::filesystem::path& path) const {
-  support::CsvTable table({"uid", "nodes", "ppn", "msize", "time_us"});
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path());
+  }
+  std::ofstream out(path);
+  if (!out) MPICP_RAISE_ERROR("cannot open " + path.string() + " for writing");
+  out << "uid,nodes,ppn,msize,time_us\n";
   for (const Record& r : records_) {
-    table.add_row({std::to_string(r.uid), std::to_string(r.nodes),
-                   std::to_string(r.ppn), std::to_string(r.msize),
-                   support::format_double(r.time_us, 17)});
+    out << r.uid << ',' << r.nodes << ',' << r.ppn << ',' << r.msize << ','
+        << support::format_double(r.time_us, 17) << '\n';
   }
-  support::write_csv(path, table);
+  if (!out) MPICP_RAISE_ERROR("failed writing CSV file " + path.string());
 }
 
-namespace {
-
-namespace metrics = support::metrics;
-
-/// The five columns of a dataset CSV, resolved once per file.
-struct RecordColumns {
-  explicit RecordColumns(const support::CsvReader& reader)
-      : uid(reader.column("uid")),
-        nodes(reader.column("nodes")),
-        ppn(reader.column("ppn")),
-        msize(reader.column("msize")),
-        time_us(reader.column("time_us")) {}
-
-  std::size_t uid;
-  std::size_t nodes;
-  std::size_t ppn;
-  std::size_t msize;
-  std::size_t time_us;
-};
-
-/// A row's configuration key, its cells parsed in the order uid, nodes,
-/// ppn, msize; throws ParseError at the first unparseable one.
-ParsedKey parse_key(std::span<const std::string_view> cells,
-                    const RecordColumns& c) {
-  return {support::parse_int(cells[c.uid]),
-          support::parse_int(cells[c.nodes]),
-          support::parse_int(cells[c.ppn]),
-          support::parse_int(cells[c.msize])};
-}
-
-constexpr std::size_t kMaxSamples = 10;
-
-void quarantine(IngestReport& report, std::size_t lineno,
-                const std::string& reason) {
-  ++report.rows_quarantined;
-  ++report.reasons[reason];
-  if (report.samples.size() < kMaxSamples) {
-    report.samples.push_back({lineno, reason});
+ClassifiedRow classify_row(std::span<const std::string_view> cells,
+                           const RecordColumns& columns) {
+  ClassifiedRow row;
+  if (cells.size() != columns.width) {
+    row.reason = "row width mismatch";
+    return row;
   }
-}
-
-/// Accounts the rows `first` quarantined ahead of those `report` did.
-void prepend(IngestReport& report, IngestReport first) {
-  report.rows_quarantined += first.rows_quarantined;
-  for (const auto& [reason, count] : first.reasons) {
-    report.reasons[reason] += count;
+  std::int64_t uid = 0;
+  std::int64_t nodes = 0;
+  std::int64_t ppn = 0;
+  std::int64_t msize = 0;
+  try {
+    uid = support::parse_int(cells[columns.uid]);
+    nodes = support::parse_int(cells[columns.nodes]);
+    ppn = support::parse_int(cells[columns.ppn]);
+    msize = support::parse_int(cells[columns.msize]);
+    row.record.time_us = support::parse_double(cells[columns.time_us]);
+  } catch (const ParseError&) {
+    row.reason = "unparseable field";
+    return row;
   }
-  for (const IngestReport::Sample& s : report.samples) {
-    if (first.samples.size() == kMaxSamples) break;
-    first.samples.push_back(s);
+  if (!std::in_range<int>(uid) || !std::in_range<int>(nodes) ||
+      !std::in_range<int>(ppn) || msize < 0) {
+    row.reason = "bad configuration key";
+    return row;
   }
-  report.samples = std::move(first.samples);
-}
-
-}  // namespace
-
-Dataset Dataset::load_csv(const std::filesystem::path& path,
-                          std::string name, sim::MpiLib lib,
-                          sim::Collective coll, std::string machine) {
-  support::CsvReader reader(path);
-  const RecordColumns c(reader);
-  Dataset ds(std::move(name), lib, coll, std::move(machine));
-  // A row-width mismatch anywhere in the file is the error, as when the
-  // whole table was read before its first cell was parsed; failing that,
-  // the first row that fails to parse or to add. So a row's failure is
-  // held back until the rest of the file has passed the width check.
-  std::exception_ptr row_error;
-  std::size_t data_row = 0;
-  while (reader.next()) {
-    const auto cells = reader.cells();
-    if (cells.size() != reader.header().size()) {
-      MPICP_RAISE_PARSE(path.string() + ":" +
-                        std::to_string(reader.lineno()) +
-                        ": row width mismatch");
-    }
-    ++data_row;
-    if (row_error) continue;
-    try {
-      Record rec;
-      MPICP_CHECK_PARSE(narrow_key(parse_key(cells, c), rec),
-                        path.string() + ": data row " +
-                            std::to_string(data_row) +
-                            ": configuration key out of range");
-      rec.time_us = support::parse_double(cells[c.time_us]);
-      ds.add(rec);
-    } catch (const Error&) {
-      row_error = std::current_exception();
-    }
-  }
-  if (row_error) std::rethrow_exception(row_error);
-  return ds;
-}
-
-bool narrow_key(const ParsedKey& key, Record& rec) {
-  if (!std::in_range<int>(key.uid) || !std::in_range<int>(key.nodes) ||
-      !std::in_range<int>(key.ppn) || key.msize < 0) {
-    return false;
-  }
-  rec.uid = static_cast<int>(key.uid);
-  rec.nodes = static_cast<int>(key.nodes);
-  rec.ppn = static_cast<int>(key.ppn);
-  rec.msize = static_cast<std::uint64_t>(key.msize);
-  return true;
+  row.record.uid = static_cast<int>(uid);
+  row.record.nodes = static_cast<int>(nodes);
+  row.record.ppn = static_cast<int>(ppn);
+  row.record.msize = static_cast<std::uint64_t>(msize);
+  row.reason = validate_record(row.record);
+  return row;
 }
 
 std::string validate_record(const Record& rec) {
@@ -246,47 +165,68 @@ std::string validate_record(const Record& rec) {
   return "";
 }
 
+namespace {
+
+namespace metrics = support::metrics;
+
+constexpr std::size_t kMaxSamples = 10;
+
+/// Reads `path` row by row, in file order: each row classify_row
+/// accepts is added to `ds` (classify_row has already applied add's
+/// check), each one it rejects goes to `reject(lineno, reason)`.
+template <typename Reject>
+Dataset load_rows(const std::filesystem::path& path, Dataset ds,
+                  Reject&& reject) {
+  support::CsvReader reader(path);
+  const RecordColumns columns{.width = reader.header().size(),
+                              .uid = reader.column("uid"),
+                              .nodes = reader.column("nodes"),
+                              .ppn = reader.column("ppn"),
+                              .msize = reader.column("msize"),
+                              .time_us = reader.column("time_us")};
+  while (reader.next()) {
+    const ClassifiedRow row = classify_row(reader.cells(), columns);
+    if (row.reason.empty()) {
+      ds.add_unchecked(row.record);
+    } else {
+      reject(reader.lineno(), row.reason);
+    }
+  }
+  return ds;
+}
+
+}  // namespace
+
+Dataset Dataset::load_csv(const std::filesystem::path& path,
+                          std::string name, sim::MpiLib lib,
+                          sim::Collective coll, std::string machine) {
+  return load_rows(path,
+                   Dataset(std::move(name), lib, coll, std::move(machine)),
+                   [&](std::size_t lineno, const std::string& reason) {
+                     MPICP_RAISE_PARSE(path.string() + ":" +
+                                       std::to_string(lineno) + ": " +
+                                       reason);
+                   });
+}
+
 Dataset Dataset::load_csv_tolerant(const std::filesystem::path& path,
                                    std::string name, sim::MpiLib lib,
                                    sim::Collective coll,
                                    std::string machine,
                                    IngestReport* report) {
   MPICP_SPAN("ingest.load_csv_tolerant");
-  support::CsvReader reader(path);
-  const RecordColumns c(reader);
-  Dataset ds(std::move(name), lib, coll, std::move(machine));
-  // Rows of the wrong width are accounted ahead of every other
-  // quarantined row, as when the whole table was read before its first
-  // cell was parsed: the report's samples list them first.
   IngestReport local;
-  IngestReport misshapen;
-  while (reader.next()) {
-    ++local.rows_seen;
-    const std::size_t lineno = reader.lineno();
-    const auto cells = reader.cells();
-    if (cells.size() != reader.header().size()) {
-      quarantine(misshapen, lineno, "row width mismatch");
-      continue;
-    }
-    Record rec;
-    bool key_in_range = false;
-    try {
-      key_in_range = narrow_key(parse_key(cells, c), rec);
-      rec.time_us = support::parse_double(cells[c.time_us]);
-    } catch (const ParseError&) {
-      quarantine(local, lineno, "unparseable field");
-      continue;
-    }
-    const std::string reason =
-        key_in_range ? validate_record(rec) : "bad configuration key";
-    if (!reason.empty()) {
-      quarantine(local, lineno, reason);
-    } else {
-      ds.add(rec);
-      ++local.rows_ingested;
-    }
-  }
-  prepend(local, std::move(misshapen));
+  Dataset ds = load_rows(
+      path, Dataset(std::move(name), lib, coll, std::move(machine)),
+      [&](std::size_t lineno, const std::string& reason) {
+        ++local.rows_quarantined;
+        ++local.reasons[reason];
+        if (local.samples.size() < kMaxSamples) {
+          local.samples.push_back({lineno, reason});
+        }
+      });
+  local.rows_ingested = ds.num_records();
+  local.rows_seen = local.rows_ingested + local.rows_quarantined;
   static metrics::Counter& files = metrics::counter("ingest.files");
   static metrics::Counter& rows_seen = metrics::counter("ingest.rows_seen");
   static metrics::Counter& rows_ingested =

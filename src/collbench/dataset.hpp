@@ -12,13 +12,14 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "simmpi/coll/registry.hpp"
 #include "simmpi/coll/types.hpp"
-#include "support/thread_safety.hpp"
 
 namespace mpicp::bench {
 
@@ -60,35 +61,47 @@ struct IngestReport {
     std::size_t lineno = 0;
     std::string reason;
   };
-  /// The first few quarantined rows, for log output.
+  /// The first ten quarantined rows, in file order, for log output.
   std::vector<Sample> samples;
 
   bool clean() const { return rows_quarantined == 0; }
 };
 
-/// One row's configuration key as parsed from text, before narrowing.
-struct ParsedKey {
-  std::int64_t uid = 0;
-  std::int64_t nodes = 0;
-  std::int64_t ppn = 0;
-  std::int64_t msize = 0;
+/// Where a row's five fields sit among its cells, and how many cells a
+/// row must have. The defaults are the stream's fixed layout
+/// (uid,nodes,ppn,msize,time_us); the CSV loaders take theirs from the
+/// file's header.
+struct RecordColumns {
+  std::size_t width = 5;
+  std::size_t uid = 0;
+  std::size_t nodes = 1;
+  std::size_t ppn = 2;
+  std::size_t msize = 3;
+  std::size_t time_us = 4;
 };
 
-/// Narrows a parsed key into `rec`. Returns false, leaving `rec`
-/// untouched, when a value does not fit its field: a uid, node or ppn
-/// count outside `int`, or a negative message size. Every CSV and
-/// stream reader takes its keys through this, so an out-of-range value
-/// never wraps into a valid-looking key; the tolerant readers
-/// quarantine such a row as "bad configuration key", the strict loader
-/// raises ParseError.
-[[nodiscard]] bool narrow_key(const ParsedKey& key, Record& rec);
+/// One row classified: the record it holds, or the reason (one of
+/// kQuarantineReasons) it is rejected under.
+struct ClassifiedRow {
+  Record record;
+  std::string reason;  ///< "" when the row is ingestible
+};
+
+/// The one validity rule for a row of cells, checked in this order: the
+/// row's width, that every field parses, that the key fits its fields (a
+/// uid, node or ppn count inside `int`, a non-negative message size, so
+/// an out-of-range value never wraps into a valid-looking key), then
+/// validate_record. The strict and tolerant CSV loaders and
+/// StreamPipeline::push_row all read their rows through this.
+[[nodiscard]] ClassifiedRow classify_row(
+    std::span<const std::string_view> cells, const RecordColumns& columns);
 
 /// Semantic validation of one observation against the tolerant-ingest
 /// rules. Returns the quarantine reason — exactly the strings
 /// Dataset::load_csv_tolerant accounts under ("non-finite time",
 /// "non-positive time", "implausible time", "bad configuration key") —
-/// or "" when the record is ingestible. Streaming consumers reuse this
-/// so their quarantine accounting matches file ingest byte for byte.
+/// or "" when the record is ingestible. Dataset::add and
+/// StreamPipeline::push hold every record to it.
 [[nodiscard]] std::string validate_record(const Record& rec);
 
 /// Every reason a tolerant reader quarantines a row under: the
@@ -108,6 +121,8 @@ class Dataset {
   sim::Collective collective() const { return coll_; }
   const std::string& machine() const { return machine_; }
 
+  /// Appends a record that passes validate_record; throws
+  /// InvalidArgument otherwise.
   void add(const Record& rec);
 
   /// Fault-injection entry: append a record without validation, so tests
@@ -128,7 +143,8 @@ class Dataset {
 
   bool has(int uid, const Instance& inst) const;
 
-  /// Median measured time of one configuration; throws if absent.
+  /// Median measured time of one configuration; throws if absent. A
+  /// read of the samples add() keeps sorted: no allocation, no lock.
   double time_us(int uid, const Instance& inst) const;
 
   /// Empirically best configuration for an instance (argmin of median
@@ -145,15 +161,16 @@ class Dataset {
 
   // ---- persistence ----------------------------------------------------
   void save_csv(const std::filesystem::path& path) const;
+  /// Strict ingest: raises ParseError "<path>:<line>: <reason>" at the
+  /// first row, in file order, that classify_row rejects.
   [[nodiscard]] static Dataset load_csv(const std::filesystem::path& path,
                           std::string name, sim::MpiLib lib,
                           sim::Collective coll, std::string machine);
 
-  /// Tolerant ingest: structurally or semantically bad rows (wrong cell
-  /// count, unparseable fields, non-finite / non-positive / implausible
-  /// timings) are quarantined into `report` instead of aborting the
-  /// load. File-level failures (missing file, bad header) still throw.
-  /// On a clean file this is byte-for-byte equivalent to load_csv.
+  /// Tolerant ingest: every row classify_row rejects is quarantined into
+  /// `report`, in file order, instead of aborting the load. File-level
+  /// failures (missing file, bad header) still throw. On a file
+  /// load_csv accepts this is byte-for-byte equivalent to it.
   [[nodiscard]] static Dataset load_csv_tolerant(
       const std::filesystem::path& path,
                                    std::string name, sim::MpiLib lib,
@@ -177,6 +194,7 @@ class Dataset {
   sim::Collective coll_;
   std::string machine_;
   std::vector<Record> records_;
+  // Each configuration's timings, kept sorted as rows are added.
   std::unordered_map<Key, std::vector<double>, KeyHash> samples_;
   // The index: distinct values of every key field, kept sorted as rows
   // are added. A row whose (uid, instance) is already in samples_ adds
@@ -186,27 +204,6 @@ class Dataset {
   std::set<int> node_counts_;
   std::set<int> ppns_;
   std::set<std::uint64_t> msizes_;
-  // Lazily cached medians — the only mutable state behind the const
-  // query API, so it carries its own lock: time_us()/best() are called
-  // concurrently from the parallel evaluator and selector paths. Each
-  // Dataset owns its cache: a copy or move starts with an empty one
-  // (medians are recomputed on demand), so copies that diverge never
-  // read each other's medians, and Dataset stays copyable and movable.
-  struct MedianCache {
-    MedianCache() = default;
-    MedianCache(const MedianCache& /*other*/) noexcept {}
-    MedianCache& operator=(const MedianCache& other) {
-      if (this != &other) {
-        const support::MutexLock lock(mu);
-        values.clear();
-      }
-      return *this;
-    }
-
-    support::Mutex mu;
-    std::unordered_map<Key, double, KeyHash> values MPICP_GUARDED_BY(mu);
-  };
-  mutable MedianCache median_cache_;
 };
 
 /// Render an ingest health report as an aligned table (support/table).

@@ -1,4 +1,4 @@
-// Minimal CSV persistence for measurement datasets.
+// Minimal CSV reading for measurement datasets.
 //
 // The format is deliberately simple (no quoting — our data are numbers and
 // identifier-like strings). Reads stream row by row and report each row's
@@ -14,24 +14,6 @@
 #include <vector>
 
 namespace mpicp::support {
-
-/// An in-memory CSV table for writing: a header and rows of string cells.
-class CsvTable {
- public:
-  CsvTable() = default;
-  explicit CsvTable(std::vector<std::string> header);
-
-  const std::vector<std::string>& header() const { return header_; }
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
-
-  void add_row(std::vector<std::string> row);
-  const std::vector<std::string>& row(std::size_t i) const;
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
-};
 
 /// Streams a CSV file one row at a time, so a loader parses its cells
 /// without materializing the table. The header is read on construction;
@@ -62,7 +44,5 @@ class CsvReader {
   std::vector<std::string_view> cells_;
   std::size_t lineno_ = 1;
 };
-
-void write_csv(const std::filesystem::path& path, const CsvTable& table);
 
 }  // namespace mpicp::support

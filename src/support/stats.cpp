@@ -37,15 +37,19 @@ double max(std::span<const double> xs) {
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 double quantile(std::span<const double> xs, double q) {
-  MPICP_REQUIRE(!xs.empty(), "quantile of empty range");
-  MPICP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile order outside [0,1]");
   std::vector<double> v(xs.begin(), xs.end());
   std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
+  return quantile_sorted(v, q);
+}
+
+double quantile_sorted(std::span<const double> sorted, double q) {
+  MPICP_REQUIRE(!sorted.empty(), "quantile of empty range");
+  MPICP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile order outside [0,1]");
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, v.size() - 1);
+  const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 double geomean(std::span<const double> xs) {

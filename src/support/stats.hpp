@@ -20,6 +20,9 @@ double median(std::span<const double> xs);
 /// Linear-interpolation quantile (q in [0,1]); copies and sorts.
 double quantile(std::span<const double> xs, double q);
 
+/// quantile() of input that is already sorted ascending: no copy.
+double quantile_sorted(std::span<const double> sorted, double q);
+
 /// Geometric mean; requires strictly positive inputs.
 double geomean(std::span<const double> xs);
 

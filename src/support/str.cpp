@@ -9,16 +9,19 @@
 namespace mpicp::support {
 
 std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
+  std::vector<std::string_view> views;
+  split_views(s, sep, views);
+  return {views.begin(), views.end()};
+}
+
+void split_views(std::string_view s, char sep,
+                 std::vector<std::string_view>& out) {
+  out.clear();
   while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
+    const std::size_t pos = s.find(sep);
+    out.push_back(s.substr(0, pos));
+    if (pos == std::string_view::npos) return;
+    s.remove_prefix(pos + 1);
   }
 }
 

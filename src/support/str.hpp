@@ -9,6 +9,9 @@
 namespace mpicp::support {
 
 std::vector<std::string> split(std::string_view s, char sep);
+/// split without copies: `out` is cleared and filled with views into `s`.
+void split_views(std::string_view s, char sep,
+                 std::vector<std::string_view>& out);
 std::string_view trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 

@@ -1,5 +1,6 @@
 #include "tune/online.hpp"
 
+#include <string>
 #include <utility>
 
 #include "support/error.hpp"
@@ -52,7 +53,11 @@ int OnlineSelector::next_uid(const bench::Instance& inst) {
 
 void OnlineSelector::record(const bench::Instance& inst, int uid,
                             double time_us) {
-  MPICP_REQUIRE(time_us > 0.0, "non-positive measurement");
+  // The rule Dataset::add holds observations_dataset's rows to: a
+  // measurement it would refuse never enters a cell.
+  const std::string reason = bench::validate_record(
+      {uid, inst.nodes, inst.ppn, inst.msize, time_us});
+  MPICP_REQUIRE(reason.empty(), "rejected measurement: " + reason);
   const support::MutexLock lock(mu_);
   std::vector<double>& times = cells_[inst].observations[uid];
   times.push_back(time_us);

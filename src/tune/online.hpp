@@ -40,6 +40,8 @@ class OnlineSelector {
   int next_uid(const bench::Instance& inst);
 
   /// Feed back the measured duration of a call issued via next_uid.
+  /// Throws InvalidArgument for a measurement bench::validate_record
+  /// rejects (non-finite, non-positive, above kMaxTimeUs, bad key).
   void record(const bench::Instance& inst, int uid, double time_us);
 
   bool converged(const bench::Instance& inst) const;

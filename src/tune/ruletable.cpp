@@ -334,7 +334,8 @@ RuleDistillation distill(const CompiledBank& bank,
   }
   RuleDistillation out{.table = RuleTable::fit(points, params),
                        .grid_points = grid.size()};
-  metrics::counter("ruletable.distilled").inc();
+  static metrics::Counter& distilled = metrics::counter("ruletable.distilled");
+  distilled.inc();
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <utility>
 
-#include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/str.hpp"
 #include "support/trace.hpp"
@@ -23,8 +22,6 @@ namespace {
 /// loses to one that serves them.
 constexpr double kUnusablePenalty = 10.0;
 
-constexpr std::size_t kStreamColumns = 5;  // uid,nodes,ppn,msize,time_us
-
 }  // namespace
 
 StreamPipeline::StreamPipeline(BankRegistry& registry,
@@ -38,46 +35,27 @@ StreamPipeline::RowOutcome StreamPipeline::push_row(
   const std::string_view trimmed = support::trim(row_text);
   if (trimmed.empty()) return {};
 
-  const std::vector<std::string> cells = support::split(trimmed, ',');
-  bench::Record rec;
-  std::string reason;
-  if (cells.size() != kStreamColumns) {
-    reason = "row width mismatch";  // load_csv_tolerant's structural reason
-  } else {
-    try {
-      if (!bench::narrow_key(
-              {support::parse_int(cells[0]), support::parse_int(cells[1]),
-               support::parse_int(cells[2]), support::parse_int(cells[3])},
-              rec)) {
-        reason = "bad configuration key";
-      }
-      rec.time_us = support::parse_double(cells[4]);
-    } catch (const ParseError&) {
-      reason = "unparseable field";
-    }
-  }
-  if (!reason.empty()) {
-    const support::MutexLock lock(mu_);
-    RowOutcome out;
-    (void)admit_locked(reason, out);
-    return out;
-  }
-  return push(key, rec);
+  std::vector<std::string_view> cells;
+  support::split_views(trimmed, ',', cells);
+  const bench::ClassifiedRow row = bench::classify_row(cells, {});
+  const support::MutexLock lock(mu_);
+  return push_locked(key, row.record, row.reason);
 }
 
 StreamPipeline::RowOutcome StreamPipeline::push(const BankKey& key,
                                                 const bench::Record& rec) {
   const support::MutexLock lock(mu_);
-  return push_locked(key, rec);
+  return push_locked(key, rec, bench::validate_record(rec));
 }
 
 StreamPipeline::RowOutcome StreamPipeline::push_locked(
-    const BankKey& key, const bench::Record& rec) {
+    const BankKey& key, const bench::Record& rec,
+    const std::string& reason) {
   MPICP_SPAN("stream.push");
-  // The same semantic screen as Dataset::load_csv_tolerant — a
-  // corrupted value never reaches the window, the detector or a refit.
+  // The same screen as Dataset::load_csv_tolerant — a corrupted value
+  // never reaches the window, the detector or a refit.
   RowOutcome out;
-  if (!admit_locked(bench::validate_record(rec), out)) return out;
+  if (!admit_locked(reason, out)) return out;
 
   KeyState& state = states_[key];
   ingest(state, rec);

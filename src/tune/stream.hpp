@@ -82,8 +82,8 @@ class StreamPipeline {
   };
 
   /// Feed one textual measurement row ("uid,nodes,ppn,msize,time_us").
-  /// Structurally bad rows are quarantined with load_csv_tolerant's reasons;
-  /// parsed rows continue through push().
+  /// bench::classify_row, the file loaders' rule, judges it: a row it
+  /// rejects is quarantined under its reason, the rest go through push().
   [[nodiscard]] RowOutcome push_row(const BankKey& key,
                                     const std::string& row_text);
 
@@ -131,8 +131,12 @@ class StreamPipeline {
     std::uint64_t backoff_until = 0;    ///< accepted count gate
   };
 
+  /// Admits `rec` under `reason` (its classify_row or validate_record
+  /// verdict, "" when ingestible), then windows it, scores it and
+  /// refits as needed.
   [[nodiscard]] RowOutcome push_locked(const BankKey& key,
-                                       const bench::Record& rec)
+                                       const bench::Record& rec,
+                                       const std::string& reason)
       MPICP_REQUIRES(mu_);
   /// Counts one row as seen and, when `reason` is non-empty, quarantines
   /// it under that reason into the stats, the counters and `out`.

@@ -3,11 +3,14 @@
 // default-logic baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -141,11 +144,11 @@ TEST(Dataset, CopiesNeverReadEachOthersMedians) {
   Dataset b = a;
   b.add({1, 1, 1, 64, 30.0});
   b.add({1, 1, 1, 64, 40.0});
-  // a caches its median first; b's must still come from b's samples.
+  // a reads its median first; b's must still come from b's samples.
   EXPECT_DOUBLE_EQ(a.time_us(1, inst), 10.0);
   EXPECT_DOUBLE_EQ(b.time_us(1, inst), 30.0);
 
-  // Copy assignment, then divergence after both have cached.
+  // Copy assignment, then divergence after both have been read.
   Dataset c("c", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
   c = b;
   EXPECT_DOUBLE_EQ(c.time_us(1, inst), 30.0);
@@ -330,251 +333,216 @@ void expect_same_records(const Dataset& a, const Dataset& b) {
   }
 }
 
-// ---- the streaming loaders against the table-based ones -----------------
-//
-// Dataset::load_csv and load_csv_tolerant once read the whole file into a
-// table of strings (each non-blank line trimmed and split at commas) and
-// parsed the cells afterwards. The reference below is that path; the
-// streaming loaders must agree with it on records, errors and reports.
-
-/// The table-based read: every non-blank line's cells and file line
-/// number; rows of the wrong width throw (strict) or are listed apart.
-struct TableRead {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::size_t> linenos;
-  std::vector<std::size_t> misshapen;
-};
-
-TableRead read_table(const std::filesystem::path& path, bool lenient) {
-  std::ifstream in(path);
-  if (!in) throw ParseError("cannot open CSV file " + path.string());
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw ParseError("CSV file " + path.string() + " is empty");
-  }
-  TableRead t;
-  t.header = support::split(support::trim(line), ',');
-  std::size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::string_view trimmed = support::trim(line);
-    if (trimmed.empty()) continue;
-    std::vector<std::string> cells = support::split(trimmed, ',');
-    if (cells.size() != t.header.size()) {
-      if (!lenient) {
-        throw ParseError(path.string() + ":" + std::to_string(lineno) +
-                         ": row width mismatch");
-      }
-      t.misshapen.push_back(lineno);
-      continue;
-    }
-    t.rows.push_back(std::move(cells));
-    t.linenos.push_back(lineno);
-  }
-  return t;
-}
-
-std::size_t column_of(const TableRead& t, const std::string& name) {
-  for (std::size_t i = 0; i < t.header.size(); ++i) {
-    if (t.header[i] == name) return i;
-  }
-  throw ParseError("CSV column '" + name + "' not found");
-}
-
-/// What one load produced: the records, or the error it raised.
-struct LoadOutcome {
-  std::vector<Record> records;
-  IngestReport report;
-  std::string error;  ///< "<kind>: <message>", empty on success
-};
+// ---- the CSV loaders, row by row in file order ---------------------------
 
 /// The message a reader sees, without the raise site ("[file:line]")
-/// and the checked expression ("malformed input: <expr> — ") that the
-/// error macros add around it: both name source code, not the input.
+/// that the error macros append: it names source code, not the input.
 std::string user_message(const std::string& what) {
-  std::string msg = what.substr(0, what.rfind(" ["));
-  const std::size_t dash = msg.find(" — ");
-  if (dash != std::string::npos) msg = msg.substr(dash + 5);
-  return msg;
+  return what.substr(0, what.rfind(" ["));
 }
 
-template <typename Load>
-LoadOutcome outcome_of(Load load) {
-  LoadOutcome out;
-  try {
-    const Dataset ds = load(out.report);
-    out.records = ds.records();
-  } catch (const ParseError& e) {
-    out.error = "ParseError: " + user_message(e.what());
-  } catch (const InvalidArgument& e) {
-    out.error = "InvalidArgument: " + user_message(e.what());
-  }
-  return out;
-}
+/// One fixture file and what each loader must make of it. The tolerant
+/// load ingests `records` and quarantines `quarantined` (line, reason),
+/// both in file order; the strict load raises "<path><strict_error>" or,
+/// when that is empty, ingests the same records.
+struct LoadCase {
+  std::string name;
+  std::string text;
+  std::vector<Record> records;
+  std::string strict_error;
+  std::vector<IngestReport::Sample> quarantined;
+};
 
-Dataset table_load(const std::filesystem::path& path) {
-  const TableRead t = read_table(path, /*lenient=*/false);
-  Dataset ds("csv", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
-  const std::size_t c_uid = column_of(t, "uid");
-  const std::size_t c_nodes = column_of(t, "nodes");
-  const std::size_t c_ppn = column_of(t, "ppn");
-  const std::size_t c_msize = column_of(t, "msize");
-  const std::size_t c_time = column_of(t, "time_us");
-  for (std::size_t i = 0; i < t.rows.size(); ++i) {
-    const std::vector<std::string>& row = t.rows[i];
-    Record rec;
-    if (!narrow_key({support::parse_int(row[c_uid]),
-                     support::parse_int(row[c_nodes]),
-                     support::parse_int(row[c_ppn]),
-                     support::parse_int(row[c_msize])},
-                    rec)) {
-      throw ParseError(path.string() + ": data row " +
-                       std::to_string(i + 1) +
-                       ": configuration key out of range");
-    }
-    rec.time_us = support::parse_double(row[c_time]);
-    ds.add(rec);
-  }
-  return ds;
-}
-
-Dataset table_load_tolerant(const std::filesystem::path& path,
-                            IngestReport& report) {
-  const TableRead t = read_table(path, /*lenient=*/true);
-  Dataset ds("csv", sim::MpiLib::kOpenMPI, sim::Collective::kBcast, "Hydra");
-  const auto quarantine = [&](std::size_t lineno, const std::string& why) {
-    ++report.rows_quarantined;
-    ++report.reasons[why];
-    if (report.samples.size() < 10) report.samples.push_back({lineno, why});
-  };
-  for (const std::size_t lineno : t.misshapen) {
-    ++report.rows_seen;
-    quarantine(lineno, "row width mismatch");
-  }
-  const std::size_t c_uid = column_of(t, "uid");
-  const std::size_t c_nodes = column_of(t, "nodes");
-  const std::size_t c_ppn = column_of(t, "ppn");
-  const std::size_t c_msize = column_of(t, "msize");
-  const std::size_t c_time = column_of(t, "time_us");
-  for (std::size_t i = 0; i < t.rows.size(); ++i) {
-    ++report.rows_seen;
-    const std::vector<std::string>& row = t.rows[i];
-    Record rec;
-    bool key_in_range = false;
-    try {
-      key_in_range = narrow_key({support::parse_int(row[c_uid]),
-                                 support::parse_int(row[c_nodes]),
-                                 support::parse_int(row[c_ppn]),
-                                 support::parse_int(row[c_msize])},
-                                rec);
-      rec.time_us = support::parse_double(row[c_time]);
-    } catch (const ParseError&) {
-      quarantine(t.linenos[i], "unparseable field");
-      continue;
-    }
-    const std::string reason =
-        key_in_range ? validate_record(rec) : "bad configuration key";
-    if (!reason.empty()) {
-      quarantine(t.linenos[i], reason);
-    } else {
-      ds.add(rec);
-      ++report.rows_ingested;
-    }
-  }
-  return ds;
-}
-
-void expect_same_outcome(const LoadOutcome& got, const LoadOutcome& want) {
-  EXPECT_EQ(got.error, want.error);
-  ASSERT_EQ(got.records.size(), want.records.size());
-  for (std::size_t i = 0; i < got.records.size(); ++i) {
-    const Record& a = got.records[i];
-    const Record& b = want.records[i];
-    EXPECT_EQ(a.uid, b.uid) << "record " << i;
-    EXPECT_EQ(a.nodes, b.nodes) << "record " << i;
-    EXPECT_EQ(a.ppn, b.ppn) << "record " << i;
-    EXPECT_EQ(a.msize, b.msize) << "record " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time_us),
-              std::bit_cast<std::uint64_t>(b.time_us))
+void expect_records(const std::vector<Record>& got,
+                    const std::vector<Record>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].uid, want[i].uid) << "record " << i;
+    EXPECT_EQ(got[i].nodes, want[i].nodes) << "record " << i;
+    EXPECT_EQ(got[i].ppn, want[i].ppn) << "record " << i;
+    EXPECT_EQ(got[i].msize, want[i].msize) << "record " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].time_us),
+              std::bit_cast<std::uint64_t>(want[i].time_us))
         << "record " << i;
   }
-  EXPECT_EQ(got.report.rows_seen, want.report.rows_seen);
-  EXPECT_EQ(got.report.rows_ingested, want.report.rows_ingested);
-  EXPECT_EQ(got.report.rows_quarantined, want.report.rows_quarantined);
-  EXPECT_EQ(got.report.reasons, want.report.reasons);
-  ASSERT_EQ(got.report.samples.size(), want.report.samples.size());
-  for (std::size_t i = 0; i < got.report.samples.size(); ++i) {
-    EXPECT_EQ(got.report.samples[i].lineno, want.report.samples[i].lineno)
-        << "sample " << i;
-    EXPECT_EQ(got.report.samples[i].reason, want.report.samples[i].reason)
-        << "sample " << i;
-  }
 }
 
-TEST(Dataset, StreamingLoadMatchesTableLoad) {
+/// The ParseError message `load` raises, or "" when it returns.
+template <typename Load>
+std::string parse_error_of(Load load) {
+  try {
+    (void)load();
+  } catch (const ParseError& e) {
+    return user_message(e.what());
+  }
+  return "";
+}
+
+TEST(Dataset, LoadersPinEveryFixtureInFileOrder) {
   const std::string header = "uid,nodes,ppn,msize,time_us\n";
   std::string many_bad_cells;
+  std::vector<IngestReport::Sample> many_bad_lines;
   for (int i = 0; i < 8; ++i) {
     many_bad_cells += "1,2,x" + std::to_string(i) + ",64,5\n";
+    many_bad_lines.push_back({std::size_t(2 + i), "unparseable field"});
   }
-  const std::pair<std::string, std::string> fixtures[] = {
+  std::vector<IngestReport::Sample> ordering = many_bad_lines;
+  ordering.insert(ordering.end(), {{11, "row width mismatch"},
+                                   {12, "row width mismatch"},
+                                   {13, "non-positive time"},
+                                   {14, "row width mismatch"}});
+  const LoadCase cases[] = {
       {"layout",
        header + "1,2,4,64,12.5\n\n  2 , 4,8 ,1024, 99.25  \r\n\r\n"
-                "\t3,1,1,0,0.5\r\n   \n1,2,4,64,1e-3"},
-      {"width", header + "1,2,4,64,12.5\n1,2,4,64\n2,2,4,64,7\n,\n"},
+                "\t3,1,1,0,0.5\r\n   \n1,2,4,64,1e-3",
+       {{1, 2, 4, 64, 12.5},
+        {2, 4, 8, 1024, 99.25},
+        {3, 1, 1, 0, 0.5},
+        {1, 2, 4, 64, 1e-3}},
+       "",
+       {}},
+      {"width",
+       header + "1,2,4,64,12.5\n1,2,4,64\n2,2,4,64,7\n,\n",
+       {{1, 2, 4, 64, 12.5}, {2, 2, 4, 64, 7.0}},
+       ":3: row width mismatch",
+       {{3, "row width mismatch"}, {5, "row width mismatch"}}},
       {"non_numeric",
-       header + "1,2,4,64,12.5\n1,2,4,64,abc\n1,2x,4,64,3\n1,,4,64,3\n"},
+       header + "1,2,4,64,12.5\n1,2,4,64,abc\n1,2x,4,64,3\n1,,4,64,3\n",
+       {{1, 2, 4, 64, 12.5}},
+       ":3: unparseable field",
+       {{3, "unparseable field"},
+        {4, "unparseable field"},
+        {5, "unparseable field"}}},
+      // The first bad key sits on file line 4, after a blank line.
       {"key_range",
        header + "1,2,4,64,12.5\n\n99999999999,2,4,64,3\n1,2,4,-1,3\n"
-                "1,-3000000000,4,64,3\n"},
+                "1,-3000000000,4,64,3\n",
+       {{1, 2, 4, 64, 12.5}},
+       ":4: bad configuration key",
+       {{4, "bad configuration key"},
+        {5, "bad configuration key"},
+        {6, "bad configuration key"}}},
       {"bad_time",
        header + "1,2,4,64,12.5\n1,2,4,64,-2\n1,2,4,64,0\n1,2,4,64,nan\n"
-                "1,2,4,64,inf\n1,2,4,64,1e12\n0,2,4,64,3\n"},
-      // A bad cell before a misshapen row: the misshapen row is the
-      // strict error and the first samples of the tolerant report.
+                "1,2,4,64,inf\n1,2,4,64,1e12\n0,2,4,64,3\n",
+       {{1, 2, 4, 64, 12.5}},
+       ":3: non-positive time",
+       {{3, "non-positive time"},
+        {4, "non-positive time"},
+        {5, "non-finite time"},
+        {6, "non-finite time"},
+        {7, "implausible time"},
+        {8, "bad configuration key"}}},
+      // Bad cells before misshapen rows: every loader reports the
+      // first bad row first, whatever is wrong with it.
       {"ordering",
        header + many_bad_cells + "1,2,4,64,12.5\n1,2\n7,7,7,7,7,7\n"
-                "1,2,4,64,-1\n1\n1,2,4,64,2\n"},
-      {"reordered", "time_us,msize,note,ppn,nodes,uid\n"
-                    "12.5,64,a,4,2,1\n99.25,1024,,8,4,2\n"},
-      {"missing_column", "uid,nodes,msize,time_us\n1,2,64,12.5\n"},
-      {"header_only", header},
-      {"empty", ""},
+                "1,2,4,64,-1\n1\n1,2,4,64,2\n",
+       {{1, 2, 4, 64, 12.5}, {1, 2, 4, 64, 2.0}},
+       ":2: unparseable field",
+       ordering},
+      {"reordered",
+       "time_us,msize,note,ppn,nodes,uid\n"
+       "12.5,64,a,4,2,1\n99.25,1024,,8,4,2\n",
+       {{1, 2, 4, 64, 12.5}, {2, 4, 8, 1024, 99.25}},
+       "",
+       {}},
+      {"header_only", header, {}, "", {}},
   };
   const auto dir = std::filesystem::temp_directory_path();
-  for (const auto& [name, text] : fixtures) {
-    SCOPED_TRACE(name);
-    const auto path = dir / ("mpicp_stream_" + name + ".csv");
+  for (const LoadCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto path = dir / ("mpicp_loaders_" + c.name + ".csv");
     {
+      std::ofstream out(path, std::ios::binary);
+      out << c.text;
+    }
+    const auto strict = [&] {
+      return Dataset::load_csv(path, "csv", sim::MpiLib::kOpenMPI,
+                               sim::Collective::kBcast, "Hydra");
+    };
+    if (c.strict_error.empty()) {
+      expect_records(strict().records(), c.records);
+    } else {
+      EXPECT_EQ(parse_error_of(strict), path.string() + c.strict_error);
+    }
+
+    IngestReport report;
+    const Dataset tolerant = Dataset::load_csv_tolerant(
+        path, "csv", sim::MpiLib::kOpenMPI, sim::Collective::kBcast,
+        "Hydra", &report);
+    expect_records(tolerant.records(), c.records);
+    EXPECT_EQ(report.rows_seen, c.records.size() + c.quarantined.size());
+    EXPECT_EQ(report.rows_ingested, c.records.size());
+    EXPECT_EQ(report.rows_quarantined, c.quarantined.size());
+    std::map<std::string, std::size_t> reasons;
+    for (const IngestReport::Sample& q : c.quarantined) ++reasons[q.reason];
+    EXPECT_EQ(report.reasons, reasons);
+    // The report keeps the first ten quarantined rows.
+    const std::size_t kept = std::min<std::size_t>(c.quarantined.size(), 10);
+    ASSERT_EQ(report.samples.size(), kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+      EXPECT_EQ(report.samples[i].lineno, c.quarantined[i].lineno)
+          << "sample " << i;
+      EXPECT_EQ(report.samples[i].reason, c.quarantined[i].reason)
+          << "sample " << i;
+    }
+    std::filesystem::remove(path);
+  }
+
+  // File-level failures throw the same error from both loaders.
+  const std::pair<std::string, std::string> broken[] = {
+      {"missing_column", "uid,nodes,msize,time_us\n1,2,64,12.5\n"},
+      {"empty", ""},
+      {"does_not_exist", ""},
+  };
+  for (const auto& [name, text] : broken) {
+    SCOPED_TRACE(name);
+    const auto path = dir / ("mpicp_loaders_" + name + ".csv");
+    if (name != "does_not_exist") {
       std::ofstream out(path, std::ios::binary);
       out << text;
     }
-    expect_same_outcome(
-        outcome_of([&](IngestReport&) {
-          return Dataset::load_csv(path, "csv", sim::MpiLib::kOpenMPI,
-                                   sim::Collective::kBcast, "Hydra");
-        }),
-        outcome_of([&](IngestReport&) { return table_load(path); }));
-    expect_same_outcome(
-        outcome_of([&](IngestReport& report) {
-          return Dataset::load_csv_tolerant(path, "csv", sim::MpiLib::kOpenMPI,
-                                            sim::Collective::kBcast, "Hydra",
-                                            &report);
-        }),
-        outcome_of([&](IngestReport& report) {
-          return table_load_tolerant(path, report);
-        }));
+    const std::string want =
+        name == "missing_column" ? "CSV column 'ppn' not found"
+        : name == "empty"        ? "CSV file " + path.string() + " is empty"
+                                 : "cannot open CSV file " + path.string();
+    EXPECT_EQ(parse_error_of([&] {
+                return Dataset::load_csv(path, "csv", sim::MpiLib::kOpenMPI,
+                                         sim::Collective::kBcast, "Hydra");
+              }),
+              want);
+    EXPECT_EQ(parse_error_of([&] {
+                return Dataset::load_csv_tolerant(
+                    path, "csv", sim::MpiLib::kOpenMPI,
+                    sim::Collective::kBcast, "Hydra");
+              }),
+              want);
     std::filesystem::remove(path);
   }
-  // A missing file fails the same way in every loader.
-  const auto missing = dir / "mpicp_stream_does_not_exist.csv";
-  expect_same_outcome(
-      outcome_of([&](IngestReport&) {
-        return Dataset::load_csv(missing, "csv", sim::MpiLib::kOpenMPI,
-                                 sim::Collective::kBcast, "Hydra");
-      }),
-      outcome_of([&](IngestReport&) { return table_load(missing); }));
+}
+
+/// save_csv writes back the committed datasets byte for byte: the
+/// header, the rows in file order and every timing at 17 digits.
+TEST(Dataset, SaveCsvReproducesCommittedFilesByteForByte) {
+  const auto read_bytes = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  for (const std::string name : {"d4", "d6"}) {
+    SCOPED_TRACE(name);
+    const DatasetSpec spec = dataset_spec(name);
+    const auto committed =
+        std::filesystem::path(MPICP_DATA_DIR) / (name + ".csv");
+    const auto saved = std::filesystem::temp_directory_path() /
+                       ("mpicp_resave_" + name + ".csv");
+    Dataset::load_csv(committed, name, spec.lib, spec.coll, spec.machine)
+        .save_csv(saved);
+    const std::string want = read_bytes(committed);
+    ASSERT_GT(want.size(), 100000u);
+    EXPECT_TRUE(read_bytes(saved) == want);
+    std::filesystem::remove(saved);
+  }
 }
 
 TEST(Generator, ParallelRecordsMatchSerialInOrder) {

@@ -207,6 +207,35 @@ TEST(CsvQuarantine, OutOfRangeKeysAreRejectedNotWrapped) {
   std::filesystem::remove(path);
 }
 
+// The strict loader holds every row to the rule the tolerant one
+// quarantines by: a timing that is not finite, not positive or past
+// kMaxTimeUs raises ParseError naming the file and line.
+TEST(CsvQuarantine, StrictLoadRejectsBadTimingsAtTheirLine) {
+  const auto path = temp_csv("mpicp_faults_strict_time");
+  for (const char* time : {"inf", "nan", "1e300", "0", "-2"}) {
+    SCOPED_TRACE(time);
+    spit(path, std::string("uid,nodes,ppn,msize,time_us\n1,2,4,64,10.5\n"
+                           "1,2,4,64,") + time + "\n");
+    bench::IngestReport report;
+    (void)bench::Dataset::load_csv_tolerant(
+        path, "time", sim::MpiLib::kOpenMPI, sim::Collective::kBcast,
+        "Hydra", &report);
+    ASSERT_EQ(report.samples.size(), 1u);
+    EXPECT_EQ(report.samples[0].lineno, 3u);
+    try {
+      (void)bench::Dataset::load_csv(path, "time", sim::MpiLib::kOpenMPI,
+                                     sim::Collective::kBcast, "Hydra");
+      ADD_FAILURE() << "load_csv accepted time_us " << time;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(path.string() + ":3: " +
+                                           report.samples[0].reason),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 // ---- fit fallback chain ---------------------------------------------------
 
 TEST(FitFallback, ForcedFailureFallsBackToKnn) {

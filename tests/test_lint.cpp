@@ -227,24 +227,6 @@ TEST(Lint, SelfTestPasses) {
       << run.output;
 }
 
-TEST(Lint, GraphCacheKeepsFindingsIdentical) {
-  // A cold run writes the include-graph cache; a warm run reuses it and
-  // must report byte-identical diagnostics.
-  namespace fs = std::filesystem;
-  const fs::path cache =
-      fs::temp_directory_path() / "mpicp_lint_test_graph.cache";
-  fs::remove(cache);
-  const std::string args = "--root " + fixture_root("layers") +
-                           " --graph-cache " + cache.string();
-  const LintRun cold = run_lint(args);
-  EXPECT_EQ(cold.exit_code, 1);
-  ASSERT_TRUE(fs::exists(cache));
-  const LintRun warm = run_lint(args);
-  EXPECT_EQ(warm.exit_code, 1);
-  EXPECT_EQ(cold.output, warm.output);
-  fs::remove(cache);
-}
-
 TEST(Lint, SuppressionsSilenceEveryForm) {
   // Same-line allow, own-line allow, and allow(all) — all must hold.
   const LintRun run = run_lint("--root " + fixture_root("suppressed"));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -83,6 +84,15 @@ TEST(Online, RejectsBadInput) {
   EXPECT_THROW(OnlineSelector({.candidate_uids = {}}), Error);
   OnlineSelector sel({.candidate_uids = {1}});
   EXPECT_THROW(sel.record(kInst, 1, -1.0), Error);
+  // Every timing Dataset::add refuses is refused here too, so
+  // observations_dataset never meets one.
+  for (const double bad : {0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           2e9}) {
+    EXPECT_THROW(sel.record(kInst, 1, bad), Error) << bad;
+  }
+  EXPECT_THROW(sel.record({0, 4, 1024}, 1, 10.0), Error);
+  EXPECT_EQ(sel.observation_count(), 0u);
   EXPECT_THROW(sel.current_best(kOther), Error);
 }
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -248,6 +249,14 @@ TEST(BankRegistry, OnlineObservationsRefitIntoRegistry) {
   // Replay the dataset's own measurements as online probes.
   for (const auto& rec : ds.records()) {
     online.record({rec.nodes, rec.ppn, rec.msize}, rec.uid, rec.time_us);
+  }
+  // A corrupted probe is refused at record(), so it cannot reach the
+  // refit's Dataset and make it throw.
+  const bench::Record& first = ds.records().front();
+  for (const double bad : {std::numeric_limits<double>::infinity(), 2e9}) {
+    EXPECT_THROW(online.record({first.nodes, first.ppn, first.msize},
+                               first.uid, bad),
+                 Error);
   }
   tune::BankRegistry registry;
   const tune::BankKey key{ds.machine(), ds.collective()};

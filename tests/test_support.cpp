@@ -99,6 +99,11 @@ TEST(Stats, QuantileInterpolation) {
 TEST(Stats, MedianUnsortedEven) {
   const std::vector<double> xs = {5, 1, 4, 2};
   EXPECT_DOUBLE_EQ(median(xs), 3.0);
+  // The sorted-input core gives the same value on the sorted samples.
+  const std::vector<double> sorted = {1, 2, 4, 5};
+  EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 0.25), quantile(xs, 0.25));
+  EXPECT_THROW(quantile_sorted(std::vector<double>{}, 0.5), InvalidArgument);
 }
 
 TEST(Stats, Geomean) {
@@ -147,12 +152,12 @@ TEST(Str, FormatBytes) {
 TEST(Csv, RoundTrip) {
   const auto path =
       std::filesystem::temp_directory_path() / "mpicp_test_roundtrip.csv";
-  CsvTable t({"a", "b"});
-  t.add_row({"1", "2.5"});
-  t.add_row({"3", "x"});
-  write_csv(path, t);
+  {
+    std::ofstream out(path);
+    out << "a,b\n1,2.5\n3,x\n";
+  }
   CsvReader r(path);
-  EXPECT_EQ(r.header(), t.header());
+  EXPECT_EQ(r.header(), (std::vector<std::string>{"a", "b"}));
   ASSERT_TRUE(r.next());
   EXPECT_EQ(parse_int(r.cells()[r.column("a")]), 1);
   EXPECT_DOUBLE_EQ(parse_double(r.cells()[r.column("b")]), 2.5);
@@ -161,11 +166,6 @@ TEST(Csv, RoundTrip) {
   EXPECT_FALSE(r.next());
   EXPECT_THROW((void)r.column("missing"), ParseError);
   std::filesystem::remove(path);
-}
-
-TEST(Csv, RejectsRaggedRows) {
-  CsvTable t({"a", "b"});
-  EXPECT_THROW(t.add_row({"only-one"}), InvalidArgument);
 }
 
 TEST(Csv, RejectsMalformedFiles) {

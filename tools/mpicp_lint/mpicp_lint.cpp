@@ -1110,7 +1110,7 @@ void check_iwyu(const std::string& rel,
 //           -> {tools, bench, examples, tests}
 //
 // Phase 1 walks every file once and records its project includes (the
-// include graph; cacheable via --graph-cache). Phase 2 then flags
+// include graph). Phase 2 then flags
 //   a) upward includes — a file whose layer ranks lower than the layer
 //      of a header it includes (same-rank sibling includes are fine:
 //      collbench legitimately uses simmpi), and
@@ -1480,7 +1480,6 @@ struct Options {
   fs::path root = ".";
   fs::path baseline;
   fs::path write_baseline;
-  fs::path graph_cache;         // phase-1 include-graph cache file
   std::vector<fs::path> paths;  // explicit files/dirs; default: the tree
 };
 
@@ -1534,86 +1533,12 @@ AllowMap lint_file(const fs::path& abs, const std::string& rel,
 }
 
 // ---------------------------------------------------------------------
-// Phase 1: the include graph, optionally cached. The cache is a text
-// file of `rel|size|mtime|path@line;...` lines; an entry is reused only
-// when size and mtime still match, so a stale cache degrades to a
-// re-parse, never to wrong edges.
+// Phase 1: the include graph.
 // ---------------------------------------------------------------------
-struct GraphCacheEntry {
-  std::uintmax_t size = 0;
-  long long mtime = 0;
-  std::vector<IncludeEdge> edges;
-};
-
-std::map<std::string, GraphCacheEntry> load_graph_cache(
-    const fs::path& path) {
-  std::map<std::string, GraphCacheEntry> cache;
-  std::ifstream in(path);
-  if (!in) return cache;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::stringstream ss(line);
-    std::string rel, size_s, mtime_s, edges_s;
-    if (!std::getline(ss, rel, '|') || !std::getline(ss, size_s, '|') ||
-        !std::getline(ss, mtime_s, '|')) {
-      continue;
-    }
-    std::getline(ss, edges_s);  // may be empty: a file with no includes
-    GraphCacheEntry entry;
-    try {
-      entry.size = std::stoull(size_s);
-      entry.mtime = std::stoll(mtime_s);
-    } catch (...) {
-      continue;
-    }
-    std::stringstream es(edges_s);
-    std::string edge;
-    bool bad = false;
-    while (std::getline(es, edge, ';')) {
-      const std::size_t at = edge.rfind('@');
-      if (at == std::string::npos) {
-        bad = true;
-        break;
-      }
-      try {
-        entry.edges.push_back(
-            {edge.substr(0, at),
-             static_cast<std::size_t>(std::stoull(edge.substr(at + 1)))});
-      } catch (...) {
-        bad = true;
-        break;
-      }
-    }
-    if (!bad) cache.emplace(std::move(rel), std::move(entry));
-  }
-  return cache;
-}
-
-long long mtime_of(const fs::path& p) {
-  std::error_code ec;
-  const auto t = fs::last_write_time(p, ec);
-  return ec ? 0 : static_cast<long long>(t.time_since_epoch().count());
-}
-
 IncludeGraph build_include_graph(
-    const std::vector<std::pair<fs::path, std::string>>& files,
-    const fs::path& cache_path) {
-  std::map<std::string, GraphCacheEntry> cache;
-  if (!cache_path.empty()) cache = load_graph_cache(cache_path);
-
+    const std::vector<std::pair<fs::path, std::string>>& files) {
   IncludeGraph graph;
-  std::map<std::string, GraphCacheEntry> fresh;
   for (const auto& [abs, rel] : files) {
-    std::error_code ec;
-    const std::uintmax_t size = fs::file_size(abs, ec);
-    const long long mtime = mtime_of(abs);
-    const auto it = cache.find(rel);
-    if (!ec && it != cache.end() && it->second.size == size &&
-        it->second.mtime == mtime) {
-      graph[rel] = it->second.edges;
-      if (!cache_path.empty()) fresh.emplace(rel, it->second);
-      continue;
-    }
     std::ifstream in(abs);
     if (!in) {
       graph[rel];  // present but edge-free; the lint pass reports it
@@ -1622,26 +1547,7 @@ IncludeGraph build_include_graph(
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(in, line)) lines.push_back(line);
-    const LexedFile lexed = lex(lines);
-    std::vector<IncludeEdge> edges = extract_project_includes(lines, lexed);
-    graph[rel] = edges;
-    if (!cache_path.empty()) {
-      fresh.emplace(rel, GraphCacheEntry{ec ? 0 : size, mtime,
-                                         std::move(edges)});
-    }
-  }
-
-  if (!cache_path.empty()) {
-    std::ofstream out(cache_path);
-    for (const auto& [rel, entry] : fresh) {
-      out << rel << '|' << entry.size << '|' << entry.mtime << '|';
-      bool first = true;
-      for (const IncludeEdge& e : entry.edges) {
-        out << (first ? "" : ";") << e.path << '@' << e.line;
-        first = false;
-      }
-      out << '\n';
-    }
+    graph[rel] = extract_project_includes(lines, lex(lines));
   }
   return graph;
 }
@@ -1703,8 +1609,8 @@ std::vector<Diagnostic> analyze(const Options& opt, std::size_t* n_files) {
   const auto files = collect_files(opt);
   if (n_files) *n_files = files.size();
 
-  // Phase 1: the include graph (cache-aware).
-  const IncludeGraph graph = build_include_graph(files, opt.graph_cache);
+  // Phase 1: the include graph.
+  const IncludeGraph graph = build_include_graph(files);
   std::map<std::string, std::vector<Diagnostic>> layer_diags;
   check_layer_dag(graph, &layer_diags);
 
@@ -1904,8 +1810,6 @@ int main(int argc, char** argv) {
       opt.baseline = value("--baseline");
     } else if (arg == "--write-baseline") {
       opt.write_baseline = value("--write-baseline");
-    } else if (arg == "--graph-cache") {
-      opt.graph_cache = value("--graph-cache");
     } else if (arg == "--self-test") {
       want_self_test = true;
     } else if (arg == "--list-rules") {
@@ -1914,14 +1818,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout <<
           "usage: mpicp_lint [--root DIR] [--baseline FILE]\n"
-          "                  [--write-baseline FILE] [--graph-cache FILE]\n"
+          "                  [--write-baseline FILE]\n"
           "                  [--list-rules] [--self-test] [paths...]\n"
           "Lints src/ tests/ bench/ examples/ under --root (default: .)\n"
           "or the explicit files/directories given. Exits 1 on findings.\n"
-          "--graph-cache reuses the phase-1 include graph across runs\n"
-          "(entries are revalidated by size+mtime). --self-test lints\n"
-          "the fixture trees under <root>/tests/lint_fixtures against\n"
-          "the expected findings embedded in the binary.\n";
+          "--self-test lints the fixture trees under\n"
+          "<root>/tests/lint_fixtures against the expected findings\n"
+          "embedded in the binary.\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "mpicp_lint: unknown option '" << arg << "'\n";
