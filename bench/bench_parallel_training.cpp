@@ -4,8 +4,8 @@
 // builders and the executor to count simulated messages (DES
 // messages/s and runs/s), fitting one regression model per algorithm
 // configuration uid (Selector::fit) and answering argmin queries over
-// the full bank (Selector::predict_all). Records the speedup trajectory
-// of the support/parallel layer and asserts the determinism contract:
+// the full bank (Selector::predict_all). Prints the speedup of the
+// support/parallel layer and asserts the determinism contract:
 // the generated datasets, the simulated message counts and the
 // selected uids must be identical at every thread count.
 //
@@ -18,8 +18,6 @@
 //                      the DES replay are timed once per thread count,
 //                      and only for the default grid)
 //   --repeats=<n>      timing repetitions, best-of (default 3)
-//   --json-out=<path>  also write a bench_json.hpp report (the CI
-//                      trajectory artifact, e.g. BENCH_training.json)
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 #include "collbench/generator.hpp"
 #include "collbench/specs.hpp"
 #include "simmpi/coll/registry.hpp"
@@ -246,38 +243,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(des_serial->runs), msgs,
                 msgs / des_serial->seconds, msgs / des_parallel->seconds,
                 threads);
-  }
-
-  const std::string json_path = cli.get("json-out", "");
-  if (!json_path.empty()) {
-    bench::JsonMetrics keys = {
-        {"threads", static_cast<double>(threads)},
-        {"queries", static_cast<double>(queries.size())},
-        {"fit_s_serial", serial.fit_s},
-        {"fit_s_parallel", parallel.fit_s},
-        {"fit_speedup", serial.fit_s / parallel.fit_s},
-        {"predict_s_serial", serial.predict_s},
-        {"predict_s_parallel", parallel.predict_s},
-        {"predict_speedup", serial.predict_s / parallel.predict_s}};
-    if (gen_serial) {
-      keys.insert(keys.end(),
-                  {{"generate_s_serial", gen_serial->seconds},
-                   {"generate_s_parallel", gen_parallel->seconds},
-                   {"generate_speedup",
-                    gen_serial->seconds / gen_parallel->seconds}});
-    }
-    if (des_serial) {
-      const double msgs = static_cast<double>(des_serial->messages);
-      const double runs = static_cast<double>(des_serial->runs);
-      keys.insert(keys.end(),
-                  {{"des_messages_per_s_serial", msgs / des_serial->seconds},
-                   {"des_messages_per_s_parallel",
-                    msgs / des_parallel->seconds},
-                   {"des_runs_per_s_serial", runs / des_serial->seconds},
-                   {"des_runs_per_s_parallel", runs / des_parallel->seconds}});
-    }
-    bench::json_report(json_path, "parallel_training", keys);
-    std::printf("\nwrote %s\n", json_path.c_str());
   }
 
   if (gen_serial && !same_records(gen_serial->ds, gen_parallel->ds)) {

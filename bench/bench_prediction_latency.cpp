@@ -11,14 +11,11 @@
 // single-query argmin on off-grid instances (rank-cell tables) against
 // the interpreted selector, and the KNN single-query argmin on
 // off-grid instances drawn like the perfbench serve_offgrid workload.
-// Every comparison is a hard gate on identical picks. Results land in a
-// BENCH_prediction.json report (bench_json.hpp).
+// Every comparison is a hard gate on identical picks.
 //
 //   --smoke            comparison only (gam + knn, fewer reps, plus the
 //                      xgboost/rf grid and off-grid rows), skip the
 //                      google-benchmark microbenches — the CI mode
-//   --json-out=PATH    where to write the JSON report
-//                      (default BENCH_prediction.json)
 // Remaining arguments are passed through to google-benchmark.
 #include <benchmark/benchmark.h>
 
@@ -31,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "collbench/dataset.hpp"
 #include "simmpi/coll/registry.hpp"
 #include "simmpi/executor.hpp"
@@ -160,7 +156,7 @@ BENCHMARK(BM_SimulatorAlltoallPairwise)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// Interpreted vs compiled serving comparison (the perf trajectory).
+// Interpreted vs compiled serving comparison.
 // ---------------------------------------------------------------------
 
 using Clock = std::chrono::steady_clock;
@@ -395,7 +391,7 @@ OffgridRow compare_offgrid_single(const std::string& learner, int reps,
   return row;
 }
 
-int run_comparison(bool smoke, const std::string& json_path) {
+int run_comparison(bool smoke) {
   const std::vector<std::string> learners =
       smoke ? std::vector<std::string>{"gam", "knn"}
             : std::vector<std::string>{"gam",    "knn", "linear",
@@ -410,13 +406,9 @@ int run_comparison(bool smoke, const std::string& json_path) {
                             "grid/inst interp [us]",
                             "grid/inst compiled [us]", "speedup",
                             "picks identical"});
-  bench::JsonMetrics metrics;
   bool all_identical = true;
-  std::vector<ComparisonRow> rows;
-  rows.reserve(learners.size());
   for (const std::string& learner : learners) {
-    rows.push_back(compare_serving(learner, repeats));
-    const ComparisonRow& row = rows.back();
+    const ComparisonRow row = compare_serving(learner, repeats);
     all_identical = all_identical && row.picks_identical;
     table.add_row(
         {row.learner, support::format_double(row.single_us_interpreted, 2),
@@ -426,31 +418,12 @@ int run_comparison(bool smoke, const std::string& json_path) {
          support::format_double(row.grid_us_compiled, 2),
          support::format_double(row.speedup_grid(), 2),
          row.picks_identical ? "yes" : "NO"});
-    metrics.emplace_back(row.learner + ".single_us_interpreted",
-                         row.single_us_interpreted);
-    metrics.emplace_back(row.learner + ".single_us_compiled",
-                         row.single_us_compiled);
-    metrics.emplace_back(row.learner + ".speedup_single",
-                         row.speedup_single());
-    metrics.emplace_back(row.learner + ".grid_us_per_instance_interpreted",
-                         row.grid_us_interpreted);
-    metrics.emplace_back(row.learner + ".grid_us_per_instance_compiled",
-                         row.grid_us_compiled);
-    metrics.emplace_back(row.learner + ".speedup_grid",
-                         row.speedup_grid());
-  }
-  // Headline trajectory keys: the default serving learner.
-  for (const ComparisonRow& row : rows) {
-    if (row.learner == "gam") {
-      metrics.emplace_back("speedup_single", row.speedup_single());
-      metrics.emplace_back("speedup_grid", row.speedup_grid());
-    }
   }
   std::ostringstream os;
   table.print(os);
   std::fputs(os.str().c_str(), stdout);
 
-  // Tree-ensemble grid trajectory: interpreted per-instance argmin vs
+  // Tree-ensemble grid argmin: interpreted per-instance argmin vs
   // the compiled grid argmin; both must pick identically and the
   // compiled grid must clear 1.5x at p50.
   const int grid_reps = smoke ? 24 : 64;
@@ -473,19 +446,7 @@ int run_comparison(bool smoke, const std::string& json_path) {
          support::format_double(row.compiled_p99_us, 3),
          support::format_double(row.speedup(), 2),
          row.picks_identical ? "yes" : "NO"});
-    metrics.emplace_back(row.learner + ".grid_interpreted_p50_us",
-                         row.interpreted_p50_us);
-    metrics.emplace_back(row.learner + ".grid_interpreted_p99_us",
-                         row.interpreted_p99_us);
-    // The key names predate the per-instance grid path; they stay, as
-    // bench/baseline.json gates on them.
-    metrics.emplace_back(row.learner + ".grid_batched_p50_us",
-                         row.compiled_p50_us);
-    metrics.emplace_back(row.learner + ".grid_batched_p99_us",
-                         row.compiled_p99_us);
-    metrics.emplace_back(row.learner + ".grid_speedup_p50", row.speedup());
   }
-  metrics.emplace_back("grid_speedup_min", min_grid_speedup);
   std::ostringstream os_grid;
   grid_table.print(os_grid);
   std::fputs(os_grid.str().c_str(), stdout);
@@ -507,12 +468,6 @@ int run_comparison(bool smoke, const std::string& json_path) {
          support::format_double(row.single_us_compiled, 3),
          support::format_double(row.speedup(), 2),
          row.picks_identical ? "yes" : "NO"});
-    metrics.emplace_back(row.learner + ".offgrid_single_us_interpreted",
-                         row.single_us_interpreted);
-    metrics.emplace_back(row.learner + ".offgrid_single_us_compiled",
-                         row.single_us_compiled);
-    metrics.emplace_back(row.learner + ".offgrid_speedup_single",
-                         row.speedup());
   }
   std::ostringstream os_offgrid;
   offgrid_table.print(os_offgrid);
@@ -534,17 +489,10 @@ int run_comparison(bool smoke, const std::string& json_path) {
        support::format_double(knn_row.single_us_compiled, 3),
        support::format_double(knn_row.speedup(), 2),
        knn_row.picks_identical ? "yes" : "NO"});
-  metrics.emplace_back("knn.offgrid_single_us_interpreted",
-                       knn_row.single_us_interpreted);
-  metrics.emplace_back("knn.offgrid_single_us_compiled",
-                       knn_row.single_us_compiled);
-  metrics.emplace_back("knn.offgrid_speedup_single", knn_row.speedup());
   std::ostringstream os_knn;
   knn_table.print(os_knn);
   std::fputs(os_knn.str().c_str(), stdout);
 
-  bench::json_report(json_path, "prediction_latency", metrics);
-  std::printf("\nwrote %s\n", json_path.c_str());
   if (!all_identical) {
     std::printf("\nFAIL: compiled picks differ from the interpreted "
                 "selector\n");
@@ -585,20 +533,17 @@ int run_comparison(bool smoke, const std::string& json_path) {
 int main(int argc, char** argv) {
   // Strip the harness flags; everything else goes to google-benchmark.
   bool smoke = false;
-  std::string json_path = "BENCH_prediction.json";
   std::vector<char*> bench_args;
   bench_args.reserve(static_cast<std::size_t>(argc));
   bench_args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_path = argv[i] + 11;
     } else {
       bench_args.push_back(argv[i]);
     }
   }
-  const int rc = run_comparison(smoke, json_path);
+  const int rc = run_comparison(smoke);
   if (rc != 0 || smoke) return rc;
 
   int bench_argc = static_cast<int>(bench_args.size());

@@ -12,7 +12,6 @@
 // exits non-zero.
 //
 //   --smoke            fewer dispatches — the CI mode
-//   --json-out=PATH    default BENCH_rules.json
 #include <unistd.h>
 
 #include <algorithm>
@@ -25,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "collbench/dataset.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
@@ -123,7 +121,7 @@ double percentile(std::vector<double>& samples, double p) {
   return samples[idx];
 }
 
-int run(std::size_t dispatches, const std::string& json_path) {
+int run(std::size_t dispatches) {
   std::printf("fitting the selector and compiling the bank...\n");
   const bench::Dataset ds = make_dataset();
   tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
@@ -133,21 +131,13 @@ int run(std::size_t dispatches, const std::string& json_path) {
 
   // Fidelity frontier: leaves and agreement as the depth cap loosens.
   std::printf("distilling over %zu grid points...\n\n", grid.size());
-  bench::JsonMetrics metrics;
-  metrics.emplace_back("grid_points", static_cast<double>(grid.size()));
   support::TextTable sweep({"max depth", "leaves", "agreement with bank"});
-  // Bounded sweep (6 depths), not a serving hot path.
-  // mpicp-lint: allow(no-alloc-in-loop)
   for (const int depth : {2, 3, 4, 6, 8, 12}) {
     const tune::RuleDistillation dist =
         tune::distill(bank, grid, {.max_depth = depth});
     sweep.add_row({std::to_string(depth),
                    std::to_string(dist.table.num_leaves()),
                    support::format_double(dist.table.agreement(), 4)});
-    const std::string prefix = "depth" + std::to_string(depth) + "_";
-    metrics.emplace_back(prefix + "leaves",
-                         static_cast<double>(dist.table.num_leaves()));
-    metrics.emplace_back(prefix + "agreement", dist.table.agreement());
   }
   std::ostringstream os;
   sweep.print(os);
@@ -155,9 +145,6 @@ int run(std::size_t dispatches, const std::string& json_path) {
 
   // The serving candidate: default params, as the registry would use.
   const tune::RuleDistillation dist = tune::distill(bank, grid, {});
-  metrics.emplace_back("leaves",
-                       static_cast<double>(dist.table.num_leaves()));
-  metrics.emplace_back("agreement", dist.table.agreement());
   std::printf("\nserving table: %d leaves, agreement %.4f\n",
               dist.table.num_leaves(), dist.table.agreement());
 
@@ -233,16 +220,6 @@ int run(std::size_t dispatches, const std::string& json_path) {
   std::fputs(os2.str().c_str(), stdout);
   if (sink == 42) std::printf(" \n");  // keep the dispatch loops live
 
-  metrics.emplace_back("dispatches",
-                       static_cast<double>(batches * kBatch));
-  metrics.emplace_back("rule_p50_ns", rule_p50);
-  metrics.emplace_back("rule_p99_ns", rule_p99);
-  metrics.emplace_back("bank_p50_us", bank_p50);
-  metrics.emplace_back("bank_p99_us", bank_p99);
-  metrics.emplace_back("speedup_p50", speedup);
-  bench::json_report(json_path, "rules_codegen", metrics);
-  std::printf("\nwrote %s\n", json_path.c_str());
-
   // Hard gate 2 — the tier only earns its keep at >= 10x the bank.
   if (speedup < 10.0) {
     std::printf("FAIL: rule-table p50 speedup %.1fx below the 10x gate\n",
@@ -260,16 +237,13 @@ int run(std::size_t dispatches, const std::string& json_path) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_rules.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_path = argv[i] + 11;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;
     }
   }
-  return run(smoke ? 1u << 16 : 1u << 20, json_path);
+  return run(smoke ? 1u << 16 : 1u << 20);
 }

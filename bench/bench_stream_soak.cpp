@@ -9,10 +9,9 @@
 // fail. The run also reports detection latency per shift (rows from
 // the shift offset to the alarm), swap/quarantine accounting from the
 // pipeline's deterministic stats, and sampled per-selection latency
-// percentiles into BENCH_stream.json (bench_json.hpp):
+// percentiles:
 //
 //   --smoke            shorter stream — the CI mode
-//   --json-out=PATH    default BENCH_stream.json
 //   --rows=N           override the stream length
 #include <algorithm>
 #include <atomic>
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "collbench/dataset.hpp"
 #include "collbench/streamgen.hpp"
 #include "support/parallel.hpp"
@@ -67,8 +65,7 @@ tune::StreamOptions soak_options() {
   return opts;
 }
 
-int run_soak(std::size_t rows, int sample_every,
-             const std::string& json_path) {
+int run_soak(std::size_t rows, int sample_every) {
   const tune::BankKey key{"Hydra", sim::Collective::kBcast};
   const bench::StreamSpec spec = soak_spec(rows);
   bench::MeasurementStream stream(spec);
@@ -201,29 +198,6 @@ int run_soak(std::size_t rows, int sample_every,
   table.print(os);
   std::fputs(os.str().c_str(), stdout);
 
-  bench::JsonMetrics metrics;
-  metrics.emplace_back("rows", static_cast<double>(rows));
-  metrics.emplace_back("rows_quarantined",
-                       static_cast<double>(stats.rows_quarantined));
-  metrics.emplace_back("shifts",
-                       static_cast<double>(spec.shifts.size()));
-  metrics.emplace_back("detections",
-                       static_cast<double>(stats.drift_detections));
-  metrics.emplace_back("hot_swaps", static_cast<double>(swaps));
-  metrics.emplace_back("refits_rejected",
-                       static_cast<double>(stats.refits_rejected));
-  metrics.emplace_back("detection_latency_mean_rows", latency_mean);
-  metrics.emplace_back("detection_latency_max_rows", latency_max);
-  metrics.emplace_back("selections_served",
-                       static_cast<double>(served.load()));
-  metrics.emplace_back("selections_failed",
-                       static_cast<double>(failed.load()));
-  metrics.emplace_back("p50_us", p50);
-  metrics.emplace_back("p99_us", p99);
-  metrics.emplace_back("elapsed_s", elapsed_s);
-  bench::json_report(json_path, "stream_soak", metrics);
-  std::printf("\nwrote %s\n", json_path.c_str());
-
   if (failed.load() != 0) {
     std::printf("FAIL: %llu selections failed during the soak\n",
                 static_cast<unsigned long long>(failed.load()));
@@ -243,13 +217,10 @@ int run_soak(std::size_t rows, int sample_every,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_stream.json";
   std::size_t rows = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--rows=", 7) == 0) {
       rows = static_cast<std::size_t>(
           std::strtoull(argv[i] + 7, nullptr, 10));
@@ -259,5 +230,5 @@ int main(int argc, char** argv) {
     }
   }
   if (rows == 0) rows = smoke ? 4000 : 20000;
-  return run_soak(rows, /*sample_every=*/16, json_path);
+  return run_soak(rows, /*sample_every=*/16);
 }

@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,9 +26,12 @@
 #include "collbench/runner.hpp"
 #include "collbench/specs.hpp"
 #include "simmpi/coll/decision.hpp"
+#include "simmpi/coll/registry.hpp"
+#include "simmpi/executor.hpp"
 #include "simnet/machine.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 
@@ -239,6 +243,85 @@ TEST(Dataset, CsvRoundTrip) {
   EXPECT_EQ(loaded.num_records(), 2u);
   EXPECT_DOUBLE_EQ(loaded.time_us(2, {8, 4, 1024}), 99.25);
   std::filesystem::remove(path);
+}
+
+/// One seeded mutation of a CSV row: a byte flip, a truncation, an
+/// extra or a missing separator, or one field replaced by an extreme
+/// or malformed value.
+void mutate_row(std::string& row, support::Xoshiro256& rng) {
+  static const char* const kValues[] = {
+      "inf", "-inf", "nan", "NaN", "1e300", "-1e300", "1e400", "-1", "-0",
+      "0", "0.0", "+1", "0x10", "", " ", " 7 ", "1e-320", "4.9e-324", "1e9",
+      "1000000000.0000001", "2147483647", "2147483648", "-2147483649", "--1",
+      "9223372036854775807", "9223372036854775808", "18446744073709551615"};
+  const auto pos = [&rng](const std::string& s) {
+    return static_cast<std::size_t>(rng.uniform_int(s.size() + 1));
+  };
+  switch (rng.uniform_int(5)) {
+    case 0:
+      if (!row.empty()) {
+        row[rng.uniform_int(row.size())] ^=
+            static_cast<char>(1 + rng.uniform_int(255));
+      }
+      break;
+    case 1:
+      row.resize(pos(row));
+      break;
+    case 2:
+      row.insert(pos(row), 1, ',');
+      break;
+    case 3:
+      if (const auto c = row.find(',', pos(row)); c != row.npos) {
+        row.erase(c, 1);
+      }
+      break;
+    default: {
+      std::vector<std::string> fields = support::split(row, ',');
+      fields[rng.uniform_int(fields.size())] =
+          kValues[rng.uniform_int(std::size(kValues))];
+      row = support::join(fields, ",");
+    }
+  }
+}
+
+// Every mutated row classifies as a record validate_record accepts or as
+// one quarantine reason, and never throws: the tolerant loader and
+// StreamPipeline::push_row rely on this for untrusted rows.
+TEST(Dataset, ClassifyRowSurvivesSeededMutationsOfD4Rows) {
+  std::ifstream in(std::filesystem::path(MPICP_DATA_DIR) / "d4.csv");
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line);) rows.push_back(line);
+  ASSERT_GT(rows.size(), 1000u);
+  rows.erase(rows.begin());  // the header
+
+  support::Xoshiro256 rng(20200914);
+  std::map<std::string, int> verdicts;
+  std::vector<std::string_view> cells;
+  for (int i = 0; i < 20000; ++i) {
+    std::string row = rows[rng.uniform_int(rows.size())];
+    const int mutations = 1 + static_cast<int>(rng.uniform_int(3));
+    for (int m = 0; m < mutations; ++m) mutate_row(row, rng);
+    // As StreamPipeline::push_row reads a row: blank rows are skipped.
+    const std::string_view trimmed = support::trim(row);
+    if (trimmed.empty()) continue;
+    support::split_views(trimmed, ',', cells);
+    ClassifiedRow classified;
+    ASSERT_NO_THROW(classified = classify_row(cells, {})) << row;
+    if (classified.reason.empty()) {
+      ASSERT_EQ(validate_record(classified.record), "") << row;
+    } else {
+      ASSERT_NE(std::find(std::begin(kQuarantineReasons),
+                          std::end(kQuarantineReasons), classified.reason),
+                std::end(kQuarantineReasons))
+          << row << " -> " << classified.reason;
+    }
+    ++verdicts[classified.reason];
+  }
+  // The mutations reach every verdict, acceptance included.
+  EXPECT_GT(verdicts[""], 0);
+  for (const char* reason : kQuarantineReasons) {
+    EXPECT_GT(verdicts[reason], 0) << reason;
+  }
 }
 
 TEST(Specs, TableIIShape) {
@@ -570,6 +653,37 @@ TEST(Generator, ParallelRecordsMatchSerialInOrder) {
     ASSERT_TRUE(ds.has_value());
     expect_same_records(serial, *ds);
   }
+
+  // Replayed with one executor per (nodes, ppn, config) task, as the
+  // generator schedules them, each task simulates as many messages
+  // serially as on pool workers.
+  const auto& configs = sim::algorithm_configs(spec.lib, spec.coll);
+  const auto messages_at = [&](int threads) {
+    const support::ScopedThreads pinned(threads);
+    std::vector<std::uint64_t> messages(spec.nodes.size() *
+                                        spec.ppns.size() * configs.size());
+    support::parallel_for(messages.size(), 1, [&](std::size_t t) {
+      const std::size_t alloc = t / configs.size();
+      const sim::Comm comm(spec.nodes[alloc / spec.ppns.size()],
+                           spec.ppns[alloc % spec.ppns.size()]);
+      sim::Network net(sim::machine_by_name(spec.machine), comm.nodes(),
+                       comm.ppn());
+      sim::Executor exec(net);
+      for (const std::uint64_t m : spec.msizes) {
+        messages[t] += exec.run(sim::build_algorithm(
+                                    spec.lib, spec.coll,
+                                    configs[t % configs.size()], comm, m,
+                                    /*root=*/0, /*tracking=*/false)
+                                    .programs)
+                           .num_messages;
+      }
+    });
+    return messages;
+  };
+  const std::vector<std::uint64_t> serial_messages = messages_at(1);
+  EXPECT_EQ(std::count(serial_messages.begin(), serial_messages.end(), 0u),
+            0);
+  EXPECT_EQ(messages_at(4), serial_messages);
 }
 
 /// The committed CSVs are the simulator's own output, so regenerating

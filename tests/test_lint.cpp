@@ -67,7 +67,7 @@ std::vector<Finding> parse_findings(const std::string& output) {
   return out;
 }
 
-TEST(Lint, ListsAllFourteenRules) {
+TEST(Lint, ListsAllFifteenRules) {
   const LintRun run = run_lint("--list-rules");
   EXPECT_EQ(run.exit_code, 0);
   for (const char* rule :
@@ -75,7 +75,7 @@ TEST(Lint, ListsAllFourteenRules) {
         "no-bare-throw", "no-float-eq", "header-hygiene",
         "nodiscard-report", "no-alloc-in-loop", "span-coverage",
         "include-what-you-use-lite", "layer-dag", "lock-discipline",
-        "atomic-order-audit"}) {
+        "atomic-order-audit", "metrics-static-handle"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos) << rule;
   }
 }

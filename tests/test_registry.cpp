@@ -5,6 +5,7 @@
 // under load, and refits that can fail without taking serving down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -170,43 +172,111 @@ TEST(BankRegistry, PublishReplacesBankAndBumpsVersion) {
   EXPECT_EQ(registry.num_banks(), 1u);
 }
 
+/// Hot-swap traffic: each key's bank versions (version 0 is live first),
+/// the (key, version) publishes spread through the drain, the queries.
+struct SwapTraffic {
+  std::vector<tune::BankKey> keys;
+  std::vector<std::vector<std::shared_ptr<const tune::CompiledBank>>> banks;
+  std::vector<std::pair<std::size_t, std::size_t>> publishes;
+  std::vector<tune::BankRegistry::Query> stream;
+};
+
+/// Four keys whose versions mix GAM, KNN and XGBoost banks, five
+/// publishes (key 0 back to its first bank under a fresh version), and a
+/// stream that revisits 96 instances so memo hits race the swaps.
+SwapTraffic multi_key_traffic() {
+  const char* const learners[] = {"gam", "knn", "xgboost"};
+  SwapTraffic t{.keys = {{"Hydra", sim::Collective::kAllreduce},
+                         {"Hydra", sim::Collective::kBcast},
+                         {"Jupiter", sim::Collective::kAllreduce},
+                         {"SuperMUC", sim::Collective::kAlltoall}},
+                .publishes = {{0, 1}, {1, 1}, {2, 1}, {3, 1}, {0, 0}}};
+  for (std::size_t k = 0; k < t.keys.size(); ++k) {
+    t.banks.push_back(
+        {compile_bank(random_dataset(53 + 2 * k), learners[k % 3]),
+         compile_bank(random_dataset(54 + 2 * k), learners[(k + 1) % 3])});
+  }
+  const auto pool = random_instances(109, 96);
+  support::Xoshiro256 rng(4242);
+  for (int i = 0; i < 2048; ++i) {
+    t.stream.push_back({t.keys[rng.uniform_int(t.keys.size())],
+                        pool[rng.uniform_int(pool.size())]});
+  }
+  return t;
+}
+
 TEST(BankRegistry, SwapUnderLoadEveryAnswerIsFromSomePublishedVersion) {
-  const bench::Dataset ds1 = random_dataset(23);
-  const bench::Dataset ds2 = random_dataset(47);
-  const auto bank1 = compile_bank(ds1, "gam");
-  const auto bank2 = compile_bank(ds2, "gam");
-  const tune::BankKey key{"Hydra", sim::Collective::kBcast};
-  const auto instances = random_instances(107, 400);
-
-  // Linearizability oracle: for every instance, the set of answers the
-  // two published versions can give.
-  std::vector<std::set<int>> allowed;
-  allowed.reserve(instances.size());
-  for (const bench::Instance& inst : instances) {
-    allowed.push_back({bank1->select_uid(inst), bank2->select_uid(inst)});
+  // One key swapped once mid-drain, then the serving-load shape.
+  SwapTraffic single{.keys = {{"Hydra", sim::Collective::kBcast}},
+                     .banks = {{compile_bank(random_dataset(23), "gam"),
+                                compile_bank(random_dataset(47), "gam")}},
+                     .publishes = {{0, 1}}};
+  for (const bench::Instance& inst : random_instances(107, 400)) {
+    single.stream.push_back({single.keys[0], inst});
   }
-
-  tune::BankRegistry registry;
-  registry.publish(key, bank1);
-  support::ScopedThreads scoped(4);
-  std::vector<int> picked(instances.size(), -1);
-  std::atomic<bool> swapped{false};
-  support::parallel_for(instances.size(), 16, [&](std::size_t i) {
-    // One worker swaps mid-drain; in-flight selections must finish on
-    // whichever snapshot they loaded — never a torn mix.
-    if (i == instances.size() / 2 &&
-        !swapped.exchange(true, std::memory_order_relaxed)) {
-      registry.publish(key, bank2);
+  for (const SwapTraffic& t : {single, multi_key_traffic()}) {
+    const auto index_of = [&t](const tune::BankKey& key) {
+      return static_cast<std::size_t>(
+          std::find(t.keys.begin(), t.keys.end(), key) - t.keys.begin());
+    };
+    tune::BankRegistry registry;
+    for (std::size_t k = 0; k < t.keys.size(); ++k) {
+      registry.publish(t.keys[k], t.banks[k][0]);
     }
-    picked[i] = registry.select_uid(key, instances[i]);
-  });
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    EXPECT_TRUE(allowed[i].count(picked[i]) == 1)
-        << "instance " << i << " returned uid " << picked[i]
-        << " which no published version selects";
+    support::ScopedThreads scoped(4);
+    // Chunks of 8 queries: even chunks select one query at a time, odd
+    // ones go through serve(). Publishes land on evenly spaced chunks;
+    // in-flight selections must finish on whichever snapshot they
+    // loaded — never a torn mix.
+    constexpr std::size_t kChunk = 8;
+    const std::size_t chunks = t.stream.size() / kChunk;
+    const std::size_t every = chunks / (t.publishes.size() + 1);
+    std::vector<int> picked(t.stream.size(), -1);
+    support::parallel_for(chunks, 1, [&](std::size_t c) {
+      if (c > 0 && c % every == 0 && c / every <= t.publishes.size()) {
+        const auto [k, v] = t.publishes[c / every - 1];
+        registry.publish(t.keys[k], t.banks[k][v]);
+      }
+      const std::span<const tune::BankRegistry::Query> chunk(
+          t.stream.data() + c * kChunk, kChunk);
+      if (c % 2 == 1) {
+        const std::vector<int> served = registry.serve(chunk);
+        std::copy(served.begin(), served.end(), picked.begin() + c * kChunk);
+      } else {
+        for (std::size_t i = 0; i < kChunk; ++i) {
+          picked[c * kChunk + i] =
+              registry.select_uid(chunk[i].key, chunk[i].inst);
+        }
+      }
+    });
+    // Linearizability oracle: each answer is what one of its key's
+    // published versions selects.
+    for (std::size_t i = 0; i < chunks * kChunk; ++i) {
+      std::set<int> allowed;
+      for (const auto& bank : t.banks[index_of(t.stream[i].key)]) {
+        allowed.insert(bank->select_uid(t.stream[i].inst));
+      }
+      EXPECT_EQ(allowed.count(picked[i]), 1u)
+          << "query " << i << " returned uid " << picked[i]
+          << " which no published version selects";
+    }
+
+    // After the drain each key serves its last published version, and
+    // no memo entry of an earlier version answers for it.
+    std::vector<std::size_t> last(t.keys.size(), 0);
+    for (const auto& [k, v] : t.publishes) last[k] = v;
+    std::vector<int> expected;
+    for (std::size_t k = 0; k < t.keys.size(); ++k) {
+      EXPECT_EQ(registry.lookup(t.keys[k]), t.banks[k][last[k]]);
+    }
+    for (const auto& q : t.stream) {
+      const std::size_t k = index_of(q.key);
+      expected.push_back(t.banks[k][last[k]]->select_uid(q.inst));
+    }
+    EXPECT_EQ(registry.serve(t.stream), expected);
+    EXPECT_EQ(total_stats(registry).swaps,
+              t.keys.size() + t.publishes.size());
   }
-  // After the drain the new bank serves.
-  EXPECT_EQ(registry.lookup(key), bank2);
 }
 
 // ---- refit and fault fallback ---------------------------------------------

@@ -58,13 +58,15 @@ constexpr const char* kRuleLockDiscipline =
     "lock-discipline";                                    // R13
 constexpr const char* kRuleAtomicOrder =
     "atomic-order-audit";                                 // R14
+constexpr const char* kRuleMetricsHandle =
+    "metrics-static-handle";                              // R15
 
 const std::set<std::string>& all_rules() {
   static const std::set<std::string> rules = {
       kRuleRand,    kRuleThread,  kRuleWallClock, kRuleStdout,
       kRuleThrow,   kRuleFloatEq, kRuleHeader,    kRuleNodiscard,
       kRuleAllocLoop, kRuleSpan,  kRuleIwyu,      kRuleLayerDag,
-      kRuleLockDiscipline, kRuleAtomicOrder};
+      kRuleLockDiscipline, kRuleAtomicOrder, kRuleMetricsHandle};
   return rules;
 }
 
@@ -338,6 +340,7 @@ struct FileRole {
   bool rng_impl = false;       // src/support/rng.*
   bool parallel_impl = false;  // src/support/parallel.*
   bool trace_impl = false;     // src/support/trace.*
+  bool metrics_impl = false;   // src/support/metrics.*
   bool error_impl = false;     // src/support/error.hpp
   bool bench = false;          // bench/** (timing mains)
   bool alloc_hot = false;      // src/ml/**, src/tune/** (hot loops)
@@ -357,6 +360,7 @@ FileRole classify(const std::string& rel) {
   role.rng_impl = starts_with(rel, "src/support/rng.");
   role.parallel_impl = starts_with(rel, "src/support/parallel.");
   role.trace_impl = starts_with(rel, "src/support/trace.");
+  role.metrics_impl = starts_with(rel, "src/support/metrics.");
   role.error_impl = rel == "src/support/error.hpp";
   role.bench = starts_with(rel, "bench/");
   return role;
@@ -1474,6 +1478,51 @@ void check_atomic_order(const std::string& rel, const LexedFile& lexed,
 }
 
 // ---------------------------------------------------------------------
+// R15 — metrics handles are static (src/** only, support/metrics.*
+// exempt).
+//
+// A by-name `metrics::counter/gauge/histogram(...)` call takes the
+// registry mutex and a map lookup, so it must run once, in the
+// initializer of a `static` handle, never per call. The rule reads the
+// whole statement around the call, which may span several lines, and
+// accepts it only if that statement begins with `static`.
+// ---------------------------------------------------------------------
+void check_metrics_handles(const std::string& rel,
+                           const std::vector<std::vector<Token>>& toks,
+                           std::vector<Diagnostic>* diags) {
+  struct Located {
+    const Token* tok;
+    std::size_t line;
+  };
+  std::vector<Located> flat;
+  for (std::size_t li = 0; li < toks.size(); ++li) {
+    for (const Token& t : toks[li]) flat.push_back({&t, li});
+  }
+  const auto text = [&flat](std::size_t i) -> const std::string& {
+    return flat[i].tok->text;
+  };
+  for (std::size_t i = 3; i + 1 < flat.size(); ++i) {
+    const std::string& name = text(i);
+    if ((name != "counter" && name != "gauge" && name != "histogram") ||
+        text(i + 1) != "(" || text(i - 1) != ":" || text(i - 2) != ":" ||
+        text(i - 3) != "metrics") {
+      continue;
+    }
+    std::size_t start = i - 3;  // back to the start of the statement
+    while (start > 0 && text(start - 1) != ";" && text(start - 1) != "{" &&
+           text(start - 1) != "}") {
+      --start;
+    }
+    if (text(start) == "static") continue;
+    diags->push_back(
+        {rel, flat[i].line + 1, kRuleMetricsHandle,
+         "by-name 'metrics::" + name + "' outside the initializer of a "
+         "static handle — look the instrument up once "
+         "(`static metrics::Counter& c = metrics::counter(...)`)"});
+  }
+}
+
+// ---------------------------------------------------------------------
 // Driver.
 // ---------------------------------------------------------------------
 struct Options {
@@ -1527,6 +1576,7 @@ AllowMap lint_file(const fs::path& abs, const std::string& rel,
   if (role.in_src) {
     check_lock_discipline(rel, lexed.code, out);
     check_atomic_order(rel, lexed, toks, out);
+    if (!role.metrics_impl) check_metrics_handles(rel, toks, out);
   }
   check_iwyu(rel, lines, lexed, root, iwyu_cache, out);
   return allow;
@@ -1748,6 +1798,11 @@ int self_test(const fs::path& root) {
       {"atomics",
        {{"src/support/bad_order.cpp", 8, kRuleAtomicOrder},
         {"src/support/bad_order.cpp", 12, kRuleAtomicOrder}}},
+      {"metrics",
+       {{"src/collbench/bad_handles.cpp", 8, kRuleMetricsHandle},
+        {"src/collbench/bad_handles.cpp", 11, kRuleMetricsHandle},
+        {"src/collbench/bad_handles.cpp", 14, kRuleMetricsHandle},
+        {"src/collbench/bad_handles.cpp", 17, kRuleMetricsHandle}}},
   };
 
   bool ok = true;
