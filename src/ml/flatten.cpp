@@ -52,6 +52,23 @@ bool knn_offer(std::pair<double, int>* best, int& count, int k, double dist,
   return true;
 }
 
+/// Copies the non-zero entries of `dense` into (idx, val), ascending;
+/// returns their count, or -1 when there are more than `cap`. A NaN is
+/// non-zero.
+int nonzero_terms(std::span<const double> dense, std::int32_t* idx,
+                  double* val, int cap) {
+  int count = 0;
+  for (std::size_t j = 0; j < dense.size(); ++j) {
+    // mpicp-lint: allow(no-float-eq) — only an exact zero term may drop
+    if (dense[j] == 0.0) continue;
+    if (count == cap) return -1;
+    idx[count] = static_cast<std::int32_t>(j);
+    val[count] = dense[j];
+    ++count;
+  }
+  return count;
+}
+
 /// Initial window width of the KNN grid search, per factored axis. On
 /// the d6 bank under off-grid queries, W = 2 (4 candidate cells)
 /// accepts ~81 % of model queries at once and ~97 % after one widening;
@@ -175,6 +192,11 @@ int FlatBank::add(const Regressor& model) {
     MPICP_RAISE_ARG("cannot compile learner '" + model.name() + "'");
   }
   models_.push_back(m);
+  // The bank-wide structures describe the models of the last finalize().
+  argmin_table_ = {};
+  gam_groups_.clear();
+  gam_eta_at_.clear();
+  num_fused_ = 0;
   // Canonical and derived pools are both append-only in model order, so
   // the new model's rank-cell table or KNN grid is derived here, once:
   // add() costs what lowering the one model costs.
@@ -471,7 +493,206 @@ int FlatBank::intern_slot(int basis, int feature) {
     }
   }
   slots_.push_back({basis, feature});
+  build_int_rows(slots_.size() - 1);
   return static_cast<int>(slots_.size()) - 1;
+}
+
+void FlatBank::build_int_rows(std::size_t slot) {
+  slot_rows_.emplace_back();
+  const BSplineBasis& basis = bases_[slots_[slot].basis];
+  const double lo = basis.lo();
+  const double hi = basis.hi();
+  // Within +-2^31 every integer and every difference below is exact.
+  constexpr double kLimit = 2147483648.0;
+  if (!(std::abs(lo) < kLimit && std::abs(hi) < kLimit)) return;
+  const double first = std::ceil(lo);
+  const double ints = std::max(0.0, std::floor(hi) - first + 1.0);
+  if (ints > kMaxIntRows) return;
+  const auto count = static_cast<std::int32_t>(ints);
+  std::vector<IntRow> rows(static_cast<std::size_t>(count) + 2);
+  std::vector<double> dense(static_cast<std::size_t>(basis.num_basis()));
+  for (std::int32_t r = 0; r < count + 2; ++r) {
+    const double v = r < count ? first + r : (r == count ? lo : hi);
+    basis.evaluate_into(v, dense);
+    IntRow& row = rows[static_cast<std::size_t>(r)];
+    row.count = nonzero_terms(dense, row.idx.data(), row.val.data(), kRowTerms);
+    if (row.count < 0) return;
+  }
+  IntRows& table = slot_rows_.back();
+  table.first = first;
+  table.count = count;
+  table.begin = static_cast<std::int32_t>(int_rows_.size());
+  int_rows_.insert(int_rows_.end(), rows.begin(), rows.end());
+  table.built = true;
+}
+
+void FlatBank::finalize() {
+  build_argmin_table();
+  build_gam_groups();
+}
+
+void FlatBank::build_argmin_table() {
+  argmin_table_ = {};
+  argmin_thr_.clear();
+  argmin_cell_.clear();
+  argmin_excluded_.clear();
+  const std::size_t n = models_.size();
+  if (n == 0 || n >= kNoModel) return;
+  int dim = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (models_[i].kind != FlatKind::kTreeEnsemble || !rank_tables_[i].built) {
+      return;
+    }
+    dim = std::max(dim, rank_tables_[i].dim);
+  }
+  // The union of the models' strips, per feature.
+  const auto strip = [this](const RankTable& rt, int f) {
+    const double* t = rank_thr_.data() + rt.thr_begin[f];
+    return std::span<const double>(t, static_cast<std::size_t>(rt.thr_len[f]));
+  };
+  std::vector<std::vector<double>> uni(static_cast<std::size_t>(dim));
+  std::size_t cells = 1;
+  for (int f = 0; f < dim; ++f) {
+    auto& u = uni[static_cast<std::size_t>(f)];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (f >= rank_tables_[i].dim) continue;
+      const auto t = strip(rank_tables_[i], f);
+      u.insert(u.end(), t.begin(), t.end());
+    }
+    std::sort(u.begin(), u.end());
+    u.erase(std::unique(u.begin(), u.end()), u.end());
+    cells *= u.size() + 1;
+    if (cells * sizeof(std::uint16_t) > kMaxArgminBytes) return;
+  }
+  RankTable& at = argmin_table_;
+  at.dim = dim;
+  std::size_t stride = 1;
+  for (int f = 0; f < dim; ++f) {
+    const auto& u = uni[static_cast<std::size_t>(f)];
+    at.thr_begin[f] = static_cast<std::int32_t>(argmin_thr_.size());
+    at.thr_len[f] = static_cast<std::int32_t>(u.size());
+    at.stride[f] = static_cast<std::int32_t>(stride);
+    stride *= u.size() + 1;
+    argmin_thr_.insert(argmin_thr_.end(), u.begin(), u.end());
+  }
+  // offset[i][f][r]: model i's cell offset along feature f for union
+  // rank r. Model i's strip is a subset of the union's, so every value
+  // of union cell r (at least U[r - 1]) has the model rank #{T <= U[r-1]}
+  // -- and a NaN, ranked past every threshold of both, has it too.
+  std::vector<std::vector<std::vector<std::int64_t>>> offset(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const RankTable& rt = rank_tables_[i];
+    offset[i].resize(static_cast<std::size_t>(dim));
+    for (int f = 0; f < dim; ++f) {
+      const auto& u = uni[static_cast<std::size_t>(f)];
+      auto& off = offset[i][static_cast<std::size_t>(f)];
+      off.assign(u.size() + 1, 0);
+      if (f >= rt.dim) continue;
+      const auto t = strip(rt, f);
+      for (std::size_t r = 1; r <= u.size(); ++r) {
+        const auto rank = std::upper_bound(t.begin(), t.end(), u[r - 1]) -
+                          t.begin();
+        off[r] = static_cast<std::int64_t>(rank) * rt.stride[f];
+      }
+    }
+  }
+  // Every cell screens and compares the models in index order, as the
+  // per-model argmin does: the least usable value, the lowest index on
+  // ties.
+  argmin_cell_.assign(cells, kNoModel);
+  std::vector<std::uint16_t> excluded(cells, 0);
+  bool any_excluded = false;
+  std::array<std::int32_t, kMaxRankFeatures> r{};
+  for (std::size_t c = 0; c < cells; ++c) {
+    std::uint16_t best = kNoModel;
+    double best_value = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int64_t cell = rank_tables_[i].cells_begin;
+      for (int f = 0; f < dim; ++f) cell += offset[i][f][r[f]];
+      const double v = cell_val_[static_cast<std::size_t>(cell)];
+      if (!(std::isfinite(v) && v >= 0.0)) {
+        ++excluded[c];
+        continue;
+      }
+      if (best == kNoModel || v < best_value) {
+        best = static_cast<std::uint16_t>(i);
+        best_value = v;
+      }
+    }
+    argmin_cell_[c] = best;
+    any_excluded = any_excluded || excluded[c] > 0;
+    for (int f = 0; f < dim; ++f) {  // next cell, feature 0 fastest
+      if (++r[f] <= at.thr_len[f]) break;
+      r[f] = 0;
+    }
+  }
+  if (any_excluded) argmin_excluded_ = std::move(excluded);
+  at.built = true;
+}
+
+void FlatBank::build_gam_groups() {
+  gam_groups_.clear();
+  gam_coef_t_.clear();
+  gam_eta_at_.assign(models_.size(), -1);
+  num_fused_ = 0;
+  const auto slots_of = [this](const FlatModel& m) {
+    return std::span<const int>(gam_slots_).subspan(
+        static_cast<std::size_t>(m.slot_begin),
+        static_cast<std::size_t>(m.num_bases));
+  };
+  // Group of every fusable GAM: the first earlier group with its shape
+  // and slot list, or a new one.
+  std::vector<int> group_of(models_.size(), -1);
+  std::vector<std::size_t> first_member;
+  first_member.reserve(models_.size());
+  gam_groups_.reserve(models_.size());
+  std::size_t terms_total = 0;
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    const FlatModel& m = models_[i];
+    if (m.kind != FlatKind::kGam ||
+        m.coef_len != 1 + m.num_bases * m.basis_size) {
+      continue;
+    }
+    const auto coef = std::span<const double>(coef_).subspan(
+        static_cast<std::size_t>(m.coef_begin),
+        static_cast<std::size_t>(m.coef_len));
+    if (!std::ranges::all_of(coef, [](double c) { return std::isfinite(c); })) {
+      continue;
+    }
+    std::size_t g = 0;
+    for (; g < gam_groups_.size(); ++g) {
+      const FlatModel& first = models_[first_member[g]];
+      if (first.basis_size == m.basis_size &&
+          std::ranges::equal(slots_of(first), slots_of(m))) {
+        break;
+      }
+    }
+    if (g == gam_groups_.size()) {
+      gam_groups_.push_back({.num_bases = m.num_bases,
+                             .basis_size = m.basis_size,
+                             .slot_begin = m.slot_begin});
+      first_member.push_back(i);
+    }
+    ++gam_groups_[g].num_models;
+    group_of[i] = static_cast<int>(g);
+    terms_total += static_cast<std::size_t>(m.coef_len);
+  }
+  gam_coef_t_.reserve(terms_total);
+  for (std::size_t g = 0; g < gam_groups_.size(); ++g) {
+    GamGroup& group = gam_groups_[g];
+    group.coef_begin = static_cast<std::int64_t>(gam_coef_t_.size());
+    group.eta_begin = num_fused_;
+    const int terms = 1 + group.num_bases * group.basis_size;
+    for (int t = 0; t < terms; ++t) {
+      for (std::size_t i = first_member[g]; i < models_.size(); ++i) {
+        if (group_of[i] != static_cast<int>(g)) continue;
+        gam_coef_t_.push_back(coef_[models_[i].coef_begin + t]);
+      }
+    }
+    for (std::size_t i = first_member[g]; i < models_.size(); ++i) {
+      if (group_of[i] == static_cast<int>(g)) gam_eta_at_[i] = num_fused_++;
+    }
+  }
 }
 
 void FlatBank::lower_gam(const GamRegressor& gam, FlatModel& m) {
@@ -504,6 +725,124 @@ void FlatBank::begin_query(FlatScratch& scratch) const {
   if (scratch.knn_bwin.size() < static_cast<std::size_t>(max_grid_b_)) {
     scratch.knn_bwin.resize(static_cast<std::size_t>(max_grid_b_));
   }
+  if (scratch.slot_terms.size() < slots_.size()) {
+    scratch.slot_terms.resize(slots_.size());
+  }
+  if (scratch.term_idx.size() < slot_need) {
+    scratch.term_idx.resize(slot_need);
+    scratch.term_val.resize(slot_need);
+  }
+  if (scratch.gam_eta.size() < static_cast<std::size_t>(num_fused_)) {
+    scratch.gam_eta.resize(static_cast<std::size_t>(num_fused_));
+  }
+}
+
+double FlatBank::fused_gam_eta(std::span<const double> x,
+                               FlatScratch& s) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (num_fused_ == 0) return kInf;
+  // Every slot's non-zero basis terms, ascending: an integer row when
+  // the feature is an integer of the slot's table or lies beyond a
+  // clamp end, else evaluate_into and keep the non-zero entries. A NaN
+  // feature evaluates, and every one of its terms is NaN.
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    const FlatBasisSlot& sl = slots_[slot];
+    const BSplineBasis& basis = bases_[sl.basis];
+    const double v = x[sl.feature];
+    const IntRows& table = slot_rows_[slot];
+    const IntRow* row = nullptr;
+    if (table.built) {
+      if (v < basis.lo()) {
+        row = &int_rows_[table.begin + table.count];
+      } else if (v > basis.hi()) {
+        row = &int_rows_[table.begin + table.count + 1];
+      } else if (const double k = v - table.first; k == std::floor(k)) {
+        row = &int_rows_[table.begin + static_cast<std::int32_t>(k)];
+      }
+    }
+    FlatScratch::SlotTerms& terms = s.slot_terms[slot];
+    if (row != nullptr) {
+      terms = {row->idx.data(), row->val.data(), row->count};
+      continue;
+    }
+    const std::size_t at = slot * static_cast<std::size_t>(max_basis_size_);
+    double* dense = s.slot_values.data() + at;
+    const int nb = basis.num_basis();
+    basis.evaluate_into(v, {dense, static_cast<std::size_t>(nb)});
+    std::int32_t* idx = s.term_idx.data() + at;
+    double* val = s.term_val.data() + at;
+    terms = {idx, val,
+             nonzero_terms({dense, static_cast<std::size_t>(nb)}, idx, val,
+                           nb)};
+  }
+  // Each group's scores, all members at once. Every member adds its
+  // terms in its own order (intercept, then feature by feature,
+  // ascending basis index), so its score keeps the bits of the
+  // per-model dot product: a dropped term is 0 x finite, which leaves
+  // a sum unchanged up to the sign of a zero, and exp(+0) == exp(-0).
+  double* eta_all = s.gam_eta.data();
+  for (const GamGroup& g : gam_groups_) {
+    const int mm = g.num_models;
+    const double* c = gam_coef_t_.data() + g.coef_begin;
+    double* eta = eta_all + g.eta_begin;
+    for (int k = 0; k < mm; ++k) {
+      eta[k] = 0.0;
+      eta[k] += 1.0 * c[k];
+    }
+    for (int f = 0; f < g.num_bases; ++f) {
+      const FlatScratch::SlotTerms& terms =
+          s.slot_terms[static_cast<std::size_t>(gam_slots_[g.slot_begin + f])];
+      const double* block = c + (1 + f * g.basis_size) * mm;
+      for (int t = 0; t < terms.count; ++t) {
+        const double v = terms.val[t];
+        const double* row = block + terms.idx[t] * mm;
+        for (int k = 0; k < mm; ++k) eta[k] += v * row[k];
+      }
+    }
+  }
+  double least = kInf;
+  for (int k = 0; k < num_fused_; ++k) {
+    eta_all[k] = std::clamp(eta_all[k], -40.0, 40.0);
+    least = std::min(least, eta_all[k]);  // a NaN never becomes the least
+  }
+  return least + kExpMargin;
+}
+
+int FlatBank::argmin(std::span<const double> x, FlatScratch& s,
+                     std::size_t& excluded) const {
+  if (argmin_table_.built) {
+    const auto c = static_cast<std::size_t>(
+        rank_cell(argmin_table_, argmin_thr_.data(), x.data()));
+    excluded = argmin_excluded_.empty() ? 0 : argmin_excluded_[c];
+    const std::uint16_t best = argmin_cell_[c];
+    return best == kNoModel ? -1 : best;
+  }
+  begin_query(s);
+  const double cut = fused_gam_eta(x, s);
+  int best = -1;
+  double best_value = 0.0;
+  excluded = 0;
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    double t = 0.0;
+    // finalize() sized gam_eta_at_ to the bank whenever it fused a GAM.
+    if (const std::int32_t e = num_fused_ > 0 ? gam_eta_at_[i] : -1; e >= 0) {
+      const double eta = s.gam_eta[static_cast<std::size_t>(e)];
+      // Usable (finite, positive), and above the least fused prediction.
+      if (eta > cut) continue;
+      t = std::exp(eta);
+    } else {
+      t = predict_one(i, x, s);
+    }
+    if (!(std::isfinite(t) && t >= 0.0)) {
+      ++excluded;
+      continue;
+    }
+    if (best < 0 || t < best_value) {
+      best = static_cast<int>(i);
+      best_value = t;
+    }
+  }
+  return best;
 }
 
 double FlatBank::predict_knn(std::size_t i, std::span<const double> x,
@@ -629,14 +968,14 @@ double FlatBank::predict_knn(std::size_t i, std::span<const double> x,
   return acc / static_cast<double>(count);
 }
 
-double FlatBank::rank_cell_value(const RankTable& rt,
-                                 const double* x) const {
+std::int64_t FlatBank::rank_cell(const RankTable& rt, const double* thr,
+                                 const double* x) {
   // The instance's per-feature threshold ranks pick the precomputed
   // cell, so the whole ensemble costs a few small binary searches plus
   // one load.
   std::int64_t idx = 0;
   for (int f = 0; f < rt.dim; ++f) {
-    const double* T = rank_thr_.data() + rt.thr_begin[f];
+    const double* T = thr + rt.thr_begin[f];
     const std::int32_t len = rt.thr_len[f];
     const double v = x[f];
     // rank = #{T <= v}; a NaN feature ranks past every threshold, so
@@ -647,7 +986,7 @@ double FlatBank::rank_cell_value(const RankTable& rt,
                      std::upper_bound(T, T + len, v) - T);
     idx += static_cast<std::int64_t>(r) * rt.stride[f];
   }
-  return cell_val_[static_cast<std::size_t>(rt.cells_begin + idx)];
+  return idx;
 }
 
 double FlatBank::predict_one(std::size_t i, std::span<const double> x,
@@ -658,7 +997,10 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
     case FlatKind::kTreeEnsemble: {
       // A rank-cell table answers the whole ensemble with one lookup.
       const RankTable& rt = rank_tables_[i];
-      if (rt.built) return rank_cell_value(rt, x.data());
+      if (rt.built) {
+        return cell_val_[static_cast<std::size_t>(
+            rt.cells_begin + rank_cell(rt, rank_thr_.data(), x.data()))];
+      }
       // Otherwise walk every tree in the node pool, in canonical order.
       double raw = m.base_score;
       for (int t = m.tree_begin; t < m.tree_end; ++t) {

@@ -26,6 +26,24 @@
 // pool. The table is derived data, built once for the new model in
 // add(), and reproduces the interpreted regressor bit for bit.
 //
+// finalize() derives two bank-wide structures from the lowered models
+// (DESIGN.md §11, §16), so that argmin() costs one pass over the bank rather
+// than one predict_one per model:
+//
+//   - a tree bank whose every model has a rank-cell table gets one
+//     *argmin table* over the union of the models' threshold strips: the
+//     winning model index of every union cell, so a query is one
+//     upper_bound per feature plus one load;
+//   - GAMs with finite coefficients and the same basis slots are
+//     *fused*: their coefficients sit side by side in one transposed
+//     block, each slot contributes only its non-zero basis terms (read
+//     from a per-slot table of integer rows where the feature is an
+//     integer), and exp() runs only on the models whose clamped score
+//     can still be the least.
+//
+// Both reproduce the per-model argmin bit for bit: same predictions,
+// same usability screen, ties to the lowest model index.
+//
 // KNN models carry a *factored grid* (DESIGN.md §11), also derived
 // data: the scaled points factor as (distinct axis-0 values, i.e.
 // log2 msize) × (distinct tuples of the other axes), and every
@@ -121,6 +139,18 @@ struct FlatScratch {
   std::vector<std::pair<double, int>> knn_bwin;
   /// The k nearest rows so far as (distance, row), ascending.
   std::array<std::pair<double, int>, kMaxKnnK> knn_best{};
+  /// Fused GAM pass: each basis slot's non-zero terms (into an integer
+  /// row, or into term_idx/term_val when evaluated), and every fused
+  /// model's clamped score.
+  struct SlotTerms {
+    const std::int32_t* idx = nullptr;
+    const double* val = nullptr;
+    int count = 0;
+  };
+  std::vector<SlotTerms> slot_terms;
+  std::vector<std::int32_t> term_idx;  ///< slot-major, max basis size each
+  std::vector<double> term_val;
+  std::vector<double> gam_eta;
 };
 
 class FlatBank {
@@ -133,10 +163,22 @@ class FlatBank {
   const FlatModel& model(std::size_t i) const { return models_[i]; }
   std::size_t num_basis_slots() const { return slots_.size(); }
 
+  /// Derive the bank-wide argmin table and fused GAM block from the
+  /// models added so far. Call once after the last add(); add() drops
+  /// both until the next finalize(), and argmin() stays exact either way.
+  void finalize();
+
   /// Start a new query: bumps the slot memoization stamp and grows the
   /// scratch buffers if needed. Must be called once per query vector
   /// before any predict_one() on it.
   void begin_query(FlatScratch& scratch) const;
+
+  /// The index of the least usable (finite, non-negative) prediction on
+  /// `x`, the lowest index on ties, or -1 when none is usable; `excluded`
+  /// receives the number of unusable predictions. Bit-identical to
+  /// screening every predict_one in index order. Calls begin_query.
+  int argmin(std::span<const double> x, FlatScratch& scratch,
+             std::size_t& excluded) const;
 
   /// Predict with model `i` on the feature vector `x`. Bit-identical to
   /// the interpreted regressor's predict_one. Allocation-free once
@@ -154,6 +196,19 @@ class FlatBank {
   /// false for a model over kMaxKnnGridCells, which scans every point.
   bool has_knn_grid(std::size_t i) const { return knn_grids_[i].built; }
 
+  /// True when finalize() built the bank's argmin table, i.e. argmin()
+  /// is one table lookup.
+  bool has_argmin_table() const { return argmin_table_.built; }
+
+  /// True when GAM model `i` is served by the fused pass of argmin().
+  bool is_fused_gam(std::size_t i) const {
+    return i < gam_eta_at_.size() && gam_eta_at_[i] >= 0;
+  }
+
+  /// True when basis slot `s` reads integer feature values from a table
+  /// of precomputed basis rows.
+  bool has_int_rows(std::size_t s) const { return slot_rows_[s].built; }
+
  private:
   void lower_trees(const std::vector<RegressionTree>& trees, FlatModel& m);
   /// Derive the rank-cell table of tree-ensemble model `mi` / the grid
@@ -167,6 +222,14 @@ class FlatBank {
   void lower_gam(const GamRegressor& gam, FlatModel& m);
   int intern_basis(const BSplineBasis& basis);
   int intern_slot(int basis, int feature);
+  /// Derive the integer-row table of the newly interned slot `slot`.
+  void build_int_rows(std::size_t slot);
+  void build_argmin_table();
+  void build_gam_groups();
+  /// Fill scratch.gam_eta with every fused GAM's clamped score; returns
+  /// the largest score that can still win (the least plus
+  /// kExpMargin), or +inf when no fused score is a number.
+  double fused_gam_eta(std::span<const double> x, FlatScratch& s) const;
   std::span<const double> point_row(const FlatModel& m, int p) const {
     return {points_.data() +
                 static_cast<std::size_t>(m.points_begin) +
@@ -195,7 +258,7 @@ class FlatBank {
   // stores the exact prediction of every cell (each leaf's value added
   // to its box of cells, in canonical tree order), turning dispatch
   // into a handful of small binary searches plus one load
-  // (rank_cell_value). Models whose cell count exceeds kMaxRankCells
+  // (rank_cell). Models whose cell count exceeds kMaxRankCells
   // (continuous features) skip the table and serve through the plain
   // node-pool walk.
   static constexpr int kMaxRankFeatures = 8;
@@ -208,12 +271,72 @@ class FlatBank {
     std::array<std::int32_t, kMaxRankFeatures> stride{};
     std::int64_t cells_begin = 0;
   };
-  /// The prediction stored for the rank cell of feature vector `x`.
-  double rank_cell_value(const RankTable& rt, const double* x) const;
+  /// The cell of feature vector `x` in `rt` (whose strips start at
+  /// `thr`), relative to cells_begin.
+  static std::int64_t rank_cell(const RankTable& rt, const double* thr,
+                                const double* x);
 
   std::vector<RankTable> rank_tables_;  ///< per model
   support::AlignedVec<double> rank_thr_;  ///< sorted distinct thresholds
   support::AlignedVec<double> cell_val_;  ///< final per-cell predictions
+
+  // Argmin table (derived by finalize()): when every model is a tree
+  // ensemble with a rank-cell table, the bank's argmin is constant on
+  // each cell of the union of the models' threshold strips. Its strips
+  // live in argmin_thr_ (thr_begin relative to it), and each cell keeps
+  // the winning model index, kNoModel when no prediction is usable.
+  // Banks whose table would exceed kMaxArgminBytes keep the per-model
+  // loop.
+  static constexpr std::uint16_t kNoModel = 0xffff;
+  static constexpr std::size_t kMaxArgminBytes = std::size_t{1} << 20;
+  RankTable argmin_table_;
+  std::vector<double> argmin_thr_;
+  std::vector<std::uint16_t> argmin_cell_;
+  /// Unusable predictions per cell; empty when every cell has none.
+  std::vector<std::uint16_t> argmin_excluded_;
+
+  // Integer basis rows (derived per slot): the non-zero terms of the
+  // basis at every integer in [ceil(lo), floor(hi)], then at lo and at
+  // hi (the clamp ends), each evaluated by evaluate_into. A slot whose
+  // range is not finite, spans more than kMaxIntRows integers, or has a
+  // row with more than kRowTerms non-zero terms evaluates every query.
+  static constexpr int kRowTerms = 4;
+  static constexpr double kMaxIntRows = 4096.0;
+  struct IntRow {
+    std::int32_t count = 0;
+    std::array<std::int32_t, kRowTerms> idx{};
+    std::array<double, kRowTerms> val{};
+  };
+  struct IntRows {
+    bool built = false;
+    double first = 0.0;      ///< ceil(lo)
+    std::int32_t count = 0;  ///< integer rows; the lo and hi rows follow
+    std::int32_t begin = 0;  ///< into int_rows_
+  };
+  std::vector<IntRows> slot_rows_;  ///< per slot
+  std::vector<IntRow> int_rows_;
+
+  // Fused GAM groups (derived by finalize()): the GAMs with finite
+  // coefficients and one slot list, side by side. Row t of a group's
+  // block holds coefficient t of each member, in member (index) order.
+  // A dropped zero basis term is 0 x finite, so only finite blocks may
+  // drop them; a model with a non-finite coefficient stays per model.
+  /// Scores further than this above the least cannot win after exp():
+  /// exp(a + 1e-9) / exp(a) - 1 ~ 1e-9 is millions of ulps, and libm's
+  /// exp is accurate to within 1 ulp.
+  static constexpr double kExpMargin = 1e-9;
+  struct GamGroup {
+    int num_models = 0;
+    int num_bases = 0;
+    int basis_size = 0;
+    int slot_begin = 0;  ///< the members' shared range of gam_slots_
+    std::int64_t coef_begin = 0;  ///< into gam_coef_t_
+    int eta_begin = 0;            ///< into FlatScratch::gam_eta
+  };
+  std::vector<GamGroup> gam_groups_;
+  std::vector<double> gam_coef_t_;
+  std::vector<std::int32_t> gam_eta_at_;  ///< per model; -1: not fused
+  int num_fused_ = 0;
 
   // Factored KNN grids (derived). Per model: its
   // sorted distinct axis-0 values and its distinct b-tuples (axes

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "ml/io.hpp"
 #include "support/error.hpp"
@@ -147,20 +148,31 @@ void GamRegressor::save(std::ostream& os) const {
 
 void GamRegressor::load(std::istream& is) {
   io::expect_tag(is, "gam");
-  params_.basis_per_feature = io::read_value<int>(is);
+  const auto nb = io::read_value<int>(is);
+  // Every size is checked before anything is built from it: a basis
+  // allocates nb + 4 knots.
+  MPICP_CHECK_PARSE(nb >= 4 && nb <= kMaxBasisPerFeature,
+                    "implausible gam basis size");
   const auto d = io::read_value<std::size_t>(is);
-  MPICP_REQUIRE(d < 256, "implausible gam dimensionality");
-  bases_.clear();
-  for (std::size_t f = 0; f < d; ++f) {
-    const auto lo = io::read_value<double>(is);
-    const auto hi = io::read_value<double>(is);
-    bases_.emplace_back(lo, hi, params_.basis_per_feature);
+  MPICP_CHECK_PARSE(d < 256, "implausible gam dimensionality");
+  std::vector<std::pair<double, double>> ranges(d);
+  for (auto& [lo, hi] : ranges) {
+    lo = io::read_value<double>(is);
+    hi = io::read_value<double>(is);
+    MPICP_CHECK_PARSE(std::isfinite(lo) && std::isfinite(hi) && lo < hi &&
+                          std::isfinite(hi - lo),
+                      "gam basis range must be finite and non-empty");
   }
-  beta_ = io::read_vector<double>(is);
-  MPICP_REQUIRE(
-      beta_.size() ==
-          1 + d * static_cast<std::size_t>(params_.basis_per_feature),
-      "gam model size mismatch");
+  const auto terms = io::read_value<std::size_t>(is);
+  MPICP_CHECK_PARSE(terms == 1 + d * static_cast<std::size_t>(nb),
+                    "gam model size mismatch");
+  std::vector<double> beta(terms);
+  for (double& b : beta) b = io::read_value<double>(is);
+  params_.basis_per_feature = nb;
+  bases_.clear();
+  bases_.reserve(d);
+  for (const auto& [lo, hi] : ranges) bases_.emplace_back(lo, hi, nb);
+  beta_ = std::move(beta);
 }
 
 double GamRegressor::predict_one(std::span<const double> x) const {

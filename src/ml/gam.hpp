@@ -17,6 +17,9 @@
 
 namespace mpicp::ml {
 
+/// Largest basis size a model file may declare (GamParams defaults to 10).
+inline constexpr int kMaxBasisPerFeature = 1024;
+
 struct GamParams {
   int basis_per_feature = 10;  ///< B-spline basis size per smoother
   double lambda = 1.0;         ///< smoothing penalty (fixed; no tuning)

@@ -34,24 +34,54 @@
 
 namespace mpicp::support::metrics {
 
-/// Monotonically increasing event count.
+/// Cells of a Counter: a thread counts into cell (ticket % kCounterCells).
+inline constexpr std::size_t kCounterCells = 16;
+
+/// The calling thread's counter cell: a ticket drawn on its first call,
+/// so up to kCounterCells threads started in turn count into distinct
+/// cache lines.
+inline std::size_t this_thread_cell() {
+  // Zero means no ticket yet; a trivially initialized thread_local
+  // needs no guard on the per-call path.
+  thread_local std::size_t cell_plus_one = 0;
+  if (cell_plus_one == 0) {
+    static std::atomic<std::size_t> tickets{0};
+    // order: a unique-ticket counter; uniqueness needs atomicity only.
+    cell_plus_one =
+        tickets.fetch_add(1, std::memory_order_relaxed) % kCounterCells + 1;
+  }
+  return cell_plus_one - 1;
+}
+
+/// Monotonically increasing event count, kept in one cache line per
+/// thread cell so that threads counting the same event do not contend;
+/// value() sums the cells.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
     // order: independent statistic; readers only need eventual totals.
-    value_.fetch_add(n, std::memory_order_relaxed);
+    cells_[this_thread_cell()].value.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
-    // order: independent statistic; readers only need eventual totals.
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const Cell& c : cells_) {
+      // order: independent statistic; readers only need eventual totals.
+      sum += c.value.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
   void reset() {
-    // order: independent statistic; readers only need eventual totals.
-    value_.store(0, std::memory_order_relaxed);
+    for (Cell& c : cells_) {
+      // order: independent statistic; readers only need eventual totals.
+      c.value.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Cell, kCounterCells> cells_;
 };
 
 /// Last-write-wins scalar (e.g. a configuration value or a level).

@@ -70,28 +70,33 @@ int CompiledBank::argmin_uid(const bench::Instance& inst) const {
   const std::size_t dim = feature_dim(features_);
   instance_features_into(inst, features_, std::span<double>(feat, dim));
   ml::FlatScratch& scratch = thread_scratch();
-  bank_.begin_query(scratch);
   int best_uid = -1;
-  double best_time = 0.0;
   std::size_t excluded = 0;
-  // Fused predict+argmin in ascending uid order: same tie-breaking and
-  // the same usability screen as the interpreted argmin_usable, without
-  // materializing a prediction vector.
-  for (std::size_t i = 0; i < uids_.size(); ++i) {
-    double t = bank_.predict_one(i, {feat, dim}, scratch);
-    if (support::faultinject::active()) {
+  if (!support::faultinject::active()) {
+    // The bank's own argmin: its tree table or fused GAM pass where it
+    // has one, each bit-identical to the per-model loop below.
+    const int best = bank_.argmin({feat, dim}, scratch, excluded);
+    if (best >= 0) best_uid = uids_[static_cast<std::size_t>(best)];
+  } else {
+    // Forced predictions replace single models' values, so every model
+    // is predicted: in ascending uid order, with the same tie-breaking
+    // and the same usability screen as the interpreted argmin_usable.
+    bank_.begin_query(scratch);
+    double best_time = 0.0;
+    for (std::size_t i = 0; i < uids_.size(); ++i) {
+      double t = bank_.predict_one(i, {feat, dim}, scratch);
       if (const auto forced =
               support::faultinject::forced_prediction(uids_[i])) {
         t = *forced;
       }
-    }
-    if (!(std::isfinite(t) && t >= 0.0)) {
-      ++excluded;
-      continue;
-    }
-    if (best_uid < 0 || t < best_time) {
-      best_uid = uids_[i];
-      best_time = t;
+      if (!(std::isfinite(t) && t >= 0.0)) {
+        ++excluded;
+        continue;
+      }
+      if (best_uid < 0 || t < best_time) {
+        best_uid = uids_[i];
+        best_time = t;
+      }
     }
   }
   if (excluded > 0) {

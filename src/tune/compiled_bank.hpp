@@ -80,8 +80,9 @@ class CompiledBank {
  private:
   friend class Selector;
 
-  /// Fused predict+argmin on one instance; -1 when no prediction is
-  /// usable. Never allocates (thread-local scratch).
+  /// The argmin on one instance: FlatBank::argmin, or a per-model loop
+  /// while fault injection is active; -1 when no prediction is usable.
+  /// Never allocates (thread-local scratch).
   int argmin_uid(const bench::Instance& inst) const;
 
   FeatureOptions features_;

@@ -110,13 +110,7 @@ struct BankRegistry::ThreadState {
   std::array<CachedSnapshot, kSnapshotSlots> snapshots;
   std::size_t next_victim = 0;  ///< round-robin replacement cursor
   Memo memo;
-  std::size_t cell = next_cell();  ///< this thread's counter cell
-
-  static std::size_t next_cell() {
-    static std::atomic<std::size_t> tickets{0};
-    // order: a unique-ticket counter; uniqueness needs atomicity only.
-    return tickets.fetch_add(1, std::memory_order_relaxed) % kCounterCells;
-  }
+  std::size_t cell = metrics::this_thread_cell();  ///< counter cell
 };
 
 BankRegistry::ThreadState& BankRegistry::thread_state() {

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "collbench/dataset.hpp"
+#include "support/metrics.hpp"
 #include "support/thread_safety.hpp"
 #include "tune/compiled_bank.hpp"
 #include "tune/selector.hpp"
@@ -185,8 +186,8 @@ class BankRegistry {
 
   /// Per-thread slots of the snapshot cache, searched linearly.
   static constexpr std::size_t kSnapshotSlots = 16;
-  /// Counter cells; a thread counts into cell (ticket % kCounterCells).
-  static constexpr std::size_t kCounterCells = 16;
+  /// Counter cells, one per metrics::this_thread_cell().
+  static constexpr std::size_t kCounterCells = support::metrics::kCounterCells;
 
   /// One cache line of selection statistics, written by the threads
   /// whose ticket maps to it.

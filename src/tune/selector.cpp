@@ -419,6 +419,7 @@ CompiledBank Selector::compile() const {
     bank.uids_.push_back(uid);
     bank.bank_.add(*model);
   }
+  bank.bank_.finalize();
   static metrics::Counter& calls = metrics::counter("compiled.compile.calls");
   static metrics::Counter& compiled_models =
       metrics::counter("compiled.compile.models");

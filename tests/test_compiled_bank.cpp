@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iomanip>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "collbench/dataset.hpp"
 #include "ml/flatten.hpp"
 #include "ml/forest.hpp"
+#include "ml/gam.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 #include "ml/learner.hpp"
@@ -853,6 +859,624 @@ TEST(FlatBankKnnGrid, RejectsModelsOverTheCaps) {
   wide.fit(x3, y);
   EXPECT_THROW(bank.add(wide), InvalidArgument);
   EXPECT_EQ(bank.size(), 0u);
+}
+
+// ---- the bank argmin table over hand-built tree ensembles ----------------
+
+// Fitted GBT/RF trees split on message size alone, so these banks are
+// built by hand: multi-feature splits on all four instance features
+// (log2 msize, nodes, ppn, p), with negative and overflowing leaves.
+
+/// One node of a hand-built tree, in preorder; children are indices
+/// into the same tree.
+struct HandNode {
+  int feature = -1;
+  double threshold = 0.0;
+  int left = -1;
+  int right = -1;
+  double value = 0.0;
+};
+
+HandNode leaf(double value) { return {-1, 0.0, -1, -1, value}; }
+
+/// x[f] < t ? below : above.
+std::vector<HandNode> stump(int f, double t, double below, double above) {
+  return {{f, t, 1, 2, 0.0}, leaf(below), leaf(above)};
+}
+
+/// Split f0 at t0, then both sides split f1 at t1; leaves in walk order.
+std::vector<HandNode> cross(int f0, double t0, int f1, double t1,
+                            std::array<double, 4> leaves) {
+  return {{f0, t0, 1, 4, 0.0}, {f1, t1, 2, 3, 0.0}, leaf(leaves[0]),
+          leaf(leaves[1]),     {f1, t1, 5, 6, 0.0}, leaf(leaves[2]),
+          leaf(leaves[3])};
+}
+
+/// A squared-loss GBT (no link: raw sums, so leaves may go negative) of
+/// the given trees over the four instance features.
+std::unique_ptr<ml::Regressor> hand_gbt(
+    double base, const std::vector<std::vector<HandNode>>& trees) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "gbt\n"
+     << static_cast<int>(ml::GbtObjective::kSquared) << "\n1.5\n4\n"
+     << base << '\n'
+     << trees.size() << '\n';
+  for (const auto& tree : trees) {
+    os << "tree\n" << tree.size() << '\n';
+    for (const HandNode& n : tree) {
+      os << n.feature << ' ' << n.threshold << ' ' << n.left << ' '
+         << n.right << ' ' << n.value << " 0\n";
+    }
+  }
+  auto model = ml::make_regressor("xgboost");
+  std::istringstream is(os.str());
+  model->load(is);
+  return model;
+}
+
+using Models = std::vector<std::unique_ptr<ml::Regressor>>;
+
+/// Six hand-built models. Model 2 copies model 0 (every tie goes to 0);
+/// model 3 overflows to +inf wherever log2 msize < 10; model 5 splits
+/// on log2 msize alone. Where log2 msize < 10 and nodes < 3 every model
+/// is negative or infinite; elsewhere models 0, 1, 4 and 5 each win
+/// somewhere.
+Models hand_tree_models() {
+  Models m;
+  const auto all_negative = stump(1, 3.0, -1e6, 0.0);
+  m.push_back(hand_gbt(2.0, {cross(0, 10.0, 1, 8.5, {3.0, -20.0, 7.0, 1.0}),
+                              stump(2, 16.5, 2.0, -1.0),
+                              stump(3, 64.0, 0.5, 4.0), all_negative}));
+  m.push_back(hand_gbt(4.0, {stump(0, 4.5, -2.0, 3.0),
+                              cross(1, 20.0, 2, 4.0, {1.0, -4.0, 2.5, -9.0}),
+                              stump(3, 300.5, 1.0, -30.0), all_negative}));
+  m.push_back(hand_gbt(2.0, {cross(0, 10.0, 1, 8.5, {3.0, -20.0, 7.0, 1.0}),
+                              stump(2, 16.5, 2.0, -1.0),
+                              stump(3, 64.0, 0.5, 4.0), all_negative}));
+  m.push_back(hand_gbt(1e308, {stump(0, 10.0, 1e308, 0.0), all_negative}));
+  m.push_back(hand_gbt(6.0, {cross(3, 64.0, 0, 16.5, {-1.0, 0.5, 2.0, -5.5}),
+                             stump(2, 4.0, 0.25, 0.0), all_negative}));
+  m.push_back(hand_gbt(5.0, {stump(0, 10.0, -8.0, 0.0),
+                             stump(0, 16.5, 1.5, -0.75)}));
+  return m;
+}
+
+/// The per-model argmin of the interpreted models on `x`: the index of
+/// the least usable prediction (lowest on ties, -1 when none) and the
+/// number of unusable ones.
+std::pair<int, std::size_t> reference_argmin(const Models& models,
+                                             std::span<const double> x) {
+  int best = -1;
+  double best_value = 0.0;
+  std::size_t excluded = 0;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const double t = models[i]->predict_one(x);
+    if (!(std::isfinite(t) && t >= 0.0)) {
+      ++excluded;
+      continue;
+    }
+    if (best < 0 || t < best_value) {
+      best = static_cast<int>(i);
+      best_value = t;
+    }
+  }
+  return {best, excluded};
+}
+
+/// FlatBank::argmin on `x` agrees with the reference; returns its pick.
+int expect_argmin(const ml::FlatBank& bank, const Models& models,
+                  std::span<const double> x, ml::FlatScratch& scratch,
+                  const std::string& where) {
+  std::size_t excluded = 12345;
+  const int got = bank.argmin(x, scratch, excluded);
+  const auto [want, want_excluded] = reference_argmin(models, x);
+  EXPECT_EQ(got, want) << where;
+  EXPECT_EQ(excluded, want_excluded) << where;
+  return got;
+}
+
+std::string describe(std::span<const double> x) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "x = (";
+  for (std::size_t f = 0; f < x.size(); ++f) os << (f ? ", " : "") << x[f];
+  return os.str() + ")";
+}
+
+/// Every split threshold of `models`, per feature, sorted and distinct.
+std::vector<std::vector<double>> union_thresholds(const Models& models) {
+  std::vector<std::vector<double>> out(4);
+  for (const auto& model : models) {
+    const auto t = split_thresholds(*model, 4);
+    for (std::size_t f = 0; f < 4; ++f) {
+      out[f].insert(out[f].end(), t[f].begin(), t[f].end());
+    }
+  }
+  for (auto& v : out) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  }
+  return out;
+}
+
+TEST(FlatBankArgminTable, MatchesThePerModelArgminAtEveryThreshold) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Models models = hand_tree_models();
+  ml::FlatBank bank;
+  for (const auto& model : models) bank.add(*model);
+  EXPECT_FALSE(bank.has_argmin_table());
+  bank.finalize();
+  ASSERT_TRUE(bank.has_argmin_table());
+
+  const auto thresholds = union_thresholds(models);
+  const std::vector<std::vector<double>> bases = {
+      {2.0, 1.0, 1.0, 1.0},      // every model unusable
+      {12.0, 9.0, 8.0, 72.0},    // models 0 and 2 tie
+      {17.0, 24.0, 17.0, 408.0}, {5.0, 4.0, 2.0, 8.0},
+      {10.0, 20.0, 4.0, 64.0}};
+  ml::FlatScratch scratch;
+  std::vector<int> picks;
+  for (const auto& base : bases) {
+    std::vector<double> x = base;
+    picks.push_back(expect_argmin(bank, models, x, scratch, describe(x)));
+    for (std::size_t f = 0; f < 4; ++f) {
+      for (const double t : thresholds[f]) {
+        for (const double v :
+             {std::nextafter(t, -kInf), t, std::nextafter(t, kInf)}) {
+          x[f] = v;
+          picks.push_back(
+              expect_argmin(bank, models, x, scratch, describe(x)));
+        }
+      }
+      for (const double v : {kInf, -kInf, std::nan("")}) {
+        x[f] = v;
+        picks.push_back(expect_argmin(bank, models, x, scratch, describe(x)));
+      }
+      x[f] = base[f];
+    }
+  }
+  for (const double v : {kInf, -kInf, std::nan("")}) {
+    const std::vector<double> x(4, v);
+    picks.push_back(expect_argmin(bank, models, x, scratch, describe(x)));
+  }
+  // The queries reach the all-unusable cell and every winner; the tied
+  // copy and the overflowing model never win.
+  std::sort(picks.begin(), picks.end());
+  picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
+  EXPECT_EQ(picks, (std::vector<int>{-1, 0, 1, 4, 5}));
+
+  // A model added after finalize() drops the table until the next one.
+  const auto extra = hand_gbt(1.0, {stump(2, 2.5, 0.5, 3.0)});
+  bank.add(*extra);
+  EXPECT_FALSE(bank.has_argmin_table());
+  bank.finalize();
+  EXPECT_TRUE(bank.has_argmin_table());
+}
+
+/// Writes a selector file serving `models` under `uids` (every model
+/// in the current envelope) and returns its path.
+std::filesystem::path write_selector(const std::string& name,
+                                     const std::string& learner,
+                                     const std::vector<int>& uids,
+                                     const Models& models) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / ("mpicp_cb_" + name + ".txt");
+  std::ofstream os(path);
+  os << "mpicp-selector 1\n" << learner << "\n1\n" << uids.size() << '\n';
+  for (std::size_t i = 0; i < uids.size(); ++i) {
+    os << uids[i] << '\n';
+    ml::save_regressor(os, *models[i]);
+  }
+  return path;
+}
+
+/// The interpreted selector's argmin: the uid, or -1 when no prediction
+/// is usable.
+int interpreted_pick(const tune::Selector& selector,
+                     const bench::Instance& inst) {
+  int best = -1;
+  double best_value = 0.0;
+  for (const auto& p : selector.predict_all(inst)) {
+    if (p.usable && (best < 0 || p.time_us < best_value)) {
+      best = p.uid;
+      best_value = p.time_us;
+    }
+  }
+  return best;
+}
+
+/// Integer instances around the hand-built thresholds: nodes from 1
+/// (below every nodes split) to 40, ppn from 1 to 32, msizes on and
+/// between powers of two.
+std::vector<bench::Instance> hand_instances() {
+  std::vector<bench::Instance> out;
+  for (const int n : {1, 2, 3, 4, 8, 9, 19, 20, 21, 40}) {
+    for (const int ppn : {1, 2, 4, 5, 8, 16, 17, 32}) {
+      for (const std::uint64_t m :
+           {1ull, 16ull, 23ull, 1000ull, 1024ull, 1025ull, 92682ull,
+            92683ull, 4194304ull}) {
+        out.push_back({n, ppn, m});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CompiledBankArgminTable, SelectorMatchesInterpretedAtOneAndFourThreads) {
+  const Models models = hand_tree_models();
+  const std::vector<int> uids = {3, 5, 8, 9, 12, 14};
+  const auto path = write_selector("hand_trees", "xgboost", uids, models);
+  const tune::Selector selector = tune::Selector::load(path);
+  std::filesystem::remove(path);
+  const tune::CompiledBank bank = selector.compile();
+  ASSERT_TRUE(bank.flat().has_argmin_table());
+
+  // The persisted selector compiles to the same table.
+  const auto saved =
+      std::filesystem::temp_directory_path() / "mpicp_cb_hand_trees_saved.txt";
+  selector.save(saved);
+  const tune::CompiledBank reloaded = tune::Selector::load(saved).compile();
+  std::filesystem::remove(saved);
+  ASSERT_TRUE(reloaded.flat().has_argmin_table());
+
+  const std::vector<bench::Instance> queries = hand_instances();
+  std::vector<int> expected(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    expected[q] = interpreted_pick(selector, queries[q]);
+  }
+  EXPECT_NE(std::find(expected.begin(), expected.end(), -1), expected.end());
+  EXPECT_EQ(std::find(expected.begin(), expected.end(), 8), expected.end());
+  for (const int threads : {1, 4}) {
+    support::ScopedThreads scoped(threads);
+    std::vector<int> picked(queries.size(), 0);
+    std::vector<int> picked_reloaded(queries.size(), 0);
+    support::parallel_for(queries.size(), 8, [&](std::size_t q) {
+      picked[q] = bank.select_uid_or_invalid(queries[q]);
+      picked_reloaded[q] = reloaded.select_uid_or_invalid(queries[q]);
+    });
+    EXPECT_EQ(picked, expected) << threads << " threads";
+    EXPECT_EQ(picked_reloaded, expected) << threads << " threads, reloaded";
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(bank.select_uid_or_default(queries[q], sim::MpiLib::kOpenMPI,
+                                           sim::Collective::kBcast),
+                selector.select_uid_or_default(queries[q],
+                                               sim::MpiLib::kOpenMPI,
+                                               sim::Collective::kBcast))
+          << "query " << q << " @" << threads;
+    }
+  }
+
+  // Forced predictions bypass the table: poison one uid and force
+  // another to zero.
+  fi::ScopedFaults faults(
+      {.forced_predictions = {{uids[0], -1.0}, {uids[4], 0.0}}});
+  for (const bench::Instance& inst : queries) {
+    EXPECT_EQ(bank.select_uid_or_invalid(inst),
+              interpreted_pick(selector, inst));
+  }
+}
+
+TEST(CompiledBankArgminTable, MixedAndOverBudgetBanksKeepThePerModelLoop) {
+  const std::vector<bench::Instance> queries = hand_instances();
+  // A tree bank with a KNN fallback model: no table.
+  Models mixed = hand_tree_models();
+  {
+    const bench::Dataset ds = random_dataset(7);
+    tune::Selector knn(tune::SelectorOptions{.learner = "knn"});
+    ASSERT_GT(knn.fit(ds, ds.node_counts()).uids_total(), 0u);
+    const auto path = std::filesystem::temp_directory_path() /
+                      "mpicp_cb_knn_source.txt";
+    knn.save(path);
+    std::ifstream is(path);
+    std::string line;
+    for (int i = 0; i < 5; ++i) std::getline(is, line);  // header, uid
+    mixed.push_back(ml::load_regressor(is));
+    is.close();
+    std::filesystem::remove(path);
+  }
+  // Three models of 10 thresholds per feature each (11^4 rank cells,
+  // under the per-model cap), pairwise disjoint: the union has 31^4
+  // cells, over the table's byte budget.
+  Models wide;
+  for (int k = 0; k < 3; ++k) {
+    std::vector<std::vector<HandNode>> trees;
+    for (int f = 0; f < 4; ++f) {
+      for (int j = 0; j < 10; ++j) {
+        const double t = (f == 0 ? 0.5 : 1.0) * (3 * j + k) + 0.25 * f;
+        trees.push_back(stump(f, t, 0.1 * (j + k + 1), 0.07 * (f + 2 * k)));
+      }
+    }
+    wide.push_back(hand_gbt(1.0, trees));
+  }
+  for (const Models* models : {&mixed, &wide}) {
+    const std::string name = models == &mixed ? "mixed" : "over_budget";
+    std::vector<int> uids(models->size());
+    std::iota(uids.begin(), uids.end(), 1);
+    const auto path = write_selector(name, "xgboost", uids, *models);
+    const tune::Selector selector = tune::Selector::load(path);
+    std::filesystem::remove(path);
+    const tune::CompiledBank bank = selector.compile();
+    EXPECT_FALSE(bank.flat().has_argmin_table()) << name;
+    if (models == &wide) {
+      for (std::size_t i = 0; i < bank.num_models(); ++i) {
+        EXPECT_TRUE(bank.flat().has_rank_table(i)) << "model " << i;
+      }
+    }
+    ml::FlatScratch scratch;
+    for (const bench::Instance& inst : queries) {
+      EXPECT_EQ(bank.select_uid_or_invalid(inst),
+                interpreted_pick(selector, inst))
+          << name << " m=" << inst.msize << " n=" << inst.nodes
+          << " ppn=" << inst.ppn;
+      const std::vector<double> x = tune::instance_features(inst, {});
+      expect_argmin(bank.flat(), *models, x, scratch, name + " " + describe(x));
+    }
+  }
+}
+
+// ---- the fused GAM pass over the committed d2 bank ------------------------
+
+std::filesystem::path d2_path() {
+  return std::filesystem::path(MPICP_DATA_DIR) / "d2.gam.models";
+}
+
+/// The uids and models of a selector file, loaded one by one as
+/// Selector::load does, so a reference can call each model directly.
+std::pair<std::vector<int>, Models> load_models(
+    const std::filesystem::path& path) {
+  std::ifstream is(path);
+  std::string tag;
+  std::string learner;
+  int version = 0;
+  int with_p = 0;
+  std::size_t count = 0;
+  is >> tag >> version >> learner >> with_p >> count;
+  std::pair<std::vector<int>, Models> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    int uid = 0;
+    is >> uid;
+    out.first.push_back(uid);
+    out.second.push_back(ml::load_regressor(is));
+  }
+  return out;
+}
+
+/// A GAM payload over `gam`'s bases with coefficients `beta`.
+std::unique_ptr<ml::Regressor> gam_with_beta(const ml::GamRegressor& gam,
+                                             const std::vector<double>& beta) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "gam\n"
+     << gam.params().basis_per_feature << '\n'
+     << gam.bases().size() << '\n';
+  for (const ml::BSplineBasis& b : gam.bases()) {
+    os << b.lo() << '\n' << b.hi() << '\n';
+  }
+  os << beta.size() << '\n';
+  for (const double v : beta) os << v << '\n';
+  auto model = ml::make_regressor("gam");
+  std::istringstream is(os.str());
+  model->load(is);
+  return model;
+}
+
+/// Off-grid instances drawn like the serve_offgrid stream: nodes in
+/// [2, 64], ppn in [1, 48], msize log-uniform over [1 B, 4 MiB].
+std::vector<bench::Instance> serving_offgrid(std::uint64_t seed, int count) {
+  support::Xoshiro256 rng(seed);
+  std::vector<bench::Instance> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    const int nodes = 2 + static_cast<int>(rng.uniform_int(63));
+    const int ppn = 1 + static_cast<int>(rng.uniform_int(48));
+    const double m = std::floor(std::exp2(22.0 * rng.uniform(0.0, 1.0)));
+    out.push_back({nodes, ppn,
+                   static_cast<std::uint64_t>(std::clamp(m, 1.0, 4194304.0))});
+  }
+  return out;
+}
+
+TEST(FlatBankFusedGam, EveryIntegerOfEverySlotTableMatchesThePerModelArgmin) {
+  const auto [uids, models] = load_models(d2_path());
+  ASSERT_EQ(uids.size(), 13u);
+  ml::FlatBank bank;
+  for (const auto& model : models) bank.add(*model);
+  bank.finalize();
+  EXPECT_FALSE(bank.has_argmin_table());
+  for (std::size_t i = 0; i < bank.size(); ++i) {
+    EXPECT_TRUE(bank.is_fused_gam(i)) << "model " << i;
+  }
+  ASSERT_EQ(bank.num_basis_slots(), 4u);
+  for (std::size_t s = 0; s < bank.num_basis_slots(); ++s) {
+    EXPECT_TRUE(bank.has_int_rows(s)) << "slot " << s;
+  }
+
+  // Every model shares one basis per feature; walk each feature over
+  // every integer of its table, one beyond each end and a few
+  // fractions, with the other features at several base points.
+  const auto& gam = dynamic_cast<const ml::GamRegressor&>(*models[0]);
+  const std::vector<std::vector<double>> bases = {
+      {0.0, 4.0, 1.0, 4.0}, {10.0, 16.0, 8.0, 128.0},
+      {22.0, 36.0, 32.0, 1152.0}, {13.0, 7.0, 17.0, 119.0}};
+  ml::FlatScratch scratch;
+  std::vector<int> picks;
+  for (std::size_t f = 0; f < 4; ++f) {
+    const double lo = gam.bases()[f].lo();
+    const double hi = gam.bases()[f].hi();
+    for (const auto& base : bases) {
+      std::vector<double> x = base;
+      for (double v = std::ceil(lo) - 1.0; v <= std::floor(hi) + 1.0;
+           v += 1.0) {
+        x[f] = v;
+        picks.push_back(expect_argmin(bank, models, x, scratch, describe(x)));
+      }
+      for (const double v : {lo + 0.5, std::nextafter(hi, lo), hi - 0.25,
+                             std::nextafter(lo, hi)}) {
+        x[f] = v;
+        picks.push_back(expect_argmin(bank, models, x, scratch, describe(x)));
+      }
+    }
+  }
+  std::sort(picks.begin(), picks.end());
+  picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
+  EXPECT_GE(picks.size(), 3u);
+}
+
+TEST(CompiledBankFusedGam, OffGridQueriesMatchTheInterpretedModels) {
+  const tune::Selector selector = tune::Selector::load(d2_path());
+  const tune::CompiledBank bank = selector.compile();
+  const auto [uids, models] = load_models(d2_path());
+  ASSERT_EQ(bank.uids(), uids);
+  const std::vector<bench::Instance> stream = serving_offgrid(2027, 65536);
+  std::vector<int> expected(stream.size());
+  for (std::size_t q = 0; q < stream.size(); ++q) {
+    const std::vector<double> x =
+        tune::instance_features(stream[q], bank.features());
+    const int best = reference_argmin(models, x).first;
+    expected[q] = best < 0 ? -1 : uids[static_cast<std::size_t>(best)];
+  }
+  for (const int threads : {1, 4}) {
+    support::ScopedThreads scoped(threads);
+    EXPECT_EQ(bank.select_grid(stream), expected) << threads << " threads";
+  }
+  // The single-query path, against the interpreted selector itself.
+  for (std::size_t q = 0; q < stream.size(); q += 512) {
+    EXPECT_EQ(bank.select_uid(stream[q]), selector.select_uid(stream[q]))
+        << "query " << q;
+  }
+}
+
+/// Compiles a selector serving `models` under `uids`, through a file.
+struct ServedBank {
+  tune::Selector selector;
+  tune::CompiledBank bank;
+};
+ServedBank serve(const std::string& name, const std::string& learner,
+                 const std::vector<int>& uids, const Models& models) {
+  const auto path = write_selector(name, learner, uids, models);
+  tune::Selector selector = tune::Selector::load(path);
+  std::filesystem::remove(path);
+  tune::CompiledBank bank = selector.compile();
+  return {std::move(selector), std::move(bank)};
+}
+
+TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
+  const auto [uids, models] = load_models(d2_path());
+  const std::vector<bench::Instance> stream = serving_offgrid(99, 4096);
+  // Every d2 model twice: the copy under a higher uid never wins.
+  Models twice;
+  std::vector<int> twice_uids;
+  for (const int offset : {0, 100}) {
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      const auto& gam = dynamic_cast<const ml::GamRegressor&>(*models[i]);
+      twice.push_back(gam_with_beta(gam, gam.beta()));
+      twice_uids.push_back(offset + uids[i]);
+    }
+  }
+  const ServedBank ties = serve("gam_ties", "gam", twice_uids, twice);
+  const tune::CompiledBank original = tune::Selector::load(d2_path()).compile();
+  for (std::size_t i = 0; i < ties.bank.num_models(); ++i) {
+    ASSERT_TRUE(ties.bank.flat().is_fused_gam(i)) << "model " << i;
+  }
+  for (const bench::Instance& inst : stream) {
+    const int pick = ties.bank.select_uid(inst);
+    EXPECT_LT(pick, 100);
+    EXPECT_EQ(pick, original.select_uid(inst));
+    EXPECT_EQ(pick, ties.selector.select_uid(inst));
+  }
+  // Scores past the clamp: intercepts of +1000 and +100 both clamp to
+  // +40 and tie at exp(40), so the lower uid wins (unclamped, exp(1000)
+  // would be +inf and excluded); adding -1000 and -100, which tie at
+  // exp(-40) below every d2 model, moves the pick to the lower of those.
+  const auto& gam0 = dynamic_cast<const ml::GamRegressor&>(*models[0]);
+  const auto with_intercept = [&](double intercept) {
+    std::vector<double> beta = gam0.beta();
+    beta[0] = intercept;
+    return gam_with_beta(gam0, beta);
+  };
+  Models clamped;
+  clamped.push_back(with_intercept(1000.0));
+  clamped.push_back(with_intercept(100.0));
+  const ServedBank high = serve("gam_high", "gam", {1, 2}, clamped);
+  for (std::size_t q = 0; q < stream.size(); q += 8) {
+    EXPECT_EQ(high.bank.select_uid(stream[q]), 1);
+    EXPECT_EQ(high.selector.select_uid(stream[q]), 1);
+  }
+  clamped.push_back(with_intercept(-1000.0));
+  clamped.push_back(with_intercept(-100.0));
+  std::vector<int> clamped_uids = {1, 2, 3, 4};
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const auto& gam = dynamic_cast<const ml::GamRegressor&>(*models[i]);
+    clamped.push_back(gam_with_beta(gam, gam.beta()));
+    clamped_uids.push_back(10 + uids[i]);
+  }
+  const ServedBank both = serve("gam_both", "gam", clamped_uids, clamped);
+  for (std::size_t q = 0; q < stream.size(); q += 8) {
+    EXPECT_EQ(both.bank.select_uid(stream[q]), 3);
+    EXPECT_EQ(both.selector.select_uid(stream[q]), 3);
+  }
+}
+
+TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
+  const tune::Selector d2 = tune::Selector::load(d2_path());
+  const tune::CompiledBank d2_bank = d2.compile();
+  const std::vector<bench::Instance> stream = serving_offgrid(4242, 2048);
+  // Forced predictions: the per-model loop, like the interpreted path.
+  {
+    const std::vector<int> uids = d2.uids();
+    fi::ScopedFaults faults({.forced_predictions = {{uids[3], 0.0},
+                                                    {uids[7], -2.0}}});
+    for (std::size_t q = 0; q < stream.size(); q += 16) {
+      EXPECT_EQ(d2_bank.select_uid(stream[q]), uids[3]);
+      EXPECT_EQ(d2_bank.select_uid(stream[q]), d2.select_uid(stream[q]));
+    }
+  }
+  // A GAM + KNN bank: the GAMs fused, the KNN model per model.
+  auto [uids, models] = load_models(d2_path());
+  {
+    bench::Dataset ds("gam-knn", sim::MpiLib::kOpenMPI,
+                      sim::Collective::kAllreduce, "Hydra");
+    support::Xoshiro256 rng(5);
+    for (const int n : {4, 8, 16, 32}) {
+      for (const int ppn : {1, 8, 32}) {
+        for (int lm = 0; lm <= 22; lm += 2) {
+          const double t = 20.0 + 0.02 * std::exp2(lm) / n + 3.0 * ppn;
+          ds.add({50, n, ppn, std::uint64_t{1} << lm,
+                  rng.lognormal_median(t, 0.05)});
+        }
+      }
+    }
+    tune::Selector knn(tune::SelectorOptions{.learner = "knn"});
+    ASSERT_EQ(knn.fit(ds, ds.node_counts()).uids_total(), 1u);
+    const auto path =
+        std::filesystem::temp_directory_path() / "mpicp_cb_gam_knn_src.txt";
+    knn.save(path);
+    std::ifstream is(path);
+    std::string line;
+    for (int i = 0; i < 5; ++i) std::getline(is, line);  // header, uid
+    models.push_back(ml::load_regressor(is));
+    uids.push_back(50);
+    is.close();
+    std::filesystem::remove(path);
+  }
+  const auto path = write_selector("gam_knn", "gam", uids, models);
+  const tune::Selector mixed = tune::Selector::load(path);
+  std::filesystem::remove(path);
+  const tune::CompiledBank bank = mixed.compile();
+  ASSERT_EQ(bank.num_models(), 14u);
+  for (std::size_t i = 0; i < 13; ++i) {
+    EXPECT_TRUE(bank.flat().is_fused_gam(i)) << "model " << i;
+  }
+  EXPECT_FALSE(bank.flat().is_fused_gam(13));
+  std::vector<int> picks;
+  for (const bench::Instance& inst : stream) {
+    const int pick = bank.select_uid(inst);
+    EXPECT_EQ(pick, mixed.select_uid(inst))
+        << "m=" << inst.msize << " n=" << inst.nodes << " ppn=" << inst.ppn;
+    picks.push_back(pick);
+  }
+  // The KNN model wins some queries and loses others.
+  const auto knn_wins = std::count(picks.begin(), picks.end(), 50);
+  EXPECT_GT(knn_wins, 0);
+  EXPECT_LT(knn_wins, static_cast<long>(picks.size()));
 }
 
 // ---- contracts ------------------------------------------------------------

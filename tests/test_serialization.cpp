@@ -5,12 +5,16 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/learner.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "tune/compiled_bank.hpp"
 #include "tune/selector.hpp"
 
 namespace mpicp {
@@ -130,6 +134,137 @@ TEST(SelectorLoad, RejectsRepeatedAndNonPositiveUids) {
         << ::testing::PrintToString(uids);
   }
   std::filesystem::remove(path);
+}
+
+TEST(GamLoad, RejectsImplausibleSizesAndRangesBeforeBuilding) {
+  // One smoother over [0, 22] with basis size `nb`, and 1 + nb
+  // coefficients; the basis size is checked before any basis is built.
+  const auto payload = [](const std::string& nb, const std::string& lo,
+                          const std::string& hi, int terms) {
+    std::ostringstream os;
+    os << "gam\n" << nb << "\n1\n" << lo << '\n' << hi << '\n' << terms;
+    for (int t = 0; t < terms; ++t) os << "\n0.5";
+    return os.str() + '\n';
+  };
+  const auto load = [](const std::string& text) {
+    auto model = ml::make_regressor("gam");
+    std::istringstream is(text);
+    model->load(is);
+    return model;
+  };
+  EXPECT_GT(load(payload("10", "0", "22", 11))->predict_one(
+                std::vector<double>{3.0}),
+            0.0);
+  for (const char* nb : {"3", "-1", "1025", "100000"}) {
+    EXPECT_THROW((void)load(payload(nb, "0", "22", 11)), ParseError) << nb;
+  }
+  // A range that is empty, reversed or wider than a double.
+  EXPECT_THROW((void)load(payload("10", "22", "22", 11)), ParseError);
+  EXPECT_THROW((void)load(payload("10", "22", "0", 11)), ParseError);
+  EXPECT_THROW((void)load(payload("10", "-1.7e308", "1.7e308", 11)),
+               ParseError);
+  EXPECT_THROW((void)load(payload("10", "0", "22", 12)), ParseError);
+}
+
+TEST(SelectorLoad, SeededMutationsOfD2GamPayloadsLoadExactlyOrThrow) {
+  // Every line of the committed d2 bank's GAM payloads is fair game:
+  // a token replaced, one character changed, a line deleted, repeated
+  // or swapped, or the file cut short. A mutant must throw an mpicp
+  // error, or load and then pick exactly like the interpreted selector.
+  // Every replacement is small (at most 4096), so no mutant makes even
+  // an unchecked loader allocate more than a few MB.
+  std::vector<std::string> lines;
+  {
+    std::ifstream is(std::filesystem::path(MPICP_DATA_DIR) / "d2.gam.models");
+    for (std::string line; std::getline(is, line);) lines.push_back(line);
+  }
+  // Header (4 lines), then per model: uid, envelope, 53 payload lines.
+  constexpr std::size_t kHeader = 4;
+  constexpr std::size_t kPerModel = 55;
+  ASSERT_EQ(lines.size(), kHeader + 13 * kPerModel);
+  std::vector<std::size_t> payload;
+  for (std::size_t i = kHeader; i < lines.size(); ++i) {
+    if ((i - kHeader) % kPerModel >= 2) payload.push_back(i);
+  }
+  const std::vector<std::string> tokens = {
+      "-1",  "0",   "1",     "3",      "4",      "5",    "9",
+      "11",  "40",  "41",    "255",    "256",    "4096", "0.5",
+      "1e300", "-1e300", "1.7e308", "-1.7e308", "1e-300", "1e400", "nan",
+      "inf", "-inf",
+      "",    "x",   "gam",   "tree"};
+  const std::string chars = "0123456789-+.e";
+  std::vector<bench::Instance> queries;
+  for (const int n : {2, 4, 5, 16, 36, 64}) {
+    for (const int ppn : {1, 3, 32, 48}) {
+      for (const std::uint64_t m : {1ull, 100ull, 1024ull, 65536ull,
+                                    4194304ull}) {
+        queries.push_back({n, ppn, m});
+      }
+    }
+  }
+  support::ScopedThreads serial(1);
+  support::Xoshiro256 rng(20261019);
+  const auto path =
+      std::filesystem::temp_directory_path() / "mpicp_d2_mutant.models";
+  int rejected = 0;
+  int loaded = 0;
+  for (int mutant = 0; mutant < 1000; ++mutant) {
+    std::vector<std::string> m = lines;
+    const int edits = 1 + static_cast<int>(rng.uniform_int(3));
+    std::size_t cut = m.size();
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = payload[rng.uniform_int(payload.size())];
+      std::string& line = m[at];
+      switch (rng.uniform_int(6)) {
+        case 0:
+          line = tokens[rng.uniform_int(tokens.size())];
+          break;
+        case 1:
+          if (!line.empty()) {
+            line[rng.uniform_int(line.size())] =
+                chars[rng.uniform_int(chars.size())];
+          }
+          break;
+        case 2:
+          line.clear();
+          break;
+        case 3:
+          line += '\n' + line;
+          break;
+        case 4:
+          std::swap(line, m[payload[rng.uniform_int(payload.size())]]);
+          break;
+        default:
+          cut = std::min(cut, at);
+          break;
+      }
+    }
+    {
+      std::ofstream os(path);
+      for (std::size_t i = 0; i < cut; ++i) os << m[i] << '\n';
+    }
+    std::optional<tune::Selector> selector;
+    std::optional<tune::CompiledBank> bank;
+    try {
+      selector.emplace(tune::Selector::load(path));
+      bank.emplace(selector->compile());
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    for (const bench::Instance& inst : queries) {
+      EXPECT_EQ(bank->select_uid_or_default(inst, sim::MpiLib::kOpenMPI,
+                                            sim::Collective::kAllreduce),
+                selector->select_uid_or_default(inst, sim::MpiLib::kOpenMPI,
+                                                sim::Collective::kAllreduce))
+          << "mutant " << mutant << " m=" << inst.msize << " n=" << inst.nodes
+          << " ppn=" << inst.ppn;
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(loaded, 0);
 }
 
 TEST(SelectorRoundTrip, SavingUnfittedSelectorThrows) {
