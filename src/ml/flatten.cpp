@@ -54,7 +54,7 @@ bool knn_offer(std::pair<double, int>* best, int& count, int k, double dist,
 
 /// Copies the non-zero entries of `dense` into (idx, val), ascending;
 /// returns their count, or -1 when there are more than `cap`. A NaN is
-/// non-zero.
+/// non-zero. `val` may be `dense` itself: entry j lands at or before j.
 int nonzero_terms(std::span<const double> dense, std::int32_t* idx,
                   double* val, int cap) {
   int count = 0;
@@ -140,8 +140,15 @@ void nearest_tuples(std::span<const double> q, const double* B, int b_len,
 
 }  // namespace
 
-int FlatBank::add(const Regressor& model) {
-  const int idx = static_cast<int>(models_.size());
+FlatBank::FlatBank(std::span<const Regressor* const> models)
+    : rank_tables_(models.size()), knn_grids_(models.size()) {
+  models_.reserve(models.size());
+  for (const Regressor* model : models) lower(*model);
+  build_argmin_table();
+  build_gam_groups();
+}
+
+void FlatBank::lower(const Regressor& model) {
   FlatModel m;
   if (const auto* gbt = dynamic_cast<const GradientBoostedTrees*>(&model)) {
     MPICP_REQUIRE(!gbt->trees().empty(), "compiling an unfitted model");
@@ -173,6 +180,11 @@ int FlatBank::add(const Regressor& model) {
     lower_knn(*knn, m);
   } else if (const auto* gam = dynamic_cast<const GamRegressor*>(&model)) {
     MPICP_REQUIRE(!gam->beta().empty(), "compiling an unfitted model");
+    // The fused pass drops zero basis terms, which is exact only against
+    // finite coefficients (0 x inf is NaN).
+    MPICP_REQUIRE(std::ranges::all_of(
+                      gam->beta(), [](double c) { return std::isfinite(c); }),
+                  "gam coefficients must be finite");
     lower_gam(*gam, m);
   } else if (const auto* lin = dynamic_cast<const LinearRegressor*>(&model)) {
     MPICP_REQUIRE(!lin->coefficients().empty(),
@@ -192,19 +204,10 @@ int FlatBank::add(const Regressor& model) {
     MPICP_RAISE_ARG("cannot compile learner '" + model.name() + "'");
   }
   models_.push_back(m);
-  // The bank-wide structures describe the models of the last finalize().
-  argmin_table_ = {};
-  gam_groups_.clear();
-  gam_eta_at_.clear();
-  num_fused_ = 0;
   // Canonical and derived pools are both append-only in model order, so
-  // the new model's rank-cell table or KNN grid is derived here, once:
-  // add() costs what lowering the one model costs.
-  rank_tables_.emplace_back();
-  knn_grids_.emplace_back();
+  // the new model's rank-cell table or KNN grid is derived here, once.
   if (m.kind == FlatKind::kTreeEnsemble) build_rank_table(models_.size() - 1);
   if (m.kind == FlatKind::kKnn) build_knn_grid(models_.size() - 1);
-  return idx;
 }
 
 void FlatBank::build_rank_table(std::size_t mi) {
@@ -526,16 +529,7 @@ void FlatBank::build_int_rows(std::size_t slot) {
   table.built = true;
 }
 
-void FlatBank::finalize() {
-  build_argmin_table();
-  build_gam_groups();
-}
-
 void FlatBank::build_argmin_table() {
-  argmin_table_ = {};
-  argmin_thr_.clear();
-  argmin_cell_.clear();
-  argmin_excluded_.clear();
   const std::size_t n = models_.size();
   if (n == 0 || n >= kNoModel) return;
   int dim = 0;
@@ -631,67 +625,46 @@ void FlatBank::build_argmin_table() {
 }
 
 void FlatBank::build_gam_groups() {
-  gam_groups_.clear();
-  gam_coef_t_.clear();
-  gam_eta_at_.assign(models_.size(), -1);
-  num_fused_ = 0;
   const auto slots_of = [this](const FlatModel& m) {
     return std::span<const int>(gam_slots_).subspan(
         static_cast<std::size_t>(m.slot_begin),
         static_cast<std::size_t>(m.num_bases));
   };
-  // Group of every fusable GAM: the first earlier group with its shape
-  // and slot list, or a new one.
-  std::vector<int> group_of(models_.size(), -1);
-  std::vector<std::size_t> first_member;
-  first_member.reserve(models_.size());
-  gam_groups_.reserve(models_.size());
-  std::size_t terms_total = 0;
+  // Every group's members, in model order: a GAM joins the first group
+  // with its shape and slot list, or opens a new one.
+  std::vector<std::vector<std::size_t>> members;
+  members.reserve(models_.size());
   for (std::size_t i = 0; i < models_.size(); ++i) {
     const FlatModel& m = models_[i];
-    if (m.kind != FlatKind::kGam ||
-        m.coef_len != 1 + m.num_bases * m.basis_size) {
-      continue;
+    if (m.kind != FlatKind::kGam) continue;
+    const auto group = std::ranges::find_if(members, [&](const auto& g) {
+      const FlatModel& first = models_[g.front()];
+      return first.basis_size == m.basis_size &&
+             std::ranges::equal(slots_of(first), slots_of(m));
+    });
+    if (group == members.end()) {
+      members.push_back({i});
+    } else {
+      group->push_back(i);
     }
-    const auto coef = std::span<const double>(coef_).subspan(
-        static_cast<std::size_t>(m.coef_begin),
-        static_cast<std::size_t>(m.coef_len));
-    if (!std::ranges::all_of(coef, [](double c) { return std::isfinite(c); })) {
-      continue;
-    }
-    std::size_t g = 0;
-    for (; g < gam_groups_.size(); ++g) {
-      const FlatModel& first = models_[first_member[g]];
-      if (first.basis_size == m.basis_size &&
-          std::ranges::equal(slots_of(first), slots_of(m))) {
-        break;
-      }
-    }
-    if (g == gam_groups_.size()) {
-      gam_groups_.push_back({.num_bases = m.num_bases,
-                             .basis_size = m.basis_size,
-                             .slot_begin = m.slot_begin});
-      first_member.push_back(i);
-    }
-    ++gam_groups_[g].num_models;
-    group_of[i] = static_cast<int>(g);
-    terms_total += static_cast<std::size_t>(m.coef_len);
   }
-  gam_coef_t_.reserve(terms_total);
-  for (std::size_t g = 0; g < gam_groups_.size(); ++g) {
-    GamGroup& group = gam_groups_[g];
-    group.coef_begin = static_cast<std::int64_t>(gam_coef_t_.size());
-    group.eta_begin = num_fused_;
-    const int terms = 1 + group.num_bases * group.basis_size;
-    for (int t = 0; t < terms; ++t) {
-      for (std::size_t i = first_member[g]; i < models_.size(); ++i) {
-        if (group_of[i] != static_cast<int>(g)) continue;
+  gam_groups_.reserve(members.size());
+  gam_coef_t_.reserve(coef_.size());  // every GAM's block, and more
+  for (const std::vector<std::size_t>& group : members) {
+    const FlatModel& first = models_[group.front()];
+    gam_groups_.push_back(
+        {.num_models = static_cast<int>(group.size()),
+         .num_bases = first.num_bases,
+         .basis_size = first.basis_size,
+         .slot_begin = first.slot_begin,
+         .coef_begin = static_cast<std::int64_t>(gam_coef_t_.size()),
+         .eta_begin = num_gams_});
+    for (int t = 0; t < 1 + first.num_bases * first.basis_size; ++t) {
+      for (const std::size_t i : group) {
         gam_coef_t_.push_back(coef_[models_[i].coef_begin + t]);
       }
     }
-    for (std::size_t i = first_member[g]; i < models_.size(); ++i) {
-      if (group_of[i] == static_cast<int>(g)) gam_eta_at_[i] = num_fused_++;
-    }
+    for (const std::size_t i : group) models_[i].eta_at = num_gams_++;
   }
 }
 
@@ -712,35 +685,17 @@ void FlatBank::lower_gam(const GamRegressor& gam, FlatModel& m) {
   max_basis_size_ = std::max(max_basis_size_, m.basis_size);
 }
 
-void FlatBank::begin_query(FlatScratch& scratch) const {
-  ++scratch.query_stamp;
+void FlatBank::begin_query(std::span<const double> x, FlatScratch& s) const {
+  const auto grow = [](auto& buffer, std::size_t need) {
+    if (buffer.size() < need) buffer.resize(need);
+  };
   const std::size_t slot_need =
       slots_.size() * static_cast<std::size_t>(max_basis_size_);
-  if (scratch.slot_values.size() < slot_need) {
-    scratch.slot_values.resize(slot_need);
-  }
-  if (scratch.slot_stamp.size() < slots_.size()) {
-    scratch.slot_stamp.resize(slots_.size(), 0);
-  }
-  if (scratch.knn_bwin.size() < static_cast<std::size_t>(max_grid_b_)) {
-    scratch.knn_bwin.resize(static_cast<std::size_t>(max_grid_b_));
-  }
-  if (scratch.slot_terms.size() < slots_.size()) {
-    scratch.slot_terms.resize(slots_.size());
-  }
-  if (scratch.term_idx.size() < slot_need) {
-    scratch.term_idx.resize(slot_need);
-    scratch.term_val.resize(slot_need);
-  }
-  if (scratch.gam_eta.size() < static_cast<std::size_t>(num_fused_)) {
-    scratch.gam_eta.resize(static_cast<std::size_t>(num_fused_));
-  }
-}
-
-double FlatBank::fused_gam_eta(std::span<const double> x,
-                               FlatScratch& s) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (num_fused_ == 0) return kInf;
+  grow(s.knn_bwin, static_cast<std::size_t>(max_grid_b_));
+  grow(s.slot_terms, slots_.size());
+  grow(s.term_idx, slot_need);
+  grow(s.term_val, slot_need);
+  grow(s.gam_eta, static_cast<std::size_t>(num_gams_));
   // Every slot's non-zero basis terms, ascending: an integer row when
   // the feature is an integer of the slot's table or lies beyond a
   // clamp end, else evaluate_into and keep the non-zero entries. A NaN
@@ -765,21 +720,26 @@ double FlatBank::fused_gam_eta(std::span<const double> x,
       terms = {row->idx.data(), row->val.data(), row->count};
       continue;
     }
+    // Evaluated into the slot's own strip, then compacted in place.
     const std::size_t at = slot * static_cast<std::size_t>(max_basis_size_);
-    double* dense = s.slot_values.data() + at;
-    const int nb = basis.num_basis();
-    basis.evaluate_into(v, {dense, static_cast<std::size_t>(nb)});
     std::int32_t* idx = s.term_idx.data() + at;
     double* val = s.term_val.data() + at;
+    const int nb = basis.num_basis();
+    basis.evaluate_into(v, {val, static_cast<std::size_t>(nb)});
     terms = {idx, val,
-             nonzero_terms({dense, static_cast<std::size_t>(nb)}, idx, val,
-                           nb)};
+             nonzero_terms({val, static_cast<std::size_t>(nb)}, idx, val, nb)};
   }
+}
+
+double FlatBank::fused_gam_eta(FlatScratch& s) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (num_gams_ == 0) return kInf;
   // Each group's scores, all members at once. Every member adds its
   // terms in its own order (intercept, then feature by feature,
-  // ascending basis index), so its score keeps the bits of the
-  // per-model dot product: a dropped term is 0 x finite, which leaves
-  // a sum unchanged up to the sign of a zero, and exp(+0) == exp(-0).
+  // ascending basis index), as predict_one does, so its score keeps the
+  // bits of the interpreted dot product: a dropped term is 0 x finite,
+  // which leaves a sum unchanged up to the sign of a zero, and
+  // exp(+0) == exp(-0).
   double* eta_all = s.gam_eta.data();
   for (const GamGroup& g : gam_groups_) {
     const int mm = g.num_models;
@@ -801,7 +761,7 @@ double FlatBank::fused_gam_eta(std::span<const double> x,
     }
   }
   double least = kInf;
-  for (int k = 0; k < num_fused_; ++k) {
+  for (int k = 0; k < num_gams_; ++k) {
     eta_all[k] = std::clamp(eta_all[k], -40.0, 40.0);
     least = std::min(least, eta_all[k]);  // a NaN never becomes the least
   }
@@ -817,17 +777,16 @@ int FlatBank::argmin(std::span<const double> x, FlatScratch& s,
     const std::uint16_t best = argmin_cell_[c];
     return best == kNoModel ? -1 : best;
   }
-  begin_query(s);
-  const double cut = fused_gam_eta(x, s);
+  begin_query(x, s);
+  const double cut = fused_gam_eta(s);
   int best = -1;
   double best_value = 0.0;
   excluded = 0;
   for (std::size_t i = 0; i < models_.size(); ++i) {
     double t = 0.0;
-    // finalize() sized gam_eta_at_ to the bank whenever it fused a GAM.
-    if (const std::int32_t e = num_fused_ > 0 ? gam_eta_at_[i] : -1; e >= 0) {
-      const double eta = s.gam_eta[static_cast<std::size_t>(e)];
-      // Usable (finite, positive), and above the least fused prediction.
+    if (const FlatModel& m = models_[i]; m.kind == FlatKind::kGam) {
+      const double eta = s.gam_eta[static_cast<std::size_t>(m.eta_at)];
+      // Usable (finite, positive), and above the least GAM prediction.
       if (eta > cut) continue;
       t = std::exp(eta);
     } else {
@@ -1020,23 +979,18 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
     case FlatKind::kKnn:
       return predict_knn(i, x, s);
     case FlatKind::kGam: {
-      const int nb = m.basis_size;
+      // The fused pass's sum for this one model, over the slot terms of
+      // begin_query: the same bits as its fused score.
+      const double* c = coef_.data() + m.coef_begin;
       double eta = 0.0;
-      eta += 1.0 * coef_[m.coef_begin];
+      eta += 1.0 * c[0];
       for (int f = 0; f < m.num_bases; ++f) {
-        const int slot = gam_slots_[m.slot_begin + f];
-        double* vals =
-            s.slot_values.data() +
-            static_cast<std::size_t>(slot) * max_basis_size_;
-        if (s.slot_stamp[slot] != s.query_stamp) {
-          const FlatBasisSlot& sl = slots_[slot];
-          bases_[sl.basis].evaluate_into(
-              x[sl.feature],
-              {vals, static_cast<std::size_t>(bases_[sl.basis].num_basis())});
-          s.slot_stamp[slot] = s.query_stamp;
+        const FlatScratch::SlotTerms& terms = s.slot_terms[static_cast<
+            std::size_t>(gam_slots_[m.slot_begin + f])];
+        const double* block = c + 1 + f * m.basis_size;
+        for (int t = 0; t < terms.count; ++t) {
+          eta += terms.val[t] * block[terms.idx[t]];
         }
-        const double* coef = coef_.data() + m.coef_begin + 1 + f * nb;
-        for (int j = 0; j < nb; ++j) eta += vals[j] * coef[j];
       }
       return std::exp(std::clamp(eta, -40.0, 40.0));
     }

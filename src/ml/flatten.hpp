@@ -13,9 +13,10 @@
 //     "evaluation slots" so each distinct basis is evaluated once per
 //     query instead of once per model.
 //
-// Serving is allocation-free: all per-query state lives in a
-// caller-owned `FlatScratch` that only grows on first use. Predictions
-// are bit-identical to the interpreted `Regressor::predict_one` — the
+// A bank is built in one step and never changes. Serving is
+// allocation-free: all per-query state lives in a caller-owned
+// `FlatScratch` that only grows on first use. Predictions are
+// bit-identical to the interpreted `Regressor::predict_one` — the
 // lowering reorders memory, never arithmetic.
 //
 // Tree ensembles whose distinct-threshold structure is small enough
@@ -23,23 +24,24 @@
 // precomputed for every cell of the model's threshold-rank grid, so a
 // query is a few small binary searches plus one load per model. Models
 // over the cell cap (continuous features) walk their trees in the node
-// pool. The table is derived data, built once for the new model in
-// add(), and reproduces the interpreted regressor bit for bit.
+// pool. The table is derived data, built once per model, in model
+// order, and reproduces the interpreted regressor bit for bit.
 //
-// finalize() derives two bank-wide structures from the lowered models
-// (DESIGN.md §11, §16), so that argmin() costs one pass over the bank rather
-// than one predict_one per model:
+// Two bank-wide structures are derived after the last model (DESIGN.md
+// §11, §16), so that argmin() costs one pass over the bank rather than
+// one predict_one per model:
 //
 //   - a tree bank whose every model has a rank-cell table gets one
 //     *argmin table* over the union of the models' threshold strips: the
 //     winning model index of every union cell, so a query is one
 //     upper_bound per feature plus one load;
-//   - GAMs with finite coefficients and the same basis slots are
-//     *fused*: their coefficients sit side by side in one transposed
-//     block, each slot contributes only its non-zero basis terms (read
-//     from a per-slot table of integer rows where the feature is an
-//     integer), and exp() runs only on the models whose clamped score
-//     can still be the least.
+//   - every GAM is *fused*: GAMs with the same basis slots keep their
+//     coefficients side by side in one transposed block, each slot
+//     contributes only its non-zero basis terms (read from a per-slot
+//     table of integer rows where the feature is an integer), and exp()
+//     runs only on the models whose clamped score can still be the
+//     least. The lowering requires finite coefficients, so a dropped
+//     zero term is 0 x finite and cannot change a score.
 //
 // Both reproduce the per-model argmin bit for bit: same predictions,
 // same usability screen, ties to the lowest model index.
@@ -122,6 +124,7 @@ struct FlatModel {
   int slot_begin = 0;  ///< range into the per-model slot-index pool
   int num_bases = 0;   ///< one smoother per feature
   int basis_size = 0;
+  int eta_at = 0;  ///< its score's index in FlatScratch::gam_eta
   // Coefficient block (GAM beta / linear beta / constant).
   int coef_begin = 0;
   int coef_len = 0;
@@ -131,17 +134,14 @@ struct FlatModel {
 /// thread_local); every buffer grows to the bank's dimensions on first
 /// use and is never reallocated afterwards.
 struct FlatScratch {
-  std::vector<double> slot_values;  ///< slot-major basis values
-  std::vector<std::uint64_t> slot_stamp;
-  std::uint64_t query_stamp = 0;
   std::array<double, kMaxKnnDim> scaled{};  ///< z-scaled KNN query
   /// The nearest b-tuples as (partial distance, tuple), ascending.
   std::vector<std::pair<double, int>> knn_bwin;
   /// The k nearest rows so far as (distance, row), ascending.
   std::array<std::pair<double, int>, kMaxKnnK> knn_best{};
-  /// Fused GAM pass: each basis slot's non-zero terms (into an integer
-  /// row, or into term_idx/term_val when evaluated), and every fused
-  /// model's clamped score.
+  /// Each basis slot's non-zero terms on the query (into an integer
+  /// row, or into term_idx/term_val when evaluated), and every GAM's
+  /// clamped score in the fused pass.
   struct SlotTerms {
     const std::int32_t* idx = nullptr;
     const double* val = nullptr;
@@ -155,23 +155,22 @@ struct FlatScratch {
 
 class FlatBank {
  public:
-  /// Lower one fitted regressor into the pools; returns its model index.
-  /// Raises kInvalidArgument for regressor types it cannot compile.
-  int add(const Regressor& model);
+  FlatBank() = default;  ///< an empty bank
+
+  /// Lower the fitted regressors into the pools (model i is models[i])
+  /// and derive every structure serving reads. Raises kInvalidArgument
+  /// for regressor types it cannot compile, and for a GAM with a
+  /// non-finite coefficient.
+  explicit FlatBank(std::span<const Regressor* const> models);
 
   std::size_t size() const { return models_.size(); }
   const FlatModel& model(std::size_t i) const { return models_[i]; }
   std::size_t num_basis_slots() const { return slots_.size(); }
 
-  /// Derive the bank-wide argmin table and fused GAM block from the
-  /// models added so far. Call once after the last add(); add() drops
-  /// both until the next finalize(), and argmin() stays exact either way.
-  void finalize();
-
-  /// Start a new query: bumps the slot memoization stamp and grows the
-  /// scratch buffers if needed. Must be called once per query vector
-  /// before any predict_one() on it.
-  void begin_query(FlatScratch& scratch) const;
+  /// Start a query on `x`: grows the scratch buffers if needed and
+  /// fills every basis slot's non-zero terms. Must be called once per
+  /// query vector before any predict_one() on it.
+  void begin_query(std::span<const double> x, FlatScratch& scratch) const;
 
   /// The index of the least usable (finite, non-negative) prediction on
   /// `x`, the lowest index on ties, or -1 when none is usable; `excluded`
@@ -180,11 +179,12 @@ class FlatBank {
   int argmin(std::span<const double> x, FlatScratch& scratch,
              std::size_t& excluded) const;
 
-  /// Predict with model `i` on the feature vector `x`. Bit-identical to
-  /// the interpreted regressor's predict_one. Allocation-free once
-  /// `scratch` has warmed up. Tree ensembles with a rank-cell table
-  /// are one table lookup; those without walk their trees in the node
-  /// pool; every other kind runs its flat kernel.
+  /// Predict with model `i` on `x`, after begin_query(x, scratch).
+  /// Bit-identical to the interpreted regressor's predict_one, and
+  /// allocation-free once `scratch` has warmed up. Tree ensembles with a
+  /// rank-cell table are one table lookup; those without walk their
+  /// trees in the node pool; a GAM sums its terms as the fused pass
+  /// does; every other kind runs its flat kernel.
   double predict_one(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
 
@@ -196,24 +196,22 @@ class FlatBank {
   /// false for a model over kMaxKnnGridCells, which scans every point.
   bool has_knn_grid(std::size_t i) const { return knn_grids_[i].built; }
 
-  /// True when finalize() built the bank's argmin table, i.e. argmin()
-  /// is one table lookup.
+  /// True when the bank has an argmin table, i.e. argmin() is one
+  /// table lookup.
   bool has_argmin_table() const { return argmin_table_.built; }
-
-  /// True when GAM model `i` is served by the fused pass of argmin().
-  bool is_fused_gam(std::size_t i) const {
-    return i < gam_eta_at_.size() && gam_eta_at_[i] >= 0;
-  }
 
   /// True when basis slot `s` reads integer feature values from a table
   /// of precomputed basis rows.
   bool has_int_rows(std::size_t s) const { return slot_rows_[s].built; }
 
  private:
+  /// Lower one fitted regressor into the pools, with its rank-cell
+  /// table or KNN grid.
+  void lower(const Regressor& model);
   void lower_trees(const std::vector<RegressionTree>& trees, FlatModel& m);
   /// Derive the rank-cell table of tree-ensemble model `mi` / the grid
   /// of KNN model `mi` from the canonical pools, appending to the
-  /// derived ones. add() calls them once, for the model it lowers.
+  /// derived ones. lower() calls them once, for the model it lowers.
   void build_rank_table(std::size_t mi);
   void build_knn_grid(std::size_t mi);
   double predict_knn(std::size_t i, std::span<const double> x,
@@ -226,10 +224,10 @@ class FlatBank {
   void build_int_rows(std::size_t slot);
   void build_argmin_table();
   void build_gam_groups();
-  /// Fill scratch.gam_eta with every fused GAM's clamped score; returns
-  /// the largest score that can still win (the least plus
-  /// kExpMargin), or +inf when no fused score is a number.
-  double fused_gam_eta(std::span<const double> x, FlatScratch& s) const;
+  /// Fill scratch.gam_eta with every GAM's clamped score from the slot
+  /// terms of begin_query; returns the largest score that can still win
+  /// (the least plus kExpMargin), or +inf when no score is a number.
+  double fused_gam_eta(FlatScratch& s) const;
   std::span<const double> point_row(const FlatModel& m, int p) const {
     return {points_.data() +
                 static_cast<std::size_t>(m.points_begin) +
@@ -280,7 +278,7 @@ class FlatBank {
   support::AlignedVec<double> rank_thr_;  ///< sorted distinct thresholds
   support::AlignedVec<double> cell_val_;  ///< final per-cell predictions
 
-  // Argmin table (derived by finalize()): when every model is a tree
+  // Argmin table (derived after the last model): when every model is a tree
   // ensemble with a rank-cell table, the bank's argmin is constant on
   // each cell of the union of the models' threshold strips. Its strips
   // live in argmin_thr_ (thr_begin relative to it), and each cell keeps
@@ -316,11 +314,9 @@ class FlatBank {
   std::vector<IntRows> slot_rows_;  ///< per slot
   std::vector<IntRow> int_rows_;
 
-  // Fused GAM groups (derived by finalize()): the GAMs with finite
-  // coefficients and one slot list, side by side. Row t of a group's
-  // block holds coefficient t of each member, in member (index) order.
-  // A dropped zero basis term is 0 x finite, so only finite blocks may
-  // drop them; a model with a non-finite coefficient stays per model.
+  // Fused GAM groups (derived after the last model): the GAMs of one
+  // slot list, side by side. Row t of a group's block holds coefficient
+  // t of each member, in member (index) order.
   /// Scores further than this above the least cannot win after exp():
   /// exp(a + 1e-9) / exp(a) - 1 ~ 1e-9 is millions of ulps, and libm's
   /// exp is accurate to within 1 ulp.
@@ -335,8 +331,7 @@ class FlatBank {
   };
   std::vector<GamGroup> gam_groups_;
   std::vector<double> gam_coef_t_;
-  std::vector<std::int32_t> gam_eta_at_;  ///< per model; -1: not fused
-  int num_fused_ = 0;
+  int num_gams_ = 0;
 
   // Factored KNN grids (derived). Per model: its
   // sorted distinct axis-0 values and its distinct b-tuples (axes

@@ -25,6 +25,9 @@ class RandomForest final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "rf"; }
+  bool accepts_width(std::size_t width) const override {
+    return splits_below(trees_, width);
+  }
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 

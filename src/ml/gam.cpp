@@ -133,6 +133,9 @@ void GamRegressor::fit(const Matrix& x, std::span<const double> y) {
     }
     prev_dev = dev;
   }
+  MPICP_REQUIRE(std::ranges::all_of(
+                    beta_, [](double b) { return std::isfinite(b); }),
+                "gam fit diverged to a non-finite coefficient");
 }
 
 void GamRegressor::save(std::ostream& os) const {

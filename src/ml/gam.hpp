@@ -34,12 +34,17 @@ class GamRegressor final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "gam"; }
+  bool accepts_width(std::size_t width) const override {
+    return bases_.size() == width;
+  }
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 
   int iterations_used() const { return iterations_; }
 
-  // Introspection for the compiled bank's lowering pass.
+  // Introspection for the compiled bank's lowering pass. Every
+  // coefficient is finite: fit throws otherwise, and load's parser
+  // rejects inf, nan and out-of-range values.
   const GamParams& params() const { return params_; }
   const std::vector<BSplineBasis>& bases() const { return bases_; }
   const std::vector<double>& beta() const { return beta_; }

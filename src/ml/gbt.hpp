@@ -37,6 +37,10 @@ class GradientBoostedTrees final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "xgboost"; }
+  bool accepts_width(std::size_t width) const override {
+    return static_cast<std::size_t>(num_features_) == width &&
+           splits_below(trees_, width);
+  }
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 

@@ -140,6 +140,12 @@ void KnnRegressor::load(std::istream& is) {
   MPICP_REQUIRE(targets_.size() == rows, "knn model size mismatch");
 }
 
+bool KnnRegressor::accepts_width(std::size_t width) const {
+  return points_.cols() == width &&
+         (!params_.scale_inputs || (scaler_.mean().size() == width &&
+                                    scaler_.inv_std().size() == width));
+}
+
 double KnnRegressor::predict_one(std::span<const double> x) const {
   MPICP_REQUIRE(!targets_.empty(), "predicting with an unfitted model");
   if (params_.scale_inputs) {

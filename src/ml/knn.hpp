@@ -58,6 +58,7 @@ class KnnRegressor final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "knn"; }
+  bool accepts_width(std::size_t width) const override;
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 

@@ -7,6 +7,7 @@
 // no hyper-parameter tuning.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -29,6 +30,10 @@ class Regressor {
 
   /// The factory name of this learner ("xgboost", "knn", ...).
   virtual std::string name() const = 0;
+
+  /// True when the fitted model reads rows of `width` features: its
+  /// stored width, if any, is `width` and it reads no feature beyond.
+  virtual bool accepts_width(std::size_t width) const = 0;
 
   /// Serialize the fitted model / restore it. The text format is
   /// self-describing per learner; use save_regressor/load_regressor for

@@ -18,6 +18,9 @@ class LinearRegressor final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "linear"; }
+  bool accepts_width(std::size_t width) const override {
+    return beta_.size() == width + 1;
+  }
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 

@@ -19,6 +19,7 @@ class MedianRegressor : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "median"; }
+  bool accepts_width(std::size_t) const override { return true; }
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 

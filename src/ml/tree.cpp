@@ -245,6 +245,14 @@ void RegressionTree::accumulate_gains(std::span<double> gains) const {
   }
 }
 
+bool splits_below(std::span<const RegressionTree> trees, std::size_t width) {
+  return std::ranges::all_of(trees, [width](const RegressionTree& tree) {
+    return std::ranges::all_of(tree.nodes(), [width](const auto& n) {
+      return n.feature < static_cast<std::int64_t>(width);  // a leaf is -1
+    });
+  });
+}
+
 void RegressionTree::save(std::ostream& os) const {
   io::write_tag(os, "tree");
   io::write_value(os, nodes_.size());

@@ -8,6 +8,7 @@
 // distinct values) the binning is lossless, so splits are exact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -113,5 +114,8 @@ class RegressionTree {
 
   std::vector<Node> nodes_;
 };
+
+/// True when every split of every tree reads a feature below `width`.
+bool splits_below(std::span<const RegressionTree> trees, std::size_t width);
 
 }  // namespace mpicp::ml

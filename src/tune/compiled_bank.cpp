@@ -1,5 +1,6 @@
 #include "tune/compiled_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "simmpi/coll/decision.hpp"
@@ -43,18 +44,11 @@ void CompiledBank::predict_all_into(
   const std::size_t dim = feature_dim(features_);
   instance_features_into(inst, features_, std::span<double>(feat, dim));
   ml::FlatScratch& scratch = thread_scratch();
-  bank_.begin_query(scratch);
+  bank_.begin_query({feat, dim}, scratch);
   for (std::size_t i = 0; i < uids_.size(); ++i) {
-    double t = bank_.predict_one(i, {feat, dim}, scratch);
-    if (support::faultinject::active()) {
-      if (const auto forced =
-              support::faultinject::forced_prediction(uids_[i])) {
-        t = *forced;
-      }
-    }
-    out[i].uid = uids_[i];
-    out[i].time_us = t;
-    out[i].usable = std::isfinite(t) && t >= 0.0;
+    const double t = support::faultinject::forced_prediction(uids_[i])
+                         .value_or(bank_.predict_one(i, {feat, dim}, scratch));
+    out[i] = {uids_[i], t, std::isfinite(t) && t >= 0.0};
   }
 }
 
@@ -65,39 +59,38 @@ std::vector<Selector::Prediction> CompiledBank::predict_all(
   return out;
 }
 
-int CompiledBank::argmin_uid(const bench::Instance& inst) const {
+std::optional<double> CompiledBank::predicted_time_us(
+    int uid, const bench::Instance& inst) const {
+  const auto it = std::ranges::lower_bound(uids_, uid);
+  if (it == uids_.end() || *it != uid) return std::nullopt;
   double feat[kMaxInstanceFeatures];
   const std::size_t dim = feature_dim(features_);
   instance_features_into(inst, features_, std::span<double>(feat, dim));
   ml::FlatScratch& scratch = thread_scratch();
+  bank_.begin_query({feat, dim}, scratch);
+  const auto i = static_cast<std::size_t>(it - uids_.begin());
+  return support::faultinject::forced_prediction(uid).value_or(
+      bank_.predict_one(i, {feat, dim}, scratch));
+}
+
+int CompiledBank::argmin_uid(const bench::Instance& inst) const {
   int best_uid = -1;
   std::size_t excluded = 0;
   if (!support::faultinject::active()) {
     // The bank's own argmin: its tree table or fused GAM pass where it
-    // has one, each bit-identical to the per-model loop below.
-    const int best = bank_.argmin({feat, dim}, scratch, excluded);
+    // has one, each bit-identical to screening every prediction.
+    double feat[kMaxInstanceFeatures];
+    const std::size_t dim = feature_dim(features_);
+    instance_features_into(inst, features_, std::span<double>(feat, dim));
+    const int best = bank_.argmin({feat, dim}, thread_scratch(), excluded);
     if (best >= 0) best_uid = uids_[static_cast<std::size_t>(best)];
   } else {
     // Forced predictions replace single models' values, so every model
-    // is predicted: in ascending uid order, with the same tie-breaking
-    // and the same usability screen as the interpreted argmin_usable.
-    bank_.begin_query(scratch);
-    double best_time = 0.0;
-    for (std::size_t i = 0; i < uids_.size(); ++i) {
-      double t = bank_.predict_one(i, {feat, dim}, scratch);
-      if (const auto forced =
-              support::faultinject::forced_prediction(uids_[i])) {
-        t = *forced;
-      }
-      if (!(std::isfinite(t) && t >= 0.0)) {
-        ++excluded;
-        continue;
-      }
-      if (best_uid < 0 || t < best_time) {
-        best_uid = uids_[i];
-        best_time = t;
-      }
-    }
+    // is predicted and screened as the interpreted selector screens it.
+    thread_local std::vector<Selector::Prediction> predictions;
+    predictions.resize(uids_.size());
+    predict_all_into(inst, predictions);
+    best_uid = argmin_usable(predictions, excluded);
   }
   if (excluded > 0) {
     static metrics::Counter& excluded_total =

@@ -24,6 +24,7 @@
 // start-up with `Selector::load(path).compile()`.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,6 +50,12 @@ class CompiledBank {
   /// Allocating convenience wrapper around predict_all_into.
   [[nodiscard]] std::vector<Selector::Prediction> predict_all(
       const bench::Instance& inst) const;
+
+  /// The prediction of `uid`'s model alone, bit-identical to its entry
+  /// in predict_all (forced predictions included); nullopt when no model
+  /// serves `uid`.
+  [[nodiscard]] std::optional<double> predicted_time_us(
+      int uid, const bench::Instance& inst) const;
 
   /// Argmin over the usable predictions; throws when none is usable
   /// (same contract as Selector::select_uid).
@@ -80,9 +87,10 @@ class CompiledBank {
  private:
   friend class Selector;
 
-  /// The argmin on one instance: FlatBank::argmin, or a per-model loop
-  /// while fault injection is active; -1 when no prediction is usable.
-  /// Never allocates (thread-local scratch).
+  /// The argmin on one instance: FlatBank::argmin, or argmin_usable over
+  /// predict_all_into while fault injection is active; -1 when no
+  /// prediction is usable. Allocation-free once its thread-local
+  /// scratch has warmed up.
   int argmin_uid(const bench::Instance& inst) const;
 
   FeatureOptions features_;

@@ -297,16 +297,13 @@ std::vector<Selector::Prediction> Selector::predict_all(
   return out;
 }
 
-namespace {
-
-/// Argmin over the usable predictions; -1 when none is usable. Scans in
-/// ascending uid order so ties break identically at every thread count.
-/// Unusable predictions (NaN/inf/negative) never win the argmin —
-/// comparing against them would poison the result.
-int argmin_usable(const std::vector<Selector::Prediction>& predictions) {
+int argmin_usable(std::span<const Selector::Prediction> predictions,
+                  std::size_t& excluded) {
+  // Unusable predictions (NaN/inf/negative) never win the argmin —
+  // comparing against them would poison the result.
   int best_uid = -1;
   double best_time = 0.0;
-  std::size_t excluded = 0;
+  excluded = 0;
   for (const Selector::Prediction& p : predictions) {
     if (!p.usable) {
       ++excluded;
@@ -317,6 +314,15 @@ int argmin_usable(const std::vector<Selector::Prediction>& predictions) {
       best_time = p.time_us;
     }
   }
+  return best_uid;
+}
+
+namespace {
+
+/// argmin_usable, with the unusable predictions counted.
+int select_best(const std::vector<Selector::Prediction>& predictions) {
+  std::size_t excluded = 0;
+  const int best_uid = argmin_usable(predictions, excluded);
   if (excluded > 0) {
     static metrics::Counter& argmin_excluded =
         metrics::counter("select.argmin_excluded");
@@ -335,7 +341,7 @@ metrics::Counter& select_requests() {
 
 int Selector::select_uid(const bench::Instance& inst) const {
   select_requests().inc();
-  const int best_uid = argmin_usable(predict_all(inst));
+  const int best_uid = select_best(predict_all(inst));
   MPICP_REQUIRE(best_uid > 0,
                 "no usable model prediction for the instance (use "
                 "select_uid_or_default for graceful degradation)");
@@ -347,7 +353,7 @@ int Selector::select_uid_or_default(const bench::Instance& inst,
                                     sim::Collective coll) const {
   select_requests().inc();
   if (!models_.empty()) {
-    const int best_uid = argmin_usable(predict_all(inst));
+    const int best_uid = select_best(predict_all(inst));
     if (best_uid > 0) return best_uid;
   }
   // No usable model: behave like an untuned library run.
@@ -387,6 +393,7 @@ Selector Selector::load(const std::filesystem::path& path) {
   options.features.include_total_processes =
       ml::io::read_value<int>(is) != 0;
   Selector selector(options);
+  const std::size_t width = feature_dim(options.features);
   const auto count = ml::io::read_value<std::size_t>(is);
   MPICP_CHECK_PARSE(count >= 1 && count < 100000,
                     "implausible selector model count");
@@ -397,7 +404,14 @@ Selector Selector::load(const std::filesystem::path& path) {
     MPICP_CHECK_PARSE(uid > 0, "non-positive uid in selector file");
     MPICP_CHECK_PARSE(!selector.models_.contains(uid),
                       "repeated uid in selector file");
-    selector.models_.emplace(uid, ml::load_regressor(is));
+    auto model = ml::load_regressor(is);
+    // A model that reads another feature count would read past (or
+    // short of) every feature vector this selector builds.
+    MPICP_CHECK_PARSE(model->accepts_width(width),
+                      "model for uid " + std::to_string(uid) +
+                          " does not read " + std::to_string(width) +
+                          " features");
+    selector.models_.emplace(uid, std::move(model));
   }
   return selector;
 }
@@ -415,11 +429,13 @@ CompiledBank Selector::compile() const {
   CompiledBank bank;
   bank.features_ = options_.features;
   bank.uids_.reserve(models_.size());
+  std::vector<const ml::Regressor*> regressors;
+  regressors.reserve(models_.size());
   for (const auto& [uid, model] : models_) {
     bank.uids_.push_back(uid);
-    bank.bank_.add(*model);
+    regressors.push_back(model.get());
   }
-  bank.bank_.finalize();
+  bank.bank_ = ml::FlatBank(regressors);
   static metrics::Counter& calls = metrics::counter("compiled.compile.calls");
   static metrics::Counter& compiled_models =
       metrics::counter("compiled.compile.models");

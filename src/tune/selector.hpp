@@ -162,4 +162,11 @@ class Selector {
   FitReport report_;
 };
 
+/// The one usability screen and tie rule of every selection path: the
+/// uid of the least usable prediction, the first in `predictions` on
+/// ties (ascending uid order, so the lowest uid), or -1 when none is
+/// usable. `excluded` receives the number of unusable predictions.
+int argmin_usable(std::span<const Selector::Prediction> predictions,
+                  std::size_t& excluded);
+
 }  // namespace mpicp::tune

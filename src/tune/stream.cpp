@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -115,20 +116,12 @@ void StreamPipeline::observe_error(KeyState& state, const BankKey& key,
   const std::shared_ptr<const CompiledBank> bank = registry_.lookup(key);
   if (!bank) return;  // nothing served yet — nothing to drift from
 
-  pred_scratch_.resize(bank->num_models());
-  bank->predict_all_into({rec.nodes, rec.ppn, rec.msize}, pred_scratch_);
-  const std::vector<int>& uids = bank->uids();
-  double predicted = 0.0;
-  bool usable = false;
-  for (std::size_t i = 0; i < uids.size(); ++i) {
-    if (uids[i] != rec.uid) continue;
-    usable = pred_scratch_[i].usable && pred_scratch_[i].time_us > 0.0;
-    predicted = pred_scratch_[i].time_us;
-    break;
-  }
-  if (!usable) return;  // no reliable error signal for this row
+  const std::optional<double> predicted =
+      bank->predicted_time_us(rec.uid, {rec.nodes, rec.ppn, rec.msize});
+  // No reliable error signal for this row.
+  if (!predicted || !(std::isfinite(*predicted) && *predicted > 0.0)) return;
 
-  const double rel = (rec.time_us - predicted) / predicted;
+  const double rel = (rec.time_us - *predicted) / *predicted;
   const DriftSignal signal = state.detector.observe(rec.uid, rel);
   if (signal == DriftSignal::kNone) return;
 
@@ -234,23 +227,14 @@ void StreamPipeline::maybe_refit(KeyState& state, const BankKey& key,
 
 double StreamPipeline::holdout_error(const KeyState& state,
                                      const CompiledBank& bank) const {
-  // Local buffer rather than pred_scratch_: this runs inside the
-  // registry's validator callback, outside the pump's capability
-  // context, and the holdout walk is off the per-row hot path.
-  std::vector<Selector::Prediction> preds(bank.num_models());
-  const std::vector<int>& uids = bank.uids();
   double sum = 0.0;
   std::size_t n = 0;
   for (const bench::Record& r : state.holdout) {
-    bank.predict_all_into({r.nodes, r.ppn, r.msize}, preds);
+    const std::optional<double> p =
+        bank.predicted_time_us(r.uid, {r.nodes, r.ppn, r.msize});
     double err = kUnusablePenalty;
-    for (std::size_t i = 0; i < uids.size(); ++i) {
-      if (uids[i] != r.uid) continue;
-      const Selector::Prediction& p = preds[i];
-      if (p.usable && p.time_us > 0.0) {
-        err = std::abs(p.time_us - r.time_us) / r.time_us;
-      }
-      break;
+    if (p && std::isfinite(*p) && *p > 0.0) {
+      err = std::abs(*p - r.time_us) / r.time_us;
     }
     sum += err;
     ++n;

@@ -163,9 +163,6 @@ class StreamPipeline {
   mutable support::Mutex mu_;
   std::map<BankKey, KeyState> states_ MPICP_GUARDED_BY(mu_);
   Stats stats_ MPICP_GUARDED_BY(mu_);
-  /// Scratch for per-row predictions, reused across pushes.
-  mutable std::vector<Selector::Prediction> pred_scratch_
-      MPICP_GUARDED_BY(mu_);
 };
 
 }  // namespace mpicp::tune

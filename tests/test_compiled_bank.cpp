@@ -90,6 +90,14 @@ std::vector<bench::Instance> random_instances(std::uint64_t seed,
 constexpr const char* kAllLearners[] = {"xgboost", "rf",     "knn",
                                         "gam",     "linear", "median"};
 
+/// Lowers `models`, in order, into one bank.
+template <typename T>
+ml::FlatBank lower_all(const std::vector<std::unique_ptr<T>>& models) {
+  std::vector<const ml::Regressor*> regressors;
+  for (const auto& model : models) regressors.push_back(model.get());
+  return ml::FlatBank(regressors);
+}
+
 /// Exact (bit-level) equality of interpreted vs compiled predictions on
 /// one instance. EXPECT_EQ on doubles is deliberate: the compiled bank
 /// promises the same arithmetic, not merely close arithmetic.
@@ -256,9 +264,9 @@ TEST(CompiledBankLayouts, GridHonorsFaultInjection) {
   }
 }
 
-// ---- incremental lowering --------------------------------------------------
+// ---- lowering a mixed bank ------------------------------------------------
 
-TEST(FlatBankLowering, MixedKindBankBuiltByAddMatchesEveryModel) {
+TEST(FlatBankLowering, MixedKindBankMatchesEveryModel) {
   // Grid-valued features (few distinct values each, so the tree
   // ensembles get rank-cell tables), one target per model so the two
   // GBTs differ.
@@ -284,13 +292,12 @@ TEST(FlatBankLowering, MixedKindBankBuiltByAddMatchesEveryModel) {
     models.back()->fit(x, y);
   }
 
-  // add() derives each model's rank-cell table or KNN grid on its own,
+  // Each model's rank-cell table or KNN grid is derived on its own,
   // appending to pools that already hold the earlier models'.
-  ml::FlatBank incremental;
-  for (const auto& model : models) incremental.add(*model);
-  ASSERT_EQ(incremental.size(), models.size());
+  const ml::FlatBank bank = lower_all(models);
+  ASSERT_EQ(bank.size(), models.size());
   for (const std::size_t i : {0u, 2u, 4u}) {
-    EXPECT_TRUE(incremental.has_rank_table(i)) << "model " << i;
+    EXPECT_TRUE(bank.has_rank_table(i)) << "model " << i;
   }
 
   // Queries on the grid (training rows) and off it (fractional and
@@ -308,9 +315,9 @@ TEST(FlatBankLowering, MixedKindBankBuiltByAddMatchesEveryModel) {
   ml::FlatScratch scratch;
   for (std::size_t q = 0; q < count; ++q) {
     const std::span<const double> v(queries.data() + 3 * q, 3);
-    incremental.begin_query(scratch);
-    for (std::size_t i = 0; i < incremental.size(); ++i) {
-      EXPECT_EQ(incremental.predict_one(i, v, scratch),
+    bank.begin_query(v, scratch);
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+      EXPECT_EQ(bank.predict_one(i, v, scratch),
                 models[i]->predict_one(v))
           << "model " << i << " query " << q;
     }
@@ -344,7 +351,7 @@ void expect_single_paths_agree(const ml::FlatBank& bank, std::size_t i,
                                std::span<const double> x,
                                ml::FlatScratch& scratch,
                                const std::string& where) {
-  bank.begin_query(scratch);
+  bank.begin_query(x, scratch);
   EXPECT_EQ(bits(bank.predict_one(i, x, scratch)), bits(model.predict_one(x)))
       << where;
 }
@@ -382,8 +389,8 @@ struct TreeBankFixture {
     for (const char* learner : {"xgboost", "rf"}) {
       models.push_back(ml::make_regressor(learner));
       models.back()->fit(x, y);
-      bank.add(*models.back());
     }
+    bank = lower_all(models);
   }
 };
 
@@ -518,7 +525,7 @@ TEST(CompiledBankRankTables, OffGridQueriesMatchInterpreted) {
     for (const bench::Instance& inst : stream) {
       const std::vector<double> x =
           tune::instance_features(inst, bank.features());
-      flat.begin_query(scratch);
+      flat.begin_query(x, scratch);
       for (std::size_t i = 0; i < flat.size(); ++i) {
         const double fast = flat.predict_one(i, x, scratch);
         EXPECT_EQ(bits(fast),
@@ -753,7 +760,7 @@ void expect_knn_matches_reference(const ml::FlatBank& bank, std::size_t i,
     std::vector<std::uint64_t> got(qs.size());
     support::parallel_for(qs.size(), 16, [&](std::size_t q) {
       thread_local ml::FlatScratch scratch;
-      bank.begin_query(scratch);
+      bank.begin_query(qs[q], scratch);
       got[q] = bits(bank.predict_one(i, qs[q], scratch));
     });
     std::size_t mismatches = 0;
@@ -786,8 +793,9 @@ TEST(FlatBankKnnGrid, MatchesTheInterpretedReferenceBitForBit) {
                      unscaled));
   cases.push_back(
       knn_grid_model("unscaled 4 features", 6, true, 0, 4, unscaled));
-  ml::FlatBank bank;
-  for (const KnnGridModel& c : cases) bank.add(*c.model);
+  std::vector<const ml::Regressor*> regressors;
+  for (const KnnGridModel& c : cases) regressors.push_back(c.model.get());
+  const ml::FlatBank bank(regressors);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     ASSERT_TRUE(bank.has_knn_grid(i)) << cases[i].name;
     expect_knn_matches_reference(bank, i, *cases[i].model,
@@ -822,15 +830,14 @@ TEST(FlatBankKnnGrid, SmallAndContinuousModelsMatchTheReference) {
     }
   }
   sets.emplace_back("continuous", continuous);
-  ml::FlatBank bank;
   std::vector<std::unique_ptr<ml::KnnRegressor>> models;
   for (const auto& [name, x] : sets) {
     std::vector<double> y(x.rows());
     for (double& v : y) v = rng.uniform(1.0, 100.0);
     models.push_back(std::make_unique<ml::KnnRegressor>());
     models.back()->fit(x, y);
-    bank.add(*models.back());
   }
+  const ml::FlatBank bank = lower_all(models);
   EXPECT_FALSE(bank.has_knn_grid(sets.size() - 1));
   for (std::size_t i = 0; i < sets.size(); ++i) {
     if (i + 1 < sets.size()) {
@@ -850,15 +857,15 @@ TEST(FlatBankKnnGrid, RejectsModelsOverTheCaps) {
   }
   ml::KnnRegressor five_features;
   five_features.fit(x, y);
-  ml::FlatBank bank;
-  EXPECT_THROW(bank.add(five_features), InvalidArgument);
+  const std::vector<const ml::Regressor*> five = {&five_features};
+  EXPECT_THROW(ml::FlatBank{five}, InvalidArgument);
   ml::KnnParams params;
   params.k = ml::kMaxKnnK + 1;
   ml::KnnRegressor wide(params);
   ml::Matrix x3(8, 3);
   wide.fit(x3, y);
-  EXPECT_THROW(bank.add(wide), InvalidArgument);
-  EXPECT_EQ(bank.size(), 0u);
+  const std::vector<const ml::Regressor*> wide_k = {&wide};
+  EXPECT_THROW(ml::FlatBank{wide_k}, InvalidArgument);
 }
 
 // ---- the bank argmin table over hand-built tree ensembles ----------------
@@ -1001,10 +1008,7 @@ std::vector<std::vector<double>> union_thresholds(const Models& models) {
 TEST(FlatBankArgminTable, MatchesThePerModelArgminAtEveryThreshold) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const Models models = hand_tree_models();
-  ml::FlatBank bank;
-  for (const auto& model : models) bank.add(*model);
-  EXPECT_FALSE(bank.has_argmin_table());
-  bank.finalize();
+  const ml::FlatBank bank = lower_all(models);
   ASSERT_TRUE(bank.has_argmin_table());
 
   const auto thresholds = union_thresholds(models);
@@ -1043,13 +1047,6 @@ TEST(FlatBankArgminTable, MatchesThePerModelArgminAtEveryThreshold) {
   std::sort(picks.begin(), picks.end());
   picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
   EXPECT_EQ(picks, (std::vector<int>{-1, 0, 1, 4, 5}));
-
-  // A model added after finalize() drops the table until the next one.
-  const auto extra = hand_gbt(1.0, {stump(2, 2.5, 0.5, 3.0)});
-  bank.add(*extra);
-  EXPECT_FALSE(bank.has_argmin_table());
-  bank.finalize();
-  EXPECT_TRUE(bank.has_argmin_table());
 }
 
 /// Writes a selector file serving `models` under `uids` (every model
@@ -1277,13 +1274,8 @@ std::vector<bench::Instance> serving_offgrid(std::uint64_t seed, int count) {
 TEST(FlatBankFusedGam, EveryIntegerOfEverySlotTableMatchesThePerModelArgmin) {
   const auto [uids, models] = load_models(d2_path());
   ASSERT_EQ(uids.size(), 13u);
-  ml::FlatBank bank;
-  for (const auto& model : models) bank.add(*model);
-  bank.finalize();
+  const ml::FlatBank bank = lower_all(models);
   EXPECT_FALSE(bank.has_argmin_table());
-  for (std::size_t i = 0; i < bank.size(); ++i) {
-    EXPECT_TRUE(bank.is_fused_gam(i)) << "model " << i;
-  }
   ASSERT_EQ(bank.num_basis_slots(), 4u);
   for (std::size_t s = 0; s < bank.num_basis_slots(); ++s) {
     EXPECT_TRUE(bank.has_int_rows(s)) << "slot " << s;
@@ -1373,9 +1365,6 @@ TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
   }
   const ServedBank ties = serve("gam_ties", "gam", twice_uids, twice);
   const tune::CompiledBank original = tune::Selector::load(d2_path()).compile();
-  for (std::size_t i = 0; i < ties.bank.num_models(); ++i) {
-    ASSERT_TRUE(ties.bank.flat().is_fused_gam(i)) << "model " << i;
-  }
   for (const bench::Instance& inst : stream) {
     const int pick = ties.bank.select_uid(inst);
     EXPECT_LT(pick, 100);
@@ -1419,7 +1408,8 @@ TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
   const tune::Selector d2 = tune::Selector::load(d2_path());
   const tune::CompiledBank d2_bank = d2.compile();
   const std::vector<bench::Instance> stream = serving_offgrid(4242, 2048);
-  // Forced predictions: the per-model loop, like the interpreted path.
+  // Forced predictions: every model predicted and screened, like the
+  // interpreted path.
   {
     const std::vector<int> uids = d2.uids();
     fi::ScopedFaults faults({.forced_predictions = {{uids[3], 0.0},
@@ -1429,7 +1419,8 @@ TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
       EXPECT_EQ(d2_bank.select_uid(stream[q]), d2.select_uid(stream[q]));
     }
   }
-  // A GAM + KNN bank: the GAMs fused, the KNN model per model.
+  // A GAM + KNN bank: the GAMs in the fused pass, the KNN model on its
+  // own.
   auto [uids, models] = load_models(d2_path());
   {
     bench::Dataset ds("gam-knn", sim::MpiLib::kOpenMPI,
@@ -1463,9 +1454,9 @@ TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
   const tune::CompiledBank bank = mixed.compile();
   ASSERT_EQ(bank.num_models(), 14u);
   for (std::size_t i = 0; i < 13; ++i) {
-    EXPECT_TRUE(bank.flat().is_fused_gam(i)) << "model " << i;
+    EXPECT_EQ(bank.flat().model(i).kind, ml::FlatKind::kGam) << "model " << i;
   }
-  EXPECT_FALSE(bank.flat().is_fused_gam(13));
+  EXPECT_EQ(bank.flat().model(13).kind, ml::FlatKind::kKnn);
   std::vector<int> picks;
   for (const bench::Instance& inst : stream) {
     const int pick = bank.select_uid(inst);

@@ -166,19 +166,51 @@ TEST(GamLoad, RejectsImplausibleSizesAndRangesBeforeBuilding) {
   EXPECT_THROW((void)load(payload("10", "0", "22", 12)), ParseError);
 }
 
+/// The lines of the committed d2 GAM bank.
+std::vector<std::string> d2_lines() {
+  std::vector<std::string> lines;
+  std::ifstream is(std::filesystem::path(MPICP_DATA_DIR) / "d2.gam.models");
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(SelectorLoad, RejectsModelsOfAnotherFeatureCount) {
+  // Line 2 of the header is the feature flag: 1 = four features, the
+  // width every d2 GAM reads.
+  std::vector<std::string> lines = d2_lines();
+  ASSERT_EQ(lines[2], "1");
+  const auto path =
+      std::filesystem::temp_directory_path() / "mpicp_d2_width.models";
+  const auto write = [&] {
+    std::ofstream os(path);
+    for (const std::string& line : lines) os << line << '\n';
+  };
+  write();
+  EXPECT_EQ(tune::Selector::load(path).uids().size(), 13u);
+  lines[2] = "0";  // three features
+  write();
+  try {
+    (void)tune::Selector::load(path);
+    ADD_FAILURE() << "a 4-feature model loaded under a 3-feature header";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("uid " + lines[4]),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(SelectorLoad, SeededMutationsOfD2GamPayloadsLoadExactlyOrThrow) {
-  // Every line of the committed d2 bank's GAM payloads is fair game:
-  // a token replaced, one character changed, a line deleted, repeated
-  // or swapped, or the file cut short. A mutant must throw an mpicp
-  // error, or load and then pick exactly like the interpreted selector.
+  // Every header line is replaced by every token in turn; then every
+  // line of the committed d2 bank's GAM payloads is fair game: a token
+  // replaced, one character changed, a line deleted, repeated or
+  // swapped, or the file cut short. A mutant must throw an mpicp error,
+  // or load and then pick exactly like the interpreted selector.
   // Every replacement is small (at most 4096), so no mutant makes even
   // an unchecked loader allocate more than a few MB.
-  std::vector<std::string> lines;
-  {
-    std::ifstream is(std::filesystem::path(MPICP_DATA_DIR) / "d2.gam.models");
-    for (std::string line; std::getline(is, line);) lines.push_back(line);
-  }
-  // Header (4 lines), then per model: uid, envelope, 53 payload lines.
+  const std::vector<std::string> lines = d2_lines();
+  // Header (4 lines: tag, learner, feature flag, model count), then per
+  // model: uid, envelope, 53 payload lines.
   constexpr std::size_t kHeader = 4;
   constexpr std::size_t kPerModel = 55;
   ASSERT_EQ(lines.size(), kHeader + 13 * kPerModel);
@@ -208,9 +240,15 @@ TEST(SelectorLoad, SeededMutationsOfD2GamPayloadsLoadExactlyOrThrow) {
       std::filesystem::temp_directory_path() / "mpicp_d2_mutant.models";
   int rejected = 0;
   int loaded = 0;
-  for (int mutant = 0; mutant < 1000; ++mutant) {
+  const int header_mutants = static_cast<int>(kHeader * tokens.size());
+  for (int mutant = 0; mutant < header_mutants + 1000; ++mutant) {
     std::vector<std::string> m = lines;
-    const int edits = 1 + static_cast<int>(rng.uniform_int(3));
+    const int edits =
+        mutant < header_mutants ? 0 : 1 + static_cast<int>(rng.uniform_int(3));
+    if (mutant < header_mutants) {
+      m[static_cast<std::size_t>(mutant) / tokens.size()] =
+          tokens[static_cast<std::size_t>(mutant) % tokens.size()];
+    }
     std::size_t cut = m.size();
     for (int e = 0; e < edits; ++e) {
       const std::size_t at = payload[rng.uniform_int(payload.size())];
