@@ -16,16 +16,16 @@
 //
 // Observability: --metrics-out writes the process metrics registry as
 // JSON (rows quarantined, fit fallbacks, predictions served, ...) and
-// --trace-out dumps every timing span in Chrome trace format — the
-// run's per-stage wall-clock profile is also printed. See README
-// "Observability".
+// --trace-out writes the run's per-stage wall-clock span profile (count,
+// total, mean, min, max per span path) as a table, and prints it too.
+// See README "Observability".
 //
 // Usage:
 //   autotune_job [--nodes=27] [--ppn=16] [--dataset=d1]
 //                [--learner=gam] [--out=tuning.conf]
 //                [--models=<path>] [--refit]
 //                [--fault-rate=0.1] [--fault-seed=42]
-//                [--metrics-out=metrics.json] [--trace-out=trace.json]
+//                [--metrics-out=metrics.json] [--trace-out=trace.txt]
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -150,13 +150,10 @@ int main(int argc, char** argv) {
     std::fputs(table.str().c_str(), stdout);
   }
   if (!trace_out.empty()) {
-    std::ofstream os(trace_out);
-    support::trace::write_chrome_trace(os);
-    std::printf("\nChrome trace written to %s (load via chrome://tracing); "
-                "span profile:\n",
-                trace_out.c_str());
     std::ostringstream table;
     support::trace::print_profile(table);
+    std::ofstream(trace_out) << table.str();
+    std::printf("\nspan profile written to %s:\n", trace_out.c_str());
     std::fputs(table.str().c_str(), stdout);
   }
   return 0;

@@ -1,7 +1,6 @@
 #include "support/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,54 +15,49 @@ namespace mpicp::support::trace {
 
 namespace {
 
-// -1 = not yet resolved from the environment; 0 = off; 1 = on.
-std::atomic<int> g_enabled{-1};
-
-int resolve_enabled_from_env() {
-  const char* env = std::getenv("MPICP_TRACE");
-  if (env != nullptr &&
-      (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-       std::strcmp(env, "false") == 0)) {
-    return 0;
-  }
-  return 1;
-}
-
 std::uint64_t now_ns() {
-  // A process-wide epoch keeps timestamps small and lets Chrome trace
-  // viewers align spans from different threads.
-  static const auto epoch = std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch)
+          std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
 
-/// Per-thread span sink. Appends take the buffer's own mutex, which is
-/// uncontended except while records()/reset() walks all buffers.
-struct ThreadBuffer {
+/// Adds `add`'s spans into `into` (count, total, min, max).
+void merge(ProfileEntry& into, const ProfileEntry& add) {
+  into.min_ns =
+      into.count == 0 ? add.min_ns : std::min(into.min_ns, add.min_ns);
+  into.max_ns = std::max(into.max_ns, add.max_ns);
+  into.count += add.count;
+  into.total_ns += add.total_ns;
+}
+
+/// Profile entries keyed by path (the entries' own `path` stays empty).
+using PathProfile = std::map<std::string, ProfileEntry>;
+
+/// Per-thread profile store. Span closes take the store's own mutex,
+/// which is uncontended except while profile()/reset() walks all stores.
+struct ThreadStore {
   Mutex mu;
-  std::vector<SpanRecord> spans MPICP_GUARDED_BY(mu);
-  // Written once at registration, before the buffer is published into
-  // Buffers::all; immutable afterwards.
-  int thread_id = 0;  // mpicp-lint: allow(lock-discipline)
+  PathProfile by_path MPICP_GUARDED_BY(mu);
 };
 
-struct Buffers {
+struct Stores {
   Mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> all MPICP_GUARDED_BY(mu);
-  int next_thread_id MPICP_GUARDED_BY(mu) = 0;
+  std::vector<std::shared_ptr<ThreadStore>> all MPICP_GUARDED_BY(mu);
 };
 
-Buffers& buffers() {
-  static Buffers* b = new Buffers;  // leaked: outlives pool threads
-  return *b;
+Stores& stores() {
+  static Stores* s = new Stores;  // leaked: outlives pool threads
+  return *s;
 }
 
 struct ThreadState {
-  std::shared_ptr<ThreadBuffer> buffer;  // lazily registered
-  std::vector<std::string> stack;        // active span paths, innermost last
-  std::string ambient;                   // parent inherited via ScopedParent
+  std::shared_ptr<ThreadStore> store;  // lazily registered
+  // Open span paths, innermost at [depth - 1]. Slots past `depth` keep
+  // their capacity, so reopening a seen path allocates nothing.
+  std::vector<std::string> stack;
+  std::size_t depth = 0;
+  std::string ambient;  // parent inherited via ScopedParent
 };
 
 ThreadState& thread_state() {
@@ -71,35 +65,44 @@ ThreadState& thread_state() {
   return state;
 }
 
-ThreadBuffer& thread_buffer() {
-  ThreadState& state = thread_state();
-  if (!state.buffer) {
-    state.buffer = std::make_shared<ThreadBuffer>();
-    Buffers& b = buffers();
-    const MutexLock lock(b.mu);
-    state.buffer->thread_id = b.next_thread_id++;
-    b.all.push_back(state.buffer);
+ThreadStore& thread_store(ThreadState& state) {
+  if (!state.store) {
+    state.store = std::make_shared<ThreadStore>();
+    Stores& s = stores();
+    const MutexLock lock(s.mu);
+    s.all.push_back(state.store);
   }
-  return *state.buffer;
+  return *state.store;
+}
+
+std::string fmt_us(std::uint64_t ns) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.1f",
+                static_cast<double>(ns) / 1e3);
+  return buf;
 }
 
 }  // namespace
 
-bool enabled() {
-  // order: an on/off flag publishing no other data; a racing resolve
-  // writes the same env-derived value.
-  int state = g_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = resolve_enabled_from_env();
-    // order: idempotent env-derived flag (see above).
-    g_enabled.store(state, std::memory_order_relaxed);
+int detail::resolve_enabled() {
+  const char* env = std::getenv("MPICP_TRACE");
+  int resolved = 1;
+  if (env != nullptr &&
+      (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
+       std::strcmp(env, "false") == 0)) {
+    resolved = 0;
   }
-  return state != 0;
+  // Only an unresolved flag takes the environment's value, so a racing
+  // set_enabled wins.
+  int state = -1;
+  // order: an on/off flag publishing no other data.
+  g_enabled.compare_exchange_strong(state, resolved, std::memory_order_relaxed);
+  return state < 0 ? resolved : state;
 }
 
 void set_enabled(bool on) {
   // order: an on/off flag publishing no other data.
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 ScopedEnabled::ScopedEnabled(bool on) : previous_(enabled()) {
@@ -108,33 +111,32 @@ ScopedEnabled::ScopedEnabled(bool on) : previous_(enabled()) {
 
 ScopedEnabled::~ScopedEnabled() { set_enabled(previous_); }
 
-Span::Span(const char* name) {
-  if (!enabled()) return;
+void Span::open(const char* name) {
   ThreadState& state = thread_state();
-  const std::string& parent =
-      state.stack.empty() ? state.ambient : state.stack.back();
-  path_ = parent.empty() ? std::string(name) : parent + "/" + name;
-  depth_ = static_cast<int>(state.stack.size());
-  state.stack.push_back(path_);
+  if (state.depth == state.stack.size()) state.stack.emplace_back();
+  std::string& path = state.stack[state.depth];
+  path = state.depth == 0 ? state.ambient : state.stack[state.depth - 1];
+  if (!path.empty()) path += '/';
+  path += name;
+  ++state.depth;
   start_ns_ = now_ns();
   active_ = true;
 }
 
-Span::~Span() {
-  if (!active_) return;
+void Span::close() {
   const std::uint64_t dur = now_ns() - start_ns_;
   ThreadState& state = thread_state();
   // The stack is strictly LIFO per thread (spans are scoped locals).
-  state.stack.pop_back();
-  ThreadBuffer& buf = thread_buffer();
-  const MutexLock lock(buf.mu);
-  buf.spans.push_back(
-      {std::move(path_), start_ns_, dur, buf.thread_id, depth_});
+  const std::string& path = state.stack[--state.depth];
+  ThreadStore& store = thread_store(state);
+  const MutexLock lock(store.mu);
+  merge(store.by_path[path],
+        {.count = 1, .total_ns = dur, .min_ns = dur, .max_ns = dur});
 }
 
 std::string current_path() {
   const ThreadState& state = thread_state();
-  return state.stack.empty() ? state.ambient : state.stack.back();
+  return state.depth == 0 ? state.ambient : state.stack[state.depth - 1];
 }
 
 ScopedParent::ScopedParent(std::string path) {
@@ -147,63 +149,37 @@ ScopedParent::~ScopedParent() {
   thread_state().ambient = std::move(previous_);
 }
 
-std::vector<SpanRecord> records() {
-  Buffers& b = buffers();
-  std::vector<std::shared_ptr<ThreadBuffer>> all;
-  {
-    const MutexLock lock(b.mu);
-    all = b.all;
-  }
-  std::vector<SpanRecord> out;
-  for (const auto& buf : all) {
-    ThreadBuffer& tb = *buf;
-    const MutexLock lock(tb.mu);
-    out.insert(out.end(), tb.spans.begin(), tb.spans.end());
-  }
-  return out;
-}
-
 std::vector<ProfileEntry> profile() {
-  std::map<std::string, ProfileEntry> agg;
-  for (SpanRecord& rec : records()) {
-    ProfileEntry& e = agg[rec.path];
-    if (e.count == 0) {
-      e.path = std::move(rec.path);
-      e.min_ns = rec.dur_ns;
-      e.max_ns = rec.dur_ns;
-    } else {
-      e.min_ns = std::min(e.min_ns, rec.dur_ns);
-      e.max_ns = std::max(e.max_ns, rec.dur_ns);
-    }
-    ++e.count;
-    e.total_ns += rec.dur_ns;
+  Stores& s = stores();
+  std::vector<std::shared_ptr<ThreadStore>> all;
+  {
+    const MutexLock lock(s.mu);
+    all = s.all;
+  }
+  PathProfile merged;
+  for (const auto& store : all) {
+    ThreadStore& ts = *store;
+    const MutexLock lock(ts.mu);
+    for (const auto& [path, e] : ts.by_path) merge(merged[path], e);
   }
   std::vector<ProfileEntry> out;
-  out.reserve(agg.size());
-  for (auto& [path, e] : agg) out.push_back(std::move(e));
+  out.reserve(merged.size());
+  for (auto& [path, e] : merged) {
+    e.path = path;
+    out.push_back(std::move(e));
+  }
   return out;
 }
 
 void reset() {
-  Buffers& b = buffers();
-  const MutexLock lock(b.mu);
-  for (const auto& buf : b.all) {
-    ThreadBuffer& tb = *buf;
-    const MutexLock buf_lock(tb.mu);
-    tb.spans.clear();
+  Stores& s = stores();
+  const MutexLock lock(s.mu);
+  for (const auto& store : s.all) {
+    ThreadStore& ts = *store;
+    const MutexLock store_lock(ts.mu);
+    ts.by_path.clear();
   }
 }
-
-namespace {
-
-std::string fmt_us(std::uint64_t ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f",
-                static_cast<double>(ns) / 1e3);
-  return buf;
-}
-
-}  // namespace
 
 void print_profile(std::ostream& os) {
   TextTable table(
@@ -214,25 +190,6 @@ void print_profile(std::ostream& os) {
                    fmt_us(e.min_ns), fmt_us(e.max_ns)});
   }
   table.print(os);
-}
-
-void write_chrome_trace(std::ostream& os) {
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  for (const SpanRecord& rec : records()) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    char buf[64];
-    os << "{\"name\": \"" << rec.path
-       << "\", \"cat\": \"mpicp\", \"ph\": \"X\", \"ts\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(rec.start_ns) / 1e3);
-    os << buf << ", \"dur\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(rec.dur_ns) / 1e3);
-    os << buf << ", \"pid\": 1, \"tid\": " << rec.thread << "}";
-  }
-  os << "\n]}\n";
 }
 
 }  // namespace mpicp::support::trace

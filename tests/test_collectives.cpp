@@ -196,8 +196,11 @@ TEST_P(SubstrateSemantics, ReduceScatter) {
 
 std::string SmallName(const ::testing::TestParamInfo<SmallParam>& info) {
   const SmallParam& p = info.param;
-  return "n" + std::to_string(p.nodes) + "x" + std::to_string(p.ppn) +
-         "_m" + std::to_string(p.bytes) + "_r" + std::to_string(p.root);
+  std::string name = "n";
+  name.append(std::to_string(p.nodes)).append("x");
+  name.append(std::to_string(p.ppn)).append("_m");
+  name.append(std::to_string(p.bytes)).append("_r");
+  return name.append(std::to_string(p.root));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -141,7 +141,8 @@ LexedFile lex(const std::vector<std::string>& lines) {
             if (i > 0 && s[i - 1] == 'R') {
               std::size_t close = s.find('(', i + 1);
               if (close != std::string::npos) {
-                raw_delim = ")" + s.substr(i + 1, close - i - 1) + "\"";
+                raw_delim.assign(")").append(s, i + 1, close - i - 1);
+                raw_delim.push_back('"');
                 state = State::kRawString;
                 code.append(s.size() - i, ' ');  // blank to EOL; loop below
                 // Check whether the raw string closes on this line.
