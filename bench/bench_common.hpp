@@ -71,10 +71,9 @@ inline void print_strategy_comparison(const std::string& dataset_name,
   fit_or_warn(selector, ds, split.train_full);
   const auto default_logic = bench::make_default_for(ds);
 
-  // Serve the figure grids the way production would: compile the fitted
-  // selector and publish it into a registry keyed by (machine,
-  // collective). Compiled serving is bit-identical to the interpreted
-  // selector, so the panels are unchanged.
+  // Serve the figure grids the way production would: publish a copy of
+  // the bank the fit lowered into a registry keyed by (machine,
+  // collective).
   tune::BankRegistry registry;
   const tune::BankKey bank_key{ds.machine(), ds.collective()};
   registry.publish(bank_key,

@@ -38,6 +38,7 @@ int main() {
       std::vector<std::string> row = {std::to_string(m)};
       for (const int n : panel_nodes) {
         for (const int ppn : ppns) {
+          // Served by the compiled bank the fit lowered.
           const int uid = selector.select_uid({n, ppn, m});
           const auto& cfg =
               sim::config_by_uid(ds.lib(), ds.collective(), uid);

@@ -68,7 +68,8 @@ double span_cost_ns(std::size_t iters) {
   return (now_s() - t0) / static_cast<double>(iters) * 1e9;
 }
 
-/// Wall-clock of one full fit + selection sweep.
+/// Wall-clock of one full fit (which ends with the bank's one lowering)
+/// + selection sweep (served by that compiled bank).
 double pipeline_s(const bench::Dataset& ds) {
   const double t0 = now_s();
   tune::Selector selector(tune::SelectorOptions{.learner = "gam"});

@@ -1,9 +1,10 @@
 // Extension bench — online (STAR-MPI-style) vs. offline (this paper)
 // selection: an application issues a stream of collective calls on a
 // handful of instances; the online tuner pays exploration cost on the
-// first calls, the offline selector uses its pre-trained models from
-// call one. Reports cumulative communication time relative to always
-// running the empirically best algorithm (oracle).
+// first calls, the offline selector uses its pre-trained models (the
+// compiled bank its fit lowered) from call one. Reports cumulative
+// communication time relative to always running the empirically best
+// algorithm (oracle).
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -3,8 +3,9 @@
 // (bench::generate_dataset), replaying that grid through the program
 // builders and the executor to count simulated messages (DES
 // messages/s and runs/s), fitting one regression model per algorithm
-// configuration uid (Selector::fit) and answering argmin queries over
-// the full bank (Selector::predict_all). Prints the speedup of the
+// configuration uid (Selector::fit, which ends by lowering the compiled
+// bank) and answering the argmin queries with that bank's select_grid
+// (parallel over the queries). Prints the speedup of the
 // support/parallel layer and asserts the determinism contract:
 // the generated datasets, the simulated message counts and the
 // selected uids must be identical at every thread count.
@@ -149,12 +150,8 @@ TimedRun run_at(int threads, const mpicp::bench::Dataset& ds,
     (void)selector.fit(ds, train_nodes);
     out.fit_s = std::min(out.fit_s, seconds_since(start));
 
-    std::vector<int> selected;
-    selected.reserve(queries.size());
     start = Clock::now();
-    for (const mpicp::bench::Instance& inst : queries) {
-      selected.push_back(selector.select_uid(inst));
-    }
+    std::vector<int> selected = selector.compile().select_grid(queries);
     out.predict_s = std::min(out.predict_s, seconds_since(start));
     out.selected = std::move(selected);
   }

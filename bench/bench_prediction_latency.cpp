@@ -1,17 +1,19 @@
 // Prediction-latency harness: the operational costs the paper discusses
 // in §II (offline selection must answer in seconds, online selection
-// would need microseconds), now measured as interpreted-vs-compiled
-// serving comparison plus the original google-benchmark microbenches.
+// would need microseconds), measured as a reference-vs-compiled serving
+// comparison plus the original google-benchmark microbenches.
 //
 // The comparison harness runs first: for each learner it fits a
-// selector, compiles the bank, and times single-query argmin and
-// whole-grid selection on both paths at one thread (the speedup is the
-// engine's, not the pool's), verifying that every pick is identical.
-// For the tree ensembles it also times the compiled grid argmin and the
+// selector (which lowers its compiled bank) and times single-query
+// argmin and whole-grid selection at one thread (the speedup is the
+// engine's, not the pool's) on the compiled bank and on the interpreted
+// reference — argmin_usable over Selector::predict_all, each model's
+// own predict_one — verifying that every pick is identical. For the
+// tree ensembles it also times the compiled grid argmin and the
 // single-query argmin on off-grid instances (rank-cell tables) against
-// the interpreted selector, and the KNN single-query argmin on
-// off-grid instances drawn like the perfbench serve_offgrid workload.
-// Every comparison is a hard gate on identical picks.
+// the reference, and the KNN single-query argmin on off-grid instances
+// drawn like the perfbench serve_offgrid workload. Every comparison is
+// a hard gate on identical picks.
 //
 //   --smoke            comparison only (gam + knn, fewer reps, plus the
 //                      xgboost/rf grid and off-grid rows), skip the
@@ -89,6 +91,7 @@ BENCHMARK_CAPTURE(BM_SelectorFit, gam, "gam")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SelectorFit, xgboost, "xgboost")
     ->Unit(benchmark::kMillisecond);
 
+/// The front door: Selector::select_uid, served by the compiled bank.
 void BM_SelectUid(benchmark::State& state, const char* learner) {
   const bench::Dataset& ds = training_data();
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
@@ -156,8 +159,16 @@ BENCHMARK(BM_SimulatorAlltoallPairwise)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// Interpreted vs compiled serving comparison.
+// Reference vs compiled serving comparison.
 // ---------------------------------------------------------------------
+
+/// The interpreted reference pick: the argmin of Selector::predict_all,
+/// or -1 when no prediction is usable.
+int reference_pick(const tune::Selector& selector,
+                   const bench::Instance& inst) {
+  std::size_t excluded = 0;
+  return tune::argmin_usable(selector.predict_all(inst), excluded);
+}
 
 using Clock = std::chrono::steady_clock;
 
@@ -186,17 +197,17 @@ std::vector<bench::Instance> make_query_grid() {
 
 struct ComparisonRow {
   std::string learner;
-  double single_us_interpreted = 0.0;
+  double single_us_reference = 0.0;
   double single_us_compiled = 0.0;
-  double grid_us_interpreted = 0.0;  // per instance
-  double grid_us_compiled = 0.0;     // per instance
+  double grid_us_reference = 0.0;  // per instance
+  double grid_us_compiled = 0.0;   // per instance
   bool picks_identical = true;
 
   double speedup_single() const {
-    return single_us_interpreted / single_us_compiled;
+    return single_us_reference / single_us_compiled;
   }
   double speedup_grid() const {
-    return grid_us_interpreted / grid_us_compiled;
+    return grid_us_reference / grid_us_compiled;
   }
 };
 
@@ -204,49 +215,49 @@ ComparisonRow compare_serving(const std::string& learner, int repeats) {
   const bench::Dataset& ds = training_data();
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
   (void)selector.fit(ds, ds.node_counts());
-  const tune::CompiledBank bank = selector.compile();
+  const tune::CompiledBank& bank = selector.compile();
   const std::vector<bench::Instance> grid = make_query_grid();
 
   // One thread: what is measured is the engine, not the pool.
   support::ScopedThreads scoped(1);
   ComparisonRow row;
   row.learner = learner;
-  row.single_us_interpreted = 1e300;
+  row.single_us_reference = 1e300;
   row.single_us_compiled = 1e300;
-  row.grid_us_interpreted = 1e300;
+  row.grid_us_reference = 1e300;
   row.grid_us_compiled = 1e300;
 
-  std::vector<int> interpreted_picks(grid.size());
+  std::vector<int> reference_picks(grid.size());
   std::vector<int> compiled_picks;
   for (int rep = 0; rep < repeats; ++rep) {
     auto start = Clock::now();
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      interpreted_picks[i] = selector.select_uid(grid[i]);
+      reference_picks[i] = reference_pick(selector, grid[i]);
     }
-    row.grid_us_interpreted =
-        std::min(row.grid_us_interpreted,
+    row.grid_us_reference =
+        std::min(row.grid_us_reference,
                  seconds_since(start) * 1e6 / grid.size());
 
     start = Clock::now();
     compiled_picks = bank.select_grid(grid);
     row.grid_us_compiled = std::min(
         row.grid_us_compiled, seconds_since(start) * 1e6 / grid.size());
-    if (compiled_picks != interpreted_picks) row.picks_identical = false;
+    if (compiled_picks != reference_picks) row.picks_identical = false;
 
     // Single-query latency over a cycling instance, amortized.
     constexpr int kSingleIters = 64;
     start = Clock::now();
     for (int i = 0; i < kSingleIters; ++i) {
-      (void)selector.select_uid(grid[i % grid.size()]);
+      (void)reference_pick(selector, grid[i % grid.size()]);
     }
-    row.single_us_interpreted =
-        std::min(row.single_us_interpreted,
+    row.single_us_reference =
+        std::min(row.single_us_reference,
                  seconds_since(start) * 1e6 / kSingleIters);
 
     start = Clock::now();
     for (int i = 0; i < kSingleIters; ++i) {
       if (bank.select_uid(grid[i % grid.size()]) !=
-          interpreted_picks[i % grid.size()]) {
+          reference_picks[i % grid.size()]) {
         row.picks_identical = false;
       }
     }
@@ -258,18 +269,18 @@ ComparisonRow compare_serving(const std::string& learner, int repeats) {
 }
 
 /// Grid-argmin comparison for the tree-ensemble learners: the
-/// interpreted selector's per-instance select_uid against the compiled
-/// bank's select_grid_into, p50/p99 per instance over repeated
+/// per-instance interpreted reference against the compiled bank's
+/// select_grid_into, p50/p99 per instance over repeated
 /// full-grid passes at one thread.
 struct TreeGridRow {
   std::string learner;
-  double interpreted_p50_us = 0.0;
-  double interpreted_p99_us = 0.0;
+  double reference_p50_us = 0.0;
+  double reference_p99_us = 0.0;
   double compiled_p50_us = 0.0;
   double compiled_p99_us = 0.0;
   bool picks_identical = true;
 
-  double speedup() const { return interpreted_p50_us / compiled_p50_us; }
+  double speedup() const { return reference_p50_us / compiled_p50_us; }
 };
 
 double percentile_of(std::vector<double>& samples, double p) {
@@ -284,30 +295,30 @@ TreeGridRow compare_tree_grid(const std::string& learner, int reps) {
   const bench::Dataset& ds = training_data();
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
   (void)selector.fit(ds, ds.node_counts());
-  const tune::CompiledBank bank = selector.compile();
+  const tune::CompiledBank& bank = selector.compile();
   const std::vector<bench::Instance> grid = make_query_grid();
 
   support::ScopedThreads scoped(1);
   TreeGridRow row;
   row.learner = learner;
-  std::vector<double> interpreted_us(reps, 0.0);
+  std::vector<double> reference_us(reps, 0.0);
   std::vector<double> compiled_us(reps, 0.0);
-  std::vector<int> interpreted_picks(grid.size(), -1);
+  std::vector<int> reference_picks(grid.size(), -1);
   std::vector<int> compiled_picks(grid.size(), -1);
   for (int rep = 0; rep < reps; ++rep) {
     auto start = Clock::now();
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      interpreted_picks[i] = selector.select_uid(grid[i]);
+      reference_picks[i] = reference_pick(selector, grid[i]);
     }
-    interpreted_us[rep] = seconds_since(start) * 1e6 / grid.size();
+    reference_us[rep] = seconds_since(start) * 1e6 / grid.size();
 
     start = Clock::now();
     bank.select_grid_into(grid, compiled_picks);
     compiled_us[rep] = seconds_since(start) * 1e6 / grid.size();
-    if (compiled_picks != interpreted_picks) row.picks_identical = false;
+    if (compiled_picks != reference_picks) row.picks_identical = false;
   }
-  row.interpreted_p50_us = percentile_of(interpreted_us, 0.50);
-  row.interpreted_p99_us = percentile_of(interpreted_us, 0.99);
+  row.reference_p50_us = percentile_of(reference_us, 0.50);
+  row.reference_p99_us = percentile_of(reference_us, 0.99);
   row.compiled_p50_us = percentile_of(compiled_us, 0.50);
   row.compiled_p99_us = percentile_of(compiled_us, 0.99);
   return row;
@@ -315,18 +326,18 @@ TreeGridRow compare_tree_grid(const std::string& learner, int reps) {
 
 /// Single-query off-grid argmin for a tree-ensemble learner: the
 /// compiled select_uid (one rank-cell lookup per model when the model
-/// has a table) against the interpreted selector's select_uid, best of
-/// `reps` passes over byte-granular message sizes and node / ppn counts
-/// off the training grid, at one thread. The compiled picks must equal
-/// the interpreted ones.
+/// has a table) against the interpreted reference, best of `reps`
+/// passes over byte-granular message sizes and node / ppn counts off
+/// the training grid, at one thread. The compiled picks must equal the
+/// reference ones.
 struct OffgridRow {
   std::string learner;
-  double single_us_interpreted = 1e300;
+  double single_us_reference = 1e300;
   double single_us_compiled = 1e300;
   bool picks_identical = true;
 
   double speedup() const {
-    return single_us_interpreted / single_us_compiled;
+    return single_us_reference / single_us_compiled;
   }
 };
 
@@ -364,7 +375,7 @@ OffgridRow compare_offgrid_single(const std::string& learner, int reps,
   const bench::Dataset& ds = training_data();
   tune::Selector selector(tune::SelectorOptions{.learner = learner});
   (void)selector.fit(ds, ds.node_counts());
-  const tune::CompiledBank bank = selector.compile();
+  const tune::CompiledBank& bank = selector.compile();
 
   support::ScopedThreads scoped(1);
   OffgridRow row;
@@ -374,10 +385,10 @@ OffgridRow compare_offgrid_single(const std::string& learner, int reps,
   for (int rep = 0; rep < reps; ++rep) {
     auto start = Clock::now();
     for (std::size_t q = 0; q < stream.size(); ++q) {
-      expected[q] = selector.select_uid(stream[q]);
+      expected[q] = reference_pick(selector, stream[q]);
     }
-    row.single_us_interpreted =
-        std::min(row.single_us_interpreted,
+    row.single_us_reference =
+        std::min(row.single_us_reference,
                  seconds_since(start) * 1e6 / stream.size());
 
     start = Clock::now();
@@ -398,12 +409,12 @@ int run_comparison(bool smoke) {
                                        "median", "rf",  "xgboost"};
   const int repeats = smoke ? 2 : 3;
 
-  std::printf("interpreted vs compiled serving (1 thread, best of %d, "
+  std::printf("reference vs compiled serving (1 thread, best of %d, "
               "%zu-instance grid)\n\n",
               repeats, make_query_grid().size());
-  support::TextTable table({"learner", "single interp [us]",
+  support::TextTable table({"learner", "single ref [us]",
                             "single compiled [us]", "speedup",
-                            "grid/inst interp [us]",
+                            "grid/inst ref [us]",
                             "grid/inst compiled [us]", "speedup",
                             "picks identical"});
   bool all_identical = true;
@@ -411,10 +422,10 @@ int run_comparison(bool smoke) {
     const ComparisonRow row = compare_serving(learner, repeats);
     all_identical = all_identical && row.picks_identical;
     table.add_row(
-        {row.learner, support::format_double(row.single_us_interpreted, 2),
+        {row.learner, support::format_double(row.single_us_reference, 2),
          support::format_double(row.single_us_compiled, 2),
          support::format_double(row.speedup_single(), 2),
-         support::format_double(row.grid_us_interpreted, 2),
+         support::format_double(row.grid_us_reference, 2),
          support::format_double(row.grid_us_compiled, 2),
          support::format_double(row.speedup_grid(), 2),
          row.picks_identical ? "yes" : "NO"});
@@ -423,14 +434,14 @@ int run_comparison(bool smoke) {
   table.print(os);
   std::fputs(os.str().c_str(), stdout);
 
-  // Tree-ensemble grid argmin: interpreted per-instance argmin vs
+  // Tree-ensemble grid argmin: the per-instance reference argmin vs
   // the compiled grid argmin; both must pick identically and the
   // compiled grid must clear 1.5x at p50.
   const int grid_reps = smoke ? 24 : 64;
   std::printf("\nGBT/RF grid argmin (1 thread, %d full-grid passes)\n\n",
               grid_reps);
   support::TextTable grid_table(
-      {"learner", "interpreted p50 [us/inst]", "interpreted p99 [us/inst]",
+      {"learner", "reference p50 [us/inst]", "reference p99 [us/inst]",
        "compiled p50 [us/inst]", "compiled p99 [us/inst]", "p50 speedup",
        "picks identical"});
   bool grids_identical = true;
@@ -440,8 +451,8 @@ int run_comparison(bool smoke) {
     grids_identical = grids_identical && row.picks_identical;
     min_grid_speedup = std::min(min_grid_speedup, row.speedup());
     grid_table.add_row(
-        {row.learner, support::format_double(row.interpreted_p50_us, 3),
-         support::format_double(row.interpreted_p99_us, 3),
+        {row.learner, support::format_double(row.reference_p50_us, 3),
+         support::format_double(row.reference_p99_us, 3),
          support::format_double(row.compiled_p50_us, 3),
          support::format_double(row.compiled_p99_us, 3),
          support::format_double(row.speedup(), 2),
@@ -456,7 +467,7 @@ int run_comparison(bool smoke) {
               "%d)\n\n",
               offgrid_reps);
   support::TextTable offgrid_table(
-      {"learner", "interpreted [us]", "compiled [us]", "speedup",
+      {"learner", "reference [us]", "compiled [us]", "speedup",
        "picks identical"});
   bool offgrid_identical = true;
   for (const char* learner : {"xgboost", "rf"}) {
@@ -464,7 +475,7 @@ int run_comparison(bool smoke) {
                                                   make_offgrid_stream(256));
     offgrid_identical = offgrid_identical && row.picks_identical;
     offgrid_table.add_row(
-        {row.learner, support::format_double(row.single_us_interpreted, 3),
+        {row.learner, support::format_double(row.single_us_reference, 3),
          support::format_double(row.single_us_compiled, 3),
          support::format_double(row.speedup(), 2),
          row.picks_identical ? "yes" : "NO"});
@@ -474,18 +485,18 @@ int run_comparison(bool smoke) {
   std::fputs(os_offgrid.str().c_str(), stdout);
 
   // KNN off the grid, drawn like the serve_offgrid workload: the
-  // factored-grid search against the interpreted brute-force reference.
+  // factored-grid search against the brute-force interpreted reference.
   std::printf("\nKNN single-query off-grid argmin, serve_offgrid draw "
               "(1 thread, best of %d)\n\n",
               offgrid_reps);
   const OffgridRow knn_row = compare_offgrid_single(
       "knn", offgrid_reps, make_serve_offgrid_stream(1024));
-  support::TextTable knn_table({"learner", "interpreted [us]",
+  support::TextTable knn_table({"learner", "reference [us]",
                                 "compiled [us]", "speedup",
                                 "picks identical"});
   knn_table.add_row(
       {knn_row.learner,
-       support::format_double(knn_row.single_us_interpreted, 3),
+       support::format_double(knn_row.single_us_reference, 3),
        support::format_double(knn_row.single_us_compiled, 3),
        support::format_double(knn_row.speedup(), 2),
        knn_row.picks_identical ? "yes" : "NO"});
@@ -495,30 +506,30 @@ int run_comparison(bool smoke) {
 
   if (!all_identical) {
     std::printf("\nFAIL: compiled picks differ from the interpreted "
-                "selector\n");
+                "reference\n");
     return 1;
   }
-  std::printf("compiled picks bit-identical to interpreted: yes\n");
+  std::printf("compiled picks bit-identical to reference: yes\n");
   if (!grids_identical) {
     std::printf("FAIL: GBT/RF compiled grid picks differ from the "
-                "interpreted selector\n");
+                "interpreted reference\n");
     return 1;
   }
-  std::printf("GBT/RF compiled grid picks bit-identical to interpreted: "
+  std::printf("GBT/RF compiled grid picks bit-identical to reference: "
               "yes\n");
   if (!offgrid_identical) {
     std::printf("FAIL: off-grid single-query picks differ from the "
-                "interpreted selector\n");
+                "interpreted reference\n");
     return 1;
   }
   std::printf("off-grid single-query picks bit-identical to "
-              "interpreted: yes\n");
+              "reference: yes\n");
   if (!knn_row.picks_identical) {
     std::printf("FAIL: KNN off-grid picks differ from the interpreted "
-                "selector\n");
+                "reference\n");
     return 1;
   }
-  std::printf("KNN off-grid picks bit-identical to interpreted: yes\n");
+  std::printf("KNN off-grid picks bit-identical to reference: yes\n");
   if (min_grid_speedup < 1.5) {
     std::printf("FAIL: compiled grid argmin speedup %.2fx below the 1.5x "
                 "gate\n",

@@ -126,7 +126,7 @@ int run(std::size_t dispatches) {
   const bench::Dataset ds = make_dataset();
   tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
   (void)selector.fit(ds, ds.node_counts());
-  const tune::CompiledBank bank = selector.compile();
+  const tune::CompiledBank& bank = selector.compile();
   const std::vector<bench::Instance> grid = make_grid();
 
   // Fidelity frontier: leaves and agreement as the depth cap loosens.

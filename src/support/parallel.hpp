@@ -4,7 +4,8 @@
 // regression model per algorithm configuration uid, fitted and queried
 // independently (Fig. 3). This module provides the fixed-size thread
 // pool and the parallel_for helper that the model-bank hot paths
-// (Selector::fit, Selector::predict_all, tune::evaluate, ml::kfold_rmse)
+// (Selector::fit, the compiled bank's select_grid that tune::evaluate
+// runs, the interpreted reference Selector::predict_all, ml::kfold_rmse)
 // fan out on. Design constraints:
 //
 //  * Determinism: parallel_for hands out index ranges; callers write

@@ -86,7 +86,7 @@ int CompiledBank::argmin_uid(const bench::Instance& inst) const {
     if (best >= 0) best_uid = uids_[static_cast<std::size_t>(best)];
   } else {
     // Forced predictions replace single models' values, so every model
-    // is predicted and screened as the interpreted selector screens it.
+    // is predicted and screened as the interpreted reference screens it.
     thread_local std::vector<Selector::Prediction> predictions;
     predictions.resize(uids_.size());
     predict_all_into(inst, predictions);

@@ -1,27 +1,31 @@
-// Compiled serving form of a fitted Selector (see DESIGN.md §11).
+// Compiled serving form of a fitted Selector (see DESIGN.md §11) — the
+// one selection engine.
 //
-// `Selector::compile()` lowers the per-uid `Regressor` bank into an
-// `ml::FlatBank` (contiguous SoA pools, no virtual dispatch, no
-// std::map walk) and wraps it with the selection semantics of the
-// interpreted path: ascending-uid argmin, unusable predictions
-// (non-finite / negative) excluded, ties to the lowest uid, optional
-// library-default fallback. Serving is allocation-free per query — the
+// `Selector::fit` and `Selector::load` end by lowering the per-uid
+// `Regressor` bank, once, into an `ml::FlatBank` (contiguous SoA pools,
+// no virtual dispatch, no std::map walk) wrapped with the selection
+// semantics: ascending-uid argmin, unusable predictions (non-finite /
+// negative) excluded, ties to the lowest uid, optional library-default
+// fallback. `Selector::compile()` returns that bank; the Selector's own
+// select_uid, select_uid_or_default and predicted_time_us forward to it,
+// and `tune::evaluate` and registry refits serve from it (a copy, never
+// a second lowering). Serving is allocation-free per query — the
 // feature vector lives on the stack and all per-query state sits in a
 // thread-local `ml::FlatScratch` — and `select_grid` spreads whole
-// instance grids with `parallel_for` over the *instances* (the
-// interpreted path parallelizes over uids inside one query instead).
+// instance grids with `parallel_for` over the instances.
 //
-// Predictions are bit-identical to the interpreted selector at every
-// MPICP_THREADS; only the metric names differ (`compiled.*` prefix) so
-// the two serving paths stay distinguishable in the registry.
+// Predictions are bit-identical, at every MPICP_THREADS, to the
+// interpreted reference `Selector::predict_all` (each model's own
+// Regressor::predict_one); the tests compare the bank against that
+// reference. Selection is counted once, here, under `compiled.*`.
 //
 // The bank keeps no selection memo: repeated queries are memoized one
 // layer up, in the serving registry's per-thread memo
 // (tune/registry.hpp).
 //
 // The bank is derived, never stored: the persisted artifact is the
-// selector file (Selector::save/load), and a server builds its bank at
-// start-up with `Selector::load(path).compile()`.
+// selector file (Selector::save/load), and a server takes its bank from
+// `Selector::load(path).compile()`.
 #pragma once
 
 #include <optional>
@@ -58,11 +62,11 @@ class CompiledBank {
       int uid, const bench::Instance& inst) const;
 
   /// Argmin over the usable predictions; throws when none is usable
-  /// (same contract as Selector::select_uid).
+  /// (Selector::select_uid forwards here).
   [[nodiscard]] int select_uid(const bench::Instance& inst) const;
 
   /// Argmin with graceful degradation to the library default decision
-  /// (same contract as Selector::select_uid_or_default).
+  /// (Selector::select_uid_or_default forwards here).
   [[nodiscard]] int select_uid_or_default(const bench::Instance& inst,
                                           sim::MpiLib lib,
                                           sim::Collective coll) const;

@@ -35,12 +35,9 @@ Evaluation evaluate(const bench::Dataset& ds, const Selector& selector,
   calls.inc();
   evaluated.inc(instances.size());
 
-  // Selection runs on the compiled bank: one lowering pays for the whole
-  // grid, and the batched argmin parallelizes over instances instead of
-  // over the uids of each query. Predictions (and thus every EvalRow)
-  // are bit-identical to the interpreted selector.
-  const CompiledBank bank = selector.compile();
-  const std::vector<int> picked = bank.select_grid(instances);
+  // Selection runs on the selector's compiled bank, lowered once at fit
+  // or load; the batched argmin parallelizes over instances.
+  const std::vector<int> picked = selector.compile().select_grid(instances);
 
   // Each instance is scored independently against the three strategies;
   // rows are preallocated so the parallel fill is order-independent.

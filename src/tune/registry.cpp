@@ -313,6 +313,7 @@ BankRegistry::RefitOutcome BankRegistry::refit_and_publish(
   try {
     Selector selector(options);
     outcome.fit_report = selector.fit(ds, train_nodes);
+    // A copy of the bank the fit lowered; nothing is lowered again.
     auto compiled = std::make_shared<const CompiledBank>(selector.compile());
     if (validator) {
       const std::string verdict = validator(*compiled, lookup(key));

@@ -149,12 +149,12 @@ class BankRegistry {
       const CompiledBank& candidate,
       const std::shared_ptr<const CompiledBank>& incumbent)>;
 
-  /// Fit a fresh selector on `ds`, compile it and hot-publish it under
-  /// `key`. When the refit fails (every uid unusable, fault-injected
-  /// fit failures, compile errors) or `validator` declines the
-  /// candidate, the last good bank keeps serving untouched and the
-  /// outcome carries the error instead — training never takes serving
-  /// down.
+  /// Fit a fresh selector on `ds` and hot-publish, under `key`, a copy
+  /// of the bank that fit lowered. When the refit fails (every uid
+  /// unusable, fault-injected fit failures, compile errors) or
+  /// `validator` declines the candidate, the last good bank keeps
+  /// serving untouched and the outcome carries the error instead —
+  /// training never takes serving down.
   [[nodiscard]] RefitOutcome refit_and_publish(
       const BankKey& key, const bench::Dataset& ds,
       const std::vector<int>& train_nodes,

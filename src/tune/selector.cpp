@@ -4,12 +4,12 @@
 #include <array>
 #include <cmath>
 #include <fstream>
+#include <optional>
 
 #include <chrono>
 
 #include "ml/io.hpp"
 #include "tune/compiled_bank.hpp"
-#include "simmpi/coll/decision.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
 #include "support/metrics.hpp"
@@ -111,7 +111,13 @@ void print_fit_report(std::ostream& os, const FitReport& report) {
   detail.print(os);
 }
 
-Selector::Selector(SelectorOptions options) : options_(std::move(options)) {}
+Selector::Selector(SelectorOptions options)
+    : options_(std::move(options)),
+      bank_(std::make_unique<const CompiledBank>()) {}
+
+Selector::Selector(Selector&&) noexcept = default;
+Selector& Selector::operator=(Selector&&) noexcept = default;
+Selector::~Selector() = default;
 
 const FitReport& Selector::fit(const bench::Dataset& ds,
                                const std::vector<int>& train_nodes) {
@@ -119,6 +125,7 @@ const FitReport& Selector::fit(const bench::Dataset& ds,
   MPICP_REQUIRE(!train_nodes.empty(), "empty training node set");
   models_.clear();
   report_ = FitReport{};
+  bank_ = std::make_unique<const CompiledBank>();
 
   // Bucket the raw observations per uid. Membership is tested against a
   // sorted copy of the node set: one binary search per record instead of
@@ -251,27 +258,21 @@ const FitReport& Selector::fit(const bench::Dataset& ds,
   }
   MPICP_REQUIRE(!models_.empty(),
                 "no uid could be fitted by any learner in the chain");
+  lower();
   return report_;
 }
 
 double Selector::predicted_time_us(int uid,
                                    const bench::Instance& inst) const {
-  const auto it = models_.find(uid);
-  MPICP_REQUIRE(it != models_.end(),
-                "no model for uid " + std::to_string(uid));
-  return it->second->predict_one(
-      instance_features(inst, options_.features));
+  const std::optional<double> t = bank_->predicted_time_us(uid, inst);
+  MPICP_REQUIRE(t.has_value(), "no model for uid " + std::to_string(uid));
+  return *t;
 }
 
 std::vector<Selector::Prediction> Selector::predict_all(
     const bench::Instance& inst) const {
   MPICP_SPAN("selector.predict_all");
   MPICP_REQUIRE(!models_.empty(), "selector has not been fitted");
-  static metrics::Counter& calls = metrics::counter("predict.calls");
-  static metrics::Counter& served =
-      metrics::counter("predict.predictions_served");
-  calls.inc();
-  served.inc(models_.size());
   const auto feat = instance_features(inst, options_.features);
   std::vector<Prediction> out;
   std::vector<const ml::Regressor*> bank;
@@ -317,51 +318,14 @@ int argmin_usable(std::span<const Selector::Prediction> predictions,
   return best_uid;
 }
 
-namespace {
-
-/// argmin_usable, with the unusable predictions counted.
-int select_best(const std::vector<Selector::Prediction>& predictions) {
-  std::size_t excluded = 0;
-  const int best_uid = argmin_usable(predictions, excluded);
-  if (excluded > 0) {
-    static metrics::Counter& argmin_excluded =
-        metrics::counter("select.argmin_excluded");
-    argmin_excluded.inc(excluded);
-  }
-  return best_uid;
-}
-
-/// "select.requests", which both selection entry points count.
-metrics::Counter& select_requests() {
-  static metrics::Counter& requests = metrics::counter("select.requests");
-  return requests;
-}
-
-}  // namespace
-
 int Selector::select_uid(const bench::Instance& inst) const {
-  select_requests().inc();
-  const int best_uid = select_best(predict_all(inst));
-  MPICP_REQUIRE(best_uid > 0,
-                "no usable model prediction for the instance (use "
-                "select_uid_or_default for graceful degradation)");
-  return best_uid;
+  return bank_->select_uid(inst);
 }
 
 int Selector::select_uid_or_default(const bench::Instance& inst,
                                     sim::MpiLib lib,
                                     sim::Collective coll) const {
-  select_requests().inc();
-  if (!models_.empty()) {
-    const int best_uid = select_best(predict_all(inst));
-    if (best_uid > 0) return best_uid;
-  }
-  // No usable model: behave like an untuned library run.
-  static metrics::Counter& default_fallbacks =
-      metrics::counter("select.default_fallbacks");
-  default_fallbacks.inc();
-  return sim::library_default_uid(lib, coll, inst.nodes * inst.ppn,
-                                  inst.msize);
+  return bank_->select_uid_or_default(inst, lib, coll);
 }
 
 void Selector::save(const std::filesystem::path& path) const {
@@ -413,19 +377,21 @@ Selector Selector::load(const std::filesystem::path& path) {
                           " features");
     selector.models_.emplace(uid, std::move(model));
   }
+  selector.lower();
   return selector;
 }
 
 std::vector<int> Selector::uids() const {
-  std::vector<int> out;
-  out.reserve(models_.size());
-  for (const auto& [uid, model] : models_) out.push_back(uid);
-  return out;
+  return bank_->uids();
 }
 
-CompiledBank Selector::compile() const {
-  MPICP_SPAN("selector.compile");
+const CompiledBank& Selector::compile() const {
   MPICP_REQUIRE(!models_.empty(), "compiling an unfitted selector");
+  return *bank_;
+}
+
+void Selector::lower() {
+  MPICP_SPAN("selector.compile");
   CompiledBank bank;
   bank.features_ = options_.features;
   bank.uids_.reserve(models_.size());
@@ -441,7 +407,7 @@ CompiledBank Selector::compile() const {
       metrics::counter("compiled.compile.models");
   calls.inc();
   compiled_models.inc(models_.size());
-  return bank;
+  bank_ = std::make_unique<const CompiledBank>(std::move(bank));
 }
 
 }  // namespace mpicp::tune

@@ -3,6 +3,13 @@
 // time from the instance features (m, n, N); selection evaluates every
 // model on an unseen instance and returns the argmin.
 //
+// One selection engine: fit() and load() end by lowering the bank into
+// its compiled form (tune/compiled_bank.hpp), once, and every selection
+// (select_uid, select_uid_or_default, predicted_time_us, evaluate,
+// registry refits) serves from that lowering. predict_all() is the
+// interpreted reference the compiled bank is checked against: each
+// model's own Regressor::predict_one, in uid order.
+//
 // Robustness layer (see README "Fault tolerance & degradation"): fitting
 // degrades per uid through a fixed learner chain instead of
 // aborting the whole bank, every fit is accounted for in a FitReport,
@@ -107,7 +114,8 @@ class Selector {
   /// bank was loaded from disk instead).
   [[nodiscard]] const FitReport& fit_report() const { return report_; }
 
-  /// Predicted running time of one configuration on an instance.
+  /// Predicted running time of one configuration on an instance, from
+  /// the compiled bank. Throws when no model serves `uid`.
   double predicted_time_us(int uid, const bench::Instance& inst) const;
 
   /// One model-bank query result.
@@ -119,18 +127,19 @@ class Selector {
     bool usable = true;
   };
 
-  /// Batched inference: the predicted running time of *every* modeled
-  /// configuration on an instance, in ascending uid order. This is the
-  /// fan-out half of the paper's argmin selection; the per-uid models
-  /// are evaluated in parallel (see support/parallel.hpp).
+  /// The interpreted reference: the predicted running time of *every*
+  /// modeled configuration on an instance, in ascending uid order, from
+  /// each model's own Regressor::predict_one (forced predictions
+  /// applied, the per-uid models evaluated in parallel). No selection
+  /// reads it; tests and benches check the compiled bank against it.
   [[nodiscard]] std::vector<Prediction> predict_all(
       const bench::Instance& inst) const;
 
   /// The argmin over all modeled configurations whose prediction is
   /// usable (the algorithm ID the framework would load into the MPI
-  /// library). Ties resolve to the lowest uid regardless of thread
-  /// count. Throws if no prediction is usable — callers with a library
-  /// context should prefer select_uid_or_default.
+  /// library), from the compiled bank. Ties resolve to the lowest uid
+  /// regardless of thread count. Throws if no prediction is usable —
+  /// callers with a library context should prefer select_uid_or_default.
   [[nodiscard]] int select_uid(const bench::Instance& inst) const;
 
   /// Degradation-aware selection: the argmin when at least one model
@@ -144,22 +153,33 @@ class Selector {
   std::vector<int> uids() const;
   const SelectorOptions& options() const { return options_; }
 
-  /// Lower the fitted bank into its compiled (flattened, allocation-free)
-  /// serving form — see tune/compiled_bank.hpp and DESIGN.md §11. The
-  /// compiled bank is an immutable snapshot: refit, then recompile.
-  /// Predictions are bit-identical to this selector's.
-  [[nodiscard]] CompiledBank compile() const;
+  /// The compiled (flattened, allocation-free) serving form of the bank
+  /// — see tune/compiled_bank.hpp and DESIGN.md §11 — built once, at the
+  /// end of fit() or load(). The reference stays valid until the next
+  /// fit() or load(); copy the bank to keep it longer. Throws on an
+  /// unfitted selector.
+  [[nodiscard]] const CompiledBank& compile() const;
 
   /// Persist the fitted model bank (train offline once, load in the job
   /// prolog — the paper's deployment split between the tuning step and
   /// application start).
   void save(const std::filesystem::path& path) const;
+  /// Throws mpicp::Error for a malformed file or a model the lowering
+  /// refuses.
   static Selector load(const std::filesystem::path& path);
 
+  Selector(Selector&&) noexcept;
+  Selector& operator=(Selector&&) noexcept;
+  ~Selector();
+
  private:
+  /// Lower models_ into bank_ (the one lowering of a fit or load).
+  void lower();
+
   SelectorOptions options_;
   std::map<int, std::unique_ptr<ml::Regressor>> models_;
   FitReport report_;
+  std::unique_ptr<const CompiledBank> bank_;  ///< lowered models_
 };
 
 /// The one usability screen and tie rule of every selection path: the

@@ -1,8 +1,11 @@
 // Equivalence and serving tests for the compiled model bank
-// (tune/compiled_bank.hpp): the lowered SoA form must reproduce the
-// interpreted Selector bit for bit — for every learner, at every thread
-// count, under fault injection — while adding grid selection. The bank
-// is never stored: a server rebuilds it with Selector::load().compile().
+// (tune/compiled_bank.hpp), the one selection engine: the lowered SoA
+// form must reproduce the interpreted reference (Selector::predict_all,
+// each model's own predict_one) bit for bit — for every learner, at
+// every thread count, under fault injection — while adding grid
+// selection. Selector::select_uid forwards to the bank, so no check
+// here compares against it. The bank is never stored: a server takes it
+// from Selector::load().compile().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 #include "ml/learner.hpp"
+#include "simmpi/coll/decision.hpp"
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -116,6 +120,25 @@ void expect_identical(const tune::Selector& selector,
   }
 }
 
+/// The interpreted reference pick: the argmin of Selector::predict_all,
+/// or -1 when no prediction is usable.
+int interpreted_pick(const tune::Selector& selector,
+                     const bench::Instance& inst) {
+  std::size_t excluded = 0;
+  return tune::argmin_usable(selector.predict_all(inst), excluded);
+}
+
+/// interpreted_pick, falling back to the library default decision when
+/// no prediction is usable (the select_uid_or_default contract).
+int interpreted_or_default(const tune::Selector& selector,
+                           const bench::Instance& inst) {
+  const int pick = interpreted_pick(selector, inst);
+  return pick > 0 ? pick
+                  : sim::library_default_uid(
+                        sim::MpiLib::kOpenMPI, sim::Collective::kBcast,
+                        inst.nodes * inst.ppn, inst.msize);
+}
+
 // ---- bit-identity across learners, seeds and thread counts ---------------
 
 class CompiledEquivalence
@@ -135,14 +158,14 @@ TEST_P(CompiledEquivalence, EveryLearnerBitIdenticalAtEveryThreadCount) {
       support::ScopedThreads scoped(threads);
       for (const bench::Instance& inst : instances) {
         expect_identical(selector, bank, inst);
-        EXPECT_EQ(selector.select_uid(inst), bank.select_uid(inst))
+        EXPECT_EQ(bank.select_uid(inst), interpreted_pick(selector, inst))
             << learner << " @" << threads << " threads";
       }
       // The grid path agrees with per-instance selection.
       const std::vector<int> picked = bank.select_grid(instances);
       ASSERT_EQ(picked.size(), instances.size());
       for (std::size_t i = 0; i < instances.size(); ++i) {
-        EXPECT_EQ(picked[i], selector.select_uid(instances[i]))
+        EXPECT_EQ(picked[i], interpreted_pick(selector, instances[i]))
             << learner << " grid[" << i << "] @" << threads;
       }
     }
@@ -167,7 +190,7 @@ TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
     fi::ScopedFaults faults(
         {.forced_predictions = {{uids.front(), -1.0}}});
     expect_identical(selector, bank, inst);
-    EXPECT_EQ(selector.select_uid(inst), bank.select_uid(inst));
+    EXPECT_EQ(bank.select_uid(inst), interpreted_pick(selector, inst));
   }
   // Poison every uid: both paths must degrade to the library default.
   {
@@ -176,15 +199,14 @@ TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
       faults.forced_predictions[uid] = std::nan("");
     }
     fi::ScopedFaults scoped(std::move(faults));
-    const int interpreted = selector.select_uid_or_default(
-        inst, sim::MpiLib::kOpenMPI, sim::Collective::kBcast);
+    const int interpreted = interpreted_or_default(selector, inst);
     const int compiled = bank.select_uid_or_default(
         inst, sim::MpiLib::kOpenMPI, sim::Collective::kBcast);
     EXPECT_EQ(interpreted, compiled);
   }
 }
 
-// ---- grid selection vs the interpreted selector --------------------------
+// ---- grid selection vs the interpreted reference --------------------------
 
 TEST(CompiledBankLayouts, GridAndReloadedSelectorMatchInterpretedArgmin) {
   const bench::Dataset ds = random_dataset(19);
@@ -224,7 +246,7 @@ TEST(CompiledBankLayouts, GridAndReloadedSelectorMatchInterpretedArgmin) {
       support::ScopedThreads scoped(threads);
       std::vector<int> interpreted(grid.size(), 0);
       for (std::size_t i = 0; i < grid.size(); ++i) {
-        interpreted[i] = selector.select_uid(grid[i]);
+        interpreted[i] = interpreted_pick(selector, grid[i]);
       }
       bank.select_grid_into(grid, grid_picks);
       for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -250,11 +272,11 @@ TEST(CompiledBankLayouts, GridHonorsFaultInjection) {
     const std::vector<int> uids = selector.uids();
 
     // Poison one uid: the grid path must exclude it exactly like the
-    // interpreted selector does.
+    // interpreted reference does.
     fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0}}});
     std::vector<int> interpreted(grid.size(), 0);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      interpreted[i] = selector.select_uid(grid[i]);
+      interpreted[i] = interpreted_pick(selector, grid[i]);
     }
     const std::vector<int> grid_picks = bank.select_grid(grid);
     EXPECT_EQ(grid_picks, interpreted) << learner;
@@ -525,18 +547,18 @@ TEST(CompiledBankRankTables, OffGridQueriesMatchInterpreted) {
     for (const bench::Instance& inst : stream) {
       const std::vector<double> x =
           tune::instance_features(inst, bank.features());
+      const auto reference = selector.predict_all(inst);
       flat.begin_query(x, scratch);
       for (std::size_t i = 0; i < flat.size(); ++i) {
         const double fast = flat.predict_one(i, x, scratch);
-        EXPECT_EQ(bits(fast),
-                  bits(selector.predicted_time_us(bank.uids()[i], inst)))
+        EXPECT_EQ(bits(fast), bits(reference[i].time_us))
             << learner << " uid " << bank.uids()[i] << " m=" << inst.msize
             << " n=" << inst.nodes << " ppn=" << inst.ppn;
       }
     }
     std::vector<int> expected(stream.size());
     for (std::size_t q = 0; q < stream.size(); ++q) {
-      expected[q] = selector.select_uid(stream[q]);
+      expected[q] = interpreted_pick(selector, stream[q]);
     }
     for (const int threads : {1, 4}) {
       support::ScopedThreads scoped(threads);
@@ -548,7 +570,7 @@ TEST(CompiledBankRankTables, OffGridQueriesMatchInterpreted) {
       });
       EXPECT_EQ(picked, expected) << learner << " @" << threads;
       for (std::size_t q = 0; q < stream.size(); ++q) {
-        EXPECT_EQ(selector.select_uid(stream[q]), bank.select_uid(stream[q]))
+        EXPECT_EQ(bank.select_uid(stream[q]), expected[q])
             << learner << " query " << q << " @" << threads;
       }
       EXPECT_EQ(bank.select_grid(stream), expected)
@@ -571,7 +593,7 @@ TEST(CompiledBankRankTables, ForcedPredictionsOverrideTableValues) {
     }
     // Poison the lowest uid and force the highest to a zero time: every
     // table-served query must pick the forced uid, exactly as the
-    // interpreted selector does.
+    // interpreted reference does.
     fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0},
                                                     {uids.back(), 0.0}}});
     for (const bench::Instance& inst : stream) {
@@ -581,7 +603,7 @@ TEST(CompiledBankRankTables, ForcedPredictionsOverrideTableValues) {
       EXPECT_EQ(preds.back().time_us, 0.0) << learner;
       expect_identical(selector, bank, inst);
       EXPECT_EQ(bank.select_uid(inst), uids.back()) << learner;
-      EXPECT_EQ(selector.select_uid(inst), uids.back()) << learner;
+      EXPECT_EQ(interpreted_pick(selector, inst), uids.back()) << learner;
     }
     EXPECT_EQ(bank.select_grid(stream),
               std::vector<int>(stream.size(), uids.back()))
@@ -632,7 +654,7 @@ TEST(CompiledBankOverTheCellCap, GridAndSingleSelectionsMatchInterpreted) {
       support::ScopedThreads scoped(threads);
       std::vector<int> interpreted(queries.size(), 0);
       for (std::size_t q = 0; q < queries.size(); ++q) {
-        interpreted[q] = selector.select_uid(queries[q]);
+        interpreted[q] = interpreted_pick(selector, queries[q]);
       }
       std::vector<int> single(queries.size(), 0);
       support::parallel_for(queries.size(), 8, [&](std::size_t q) {
@@ -1066,21 +1088,6 @@ std::filesystem::path write_selector(const std::string& name,
   return path;
 }
 
-/// The interpreted selector's argmin: the uid, or -1 when no prediction
-/// is usable.
-int interpreted_pick(const tune::Selector& selector,
-                     const bench::Instance& inst) {
-  int best = -1;
-  double best_value = 0.0;
-  for (const auto& p : selector.predict_all(inst)) {
-    if (p.usable && (best < 0 || p.time_us < best_value)) {
-      best = p.uid;
-      best_value = p.time_us;
-    }
-  }
-  return best;
-}
-
 /// Integer instances around the hand-built thresholds: nodes from 1
 /// (below every nodes split) to 40, ppn from 1 to 32, msizes on and
 /// between powers of two.
@@ -1135,9 +1142,7 @@ TEST(CompiledBankArgminTable, SelectorMatchesInterpretedAtOneAndFourThreads) {
     for (std::size_t q = 0; q < queries.size(); ++q) {
       EXPECT_EQ(bank.select_uid_or_default(queries[q], sim::MpiLib::kOpenMPI,
                                            sim::Collective::kBcast),
-                selector.select_uid_or_default(queries[q],
-                                               sim::MpiLib::kOpenMPI,
-                                               sim::Collective::kBcast))
+                interpreted_or_default(selector, queries[q]))
           << "query " << q << " @" << threads;
     }
   }
@@ -1329,9 +1334,10 @@ TEST(CompiledBankFusedGam, OffGridQueriesMatchTheInterpretedModels) {
     support::ScopedThreads scoped(threads);
     EXPECT_EQ(bank.select_grid(stream), expected) << threads << " threads";
   }
-  // The single-query path, against the interpreted selector itself.
+  // The single-query path, against the interpreted reference.
   for (std::size_t q = 0; q < stream.size(); q += 512) {
-    EXPECT_EQ(bank.select_uid(stream[q]), selector.select_uid(stream[q]))
+    EXPECT_EQ(bank.select_uid(stream[q]),
+              interpreted_pick(selector, stream[q]))
         << "query " << q;
   }
 }
@@ -1369,7 +1375,7 @@ TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
     const int pick = ties.bank.select_uid(inst);
     EXPECT_LT(pick, 100);
     EXPECT_EQ(pick, original.select_uid(inst));
-    EXPECT_EQ(pick, ties.selector.select_uid(inst));
+    EXPECT_EQ(pick, interpreted_pick(ties.selector, inst));
   }
   // Scores past the clamp: intercepts of +1000 and +100 both clamp to
   // +40 and tie at exp(40), so the lower uid wins (unclamped, exp(1000)
@@ -1387,7 +1393,7 @@ TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
   const ServedBank high = serve("gam_high", "gam", {1, 2}, clamped);
   for (std::size_t q = 0; q < stream.size(); q += 8) {
     EXPECT_EQ(high.bank.select_uid(stream[q]), 1);
-    EXPECT_EQ(high.selector.select_uid(stream[q]), 1);
+    EXPECT_EQ(interpreted_pick(high.selector, stream[q]), 1);
   }
   clamped.push_back(with_intercept(-1000.0));
   clamped.push_back(with_intercept(-100.0));
@@ -1400,7 +1406,7 @@ TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
   const ServedBank both = serve("gam_both", "gam", clamped_uids, clamped);
   for (std::size_t q = 0; q < stream.size(); q += 8) {
     EXPECT_EQ(both.bank.select_uid(stream[q]), 3);
-    EXPECT_EQ(both.selector.select_uid(stream[q]), 3);
+    EXPECT_EQ(interpreted_pick(both.selector, stream[q]), 3);
   }
 }
 
@@ -1409,14 +1415,15 @@ TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
   const tune::CompiledBank d2_bank = d2.compile();
   const std::vector<bench::Instance> stream = serving_offgrid(4242, 2048);
   // Forced predictions: every model predicted and screened, like the
-  // interpreted path.
+  // interpreted reference.
   {
     const std::vector<int> uids = d2.uids();
     fi::ScopedFaults faults({.forced_predictions = {{uids[3], 0.0},
                                                     {uids[7], -2.0}}});
     for (std::size_t q = 0; q < stream.size(); q += 16) {
       EXPECT_EQ(d2_bank.select_uid(stream[q]), uids[3]);
-      EXPECT_EQ(d2_bank.select_uid(stream[q]), d2.select_uid(stream[q]));
+      EXPECT_EQ(d2_bank.select_uid(stream[q]),
+                interpreted_pick(d2, stream[q]));
     }
   }
   // A GAM + KNN bank: the GAMs in the fused pass, the KNN model on its
@@ -1460,7 +1467,7 @@ TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
   std::vector<int> picks;
   for (const bench::Instance& inst : stream) {
     const int pick = bank.select_uid(inst);
-    EXPECT_EQ(pick, mixed.select_uid(inst))
+    EXPECT_EQ(pick, interpreted_pick(mixed, inst))
         << "m=" << inst.msize << " n=" << inst.nodes << " ppn=" << inst.ppn;
     picks.push_back(pick);
   }
@@ -1475,6 +1482,25 @@ TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
 TEST(CompiledBank, CompilingAnUnfittedSelectorThrows) {
   tune::Selector selector;
   EXPECT_THROW((void)selector.compile(), std::exception);
+}
+
+TEST(CompiledBank, LoadingAModelTheLoweringRefusesThrows) {
+  // Selector::load lowers the bank, so a well-formed file whose KNN k
+  // exceeds kMaxKnnK fails at load, with an mpicp error.
+  ml::KnnParams params;
+  params.k = ml::kMaxKnnK + 1;
+  auto wide = std::make_unique<ml::KnnRegressor>(params);
+  ml::Matrix x(8, 4);
+  std::vector<double> y(8, 1.0);
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t f = 0; f < 4; ++f) x(r, f) = static_cast<double>(r + f);
+  }
+  wide->fit(x, y);
+  Models models;
+  models.push_back(std::move(wide));
+  const auto path = write_selector("wide_k", "knn", {1}, models);
+  EXPECT_THROW((void)tune::Selector::load(path), Error);
+  std::filesystem::remove(path);
 }
 
 TEST(CompiledBank, ServingFromAnEmptyBankThrows) {

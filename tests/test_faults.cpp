@@ -357,9 +357,12 @@ TEST(PredictSanitize, NonFinitePredictionExcludedFromArgmin) {
   ASSERT_FALSE(selector.fit(ds, kTrainNodes).degraded());
 
   const bench::Instance inst{6, 2, 65536};
-  const int honest = selector.select_uid(inst);
+  std::size_t excluded = 0;
+  const int honest = tune::argmin_usable(selector.predict_all(inst), excluded);
+  EXPECT_EQ(selector.select_uid(inst), honest);
 
-  // Poison the honest winner's prediction; the argmin must move on.
+  // Poison the honest winner's prediction; the argmin must move on, to
+  // the interpreted reference's pick among the usable rest.
   for (const double poison :
        {std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity(), -1.0}) {
@@ -369,6 +372,8 @@ TEST(PredictSanitize, NonFinitePredictionExcludedFromArgmin) {
       EXPECT_EQ(p.usable, p.uid != honest);
     }
     const int chosen = selector.select_uid(inst);
+    EXPECT_EQ(chosen, tune::argmin_usable(predictions, excluded));
+    EXPECT_EQ(excluded, 1u);
     EXPECT_NE(chosen, honest);
     EXPECT_GT(chosen, 0);
   }
@@ -606,9 +611,12 @@ TEST(EndToEnd, ZeroFaultRunMatchesPrePipelineBehaviour) {
       EXPECT_EQ(strict,
                 selector.select_uid_or_default(
                     inst, sim::MpiLib::kOpenMPI, sim::Collective::kBcast));
-      for (const auto& p : selector.predict_all(inst)) {
+      const auto predictions = selector.predict_all(inst);
+      for (const auto& p : predictions) {
         EXPECT_TRUE(p.usable);
       }
+      std::size_t excluded = 0;
+      EXPECT_EQ(strict, tune::argmin_usable(predictions, excluded));
     }
   }
 }

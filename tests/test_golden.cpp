@@ -197,7 +197,7 @@ PipelineRun run_pipeline() {
   for (const auto& [name, value] : run.snapshot.counters) {
     const bool pipeline_counter =
         name.starts_with("ingest.") || name.starts_with("fit.") ||
-        name.starts_with("predict.") || name.starts_with("select.");
+        name.starts_with("compiled.");
     if (!pipeline_counter || value == 0) continue;
     os << (first ? "" : ",") << "\n    \"" << json_escape(name)
        << "\": " << value;
@@ -249,13 +249,15 @@ TEST(Golden, CountersReconcileWithReports) {
   EXPECT_EQ(counter_or_zero(snap, "fit.rows_dropped"),
             run.fit.rows_dropped());
 
-  // 4 node counts x 3 ppns x 3 msizes selections, each fanning out over
-  // the whole (usable) bank.
-  EXPECT_EQ(counter_or_zero(snap, "select.requests"), 36u);
-  EXPECT_EQ(counter_or_zero(snap, "select.default_fallbacks"), 0u);
-  EXPECT_EQ(counter_or_zero(snap, "predict.calls"), 36u);
-  EXPECT_EQ(counter_or_zero(snap, "predict.predictions_served"),
-            36u * run.fit.uids_total());
+  // One lowering, at the end of the fit, then 4 node counts x 3 ppns x
+  // 3 msizes selections served by the compiled bank's argmin.
+  EXPECT_EQ(counter_or_zero(snap, "compiled.compile.calls"), 1u);
+  EXPECT_EQ(counter_or_zero(snap, "compiled.compile.models"),
+            run.fit.uids_total());
+  EXPECT_EQ(counter_or_zero(snap, "compiled.select.requests"), 36u);
+  EXPECT_EQ(counter_or_zero(snap, "compiled.select.default_fallbacks"), 0u);
+  EXPECT_EQ(counter_or_zero(snap, "compiled.select.argmin_excluded"), 0u);
+  EXPECT_EQ(counter_or_zero(snap, "compiled.predict.calls"), 0u);
 }
 
 // Two back-to-back runs must render byte-identically — the pipeline and

@@ -357,10 +357,10 @@ TEST_P(PipelineCounters, FitCountersMatchReportAtEveryThreadCount) {
             report.uids_unusable());
   EXPECT_EQ(metrics::counter("fit.rows_dropped").value(),
             report.rows_dropped());
-  EXPECT_EQ(metrics::counter("select.requests").value(), 1u);
-  EXPECT_EQ(metrics::counter("predict.calls").value(), 1u);
-  EXPECT_EQ(metrics::counter("predict.predictions_served").value(), 3u);
-  EXPECT_EQ(metrics::counter("select.argmin_excluded").value(), 0u);
+  EXPECT_EQ(metrics::counter("compiled.compile.calls").value(), 1u);
+  EXPECT_EQ(metrics::counter("compiled.compile.models").value(), 3u);
+  EXPECT_EQ(metrics::counter("compiled.select.requests").value(), 1u);
+  EXPECT_EQ(metrics::counter("compiled.select.argmin_excluded").value(), 0u);
   EXPECT_EQ(metrics::histogram("fit.time_us.linear").count(), 3u);
   EXPECT_EQ(metrics::histogram("fit.fallback_depth").count(), 3u);
 }

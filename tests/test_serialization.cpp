@@ -205,7 +205,8 @@ TEST(SelectorLoad, SeededMutationsOfD2GamPayloadsLoadExactlyOrThrow) {
   // line of the committed d2 bank's GAM payloads is fair game: a token
   // replaced, one character changed, a line deleted, repeated or
   // swapped, or the file cut short. A mutant must throw an mpicp error,
-  // or load and then pick exactly like the interpreted selector.
+  // or load and then its compiled bank must pick exactly like the
+  // interpreted reference (Selector::predict_all's argmin).
   // Every replacement is small (at most 4096), so no mutant makes even
   // an unchecked loader allocate more than a few MB.
   const std::vector<std::string> lines = d2_lines();
@@ -282,20 +283,18 @@ TEST(SelectorLoad, SeededMutationsOfD2GamPayloadsLoadExactlyOrThrow) {
       for (std::size_t i = 0; i < cut; ++i) os << m[i] << '\n';
     }
     std::optional<tune::Selector> selector;
-    std::optional<tune::CompiledBank> bank;
     try {
       selector.emplace(tune::Selector::load(path));
-      bank.emplace(selector->compile());
     } catch (const Error&) {
       ++rejected;
       continue;
     }
     ++loaded;
+    const tune::CompiledBank& bank = selector->compile();
     for (const bench::Instance& inst : queries) {
-      EXPECT_EQ(bank->select_uid_or_default(inst, sim::MpiLib::kOpenMPI,
-                                            sim::Collective::kAllreduce),
-                selector->select_uid_or_default(inst, sim::MpiLib::kOpenMPI,
-                                                sim::Collective::kAllreduce))
+      std::size_t excluded = 0;
+      EXPECT_EQ(bank.select_uid_or_invalid(inst),
+                tune::argmin_usable(selector->predict_all(inst), excluded))
           << "mutant " << mutant << " m=" << inst.msize << " n=" << inst.nodes
           << " ppn=" << inst.ppn;
     }

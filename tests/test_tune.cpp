@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "collbench/defaults.hpp"
+#include "support/metrics.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "tune/compiled_bank.hpp"
 #include "tune/config_writer.hpp"
 #include "tune/evaluator.hpp"
 #include "tune/selector.hpp"
@@ -185,6 +188,52 @@ TEST(Evaluator, EndToEndBeatsBadDefaultOnSynthetic) {
   EXPECT_GT(eval.summary.mean_speedup, 1.2);
   EXPECT_LT(eval.summary.mean_norm_predicted, 1.5);
 }
+
+// One lowering per fit and per load: evaluate, every Selector selection
+// and compile() all serve from the bank the fit (or load) built.
+class OneLowering : public ::testing::TestWithParam<int> {};
+
+TEST_P(OneLowering, FitAndLoadEachLowerTheBankOnce) {
+  const support::ScopedThreads threads(GetParam());
+  namespace metrics = support::metrics;
+  const Dataset ds = make_synthetic({2, 4, 8, 16}, 0.05, 5);
+  struct FixedDefault final : bench::DefaultLogic {
+    std::string name() const override { return "fixed"; }
+    int select_uid(const Instance&) const override { return 1; }
+  };
+  const Instance inst{6, 4, 4096};
+  metrics::Registry::instance().reset();
+  metrics::Counter& lowerings = metrics::counter("compiled.compile.calls");
+  metrics::Counter& requests = metrics::counter("compiled.select.requests");
+
+  Selector selector(SelectorOptions{.learner = "gam"});
+  ASSERT_FALSE(selector.fit(ds, {2, 4, 16}).degraded());
+  const Evaluation eval = evaluate(ds, selector, FixedDefault{}, {8});
+  const int uid = selector.select_uid(inst);
+  EXPECT_EQ(selector.select_uid_or_default(inst, sim::MpiLib::kIntelMPI,
+                                           sim::Collective::kAllreduce),
+            uid);
+  EXPECT_GT(selector.predicted_time_us(uid, inst), 0.0);
+  const CompiledBank& bank = selector.compile();
+  EXPECT_EQ(lowerings.value(), 1u);
+  EXPECT_EQ(requests.value(), 2u);
+  EXPECT_EQ(metrics::counter("compiled.select.grid_instances").value(),
+            eval.rows.size());
+
+  const auto path =
+      std::filesystem::temp_directory_path() /
+      ("mpicp_one_lowering_" + std::to_string(GetParam()) + ".models");
+  selector.save(path);
+  metrics::Registry::instance().reset();
+  const Selector loaded = Selector::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.compile().uids(), bank.uids());
+  EXPECT_EQ(loaded.select_uid(inst), uid);
+  EXPECT_EQ(lowerings.value(), 1u);
+  EXPECT_EQ(requests.value(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, OneLowering, ::testing::Values(1, 4));
 
 TEST(ConfigWriter, FoldsAndRoundTrips) {
   const Dataset ds = make_synthetic({2, 4, 8, 16, 32}, 0.02, 4);
