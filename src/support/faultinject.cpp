@@ -174,13 +174,4 @@ bool consume_fit_failure(int uid) {
   return true;
 }
 
-std::optional<double> forced_prediction(int uid) {
-  if (!active()) return std::nullopt;
-  const MutexLock lock(g_mu);
-  if (!g_faults) return std::nullopt;
-  const auto it = g_faults->forced_predictions.find(uid);
-  if (it == g_faults->forced_predictions.end()) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace mpicp::support::faultinject

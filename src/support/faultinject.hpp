@@ -5,9 +5,9 @@
 // leave truncated CSV rows, clock glitches produce negative or absurd
 // timings, file transfers corrupt model banks. This module manufactures
 // exactly those faults on demand so the degradation paths (tolerant
-// ingest, fit fallback chains, prediction sanitization) can be exercised
-// and *accounted for* in tests — every injected fault is logged, and the
-// pipeline's health reports must add up to the injection log.
+// ingest, fit fallback chains) can be exercised and *accounted for* in
+// tests — every injected fault is logged, and the pipeline's health
+// reports must add up to the injection log.
 //
 // Two kinds of injection points:
 //
@@ -15,10 +15,12 @@
 //    (CSV datasets, serialized model streams). Deterministic in the
 //    plan's seed; the returned log says what was done where.
 //
-//  * Process-global sabotage — boundaries with no textual artifact
-//    (in-memory fits, predictions) consult a scoped fault table. Off by
-//    default with a single atomic check, so production paths pay nothing;
-//    tests arm it with ScopedFaults (RAII, like support::ScopedThreads).
+//  * Process-global sabotage — in-memory fits, which leave no textual
+//    artifact, consult a scoped fault table. Off by default with a
+//    single atomic check, so fits pay nothing; tests arm it with
+//    ScopedFaults (RAII, like support::ScopedThreads). Serving consults
+//    nothing: an unusable prediction comes from a real model (see
+//    DESIGN.md §11), so the tests exercise the production argmin.
 #pragma once
 
 #include <cstddef>
@@ -96,9 +98,6 @@ struct Faults {
   /// configured learner (first fallback succeeds); a count covering the
   /// whole fallback chain renders the uid unusable.
   std::map<int, int> fit_failures;
-  /// uid -> forced prediction value (NaN / negative / anything) injected
-  /// after the model's own predict; exercises argmin sanitization.
-  std::map<int, double> forced_predictions;
 };
 
 /// Arms the global fault table for the current scope. Nestable; the
@@ -124,8 +123,5 @@ bool active();
 /// concurrently from parallel fit tasks (each uid is owned by one task,
 /// so the per-uid budget decrements deterministically).
 bool consume_fit_failure(int uid);
-
-/// Forced prediction override for `uid`, if armed.
-std::optional<double> forced_prediction(int uid);
 
 }  // namespace mpicp::support::faultinject

@@ -5,7 +5,6 @@
 
 #include "simmpi/coll/decision.hpp"
 #include "support/error.hpp"
-#include "support/faultinject.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/trace.hpp"
@@ -28,13 +27,10 @@ ml::FlatScratch& thread_scratch() {
 
 }  // namespace
 
-void CompiledBank::predict_all_into(
-    const bench::Instance& inst,
-    std::span<Selector::Prediction> out) const {
+std::vector<Selector::Prediction> CompiledBank::predict_all(
+    const bench::Instance& inst) const {
   MPICP_SPAN("compiled.predict_all");
   MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
-  MPICP_REQUIRE(out.size() == uids_.size(),
-                "prediction buffer size mismatch");
   static metrics::Counter& calls = metrics::counter("compiled.predict.calls");
   static metrics::Counter& served =
       metrics::counter("compiled.predict.predictions_served");
@@ -45,17 +41,11 @@ void CompiledBank::predict_all_into(
   instance_features_into(inst, features_, std::span<double>(feat, dim));
   ml::FlatScratch& scratch = thread_scratch();
   bank_.begin_query({feat, dim}, scratch);
+  std::vector<Selector::Prediction> out(uids_.size());
   for (std::size_t i = 0; i < uids_.size(); ++i) {
-    const double t = support::faultinject::forced_prediction(uids_[i])
-                         .value_or(bank_.predict_one(i, {feat, dim}, scratch));
+    const double t = bank_.predict_one(i, {feat, dim}, scratch);
     out[i] = {uids_[i], t, std::isfinite(t) && t >= 0.0};
   }
-}
-
-std::vector<Selector::Prediction> CompiledBank::predict_all(
-    const bench::Instance& inst) const {
-  std::vector<Selector::Prediction> out(uids_.size());
-  predict_all_into(inst, out);
   return out;
 }
 
@@ -68,36 +58,24 @@ std::optional<double> CompiledBank::predicted_time_us(
   instance_features_into(inst, features_, std::span<double>(feat, dim));
   ml::FlatScratch& scratch = thread_scratch();
   bank_.begin_query({feat, dim}, scratch);
-  const auto i = static_cast<std::size_t>(it - uids_.begin());
-  return support::faultinject::forced_prediction(uid).value_or(
-      bank_.predict_one(i, {feat, dim}, scratch));
+  return bank_.predict_one(static_cast<std::size_t>(it - uids_.begin()),
+                           {feat, dim}, scratch);
 }
 
 int CompiledBank::argmin_uid(const bench::Instance& inst) const {
-  int best_uid = -1;
+  // The bank's own argmin: its tree table or fused GAM pass where it
+  // has one, each bit-identical to screening every prediction.
+  double feat[kMaxInstanceFeatures];
+  const std::size_t dim = feature_dim(features_);
+  instance_features_into(inst, features_, std::span<double>(feat, dim));
   std::size_t excluded = 0;
-  if (!support::faultinject::active()) {
-    // The bank's own argmin: its tree table or fused GAM pass where it
-    // has one, each bit-identical to screening every prediction.
-    double feat[kMaxInstanceFeatures];
-    const std::size_t dim = feature_dim(features_);
-    instance_features_into(inst, features_, std::span<double>(feat, dim));
-    const int best = bank_.argmin({feat, dim}, thread_scratch(), excluded);
-    if (best >= 0) best_uid = uids_[static_cast<std::size_t>(best)];
-  } else {
-    // Forced predictions replace single models' values, so every model
-    // is predicted and screened as the interpreted reference screens it.
-    thread_local std::vector<Selector::Prediction> predictions;
-    predictions.resize(uids_.size());
-    predict_all_into(inst, predictions);
-    best_uid = argmin_usable(predictions, excluded);
-  }
+  const int best = bank_.argmin({feat, dim}, thread_scratch(), excluded);
   if (excluded > 0) {
     static metrics::Counter& excluded_total =
         metrics::counter("compiled.select.argmin_excluded");
     excluded_total.inc(excluded);
   }
-  return best_uid;
+  return best < 0 ? -1 : uids_[static_cast<std::size_t>(best)];
 }
 
 int CompiledBank::select_uid(const bench::Instance& inst) const {

@@ -18,6 +18,9 @@
 // interpreted reference `Selector::predict_all` (each model's own
 // Regressor::predict_one); the tests compare the bank against that
 // reference. Selection is counted once, here, under `compiled.*`.
+// Every selection runs one argmin, FlatBank::argmin, with no test-only
+// branch: tests poison predictions with real models (a negative or
+// overflowing GBT, a linear model predicting NaN), never by override.
 //
 // The bank keeps no selection memo: repeated queries are memoized one
 // layer up, in the serving registry's per-thread memo
@@ -46,18 +49,14 @@ class CompiledBank {
   const FeatureOptions& features() const { return features_; }
   const ml::FlatBank& flat() const { return bank_; }
 
-  /// Predict every modeled uid on one instance, ascending uid order,
-  /// into a caller-owned buffer of exactly num_models() entries.
-  void predict_all_into(const bench::Instance& inst,
-                        std::span<Selector::Prediction> out) const;
-
-  /// Allocating convenience wrapper around predict_all_into.
+  /// Predict every modeled uid on one instance, ascending uid order
+  /// (the bank's predictions, for the tests' bit-identity checks; no
+  /// selection reads them).
   [[nodiscard]] std::vector<Selector::Prediction> predict_all(
       const bench::Instance& inst) const;
 
   /// The prediction of `uid`'s model alone, bit-identical to its entry
-  /// in predict_all (forced predictions included); nullopt when no model
-  /// serves `uid`.
+  /// in predict_all; nullopt when no model serves `uid`.
   [[nodiscard]] std::optional<double> predicted_time_us(
       int uid, const bench::Instance& inst) const;
 
@@ -91,10 +90,9 @@ class CompiledBank {
  private:
   friend class Selector;
 
-  /// The argmin on one instance: FlatBank::argmin, or argmin_usable over
-  /// predict_all_into while fault injection is active; -1 when no
-  /// prediction is usable. Allocation-free once its thread-local
-  /// scratch has warmed up.
+  /// The argmin on one instance, FlatBank::argmin — every selection's
+  /// one path; -1 when no prediction is usable. Allocation-free once its
+  /// thread-local scratch has warmed up.
   int argmin_uid(const bench::Instance& inst) const;
 
   FeatureOptions features_;

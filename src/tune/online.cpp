@@ -132,13 +132,4 @@ bench::Dataset OnlineSelector::observations_dataset(
   return ds;
 }
 
-BankRegistry::RefitOutcome OnlineSelector::refit_into(
-    BankRegistry& registry, const BankKey& key, sim::MpiLib lib,
-    const SelectorOptions& options) const {
-  MPICP_SPAN("online.refit_into");
-  const bench::Dataset ds = observations_dataset(
-      "online-" + to_string(key), lib, key.collective, key.machine);
-  return registry.refit_and_publish(key, ds, ds.node_counts(), options);
-}
-
 }  // namespace mpicp::tune

@@ -15,7 +15,6 @@
 
 #include "collbench/dataset.hpp"
 #include "support/thread_safety.hpp"
-#include "tune/registry.hpp"
 
 namespace mpicp::tune {
 
@@ -62,15 +61,6 @@ class OnlineSelector {
       std::string name, sim::MpiLib lib, sim::Collective coll,
       std::string machine) const;
 
-  /// Refit a selector on the accumulated observations and hot-publish
-  /// the compiled bank into `registry` under `key`. Serving is never
-  /// taken down: on a failed refit (too few observations, every uid
-  /// unusable, injected fit faults) the registry keeps its last good
-  /// bank and the outcome carries the error.
-  [[nodiscard]] BankRegistry::RefitOutcome refit_into(
-      BankRegistry& registry, const BankKey& key, sim::MpiLib lib,
-      const SelectorOptions& options = {}) const;
-
  private:
   struct Cell {
     std::map<int, std::vector<double>> observations;  // uid -> times
@@ -80,9 +70,9 @@ class OnlineSelector {
   /// Validated by the constructor; immutable afterwards.
   Options options_;  // mpicp-lint: allow(lock-discipline)
   /// Serializes probe bookkeeping: concurrent ranks may interleave
-  /// next_uid/record on the same selector. refit_into snapshots the
-  /// observations under mu_ (via observations_dataset) and fits on the
-  /// copy, so the lock never spans a fit.
+  /// next_uid/record on the same selector. observations_dataset
+  /// snapshots the observations under mu_, so a refit fits on the copy
+  /// and the lock never spans a fit.
   mutable support::Mutex mu_;
   /// One cell per exact instance, in (nodes, ppn, msize) order.
   std::map<bench::Instance, Cell> cells_ MPICP_GUARDED_BY(mu_);

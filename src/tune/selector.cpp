@@ -285,13 +285,7 @@ std::vector<Selector::Prediction> Selector::predict_all(
   // Single predictions are cheap; chunk so the pool is only engaged for
   // banks large enough to amortize the dispatch.
   support::parallel_for(bank.size(), 16, [&](std::size_t i) {
-    double t = bank[i]->predict_one(feat);
-    if (support::faultinject::active()) {
-      if (const auto forced =
-              support::faultinject::forced_prediction(out[i].uid)) {
-        t = *forced;
-      }
-    }
+    const double t = bank[i]->predict_one(feat);
     out[i].time_us = t;
     out[i].usable = std::isfinite(t) && t >= 0.0;
   });

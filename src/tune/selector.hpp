@@ -129,9 +129,9 @@ class Selector {
 
   /// The interpreted reference: the predicted running time of *every*
   /// modeled configuration on an instance, in ascending uid order, from
-  /// each model's own Regressor::predict_one (forced predictions
-  /// applied, the per-uid models evaluated in parallel). No selection
-  /// reads it; tests and benches check the compiled bank against it.
+  /// each model's own Regressor::predict_one (the per-uid models
+  /// evaluated in parallel). No selection reads it; tests and benches
+  /// check the compiled bank against it.
   [[nodiscard]] std::vector<Prediction> predict_all(
       const bench::Instance& inst) const;
 

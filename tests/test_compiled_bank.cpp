@@ -2,14 +2,13 @@
 // (tune/compiled_bank.hpp), the one selection engine: the lowered SoA
 // form must reproduce the interpreted reference (Selector::predict_all,
 // each model's own predict_one) bit for bit — for every learner, at
-// every thread count, under fault injection — while adding grid
-// selection. Selector::select_uid forwards to the bank, so no check
-// here compares against it. The bank is never stored: a server takes it
-// from Selector::load().compile().
+// every thread count, with unusable predictions from real models —
+// while adding grid selection. Selector::select_uid forwards to the
+// bank, so no check here compares against it. The bank is never stored:
+// a server takes it from Selector::load().compile().
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -33,16 +32,31 @@
 #include "ml/knn.hpp"
 #include "ml/learner.hpp"
 #include "simmpi/coll/decision.hpp"
-#include "support/faultinject.hpp"
+#include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tune/compiled_bank.hpp"
 #include "tune/selector.hpp"
 
+#include "hand_models.hpp"
+
 namespace mpicp {
 namespace {
 
-namespace fi = support::faultinject;
+using hand_models::constant_gbt;
+using hand_models::constant_linear;
+using hand_models::cross;
+using hand_models::hand_gbt;
+using hand_models::hand_linear;
+using hand_models::HandNode;
+using hand_models::kNanBeta;
+using hand_models::load_models;
+using hand_models::Models;
+using hand_models::selector_models;
+using hand_models::serve;
+using hand_models::ServedBank;
+using hand_models::stump;
+using hand_models::write_selector;
 
 /// Seeded synthetic dataset: 3-6 algorithms with distinct random cost
 /// models over a random grid (same recipe as the property suite; every
@@ -139,6 +153,13 @@ int interpreted_or_default(const tune::Selector& selector,
                         inst.nodes * inst.ppn, inst.msize);
 }
 
+/// Running total of compiled.select.argmin_excluded: the unusable
+/// predictions the bank argmin has screened out in this process.
+std::uint64_t argmin_excluded() {
+  return support::metrics::counter("compiled.select.argmin_excluded")
+      .value();
+}
+
 // ---- bit-identity across learners, seeds and thread counts ---------------
 
 class CompiledEquivalence
@@ -175,35 +196,35 @@ TEST_P(CompiledEquivalence, EveryLearnerBitIdenticalAtEveryThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledEquivalence,
                          ::testing::Values(11u, 23u, 47u));
 
-// ---- fault-injection equivalence -----------------------------------------
+// ---- unusable predictions from real models ------------------------------
 
-TEST(CompiledBank, ForcedPredictionsMatchInterpretedPath) {
+TEST(CompiledBank, UnusablePredictionsMatchInterpretedPath) {
   const bench::Dataset ds = random_dataset(5);
-  tune::Selector selector(tune::SelectorOptions{.learner = "knn"});
-  ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 2u);
-  const tune::CompiledBank bank = selector.compile();
-  const std::vector<int> uids = selector.uids();
+  tune::Selector fitted(tune::SelectorOptions{.learner = "knn"});
+  ASSERT_GT(fitted.fit(ds, ds.node_counts()).uids_total(), 2u);
+  auto [uids, models] = selector_models(fitted, "knn_unusable");
   const bench::Instance inst{8, 4, 4096};
 
-  // Poison one uid: both paths must exclude it identically.
+  // A negative time for the lowest uid: both paths exclude it
+  // identically.
+  models.front() = constant_linear(-1.0);
   {
-    fi::ScopedFaults faults(
-        {.forced_predictions = {{uids.front(), -1.0}}});
-    expect_identical(selector, bank, inst);
-    EXPECT_EQ(bank.select_uid(inst), interpreted_pick(selector, inst));
+    const ServedBank served = serve("knn_negative", "knn", uids, models);
+    expect_identical(served.selector, served.bank, inst);
+    EXPECT_FALSE(served.bank.predict_all(inst).front().usable);
+    const std::uint64_t before = argmin_excluded();
+    EXPECT_EQ(served.bank.select_uid(inst),
+              interpreted_pick(served.selector, inst));
+    EXPECT_EQ(argmin_excluded() - before, 1u);
   }
-  // Poison every uid: both paths must degrade to the library default.
-  {
-    fi::Faults faults;
-    for (const int uid : uids) {
-      faults.forced_predictions[uid] = std::nan("");
-    }
-    fi::ScopedFaults scoped(std::move(faults));
-    const int interpreted = interpreted_or_default(selector, inst);
-    const int compiled = bank.select_uid_or_default(
-        inst, sim::MpiLib::kOpenMPI, sim::Collective::kBcast);
-    EXPECT_EQ(interpreted, compiled);
-  }
+  // NaN for every uid: both paths degrade to the library default.
+  for (auto& model : models) model = hand_linear(kNanBeta);
+  const ServedBank served = serve("knn_all_nan", "knn", uids, models);
+  EXPECT_TRUE(std::isnan(served.bank.predict_all(inst).back().time_us));
+  EXPECT_EQ(served.bank.select_uid_or_default(inst, sim::MpiLib::kOpenMPI,
+                                              sim::Collective::kBcast),
+            interpreted_or_default(served.selector, inst));
+  EXPECT_EQ(served.bank.select_uid_or_invalid(inst), -1);
 }
 
 // ---- grid selection vs the interpreted reference --------------------------
@@ -261,27 +282,35 @@ TEST(CompiledBankLayouts, GridAndReloadedSelectorMatchInterpretedArgmin) {
   }
 }
 
-TEST(CompiledBankLayouts, GridHonorsFaultInjection) {
+TEST(CompiledBankLayouts, GridExcludesAnAllNegativeModel) {
   const bench::Dataset ds = random_dataset(19);
   const std::vector<bench::Instance> grid = ds.instances();
-  for (const char* learner : {"xgboost", "rf"}) {
-    tune::Selector selector(tune::SelectorOptions{.learner = learner});
-    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 2u)
+  for (const std::string learner : {"xgboost", "rf"}) {
+    tune::Selector fitted(tune::SelectorOptions{.learner = learner});
+    ASSERT_GT(fitted.fit(ds, ds.node_counts()).uids_total(), 2u)
         << learner;
-    const tune::CompiledBank bank = selector.compile();
-    const std::vector<int> uids = selector.uids();
-
-    // Poison one uid: the grid path must exclude it exactly like the
-    // interpreted reference does.
-    fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0}}});
+    // The lowest uid's model predicts a negative time everywhere: the
+    // grid path, served by the bank argmin table, must exclude it
+    // exactly like the interpreted reference does.
+    auto [uids, models] = selector_models(fitted, "grid_" + learner);
+    models.front() = constant_gbt(-1.0);
+    const ServedBank served =
+        serve("grid_negative_" + learner, learner, uids, models);
+    ASSERT_TRUE(served.bank.flat().has_argmin_table()) << learner;
     std::vector<int> interpreted(grid.size(), 0);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      interpreted[i] = interpreted_pick(selector, grid[i]);
+      interpreted[i] = interpreted_pick(served.selector, grid[i]);
     }
-    const std::vector<int> grid_picks = bank.select_grid(grid);
-    EXPECT_EQ(grid_picks, interpreted) << learner;
-    for (const int pick : grid_picks) {
-      EXPECT_NE(pick, uids.front()) << learner;
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      const std::uint64_t before = argmin_excluded();
+      const std::vector<int> grid_picks = served.bank.select_grid(grid);
+      EXPECT_EQ(argmin_excluded() - before, grid.size())
+          << learner << " @" << threads;
+      EXPECT_EQ(grid_picks, interpreted) << learner << " @" << threads;
+      for (const int pick : grid_picks) {
+        EXPECT_NE(pick, uids.front()) << learner;
+      }
     }
   }
 }
@@ -579,35 +608,51 @@ TEST(CompiledBankRankTables, OffGridQueriesMatchInterpreted) {
   }
 }
 
-TEST(CompiledBankRankTables, ForcedPredictionsOverrideTableValues) {
+TEST(CompiledBankRankTables, NegativeAndZeroModelsServedByTheTable) {
   const bench::Dataset ds = random_dataset(31);
   const std::vector<bench::Instance> stream = offgrid_instances(202, 32);
-  for (const char* learner : {"xgboost", "rf"}) {
-    tune::Selector selector(tune::SelectorOptions{.learner = learner});
-    ASSERT_GT(selector.fit(ds, ds.node_counts()).uids_total(), 2u)
+  for (const std::string learner : {"xgboost", "rf"}) {
+    tune::Selector fitted(tune::SelectorOptions{.learner = learner});
+    ASSERT_GT(fitted.fit(ds, ds.node_counts()).uids_total(), 2u)
         << learner;
-    const tune::CompiledBank bank = selector.compile();
-    const std::vector<int> uids = selector.uids();
+    // The lowest uid's model predicts a negative time everywhere and the
+    // highest uid's zero. Every model keeps its rank table, so the bank
+    // argmin table serves every query: each must pick the zero model,
+    // exactly as the interpreted reference does, and count the negative
+    // one excluded.
+    auto [uids, models] = selector_models(fitted, "table_" + learner);
+    models.front() = constant_gbt(-1.0);
+    models.back() = constant_gbt(0.0);
+    const ServedBank served =
+        serve("table_negative_zero_" + learner, learner, uids, models);
+    const tune::CompiledBank& bank = served.bank;
     for (std::size_t i = 0; i < bank.num_models(); ++i) {
       ASSERT_TRUE(bank.flat().has_rank_table(i)) << learner;
     }
-    // Poison the lowest uid and force the highest to a zero time: every
-    // table-served query must pick the forced uid, exactly as the
-    // interpreted reference does.
-    fi::ScopedFaults faults({.forced_predictions = {{uids.front(), -1.0},
-                                                    {uids.back(), 0.0}}});
+    ASSERT_TRUE(bank.flat().has_argmin_table()) << learner;
     for (const bench::Instance& inst : stream) {
       const auto preds = bank.predict_all(inst);
       EXPECT_EQ(preds.front().time_us, -1.0) << learner;
       EXPECT_FALSE(preds.front().usable) << learner;
       EXPECT_EQ(preds.back().time_us, 0.0) << learner;
-      expect_identical(selector, bank, inst);
-      EXPECT_EQ(bank.select_uid(inst), uids.back()) << learner;
-      EXPECT_EQ(interpreted_pick(selector, inst), uids.back()) << learner;
+      expect_identical(served.selector, bank, inst);
+      EXPECT_EQ(interpreted_pick(served.selector, inst), uids.back())
+          << learner;
     }
-    EXPECT_EQ(bank.select_grid(stream),
-              std::vector<int>(stream.size(), uids.back()))
-        << learner;
+    const std::vector<int> expected(stream.size(), uids.back());
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      const std::uint64_t before = argmin_excluded();
+      std::vector<int> picked(stream.size(), 0);
+      support::parallel_for(stream.size(), 8, [&](std::size_t q) {
+        picked[q] = bank.select_uid(stream[q]);
+      });
+      EXPECT_EQ(picked, expected) << learner << " @" << threads;
+      EXPECT_EQ(bank.select_grid(stream), expected)
+          << learner << " grid @" << threads;
+      EXPECT_EQ(argmin_excluded() - before, 2 * stream.size())
+          << learner << " @" << threads;
+    }
   }
 }
 
@@ -896,55 +941,6 @@ TEST(FlatBankKnnGrid, RejectsModelsOverTheCaps) {
 // built by hand: multi-feature splits on all four instance features
 // (log2 msize, nodes, ppn, p), with negative and overflowing leaves.
 
-/// One node of a hand-built tree, in preorder; children are indices
-/// into the same tree.
-struct HandNode {
-  int feature = -1;
-  double threshold = 0.0;
-  int left = -1;
-  int right = -1;
-  double value = 0.0;
-};
-
-HandNode leaf(double value) { return {-1, 0.0, -1, -1, value}; }
-
-/// x[f] < t ? below : above.
-std::vector<HandNode> stump(int f, double t, double below, double above) {
-  return {{f, t, 1, 2, 0.0}, leaf(below), leaf(above)};
-}
-
-/// Split f0 at t0, then both sides split f1 at t1; leaves in walk order.
-std::vector<HandNode> cross(int f0, double t0, int f1, double t1,
-                            std::array<double, 4> leaves) {
-  return {{f0, t0, 1, 4, 0.0}, {f1, t1, 2, 3, 0.0}, leaf(leaves[0]),
-          leaf(leaves[1]),     {f1, t1, 5, 6, 0.0}, leaf(leaves[2]),
-          leaf(leaves[3])};
-}
-
-/// A squared-loss GBT (no link: raw sums, so leaves may go negative) of
-/// the given trees over the four instance features.
-std::unique_ptr<ml::Regressor> hand_gbt(
-    double base, const std::vector<std::vector<HandNode>>& trees) {
-  std::ostringstream os;
-  os << std::setprecision(17) << "gbt\n"
-     << static_cast<int>(ml::GbtObjective::kSquared) << "\n1.5\n4\n"
-     << base << '\n'
-     << trees.size() << '\n';
-  for (const auto& tree : trees) {
-    os << "tree\n" << tree.size() << '\n';
-    for (const HandNode& n : tree) {
-      os << n.feature << ' ' << n.threshold << ' ' << n.left << ' '
-         << n.right << ' ' << n.value << " 0\n";
-    }
-  }
-  auto model = ml::make_regressor("xgboost");
-  std::istringstream is(os.str());
-  model->load(is);
-  return model;
-}
-
-using Models = std::vector<std::unique_ptr<ml::Regressor>>;
-
 /// Six hand-built models. Model 2 copies model 0 (every tie goes to 0);
 /// model 3 overflows to +inf wherever log2 msize < 10; model 5 splits
 /// on log2 msize alone. Where log2 msize < 10 and nodes < 3 every model
@@ -1071,23 +1067,6 @@ TEST(FlatBankArgminTable, MatchesThePerModelArgminAtEveryThreshold) {
   EXPECT_EQ(picks, (std::vector<int>{-1, 0, 1, 4, 5}));
 }
 
-/// Writes a selector file serving `models` under `uids` (every model
-/// in the current envelope) and returns its path.
-std::filesystem::path write_selector(const std::string& name,
-                                     const std::string& learner,
-                                     const std::vector<int>& uids,
-                                     const Models& models) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / ("mpicp_cb_" + name + ".txt");
-  std::ofstream os(path);
-  os << "mpicp-selector 1\n" << learner << "\n1\n" << uids.size() << '\n';
-  for (std::size_t i = 0; i < uids.size(); ++i) {
-    os << uids[i] << '\n';
-    ml::save_regressor(os, *models[i]);
-  }
-  return path;
-}
-
 /// Integer instances around the hand-built thresholds: nodes from 1
 /// (below every nodes split) to 40, ppn from 1 to 32, msizes on and
 /// between powers of two.
@@ -1124,19 +1103,28 @@ TEST(CompiledBankArgminTable, SelectorMatchesInterpretedAtOneAndFourThreads) {
 
   const std::vector<bench::Instance> queries = hand_instances();
   std::vector<int> expected(queries.size());
+  std::size_t expected_excluded = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     expected[q] = interpreted_pick(selector, queries[q]);
+    expected_excluded +=
+        reference_argmin(models, tune::instance_features(queries[q], {}))
+            .second;
   }
   EXPECT_NE(std::find(expected.begin(), expected.end(), -1), expected.end());
   EXPECT_EQ(std::find(expected.begin(), expected.end(), 8), expected.end());
+  EXPECT_GT(expected_excluded, 0u);
   for (const int threads : {1, 4}) {
     support::ScopedThreads scoped(threads);
     std::vector<int> picked(queries.size(), 0);
     std::vector<int> picked_reloaded(queries.size(), 0);
+    const std::uint64_t before = argmin_excluded();
     support::parallel_for(queries.size(), 8, [&](std::size_t q) {
       picked[q] = bank.select_uid_or_invalid(queries[q]);
       picked_reloaded[q] = reloaded.select_uid_or_invalid(queries[q]);
     });
+    // The table's per-cell counts: every unusable model on each query.
+    EXPECT_EQ(argmin_excluded() - before, 2 * expected_excluded)
+        << threads << " threads";
     EXPECT_EQ(picked, expected) << threads << " threads";
     EXPECT_EQ(picked_reloaded, expected) << threads << " threads, reloaded";
     for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -1147,13 +1135,18 @@ TEST(CompiledBankArgminTable, SelectorMatchesInterpretedAtOneAndFourThreads) {
     }
   }
 
-  // Forced predictions bypass the table: poison one uid and force
-  // another to zero.
-  fi::ScopedFaults faults(
-      {.forced_predictions = {{uids[0], -1.0}, {uids[4], 0.0}}});
+  // An all-negative model for uids[0] and a constant-zero one for
+  // uids[4]: the bank keeps its table, and the table agrees with the
+  // reference.
+  Models swapped = hand_tree_models();
+  swapped[0] = constant_gbt(-1.0);
+  swapped[4] = constant_gbt(0.0);
+  const ServedBank served =
+      serve("hand_trees_swapped", "xgboost", uids, swapped);
+  ASSERT_TRUE(served.bank.flat().has_argmin_table());
   for (const bench::Instance& inst : queries) {
-    EXPECT_EQ(bank.select_uid_or_invalid(inst),
-              interpreted_pick(selector, inst));
+    EXPECT_EQ(served.bank.select_uid_or_invalid(inst),
+              interpreted_pick(served.selector, inst));
   }
 }
 
@@ -1204,6 +1197,7 @@ TEST(CompiledBankArgminTable, MixedAndOverBudgetBanksKeepThePerModelLoop) {
       }
     }
     ml::FlatScratch scratch;
+    std::size_t expected_excluded = 0;
     for (const bench::Instance& inst : queries) {
       EXPECT_EQ(bank.select_uid_or_invalid(inst),
                 interpreted_pick(selector, inst))
@@ -1211,6 +1205,20 @@ TEST(CompiledBankArgminTable, MixedAndOverBudgetBanksKeepThePerModelLoop) {
           << " ppn=" << inst.ppn;
       const std::vector<double> x = tune::instance_features(inst, {});
       expect_argmin(bank.flat(), *models, x, scratch, name + " " + describe(x));
+      expected_excluded += reference_argmin(*models, x).second;
+    }
+    // The per-model loop counts every unusable model it meets.
+    if (models == &mixed) {
+      EXPECT_GT(expected_excluded, 0u);
+    }
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      const std::uint64_t before = argmin_excluded();
+      support::parallel_for(queries.size(), 8, [&](std::size_t q) {
+        (void)bank.select_uid_or_invalid(queries[q]);
+      });
+      EXPECT_EQ(argmin_excluded() - before, expected_excluded)
+          << name << " @" << threads;
     }
   }
 }
@@ -1219,27 +1227,6 @@ TEST(CompiledBankArgminTable, MixedAndOverBudgetBanksKeepThePerModelLoop) {
 
 std::filesystem::path d2_path() {
   return std::filesystem::path(MPICP_DATA_DIR) / "d2.gam.models";
-}
-
-/// The uids and models of a selector file, loaded one by one as
-/// Selector::load does, so a reference can call each model directly.
-std::pair<std::vector<int>, Models> load_models(
-    const std::filesystem::path& path) {
-  std::ifstream is(path);
-  std::string tag;
-  std::string learner;
-  int version = 0;
-  int with_p = 0;
-  std::size_t count = 0;
-  is >> tag >> version >> learner >> with_p >> count;
-  std::pair<std::vector<int>, Models> out;
-  for (std::size_t i = 0; i < count; ++i) {
-    int uid = 0;
-    is >> uid;
-    out.first.push_back(uid);
-    out.second.push_back(ml::load_regressor(is));
-  }
-  return out;
 }
 
 /// A GAM payload over `gam`'s bases with coefficients `beta`.
@@ -1342,20 +1329,6 @@ TEST(CompiledBankFusedGam, OffGridQueriesMatchTheInterpretedModels) {
   }
 }
 
-/// Compiles a selector serving `models` under `uids`, through a file.
-struct ServedBank {
-  tune::Selector selector;
-  tune::CompiledBank bank;
-};
-ServedBank serve(const std::string& name, const std::string& learner,
-                 const std::vector<int>& uids, const Models& models) {
-  const auto path = write_selector(name, learner, uids, models);
-  tune::Selector selector = tune::Selector::load(path);
-  std::filesystem::remove(path);
-  tune::CompiledBank bank = selector.compile();
-  return {std::move(selector), std::move(bank)};
-}
-
 TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
   const auto [uids, models] = load_models(d2_path());
   const std::vector<bench::Instance> stream = serving_offgrid(99, 4096);
@@ -1410,25 +1383,34 @@ TEST(CompiledBankFusedGam, TiesAndClampedScoresGoToTheLowerUid) {
   }
 }
 
-TEST(CompiledBankFusedGam, ForcedPredictionsAndAKnnModelMatchInterpreted) {
-  const tune::Selector d2 = tune::Selector::load(d2_path());
-  const tune::CompiledBank d2_bank = d2.compile();
+TEST(CompiledBankFusedGam, ZeroNegativeAndKnnModelsMatchInterpreted) {
   const std::vector<bench::Instance> stream = serving_offgrid(4242, 2048);
-  // Forced predictions: every model predicted and screened, like the
-  // interpreted reference.
+  auto [uids, models] = load_models(d2_path());
+  // Linear models predicting 0 (uid 40) and -2 (uid 41) beside the d2
+  // GAMs: the fused GAM screen runs, then the per-model loop picks the
+  // zero and excludes the negative one on every query.
   {
-    const std::vector<int> uids = d2.uids();
-    fi::ScopedFaults faults({.forced_predictions = {{uids[3], 0.0},
-                                                    {uids[7], -2.0}}});
+    auto [with_linear, linear] = load_models(d2_path());
+    with_linear.insert(with_linear.end(), {40, 41});
+    linear.push_back(constant_linear(0.0));
+    linear.push_back(constant_linear(-2.0));
+    const ServedBank served = serve("gam_linear", "gam", with_linear, linear);
+    EXPECT_EQ(served.bank.flat().model(13).kind, ml::FlatKind::kLinear);
     for (std::size_t q = 0; q < stream.size(); q += 16) {
-      EXPECT_EQ(d2_bank.select_uid(stream[q]), uids[3]);
-      EXPECT_EQ(d2_bank.select_uid(stream[q]),
-                interpreted_pick(d2, stream[q]));
+      EXPECT_EQ(interpreted_pick(served.selector, stream[q]), 40);
+    }
+    for (const int threads : {1, 4}) {
+      support::ScopedThreads scoped(threads);
+      const std::uint64_t before = argmin_excluded();
+      EXPECT_EQ(served.bank.select_grid(stream),
+                std::vector<int>(stream.size(), 40))
+          << threads << " threads";
+      EXPECT_EQ(argmin_excluded() - before, stream.size())
+          << threads << " threads";
     }
   }
   // A GAM + KNN bank: the GAMs in the fused pass, the KNN model on its
   // own.
-  auto [uids, models] = load_models(d2_path());
   {
     bench::Dataset ds("gam-knn", sim::MpiLib::kOpenMPI,
                       sim::Collective::kAllreduce, "Hydra");

@@ -5,9 +5,15 @@
 // without throwing, and the health reports (IngestReport / FitReport)
 // must account for every injected fault *exactly* — nothing silently
 // dropped, nothing double-counted.
+//
+// Poisoned predictions are not injected: real models that predict
+// NaN, +inf or a negative time are served from a selector file
+// (hand_models.hpp), so the sanitize cases run the production argmin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,9 +25,13 @@
 #include "simmpi/coll/decision.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "tune/compiled_bank.hpp"
 #include "tune/config_writer.hpp"
 #include "tune/selector.hpp"
+
+#include "hand_models.hpp"
 
 namespace mpicp {
 namespace {
@@ -349,6 +359,39 @@ TEST(FitFallback, ZeroFaultFitIsCleanAndUnchanged) {
             report.uids_total());
 }
 
+TEST(FitFallback, ArmedFitFaultsLeaveServingOnTheBankArgmin) {
+  // A fault table arms fits only: with one armed, a table-backed tree
+  // bank still serves every selection from its argmin table — no model
+  // is predicted one by one — and picks as it does unarmed.
+  const bench::Dataset ds = make_synthetic();
+  tune::Selector selector(tune::SelectorOptions{.learner = "xgboost"});
+  ASSERT_FALSE(selector.fit(ds, kTrainNodes).degraded());
+  const tune::CompiledBank& bank = selector.compile();
+  ASSERT_TRUE(bank.flat().has_argmin_table());
+  std::vector<bench::Instance> grid;
+  for (const int n : {3, 6, 12, 24}) {
+    for (const int ppn : {1, 4, 8}) {
+      for (const std::uint64_t m :
+           {std::uint64_t{64}, std::uint64_t{65536},
+            std::uint64_t{1048576}}) {
+        grid.push_back({n, ppn, m});
+      }
+    }
+  }
+  const std::vector<int> unarmed = bank.select_grid(grid);
+  support::metrics::Registry::instance().reset();
+  {
+    fi::ScopedFaults faults({.fit_failures = {{2, 1}}});
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(bank.select_uid(grid[i]), unarmed[i]) << "instance " << i;
+    }
+    EXPECT_EQ(bank.select_grid(grid), unarmed);
+  }
+  EXPECT_EQ(support::metrics::counter("compiled.predict.calls").value(), 0u);
+  EXPECT_EQ(support::metrics::counter("compiled.select.requests").value(),
+            grid.size());
+}
+
 // ---- prediction sanitization ---------------------------------------------
 
 TEST(PredictSanitize, NonFinitePredictionExcludedFromArgmin) {
@@ -361,17 +404,30 @@ TEST(PredictSanitize, NonFinitePredictionExcludedFromArgmin) {
   const int honest = tune::argmin_usable(selector.predict_all(inst), excluded);
   EXPECT_EQ(selector.select_uid(inst), honest);
 
-  // Poison the honest winner's prediction; the argmin must move on, to
-  // the interpreted reference's pick among the usable rest.
-  for (const double poison :
-       {std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity(), -1.0}) {
-    fi::ScopedFaults faults({.forced_predictions = {{honest, poison}}});
-    const auto predictions = selector.predict_all(inst);
+  // Swap the honest winner's model for a linear one that predicts NaN,
+  // +inf or -1; the served argmin (the fused GAM screen, then the
+  // linear model on its own) must move on, to the interpreted
+  // reference's pick among the usable rest.
+  auto [uids, models] = hand_models::selector_models(selector, "sanitize");
+  const auto at = static_cast<std::size_t>(
+      std::find(uids.begin(), uids.end(), honest) - uids.begin());
+  ASSERT_LT(at, uids.size());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<hand_models::LinearBeta, double> poisons[] = {
+      {hand_models::kNanBeta, std::numeric_limits<double>::quiet_NaN()},
+      {hand_models::kInfBeta, kInf},
+      {{-1.0, 0.0, 0.0, 0.0, 0.0}, -1.0}};
+  for (const auto& [beta, poison] : poisons) {
+    models[at] = hand_models::hand_linear(beta);
+    const hand_models::ServedBank served =
+        hand_models::serve("sanitize_poisoned", "gam", uids, models);
+    const auto predictions = served.selector.predict_all(inst);
     for (const auto& p : predictions) {
       EXPECT_EQ(p.usable, p.uid != honest);
     }
-    const int chosen = selector.select_uid(inst);
+    const double t = predictions[at].time_us;
+    EXPECT_TRUE(std::isnan(poison) ? std::isnan(t) : t == poison) << t;
+    const int chosen = served.selector.select_uid(inst);
     EXPECT_EQ(chosen, tune::argmin_usable(predictions, excluded));
     EXPECT_EQ(excluded, 1u);
     EXPECT_NE(chosen, honest);
@@ -380,16 +436,19 @@ TEST(PredictSanitize, NonFinitePredictionExcludedFromArgmin) {
 }
 
 TEST(PredictSanitize, AllPredictionsPoisonedFallsBackToDefault) {
-  const bench::Dataset ds = make_synthetic();
-  tune::Selector selector(tune::SelectorOptions{.learner = "gam"});
-  ASSERT_FALSE(selector.fit(ds, kTrainNodes).degraded());
-
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  fi::ScopedFaults faults(
-      {.forced_predictions = {{1, nan}, {2, nan}, {3, nan}}});
+  // Three linear models that all predict NaN on the instance.
+  hand_models::Models models;
+  for (int i = 0; i < 3; ++i) {
+    models.push_back(hand_models::hand_linear(hand_models::kNanBeta));
+  }
+  const hand_models::ServedBank served =
+      hand_models::serve("all_poisoned", "linear", {1, 2, 3}, models);
   const bench::Instance inst{6, 2, 65536};
-  EXPECT_THROW((void)selector.select_uid(inst), Error);
-  const int uid = selector.select_uid_or_default(
+  for (const auto& p : served.selector.predict_all(inst)) {
+    EXPECT_TRUE(std::isnan(p.time_us));
+  }
+  EXPECT_THROW((void)served.selector.select_uid(inst), Error);
+  const int uid = served.selector.select_uid_or_default(
       inst, sim::MpiLib::kOpenMPI, sim::Collective::kBcast);
   EXPECT_EQ(uid, sim::library_default_uid(sim::MpiLib::kOpenMPI,
                                           sim::Collective::kBcast,

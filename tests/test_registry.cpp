@@ -330,8 +330,10 @@ TEST(BankRegistry, OnlineObservationsRefitIntoRegistry) {
   }
   tune::BankRegistry registry;
   const tune::BankKey key{ds.machine(), ds.collective()};
+  const bench::Dataset observed = online.observations_dataset(
+      "online", sim::MpiLib::kOpenMPI, key.collective, key.machine);
   const auto outcome =
-      online.refit_into(registry, key, sim::MpiLib::kOpenMPI);
+      registry.refit_and_publish(key, observed, observed.node_counts());
   ASSERT_TRUE(outcome.published) << outcome.error;
   const auto bank = registry.lookup(key);
   ASSERT_NE(bank, nullptr);
