@@ -28,7 +28,9 @@ void emit_tree_reduce_whole(ProgramSet& progs, const VrankMap& map,
                             std::uint16_t tag, std::uint32_t block_count) {
   for (int v = 0; v < static_cast<int>(tree.size()); ++v) {
     const int rank = map.rank_of(v);
-    RankProg prog(progs[rank], rank, map.world);
+    // A recv and a compute per child, a send to the parent.
+    RankProg prog(progs[rank], rank, map.world,
+                  2 * tree[v].children.size() + (tree[v].parent >= 0 ? 1 : 0));
     for (const int c : tree[v].children) {
       prog.recv(map.rank_of(c), tag, bytes, 0, block_count, kCombine);
       prog.compute(bytes);
@@ -45,16 +47,17 @@ void emit_tree_bcast_whole(ProgramSet& progs, const VrankMap& map,
                            std::uint16_t tag, std::uint32_t block_count) {
   for (int v = 0; v < static_cast<int>(tree.size()); ++v) {
     const int rank = map.rank_of(v);
-    RankProg prog(progs[rank], rank, map.world);
+    const std::size_t nc = tree[v].children.size();
+    // A recv from the parent, an isend per child, one waitall.
+    RankProg prog(progs[rank], rank, map.world,
+                  (tree[v].parent >= 0 ? 1 : 0) + nc + (nc > 0 ? 1 : 0));
     if (tree[v].parent >= 0) {
       prog.recv(map.rank_of(tree[v].parent), tag, bytes, 0, block_count);
     }
-    bool sent = false;
     for (const int c : tree[v].children) {
       prog.isend(map.rank_of(c), tag, bytes, 0, block_count);
-      sent = true;
     }
-    if (sent) prog.waitall();
+    if (nc > 0) prog.waitall();
   }
 }
 
@@ -65,9 +68,14 @@ void emit_recdbl_allreduce(ProgramSet& progs, const VrankMap& map,
   const int p = map.p;
   if (p == 1) return;
   const int p2 = floor_pow2(p);
+  const std::size_t rounds = static_cast<std::size_t>(ceil_log2(p2));
   for (int v = 0; v < p; ++v) {
     const int rank = map.rank_of(v);
-    RankProg prog(progs[rank], rank, map.world);
+    // Fold-in: a send and a recv. Otherwise irecv, isend, waitall and
+    // compute per round, plus a recv, compute and send with a fold-in
+    // partner.
+    RankProg prog(progs[rank], rank, map.world,
+                  v >= p2 ? 2 : 4 * rounds + (v + p2 < p ? 3 : 0));
     if (v >= p2) {
       const int partner = map.rank_of(v - p2);
       prog.send(partner, kTagFold, bytes, 0, block_count);
@@ -100,9 +108,14 @@ void emit_rabenseifner(ProgramSet& progs, const VrankMap& map,
   if (p == 1) return;
   const int p2 = floor_pow2(p);
   const auto chunks = even_chunks(bytes, p2);
+  const std::size_t rounds = static_cast<std::size_t>(ceil_log2(p2));
   for (int v = 0; v < p; ++v) {
     const int rank = map.rank_of(v);
-    RankProg prog(progs[rank], rank, map.world);
+    // Fold-in: a send and a recv. Otherwise irecv, isend, waitall and
+    // compute per halving round, irecv, isend and waitall per doubling
+    // round, plus a recv, compute and send with a fold-in partner.
+    RankProg prog(progs[rank], rank, map.world,
+                  v >= p2 ? 2 : 7 * rounds + (v + p2 < p ? 3 : 0));
     if (v >= p2) {
       const int partner = map.rank_of(v - p2);
       prog.send(partner, kTagFold, bytes, block_base, p2);
@@ -187,16 +200,20 @@ void emit_segmented_ring_allreduce(ProgramSet& progs, const VrankMap& map,
   for (int c = 0; c < p; ++c) {
     sub[c] = even_chunks(chunks[c], static_cast<int>(sc));
   }
-  const auto emit_phase = [&](std::uint16_t tag, bool combine) {
-    for (int v = 0; v < p; ++v) {
-      // The allgather phase starts from the reduce-scatter's final
-      // ownership (chunk (v+1) mod p), which the index arithmetic below
-      // already handles because both phases send chunk (v - k) mod p
-      // counting k across the whole 2(p-1)-step schedule.
-      const int rank = map.rank_of(v);
-      RankProg prog(progs[rank], rank, map.world);
-      const int next = map.rank_of((v + 1) % p);
-      const int prev = map.rank_of((v - 1 + p) % p);
+  for (int v = 0; v < p; ++v) {
+    const int rank = map.rank_of(v);
+    // Both phases: p-1 steps of an isend and an irecv per sub-segment and
+    // a waitall; the reduce-scatter steps also compute.
+    RankProg prog(progs[rank], rank, map.world,
+                  std::size_t(p - 1) * (2 * (2 * std::size_t{sc} + 1) + 1));
+    const int next = map.rank_of((v + 1) % p);
+    const int prev = map.rank_of((v - 1 + p) % p);
+    // The allgather phase starts from the reduce-scatter's final
+    // ownership (chunk (v+1) mod p), which the index arithmetic below
+    // already handles because both phases send chunk (v - k) mod p
+    // counting k across the whole 2(p-1)-step schedule.
+    for (const bool combine : {true, false}) {
+      const std::uint16_t tag = combine ? kTagRs : kTagAg;
       const int shift = combine ? 0 : p - 1;
       for (int k = 0; k < p - 1; ++k) {
         const int scid = (v - k - shift + 2 * p) % p;
@@ -212,9 +229,7 @@ void emit_segmented_ring_allreduce(ProgramSet& progs, const VrankMap& map,
         if (combine) prog.compute(chunks[rcid]);
       }
     }
-  };
-  emit_phase(kTagRs, /*combine=*/true);
-  emit_phase(kTagAg, /*combine=*/false);
+  }
 }
 
 BuiltCollective reduce_then_bcast(const Comm& comm, std::size_t bytes,

@@ -38,7 +38,9 @@ void emit_binomial_gather(ProgramSet& progs, const VrankMap& map,
                           std::uint16_t tag) {
   for (int v = 0; v < static_cast<int>(tree.size()); ++v) {
     const int rank = map.rank_of(v);
-    RankProg prog(progs[rank], rank, map.world);
+    // A recv per child, a send to the parent.
+    RankProg prog(progs[rank], rank, map.world,
+                  tree[v].children.size() + (tree[v].parent >= 0 ? 1 : 0));
     for (const int c : tree[v].children) {
       prog.recv(map.rank_of(c), tag,
                 static_cast<std::uint64_t>(tree[c].subtree_size) * bytes,
@@ -115,20 +117,21 @@ BuiltCollective allgather_gather_bcast(const Comm& comm, std::size_t bytes) {
   const Tree tree = binomial_tree(p);
   for (int v = 0; v < p; ++v) {
     const int rank = map.rank_of(v);
-    RankProg prog(out.programs[rank], rank, p);
+    const std::size_t nc = tree[v].children.size();
+    // A recv from the parent, an isend per child, one waitall.
+    RankProg prog(out.programs[rank], rank, p,
+                  (tree[v].parent >= 0 ? 1 : 0) + nc + (nc > 0 ? 1 : 0));
     if (tree[v].parent >= 0) {
       prog.recv(map.rank_of(tree[v].parent), kTagBcast,
                 static_cast<std::uint64_t>(p) * bytes, 0,
                 static_cast<std::uint32_t>(p));
     }
-    bool sent = false;
     for (const int c : tree[v].children) {
       prog.isend(map.rank_of(c), kTagBcast,
                  static_cast<std::uint64_t>(p) * bytes, 0,
                  static_cast<std::uint32_t>(p));
-      sent = true;
     }
-    if (sent) prog.waitall();
+    if (nc > 0) prog.waitall();
   }
   return out;
 }
@@ -186,8 +189,10 @@ BuiltCollective barrier_dissemination(const Comm& comm) {
   BuiltCollective out;
   out.programs.resize(p);
   out.blocks_per_rank = 1;
+  const std::size_t rounds = static_cast<std::size_t>(ceil_log2(p));
   for (int r = 0; r < p; ++r) {
-    RankProg prog(out.programs[r], r, p);
+    // isend, recv and waitall per round.
+    RankProg prog(out.programs[r], r, p, 3 * rounds);
     for (int d = 1; d < p; d <<= 1) {
       prog.isend((r + d) % p, kTagBarrier, 0);
       prog.recv((r - d + p) % p, kTagBarrier, 0);
@@ -218,7 +223,8 @@ BuiltCollective scan_linear(const Comm& comm, std::size_t bytes) {
   // Sequential prefix chain: rank r combines rank r-1's prefix into its
   // own and forwards the result.
   for (int r = 0; r < p; ++r) {
-    RankProg prog(out.programs[r], r, p);
+    RankProg prog(out.programs[r], r, p,
+                  (r > 0 ? 2 : 0) + (r + 1 < p ? 1 : 0));
     if (r > 0) {
       prog.recv(r - 1, kTagScan, bytes, 0, 1, kCombine);
       prog.compute(bytes);
@@ -238,7 +244,12 @@ BuiltCollective scan_recursive_doubling(const Comm& comm,
   // ranks up and folds in the prefix arriving from d ranks down; after
   // ceil(log2 p) rounds rank r holds contributions 0..r.
   for (int r = 0; r < p; ++r) {
-    RankProg prog(out.programs[r], r, p);
+    // Per round: isend and waitall upward, recv and compute from below.
+    std::size_t num_ops = 0;
+    for (int d = 1; d < p; d <<= 1) {
+      num_ops += (r + d < p ? 2 : 0) + (r - d >= 0 ? 2 : 0);
+    }
+    RankProg prog(out.programs[r], r, p, num_ops);
     for (int d = 1; d < p; d <<= 1) {
       if (r + d < p) prog.isend(r + d, kTagScan, bytes, 0, 1);
       if (r - d >= 0) {
@@ -279,8 +290,10 @@ BuiltCollective reduce_scatter_halving(const Comm& comm,
   // Recursive halving: each round exchanges the half of the chunk range
   // the partner is responsible for; the owned range converges to the
   // rank's own chunk.
+  const std::size_t rounds = static_cast<std::size_t>(ceil_log2(p));
   for (int r = 0; r < p; ++r) {
-    RankProg prog(out.programs[r], r, p);
+    // irecv, isend, waitall and compute per halving round.
+    RankProg prog(out.programs[r], r, p, 4 * rounds);
     int lo = 0;
     int hi = p;
     for (int d = p / 2; d >= 1; d /= 2) {

@@ -13,6 +13,7 @@
 // a faithful representation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -56,10 +57,19 @@ static_assert(sizeof(Op) <= 24, "Op must stay small");
 using ProgramSet = std::vector<std::vector<Op>>;
 
 /// Convenience emitter for one rank's program.
+///
+/// An algorithm emitter passes `num_ops`, the exact number of ops it is
+/// about to append, counted from the same loop bounds it emits with: the
+/// vector is then grown once, to its final size, instead of by doubling
+/// (test_des_pins checks that every built program's capacity equals its
+/// size). Hand-written programs may leave it 0 and grow as they go.
 class RankProg {
  public:
-  explicit RankProg(std::vector<Op>& ops, int self, int num_ranks)
-      : ops_(ops), self_(self), p_(num_ranks) {}
+  RankProg(std::vector<Op>& ops, int self, int num_ranks,
+           std::size_t num_ops = 0)
+      : ops_(ops), self_(self), p_(num_ranks) {
+    ops.reserve(ops.size() + num_ops);
+  }
 
   int self() const { return self_; }
   int num_ranks() const { return p_; }
