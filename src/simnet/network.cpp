@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
-
 namespace mpicp::sim {
 
 Network::Network(const MachineDesc& desc, int nodes, int ppn,
@@ -27,47 +25,6 @@ Network::Network(const MachineDesc& desc, int nodes, int ppn,
 void Network::reset() {
   std::fill(rail_avail_.begin(), rail_avail_.end(), 0.0);
   std::fill(mem_avail_.begin(), mem_avail_.end(), 0.0);
-}
-
-double& Network::pick_earliest(std::vector<double>& pool, int node,
-                               std::size_t width) {
-  const std::size_t base = static_cast<std::size_t>(node) * width;
-  std::size_t best = base;
-  for (std::size_t i = base + 1; i < base + width; ++i) {
-    if (pool[i] < pool[best]) best = i;
-  }
-  return pool[best];
-}
-
-Transfer Network::schedule_transfer(int src, int dst, std::size_t bytes,
-                                    double ready_us) {
-  MPICP_ASSERT(src >= 0 && src < num_ranks() && dst >= 0 &&
-                   dst < num_ranks(),
-               "transfer endpoints out of range");
-  Transfer t;
-  if (src == dst) {
-    // Local self-copy: costs one memcpy, no shared resource contention.
-    t.start_us = ready_us;
-    t.arrival_us = ready_us + desc_.intra.occupancy_us(bytes);
-    return t;
-  }
-  if (same_node(src, dst)) {
-    double& chan =
-        pick_earliest(mem_avail_, node_of(src), desc_.mem_channels);
-    t.start_us = std::max(ready_us, chan);
-    const double occ = desc_.intra.occupancy_us(bytes);
-    chan = t.start_us + occ;
-    t.arrival_us = t.start_us + occ + desc_.intra.latency_us;
-    return t;
-  }
-  double& src_rail = pick_earliest(rail_avail_, node_of(src), desc_.rails);
-  double& dst_rail = pick_earliest(rail_avail_, node_of(dst), desc_.rails);
-  t.start_us = std::max({ready_us, src_rail, dst_rail});
-  const double occ = desc_.inter.occupancy_us(bytes);
-  src_rail = t.start_us + occ;
-  dst_rail = t.start_us + occ;
-  t.arrival_us = t.start_us + occ + desc_.inter.latency_us;
-  return t;
 }
 
 }  // namespace mpicp::sim
