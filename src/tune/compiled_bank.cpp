@@ -27,28 +27,6 @@ ml::FlatScratch& thread_scratch() {
 
 }  // namespace
 
-std::vector<Selector::Prediction> CompiledBank::predict_all(
-    const bench::Instance& inst) const {
-  MPICP_SPAN("compiled.predict_all");
-  MPICP_REQUIRE(!uids_.empty(), "serving from an empty compiled bank");
-  static metrics::Counter& calls = metrics::counter("compiled.predict.calls");
-  static metrics::Counter& served =
-      metrics::counter("compiled.predict.predictions_served");
-  calls.inc();
-  served.inc(uids_.size());
-  double feat[kMaxInstanceFeatures];
-  const std::size_t dim = feature_dim(features_);
-  instance_features_into(inst, features_, std::span<double>(feat, dim));
-  ml::FlatScratch& scratch = thread_scratch();
-  bank_.begin_query({feat, dim}, scratch);
-  std::vector<Selector::Prediction> out(uids_.size());
-  for (std::size_t i = 0; i < uids_.size(); ++i) {
-    const double t = bank_.predict_one(i, {feat, dim}, scratch);
-    out[i] = {uids_[i], t, std::isfinite(t) && t >= 0.0};
-  }
-  return out;
-}
-
 std::optional<double> CompiledBank::predicted_time_us(
     int uid, const bench::Instance& inst) const {
   const auto it = std::ranges::lower_bound(uids_, uid);

@@ -49,14 +49,8 @@ class CompiledBank {
   const FeatureOptions& features() const { return features_; }
   const ml::FlatBank& flat() const { return bank_; }
 
-  /// Predict every modeled uid on one instance, ascending uid order
-  /// (the bank's predictions, for the tests' bit-identity checks; no
-  /// selection reads them).
-  [[nodiscard]] std::vector<Selector::Prediction> predict_all(
-      const bench::Instance& inst) const;
-
-  /// The prediction of `uid`'s model alone, bit-identical to its entry
-  /// in predict_all; nullopt when no model serves `uid`.
+  /// The prediction of `uid`'s model alone, the value the bank's argmin
+  /// screens for that model; nullopt when no model serves `uid`.
   [[nodiscard]] std::optional<double> predicted_time_us(
       int uid, const bench::Instance& inst) const;
 

@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -116,6 +117,21 @@ ml::FlatBank lower_all(const std::vector<std::unique_ptr<T>>& models) {
   return ml::FlatBank(regressors);
 }
 
+/// The compiled bank's prediction of every modeled uid on one instance,
+/// ascending uid order, one predicted_time_us call per uid, with the
+/// interpreted path's usability screen.
+std::vector<tune::Selector::Prediction> bank_predictions(
+    const tune::CompiledBank& bank, const bench::Instance& inst) {
+  std::vector<tune::Selector::Prediction> out;
+  for (const int uid : bank.uids()) {
+    const std::optional<double> t = bank.predicted_time_us(uid, inst);
+    EXPECT_TRUE(t.has_value()) << "uid " << uid;
+    const double v = t.value_or(std::numeric_limits<double>::quiet_NaN());
+    out.push_back({uid, v, std::isfinite(v) && v >= 0.0});
+  }
+  return out;
+}
+
 /// Exact (bit-level) equality of interpreted vs compiled predictions on
 /// one instance. EXPECT_EQ on doubles is deliberate: the compiled bank
 /// promises the same arithmetic, not merely close arithmetic.
@@ -123,7 +139,7 @@ void expect_identical(const tune::Selector& selector,
                       const tune::CompiledBank& bank,
                       const bench::Instance& inst) {
   const auto interpreted = selector.predict_all(inst);
-  const auto compiled = bank.predict_all(inst);
+  const auto compiled = bank_predictions(bank, inst);
   ASSERT_EQ(interpreted.size(), compiled.size());
   for (std::size_t i = 0; i < interpreted.size(); ++i) {
     EXPECT_EQ(interpreted[i].uid, compiled[i].uid);
@@ -211,7 +227,7 @@ TEST(CompiledBank, UnusablePredictionsMatchInterpretedPath) {
   {
     const ServedBank served = serve("knn_negative", "knn", uids, models);
     expect_identical(served.selector, served.bank, inst);
-    EXPECT_FALSE(served.bank.predict_all(inst).front().usable);
+    EXPECT_FALSE(bank_predictions(served.bank, inst).front().usable);
     const std::uint64_t before = argmin_excluded();
     EXPECT_EQ(served.bank.select_uid(inst),
               interpreted_pick(served.selector, inst));
@@ -220,7 +236,8 @@ TEST(CompiledBank, UnusablePredictionsMatchInterpretedPath) {
   // NaN for every uid: both paths degrade to the library default.
   for (auto& model : models) model = hand_linear(kNanBeta);
   const ServedBank served = serve("knn_all_nan", "knn", uids, models);
-  EXPECT_TRUE(std::isnan(served.bank.predict_all(inst).back().time_us));
+  EXPECT_TRUE(
+      std::isnan(bank_predictions(served.bank, inst).back().time_us));
   EXPECT_EQ(served.bank.select_uid_or_default(inst, sim::MpiLib::kOpenMPI,
                                               sim::Collective::kBcast),
             interpreted_or_default(served.selector, inst));
@@ -251,8 +268,8 @@ TEST(CompiledBankLayouts, GridAndReloadedSelectorMatchInterpretedArgmin) {
     std::filesystem::remove(path);
     ASSERT_EQ(loaded.uids(), bank.uids()) << learner;
     for (const bench::Instance& inst : grid) {
-      const auto before = bank.predict_all(inst);
-      const auto after = loaded.predict_all(inst);
+      const auto before = bank_predictions(bank, inst);
+      const auto after = bank_predictions(loaded, inst);
       ASSERT_EQ(before.size(), after.size());
       for (std::size_t i = 0; i < before.size(); ++i) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(before[i].time_us),
@@ -631,7 +648,7 @@ TEST(CompiledBankRankTables, NegativeAndZeroModelsServedByTheTable) {
     }
     ASSERT_TRUE(bank.flat().has_argmin_table()) << learner;
     for (const bench::Instance& inst : stream) {
-      const auto preds = bank.predict_all(inst);
+      const auto preds = bank_predictions(bank, inst);
       EXPECT_EQ(preds.front().time_us, -1.0) << learner;
       EXPECT_FALSE(preds.front().usable) << learner;
       EXPECT_EQ(preds.back().time_us, 0.0) << learner;
@@ -1488,7 +1505,7 @@ TEST(CompiledBank, LoadingAModelTheLoweringRefusesThrows) {
 TEST(CompiledBank, ServingFromAnEmptyBankThrows) {
   const tune::CompiledBank bank;
   EXPECT_THROW((void)bank.select_uid({4, 4, 1024}), std::exception);
-  EXPECT_THROW((void)bank.predict_all({4, 4, 1024}), std::exception);
+  EXPECT_FALSE(bank.predicted_time_us(1, {4, 4, 1024}).has_value());
 }
 
 }  // namespace

@@ -361,8 +361,8 @@ TEST(FitFallback, ZeroFaultFitIsCleanAndUnchanged) {
 
 TEST(FitFallback, ArmedFitFaultsLeaveServingOnTheBankArgmin) {
   // A fault table arms fits only: with one armed, a table-backed tree
-  // bank still serves every selection from its argmin table — no model
-  // is predicted one by one — and picks as it does unarmed.
+  // bank still serves every selection from its argmin table and picks
+  // as it does unarmed.
   const bench::Dataset ds = make_synthetic();
   tune::Selector selector(tune::SelectorOptions{.learner = "xgboost"});
   ASSERT_FALSE(selector.fit(ds, kTrainNodes).degraded());
@@ -387,7 +387,6 @@ TEST(FitFallback, ArmedFitFaultsLeaveServingOnTheBankArgmin) {
     }
     EXPECT_EQ(bank.select_grid(grid), unarmed);
   }
-  EXPECT_EQ(support::metrics::counter("compiled.predict.calls").value(), 0u);
   EXPECT_EQ(support::metrics::counter("compiled.select.requests").value(),
             grid.size());
 }

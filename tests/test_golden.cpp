@@ -257,7 +257,6 @@ TEST(Golden, CountersReconcileWithReports) {
   EXPECT_EQ(counter_or_zero(snap, "compiled.select.requests"), 36u);
   EXPECT_EQ(counter_or_zero(snap, "compiled.select.default_fallbacks"), 0u);
   EXPECT_EQ(counter_or_zero(snap, "compiled.select.argmin_excluded"), 0u);
-  EXPECT_EQ(counter_or_zero(snap, "compiled.predict.calls"), 0u);
 }
 
 // Two back-to-back runs must render byte-identically — the pipeline and

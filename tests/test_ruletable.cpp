@@ -11,6 +11,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -378,6 +380,107 @@ TEST(RuleTable, LoadRejectsChildIndicesOutsidePreorder) {
                ParseError);
   EXPECT_THROW((void)load_edited(right_line + 1, "-1"), ParseError);
   std::filesystem::remove(path);
+}
+
+/// One seeded mutation of `bytes`: a bit flip, a truncation, or a splice
+/// of up to 16 bytes of `source` inserted at or written over a random
+/// position.
+void mutate_envelope(std::string& bytes, const std::string& source,
+                     support::Xoshiro256& rng) {
+  if (bytes.empty()) {
+    bytes = source.substr(0, 1 + rng.uniform_int(source.size()));
+    return;
+  }
+  const std::size_t pos = rng.uniform_int(bytes.size());
+  switch (rng.uniform_int(3)) {
+    case 0:
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.uniform_int(8)));
+      break;
+    case 1:
+      bytes.resize(pos);
+      break;
+    default: {
+      const std::size_t from = rng.uniform_int(source.size());
+      const std::string piece =
+          source.substr(from, 1 + rng.uniform_int(16));
+      if (rng.uniform_int(2) == 0) {
+        bytes.insert(pos, piece);
+      } else {
+        bytes.replace(pos, piece.size(), piece);
+      }
+      break;
+    }
+  }
+}
+
+/// Seeded byte flips, truncations and splices of a saved table. Every
+/// other mutant is re-sealed (a fresh header over whatever
+/// follows its first newline), so the checksum passes and the loader's
+/// structural checks are what must object. Every load either raises
+/// ParseError or returns a table whose walk answers one of its own leaf
+/// uids on every probe: a walk that left the pool would read out of
+/// bounds, and one that looped would never return.
+TEST(RuleTable, LoadSurvivesSeededMutationsOfTheV3Envelope) {
+  const tune::RuleTable table = hand_built_table();
+  ASSERT_GT(table.num_nodes(), 4);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mpicp_rt_mutants.txt";
+  table.save(path);
+  const std::string contents = slurp(path);
+
+  std::vector<bench::Instance> probes = random_instances(13, 256);
+  probes.push_back({1, 1, 0});
+  probes.push_back({std::numeric_limits<int>::max(),
+                    std::numeric_limits<int>::max(),
+                    std::numeric_limits<std::uint64_t>::max()});
+
+  support::Xoshiro256 rng(20261020);
+  int loaded[2] = {0, 0};
+  int rejected[2] = {0, 0};
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutant = contents;
+    const int mutations = 1 + static_cast<int>(rng.uniform_int(3));
+    for (int m = 0; m < mutations; ++m) {
+      mutate_envelope(mutant, contents, rng);
+    }
+    const int resealed = i % 2;
+    if (resealed) {
+      const std::size_t newline = mutant.find('\n');
+      const std::string body =
+          newline == std::string::npos ? "" : mutant.substr(newline + 1);
+      std::ostringstream header;
+      header << "mpicp-ruletable 3 " << body.size() << ' ' << std::hex
+             << ml::io::fnv1a64(body) << '\n';
+      mutant = header.str() + body;
+    }
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << mutant;
+    }
+    tune::RuleTable back;
+    try {
+      back = tune::RuleTable::load(path);
+    } catch (const ParseError&) {
+      ++rejected[resealed];
+      continue;
+    }
+    ++loaded[resealed];
+    std::set<int> leaf_uids;
+    for (const tune::RuleTable::Node& node : back.nodes()) {
+      if (node.feature < 0) leaf_uids.insert(node.left);
+    }
+    for (const bench::Instance& inst : probes) {
+      ASSERT_EQ(leaf_uids.count(back.uid_for(inst)), 1u)
+          << "mutant " << i << " m=" << inst.msize << " n=" << inst.nodes
+          << " ppn=" << inst.ppn;
+    }
+  }
+  std::filesystem::remove(path);
+  // The checksum rejects raw mutants; re-sealed ones reach both
+  // outcomes, so the structural checks did the sorting.
+  EXPECT_GT(rejected[0], 900);
+  EXPECT_GT(loaded[1], 0);
+  EXPECT_GT(rejected[1], 0);
 }
 
 }  // namespace
