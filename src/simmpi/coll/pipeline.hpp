@@ -39,6 +39,12 @@ struct VrankMap {
     return (base + ((offset + v) % p) * stride) % world;
   }
 
+  /// `out` = the ranks of the vranks `vs`.
+  void ranks_of(const std::vector<int>& vs, std::vector<int>& out) const {
+    out.clear();
+    for (const int v : vs) out.push_back(rank_of(v));
+  }
+
   /// This map with vrank 0 moved to member (offset + shift) mod p.
   VrankMap rotated(int shift) const {
     VrankMap out = *this;
