@@ -3,6 +3,7 @@
 // (doubles round-trip via max_digits10).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <iomanip>
@@ -72,12 +73,18 @@ void write_vector(std::ostream& os, const std::vector<T>& values) {
   for (const T& v : values) write_value(os, v);
 }
 
+/// Grows the vector as values arrive, so a count that overstates the
+/// stream fails on its short read before it allocates that count.
 template <typename T>
 std::vector<T> read_vector(std::istream& is) {
   const auto n = read_value<std::size_t>(is);
   MPICP_CHECK_PARSE(n < (1u << 28), "model stream: implausible vector size");
-  std::vector<T> values(n);
-  for (auto& v : values) v = read_value<T>(is);
+  std::vector<T> values;
+  for (std::size_t i = 0; i < n; ++i) {
+    // mpicp-lint: allow(no-alloc-in-loop) reserving the declared count
+    // is the allocation a short stream must not reach.
+    values.push_back(read_value<T>(is));
+  }
   return values;
 }
 
@@ -108,7 +115,9 @@ inline void write_sealed(std::ostream& os, std::string_view payload) {
 /// Read the rest of a sealed envelope (everything write_sealed wrote)
 /// and return the verified payload. A byte count of `max_bytes` or
 /// more, a short read, a malformed checksum or a checksum mismatch is
-/// a ParseError prefixed with `what`.
+/// a ParseError prefixed with `what`. The payload grows as its bytes
+/// arrive, so a header that overstates it allocates only what the
+/// stream holds.
 inline std::string read_sealed(std::istream& is, std::size_t max_bytes,
                                const std::string& what) {
   std::size_t bytes = 0;
@@ -118,13 +127,18 @@ inline std::string read_sealed(std::istream& is, std::size_t max_bytes,
   }
   MPICP_CHECK_PARSE(bytes < max_bytes, what + ": implausible payload size");
   is.get();  // the newline terminating the header
-  std::string payload(bytes, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(bytes));
-  const auto got = static_cast<std::size_t>(is.gcount());
-  if (got != bytes) {
+  std::string payload;
+  char chunk[4096];
+  while (payload.size() < bytes) {
+    is.read(chunk, static_cast<std::streamsize>(
+                       std::min(sizeof chunk, bytes - payload.size())));
+    if (is.gcount() == 0) break;
+    payload.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
+  if (payload.size() != bytes) {
     MPICP_RAISE_PARSE(what + ": truncated payload — expected " +
                       std::to_string(bytes) + " bytes, got " +
-                      std::to_string(got));
+                      std::to_string(payload.size()));
   }
   std::uint64_t expected = 0;
   try {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "support/error.hpp"
-#include "support/stats.hpp"
 
 namespace mpicp::ml {
 
@@ -44,21 +43,6 @@ double mape(std::span<const double> truth, std::span<const double> pred) {
     acc += std::abs((truth[i] - pred[i]) / truth[i]);
   }
   return acc / static_cast<double>(truth.size());
-}
-
-double r2(std::span<const double> truth, std::span<const double> pred) {
-  check(truth, pred);
-  const double mean_truth = support::mean(truth);
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    ss_res += (truth[i] - pred[i]) * (truth[i] - pred[i]);
-    ss_tot += (truth[i] - mean_truth) * (truth[i] - mean_truth);
-  }
-  // Exact zeros pick the degenerate-R² convention; a tolerance would
-  // misclassify genuinely tiny variance. mpicp-lint: allow(no-float-eq)
-  return ss_tot == 0.0 ? (ss_res == 0.0 ? 1.0 : 0.0)
-                       : 1.0 - ss_res / ss_tot;
 }
 
 }  // namespace mpicp::ml

@@ -11,7 +11,5 @@ double mae(std::span<const double> truth, std::span<const double> pred);
 double rmse(std::span<const double> truth, std::span<const double> pred);
 /// Mean absolute percentage error (truth must be nonzero).
 double mape(std::span<const double> truth, std::span<const double> pred);
-/// Coefficient of determination.
-double r2(std::span<const double> truth, std::span<const double> pred);
 
 }  // namespace mpicp::ml

@@ -69,16 +69,6 @@ DataStore make_initial_store(Collective coll, int p, int blocks_per_rank,
         store.at(r, (r - root + p) % p) = rank_token(r);
       }
       break;
-    case Collective::kScan:
-    case Collective::kReduceScatter:
-      for (int r = 0; r < p; ++r) {
-        for (int b = 0; b < blocks_per_rank; ++b) {
-          store.at(r, b) = contribution_of(r);
-        }
-      }
-      break;
-    case Collective::kBarrier:
-      break;
   }
   return store;
 }
@@ -147,32 +137,6 @@ std::string validate_store(Collective coll, const DataStore& store, int p,
           return violation(root, j, "gather chunk missing or misrouted");
         }
       }
-      return "";
-    case Collective::kScan:
-      for (int r = 0; r < p; ++r) {
-        for (int b = 0; b < nb; ++b) {
-          const Block& blk = store.at(r, b);
-          // Exactly the prefix 0..r: all lower bits set, no higher bit.
-          if (!has_all_contributions(blk, r + 1)) {
-            return violation(r, b, "scan prefix incomplete");
-          }
-          for (int hi = r + 1; hi < p; ++hi) {
-            const std::size_t w = static_cast<std::size_t>(hi) / 64;
-            if (w < blk.size() && (blk[w] >> (hi % 64)) & 1u) {
-              return violation(r, b, "scan includes a higher rank");
-            }
-          }
-        }
-      }
-      return "";
-    case Collective::kReduceScatter:
-      for (int j = 0; j < p; ++j) {
-        if (!has_all_contributions(store.at(j, j), p)) {
-          return violation(j, j, "reduced chunk incomplete");
-        }
-      }
-      return "";
-    case Collective::kBarrier:
       return "";
   }
   MPICP_RAISE_INTERNAL("unhandled Collective in validate_store");

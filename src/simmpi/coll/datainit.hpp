@@ -12,7 +12,6 @@
 //               with exactly bit j in every block j.
 //  * Scatter /  vrank-indexed rank tokens; see the builder docs in
 //    Gather:    smallcoll.hpp.
-//  * Barrier:   no data to validate.
 #pragma once
 
 #include <string>

@@ -1,9 +1,8 @@
-// Reduce, allgather, gather, scatter and barrier builders.
+// Reduce, allgather, gather and scatter builders.
 //
 // These are substrate collectives: the paper's evaluation targets Bcast,
-// Allreduce and Alltoall, but several of their algorithms are built from
-// these pieces, and a downstream user of the library expects them as
-// public API.
+// Allreduce and Alltoall, and the self-consistency guideline checks
+// (collbench/guidelines) compare their defaults against these pieces.
 #pragma once
 
 #include <cstddef>
@@ -12,11 +11,8 @@
 
 namespace mpicp::sim {
 
-BuiltCollective reduce_linear(const Comm& comm, std::size_t bytes, int root);
 BuiltCollective reduce_binomial(const Comm& comm, std::size_t bytes,
                                 std::size_t seg_bytes, int root);
-BuiltCollective reduce_binary(const Comm& comm, std::size_t bytes,
-                              std::size_t seg_bytes, int root);
 BuiltCollective reduce_pipeline(const Comm& comm, std::size_t bytes,
                                 std::size_t seg_bytes, int root);
 
@@ -24,36 +20,14 @@ BuiltCollective reduce_pipeline(const Comm& comm, std::size_t bytes,
 BuiltCollective allgather_ring(const Comm& comm, std::size_t bytes);
 BuiltCollective allgather_recursive_doubling(const Comm& comm,
                                              std::size_t bytes);
-/// Gather to rank 0 followed by a binomial broadcast of the result.
-BuiltCollective allgather_gather_bcast(const Comm& comm, std::size_t bytes);
 
 /// Gather of `bytes` per rank to `root`; block j holds the contribution
 /// of vrank j = rank (root + j) mod p.
-BuiltCollective gather_linear(const Comm& comm, std::size_t bytes, int root);
 BuiltCollective gather_binomial(const Comm& comm, std::size_t bytes,
                                 int root);
 
 /// Scatter of `bytes` per rank from `root` (same vrank block layout).
-BuiltCollective scatter_linear(const Comm& comm, std::size_t bytes,
-                               int root);
 BuiltCollective scatter_binomial(const Comm& comm, std::size_t bytes,
                                  int root);
-
-BuiltCollective barrier_dissemination(const Comm& comm);
-BuiltCollective barrier_tree(const Comm& comm);
-
-/// Inclusive scan of `bytes` per rank.
-BuiltCollective scan_linear(const Comm& comm, std::size_t bytes);
-/// Hillis-Steele recursive doubling scan (ceil(log2 p) rounds).
-BuiltCollective scan_recursive_doubling(const Comm& comm,
-                                        std::size_t bytes);
-
-/// Reduce-scatter of a `bytes`-sized vector into p equal chunks; rank j
-/// ends with the fully reduced chunk j (block j).
-BuiltCollective reduce_scatter_ring(const Comm& comm, std::size_t bytes);
-/// Recursive halving (power-of-two rank counts; other counts fall back
-/// to the ring algorithm, as common implementations do).
-BuiltCollective reduce_scatter_halving(const Comm& comm,
-                                       std::size_t bytes);
 
 }  // namespace mpicp::sim

@@ -4,8 +4,6 @@
 
 namespace mpicp::sim {
 
-// Pure name formatting, no timed work worth a span.
-// mpicp-lint: allow(span-coverage)
 std::string to_string(Collective c) {
   switch (c) {
     case Collective::kBcast: return "bcast";
@@ -15,9 +13,6 @@ std::string to_string(Collective c) {
     case Collective::kAllgather: return "allgather";
     case Collective::kScatter: return "scatter";
     case Collective::kGather: return "gather";
-    case Collective::kBarrier: return "barrier";
-    case Collective::kScan: return "scan";
-    case Collective::kReduceScatter: return "reduce_scatter";
   }
   MPICP_RAISE_INTERNAL("unhandled Collective value");
 }
@@ -30,12 +25,11 @@ Collective collective_from_string(const std::string& name) {
   if (name == "allgather") return Collective::kAllgather;
   if (name == "scatter") return Collective::kScatter;
   if (name == "gather") return Collective::kGather;
-  if (name == "barrier") return Collective::kBarrier;
-  if (name == "scan") return Collective::kScan;
-  if (name == "reduce_scatter") return Collective::kReduceScatter;
   MPICP_RAISE_ARG("unknown collective '" + name + "'");
 }
 
+// Name formatting and segment arithmetic, no timed work worth a span.
+// mpicp-lint: allow(span-coverage)
 Segmentation make_segmentation(std::size_t total_bytes,
                                std::size_t seg_request) {
   Segmentation s;

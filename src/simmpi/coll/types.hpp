@@ -12,8 +12,9 @@
 namespace mpicp::sim {
 
 /// The MPI collectives we model. The paper's evaluation covers Bcast,
-/// Allreduce and Alltoall; the others are substrates used as building
-/// blocks (and exposed because a downstream user would expect them).
+/// Allreduce and Alltoall; reduce, allgather, scatter and gather are
+/// the substrates the self-consistency guideline checks
+/// (collbench/guidelines) run.
 enum class Collective {
   kBcast,
   kReduce,
@@ -22,9 +23,6 @@ enum class Collective {
   kAllgather,
   kScatter,
   kGather,
-  kBarrier,
-  kScan,           ///< inclusive prefix reduction
-  kReduceScatter,  ///< reduce + scatter of the result chunks
 };
 
 std::string to_string(Collective c);
@@ -64,7 +62,6 @@ class Comm {
                                            : local * nodes_ + node;
   }
   int leader_of_node(int node) const { return rank_of(node, 0); }
-  bool is_leader(int rank) const { return local_of(rank) == 0; }
 
  private:
   int nodes_;

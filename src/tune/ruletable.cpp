@@ -108,9 +108,7 @@ int RuleTable::build(std::vector<const LabeledInstance*> points, int depth,
   const auto [major_uid, major_count] = majority(points);
   const int node_idx = static_cast<int>(nodes_.size());
   nodes_.push_back({.left = major_uid});
-  if (major_count == points.size() || depth >= params.max_depth ||
-      points.size() <
-          static_cast<std::size_t>(2 * params.min_points_per_leaf)) {
+  if (major_count == points.size() || depth >= params.max_depth) {
     return node_idx;
   }
 
@@ -143,12 +141,6 @@ int RuleTable::build(std::vector<const LabeledInstance*> points, int depth,
         // with zero points. Recursing on it would never terminate —
         // skip the candidate (and fall through to a leaf if every
         // candidate degenerates).
-        continue;
-      }
-      if (left.size() <
-              static_cast<std::size_t>(params.min_points_per_leaf) ||
-          right.size() <
-              static_cast<std::size_t>(params.min_points_per_leaf)) {
         continue;
       }
       const std::size_t miss = (left.size() - majority(left).second) +

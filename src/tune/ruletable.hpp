@@ -47,7 +47,6 @@ struct LabeledInstance {
 
 struct RuleParams {
   int max_depth = 8;
-  int min_points_per_leaf = 1;
 };
 
 /// The feature encoding the rules split on: 0 is log2(max(msize, 1)),

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "simmpi/coll/bcast.hpp"
-#include "simmpi/coll/smallcoll.hpp"
 #include "simmpi/coll/registry.hpp"
 #include "simmpi/executor.hpp"
 #include "simnet/machine.hpp"
@@ -186,27 +185,6 @@ TEST(Timing, DeterministicAcrossRuns) {
   const double b =
       run_uid(MpiLib::kOpenMPI, Collective::kBcast, uid, 16, 8, 1 << 20);
   EXPECT_DOUBLE_EQ(a, b);
-}
-
-TEST(Timing, RecursiveDoublingScanBeatsLinearChainAtScale) {
-  const Comm comm(16, 4);
-  const double t_lin = run_built(scan_linear(comm, 4096), 16, 4);
-  const double t_rd =
-      run_built(scan_recursive_doubling(comm, 4096), 16, 4);
-  EXPECT_GT(t_lin, 3.0 * t_rd);  // O(p) chain vs O(log p) rounds
-}
-
-TEST(Timing, ReduceScatterMovesLessThanAllreduce) {
-  // Reduce-scatter is strictly a prefix of the ring allreduce, so it
-  // must be faster for the same payload.
-  const Comm comm(8, 4);
-  const std::size_t m = 1u << 20;
-  const double t_rs = run_built(reduce_scatter_ring(comm, m), 8, 4);
-  const double t_ar = run_uid(
-      MpiLib::kOpenMPI, Collective::kAllreduce,
-      uid_of(MpiLib::kOpenMPI, Collective::kAllreduce, "ring", 0, 0), 8, 4,
-      m);
-  EXPECT_LT(t_rs, t_ar);
 }
 
 TEST(Timing, RootRotationKeepsCostSimilar) {

@@ -1,5 +1,5 @@
 // Tests for the from-scratch ML library: linear algebra, metrics, trees,
-// gradient boosting, KNN, splines, GAM, random forest, CV utilities.
+// gradient boosting, KNN, splines, GAM, random forest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/cv.hpp"
 #include "ml/forest.hpp"
 #include "ml/gam.hpp"
 #include "ml/gbt.hpp"
@@ -142,8 +141,6 @@ TEST(MetricsTest, Basics) {
   EXPECT_NEAR(mae(t, p), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(rmse(t, p), std::sqrt(4.0 / 3.0), 1e-12);
   EXPECT_NEAR(mape(t, p), (2.0 / 3.0) / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(r2(t, t), 1.0);
-  EXPECT_LT(r2(t, p), 1.0);
 }
 
 TEST(BinnerTest, LosslessForFewDistinctValues) {
@@ -574,28 +571,6 @@ TEST(LinearTest, CannotFitNonlinearSurfaceWellButGbtCan) {
   const double lin_err = mape(test.y, lin.predict(test.x));
   const double gbt_err = mape(test.y, gbt.predict(test.x));
   EXPECT_LT(gbt_err, lin_err);
-}
-
-TEST(CvTest, SplitsPartition) {
-  const Split s = holdout_split(100, 0.2, 1);
-  EXPECT_EQ(s.train.size() + s.test.size(), 100u);
-  EXPECT_EQ(s.test.size(), 20u);
-
-  const auto folds = kfold_splits(30, 3, 2);
-  ASSERT_EQ(folds.size(), 3u);
-  std::vector<int> seen(30, 0);
-  for (const Split& f : folds) {
-    EXPECT_EQ(f.train.size() + f.test.size(), 30u);
-    for (const std::size_t i : f.test) ++seen[i];
-  }
-  for (const int c : seen) EXPECT_EQ(c, 1);  // each row in one test fold
-}
-
-TEST(CvTest, KfoldRmseRuns) {
-  const Synth s = make_synth(200, 0.05, 16);
-  const double err = kfold_rmse("knn", s.x, s.y, 4, 3);
-  EXPECT_GT(err, 0.0);
-  EXPECT_LT(err, 10.0);
 }
 
 TEST(FactoryTest, AllLearnersConstructAndFit) {

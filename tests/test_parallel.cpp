@@ -1,8 +1,8 @@
 // Tests for the parallel execution layer: pool lifecycle, parallel_for
 // semantics (exception propagation, nested-use guard), and the
 // bit-identical determinism contract of the parallelized model-bank
-// paths (Selector::fit / select_uid / predict_all, evaluate,
-// kfold_rmse) across thread counts.
+// paths (Selector::fit / select_uid / predict_all, evaluate) across
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 
 #include "collbench/dataset.hpp"
 #include "collbench/defaults.hpp"
-#include "ml/cv.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tune/evaluator.hpp"
@@ -202,24 +201,6 @@ TEST(ParallelDeterminismSuite, EvaluationIsBitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(a.summary.mean_speedup, b.summary.mean_speedup);
   EXPECT_EQ(a.summary.fraction_optimal, b.summary.fraction_optimal);
-}
-
-TEST(ParallelDeterminismSuite, KfoldRmseIsBitIdenticalAcrossThreadCounts) {
-  Xoshiro256 rng(21);
-  ml::Matrix x(240, 3);
-  std::vector<double> y(240);
-  for (std::size_t i = 0; i < 240; ++i) {
-    for (std::size_t f = 0; f < 3; ++f) x(i, f) = rng.uniform(0.0, 8.0);
-    y[i] = 1.0 + 2.0 * x(i, 0) + 0.5 * x(i, 1) * x(i, 2) +
-           rng.normal(0.0, 0.1);
-  }
-  for (const char* learner : {"xgboost", "rf", "gam"}) {
-    ScopedThreads one(1);
-    const double serial = ml::kfold_rmse(learner, x, y, 5, 7);
-    ScopedThreads four(4);
-    const double parallel = ml::kfold_rmse(learner, x, y, 5, 7);
-    EXPECT_EQ(serial, parallel) << learner;
-  }
 }
 
 }  // namespace

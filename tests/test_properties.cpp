@@ -399,8 +399,7 @@ TEST_P(RuleInvariants, UncappedTreeOnDistinctPointsIsExact) {
   const std::uint64_t seed = GetParam();
   const auto points = random_labeled(seed, /*distinct=*/true);
   const tune::RuleTable table = tune::RuleTable::fit(
-      points, {.max_depth = std::numeric_limits<int>::max(),
-               .min_points_per_leaf = 1});
+      points, {.max_depth = std::numeric_limits<int>::max()});
   // Distinct points are always separable, and tie-splits guarantee the
   // greedy fit keeps separating until every leaf is pure.
   EXPECT_DOUBLE_EQ(table.agreement(), 1.0) << "seed " << seed;

@@ -102,13 +102,12 @@ TEST(Rulegen, XorLabelPatternReachesFullAgreement) {
 TEST(Rulegen, DuplicateInstancesWithConflictingLabelsTerminate) {
   // Identical feature vectors with different labels admit no separating
   // split; a candidate whose child would hold zero points must be
-  // skipped, not recursed on (this used to loop forever with
-  // min_points_per_leaf = 0). The node terminates as a majority leaf.
+  // skipped, not recursed on (this used to loop forever when a leaf
+  // could hold zero points). The node terminates as a majority leaf.
   std::vector<LabeledInstance> points;
   for (int rep = 0; rep < 3; ++rep) points.push_back({{4, 2, 1024}, 1});
   points.push_back({{4, 2, 1024}, 2});
-  const RuleTable rules = RuleTable::fit(
-      points, {.max_depth = 64, .min_points_per_leaf = 0});
+  const RuleTable rules = RuleTable::fit(points, {.max_depth = 64});
   EXPECT_EQ(rules.num_leaves(), 1);
   EXPECT_EQ(rules.uid_for({4, 2, 1024}), 1);
   EXPECT_DOUBLE_EQ(rules.agreement(), 0.75);
@@ -125,8 +124,7 @@ TEST(Rulegen, AdjacentDoubleThresholdsCannotRecurseForever) {
   points.push_back({{2, 1, kLower}, 1});
   points.push_back({{2, 1, kLower + 1}, 2});
   points.push_back({{2, 1, kLower + 1}, 1});
-  const RuleTable rules = RuleTable::fit(
-      points, {.max_depth = 1024, .min_points_per_leaf = 0});
+  const RuleTable rules = RuleTable::fit(points, {.max_depth = 1024});
   // The impure node terminates as a majority leaf.
   EXPECT_EQ(rules.num_leaves(), 1);
   EXPECT_DOUBLE_EQ(rules.agreement(), 2.0 / 3.0);
