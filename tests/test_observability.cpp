@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "collbench/dataset.hpp"
@@ -15,6 +14,8 @@
 #include "support/rng.hpp"
 #include "support/trace.hpp"
 #include "tune/selector.hpp"
+
+#include "rss.hpp"
 
 namespace mpicp {
 namespace {
@@ -121,16 +122,6 @@ TEST_P(TraceThreads, FitSpansAggregatePerUid) {
   EXPECT_EQ(uid_fits->count, 4u);  // one span per uid, any thread count
 }
 
-/// This process's resident set size in kB (VmRSS), or -1 if unreadable.
-long rss_kb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
-  }
-  return -1;
-}
-
 TEST_P(TraceThreads, SpanStoreStaysBoundedUnderMillionsOfSpans) {
   const support::ScopedThreads threads(GetParam());
   const trace::ScopedEnabled on(true);
@@ -144,10 +135,10 @@ TEST_P(TraceThreads, SpanStoreStaysBoundedUnderMillionsOfSpans) {
   };
   run(64 * 1024);  // every thread has opened the paths once
   trace::reset();
-  const long before = rss_kb();
+  const long before = rss::kb();
   ASSERT_GT(before, 0);
   run(kTasks);
-  const long grown_kb = rss_kb() - before;
+  const long grown_kb = rss::kb() - before;
 
   // Each span adds into its path's entry: the store holds three entries
   // however many spans close, so 2 M spans leave memory flat.
